@@ -12,7 +12,7 @@
 //! datasets at reduced scale, a simulated cluster, different hardware); the
 //! shapes — which dataset is hardest, how time responds to τ_time/τ_split,
 //! near-linear thread/machine scaling, mining ≫ materialisation — are the
-//! reproduction targets. See EXPERIMENTS.md.
+//! reproduction targets.
 
 use qcm_bench::report::{mib, seconds, Table};
 use qcm_bench::runner::{default_threads, run_dataset, RunOptions};

@@ -4,27 +4,21 @@
 //!
 //! * the `experiments` binary (`cargo run --release -p qcm-bench --bin
 //!   experiments -- <experiment>`), which regenerates every table and figure
-//!   of the paper's Section 7 at the stand-in-dataset scale, and
-//! * the Criterion benchmarks (`cargo bench -p qcm-bench`), which run the same
-//!   experiments on further-scaled-down inputs so that `cargo bench` finishes
-//!   in minutes.
+//!   of the paper's Section 7 at the stand-in-dataset scale (its module docs
+//!   list the experiments),
+//! * the `calibrate` binary, which tunes the stand-ins' hard-core cost, and
+//! * the `load_gen` binary, the closed-loop HTTP load generator CI drives
+//!   against `qcm serve --listen`.
 //!
-//! The mapping from experiment to paper artefact is documented in DESIGN.md
-//! (per-experiment index) and the observed numbers are recorded in
-//! EXPERIMENTS.md.
+//! Performance is measured by the benchmark of record (`BENCHMARK.json` +
+//! `benchmark/`), which reuses [`scaled`] and [`suite::peak_rss_bytes`] from
+//! here.
 
-/// The hand-rolled JSON value (moved to `qcm_obs::json` so the HTTP
-/// listener can share it; re-exported here for the pipeline's call sites).
-pub mod json {
-    pub use qcm_obs::json::*;
-}
 pub mod loadgen;
 pub mod report;
 pub mod runner;
 pub mod scaled;
 pub mod suite;
 
-pub use json::Json;
 pub use report::Table;
 pub use runner::{run_dataset, DatasetRun, RunOptions};
-pub use suite::{SuiteReport, WorkloadResult, WorkloadSpec};

@@ -1,4 +1,4 @@
-//! Closed-loop HTTP load generator for the `qcm serve` SLO row.
+//! Closed-loop HTTP load generator for the `qcm serve` overload SLO.
 //!
 //! Each client thread drives the real socket: `POST /v1/jobs`, then
 //! long-poll `GET /v1/jobs/{id}?wait_ms=` until the job is terminal, then
@@ -14,7 +14,7 @@
 //! deliberately the simplest correct client, so a bug in keep-alive
 //! handling on the server side cannot hide in the measurement loop.
 
-use crate::json::Json;
+use qcm_obs::json::{self, Json};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -79,7 +79,7 @@ pub struct LoadGenReport {
 impl LoadGenReport {
     /// Serialises the report (the `serve_overload` BENCH row's fields).
     pub fn to_json(&self) -> Json {
-        crate::json::object(vec![
+        json::object(vec![
             ("clients", Json::from(self.clients)),
             ("total", Json::from(self.total)),
             ("completed", Json::from(self.completed)),

@@ -1,15 +1,14 @@
-//! Scaled-down dataset variants for Criterion benchmarks and harness tests.
+//! Scaled-down dataset variants for quick harness runs and tests.
 //!
-//! `cargo bench` runs every experiment many times, so the Criterion targets
-//! use these reduced specs (a few hundred to a few thousand vertices) while
-//! the `experiments` binary uses the full stand-in sizes. The scaling keeps
-//! the mining parameters and the structural ingredients (power-law background,
+//! `experiments --quick`, the benchmark of record's smoke mode and the
+//! harness tests use these reduced specs (a few hundred to a few thousand
+//! vertices) while full runs use the stand-in sizes. The scaling keeps the
+//! mining parameters and the structural ingredients (power-law background,
 //! planted communities, hard core) intact so the qualitative shapes survive.
 
 use qcm_gen::DatasetSpec;
 
-/// A medium reduction (~quarter scale) used by the per-table Criterion
-/// benchmarks.
+/// A medium reduction (~quarter scale) used by `experiments --quick`.
 pub fn bench_scale(spec: &DatasetSpec) -> DatasetSpec {
     let mut s = spec.clone();
     s.num_vertices = (s.num_vertices / 4).clamp(400, 5_000);

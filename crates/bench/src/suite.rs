@@ -1,680 +1,4 @@
-//! The machine-readable benchmark suite behind `bench_suite` / `bench_gate`.
-//!
-//! Each workload mines a seeded synthetic dataset twice along its *variant
-//! axis* — a baseline variant and an optimised variant of the same binary —
-//! and records wall time for both, the kernel counters
-//! ([`qcm_graph::neighborhoods::perf`]) of the optimised run, and the index
-//! shape. Three axes exist:
-//!
-//! * [`VariantAxis::Index`] — hybrid bitset neighborhood index off vs
-//!   [`IndexSpec::Auto`] (the PR-4 rows);
-//! * [`VariantAxis::Scratch`] — fresh-allocation recursion
-//!   ([`ScratchMode::Fresh`], the pre-arena hot path) vs the pooled
-//!   [`qcm_core::MiningScratch`] arena;
-//! * [`VariantAxis::Steal`] — work stealing disabled (`steal_batch = 0`,
-//!   the single-global-queue era's behaviour) vs the per-worker deque steal
-//!   protocol.
-//!
-//! The resulting `BENCH_<pr>.json` is the artefact CI's `perf-smoke` job
-//! uploads and gates against `bench/baseline.json` (see BENCH.md for the
-//! schema and refresh workflow).
-//!
-//! Wall times are machine-dependent, so the report also carries a
-//! `calibration_ms` measurement of a fixed hashing loop; the gate normalises
-//! wall-time comparisons by the calibration ratio and gates the
-//! deterministic counters exactly.
-
-use crate::json::{object, Json};
-use crate::loadgen::{self, LoadGenConfig, LoadGenReport};
-use qcm_core::{MiningParams, PruneConfig, ScratchMode, SerialMiner};
-use qcm_engine::EngineConfig;
-use qcm_gen::DatasetSpec;
-use qcm_graph::neighborhoods::{perf, IndexSpec};
-use qcm_graph::{io, Graph, NeighborhoodIndex};
-use qcm_http::{Api, AuthConfig, Server, ServerConfig};
-use qcm_parallel::ParallelMiner;
-use qcm_service::{AdmissionControl, ServiceConfig};
-use qcm_sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Which miner a workload drives.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WorkloadBackend {
-    /// The single-threaded reference miner.
-    Serial,
-    /// The task-based engine on one simulated machine.
-    Parallel {
-        /// Mining threads.
-        threads: usize,
-    },
-}
-
-impl WorkloadBackend {
-    fn label(&self) -> String {
-        match self {
-            WorkloadBackend::Serial => "serial".to_string(),
-            WorkloadBackend::Parallel { threads } => format!("parallel:{threads}"),
-        }
-    }
-}
-
-/// Which optimisation a workload's baseline/current pair measures.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum VariantAxis {
-    /// Baseline: `IndexSpec::Disabled` (binary-search edge queries).
-    Index,
-    /// Baseline: `ScratchMode::Fresh` (allocation-per-tree-node recursion).
-    /// Serial backend only.
-    Scratch,
-    /// Baseline: `steal_batch = 0` (no intra-machine work stealing).
-    /// Parallel backend only.
-    Steal,
-}
-
-impl VariantAxis {
-    fn label(&self) -> &'static str {
-        match self {
-            VariantAxis::Index => "index",
-            VariantAxis::Scratch => "scratch",
-            VariantAxis::Steal => "steal",
-        }
-    }
-}
-
-/// One benchmark workload: a seeded dataset plus the backend to mine it on.
-#[derive(Clone, Debug)]
-pub struct WorkloadSpec {
-    /// Stable workload name (the gate joins on it).
-    pub name: &'static str,
-    /// The (already scaled) dataset specification.
-    pub dataset: DatasetSpec,
-    /// Backend to run.
-    pub backend: WorkloadBackend,
-    /// The optimisation this workload's speedup measures.
-    pub variant: VariantAxis,
-    /// Pruning-rule configuration both variants mine with.
-    pub prune: PruneConfig,
-    /// True when wall time *and* kernel counters are reproducible across
-    /// machines (serial runs). Parallel runs decompose by wall-clock τ_time,
-    /// so their counters vary and only time is gated.
-    pub deterministic: bool,
-    /// True for workloads whose baseline-vs-optimised speedup the gate
-    /// tracks.
-    pub tracked: bool,
-}
-
-/// The deep-recursion arena workload: a dense planted block under a loose γ
-/// keeps the pruning rules comparatively quiet, so the search expands many
-/// cheap tree nodes — exactly the regime where per-node allocation used to
-/// dominate. Serial and fully deterministic; the gate tracks its
-/// pooled-vs-fresh speedup and its exact `allocations_avoided` count.
-fn deep_recursion_spec() -> DatasetSpec {
-    DatasetSpec {
-        name: "DeepRecursion",
-        num_vertices: 500,
-        avg_degree: 6.0,
-        beta: 2.6,
-        max_degree: 40.0,
-        planted_sizes: vec![10, 10],
-        planted_density: 0.9,
-        hard_core: Some((20, 0.6)),
-        gamma: 0.6,
-        min_size: 8,
-        tau_split: 200,
-        tau_time_ms: 5,
-        seed: 77,
-    }
-}
-
-/// The steal-skew workload: a small power-law background whose work is
-/// concentrated in one hard core reachable from few roots. Time-delayed
-/// decomposition dumps the core's subtasks into the decomposing worker's own
-/// deque (τ_split is high, so they are all "small"); without stealing the
-/// siblings idle once the spawn cursor runs dry, with stealing they drain
-/// the hot worker's FIFO end.
-fn steal_skew_spec() -> DatasetSpec {
-    DatasetSpec {
-        name: "StealSkew",
-        num_vertices: 1_500,
-        avg_degree: 3.0,
-        beta: 2.6,
-        max_degree: 30.0,
-        planted_sizes: vec![12, 12],
-        planted_density: 0.95,
-        hard_core: Some((44, 0.64)),
-        gamma: 0.9,
-        min_size: 12,
-        tau_split: 400,
-        tau_time_ms: 0,
-        seed: 4242,
-    }
-}
-
-/// The standard suite: the three PR-4 index rows, the tracked deep-recursion
-/// arena row and the 4-thread steal-skew row.
-///
-/// `quick` selects the CI-sized datasets (a few hundred vertices, seconds of
-/// total runtime); the full size is for local perf work.
-pub fn workloads(quick: bool) -> Vec<WorkloadSpec> {
-    let scale = if quick {
-        crate::scaled::tiny
-    } else {
-        crate::scaled::bench_scale
-    };
-    // The PR-5 specs are authored directly at suite scale (bench_scale's
-    // hard-core clamp would flatten the skew the steal row depends on);
-    // quick mode still shrinks them to smoke size.
-    let new_scale = |spec: &DatasetSpec| {
-        if quick {
-            crate::scaled::tiny(spec)
-        } else {
-            spec.clone()
-        }
-    };
-    vec![
-        // Enron's hard core (a dense near-γ block of hub vertices) is the
-        // paper's source of expensive tasks: the search space is packed with
-        // near-cliques over high-degree vertices, so the pairwise edge
-        // queries of `is_quasi_clique_local` and the degree recomputations
-        // dominate — the workload the hub rows exist for. Tracked since PR 4.
-        WorkloadSpec {
-            name: "edge_query_hubs",
-            dataset: scale(&qcm_gen::datasets::enron()),
-            backend: WorkloadBackend::Serial,
-            variant: VariantAxis::Index,
-            prune: PruneConfig::all_enabled(),
-            deterministic: true,
-            tracked: true,
-        },
-        // γ = 0.8 keeps the diameter rule active on a sparser planted
-        // dataset: every expansion intersects ext(S) with a two-hop
-        // neighborhood. Cheap, counter-gated.
-        WorkloadSpec {
-            name: "intersection_two_hop",
-            dataset: scale(&qcm_gen::datasets::cx_gse10158()),
-            backend: WorkloadBackend::Serial,
-            variant: VariantAxis::Index,
-            prune: PruneConfig::all_enabled(),
-            deterministic: true,
-            tracked: false,
-        },
-        // The full engine path over the other hard-core dataset: spawn/pull
-        // iterations, time-delayed decomposition, per-task hub indexes.
-        WorkloadSpec {
-            name: "parallel_timedelayed",
-            dataset: scale(&qcm_gen::datasets::hyves()),
-            backend: WorkloadBackend::Parallel { threads: 4 },
-            variant: VariantAxis::Index,
-            prune: PruneConfig::all_enabled(),
-            deterministic: false,
-            tracked: false,
-        },
-        // PR-5 tracked row: the scratch arena against the fresh-allocation
-        // reference recursion on a deep, allocation-bound search.
-        WorkloadSpec {
-            name: "deep_recursion_arena",
-            dataset: new_scale(&deep_recursion_spec()),
-            backend: WorkloadBackend::Serial,
-            variant: VariantAxis::Scratch,
-            // Lookahead's O(|S ∪ ext|²) density check is pure edge-query
-            // work that both variants pay identically; turning it off keeps
-            // this row dominated by the per-node frame traffic the arena
-            // targets. (Rule subsets never change the final result set —
-            // property-tested invariant.)
-            prune: PruneConfig::all_enabled().without("lookahead"),
-            deterministic: true,
-            tracked: true,
-        },
-        // PR-5 tracked row: the intra-machine steal protocol against the
-        // no-stealing pop path on a skewed 4-thread decomposition workload.
-        WorkloadSpec {
-            name: "steal_skew",
-            dataset: new_scale(&steal_skew_spec()),
-            backend: WorkloadBackend::Parallel { threads: 4 },
-            variant: VariantAxis::Steal,
-            prune: PruneConfig::all_enabled(),
-            deterministic: false,
-            tracked: true,
-        },
-    ]
-}
-
-/// The measured row of one workload.
-#[derive(Clone, Debug)]
-pub struct WorkloadResult {
-    /// Workload name.
-    pub name: String,
-    /// Dataset name.
-    pub dataset: String,
-    /// Backend label (`serial` / `parallel:<threads>`).
-    pub backend: String,
-    /// Variant axis label (`index` / `scratch` / `steal`).
-    pub variant: String,
-    /// Graph size.
-    pub num_vertices: usize,
-    /// Graph size.
-    pub num_edges: usize,
-    /// γ mined with.
-    pub gamma: f64,
-    /// τ_size mined with.
-    pub min_size: usize,
-    /// Best-of-iters wall time of the optimised variant.
-    pub wall_ms: f64,
-    /// Best-of-iters wall time of the baseline variant.
-    pub baseline_wall_ms: f64,
-    /// `baseline_wall_ms / wall_ms`.
-    pub speedup: f64,
-    /// Edge queries of one optimised run.
-    pub edge_queries: u64,
-    /// Bitset fast-path hits of one optimised run.
-    pub bitset_hits: u64,
-    /// Intersections of one optimised run.
-    pub intersections: u64,
-    /// Scratch-frame requests served by the arena in one optimised run.
-    pub allocations_avoided: u64,
-    /// Scratch-frame requests that hit the heap in one optimised run (pool
-    /// warm-up only — stays flat while `allocations_avoided` scales with
-    /// tree nodes, which is the zero-allocation steady-state evidence).
-    pub scratch_fresh_allocs: u64,
-    /// High-water mark of pooled scratch bytes at the end of the run.
-    pub scratch_bytes_peak: u64,
-    /// Tasks moved by intra-machine steals in one optimised run.
-    pub steals: u64,
-    /// Steal sweeps that found nothing in one optimised run.
-    pub steal_failures: u64,
-    /// Maximal results (identical between the two variants — verified).
-    pub maximal_results: usize,
-    /// Auto-resolved hub threshold of the global index for this graph.
-    pub index_threshold: usize,
-    /// Hub vertices of the global index.
-    pub index_hub_vertices: usize,
-    /// Bitset-row bytes of the global index.
-    pub index_memory_bytes: usize,
-    /// See [`WorkloadSpec::deterministic`].
-    pub deterministic: bool,
-    /// See [`WorkloadSpec::tracked`].
-    pub tracked: bool,
-    /// Per-span-kind self time (µs, children subtracted) of one *untimed*
-    /// traced pass of the optimised variant — where this workload spends its
-    /// wall time, attached so a BENCH regression can be read against the
-    /// phase breakdown without re-running under a profiler. Empty when the
-    /// process-global recorder was busy.
-    pub phase_self_time_us: Vec<(&'static str, u64)>,
-}
-
-/// Runs one workload: `iters` timed runs per variant (baseline / optimised
-/// along the workload's axis), best wall time of each, counter deltas from
-/// the last optimised run.
-///
-/// # Panics
-/// Panics if the two variants disagree on the result set — no optimisation
-/// may change *what* is mined.
-pub fn run_workload(spec: &WorkloadSpec, iters: usize) -> WorkloadResult {
-    let dataset = spec.dataset.generate();
-    let graph = Arc::new(dataset.graph);
-    let params = MiningParams::new(spec.dataset.gamma, spec.dataset.min_size);
-    let iters = iters.max(1);
-
-    let (baseline_wall_ms, baseline_results, _) = run_variant(spec, &graph, params, true, iters);
-    let (wall_ms, results, counters) = run_variant(spec, &graph, params, false, iters);
-    assert_eq!(
-        baseline_results, results,
-        "workload {}: results must be variant-invariant",
-        spec.name
-    );
-    let phase_self_time_us = traced_self_time(spec, &graph, params);
-
-    let index = NeighborhoodIndex::build(graph.clone(), IndexSpec::Auto);
-    WorkloadResult {
-        name: spec.name.to_string(),
-        dataset: spec.dataset.name.to_string(),
-        backend: spec.backend.label(),
-        variant: spec.variant.label().to_string(),
-        num_vertices: graph.num_vertices(),
-        num_edges: graph.num_edges(),
-        gamma: spec.dataset.gamma,
-        min_size: spec.dataset.min_size,
-        wall_ms,
-        baseline_wall_ms,
-        speedup: baseline_wall_ms / wall_ms.max(1e-9),
-        edge_queries: counters.edge_queries,
-        bitset_hits: counters.bitset_hits,
-        intersections: counters.intersections,
-        allocations_avoided: counters.allocations_avoided,
-        scratch_fresh_allocs: counters.scratch_fresh_allocs,
-        scratch_bytes_peak: counters.scratch_bytes_peak,
-        steals: counters.steals,
-        steal_failures: counters.steal_failures,
-        maximal_results: results,
-        index_threshold: index.threshold(),
-        index_hub_vertices: index.hub_count(),
-        index_memory_bytes: index.memory_bytes(),
-        deterministic: spec.deterministic,
-        tracked: spec.tracked,
-        phase_self_time_us,
-    }
-}
-
-/// The per-pass `perf::reset()` in [`run_variant`] zeroes *process-wide*
-/// counters, and the span recorder behind [`traced_self_time`] is a
-/// process-wide singleton — concurrent measured regions would corrupt each
-/// other's deltas or lose the trace (e.g. `cargo test` running two suite
-/// tests on parallel threads). One lock serialises them; the bench binaries
-/// take it uncontended.
-static MEASURE_LOCK: qcm_sync::Mutex<()> = qcm_sync::Mutex::new(());
-
-/// Resolves a workload's variant axis into the three mechanism knobs. Every
-/// axis keeps the other two optimisations at their defaults, so a row
-/// isolates exactly one mechanism.
-fn variant_knobs(spec: &WorkloadSpec, baseline: bool) -> (IndexSpec, ScratchMode, bool) {
-    let index = match (spec.variant, baseline) {
-        (VariantAxis::Index, true) => IndexSpec::Disabled,
-        _ => IndexSpec::Auto,
-    };
-    let scratch = match (spec.variant, baseline) {
-        (VariantAxis::Scratch, true) => ScratchMode::Fresh,
-        _ => ScratchMode::Pooled,
-    };
-    let steal = spec.variant != VariantAxis::Steal || !baseline;
-    (index, scratch, steal)
-}
-
-/// One mining pass with explicit mechanism knobs; returns the maximal count.
-fn mine_pass(
-    spec: &WorkloadSpec,
-    graph: &Arc<Graph>,
-    params: MiningParams,
-    index: IndexSpec,
-    scratch: ScratchMode,
-    steal: bool,
-) -> usize {
-    match spec.backend {
-        WorkloadBackend::Serial => SerialMiner::with_config(params, spec.prune)
-            .with_index(index)
-            .with_scratch_mode(scratch)
-            .mine(graph)
-            .maximal
-            .len(),
-        WorkloadBackend::Parallel { threads } => {
-            let mut config = EngineConfig::single_machine(threads)
-                .with_decomposition(
-                    spec.dataset.tau_split,
-                    Duration::from_millis(spec.dataset.tau_time_ms),
-                )
-                .with_index(index);
-            if spec.variant == VariantAxis::Steal {
-                // Both variants: a deque deep enough to hold the skewed
-                // decomposition burst and coarse spawn batches (one
-                // worker grabs long consecutive id runs, so the hard
-                // core's roots concentrate), isolating exactly the steal
-                // protocol (the pre-stealing engine's L_small was
-                // worker-private too, not shared through overflow).
-                config.local_capacity = 4096;
-                config.batch_size = 256;
-            }
-            if !steal {
-                config.steal_batch = 0;
-            }
-            ParallelMiner::new(params, config)
-                .with_prune_config(spec.prune)
-                .mine(graph.clone())
-                .maximal
-                .len()
-        }
-    }
-}
-
-/// Runs `iters` mining passes of one variant; returns (best wall ms, result
-/// count, counter delta of the last pass).
-fn run_variant(
-    spec: &WorkloadSpec,
-    graph: &Arc<Graph>,
-    params: MiningParams,
-    baseline: bool,
-    iters: usize,
-) -> (f64, usize, perf::PerfSnapshot) {
-    let (index, scratch, steal) = variant_knobs(spec, baseline);
-    let _measuring = MEASURE_LOCK.lock();
-
-    let mut best_ms = f64::INFINITY;
-    let mut result_count = 0usize;
-    let mut counters = perf::PerfSnapshot::default();
-    for _ in 0..iters {
-        // Zero the counters so the gauge-style `scratch_bytes_peak` reflects
-        // this pass alone (the additive counters are delta-read either way).
-        perf::reset();
-        let before = perf::snapshot();
-        let start = Instant::now();
-        result_count = mine_pass(spec, graph, params, index, scratch, steal);
-        let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-        counters = perf::snapshot().since(&before);
-        best_ms = best_ms.min(elapsed_ms);
-    }
-    (best_ms, result_count, counters)
-}
-
-/// One extra pass of the optimised variant under span recording, reduced to
-/// self time per span kind. Runs *after* the timed passes so tracing
-/// overhead never leaks into `wall_ms`. The span recorder is process-global
-/// and exclusive; if another recording is active (parallel suite tests) the
-/// breakdown is simply omitted.
-fn traced_self_time(
-    spec: &WorkloadSpec,
-    graph: &Arc<Graph>,
-    params: MiningParams,
-) -> Vec<(&'static str, u64)> {
-    let (index, scratch, steal) = variant_knobs(spec, false);
-    let _measuring = MEASURE_LOCK.lock();
-    if !qcm_obs::start_recording(&qcm_obs::TraceConfig::default()) {
-        return Vec::new();
-    }
-    {
-        let _run = qcm_obs::span(qcm_obs::SpanKind::Run);
-        mine_pass(spec, graph, params, index, scratch, steal);
-    }
-    let trace = qcm_obs::finish_recording();
-    qcm_obs::self_time_by_kind(&trace).into_iter().collect()
-}
-
-/// The `serve_overload` SLO row: the HTTP service under 2× closed-loop
-/// overload.
-#[derive(Clone, Debug)]
-pub struct ServeOverloadResult {
-    /// Mining worker threads of the service under test.
-    pub workers: usize,
-    /// Admission-control queue bound.
-    pub max_queued: usize,
-    /// What the load generator measured.
-    pub report: LoadGenReport,
-}
-
-impl ServeOverloadResult {
-    fn to_json(&self) -> Json {
-        // The row is the load-gen report's fields plus the capacity knobs.
-        let Json::Object(mut map) = self.report.to_json() else {
-            unreachable!("LoadGenReport::to_json always renders an object");
-        };
-        map.insert("workers".to_string(), Json::from(self.workers));
-        map.insert("max_queued".to_string(), Json::from(self.max_queued));
-        Json::Object(map)
-    }
-}
-
-/// Runs the HTTP service under 2× overload: `workers = 1`, `max_queued = 4`
-/// (capacity 5), driven by `2 × capacity` closed-loop clients over the real
-/// socket. The result cache is disabled so every admitted job actually
-/// mines — the row measures the service under load, not the cache.
-///
-/// The SLO this row gates: excess load is shed with `429` + `Retry-After`
-/// (positive `shed_rate`, zero `shed_without_retry_after`) while admitted
-/// jobs keep a bounded `p99_ms` — instead of every request queueing
-/// unboundedly.
-pub fn run_serve_overload(quick: bool) -> Result<ServeOverloadResult, String> {
-    let (workers, max_queued) = (1usize, 4usize);
-    let clients = 2 * (workers + max_queued);
-
-    let dir = std::env::temp_dir().join(format!("qcm_bench_serve_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-    let graph_path = dir.join("overload.txt");
-    let dataset = qcm_gen::datasets::tiny_test_dataset(9);
-    io::write_edge_list_file(&dataset.graph, &graph_path).map_err(|e| e.to_string())?;
-
-    let api = Api::start(
-        ServiceConfig {
-            workers,
-            admission: AdmissionControl {
-                max_queued,
-                max_in_flight: usize::MAX,
-                per_tenant_quota: usize::MAX,
-            },
-            cache_capacity: 0,
-            ..ServiceConfig::default()
-        },
-        AuthConfig::open(),
-    );
-    let server =
-        Server::start(Arc::new(api), ServerConfig::default()).map_err(|e| e.to_string())?;
-    let report = loadgen::run(&LoadGenConfig {
-        addr: server.local_addr().to_string(),
-        clients,
-        requests_per_client: if quick { 4 } else { 8 },
-        graph_path: graph_path.to_string_lossy().to_string(),
-        gamma: 0.8,
-        min_size: 6,
-        wait_ms: 2_000,
-    });
-    server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
-    Ok(ServeOverloadResult {
-        workers,
-        max_queued,
-        report,
-    })
-}
-
-/// The whole suite run, ready to serialise.
-#[derive(Clone, Debug)]
-pub struct SuiteReport {
-    /// Which PR's artefact this is (`BENCH_<pr>.json`).
-    pub pr: u64,
-    /// Quick (CI-sized) or full datasets.
-    pub quick: bool,
-    /// Timed iterations per variant.
-    pub iters: usize,
-    /// Machine-speed proxy: milliseconds for a fixed FNV-1a hashing loop.
-    /// The gate divides wall times by the calibration ratio before
-    /// comparing across machines.
-    pub calibration_ms: f64,
-    /// Peak RSS of the suite process (`VmHWM`), 0 where unavailable.
-    pub peak_rss_bytes: u64,
-    /// Per-workload rows.
-    pub workloads: Vec<WorkloadResult>,
-    /// The HTTP-service SLO row; `None` only when the listener could not
-    /// start (no loopback in the environment — the gate then flags the
-    /// missing row against a baseline that has one).
-    pub serve_overload: Option<ServeOverloadResult>,
-}
-
-impl SuiteReport {
-    /// Runs every workload plus the service SLO row.
-    pub fn run(pr: u64, quick: bool, iters: usize) -> SuiteReport {
-        let calibration_ms = calibration_ms();
-        let workloads = workloads(quick)
-            .iter()
-            .map(|w| run_workload(w, iters))
-            .collect();
-        let serve_overload = match run_serve_overload(quick) {
-            Ok(row) => Some(row),
-            Err(e) => {
-                eprintln!("bench_suite: serve_overload row skipped: {e}");
-                None
-            }
-        };
-        SuiteReport {
-            pr,
-            quick,
-            iters,
-            calibration_ms,
-            peak_rss_bytes: peak_rss_bytes(),
-            workloads,
-            serve_overload,
-        }
-    }
-
-    /// Serialises the report (see BENCH.md for the schema).
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("schema", Json::from("qcm-bench/v1")),
-            ("pr", Json::from(self.pr)),
-            ("quick", Json::from(self.quick)),
-            ("iters", Json::from(self.iters)),
-            ("calibration_ms", Json::from(self.calibration_ms)),
-            ("peak_rss_bytes", Json::from(self.peak_rss_bytes)),
-            (
-                "workloads",
-                Json::Array(self.workloads.iter().map(workload_json).collect()),
-            ),
-        ];
-        if let Some(row) = &self.serve_overload {
-            fields.push(("serve_overload", row.to_json()));
-        }
-        object(fields)
-    }
-}
-
-fn workload_json(w: &WorkloadResult) -> Json {
-    object(vec![
-        ("name", Json::from(w.name.clone())),
-        ("dataset", Json::from(w.dataset.clone())),
-        ("backend", Json::from(w.backend.clone())),
-        ("variant", Json::from(w.variant.clone())),
-        ("num_vertices", Json::from(w.num_vertices)),
-        ("num_edges", Json::from(w.num_edges)),
-        ("gamma", Json::from(w.gamma)),
-        ("min_size", Json::from(w.min_size)),
-        ("wall_ms", Json::from(w.wall_ms)),
-        ("baseline_wall_ms", Json::from(w.baseline_wall_ms)),
-        ("speedup", Json::from(w.speedup)),
-        ("edge_queries", Json::from(w.edge_queries)),
-        ("bitset_hits", Json::from(w.bitset_hits)),
-        ("intersections", Json::from(w.intersections)),
-        ("allocations_avoided", Json::from(w.allocations_avoided)),
-        ("scratch_fresh_allocs", Json::from(w.scratch_fresh_allocs)),
-        ("scratch_bytes_peak", Json::from(w.scratch_bytes_peak)),
-        ("steals", Json::from(w.steals)),
-        ("steal_failures", Json::from(w.steal_failures)),
-        ("maximal_results", Json::from(w.maximal_results)),
-        ("index_threshold", Json::from(w.index_threshold)),
-        ("index_hub_vertices", Json::from(w.index_hub_vertices)),
-        ("index_memory_bytes", Json::from(w.index_memory_bytes)),
-        ("deterministic", Json::from(w.deterministic)),
-        ("tracked", Json::from(w.tracked)),
-        (
-            "phase_self_time_us",
-            object(
-                w.phase_self_time_us
-                    .iter()
-                    .map(|&(kind, us)| (kind, Json::from(us)))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Machine-speed proxy: time a fixed FNV-1a loop (~16M hash steps). Pure
-/// integer work, no allocation — the ratio between two machines'
-/// calibrations approximates their single-core speed ratio.
-pub fn calibration_ms() -> f64 {
-    let start = Instant::now();
-    let mut h = 0xcbf29ce484222325u64;
-    for i in 0..16_000_000u64 {
-        h ^= i;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    // Defeat dead-code elimination.
-    std::hint::black_box(h);
-    start.elapsed().as_secs_f64() * 1e3
-}
+//! Process-level probes shared with the benchmark of record (`benchmark/`).
 
 /// Peak resident set size of this process in bytes (`VmHWM` from
 /// `/proc/self/status`), or 0 when the platform does not expose it.
@@ -701,124 +25,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quick_suite_emits_consistent_rows() {
-        // One iteration of the smallest workload keeps this test cheap while
-        // exercising the whole run → serialise pipeline.
-        let spec = WorkloadSpec {
-            name: "edge_query_hubs",
-            dataset: crate::scaled::tiny(&qcm_gen::datasets::cx_gse1730()),
-            backend: WorkloadBackend::Serial,
-            variant: VariantAxis::Index,
-            prune: PruneConfig::all_enabled(),
-            deterministic: true,
-            tracked: true,
-        };
-        let row = run_workload(&spec, 1);
-        assert!(row.wall_ms > 0.0 && row.baseline_wall_ms > 0.0);
-        assert!(row.edge_queries > 0, "the hot path must count edge queries");
-        assert!(row.bitset_hits > 0, "auto index must hit on this dataset");
-        assert!(row.intersections > 0);
-        assert_eq!(row.backend, "serial");
-        assert_eq!(row.variant, "index");
-        let json = workload_json(&row);
-        assert_eq!(
-            json.get("name").and_then(Json::as_str),
-            Some("edge_query_hubs")
-        );
-        assert_eq!(
-            json.get("edge_queries").and_then(Json::as_f64),
-            Some(row.edge_queries as f64)
-        );
-        assert_eq!(
-            json.get("allocations_avoided").and_then(Json::as_f64),
-            Some(row.allocations_avoided as f64)
-        );
-        // The traced pass ran with the recorder held under MEASURE_LOCK, so
-        // the breakdown must be present and must include the mining phase.
-        assert!(
-            row.phase_self_time_us
-                .iter()
-                .any(|&(kind, _)| kind == "mine_phase"),
-            "traced pass must observe mine_phase spans: {:?}",
-            row.phase_self_time_us
-        );
-        let phases = json.get("phase_self_time_us").expect("phase map");
-        assert!(phases.get("mine_phase").and_then(Json::as_f64).is_some());
-    }
-
-    #[test]
-    fn scratch_axis_row_pools_allocations_and_matches_fresh_results() {
-        let spec = WorkloadSpec {
-            name: "deep_recursion_arena",
-            dataset: crate::scaled::tiny(&deep_recursion_spec()),
-            backend: WorkloadBackend::Serial,
-            variant: VariantAxis::Scratch,
-            prune: PruneConfig::all_enabled().without("lookahead"),
-            deterministic: true,
-            tracked: true,
-        };
-        // run_workload panics internally if pooled and fresh disagree.
-        let row = run_workload(&spec, 1);
-        assert!(
-            row.allocations_avoided > row.scratch_fresh_allocs,
-            "steady state must be pool-served: {} avoided vs {} fresh",
-            row.allocations_avoided,
-            row.scratch_fresh_allocs
-        );
-        assert!(row.scratch_bytes_peak > 0);
-    }
-
-    #[test]
-    fn workload_set_contains_the_tracked_rows() {
-        for quick in [true, false] {
-            let all = workloads(quick);
-            assert!(all.iter().any(|w| w.tracked && w.deterministic));
-            assert!(all
-                .iter()
-                .any(|w| matches!(w.backend, WorkloadBackend::Parallel { .. })));
-            assert!(all
-                .iter()
-                .any(|w| w.variant == VariantAxis::Scratch && w.tracked));
-            assert!(all
-                .iter()
-                .any(|w| w.variant == VariantAxis::Steal && w.tracked));
-            let names: Vec<_> = all.iter().map(|w| w.name).collect();
-            assert_eq!(names.len(), 5);
-        }
-    }
-
-    #[test]
-    fn serve_overload_row_sheds_with_retry_after_and_completes_the_rest() {
-        let row = run_serve_overload(true).expect("loopback listener must start");
-        let report = &row.report;
-        assert_eq!(report.total, report.clients * 4, "quick mode: 4 per client");
-        assert_eq!(
-            report.errors, 0,
-            "only 202 and 429 are acceptable: {report:?}"
-        );
-        assert_eq!(
-            report.shed_without_retry_after, 0,
-            "every 429 must carry Retry-After: {report:?}"
-        );
-        assert!(
-            report.shed > 0,
-            "2x closed-loop overload must shed load: {report:?}"
-        );
-        assert_eq!(
-            report.completed + report.shed,
-            report.total,
-            "every request either completes or is shed: {report:?}"
-        );
-        assert!(report.completed > 0 && report.p99_ms > 0.0, "{report:?}");
-        let json = row.to_json();
-        assert!(json.get("p99_ms").and_then(Json::as_f64).is_some());
-        assert!(json.get("shed_rate").and_then(Json::as_f64).is_some());
-        assert_eq!(json.get("workers").and_then(Json::as_f64), Some(1.0));
-    }
-
-    #[test]
-    fn calibration_and_rss_probes_do_not_fail() {
-        assert!(calibration_ms() > 0.0);
+    fn rss_probe_does_not_fail() {
         // 0 is allowed (non-Linux), anything else must be a sane byte count.
         let rss = peak_rss_bytes();
         assert!(rss == 0 || rss > 1024);

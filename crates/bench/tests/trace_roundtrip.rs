@@ -1,10 +1,10 @@
 //! Round-trip tests for the observability pipeline: a traced `Session` run
 //! must yield a `Trace` whose Chrome export parses back as well-formed JSON
-//! (via the bench suite's own parser — the same code path `bench_gate` uses)
+//! (via `qcm_obs::json`, the workspace's own parser)
 //! with every span kind intact and zero dropped events.
 
 use qcm::prelude::*;
-use qcm_bench::Json;
+use qcm_obs::json::Json;
 use qcm_sync::{Arc, Mutex};
 
 /// The span recorder is a process-wide singleton: concurrent traced runs in

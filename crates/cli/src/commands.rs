@@ -19,7 +19,7 @@ qcm — maximal quasi-clique miner (algorithm-system codesign reproduction)
 USAGE:
     qcm mine <edge_list> --gamma <0..1> --min-size <n> [options]
     qcm trace <edge_list> [mine options] [--out <file>]
-    qcm serve [--listen <addr>] [--workers <n>] [--format json|text] [options]
+    qcm serve --listen <addr> [--workers <n>] [options]
     qcm generate --dataset <name> --output <file> [--seed <n>]
     qcm stats <edge_list>
     qcm fingerprint <edge_list>
@@ -35,26 +35,23 @@ TRACE:
     --out <file>          trace output path (default trace.json)
 
 SERVE:
-    runs the multi-tenant mining job service. With --listen it speaks the
-    versioned HTTP/1.1 JSON API (POST /v1/jobs, GET /v1/jobs/<id>?wait_ms=,
-    DELETE /v1/jobs/<id>, GET|PUT /v1/graphs, GET /metrics, GET /healthz);
-    without it, the DEPRECATED stdin/stdout line protocol (one request per
-    line, one response line each — type `help` inside the session).
+    runs the multi-tenant mining job service over the versioned HTTP/1.1
+    JSON API (POST /v1/jobs, GET /v1/jobs/<id>?wait_ms=, DELETE /v1/jobs/<id>,
+    GET|PUT /v1/graphs, GET /metrics, GET /healthz); `quit` on stdin drains
+    the service and exits.
 
-    --listen <addr>       serve HTTP on <addr> (e.g. 127.0.0.1:8080; port 0
-                          picks a free port, printed at startup)
+    --listen <addr>       required: serve HTTP on <addr> (e.g. 127.0.0.1:8080;
+                          port 0 picks a free port, printed at startup)
     --token <t>=<tenant>  HTTP bearer-token auth (comma-separate for more);
                           without it the service is open access
     --graph-root <dir>    confine graph paths in requests to this directory
-                          (HTTP mode defaults to the working directory;
-                          without --listen the default is unconfined)
+                          (default: the working directory)
     --workers <n>         worker threads (default 2)
     --max-queued <n>      admission: max queued jobs (default 64)
     --max-in-flight <n>   admission: max concurrently mined jobs (default: unbounded)
     --quota <n>           admission: max unfinished jobs per tenant (default 16)
     --cache-capacity <n>  result-cache capacity in answers (default 128)
     --cache-ttl-ms <n>    result-cache time-to-live (default: no expiry)
-    --format <fmt>        response format: text (default) or json
 
 MINE OPTIONS:
     --gamma <f>          minimum degree ratio γ (default 0.9)
@@ -518,7 +515,7 @@ pub fn fingerprint(args: &[String]) -> Result<(), QcmError> {
 
 /// `qcm datasets`
 pub fn list_datasets() -> Result<(), QcmError> {
-    println!("available synthetic stand-in datasets (see DESIGN.md for the mapping to Table 1):");
+    println!("available synthetic stand-in datasets (see crates/gen/src/datasets.rs for the mapping to Table 1):");
     let tiny = qcm_gen::datasets::tiny_test_spec(7);
     for spec in qcm_gen::datasets::all_datasets()
         .into_iter()

@@ -5,7 +5,7 @@
 //!                      [--tau-split 100] [--tau-time-ms 10] [--deadline-ms 5000]
 //!                      [--format json|text] [--serial] [--output results.txt]
 //! qcm trace <edge_list> [mine flags] [--out trace.json]   # traced run → Chrome trace JSON
-//! qcm serve [--listen addr] [--workers 4] [--format json]  # mining job service (HTTP with --listen)
+//! qcm serve --listen addr [--workers 4]                   # mining job service (HTTP/1.1 JSON API)
 //! qcm generate --dataset <name> --output graph.txt        # synthetic stand-in datasets
 //! qcm stats <edge_list>                                    # graph summary statistics
 //! qcm fingerprint <edge_list>                              # stable content hash (cache key)

@@ -1,41 +1,21 @@
-//! `qcm serve` — the mining job service.
+//! `qcm serve` — the mining job service over HTTP.
 //!
-//! Two wire surfaces, one handler table ([`qcm_http::Api`]):
+//! `--listen <addr>` (required) binds the versioned HTTP/1.1 JSON API of
+//! [`qcm_http::Api`]: `POST /v1/jobs`, `GET /v1/jobs/{id}?wait_ms=`,
+//! `DELETE /v1/jobs/{id}`, `GET`/`PUT /v1/graphs`, `GET /metrics`,
+//! `GET /healthz`. Multi-tenant auth via `--token <token>=<tenant>`
+//! (comma-separated); without tokens the service is open and trusts
+//! `X-Qcm-Tenant`.
 //!
-//! * **HTTP mode** (`--listen <addr>`): the versioned HTTP/1.1 JSON API —
-//!   `POST /v1/jobs`, `GET /v1/jobs/{id}?wait_ms=`, `DELETE /v1/jobs/{id}`,
-//!   `GET`/`PUT /v1/graphs`, `GET /metrics`, `GET /healthz`. Multi-tenant
-//!   auth via repeatable `--token <token>=<tenant>` (comma-separated);
-//!   without tokens the service is open and trusts `X-Qcm-Tenant`.
-//! * **Line protocol** (default, DEPRECATED): one line-delimited request per
-//!   stdin line, one response line each, in text (default) or JSON
-//!   (`--format json`). This surface is kept exactly one release behind the
-//!   HTTP API and will be removed; new integrations should use `--listen`.
-//!
-//! ```text
-//! submit <graph_file> [--gamma <f>] [--min-size <n>] [--tenant <s>]
-//!        [--priority low|normal|high] [--deadline-ms <n>] [--nowait]
-//! status <job_id>
-//! cancel <job_id>
-//! fetch <job_id>       (deprecated: use submit without --nowait, or status)
-//! metrics [prom]
-//! help
-//! quit
-//! ```
-//!
-//! Errors on both surfaces carry the same stable machine-readable code
-//! (`qcm_core::api::ErrorCode`): the line protocol answers
-//! `{"ok":false,"error":{"code":…,"message":…}}` in JSON mode and
-//! `error[<code>]: <message>` in text mode; the HTTP surface maps the same
-//! code through `ErrorCode::http_status` (shed load → `429` +
-//! `Retry-After`). Graph files are loaded through the shared stat-aware
-//! registry: a repeat submit of an unchanged path skips the file read and
-//! the content hash, an edited file is reloaded.
+//! Errors carry the stable machine-readable code of
+//! `qcm_core::api::ErrorCode`, mapped through `ErrorCode::http_status` (shed
+//! load → `429` + `Retry-After`). Graph files are loaded through the shared
+//! stat-aware registry: a repeat submit of an unchanged path skips the file
+//! read and the content hash, an edited file is reloaded.
 
 use crate::commands::{FlagSpec, Flags};
-use qcm::prelude::{ApiError, ErrorCode, JobView, SubmitRequest};
 use qcm::QcmError;
-use qcm_http::{api::MAX_WAIT, Api, AuthConfig, Server, ServerConfig};
+use qcm_http::{Api, AuthConfig, Server, ServerConfig};
 use qcm_service::{AdmissionControl, MiningService, ServiceConfig};
 use qcm_sync::Arc;
 use std::io::{BufRead, Write};
@@ -49,7 +29,6 @@ const SERVE_FLAGS: FlagSpec = FlagSpec {
         "quota",
         "cache-capacity",
         "cache-ttl-ms",
-        "format",
         "listen",
         "token",
         "graph-root",
@@ -57,48 +36,14 @@ const SERVE_FLAGS: FlagSpec = FlagSpec {
     switches: &[],
 };
 
-const SUBMIT_FLAGS: FlagSpec = FlagSpec {
-    values: &["gamma", "min-size", "tenant", "priority", "deadline-ms"],
-    switches: &["nowait"],
-};
-
-const BARE_FLAGS: FlagSpec = FlagSpec {
-    values: &[],
-    switches: &[],
-};
-
-const SESSION_HELP: &str = "\
-requests (one per line, one response line each):
-  submit <graph_file> [--gamma <f>] [--min-size <n>] [--tenant <s>]
-         [--priority low|normal|high] [--deadline-ms <n>] [--nowait]
-  status <job_id>
-  cancel <job_id>
-  fetch <job_id>      (deprecated: use submit without --nowait, or status)
-  metrics [prom]      (prom: multi-line Prometheus text exposition)
-  help
-  quit
-note: this line protocol is deprecated; prefer `qcm serve --listen <addr>`
-      and the versioned HTTP/1.1 JSON API";
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Format {
-    Text,
-    Json,
-}
-
-/// `qcm serve …` — HTTP listener with `--listen`, otherwise the deprecated
-/// stdin/stdout line protocol. Either way the process drains the service
-/// before exiting.
+/// `qcm serve --listen <addr> …` — runs the HTTP listener until `quit` on
+/// stdin, then drains the service before exiting.
 pub fn serve(args: &[String]) -> Result<(), QcmError> {
     let flags = Flags::parse(args, &SERVE_FLAGS)?;
-    let format = match flags.values.get("format").map(String::as_str) {
-        None | Some("text") => Format::Text,
-        Some("json") => Format::Json,
-        Some(other) => {
-            return Err(QcmError::InvalidConfig(format!(
-                "invalid value {other:?} for --format (expected text or json)"
-            )))
-        }
+    let Some(addr) = flags.values.get("listen") else {
+        return Err(QcmError::InvalidConfig(
+            "qcm serve requires --listen <addr> (e.g. --listen 127.0.0.1:8080)".into(),
+        ));
     };
     let workers: usize = flags.get("workers", 2usize)?;
     if workers == 0 {
@@ -121,34 +66,18 @@ pub fn serve(args: &[String]) -> Result<(), QcmError> {
     };
     let auth = match flags.values.get("token") {
         None => AuthConfig::open(),
-        Some(_) if !flags.values.contains_key("listen") => {
-            return Err(QcmError::InvalidConfig(
-                "--token requires --listen (the line protocol carries no auth header)".into(),
-            ))
-        }
         Some(raw) => AuthConfig::with_tokens(parse_tokens(raw)?),
     };
-    let api = Api::over(MiningService::start(config), auth);
     // Network callers must not be able to make the server read arbitrary
-    // local files: HTTP mode always confines graph paths to a root —
-    // `--graph-root` or, by default, the serve process's working directory.
-    // The local stdin line protocol stays unconfined unless the flag is
-    // given (its caller already has the filesystem).
-    let api = match flags.values.get("graph-root") {
-        Some(dir) => api.with_graph_root(dir.clone()),
-        None if flags.values.contains_key("listen") => {
-            let cwd = std::env::current_dir().map_err(|e| {
-                QcmError::InvalidConfig(format!("cannot resolve --graph-root: {e}"))
-            })?;
-            api.with_graph_root(cwd)
-        }
-        None => api,
+    // local files: graph paths are always confined to a root — `--graph-root`
+    // or, by default, the serve process's working directory.
+    let graph_root = match flags.values.get("graph-root") {
+        Some(dir) => dir.into(),
+        None => std::env::current_dir()
+            .map_err(|e| QcmError::InvalidConfig(format!("cannot resolve --graph-root: {e}")))?,
     };
-
-    if let Some(addr) = flags.values.get("listen") {
-        return serve_http(api, addr, workers);
-    }
-    serve_lines(api, workers, format)
+    let api = Api::over(MiningService::start(config), auth).with_graph_root(graph_root);
+    serve_http(api, addr)
 }
 
 /// Parses `--token tok=tenant[,tok2=tenant2,…]`.
@@ -167,9 +96,9 @@ fn parse_tokens(raw: &str) -> Result<Vec<(String, String)>, QcmError> {
         .collect()
 }
 
-/// HTTP mode: bind, announce the address, then hold the process open until
+/// Binds, announces the address, then holds the process open until
 /// `quit` on stdin (graceful drain) or the process is killed.
-fn serve_http(api: Api, addr: &str, _workers: usize) -> Result<(), QcmError> {
+fn serve_http(api: Api, addr: &str) -> Result<(), QcmError> {
     let authed = api.auth().requires_token();
     let server = Server::start(
         Arc::new(api),
@@ -208,387 +137,25 @@ fn serve_http(api: Api, addr: &str, _workers: usize) -> Result<(), QcmError> {
     Ok(())
 }
 
-/// Line-protocol mode: reads requests from stdin until EOF or `quit`, then
-/// drains the service and exits.
-fn serve_lines(api: Api, workers: usize, format: Format) -> Result<(), QcmError> {
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    if format == Format::Text {
-        let _ = writeln!(
-            out,
-            "qcm serve ready ({workers} workers); `help` lists requests \
-             [deprecated: prefer `qcm serve --listen <addr>` — HTTP/1.1 JSON API v1]"
-        );
-        let _ = out.flush();
-    }
-    for line in stdin.lock().lines() {
-        let line = line.map_err(|e| QcmError::Engine(format!("stdin read error: {e}")))?;
-        let tokens: Vec<String> = line.split_whitespace().map(str::to_string).collect();
-        let Some(verb) = tokens.first() else {
-            continue; // blank line
-        };
-        if matches!(verb.as_str(), "quit" | "exit" | "shutdown") {
-            break;
-        }
-        let response = handle_request(&api, verb, &tokens[1..], format);
-        let _ = writeln!(out, "{response}");
-        let _ = out.flush();
-    }
-    drop(out);
-    api.shutdown();
-    Ok(())
-}
-
-/// Dispatches one request line; never fails the server — every error becomes
-/// an error response carrying its stable code.
-fn handle_request(api: &Api, verb: &str, args: &[String], format: Format) -> String {
-    let result = match verb {
-        "submit" => submit(api, args, format),
-        "status" => status(api, args, format),
-        "cancel" => cancel(api, args, format),
-        "fetch" => fetch(api, args, format),
-        "metrics" => metrics(api, args, format),
-        "help" => Ok(match format {
-            Format::Text => SESSION_HELP.to_string(),
-            Format::Json => format!(
-                "{{\"ok\":true,\"cmd\":\"help\",\"requests\":{},\"deprecated\":[\"fetch\"]}}",
-                json_string("submit status cancel fetch metrics help quit")
-            ),
-        }),
-        other => Err(ApiError::new(
-            ErrorCode::NotFound,
-            format!("unknown request {other:?} (try `help`)"),
-        )),
-    };
-    match result {
-        Ok(response) => response,
-        Err(e) => match format {
-            Format::Text => format!("error[{}]: {}", e.code, e.message),
-            Format::Json => format!(
-                "{{\"ok\":false,\"error\":{{\"code\":\"{}\",\"message\":{}}}}}",
-                e.code,
-                json_string(&e.message)
-            ),
-        },
-    }
-}
-
-fn bad_request(e: impl std::fmt::Display) -> ApiError {
-    ApiError::bad_request(e.to_string())
-}
-
-fn submit(api: &Api, args: &[String], format: Format) -> Result<String, ApiError> {
-    let flags = Flags::parse(args, &SUBMIT_FLAGS).map_err(bad_request)?;
-    let path = flags
-        .positional
-        .first()
-        .ok_or_else(|| ApiError::bad_request("submit requires a graph file path"))?;
-    let mut request = SubmitRequest::new(
-        path.clone(),
-        flags.get("gamma", 0.9).map_err(bad_request)?,
-        flags.get("min-size", 10).map_err(bad_request)?,
-    );
-    if let Some(priority) = flags.values.get("priority") {
-        request.priority = priority.clone();
-    }
-    request.deadline_ms = flags.get_opt::<u64>("deadline-ms").map_err(bad_request)?;
-    let tenant = flags
-        .values
-        .get("tenant")
-        .cloned()
-        .unwrap_or_else(|| "default".to_string());
-    let submitted = api.submit(&request, &tenant)?;
-    if flags.has_switch("nowait") {
-        return Ok(match format {
-            Format::Text => format!("job {} {}", submitted.job, submitted.status),
-            Format::Json => format!(
-                "{{\"ok\":true,\"cmd\":\"submit\",\"job\":{},\"status\":\"{}\"}}",
-                submitted.job, submitted.status
-            ),
-        });
-    }
-    let view = wait_terminal(api, submitted.job)?;
-    Ok(render_view("submit", &view, format))
-}
-
-fn parse_job_id(args: &[String], verb: &str) -> Result<u64, ApiError> {
-    let flags = Flags::parse(args, &BARE_FLAGS).map_err(bad_request)?;
-    let raw = flags
-        .positional
-        .first()
-        .ok_or_else(|| ApiError::bad_request(format!("{verb} requires a job id")))?;
-    raw.parse::<u64>()
-        .map_err(|_| ApiError::bad_request(format!("invalid job id {raw:?}")))
-}
-
-fn status(api: &Api, args: &[String], format: Format) -> Result<String, ApiError> {
-    let job = parse_job_id(args, "status")?;
-    let view = api.job(job, Duration::ZERO, "default")?;
-    Ok(match format {
-        Format::Text => format!("job {} {}", view.job, view.status),
-        Format::Json => format!(
-            "{{\"ok\":true,\"cmd\":\"status\",\"job\":{},\"status\":\"{}\"}}",
-            view.job, view.status
-        ),
-    })
-}
-
-fn cancel(api: &Api, args: &[String], format: Format) -> Result<String, ApiError> {
-    let job = parse_job_id(args, "cancel")?;
-    let view = api.cancel(job, "default")?;
-    Ok(match format {
-        Format::Text => format!("job {} {}", view.job, view.status),
-        Format::Json => format!(
-            "{{\"ok\":true,\"cmd\":\"cancel\",\"job\":{},\"status\":\"{}\"}}",
-            view.job, view.status
-        ),
-    })
-}
-
-/// Deprecated verb, kept one release for line-protocol clients: equivalent
-/// to long-polling `status` until terminal.
-fn fetch(api: &Api, args: &[String], format: Format) -> Result<String, ApiError> {
-    let job = parse_job_id(args, "fetch")?;
-    let view = wait_terminal(api, job)?;
-    if view.outcome.as_deref() == Some("cancelled") && view.num_maximal.is_none() {
-        return Ok(match format {
-            Format::Text => format!("job {} cancelled (never ran, no result)", view.job),
-            Format::Json => format!(
-                "{{\"ok\":true,\"cmd\":\"fetch\",\"job\":{},\"status\":\"cancelled\"}}",
-                view.job
-            ),
-        });
-    }
-    Ok(render_view("fetch", &view, format))
-}
-
-/// Long-polls in bounded [`MAX_WAIT`] slices until the job is terminal —
-/// the blocking the deprecated `MiningService::fetch` used to do, rebuilt
-/// on the deadline-bounded API.
-fn wait_terminal(api: &Api, job: u64) -> Result<JobView, ApiError> {
-    loop {
-        let view = api.job(job, MAX_WAIT, "default")?;
-        if view.outcome.is_some() {
-            return Ok(view);
-        }
-    }
-}
-
-fn metrics(api: &Api, args: &[String], format: Format) -> Result<String, ApiError> {
-    let flags = Flags::parse(args, &BARE_FLAGS).map_err(bad_request)?;
-    match flags.positional.first().map(String::as_str) {
-        // `metrics prom`: Prometheus text exposition (multi-line — the one
-        // deliberate exception to the line-per-response protocol, so a
-        // scraper can be pointed straight at a serve session). Same renderer
-        // as `GET /metrics` on the HTTP surface.
-        Some("prom") => return Ok(api.metrics_prometheus().trim_end().to_string()),
-        Some(other) => {
-            return Err(ApiError::bad_request(format!(
-                "unknown metrics view {other:?} (expected `metrics` or `metrics prom`)"
-            )))
-        }
-        None => {}
-    }
-    let m = api.metrics();
-    Ok(match format {
-        Format::Text => format!(
-            "queue {} | in-flight {} | submitted {} (rejected {}) | completed {} | \
-             cancelled {} | cache {}/{} hits (entries {}) | mined {} | \
-             latency p50 {:?} p99 {:?} over {} samples ({} dropped)",
-            m.queue_depth,
-            m.in_flight,
-            m.submitted,
-            m.rejected,
-            m.completed,
-            m.cancelled,
-            m.cache_hits,
-            m.cache_hits + m.cache_misses,
-            m.cache_entries,
-            m.jobs_mined,
-            m.p50_latency,
-            m.p99_latency,
-            m.latency_samples,
-            m.latency_samples_dropped,
-        ),
-        Format::Json => format!(
-            "{{\"ok\":true,\"cmd\":\"metrics\",\"queue_depth\":{},\"in_flight\":{},\
-             \"submitted\":{},\"rejected\":{},\"completed\":{},\"cancelled\":{},\
-             \"failed\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_entries\":{},\
-             \"jobs_mined\":{},\"p50_latency_ms\":{},\"p99_latency_ms\":{},\
-             \"latency_samples\":{},\"latency_samples_dropped\":{}}}",
-            m.queue_depth,
-            m.in_flight,
-            m.submitted,
-            m.rejected,
-            m.completed,
-            m.cancelled,
-            m.failed,
-            m.cache_hits,
-            m.cache_misses,
-            m.cache_entries,
-            m.jobs_mined,
-            m.p50_latency.as_millis(),
-            m.p99_latency.as_millis(),
-            m.latency_samples,
-            m.latency_samples_dropped,
-        ),
-    })
-}
-
-/// Renders a terminal [`JobView`] (same field names as the HTTP wire
-/// format, wrapped in the line protocol's `ok`/`cmd` envelope).
-fn render_view(cmd: &str, view: &JobView, format: Format) -> String {
-    let outcome = view.outcome.as_deref().unwrap_or("unknown");
-    let cache_hit = view.cache_hit.unwrap_or(false);
-    let complete = outcome == "complete";
-    match format {
-        Format::Text => format!(
-            "job {} {} {} — {} maximal sets, mined in {}ms{}",
-            view.job,
-            if cache_hit { "HOT" } else { "cold" },
-            outcome,
-            view.num_maximal.unwrap_or(0),
-            view.mining_ms.unwrap_or(0),
-            if complete { "" } else { " (partial)" },
-        ),
-        Format::Json => format!(
-            "{{\"ok\":true,\"cmd\":\"{cmd}\",\"job\":{},\"tenant\":{},\
-             \"outcome\":\"{outcome}\",\"complete\":{complete},\"cache_hit\":{cache_hit},\
-             \"num_maximal\":{},\"raw_reported\":{},\"mining_ms\":{}}}",
-            view.job,
-            json_string(&view.tenant),
-            view.num_maximal.unwrap_or(0),
-            view.raw_reported.unwrap_or(0),
-            view.mining_ms.unwrap_or(0),
-        ),
-    }
-}
-
-/// Minimal JSON string encoding (quotes, backslashes and control characters).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qcm_graph::io;
 
-    fn request(api: &Api, line: &str, format: Format) -> String {
-        let tokens: Vec<String> = line.split_whitespace().map(str::to_string).collect();
-        handle_request(api, &tokens[0], &tokens[1..], format)
-    }
-
-    fn with_tiny_graph_file<R>(tag: &str, f: impl FnOnce(&str) -> R) -> R {
-        let dir = std::env::temp_dir().join(format!("qcm_serve_{tag}_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("graph.txt");
-        let dataset = qcm_gen::datasets::tiny_test_dataset(9);
-        io::write_edge_list_file(&dataset.graph, &path).unwrap();
-        let result = f(&path.to_string_lossy());
-        std::fs::remove_dir_all(&dir).ok();
-        result
-    }
-
-    fn open_api() -> Api {
-        Api::start(ServiceConfig::default(), AuthConfig::open())
-    }
-
-    #[test]
-    fn submit_twice_reports_cache_hit_in_json() {
-        with_tiny_graph_file("hit", |path| {
-            let api = open_api();
-            let line = format!("submit {path} --gamma 0.8 --min-size 6");
-            let cold = request(&api, &line, Format::Json);
-            assert!(cold.contains("\"ok\":true"), "{cold}");
-            assert!(cold.contains("\"cache_hit\":false"), "{cold}");
-            let hot = request(&api, &line, Format::Json);
-            assert!(hot.contains("\"cache_hit\":true"), "{hot}");
-            let metrics = request(&api, "metrics", Format::Json);
-            assert!(metrics.contains("\"cache_hits\":1"), "{metrics}");
-            assert!(metrics.contains("\"jobs_mined\":1"), "{metrics}");
-            assert_eq!(api.graph_loads(), 1, "repeat submit must not reload");
-            api.shutdown();
-        });
-    }
-
-    #[test]
-    fn nowait_submit_supports_status_and_fetch() {
-        with_tiny_graph_file("nowait", |path| {
-            let api = open_api();
-            let line = format!("submit {path} --gamma 0.8 --min-size 6 --nowait --tenant lab");
-            let resp = request(&api, &line, Format::Json);
-            assert!(resp.contains("\"job\":1"), "{resp}");
-            let fetched = request(&api, "fetch 1", Format::Json);
-            assert!(fetched.contains("\"tenant\":\"lab\""), "{fetched}");
-            let status = request(&api, "status 1", Format::Json);
-            assert!(status.contains("\"status\":\"completed\""), "{status}");
-            api.shutdown();
-        });
-    }
-
-    #[test]
-    fn metrics_prom_is_wellformed_exposition() {
-        with_tiny_graph_file("prom", |path| {
-            let api = open_api();
-            let line = format!("submit {path} --gamma 0.8 --min-size 6");
-            let submitted = request(&api, &line, Format::Json);
-            assert!(submitted.contains("\"ok\":true"), "{submitted}");
-            let prom = request(&api, "metrics prom", Format::Text);
-            qcm_obs::prometheus::check_text(&prom).expect("exposition must be well-formed");
-            assert!(
-                prom.contains("# TYPE qcm_service_jobs_mined_total counter"),
-                "{prom}"
-            );
-            assert!(prom.contains("qcm_service_jobs_mined_total 1"), "{prom}");
-            assert!(prom.contains("qcm_graph_edge_queries_total"), "{prom}");
-            let bogus = request(&api, "metrics nope", Format::Text);
-            assert!(bogus.starts_with("error[bad_request]:"), "{bogus}");
-            api.shutdown();
-        });
-    }
-
-    #[test]
-    fn errors_carry_stable_codes_in_both_formats() {
-        let api = open_api();
-        for (line, code, needle) in [
-            ("status 99", "unknown_job", "unknown job"),
-            ("status abc", "bad_request", "invalid job id"),
-            ("submit /no/such/file.txt", "unknown_graph", "cannot stat"),
-            ("frobnicate 1", "not_found", "unknown request"),
-            ("submit", "bad_request", "requires a graph file"),
-        ] {
-            let text = request(&api, line, Format::Text);
-            assert!(
-                text.starts_with(&format!("error[{code}]:")) && text.contains(needle),
-                "{line} → {text}"
-            );
-            let json = request(&api, line, Format::Json);
-            assert!(
-                json.starts_with("{\"ok\":false,\"error\":{\"code\":"),
-                "{line} → {json}"
-            );
-            assert!(
-                json.contains(&format!("\"code\":\"{code}\"")),
-                "{line} → {json}"
-            );
+    fn config_error(args: &[&str]) -> String {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        match serve(&args) {
+            Err(QcmError::InvalidConfig(message)) => message,
+            other => panic!("expected InvalidConfig, got {other:?}"),
         }
-        api.shutdown();
+    }
+
+    #[test]
+    fn serve_without_listen_is_a_config_error_naming_the_flag() {
+        let message = config_error(&["--workers", "1"]);
+        assert!(message.contains("requires --listen"), "{message}");
+        // The removed line protocol's selector is an unknown flag now.
+        let message = config_error(&["--listen", "127.0.0.1:0", "--format", "json"]);
+        assert!(message.contains("unknown flag --format"), "{message}");
     }
 
     #[test]
@@ -604,13 +171,5 @@ mod tests {
         assert!(parse_tokens("missing-equals").is_err());
         assert!(parse_tokens("=tenant").is_err());
         assert!(parse_tokens("token=").is_err());
-    }
-
-    #[test]
-    fn json_string_escapes_specials() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_string("line\nbreak"), "\"line\\nbreak\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 }

@@ -1,12 +1,11 @@
 //! The stable, transport-independent service API vocabulary.
 //!
-//! The mining service is exposed over two wire surfaces — the versioned
-//! HTTP/1.1 JSON API (`qcm-http`) and the deprecated `qcm serve` line
-//! protocol — and both must agree on one machine-readable error taxonomy
-//! and one set of request/response shapes. That shared vocabulary lives
-//! here, *below* the service and transport crates, so the `qcm` facade can
-//! re-export it and every layer (CLI exit codes, HTTP statuses, JSON error
-//! bodies) maps from the same table.
+//! The mining service's versioned HTTP/1.1 JSON API (`qcm-http`) and the
+//! `qcm` CLI must agree on one machine-readable error taxonomy and one set
+//! of request/response shapes. That shared vocabulary lives here, *below*
+//! the service and transport crates, so the `qcm` facade can re-export it
+//! and every layer (CLI exit codes, HTTP statuses, JSON error bodies) maps
+//! from the same table.
 //!
 //! Nothing in this module performs I/O or serialisation; the DTOs are plain
 //! data the transports render with their own (hand-rolled, offline-safe)
@@ -37,8 +36,7 @@ pub enum ErrorCode {
     Unsupported,
     /// Missing or unknown tenant auth token.
     Unauthorized,
-    /// No such route/resource on the HTTP surface, or an unknown verb on
-    /// the line protocol.
+    /// No such route/resource on the HTTP surface.
     NotFound,
     /// No job with the requested id (never submitted, or already evicted
     /// from the finished-job retention window).
@@ -172,8 +170,8 @@ impl fmt::Display for ApiError {
 
 impl std::error::Error for ApiError {}
 
-/// Job-submission request DTO (`POST /v1/jobs` body; `submit` verb of the
-/// line protocol). Field names match the JSON wire format one-to-one.
+/// Job-submission request DTO (`POST /v1/jobs` body). Field names match the
+/// JSON wire format one-to-one.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SubmitRequest {
     /// Graph reference: a name registered via `PUT /v1/graphs/{name}`, or a

@@ -74,7 +74,5 @@ pub use results::{
     CandidateForwarder, CollectingSink, CountingSink, QuasiCliqueSet, QuasiCliqueSink, ResultSink,
 };
 pub use scratch::{MiningScratch, ScratchMode};
-#[allow(deprecated)]
-pub use serial::mine_serial;
 pub use serial::{MiningOutput, SerialMiner};
 pub use stats::MiningStats;

@@ -239,16 +239,6 @@ impl QuasiCliqueSink for TeeSink<'_, '_> {
     }
 }
 
-/// Convenience function: mines `graph` with the default configuration.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the unified `qcm::Session` front door (Session::builder()…build()?.run(&graph)) \
-            or `SerialMiner::new(params).mine(graph)` directly"
-)]
-pub fn mine_serial(graph: &Graph, params: MiningParams) -> MiningOutput {
-    SerialMiner::new(params).mine(graph)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -32,8 +32,7 @@ use qcm_core::{MiningScratch, RunOutcome};
 use qcm_graph::{Graph, VertexId};
 use qcm_obs::clock::Instant;
 use qcm_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use qcm_sync::Arc;
-use qcm_sync::Mutex;
+use qcm_sync::{Arc, Condvar, Mutex};
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -86,6 +85,10 @@ struct SharedState<'a, A: GThinkerApp> {
     /// Vertices not yet consumed by any spawn cursor.
     unspawned: AtomicUsize,
     done: AtomicBool,
+    /// Lets the balancer wait out its period yet wake the moment `done` is
+    /// set, so the worker scope never joins a full period late.
+    balancer_gate: Mutex<()>,
+    balancer_wake: Condvar,
     /// True once any task's compute call observed the cancellation token
     /// fired and truncated its own backtracking. Combined with the
     /// work-remaining check after shutdown to label the run outcome, so a
@@ -106,6 +109,17 @@ struct SharedState<'a, A: GThinkerApp> {
 }
 
 impl<'a, A: GThinkerApp> SharedState<'a, A> {
+    /// Ends the run: every worker and the balancer drain out.
+    fn finish(&self) {
+        // ordering: Release — publishes everything this thread wrote before
+        // finishing; pairs with the Acquire polls of `done`.
+        self.done.store(true, Ordering::Release);
+        // Passing through the gate orders the notify after a balancer that
+        // checked `done` under it and is about to wait.
+        drop(self.balancer_gate.lock());
+        self.balancer_wake.notify_all();
+    }
+
     fn add_active_bytes(&self, bytes: u64) {
         // ordering: Relaxed — live-bytes gauge and its peak are advisory
         // accounting; no synchronisation piggybacks on them.
@@ -199,6 +213,8 @@ impl<A: GThinkerApp> Cluster<A> {
             pending_tasks: AtomicUsize::new(0),
             unspawned: AtomicUsize::new(unspawned_total),
             done: AtomicBool::new(false),
+            balancer_gate: Mutex::new(()),
+            balancer_wake: Condvar::new(),
             interrupted: AtomicBool::new(false),
             results: Mutex::new(Vec::new()),
             task_times: Mutex::new(Vec::new()),
@@ -216,22 +232,22 @@ impl<A: GThinkerApp> Cluster<A> {
         let total_workers = config.total_threads();
         let worker_busy: Mutex<Vec<Duration>> = Mutex::new(vec![Duration::ZERO; total_workers]);
 
-        crossbeam::thread::scope(|scope| {
+        // A worker panic resumes out of the scope once every thread joined.
+        qcm_sync::thread::scope(|scope| {
             // Master load balancer (big-task stealing between machines).
             if config.num_machines > 1 {
-                scope.spawn(|_| balancer_loop(&shared));
+                scope.spawn(|| balancer_loop(&shared));
             }
             for worker in 0..total_workers {
                 let machine_id = worker / config.threads_per_machine;
                 let shared_ref = &shared;
                 let busy_ref = &worker_busy;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let busy = worker_loop(shared_ref, machine_id, worker);
                     busy_ref.lock()[worker] = busy;
                 });
             }
-        })
-        .expect("engine worker thread panicked");
+        });
 
         let results = shared.results.into_inner();
         let transport_stats = transport.stats();
@@ -322,9 +338,7 @@ fn worker_loop<A: GThinkerApp>(
         // kept; whether the run counts as interrupted is decided after all
         // workers exit, from the work that actually remained.
         if config.cancel.is_cancelled() {
-            // ordering: Release — publishes everything this thread wrote before
-            // finishing; pairs with the Acquire polls of `done`.
-            shared.done.store(true, Ordering::Release);
+            shared.finish();
             broadcast_shutdown(shared, machine_id);
             break;
         }
@@ -354,9 +368,7 @@ fn worker_loop<A: GThinkerApp>(
         if shared.pending_tasks.load(Ordering::Acquire) == 0
             && shared.unspawned.load(Ordering::Acquire) == 0
         {
-            // ordering: Release — publishes everything this thread wrote before
-            // finishing; pairs with the Acquire polls of `done`.
-            shared.done.store(true, Ordering::Release);
+            shared.finish();
             broadcast_shutdown(shared, machine_id);
             break;
         }
@@ -467,11 +479,7 @@ fn pump_inbox<A: GThinkerApp>(shared: &SharedState<'_, A>, machine_id: usize) {
             // Load hints from other machines' spill paths; the balancer reads
             // authoritative queue depths directly, so these are informational.
             EngineMsg::SpillNotice { .. } | EngineMsg::RefillNotice { .. } => {}
-            EngineMsg::Shutdown => {
-                // ordering: Release — publishes everything this thread wrote before
-                // finishing; pairs with the Acquire polls of `done`.
-                shared.done.store(true, Ordering::Release);
-            }
+            EngineMsg::Shutdown => shared.finish(),
         }
     }
 }
@@ -772,9 +780,20 @@ fn process_task<A: GThinkerApp>(
 /// directly, the way G-thinker's master aggregates load reports.
 fn balancer_loop<A: GThinkerApp>(shared: &SharedState<'_, A>) {
     let config = shared.config;
-    // ordering: Acquire — same pairing as the worker-loop `done` poll.
-    while !shared.done.load(Ordering::Acquire) {
-        qcm_sync::thread::sleep(config.balance_period);
+    loop {
+        // Wait out one period; `finish` cuts the wait short to end the run.
+        let gate = shared.balancer_gate.lock();
+        // ordering: Acquire — same pairing as the worker-loop `done` poll.
+        if shared.done.load(Ordering::Acquire) {
+            return;
+        }
+        let (gate, timed_out) = shared
+            .balancer_wake
+            .wait_timeout(gate, config.balance_period);
+        drop(gate);
+        if !timed_out {
+            continue;
+        }
         let counts: Vec<usize> = shared
             .machines
             .iter()

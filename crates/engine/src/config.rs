@@ -160,17 +160,6 @@ impl EngineConfig {
         self
     }
 
-    /// Pre-transport shim: sets the simulated per-remote-fetch latency on the
-    /// in-process transport.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use with_transport(TransportFactory::in_proc().with_fetch_latency(..)) instead"
-    )]
-    pub fn with_fetch_latency(mut self, latency: Duration) -> Self {
-        self.transport = self.transport.with_fetch_latency(latency);
-        self
-    }
-
     /// Total number of mining threads across the cluster.
     pub fn total_threads(&self) -> usize {
         self.num_machines * self.threads_per_machine
@@ -230,17 +219,6 @@ mod tests {
         let c = EngineConfig::single_machine(2).with_decomposition(50, Duration::from_millis(1));
         assert_eq!(c.tau_split, 50);
         assert_eq!(c.tau_time, Duration::from_millis(1));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_fetch_latency_shim_configures_the_transport() {
-        let c = EngineConfig::single_machine(2).with_fetch_latency(Duration::from_micros(50));
-        let transport = c.transport.build(c.num_machines);
-        assert_eq!(transport.fetch_latency(), Duration::from_micros(50));
-        assert!(transport.shared_memory());
-        let strict = EngineConfig::cluster(2, 2).with_transport(TransportFactory::strict());
-        assert!(!strict.transport.build(2).shared_memory());
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! vertex table is hash-partitioned over them, remote adjacency-list fetches
 //! go through a per-machine cache and are counted as network traffic. The
 //! scheduling structure — which is what the paper's scalability results
-//! depend on — is preserved faithfully; see DESIGN.md for the substitution
-//! rationale.
+//! depend on — is preserved faithfully; the README's "Distribution & fault
+//! testing" section describes the transports that stand in for the network.
 //!
 //! Applications implement [`GThinkerApp`] (the `spawn`/`compute` UDF pair plus
 //! the big-task classifier); the quasi-clique application lives in

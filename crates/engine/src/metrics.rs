@@ -180,133 +180,6 @@ impl EngineMetrics {
         })
     }
 
-    /// Publishes this run's metrics into `registry` under the `qcm_engine_*`
-    /// namespace — the engine's bridge into the unified registry the
-    /// Prometheus exporter renders. Idempotent per registry: re-publishing
-    /// overwrites the previous run's values.
-    pub fn publish(&self, registry: &qcm_obs::Registry) {
-        let counters: [(&'static str, &'static str, u64); 16] = [
-            (
-                "qcm_engine_tasks_spawned_total",
-                "Root tasks spawned from vertices.",
-                self.tasks_spawned,
-            ),
-            (
-                "qcm_engine_tasks_processed_total",
-                "Tasks processed (roots + subtasks).",
-                self.tasks_processed,
-            ),
-            (
-                "qcm_engine_tasks_decomposed_total",
-                "Subtasks created by decomposition.",
-                self.tasks_decomposed,
-            ),
-            (
-                "qcm_engine_results_emitted_total",
-                "Result rows emitted before post-processing.",
-                self.results_emitted,
-            ),
-            (
-                "qcm_engine_spill_bytes_written_total",
-                "Spill bytes written to disk.",
-                self.spill_bytes_written,
-            ),
-            (
-                "qcm_engine_spill_bytes_read_total",
-                "Spill bytes read back.",
-                self.spill_bytes_read,
-            ),
-            (
-                "qcm_engine_local_reads_total",
-                "Adjacency lists served locally.",
-                self.local_reads,
-            ),
-            (
-                "qcm_engine_remote_fetches_total",
-                "Adjacency lists fetched from remote machines.",
-                self.remote_fetches,
-            ),
-            (
-                "qcm_engine_remote_bytes_total",
-                "Bytes moved between machines for vertex data.",
-                self.remote_bytes,
-            ),
-            (
-                "qcm_engine_cache_hits_total",
-                "Remote reads served by the vertex cache.",
-                self.cache_hits,
-            ),
-            (
-                "qcm_engine_pull_retries_total",
-                "Pull attempts that timed out and retried.",
-                self.pull_retries,
-            ),
-            (
-                "qcm_engine_pull_failures_total",
-                "Pulls abandoned after their retry budget.",
-                self.pull_failures,
-            ),
-            (
-                "qcm_engine_stolen_tasks_total",
-                "Big tasks moved between machines.",
-                self.stolen_tasks,
-            ),
-            (
-                "qcm_engine_steals_total",
-                "Tasks moved between worker deques.",
-                self.steals,
-            ),
-            (
-                "qcm_engine_steal_failures_total",
-                "Steal sweeps that found nothing.",
-                self.steal_failures,
-            ),
-            (
-                "qcm_engine_pop_contention_total",
-                "Pops that found the global queue lock held.",
-                self.pop_contention,
-            ),
-        ];
-        for (name, help, value) in counters {
-            registry.counter(name, help).set_total(value);
-        }
-        registry
-            .gauge("qcm_engine_elapsed_seconds", "Wall-clock time of the run.")
-            .set(self.elapsed.as_secs_f64());
-        registry
-            .gauge(
-                "qcm_engine_peak_task_bytes",
-                "Peak bytes held by in-memory tasks.",
-            )
-            .set(self.peak_task_bytes as f64);
-        registry
-            .gauge(
-                "qcm_engine_spill_peak_bytes",
-                "Peak bytes resident in spill storage.",
-            )
-            .set(self.spill_peak_bytes as f64);
-        registry
-            .gauge(
-                "qcm_engine_worker_utilisation",
-                "Busy fraction of total worker capacity.",
-            )
-            .set(self.worker_utilisation());
-        if let Some(p) = self.task_time_percentiles() {
-            let quantile = |q: &'static str, d: Duration| {
-                registry
-                    .gauge_with(
-                        "qcm_engine_task_time_seconds",
-                        "Per-task wall time over the run's task log.",
-                        &[("quantile", q)],
-                    )
-                    .set(d.as_secs_f64());
-            };
-            quantile("0.5", p.p50);
-            quantile("0.95", p.p95);
-            quantile("0.99", p.p99);
-        }
-    }
-
     /// Aggregates per-root totals: for every spawning vertex, the summed wall
     /// time and the largest subgraph size over the root task and all subtasks
     /// attributed to it (Figure 1 plots these per-root totals).
@@ -419,7 +292,7 @@ mod tests {
     }
 
     #[test]
-    fn percentile_summary_and_registry_bridge() {
+    fn percentile_summary_over_a_task_log() {
         let m = EngineMetrics {
             tasks_processed: 100,
             task_times: (1..=100u64).map(|ms| record(1, 1, ms)).collect(),
@@ -430,13 +303,6 @@ mod tests {
         assert_eq!(p.p95, Duration::from_millis(95));
         assert_eq!(p.p99, Duration::from_millis(99));
         assert_eq!(EngineMetrics::default().task_time_percentiles(), None);
-
-        let registry = qcm_obs::Registry::new();
-        m.publish(&registry);
-        let text = qcm_obs::prometheus::render(&registry);
-        qcm_obs::prometheus::check_text(&text).expect("well-formed exposition");
-        assert!(text.contains("qcm_engine_tasks_processed_total 100"));
-        assert!(text.contains("qcm_engine_task_time_seconds{quantile=\"0.95\"} 0.095"));
     }
 
     #[test]

@@ -19,10 +19,9 @@
 //!   with per-link latency, message drop, node crash + restart and a seeded
 //!   event log (see [`crate::sim`]).
 //!
-//! The vendored `crossbeam` stand-in provides only `thread::scope`, not
-//! channels, so the in-process mailboxes are plain `Mutex<VecDeque<_>>`
-//! queues — the engine's workers poll them from their scheduling loop, which
-//! is the same discipline they already use for the task queues.
+//! The in-process mailboxes are plain `Mutex<VecDeque<_>>` queues — the
+//! engine's workers poll them from their scheduling loop, which is the same
+//! discipline they already use for the task queues.
 
 use crate::codec::EngineMsg;
 use crate::vertex_table::PartitionedVertexTable;

@@ -303,34 +303,6 @@ impl DataService {
         }
     }
 
-    /// Pre-transport constructor: an implicit in-process transport with the
-    /// given simulated latency.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a transport via TransportFactory and use DataService::new instead"
-    )]
-    pub fn simulated(
-        table: PartitionedVertexTable,
-        machine: usize,
-        cache_capacity: usize,
-        metrics: Arc<FetchMetrics>,
-        fetch_latency: Duration,
-    ) -> Self {
-        let transport = crate::transport::TransportFactory::in_proc()
-            .with_fetch_latency(fetch_latency)
-            .build(table.num_machines());
-        transport.bind(&table);
-        DataService::new(
-            table,
-            machine,
-            cache_capacity,
-            metrics,
-            transport,
-            Duration::from_millis(100),
-            0,
-        )
-    }
-
     /// Fetches Γ(v), serving locally owned vertices by borrowing the shared
     /// partition (zero-copy) and remote vertices through the cache and the
     /// transport, accumulating traffic counters into `scratch` (flush them
@@ -584,16 +556,5 @@ mod tests {
         assert_eq!(metrics.pull_failures.load(Ordering::Relaxed), 1);
         // The drops are spent; the next pull succeeds after the failure.
         assert!(service.fetch(VertexId::new(1)).is_ok());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_simulated_constructor_still_serves() {
-        let table = PartitionedVertexTable::new(sample_graph(), 2);
-        let metrics = Arc::new(FetchMetrics::default());
-        let service = DataService::simulated(table, 0, 4, metrics.clone(), Duration::ZERO);
-        assert_eq!(service.fetch(VertexId::new(0)).unwrap().len(), 1);
-        assert_eq!(service.fetch(VertexId::new(1)).unwrap().len(), 2);
-        assert_eq!(metrics.remote_fetches.load(Ordering::Relaxed), 1);
     }
 }

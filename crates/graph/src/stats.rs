@@ -2,8 +2,8 @@
 //!
 //! The experiment harness uses these statistics to print Table 1 of the paper
 //! (dataset sizes) and to characterise the synthetic stand-in datasets
-//! (degree skew, core structure) so that EXPERIMENTS.md can document how close
-//! each stand-in is to its real counterpart.
+//! (degree skew, core structure) so that the `experiments table1` output shows
+//! how close each stand-in is to its real counterpart.
 
 use crate::graph::Graph;
 use crate::kcore::core_numbers;

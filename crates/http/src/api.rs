@@ -1,11 +1,9 @@
 //! The transport-independent handler table.
 //!
-//! Every front door — the versioned HTTP surface in this crate and the
-//! deprecated `qcm serve` line protocol in the CLI — is a thin adapter over
-//! this one struct: parse the wire format into the shared DTOs
-//! (`qcm_core::api`), call the matching [`Api`] method, render the result.
-//! Behaviour (auth, graph resolution, admission, long-poll) therefore
-//! cannot diverge between transports.
+//! The versioned HTTP surface in this crate is a thin adapter over this one
+//! struct: parse the wire format into the shared DTOs (`qcm_core::api`),
+//! call the matching [`Api`] method, render the result. Behaviour (auth,
+//! graph resolution, admission, long-poll) lives here, not in the transport.
 
 use crate::registry::GraphRegistry;
 use qcm::prelude::{ApiError, ErrorCode, GraphInfo, JobView, SubmitRequest, SubmitResponse};
@@ -27,8 +25,8 @@ pub const MAX_WAIT: Duration = Duration::from_secs(30);
 ///
 /// With no tokens configured the service runs *open* (every caller is
 /// tenant `default`, or whatever `X-Qcm-Tenant` names — convenient for
-/// local use and for the line protocol). With tokens configured, a missing
-/// or unknown `Authorization: Bearer` is a 401.
+/// local use). With tokens configured, a missing or unknown
+/// `Authorization: Bearer` is a 401.
 #[derive(Default)]
 pub struct AuthConfig {
     tokens: HashMap<String, String>,
@@ -123,9 +121,9 @@ impl Api {
         self.graphs.lock().loads()
     }
 
-    /// `POST /v1/jobs` / line-protocol `submit`: validates, resolves the
-    /// graph, submits, and reports the job's immediate state (a repeat of a
-    /// cached query completes at submit time with `cache_hit`).
+    /// `POST /v1/jobs`: validates, resolves the graph, submits, and reports
+    /// the job's immediate state (a repeat of a cached query completes at
+    /// submit time with `cache_hit`).
     pub fn submit(
         &self,
         request: &SubmitRequest,
@@ -160,9 +158,9 @@ impl Api {
         })
     }
 
-    /// `GET /v1/jobs/{id}?wait_ms=` / line-protocol `status` + `fetch`:
-    /// waits up to `wait` (clamped to [`MAX_WAIT`]) for a terminal state,
-    /// then describes the job as it stands. `tenant` is the authenticated
+    /// `GET /v1/jobs/{id}?wait_ms=`: waits up to `wait` (clamped to
+    /// [`MAX_WAIT`]) for a terminal state, then describes the job as it
+    /// stands. `tenant` is the authenticated
     /// caller: with tokens configured, another tenant's job answers
     /// `unknown_job` (ids are sequential, so resource access must be
     /// tenant-scoped, not just admission).
@@ -202,9 +200,9 @@ impl Api {
         }
     }
 
-    /// `DELETE /v1/jobs/{id}` / line-protocol `cancel`: requests
-    /// cancellation and reports the job's state at that instant. Scoped to
-    /// the authenticated `tenant` exactly like [`Api::job`].
+    /// `DELETE /v1/jobs/{id}`: requests cancellation and reports the job's
+    /// state at that instant. Scoped to the authenticated `tenant` exactly
+    /// like [`Api::job`].
     pub fn cancel(&self, id: u64, tenant: &str) -> Result<JobView, ApiError> {
         let job = JobId::from_raw(id);
         self.authorize_job(job, tenant)?;
@@ -258,8 +256,8 @@ impl Api {
         qcm_obs::prometheus::render(&registry)
     }
 
-    /// The raw metrics snapshot (the line protocol's one-line `metrics`
-    /// view).
+    /// The raw metrics snapshot, for embedders that read counters without
+    /// parsing the exposition.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.service.metrics()
     }

@@ -1,6 +1,6 @@
 //! `qcm-http`: the versioned HTTP/1.1 JSON surface of the mining service.
 //!
-//! This crate promotes `qcm serve` from an ad-hoc line protocol to a small,
+//! This crate is the wire surface of `qcm serve --listen`: a small,
 //! dependency-free HTTP service with explicit load-shedding semantics:
 //!
 //! - `POST /v1/jobs` — submit a mining job (tenant auth + priority);

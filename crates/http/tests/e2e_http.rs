@@ -1,8 +1,8 @@
 //! End-to-end tests over the real socket: a `Server` is started on a free
 //! loopback port and driven with a hand-rolled HTTP/1.1 client, so every
 //! layer — accept loop, parser, router, API, mining service — is on the
-//! path. What the line-protocol smoke used to cover plus the semantics only
-//! the HTTP surface has: auth, load shedding with `Retry-After`, and
+//! path: the job lifecycle with its cache and metrics, plus the semantics
+//! only a network surface has — auth, load shedding with `Retry-After`, and
 //! malformed-input isolation.
 
 use qcm_http::{Api, AuthConfig, Server, ServerConfig};
@@ -97,10 +97,25 @@ fn submit_long_poll_fetch_round_trip_with_cache_hit() {
         assert_eq!(status, 200);
         assert!(head.contains("text/plain"), "{head}");
         qcm_obs::prometheus::check_text(&metrics).expect("well-formed exposition");
-        assert!(
-            metrics.contains("qcm_service_jobs_mined_total 1"),
-            "{metrics}"
-        );
+        // One mined job (the repeat was a cache hit) shows up in all three
+        // metric families: service counters, kernel counters, latency.
+        for line in [
+            "# TYPE qcm_service_jobs_mined_total counter",
+            "qcm_service_jobs_mined_total 1",
+            "qcm_service_cache_hits_total 1",
+            "# TYPE qcm_graph_edge_queries_total counter",
+        ] {
+            assert!(metrics.lines().any(|l| l == line), "{line}: {metrics}");
+        }
+        for prefix in [
+            "# HELP qcm_service_queue_depth ",
+            "qcm_service_job_latency_seconds{quantile=\"0.5\"} ",
+        ] {
+            assert!(
+                metrics.lines().any(|l| l.starts_with(prefix)),
+                "{prefix}: {metrics}"
+            );
+        }
 
         let (status, _, health) = request(&addr, "GET", "/healthz", &[], "");
         assert_eq!(status, 200);

@@ -4,8 +4,8 @@
 //! proc-macro machinery — the build environment vendors no parser), so
 //! every rule is conservative and textual. Six rules:
 //!
-//! 1. **sync-facade** — no direct `std::sync::` / `std::thread::` /
-//!    `parking_lot::` references outside `crates/sync` and `vendor/`.
+//! 1. **sync-facade** — no direct `std::sync::` / `std::thread::`
+//!    references outside `crates/sync` and `vendor/`.
 //!    All concurrency goes through the `qcm-sync` facade, which is what
 //!    makes the whole workspace model-checkable.
 //! 2. **ordering-justification** — every memory-ordering choice
@@ -350,7 +350,7 @@ fn scan_file(rel: &str, text: &str, out: &mut Vec<Violation>) {
         }
 
         // Rule 1: sync-facade policy (all scanned files).
-        for pat in ["std::sync::", "std::thread::", "parking_lot::"] {
+        for pat in ["std::sync::", "std::thread::"] {
             if code.contains(pat) {
                 out.push(Violation {
                     rule: "sync-facade",

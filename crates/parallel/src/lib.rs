@@ -44,8 +44,6 @@ pub mod task;
 
 pub use app::QuasiCliqueApp;
 pub use mine::{DecompositionStrategy, MineOutcome, MinePhaseParams};
-#[allow(deprecated)]
-pub use runner::mine_parallel;
 pub use runner::{ParallelMiner, ParallelMiningOutput};
 pub use sim::{SimMiner, SimMiningOutput};
 pub use task::{QCTask, TaskGraph, TaskPhase};

@@ -13,7 +13,7 @@ use qcm_core::{
     RunOutcome,
 };
 use qcm_engine::{Cluster, EngineConfig, EngineMetrics};
-use qcm_graph::Graph;
+use qcm_graph::{Graph, NeighborhoodIndex, Neighborhoods, VertexId};
 use qcm_sync::Arc;
 use std::time::Duration;
 
@@ -24,6 +24,9 @@ pub struct ParallelMiningOutput {
     pub maximal: QuasiCliqueSet,
     /// Number of raw (pre-post-processing) reports emitted by tasks.
     pub raw_reported: u64,
+    /// Sets the post-mining validity check dropped before publication.
+    /// Anything but 0 is an engine bug the check swallowed.
+    pub invalid_sets_dropped: u64,
     /// Engine metrics (timing, tasks, spilling, stealing, per-task log).
     pub metrics: EngineMetrics,
 }
@@ -109,7 +112,7 @@ impl ParallelMiner {
     fn mine_impl(
         &self,
         graph: Arc<Graph>,
-        mut observer: Option<&mut dyn QuasiCliqueSink>,
+        observer: Option<&mut dyn QuasiCliqueSink>,
     ) -> ParallelMiningOutput {
         let app = Arc::new(
             QuasiCliqueApp::new(
@@ -125,51 +128,56 @@ impl ParallelMiner {
         let cluster = Cluster::new(app, self.engine_config.clone());
         let output = cluster.run(graph);
         let raw_reported = output.metrics.results_emitted;
-        let mut set = QuasiCliqueSet::new();
-        for members in output.results {
-            if let Some(observer) = observer.as_deref_mut() {
-                observer.report(members.clone());
-            }
-            set.insert(members);
-        }
-        let mut maximal = remove_non_maximal(set);
-        // Trust-but-verify: re-check every answer against the global graph
-        // through the run's shared neighborhood index (the same edge-query
-        // path the vertex table serves). The distributed search assembled
-        // these sets from task-local subgraphs; a validation failure here
-        // means an engine bug, and dropping the set beats publishing — or
-        // cache-poisoning, at the service layer — a wrong answer.
-        if let Some(index) = &output.index {
-            let nbhd: &dyn qcm_graph::Neighborhoods = index.as_ref();
-            maximal.retain_sets(|members| {
-                let raw: Vec<u32> = members.iter().map(|v| v.raw()).collect();
-                let valid = is_valid_quasi_clique_over(nbhd, &raw, &self.params);
-                debug_assert!(valid, "engine emitted an invalid result {members:?}");
-                valid
-            });
-        }
+        let (maximal, invalid_sets_dropped) = finalize_results(
+            output.results,
+            output.index.as_deref(),
+            &self.params,
+            observer,
+        );
         ParallelMiningOutput {
             maximal,
             raw_reported,
+            invalid_sets_dropped,
             metrics: output.metrics,
         }
     }
 }
 
-/// Convenience function: parallel mining with default engine settings and the
-/// given number of threads on one simulated machine.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the unified `qcm::Session` front door (Session::builder()…backend(Backend::Parallel \
-            { .. }).build()?.run(&graph)) or `ParallelMiner::new(params, config).mine(graph)` \
-            directly"
-)]
-pub fn mine_parallel(
-    graph: &Arc<Graph>,
-    params: MiningParams,
-    threads: usize,
-) -> ParallelMiningOutput {
-    ParallelMiner::new(params, EngineConfig::single_machine(threads)).mine(graph.clone())
+/// The post-processing both miners share: collect the raw reports (feeding
+/// `observer` each row), keep the maximal sets, then trust-but-verify.
+/// Returns the final set and how many invalid sets the check dropped.
+pub(crate) fn finalize_results(
+    results: Vec<Vec<VertexId>>,
+    index: Option<&NeighborhoodIndex>,
+    params: &MiningParams,
+    mut observer: Option<&mut dyn QuasiCliqueSink>,
+) -> (QuasiCliqueSet, u64) {
+    let mut set = QuasiCliqueSet::new();
+    for members in results {
+        if let Some(observer) = observer.as_deref_mut() {
+            observer.report(members.clone());
+        }
+        set.insert(members);
+    }
+    let mut maximal = remove_non_maximal(set);
+    // Trust-but-verify: re-check every answer against the global graph
+    // through the run's shared neighborhood index (the same edge-query
+    // path the vertex table serves). The distributed search assembled
+    // these sets from task-local subgraphs; a validation failure here
+    // means an engine bug, and dropping the set beats publishing — or
+    // cache-poisoning, at the service layer — a wrong answer.
+    let before = maximal.len();
+    if let Some(index) = index {
+        let nbhd: &dyn Neighborhoods = index;
+        maximal.retain_sets(|members| {
+            let raw: Vec<u32> = members.iter().map(|v| v.raw()).collect();
+            let valid = is_valid_quasi_clique_over(nbhd, &raw, params);
+            debug_assert!(valid, "engine emitted an invalid result {members:?}");
+            valid
+        });
+    }
+    let dropped = (before - maximal.len()) as u64;
+    (maximal, dropped)
 }
 
 #[cfg(test)]

@@ -19,8 +19,8 @@
 
 use crate::app::QuasiCliqueApp;
 use crate::mine::DecompositionStrategy;
-use qcm_core::quasiclique::is_valid_quasi_clique_over;
-use qcm_core::{remove_non_maximal, MiningParams, PruneConfig, QuasiCliqueSet, RunOutcome};
+use crate::runner::finalize_results;
+use qcm_core::{MiningParams, PruneConfig, QuasiCliqueSet, RunOutcome};
 use qcm_engine::{EngineConfig, EngineMetrics, SimCluster, SimConfig};
 use qcm_graph::Graph;
 use qcm_sync::Arc;
@@ -36,6 +36,9 @@ pub struct SimMiningOutput {
     pub maximal: QuasiCliqueSet,
     /// Number of raw (pre-post-processing) reports emitted by tasks.
     pub raw_reported: u64,
+    /// Sets the post-mining validity check dropped before publication.
+    /// Anything but 0 is an engine bug the check swallowed.
+    pub invalid_sets_dropped: u64,
     /// Engine metrics; `virtual_time` is set, wall `elapsed` measures only
     /// the simulation itself (excluded from the bench wall-time gate).
     pub metrics: EngineMetrics,
@@ -100,25 +103,12 @@ impl SimMiner {
         let cluster = SimCluster::new(app, self.engine_config.clone(), self.sim_config.clone());
         let output = cluster.run(graph);
         let raw_reported = output.metrics.results_emitted;
-        let mut set = QuasiCliqueSet::new();
-        for members in output.results {
-            set.insert(members);
-        }
-        let mut maximal = remove_non_maximal(set);
-        // Same trust-but-verify pass as the live miner: every answer is
-        // re-checked against the global graph through the run's index.
-        if let Some(index) = &output.index {
-            let nbhd: &dyn qcm_graph::Neighborhoods = index.as_ref();
-            maximal.retain_sets(|members| {
-                let raw: Vec<u32> = members.iter().map(|v| v.raw()).collect();
-                let valid = is_valid_quasi_clique_over(nbhd, &raw, &self.params);
-                debug_assert!(valid, "engine emitted an invalid result {members:?}");
-                valid
-            });
-        }
+        let (maximal, invalid_sets_dropped) =
+            finalize_results(output.results, output.index.as_deref(), &self.params, None);
         SimMiningOutput {
             maximal,
             raw_reported,
+            invalid_sets_dropped,
             outcome: output.outcome,
             virtual_time: Duration::from_micros(output.virtual_us),
             event_log: output.event_log,

@@ -91,20 +91,6 @@
 //! API on realistic scenarios; the `qcm-bench` crate regenerates every table
 //! and figure of the paper.
 //!
-//! ## Migrating from the 0.1 free functions
-//!
-//! The pre-`Session` entry points `mine_serial` / `mine_parallel` still
-//! compile but are `#[deprecated]` shims: they build a single-use [`Session`]
-//! internally and will be removed once downstream callers migrate. The
-//! mapping is mechanical:
-//!
-//! ```text
-//! mine_serial(&g, params)       →  Session::builder().params(params).build()?.run(&g)?
-//! mine_parallel(&g, params, t)  →  Session::builder().params(params)
-//!                                      .backend(Backend::parallel(t, 1))
-//!                                      .build()?.run(&g)?
-//! ```
-//!
 //! ## Distribution & fault testing
 //!
 //! `Backend::Parallel` carries a [`TransportKind`]: the default in-process
@@ -130,15 +116,8 @@ pub use qcm_graph::{IndexSpec, NeighborhoodIndex, Neighborhoods, VertexBitSet};
 pub use qcm_obs::{SpanKind, Trace, TraceConfig};
 pub use session::{Backend, BackendStats, MiningReport, PreparedGraph, Session, SessionBuilder};
 
-use qcm_core::{MiningOutput, MiningParams};
-use qcm_graph::Graph;
-use qcm_parallel::ParallelMiningOutput;
-use qcm_sync::Arc;
-
 /// The most commonly used types and functions in one import.
 pub mod prelude {
-    #[allow(deprecated)]
-    pub use crate::{mine_parallel, mine_serial};
     pub use crate::{
         Backend, BackendStats, CancelReason, CancelToken, CollectingSink, MiningReport, QcmError,
         ResultSink, RunOutcome, Session, SessionBuilder,
@@ -156,73 +135,6 @@ pub mod prelude {
     pub use qcm_gen::{DatasetSpec, PlantedGraphSpec, SyntheticDataset};
     pub use qcm_graph::{Graph, GraphBuilder, GraphStats, VertexId};
     pub use qcm_parallel::{DecompositionStrategy, ParallelMiner, ParallelMiningOutput};
-}
-
-/// Single-threaded mining with the default configuration (a deprecated shim
-/// over [`Session`] with [`Backend::Serial`]).
-#[deprecated(
-    since = "0.2.0",
-    note = "use Session::builder().params(params).build()?.run(&graph)? instead"
-)]
-pub fn mine_serial(graph: &Graph, params: MiningParams) -> MiningOutput {
-    let session = Session::builder()
-        .params(params)
-        .backend(Backend::Serial)
-        .build()
-        .expect("MiningParams invariants satisfy Session validation");
-    let report = session.run_serial(graph, session.cancel_token(), None);
-    let (stats, kcore_vertices) = match report.stats {
-        BackendStats::Serial {
-            stats,
-            kcore_vertices,
-        } => (stats, kcore_vertices),
-        BackendStats::Parallel { .. } => unreachable!("serial run produced parallel stats"),
-    };
-    MiningOutput {
-        maximal: report.maximal,
-        raw_reported: report.raw_reported,
-        stats,
-        elapsed: report.elapsed,
-        kcore_vertices,
-        outcome: report.outcome,
-    }
-}
-
-/// Parallel mining on one simulated machine (a deprecated shim over
-/// [`Session`] with [`Backend::Parallel`]).
-#[deprecated(
-    since = "0.2.0",
-    note = "use Session::builder().params(params).backend(Backend::parallel(threads, \
-            1)).build()?.run(&graph)? instead"
-)]
-pub fn mine_parallel(
-    graph: &Arc<Graph>,
-    params: MiningParams,
-    threads: usize,
-) -> ParallelMiningOutput {
-    let session = Session::builder()
-        .params(params)
-        .backend(Backend::parallel(threads.max(1), 1))
-        .build()
-        .expect("MiningParams invariants satisfy Session validation");
-    let report = session.run_parallel(
-        graph,
-        None,
-        threads.max(1),
-        1,
-        &TransportKind::InProc,
-        session.cancel_token(),
-        None,
-    );
-    let metrics = match report.stats {
-        BackendStats::Parallel { metrics } => *metrics,
-        BackendStats::Serial { .. } => unreachable!("parallel run produced serial stats"),
-    };
-    ParallelMiningOutput {
-        maximal: report.maximal,
-        raw_reported: report.raw_reported,
-        metrics,
-    }
 }
 
 #[cfg(test)]
@@ -249,25 +161,5 @@ mod tests {
             !serial.maximal.is_empty(),
             "planted communities must be found"
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_delegate_to_session() {
-        let dataset = crate::gen::datasets::tiny_test_dataset(3);
-        let graph = Arc::new(dataset.graph.clone());
-        let params = MiningParams::new(dataset.spec.gamma, dataset.spec.min_size);
-        let serial = crate::mine_serial(&graph, params);
-        let parallel = crate::mine_parallel(&graph, params, 2);
-        assert_eq!(serial.maximal, parallel.maximal);
-        assert!(serial.outcome.is_complete());
-        assert!(parallel.outcome().is_complete());
-        let session = Session::builder()
-            .params(params)
-            .build()
-            .unwrap()
-            .run(&graph)
-            .unwrap();
-        assert_eq!(session.maximal, serial.maximal);
     }
 }

@@ -565,7 +565,7 @@ impl Session {
         Ok(report)
     }
 
-    pub(crate) fn run_serial<'a, 'b>(
+    fn run_serial<'a, 'b>(
         &self,
         graph: &Graph,
         cancel: CancelToken,
@@ -595,7 +595,7 @@ impl Session {
     }
 
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_parallel<'a, 'b>(
+    fn run_parallel<'a, 'b>(
         &self,
         graph: &Arc<Graph>,
         shared_index: Option<&Arc<NeighborhoodIndex>>,

@@ -9,7 +9,7 @@ use std::time::Duration;
 
 /// Opaque, service-unique job identifier, handed out by
 /// [`crate::MiningService::submit`] and accepted by `status` / `cancel` /
-/// `fetch`.
+/// `poll_fetch`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(u64);
 
@@ -253,7 +253,7 @@ pub struct MinedAnswer {
     pub mining_time: Duration,
 }
 
-/// The result of one job, as returned by [`crate::MiningService::fetch`].
+/// The result of one job, as returned by [`crate::MiningService::poll_fetch`].
 #[derive(Clone, Debug)]
 pub struct JobResult {
     /// The job this result belongs to.

@@ -6,9 +6,8 @@
 //! door into an embeddable, thread-based job service:
 //!
 //! * [`MiningService`] — the service itself: `submit → JobId`, `status`,
-//!   `cancel`, deadline-bounded `poll_fetch` / non-blocking `try_fetch`
-//!   (the unbounded blocking `fetch` is deprecated), and streaming delivery
-//!   through the standard `qcm::ResultSink`.
+//!   `cancel`, deadline-bounded `poll_fetch` / non-blocking `try_fetch`,
+//!   and streaming delivery through the standard `qcm::ResultSink`.
 //! * [`JobQueue`] — priority bands with per-tenant round-robin, so one
 //!   flooding tenant delays only its own jobs.
 //! * A [`WorkerPool`][MiningService::start]: OS threads that execute each
@@ -26,9 +25,9 @@
 //! * [`ServiceMetrics`] / [`MetricsSnapshot`] — queue depth, in-flight
 //!   count, cache hit rate, and p50/p99 job latency over a sliding window.
 //!
-//! The CLI front end exposes the same lifecycle as `qcm serve`
-//! (line-delimited request/response over stdin/stdout); the `job_service`
-//! example drives a mixed hot/cold workload across tenants.
+//! The CLI front end exposes the same lifecycle over HTTP as
+//! `qcm serve --listen` (through `qcm-http`); the `job_service` example
+//! drives a mixed hot/cold workload across tenants.
 //!
 //! ## Example
 //!

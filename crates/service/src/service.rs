@@ -27,7 +27,7 @@ pub struct ServiceConfig {
     pub cache_capacity: usize,
     /// Result-cache time-to-live (`None` = answers never expire).
     pub cache_ttl: Option<Duration>,
-    /// How many terminal jobs to retain for late `status`/`fetch` calls.
+    /// How many terminal jobs to retain for late `status`/`poll_fetch` calls.
     /// Beyond this the oldest are evicted (and report
     /// [`ServiceError::UnknownJob`]), bounding the service's memory over a
     /// long life.
@@ -118,7 +118,7 @@ impl State {
     /// Records a job as terminal and evicts the oldest terminal entries
     /// beyond the retention bound, so a long-lived service does not
     /// accumulate every result ever produced. An evicted job becomes
-    /// [`ServiceError::UnknownJob`] to late `status`/`fetch` calls.
+    /// [`ServiceError::UnknownJob`] to late `status`/`poll_fetch` calls.
     fn retire(&mut self, job: JobId) {
         self.finished.push_back(job);
         while self.finished.len() > self.max_finished_jobs {
@@ -425,8 +425,8 @@ impl MiningService {
     /// no result). A running job has its [`CancelToken`] fired: the miner
     /// unwinds cooperatively and the job completes shortly after with a
     /// partial result labelled [`RunOutcome::Cancelled`] — poll
-    /// [`MiningService::status`] or block in [`MiningService::fetch`] for the
-    /// transition. Cancelling a terminal job is a no-op.
+    /// [`MiningService::status`] or wait in [`MiningService::poll_fetch`] for
+    /// the transition. Cancelling a terminal job is a no-op.
     pub fn cancel(&self, job: JobId) -> Result<JobStatus, ServiceError> {
         let mut state = self.shared.lock();
         let entry = state
@@ -464,13 +464,14 @@ impl MiningService {
         }
     }
 
-    /// Blocks *indefinitely* until the job reaches a terminal state and
-    /// returns its result.
+    /// Waits up to `wait` for the job to reach a terminal state.
     ///
-    /// Deprecated: an unbounded wait pins the calling thread for as long as
-    /// the job takes, which a network front end cannot afford (a long-poll
-    /// handler must return to its connection pool). Use
-    /// [`MiningService::poll_fetch`] with an explicit deadline instead.
+    /// Returns `Ok(Some(result))` once terminal, `Ok(None)` when the
+    /// deadline expires first (the job keeps running — poll again). This is
+    /// the long-poll primitive of the HTTP surface: `GET
+    /// /v1/jobs/{id}?wait_ms=` parks here for a bounded time, so a handler
+    /// always returns to its connection pool. `Duration::ZERO` is an
+    /// instantaneous status probe.
     ///
     /// # Errors
     /// [`ServiceError::UnknownJob`] for an id this service never issued,
@@ -478,35 +479,6 @@ impl MiningService {
     /// (it has no result), [`ServiceError::JobFailed`] when the run failed in
     /// the engine. A job cancelled *mid-run* or stopped by its deadline
     /// returns `Ok` with a partial result — inspect [`JobResult::outcome`].
-    #[deprecated(
-        since = "0.3.0",
-        note = "unbounded blocking pins the caller; use poll_fetch(job, wait) with an explicit \
-                deadline"
-    )]
-    pub fn fetch(&self, job: JobId) -> Result<JobResult, ServiceError> {
-        let mut state = self.shared.lock();
-        loop {
-            match Self::terminal_result(&state, job) {
-                Some(result) => return result,
-                None => {
-                    state = self.shared.done_cv.wait(state);
-                }
-            }
-        }
-    }
-
-    /// Waits up to `wait` for the job to reach a terminal state.
-    ///
-    /// Returns `Ok(Some(result))` once terminal, `Ok(None)` when the
-    /// deadline expires first (the job keeps running — poll again). This is
-    /// the long-poll primitive of the HTTP surface: `GET
-    /// /v1/jobs/{id}?wait_ms=` parks here instead of pinning a worker on the
-    /// deprecated blocking [`fetch`](MiningService::fetch). `Duration::ZERO`
-    /// is an instantaneous status probe.
-    ///
-    /// # Errors
-    /// Same taxonomy as [`fetch`](MiningService::fetch): `UnknownJob`,
-    /// `Cancelled` (cancelled while queued), `JobFailed`.
     pub fn poll_fetch(
         &self,
         job: JobId,
@@ -750,7 +722,7 @@ fn run_job(
     // The run executes caller-supplied sink code; a panic there must fail
     // *this job* (JobStatus::Failed), not unwind the worker thread — an
     // unwinding worker would leak its `running` slot and leave the job stuck
-    // in Running, blocking `fetch` forever.
+    // in Running, never answering `poll_fetch`.
     let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         match (prepared, sink.as_mut()) {
             (Some(prepared), Some(sink)) => session.run_prepared_streaming(prepared, sink.as_mut()),

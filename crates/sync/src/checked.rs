@@ -673,6 +673,12 @@ impl AtomicBool {
 pub mod thread {
     use crate::model::{self, Ctx, ModelAbort};
 
+    /// Scoped threads, re-exported from `std` as-is: children may borrow
+    /// from the caller's stack and are all joined before `scope` returns.
+    /// They run outside any active schedule (unscheduled, like a thread
+    /// that is not participating in the model).
+    pub use std::thread::{scope, Scope, ScopedJoinHandle};
+
     /// Handle to a spawned facade thread.
     pub struct JoinHandle<T> {
         inner: std::thread::JoinHandle<T>,

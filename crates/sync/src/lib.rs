@@ -6,7 +6,7 @@
 //! switch:
 //!
 //! * **Default build** — [`pass`-through wrappers](crate::Mutex): thin
-//!   newtypes over `std` with a non-poisoning (parking_lot-style) API.
+//!   newtypes over `std` with a non-poisoning API (`lock()` returns the guard).
 //!   Everything is `#[inline]` and `#[repr(transparent)]` where it can
 //!   be; there is no runtime cost.
 //! * **`model-check` feature** — the same API routed through a
@@ -70,5 +70,47 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         s
     } else {
         "<non-string panic payload>"
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::atomic::{AtomicUsize, Ordering};
+    use crate::thread;
+    use std::time::Duration;
+
+    #[test]
+    fn scope_borrows_joins_every_child_and_propagates_panics() {
+        // Children borrow `words` and `finished` from this stack frame, and
+        // are never joined by hand: `scope` returning is the join.
+        let words = ["a", "bb", "ccc"];
+        let finished = AtomicUsize::new(0);
+        let lengths = AtomicUsize::new(0);
+        thread::scope(|s| {
+            for word in &words {
+                s.spawn(|| {
+                    thread::sleep(Duration::from_millis(5));
+                    lengths.fetch_add(word.len(), Ordering::SeqCst);
+                    finished.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+        });
+        assert_eq!(finished.load(Ordering::SeqCst), words.len());
+        assert_eq!(lengths.load(Ordering::SeqCst), 6);
+
+        // A handle joined inside the scope hands back the child's value.
+        let doubled = thread::scope(|s| s.spawn(|| words.len() * 2).join().unwrap());
+        assert_eq!(doubled, 6);
+
+        // A child's panic resumes out of `scope`, after its siblings ran.
+        let survivors = AtomicUsize::new(0);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            thread::scope(|s| {
+                s.spawn(|| panic!("child panicked on purpose"));
+                s.spawn(|| survivors.fetch_add(1, Ordering::SeqCst));
+            })
+        }));
+        assert!(outcome.is_err(), "the child's panic must propagate");
+        assert_eq!(survivors.load(Ordering::SeqCst), 1);
     }
 }

@@ -1,7 +1,8 @@
 //! Zero-cost passthrough implementations: every type is a transparent
-//! wrapper over its `std::sync` counterpart with parking_lot's
-//! non-poisoning API. This module is compiled when the `model-check`
-//! feature is **off** — the normal build of the whole workspace.
+//! wrapper over its `std::sync` counterpart with a non-poisoning API
+//! (`lock()` returns the guard, never a `LockResult`). This module is
+//! compiled when the `model-check` feature is **off** — the normal build of
+//! the whole workspace.
 //!
 //! The non-poisoning contract matters: a panic in one worker already
 //! aborts the run at a higher level (the service fails the job, the
@@ -405,6 +406,10 @@ impl AtomicBool {
 
 /// Thread management routed through the facade.
 pub mod thread {
+    /// Scoped threads, re-exported from `std` as-is: children may borrow
+    /// from the caller's stack and are all joined before `scope` returns.
+    pub use std::thread::{scope, Scope, ScopedJoinHandle};
+
     /// Handle to a spawned facade thread.
     #[derive(Debug)]
     pub struct JoinHandle<T> {

@@ -16,8 +16,8 @@ use qcm_service::{
 use qcm_sync::Arc;
 use std::time::Duration;
 
-/// Long-polls until the job goes terminal (the deadline-free blocking
-/// `fetch` is deprecated; real clients poll with a bounded wait).
+/// Long-polls until the job goes terminal (each wait is bounded, as a real
+/// client's would be).
 fn await_job(service: &MiningService, job: JobId) -> Result<JobResult, ServiceError> {
     loop {
         if let Some(result) = service.poll_fetch(job, Duration::from_secs(30))? {

@@ -126,6 +126,10 @@ fn recoverable_scenarios_match_the_serial_miner() {
                 out.maximal, serial.maximal,
                 "{name} seed {seed}: sim results diverge from serial"
             );
+            assert_eq!(
+                out.invalid_sets_dropped, 0,
+                "{name} seed {seed}: the validity net swallowed an engine bug"
+            );
         }
     }
 }
@@ -180,7 +184,10 @@ fn unrecoverable_crash_reports_labelled_partial_results() {
     );
     dump_log("crash-norestart", 42, &out);
     match out.outcome {
-        RunOutcome::Complete => assert_eq!(out.maximal, serial.maximal),
+        RunOutcome::Complete => {
+            assert_eq!(out.maximal, serial.maximal);
+            assert_eq!(out.invalid_sets_dropped, 0);
+        }
         RunOutcome::Faulted => {
             // Partial-result contract: everything reported is a valid
             // quasi-clique the serial miner also proves maximal.
@@ -246,6 +253,7 @@ proptest! {
         if out.outcome == RunOutcome::Complete {
             let serial = SerialMiner::new(params).mine(&graph);
             prop_assert_eq!(out.maximal, serial.maximal);
+            prop_assert_eq!(out.invalid_sets_dropped, 0);
         }
     }
 }

@@ -130,3 +130,20 @@ fn streaming_and_plain_runs_agree_across_backends() {
         assert_eq!(sink.maximal.len(), streamed.maximal.len(), "{backend:?}");
     }
 }
+
+/// `Session` reports only the published sets; the miner underneath also
+/// counts what its post-mining validity check dropped. Gate that at zero so
+/// the safety net cannot hide an engine bug behind a correct-looking answer.
+#[test]
+fn validity_net_drops_nothing_on_any_cluster_shape() {
+    let (graph, _) = planted_graph(7);
+    let params = MiningParams::new(0.8, 7);
+    let serial = SerialMiner::new(params).mine(&graph);
+    for (machines, threads) in [(1, 1), (1, 4), (2, 2), (4, 1)] {
+        let out = ParallelMiner::new(params, EngineConfig::cluster(machines, threads))
+            .mine(graph.clone());
+        assert!(out.outcome().is_complete());
+        assert_eq!(out.maximal, serial.maximal, "{machines}x{threads}");
+        assert_eq!(out.invalid_sets_dropped, 0, "{machines}x{threads}");
+    }
+}

@@ -12,7 +12,7 @@ use qcm_service::{
 use qcm_sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Waits for a terminal result through the non-deprecated long-poll API
+/// Waits for a terminal result through the long-poll API
 /// (every lap also exercises the `Ok(None)`-on-timeout path).
 fn fetch(service: &MiningService, job: JobId) -> Result<JobResult, ServiceError> {
     let deadline = Instant::now() + Duration::from_secs(120);

@@ -1,7 +1,7 @@
 //! Workspace-level tests of the unified `qcm::Session` front door: builder
 //! validation, serial-vs-parallel equivalence on the planted datasets,
 //! deadline/cancellation semantics (typed partial reports, never panics or
-//! blocks), streaming delivery, and the deprecated shims' delegation.
+//! blocks) and streaming delivery.
 
 use qcm::prelude::*;
 use qcm_sync::Arc;
@@ -174,18 +174,6 @@ fn streaming_run_matches_plain_run_and_orders_maximal_results() {
     let mut sorted = sink.maximal.clone();
     sorted.sort();
     assert_eq!(sorted, sink.maximal, "maximal stream must be ordered");
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_entry_points_match_session() {
-    let (graph, base) = planted();
-    let params = MiningParams::new(0.8, 8);
-    let session = base.build().unwrap().run(&graph).unwrap();
-    let old_serial = mine_serial(&graph, params);
-    let old_parallel = mine_parallel(&graph, params, 4);
-    assert_eq!(old_serial.maximal, session.maximal);
-    assert_eq!(old_parallel.maximal, session.maximal);
 }
 
 #[test]
