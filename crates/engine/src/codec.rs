@@ -57,24 +57,21 @@ pub fn put_vertices(buf: &mut Vec<u8>, values: &[VertexId]) {
     }
 }
 
+/// Reads `N` bytes, advancing the slice. `None` if the input is exhausted.
+fn take_array<const N: usize>(data: &mut &[u8]) -> Option<[u8; N]> {
+    let head = data.get(..N)?.try_into().ok()?;
+    *data = &data[N..];
+    Some(head)
+}
+
 /// Reads a `u32`, advancing the slice. `None` if the input is exhausted.
 pub fn take_u32(data: &mut &[u8]) -> Option<u32> {
-    if data.len() < 4 {
-        return None;
-    }
-    let (head, rest) = data.split_at(4);
-    *data = rest;
-    Some(u32::from_le_bytes(head.try_into().ok()?))
+    take_array(data).map(u32::from_le_bytes)
 }
 
 /// Reads a `u64`, advancing the slice.
 pub fn take_u64(data: &mut &[u8]) -> Option<u64> {
-    if data.len() < 8 {
-        return None;
-    }
-    let (head, rest) = data.split_at(8);
-    *data = rest;
-    Some(u64::from_le_bytes(head.try_into().ok()?))
+    take_array(data).map(u64::from_le_bytes)
 }
 
 /// Reads a length-prefixed list of `u32`s, advancing the slice.
@@ -161,21 +158,6 @@ pub enum EngineMsg {
         /// Sequence number echoed from the grant.
         seq: u64,
     },
-    /// A machine's global queue spilled a batch to disk — a load signal for
-    /// the balancer.
-    SpillNotice {
-        /// The spilling machine.
-        machine: u32,
-        /// Its total pending tasks (in memory + spilled) after the spill.
-        pending: u64,
-    },
-    /// A machine refilled a batch from its spill directory.
-    RefillNotice {
-        /// The refilling machine.
-        machine: u32,
-        /// How many tasks were restored.
-        restored: u32,
-    },
     /// Orderly stop: the receiving machine's workers should drain and exit.
     Shutdown,
 }
@@ -185,8 +167,7 @@ const MSG_PULL_RESPONSE: u32 = 2;
 const MSG_STEAL_REQUEST: u32 = 3;
 const MSG_STEAL_GRANT: u32 = 4;
 const MSG_STEAL_ACK: u32 = 5;
-const MSG_SPILL_NOTICE: u32 = 6;
-const MSG_REFILL_NOTICE: u32 = 7;
+// Tags 6 and 7 are retired and not reused.
 const MSG_SHUTDOWN: u32 = 8;
 
 impl EngineMsg {
@@ -198,8 +179,6 @@ impl EngineMsg {
             EngineMsg::StealRequest { .. } => "steal-req",
             EngineMsg::StealGrant { .. } => "steal-grant",
             EngineMsg::StealAck { .. } => "steal-ack",
-            EngineMsg::SpillNotice { .. } => "spill-notice",
-            EngineMsg::RefillNotice { .. } => "refill-notice",
             EngineMsg::Shutdown => "shutdown",
         }
     }
@@ -237,16 +216,6 @@ impl EngineMsg {
             EngineMsg::StealAck { seq } => {
                 put_u32(buf, MSG_STEAL_ACK);
                 put_u64(buf, *seq);
-            }
-            EngineMsg::SpillNotice { machine, pending } => {
-                put_u32(buf, MSG_SPILL_NOTICE);
-                put_u32(buf, *machine);
-                put_u64(buf, *pending);
-            }
-            EngineMsg::RefillNotice { machine, restored } => {
-                put_u32(buf, MSG_REFILL_NOTICE);
-                put_u32(buf, *machine);
-                put_u32(buf, *restored);
             }
             EngineMsg::Shutdown => put_u32(buf, MSG_SHUTDOWN),
         }
@@ -300,14 +269,6 @@ impl EngineMsg {
             }
             MSG_STEAL_ACK => Some(EngineMsg::StealAck {
                 seq: take_u64(data)?,
-            }),
-            MSG_SPILL_NOTICE => Some(EngineMsg::SpillNotice {
-                machine: take_u32(data)?,
-                pending: take_u64(data)?,
-            }),
-            MSG_REFILL_NOTICE => Some(EngineMsg::RefillNotice {
-                machine: take_u32(data)?,
-                restored: take_u32(data)?,
             }),
             MSG_SHUTDOWN => Some(EngineMsg::Shutdown),
             _ => None,
@@ -402,14 +363,6 @@ mod tests {
                 tasks: vec![vec![1, 2, 3], vec![], vec![255]],
             },
             EngineMsg::StealAck { seq: 3 },
-            EngineMsg::SpillNotice {
-                machine: 2,
-                pending: 4096,
-            },
-            EngineMsg::RefillNotice {
-                machine: 2,
-                restored: 64,
-            },
             EngineMsg::Shutdown,
         ];
         for msg in &msgs {

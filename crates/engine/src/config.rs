@@ -104,11 +104,7 @@ impl EngineConfig {
     /// Creates a configuration for a single machine with the given number of
     /// mining threads (the most common setup for the experiment harness).
     pub fn single_machine(threads: usize) -> Self {
-        EngineConfig {
-            num_machines: 1,
-            threads_per_machine: threads.max(1),
-            ..Default::default()
-        }
+        Self::cluster(1, threads)
     }
 
     /// Creates a configuration for a simulated cluster.
@@ -124,14 +120,6 @@ impl EngineConfig {
     pub fn with_decomposition(mut self, tau_split: usize, tau_time: Duration) -> Self {
         self.tau_split = tau_split;
         self.tau_time = tau_time;
-        self
-    }
-
-    /// Sets the work-stealing knobs: the per-worker deque bound and the
-    /// steal batch size (`0` disables stealing).
-    pub fn with_stealing(mut self, local_capacity: usize, steal_batch: usize) -> Self {
-        self.local_capacity = local_capacity;
-        self.steal_batch = steal_batch;
         self
     }
 

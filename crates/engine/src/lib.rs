@@ -17,8 +17,17 @@
 //! vertex table is hash-partitioned over them, remote adjacency-list fetches
 //! go through a per-machine cache and are counted as network traffic. The
 //! scheduling structure — which is what the paper's scalability results
-//! depend on — is preserved faithfully; the README's "Distribution & fault
-//! testing" section describes the transports that stand in for the network.
+//! depend on — exists once, in the crate-private `machine` module: each
+//! machine's big-task lane, worker deques, spawn cursor and steal-grant book,
+//! and the protocol steps over them (spawn a batch, route, pop, one compute
+//! step, handle one [`EngineMsg`], plan a balance move), plus run set-up and
+//! metrics assembly. Two drivers call those steps. [`Cluster`] adds worker
+//! threads, blocking pulls through a per-machine data service, the balancer
+//! thread and termination by the [`Termination`] counters. [`SimCluster`]
+//! adds a seeded virtual-time event queue, the lossy [`SimTransport`], a
+//! fault script, split-phase parking of tasks while their pulls are on the
+//! wire, grant retransmission and per-root respawn. The README's
+//! "Distribution & fault testing" section describes the transports.
 //!
 //! Applications implement [`GThinkerApp`] (the `spawn`/`compute` UDF pair plus
 //! the big-task classifier); the quasi-clique application lives in
@@ -27,12 +36,14 @@
 pub mod cluster;
 pub mod codec;
 pub mod config;
+mod machine;
 pub mod metrics;
 pub mod queue;
 pub mod sim;
 pub mod spill;
 pub mod steal;
 pub mod task;
+pub mod termination;
 pub mod transport;
 pub mod vertex_table;
 
@@ -43,6 +54,7 @@ pub use metrics::{EngineMetrics, TaskTimeRecord};
 pub use sim::{Fault, FaultEvent, SimCluster, SimConfig, SimOutput, SimTransport};
 pub use steal::WorkerQueues;
 pub use task::{ComputeContext, Frontier, GThinkerApp, TaskCodec, TaskLabel, TaskTimings};
+pub use termination::Termination;
 pub use transport::{
     Envelope, InProcTransport, Transport, TransportError, TransportFactory, TransportKind,
     TransportStats,

@@ -1,0 +1,691 @@
+//! The per-machine protocol of the reforged engine — the one copy both
+//! drivers run.
+//!
+//! A [`Machine`] owns what one machine of the paper's Figure 8 owns: the
+//! **big-task lane** (a spill-backed [`TaskQueue`], also the overflow path of
+//! the worker deques), one bounded deque per mining thread, the spawn cursor
+//! over its vertex partition, and the steal-grant book. A [`Run`] holds the
+//! machines plus what they share for one execution (application, vertex
+//! table, transport, [`Termination`] counters, metric counters) and exposes
+//! the steps of the reforged Algorithm 3 as plain methods: spawn one batch,
+//! route a new task, pop the next task, run one compute step, handle one
+//! message, plan and request one balance move.
+//!
+//! The module owns no thread and no clock: `cluster` calls the steps from
+//! worker threads with blocking pulls, `sim` from a discrete-event queue with
+//! split-phase pulls and a fault script. What only one driver needs from a
+//! step (the rows it emitted, a pull response, a grant awaiting its ack) the
+//! step returns.
+
+use crate::codec::EngineMsg;
+use crate::config::EngineConfig;
+use crate::metrics::{EngineMetrics, TaskTimeRecord};
+use crate::queue::TaskQueue;
+use crate::spill::{SpillMetrics, SpillStore};
+use crate::steal::WorkerQueues;
+use crate::task::{ComputeContext, Frontier, GThinkerApp, TaskCodec, TaskTimings};
+use crate::termination::Termination;
+use crate::transport::{Envelope, MachineId, PullReply, Transport};
+use crate::vertex_table::{FetchMetrics, PartitionedVertexTable};
+
+use qcm_core::{MiningScratch, RunOutcome};
+use qcm_graph::{Graph, NeighborhoodIndex, VertexId};
+use qcm_obs::clock::Instant;
+use qcm_obs::SpanKind;
+use qcm_sync::atomic::{AtomicU64, Ordering};
+use qcm_sync::{Arc, Mutex};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::time::Duration;
+
+/// One emitted result row.
+pub(crate) type Row = Vec<VertexId>;
+
+/// The queues and bookkeeping of one machine.
+pub(crate) struct Machine<T> {
+    /// The big-task lane: big tasks plus worker-deque overflow, spilling to
+    /// disk when full. The balancer steals from here.
+    big: Mutex<TaskQueue<T>>,
+    /// One bounded deque per mining thread of this machine (small tasks).
+    workers: WorkerQueues<T>,
+    threads: usize,
+    /// Owned vertices not yet spawned.
+    cursor: Mutex<VecDeque<VertexId>>,
+    /// The steal-grant book (delivery is at-least-once, processing exactly
+    /// once). Grants sent and not yet acked: seq → (receiver, the batch
+    /// itself — moved here, not copied), kept so a driver whose network can
+    /// lose messages can retransmit.
+    unacked: Mutex<BTreeMap<u64, (MachineId, Vec<T>)>>,
+    /// Grants already decoded here; a retransmitted duplicate is re-acked,
+    /// not re-enqueued. One `u64` per grant received (at most one per balance
+    /// period), never pruned: no message tells the receiver that its ack
+    /// arrived, so no entry is provably dead while the run lasts.
+    seen: Mutex<BTreeSet<u64>>,
+}
+
+impl<T: TaskCodec> Machine<T> {
+    /// Pending tasks of the big-task lane (in memory + spilled) — the load
+    /// figure the balancer evens out.
+    pub(crate) fn big_pending(&self) -> usize {
+        self.big.lock().total_pending()
+    }
+
+    /// True while a task is queued or a vertex is still unspawned here.
+    pub(crate) fn has_work(&self) -> bool {
+        self.workers.total_approx_len() > 0
+            || self.big_pending() > 0
+            || !self.cursor.lock().is_empty()
+    }
+
+    /// Puts tasks (back) into the big-task lane.
+    fn requeue(&self, tasks: Vec<T>) {
+        let mut big = self.big.lock();
+        for task in tasks {
+            big.push(task);
+        }
+    }
+
+    /// The owned vertices not yet spawned.
+    pub(crate) fn unspawned(&self) -> Vec<VertexId> {
+        self.cursor.lock().iter().copied().collect()
+    }
+
+    /// The receiver and encoded batch of grant `seq` while it awaits its ack.
+    pub(crate) fn unacked_grant(&self, seq: u64) -> Option<(MachineId, Vec<Vec<u8>>)> {
+        let unacked = self.unacked.lock();
+        let (to, batch) = unacked.get(&seq)?;
+        Some((*to, encode_tasks(batch)))
+    }
+
+    /// Gives up on grant `seq`: returns the tasks it carried.
+    pub(crate) fn abandon_grant(&self, seq: u64) -> Vec<T> {
+        let grant = self.unacked.lock().remove(&seq);
+        grant.map(|(_, batch)| batch).unwrap_or_default()
+    }
+
+    /// The machine dies: every queued task (in memory, spilled, or held in an
+    /// unacked grant) is taken out and returned. The spawn cursor survives —
+    /// the vertex partition is re-readable state.
+    pub(crate) fn crash(&self) -> Vec<T> {
+        let mut lost = Vec::new();
+        for worker in 0..self.threads {
+            while let Some(task) = self.workers.pop_local(worker) {
+                lost.push(task);
+            }
+        }
+        let mut big = self.big.lock();
+        loop {
+            while let Some(task) = big.pop() {
+                lost.push(task);
+            }
+            if big.refill_from_spill() == 0 {
+                break;
+            }
+        }
+        for (_, batch) in std::mem::take(&mut *self.unacked.lock()).into_values() {
+            lost.extend(batch);
+        }
+        lost
+    }
+}
+
+/// Adds to a statistics counter.
+fn count(counter: &AtomicU64, n: u64) {
+    // ordering: Relaxed — statistics; no other memory depends on them and
+    // readers tolerate skew until the drivers quiesce.
+    counter.fetch_add(n, Ordering::Relaxed);
+}
+
+/// Closes a spill/refill span: its payload is the number of tasks that
+/// moved, and it records nothing when none did.
+fn close_span(mut span: qcm_obs::SpanGuard, moved: usize) {
+    if moved > 0 {
+        span.set_arg(moved as u64);
+    } else {
+        span.cancel();
+    }
+}
+
+/// Encodes a steal batch for the wire.
+fn encode_tasks<T: TaskCodec>(batch: &[T]) -> Vec<Vec<u8>> {
+    let encode = |task: &T| {
+        let mut buf = Vec::new();
+        task.encode(&mut buf);
+        buf
+    };
+    batch.iter().map(encode).collect()
+}
+
+/// Decodes a steal batch; the second value counts undecodable entries.
+fn decode_tasks<T: TaskCodec>(blobs: &[Vec<u8>]) -> (Vec<T>, usize) {
+    let tasks: Vec<T> = blobs
+        .iter()
+        .filter_map(|blob| T::decode(&mut blob.as_slice()))
+        .collect();
+    let lost = blobs.len() - tasks.len();
+    (tasks, lost)
+}
+
+/// The accounting of a task between its pop and its last compute step.
+pub(crate) struct InFlight {
+    started: Instant,
+    mem: u64,
+    timings: TaskTimings,
+}
+
+/// What [`Run::handle_msg`] leaves for the driver to do.
+pub(crate) enum Handled {
+    /// Nothing: the step was self-contained.
+    Done,
+    /// Adjacency lists arrived for an earlier pull request. Only a
+    /// split-phase driver has a task waiting for them; the threaded driver
+    /// pulls synchronously and drops a stray response.
+    PullResponse {
+        from: MachineId,
+        token: u64,
+        lists: PullReply,
+    },
+    /// This machine sent grant `seq` and holds it until the ack; a driver
+    /// with a lossy network arms its retransmit timer.
+    Granted { seq: u64 },
+}
+
+/// One planned big-task steal: `poor` asks `rich` for `count` tasks.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct BalanceMove {
+    pub rich: usize,
+    pub poor: usize,
+    pub count: usize,
+}
+
+/// Section 5's stealing plan as a pure function: among the alive machines,
+/// the one with the most pending big tasks gives to the one with the fewest,
+/// when they differ by more than one and the rich one is above the average;
+/// half the gap moves, capped at one batch.
+pub(crate) fn plan_balance(
+    pending: &[usize],
+    alive: &[bool],
+    batch_size: usize,
+) -> Option<BalanceMove> {
+    let candidates = || (0..pending.len()).filter(|&m| alive[m]);
+    let rich = candidates().max_by_key(|&m| pending[m])?;
+    let poor = candidates().min_by_key(|&m| pending[m])?;
+    let total: usize = candidates().map(|m| pending[m]).sum();
+    let avg = total / candidates().count();
+    let (rich_count, poor_count) = (pending[rich], pending[poor]);
+    if rich == poor || rich_count <= poor_count + 1 || rich_count <= avg {
+        return None;
+    }
+    Some(BalanceMove {
+        rich,
+        poor,
+        count: batch_size.min((rich_count - poor_count) / 2).max(1),
+    })
+}
+
+/// Everything one execution shares, and the protocol steps over it.
+pub(crate) struct Run<'a, A: GThinkerApp> {
+    pub(crate) app: &'a A,
+    pub(crate) config: &'a EngineConfig,
+    pub(crate) table: PartitionedVertexTable,
+    /// All cross-machine interactions (pulls, steal requests/grants/acks,
+    /// shutdown) travel through it; same-machine paths stay shared-memory.
+    pub(crate) transport: Arc<dyn Transport>,
+    pub(crate) machines: Vec<Machine<A::Task>>,
+    pub(crate) term: Termination,
+    pub(crate) fetch: Arc<FetchMetrics>,
+    spill: Arc<SpillMetrics>,
+    /// Sequence numbers of steal requests, echoed by grants and acks.
+    steal_seq: AtomicU64,
+    task_times: Mutex<Vec<TaskTimeRecord>>,
+    started: Instant,
+    counters: Counters,
+}
+
+/// Statistics counters of a run; none of them synchronises anything.
+#[derive(Default)]
+struct Counters {
+    tasks_spawned: AtomicU64,
+    tasks_processed: AtomicU64,
+    tasks_decomposed: AtomicU64,
+    stolen_tasks: AtomicU64,
+    pop_contention: AtomicU64,
+    active_task_bytes: AtomicU64,
+    peak_task_bytes: AtomicU64,
+    mining_nanos: AtomicU64,
+    materialization_nanos: AtomicU64,
+}
+
+impl<'a, A: GThinkerApp> Run<'a, A> {
+    /// Sets a run up: reuses the caller's per-graph index when one was
+    /// threaded through (session/service layers build it once per graph),
+    /// partitions the vertex table, binds the transport and creates one
+    /// [`Machine`] per partition with `threads` worker deques each.
+    pub(crate) fn new(
+        app: &'a A,
+        config: &'a EngineConfig,
+        graph: Arc<Graph>,
+        transport: Arc<dyn Transport>,
+        threads: usize,
+    ) -> Self {
+        let started = Instant::now();
+        let index = match &config.shared_index {
+            Some(shared) if Arc::ptr_eq(shared.graph(), &graph) => shared.clone(),
+            _ => Arc::new(NeighborhoodIndex::build(graph, config.index)),
+        };
+        let table = PartitionedVertexTable::with_index(index, config.num_machines);
+        transport.bind(&table);
+        let spill = Arc::new(SpillMetrics::default());
+        let machines = (0..config.num_machines)
+            .map(|m| Machine {
+                big: Mutex::new(TaskQueue::new(
+                    config.global_queue_capacity,
+                    config.batch_size,
+                    SpillStore::new(
+                        config.spill_dir.clone(),
+                        format!("m{m}-global"),
+                        spill.clone(),
+                    ),
+                )),
+                workers: WorkerQueues::new(threads, config.local_capacity, config.steal_batch),
+                threads,
+                cursor: Mutex::new(table.owned_vertices(m).into()),
+                unacked: Mutex::default(),
+                seen: Mutex::default(),
+            })
+            .collect();
+        Run {
+            app,
+            config,
+            term: Termination::new(table.graph().num_vertices()),
+            table,
+            transport,
+            machines,
+            fetch: Arc::new(FetchMetrics::default()),
+            spill,
+            steal_seq: AtomicU64::new(0),
+            task_times: Mutex::new(Vec::new()),
+            started,
+            counters: Counters::default(),
+        }
+    }
+
+    /// Spawns up to one batch of root tasks from machine `m`'s cursor,
+    /// stopping early as soon as a spawned task is big (the paper's rule to
+    /// avoid flooding the big-task lane from a single refill). Rows that
+    /// `spawn` itself emitted are appended to `rows` per spawning vertex;
+    /// true if at least one vertex left the cursor.
+    pub(crate) fn spawn_batch(
+        &self,
+        m: usize,
+        worker: usize,
+        rows: &mut Vec<(VertexId, Vec<Row>)>,
+    ) -> bool {
+        let mut consumed = false;
+        for _ in 0..self.config.batch_size {
+            // Hold a transient pending slot across the spawn so that the
+            // (unspawned, pending) pair can never both read zero mid-spawn.
+            self.term.add_pending(1);
+            let vertex = self.machines[m].cursor.lock().pop_front();
+            let Some(v) = vertex else {
+                self.term.release(1);
+                break;
+            };
+            self.term.mark_spawned();
+            consumed = true;
+            let spawned_big = self.spawn_root(m, worker, v, rows);
+            self.term.release(1);
+            if spawned_big {
+                break;
+            }
+        }
+        consumed
+    }
+
+    /// Calls `spawn(v)` on machine `m` and routes what it creates; true if a
+    /// created task is big. Also the entry point for re-spawning a root whose
+    /// work a fault lost.
+    pub(crate) fn spawn_root(
+        &self,
+        m: usize,
+        worker: usize,
+        v: VertexId,
+        rows: &mut Vec<(VertexId, Vec<Row>)>,
+    ) -> bool {
+        let mut ctx = ComputeContext::new();
+        self.app.spawn(v, self.table.adjacency(v), &mut ctx);
+        if ctx.interrupted {
+            self.term.interrupt();
+        }
+        if !ctx.results.is_empty() {
+            rows.push((v, ctx.results));
+        }
+        let mut spawned_big = false;
+        for task in ctx.new_tasks {
+            self.term.add_pending(1);
+            count(&self.counters.tasks_spawned, 1);
+            spawned_big |= self.route(m, worker, task);
+        }
+        spawned_big
+    }
+
+    /// Routes a freshly created task: big tasks go to the machine's big-task
+    /// lane, small tasks to the worker's own deque, overflowing into the lane
+    /// — and from there to disk — when the deque is at capacity (the paper's
+    /// bounded-memory spilling). Returns whether the task is big.
+    pub(crate) fn route(&self, m: usize, worker: usize, task: A::Task) -> bool {
+        let machine = &self.machines[m];
+        let big = self.app.is_big(&task);
+        // Measures the push-with-possible-spill.
+        let spill_span = qcm_obs::span(SpanKind::Spill);
+        let overflow = if big {
+            Some(task)
+        } else {
+            machine.workers.push_local(worker, task).err()
+        };
+        let spilled = overflow.map_or(0, |task| machine.big.lock().push(task));
+        close_span(spill_span, spilled);
+        big
+    }
+
+    /// Pops the next task for `worker` of machine `m`:
+    ///
+    /// 1. the worker's own deque (LIFO — hottest subtree first, own lock,
+    ///    contention-free in the common case);
+    /// 2. the machine's big-task lane (FIFO; big tasks plus overflow),
+    ///    refilled from its spill files when it runs below one batch — a
+    ///    try-lock, so a worker never stalls behind a sibling's pop (the miss
+    ///    is counted as `pop_contention`);
+    /// 3. a FIFO steal from the fullest sibling deque on the same machine
+    ///    (Figure 8's stealing, brought inside the machine).
+    pub(crate) fn pop_task(&self, m: usize, worker: usize) -> Option<A::Task> {
+        let machine = &self.machines[m];
+        if let Some(task) = machine.workers.pop_local(worker) {
+            return Some(task);
+        }
+        match machine.big.try_lock() {
+            Some(mut big) => {
+                if big.needs_refill() {
+                    let refill_span = qcm_obs::span(SpanKind::Spill);
+                    let restored = big.refill_from_spill();
+                    close_span(refill_span, restored);
+                }
+                if let Some(task) = big.pop() {
+                    return Some(task);
+                }
+            }
+            None => {
+                count(&self.counters.pop_contention, 1);
+            }
+        }
+        // Steal span: recorded only when the sweep actually moved a task.
+        let mut steal_span = qcm_obs::span(SpanKind::Steal);
+        let stolen = machine.workers.steal_into(worker, 0..machine.threads);
+        if stolen.is_none() {
+            steal_span.cancel();
+        }
+        stolen
+    }
+
+    /// Starts the accounting of a popped task.
+    pub(crate) fn begin_task(&self, task: &A::Task) -> InFlight {
+        let mem = self.app.task_memory_bytes(task) as u64;
+        self.add_active_bytes(mem);
+        InFlight {
+            started: Instant::now(),
+            mem,
+            timings: TaskTimings::default(),
+        }
+    }
+
+    /// Runs one `compute` iteration of `task` over its resolved `frontier`,
+    /// loaning the caller's scratch arena to the application, and routes the
+    /// subtasks it decomposed into. Holds no machine-wide lock while the
+    /// application computes. Returns whether the task needs another iteration
+    /// (resolve its pulls, step again) and the rows this one emitted.
+    pub(crate) fn compute_step(
+        &self,
+        m: usize,
+        worker: usize,
+        task: &mut A::Task,
+        flight: &mut InFlight,
+        frontier: &Frontier,
+        scratch: &mut MiningScratch,
+    ) -> (bool, Vec<Row>) {
+        let mut ctx = ComputeContext::new();
+        ctx.scratch = std::mem::take(scratch);
+        let more = self.app.compute(task, frontier, &mut ctx);
+        *scratch = std::mem::take(&mut ctx.scratch);
+        flight.timings.merge(&ctx.timings);
+        if ctx.interrupted {
+            // The application observed the token and truncated this task.
+            self.term.interrupt();
+        }
+        for subtask in ctx.new_tasks {
+            self.term.add_pending(1);
+            count(&self.counters.tasks_decomposed, 1);
+            self.route(m, worker, subtask);
+        }
+        // The task's subgraph may have grown (iterations 1–2 materialise it).
+        let mem = self.app.task_memory_bytes(task) as u64;
+        if mem > flight.mem {
+            self.add_active_bytes(mem - flight.mem);
+        } else {
+            self.sub_active_bytes(flight.mem - mem);
+        }
+        flight.mem = mem;
+        (more, ctx.results)
+    }
+
+    /// Closes the accounting of a task whose last step reported it finished,
+    /// then releases its pending slot. Returns the task's spawning root.
+    pub(crate) fn finish_task(&self, task: &A::Task, flight: InFlight) -> Option<VertexId> {
+        let label = self.app.task_label(task);
+        self.sub_active_bytes(flight.mem);
+        let (timings, c) = (&flight.timings, &self.counters);
+        count(&c.tasks_processed, 1);
+        count(&c.mining_nanos, timings.mining.as_nanos() as u64);
+        count(
+            &c.materialization_nanos,
+            timings.materialization.as_nanos() as u64,
+        );
+        self.task_times.lock().push(TaskTimeRecord {
+            root: label.root,
+            subgraph_size: label.subgraph_size,
+            elapsed: flight.started.elapsed(),
+            timings: flight.timings,
+        });
+        self.term.release(1);
+        label.root
+    }
+
+    /// Abandons a task that can never finish (its pull exhausted the retry
+    /// budget): labels the run and releases the task's pending slot so the
+    /// pool still drains. Rows its earlier iterations emitted are kept.
+    pub(crate) fn abandon_task(&self, flight: InFlight) {
+        self.term.fault();
+        self.drop_flight(flight);
+        self.term.release(1);
+    }
+
+    /// Closes the accounting of a task the driver lost mid-flight (a crash, an
+    /// abandoned pull) without touching the termination counters.
+    pub(crate) fn drop_flight(&self, flight: InFlight) {
+        self.sub_active_bytes(flight.mem);
+    }
+
+    /// Handles one message addressed to machine `m`: serves a pull from the
+    /// local partition, grants a steal batch from the big-task lane, decodes
+    /// a granted batch into the lane and acks it, releases an acked grant.
+    pub(crate) fn handle_msg(&self, m: usize, env: Envelope) -> Handled {
+        let machine = &self.machines[m];
+        let from = env.from;
+        match env.msg {
+            EngineMsg::PullRequest { token, vertices } => {
+                let lists = vertices
+                    .iter()
+                    .map(|&v| (v, Arc::new(self.table.adjacency(v).to_vec())))
+                    .collect();
+                let reply = EngineMsg::PullResponse { token, lists };
+                let _ = self.transport.send(m, from, reply);
+            }
+            EngineMsg::PullResponse { token, lists } => {
+                return Handled::PullResponse { from, token, lists };
+            }
+            EngineMsg::StealRequest { seq, count } => {
+                let batch = machine.big.lock().take_batch(count as usize);
+                if batch.is_empty() {
+                    return Handled::Done;
+                }
+                let tasks = encode_tasks(&batch);
+                // Booked before the send, so the ack can never overtake it.
+                machine.unacked.lock().insert(seq, (from, batch));
+                let grant = EngineMsg::StealGrant { seq, tasks };
+                if self.transport.send(m, from, grant).is_ok() {
+                    return Handled::Granted { seq };
+                }
+                // Unreachable peer: keep the batch local rather than lose it.
+                machine.requeue(machine.abandon_grant(seq));
+            }
+            EngineMsg::StealGrant { seq, tasks } => {
+                if machine.seen.lock().insert(seq) {
+                    let (decoded, lost) = decode_tasks::<A::Task>(&tasks);
+                    if lost > 0 {
+                        // An undecodable task can never run: release its
+                        // pending slot so the pool still drains, and label
+                        // the run.
+                        self.term.fault();
+                        self.term.release(lost);
+                    }
+                    count(&self.counters.stolen_tasks, decoded.len() as u64);
+                    machine.requeue(decoded);
+                }
+                // A duplicate means our ack was lost: ack again.
+                let _ = self.transport.send(m, from, EngineMsg::StealAck { seq });
+            }
+            EngineMsg::StealAck { seq } => {
+                machine.unacked.lock().remove(&seq);
+            }
+            EngineMsg::Shutdown => self.term.finish(),
+        }
+        Handled::Done
+    }
+
+    /// One pass of the master's load balancing (big-task stealing between
+    /// machines): reads every alive machine's big-task lane depth and, when
+    /// [`plan_balance`] finds a move, sends the [`EngineMsg::StealRequest`]
+    /// on the poor machine's behalf. The rich machine answers with a grant
+    /// carrying the serialised batch; the poor one decodes it and acks.
+    pub(crate) fn balance(&self, alive: &[bool]) {
+        let pending: Vec<usize> = self.machines.iter().map(Machine::big_pending).collect();
+        let Some(mv) = plan_balance(&pending, alive, self.config.batch_size) else {
+            return;
+        };
+        // ordering: Relaxed — unique sequence numbers only need RMW atomicity.
+        let seq = self.steal_seq.fetch_add(1, Ordering::Relaxed);
+        let count = mv.count as u32;
+        let request = EngineMsg::StealRequest { seq, count };
+        let _ = self.transport.send(mv.poor, mv.rich, request);
+    }
+
+    /// Assembles the run's metrics once the driver has quiesced.
+    pub(crate) fn metrics(
+        &self,
+        results_emitted: u64,
+        worker_busy: Vec<Duration>,
+        outcome: RunOutcome,
+    ) -> EngineMetrics {
+        let transport = self.transport.stats();
+        // ordering: Relaxed (every load below) — read after the driver
+        // quiesced; its join edge (or single thread) already orders every
+        // counter write before these loads.
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let (c, workers) = (&self.counters, || self.machines.iter().map(|m| &m.workers));
+        debug_assert_eq!(load(&c.active_task_bytes), 0, "a task's bytes outlived it");
+        EngineMetrics {
+            elapsed: self.started.elapsed(),
+            tasks_spawned: load(&c.tasks_spawned),
+            tasks_processed: load(&c.tasks_processed),
+            tasks_decomposed: load(&c.tasks_decomposed),
+            results_emitted,
+            peak_task_bytes: load(&c.peak_task_bytes),
+            spill_bytes_written: load(&self.spill.bytes_written),
+            spill_bytes_read: load(&self.spill.bytes_read),
+            spill_peak_bytes: load(&self.spill.peak_bytes),
+            local_reads: load(&self.fetch.local_reads),
+            remote_fetches: load(&self.fetch.remote_fetches),
+            remote_bytes: load(&self.fetch.remote_bytes),
+            cache_hits: load(&self.fetch.cache_hits),
+            cache_evictions: load(&self.fetch.cache_evictions),
+            pull_retries: load(&self.fetch.pull_retries),
+            pull_failures: load(&self.fetch.pull_failures),
+            transport_messages: transport.messages_sent,
+            transport_dropped: transport.messages_dropped,
+            virtual_time: None,
+            stolen_tasks: load(&c.stolen_tasks),
+            steals: workers().map(WorkerQueues::steals).sum(),
+            steal_failures: workers().map(WorkerQueues::steal_failures).sum(),
+            pop_contention: load(&c.pop_contention),
+            total_mining_time: Duration::from_nanos(load(&c.mining_nanos)),
+            total_materialization_time: Duration::from_nanos(load(&c.materialization_nanos)),
+            task_times: std::mem::take(&mut *self.task_times.lock()),
+            worker_busy,
+            outcome,
+        }
+    }
+
+    fn add_active_bytes(&self, bytes: u64) {
+        // ordering: Relaxed — live-bytes gauge and its peak are advisory
+        // accounting; no synchronisation piggybacks on them.
+        let c = &self.counters;
+        let now = c.active_task_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        c.peak_task_bytes.fetch_max(now, Ordering::Relaxed);
+    }
+
+    fn sub_active_bytes(&self, bytes: u64) {
+        // ordering: Relaxed — see add_active_bytes.
+        let gauge = &self.counters.active_task_bytes;
+        gauge.fetch_sub(bytes, Ordering::Relaxed);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn plan(pending: &[usize], batch_size: usize) -> Option<BalanceMove> {
+        plan_balance(pending, &vec![true; pending.len()], batch_size)
+    }
+
+    #[test]
+    fn plan_balance_table() {
+        let mv = |rich, poor, count| Some(BalanceMove { rich, poor, count });
+        // Balanced and off-by-one clusters stay put.
+        assert_eq!(plan(&[4, 4, 4], 16), None);
+        assert_eq!(plan(&[0, 0], 16), None);
+        assert_eq!(plan(&[5, 4, 4], 16), None);
+        assert_eq!(plan(&[3], 16), None);
+        // One rich machine, many empty: half the gap moves to the first
+        // poorest machine.
+        assert_eq!(plan(&[0, 10, 0, 0], 16), mv(1, 0, 5));
+        assert_eq!(plan(&[2, 0], 16), mv(0, 1, 1));
+        // The batch size caps a move.
+        assert_eq!(plan(&[100, 0], 16), mv(0, 1, 16));
+        assert_eq!(plan(&[100, 0], 1), mv(0, 1, 1));
+    }
+
+    #[test]
+    fn plan_balance_skips_dead_machines() {
+        // A dead richest machine neither gives...
+        assert_eq!(
+            plan_balance(&[50, 6, 0], &[false, true, true], 16),
+            Some(BalanceMove {
+                rich: 1,
+                poor: 2,
+                count: 3
+            })
+        );
+        // ...nor does a dead empty machine receive.
+        assert_eq!(plan_balance(&[9, 8, 0], &[true, true, false], 16), None);
+        assert_eq!(plan_balance(&[9, 0], &[false, false], 16), None);
+    }
+}

@@ -1,47 +1,47 @@
-//! Deterministic discrete-event fault simulation of the engine.
+//! The virtual-time driver: deterministic discrete-event fault simulation.
 //!
-//! [`SimCluster`] runs a [`GThinkerApp`] over the same partitioned vertex
-//! table as the live [`crate::cluster::Cluster`], but on a single thread in
-//! *virtual time*: machines take turns according to a seeded discrete-event
-//! scheduler, every cross-machine message goes through [`SimTransport`] (the
-//! second [`Transport`] implementation) with configurable per-link latency and
-//! drop probability, and a scenario script can crash, restart, slow down or
-//! partition machines mid-run. The whole execution — including the random
-//! latency jitter and message losses — derives from one seed, so a
-//! 64-machine fault scenario replays byte-identically: the emitted event log
-//! (and its FNV-1a hash) is the determinism witness the test suite asserts
-//! on.
+//! [`SimCluster`] runs a [`GThinkerApp`] through the same per-machine
+//! protocol as the live [`crate::cluster::Cluster`] — the queues, spill
+//! path, spawn/route/pop/compute steps, message handlers and balance plan of
+//! `crate::machine` — but on one thread in *virtual time*. Machines take
+//! turns on a seeded event queue, every cross-machine message goes through
+//! [`SimTransport`] with per-link latency and drop probability, and a
+//! scenario script can crash, restart, slow down or partition machines
+//! mid-run. Everything random derives from one seed, so a 64-machine fault
+//! scenario replays byte-identically: the event log (and its FNV-1a hash) is
+//! the determinism witness the test suite asserts on.
 //!
-//! Mechanics that differ from the live cluster, by design:
+//! What this driver adds to the shared protocol:
 //!
-//! * **Split-phase pulls.** The simulator is single-threaded, so a blocking
-//!   [`Transport::pull`] would deadlock it; tasks park with their outstanding
-//!   request set and resume when the responses arrive (exactly G-thinker's
-//!   suspended-task model). [`SimTransport::pull`] therefore returns
-//!   [`TransportError::Unsupported`].
-//! * **Exactly-once results per root.** Every task is accounted to its
-//!   spawning root ([`crate::task::TaskLabel::root`]). Lost work — a crashed
-//!   machine's queue, an abandoned pull, a steal grant whose ack never came —
-//!   marks the root *dirty*; once the event horizon drains, dirty roots are
-//!   respawned from scratch at their owner (bounded by
-//!   [`SimConfig::respawn_limit`]), with previously emitted results for that
-//!   root discarded first. A root that cannot be respawned (owner down for
-//!   good, limit hit) labels the run [`RunOutcome::Faulted`].
-//! * **Virtual deadline.** Wall-clock cancellation tokens are ignored; the
-//!   run is bounded by [`SimConfig::max_virtual_us`] instead, which also
-//!   guarantees termination under adversarial drop/latency schedules.
+//! * **Split-phase pulls.** One thread cannot block on a pull, so a popped
+//!   task parks with its outstanding request set and resumes when the
+//!   responses arrive (G-thinker's suspended-task model);
+//!   [`SimTransport::pull`] returns [`TransportError::Unsupported`].
+//! * **Retransmission.** A steal grant whose ack does not arrive in time is
+//!   sent again from the granting machine's book, a bounded number of times.
+//! * **Exactly-once results per root.** Lost work — a crashed machine's
+//!   queues, an abandoned pull, a grant never acked — marks the task's
+//!   spawning root ([`crate::task::TaskLabel::root`]) *dirty*. Once the event
+//!   queue drains, dirty roots are respawned at their owner (up to
+//!   [`SimConfig::respawn_limit`] times), their earlier rows discarded first.
+//!   A root that cannot be respawned labels the run [`RunOutcome::Faulted`],
+//!   contributes no row and is listed in [`SimOutput::lost_roots`].
+//! * **Virtual deadline.** Wall-clock cancellation is ignored; the run is
+//!   bounded by [`SimConfig::max_virtual_us`], which also guarantees
+//!   termination under adversarial drop/latency schedules.
+//! * **One worker per machine**: `threads_per_machine` is not modelled.
 
 use crate::codec::EngineMsg;
 use crate::config::EngineConfig;
+use crate::machine::{Handled, InFlight, Row, Run};
 use crate::metrics::EngineMetrics;
-use crate::task::{ComputeContext, Frontier, GThinkerApp, TaskCodec};
+use crate::task::{Frontier, GThinkerApp};
 use crate::transport::{Envelope, MachineId, PullReply, Transport, TransportError, TransportStats};
-use crate::vertex_table::{AdjList, PartitionedVertexTable};
-use qcm_core::RunOutcome;
+use crate::vertex_table::{AdjList, FetchScratch};
+use qcm_core::{MiningScratch, RunOutcome};
 use qcm_graph::{Fnv1a64, Graph, NeighborhoodIndex, VertexId};
 use qcm_sync::{Arc, Mutex};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::Duration;
 
 /// Root key used for tasks whose application reports no spawning root; such
@@ -51,8 +51,8 @@ const ROOTLESS: u32 = u32::MAX;
 /// A scripted fault applied to one machine at a virtual instant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Fault {
-    /// The machine dies: its queued and parked tasks, inbox and held steal
-    /// grants are lost. Its vertex-table partition survives (re-readable
+    /// The machine dies: its queued (also spilled) and parked tasks, inbox and
+    /// held steal grants are lost. Its vertex-table partition survives (re-readable
     /// state), so a later [`Fault::Restart`] resumes spawning where the
     /// cursor stopped.
     Crash,
@@ -159,36 +159,13 @@ impl SimConfig {
         crash_at_us: u64,
         restart_at_us: Option<u64>,
     ) -> Self {
-        let mut scenario = vec![FaultEvent {
-            at_us: crash_at_us,
-            machine,
-            fault: Fault::Crash,
-        }];
-        if let Some(at) = restart_at_us {
-            scenario.push(FaultEvent {
-                at_us: at,
-                machine,
-                fault: Fault::Restart,
-            });
-        }
-        SimConfig {
-            seed,
-            scenario,
-            ..SimConfig::default()
-        }
+        let restart = restart_at_us.map(|at_us| (at_us, Fault::Restart));
+        Self::scripted(seed, machine, [Some((crash_at_us, Fault::Crash)), restart])
     }
 
     /// Slow straggler: `machine` runs `factor`× slower from `at_us` on.
     pub fn straggler_scenario(seed: u64, machine: usize, at_us: u64, factor: u32) -> Self {
-        SimConfig {
-            seed,
-            scenario: vec![FaultEvent {
-                at_us,
-                machine,
-                fault: Fault::SlowDown { factor },
-            }],
-            ..SimConfig::default()
-        }
+        Self::scripted(seed, machine, [Some((at_us, Fault::SlowDown { factor }))])
     }
 
     /// Partitioned steal victim: the link `a`–`b` is severed at `at_us` and
@@ -200,18 +177,25 @@ impl SimConfig {
         at_us: u64,
         heal_at_us: Option<u64>,
     ) -> Self {
-        let mut scenario = vec![FaultEvent {
-            at_us,
-            machine: a,
-            fault: Fault::Partition { peer: b },
-        }];
-        if let Some(at) = heal_at_us {
-            scenario.push(FaultEvent {
-                at_us: at,
-                machine: a,
-                fault: Fault::Heal,
-            });
-        }
+        let heal = heal_at_us.map(|at_us| (at_us, Fault::Heal));
+        Self::scripted(seed, a, [Some((at_us, Fault::Partition { peer: b })), heal])
+    }
+
+    /// Default settings plus a script of `(instant, fault)` pairs on `machine`.
+    fn scripted<const N: usize>(
+        seed: u64,
+        machine: usize,
+        script: [Option<(u64, Fault)>; N],
+    ) -> Self {
+        let scenario = script
+            .into_iter()
+            .flatten()
+            .map(|(at_us, fault)| FaultEvent {
+                at_us,
+                machine,
+                fault,
+            })
+            .collect();
         SimConfig {
             seed,
             scenario,
@@ -236,15 +220,12 @@ impl SimConfig {
 /// SplitMix64: a tiny, well-distributed, seedable PRNG. Chosen over the
 /// vendored `rand` stand-in because the sequence is documented and fixed —
 /// the event log must replay byte-identically across releases.
+#[derive(Default)]
 struct SplitMix64 {
     state: u64,
 }
 
 impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
     fn next(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.state;
@@ -275,80 +256,42 @@ impl SplitMix64 {
 }
 
 /// The discrete events driving the simulation.
-#[derive(Clone, Debug)]
 enum Event {
     /// One scheduling step on a machine (process a task or spawn a batch).
-    Wake { machine: usize, epoch: u64 },
-    /// A message arrives at its destination.
-    Deliver { to: usize, env: Envelope },
-    /// A parked task's pull attempt expires.
-    PullTimeout {
-        machine: usize,
-        task_id: u64,
-        attempt: u32,
-    },
-    /// A steal grant's ack did not arrive in time.
-    AckTimeout { machine: usize, seq: u64 },
-    /// Apply `scenario[idx]`.
-    Fault { idx: usize },
+    Wake(usize),
+    /// A message arrives at the machine.
+    Deliver(usize, Envelope),
+    /// The current pull attempt of a machine's parked task (by park id)
+    /// expires.
+    PullTimeout(usize, u64),
+    /// The ack of a machine's steal grant `seq` did not arrive in time, for
+    /// the `attempt`-th time.
+    AckTimeout(usize, u64, u32),
+    /// Apply the scenario entry with this index.
+    Fault(usize),
     /// The master's balancing pass.
     Balance,
 }
 
-struct Scheduled {
-    at: u64,
-    seq: u64,
-    ev: Event,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.at.cmp(&other.at).then(self.seq.cmp(&other.seq))
-    }
-}
-
-/// The seeded event log: human-readable lines plus a running FNV-1a hash —
-/// the replay-determinism witness.
+/// Shared network state: virtual clock, event queue, link faults and the
+/// seeded event log.
 #[derive(Default)]
-struct EventLog {
-    lines: Vec<String>,
-    hash: Fnv1a64,
-}
-
-impl EventLog {
-    fn push(&mut self, at: u64, line: String) {
-        let full = format!("t={at:>10} {line}");
-        self.hash.write(full.as_bytes());
-        self.hash.write(b"\n");
-        self.lines.push(full);
-    }
-}
-
-/// Shared network state: virtual clock, event heap, mailboxes, link faults.
 struct NetInner {
-    machines: usize,
     clock: u64,
     next_seq: u64,
-    heap: BinaryHeap<Reverse<Scheduled>>,
-    inboxes: Vec<VecDeque<Envelope>>,
+    /// Pending events keyed by (instant, scheduling order): the first entry
+    /// is the next event, and ties replay in the order they were scheduled.
+    events: BTreeMap<(u64, u64), Event>,
     alive: Vec<bool>,
     severed: BTreeSet<(usize, usize)>,
     rng: SplitMix64,
     link_latency_us: u64,
     latency_jitter_us: u64,
     drop_probability: f64,
-    log: EventLog,
+    /// The event log: human-readable lines plus a running FNV-1a hash — the
+    /// replay-determinism witness.
+    log_lines: Vec<String>,
+    log_hash: Fnv1a64,
     stats: TransportStats,
 }
 
@@ -357,46 +300,53 @@ fn link_key(a: usize, b: usize) -> (usize, usize) {
 }
 
 impl NetInner {
+    fn new(machines: usize, sim: &SimConfig) -> Self {
+        NetInner {
+            alive: vec![true; machines],
+            rng: SplitMix64 { state: sim.seed },
+            link_latency_us: sim.link_latency_us,
+            latency_jitter_us: sim.latency_jitter_us,
+            drop_probability: sim.drop_probability,
+            ..NetInner::default()
+        }
+    }
+
+    fn log(&mut self, line: String) {
+        let full = format!("t={:>10} {line}", self.clock);
+        self.log_hash.write(full.as_bytes());
+        self.log_hash.write(b"\n");
+        self.log_lines.push(full);
+    }
+
     fn schedule(&mut self, delay_us: u64, ev: Event) {
         let at = self.clock + delay_us.max(1);
-        let seq = self.next_seq;
+        self.events.insert((at, self.next_seq), ev);
         self.next_seq += 1;
-        self.heap.push(Reverse(Scheduled { at, seq, ev }));
     }
 
     fn send(&mut self, from: usize, to: usize, msg: EngineMsg) -> Result<(), TransportError> {
-        if to >= self.machines {
+        if to >= self.alive.len() {
             return Err(TransportError::Closed);
         }
         let kind = msg.kind();
         let bytes = msg.to_wire().len() as u64;
         self.stats.messages_sent += 1;
         self.stats.wire_bytes += bytes;
-        let clock = self.clock;
-        if self.severed.contains(&link_key(from, to)) {
+        let lost = if self.severed.contains(&link_key(from, to)) {
+            Some("partitioned")
+        } else if self.rng.chance(self.drop_probability) {
+            Some("loss")
+        } else {
+            None
+        };
+        if let Some(why) = lost {
             self.stats.messages_dropped += 1;
-            self.log
-                .push(clock, format!("drop m{from}->m{to} {kind} (partitioned)"));
-            return Ok(());
-        }
-        if self.rng.chance(self.drop_probability) {
-            self.stats.messages_dropped += 1;
-            self.log
-                .push(clock, format!("drop m{from}->m{to} {kind} (loss)"));
+            self.log(format!("drop m{from}->m{to} {kind} ({why})"));
             return Ok(());
         }
         let latency = self.link_latency_us + self.rng.up_to(self.latency_jitter_us);
-        self.log.push(
-            clock,
-            format!("send m{from}->m{to} {kind} {bytes}B +{latency}us"),
-        );
-        self.schedule(
-            latency,
-            Event::Deliver {
-                to,
-                env: Envelope { from, msg },
-            },
-        );
+        self.log(format!("send m{from}->m{to} {kind} {bytes}B +{latency}us"));
+        self.schedule(latency, Event::Deliver(to, Envelope { from, msg }));
         Ok(())
     }
 }
@@ -408,23 +358,19 @@ pub struct SimTransport {
     net: Arc<Mutex<NetInner>>,
 }
 
-impl SimTransport {
-    fn net(&self) -> qcm_sync::MutexGuard<'_, NetInner> {
-        self.net.lock()
-    }
-}
-
 impl Transport for SimTransport {
     fn machines(&self) -> usize {
-        self.net().machines
+        self.net.lock().alive.len()
     }
 
     fn send(&self, from: MachineId, to: MachineId, msg: EngineMsg) -> Result<(), TransportError> {
-        self.net().send(from, to, msg)
+        self.net.lock().send(from, to, msg)
     }
 
-    fn try_recv(&self, machine: MachineId) -> Option<Envelope> {
-        self.net().inboxes.get_mut(machine)?.pop_front()
+    /// Deliveries are events: the driver hands a message to its machine the
+    /// instant its `Deliver` event fires, so no mailbox ever holds one.
+    fn try_recv(&self, _machine: MachineId) -> Option<Envelope> {
+        None
     }
 
     fn pull(
@@ -438,62 +384,33 @@ impl Transport for SimTransport {
     }
 
     fn stats(&self) -> TransportStats {
-        self.net().stats
+        self.net.lock().stats
     }
 }
 
-/// A task parked on outstanding pulls.
-struct Parked {
+/// A popped task between two steps: parked while its pulls are on the wire,
+/// then ready for the machine's next step.
+struct Parked<T> {
+    task: T,
+    flight: InFlight,
     frontier: Frontier,
-    /// Owner machine → vertices still awaited from it.
+    /// Owner machine → vertices still awaited from it; empty once ready.
     outstanding: BTreeMap<usize, Vec<VertexId>>,
     attempt: u32,
 }
 
-struct TaskState<T> {
-    task: T,
-    root: u32,
-    parked: Option<Parked>,
-}
-
-/// A steal grant awaiting its ack; the blobs are kept for retransmission.
-struct PendingGrant {
-    to: usize,
-    blobs: Vec<Vec<u8>>,
-    roots: Vec<u32>,
-    retries: u32,
-}
-
+/// What this driver keeps per machine beside the protocol's own
+/// [`crate::machine::Machine`].
 struct SimMachine<T> {
-    queue: VecDeque<u64>,
-    tasks: BTreeMap<u64, TaskState<T>>,
-    cursor: VecDeque<VertexId>,
+    /// Tasks whose frontier is resolved, waiting for the machine's next step.
+    ready: VecDeque<Parked<T>>,
+    /// Tasks waiting for pull responses, by park id.
+    parked: BTreeMap<u64, Parked<T>>,
+    /// A Wake event is in the queue. It survives a crash: a wake that finds
+    /// the machine down is a no-op, one that finds it restarted is its wake.
     wake_scheduled: bool,
-    /// Incremented on crash so stale Wake events are ignored.
-    epoch: u64,
-    /// Compute-cost multiplier (stragglers run slower).
+    /// Step-cost multiplier (stragglers run slower).
     speed: u64,
-    pending_grants: BTreeMap<u64, PendingGrant>,
-    seen_grants: BTreeSet<u64>,
-}
-
-impl<T> SimMachine<T> {
-    fn new(cursor: VecDeque<VertexId>) -> Self {
-        SimMachine {
-            queue: VecDeque::new(),
-            tasks: BTreeMap::new(),
-            cursor,
-            wake_scheduled: false,
-            epoch: 0,
-            speed: 1,
-            pending_grants: BTreeMap::new(),
-            seen_grants: BTreeSet::new(),
-        }
-    }
-
-    fn has_work(&self) -> bool {
-        !self.queue.is_empty() || !self.cursor.is_empty()
-    }
 }
 
 /// Output of a simulated run.
@@ -501,6 +418,10 @@ impl<T> SimMachine<T> {
 pub struct SimOutput {
     /// Result rows, flattened in root-id order (exactly-once per root).
     pub results: Vec<Vec<VertexId>>,
+    /// The roots whose work was lost for good, in id order — empty unless the
+    /// run is [`RunOutcome::Faulted`]. Their rows are withheld: an incomplete
+    /// root contributes nothing. (A lost task without a root is not listed.)
+    pub lost_roots: Vec<VertexId>,
     /// Run metrics; `virtual_time` is set and `elapsed` is the (irrelevant
     /// for benchmarking) wall time of the simulation itself.
     pub metrics: EngineMetrics,
@@ -525,9 +446,10 @@ pub struct SimCluster<A: GThinkerApp> {
 }
 
 impl<A: GThinkerApp> SimCluster<A> {
-    /// Creates the simulated cluster. The cluster shape (machines) comes from
-    /// `engine`; thread counts are not modelled — each machine performs one
-    /// scheduling step per wake.
+    /// Creates the simulated cluster. The cluster shape (machines), queue
+    /// capacities, batch size and spill directory come from `engine`; thread
+    /// counts are not modelled — each machine performs one scheduling step
+    /// per wake.
     pub fn new(app: Arc<A>, engine: EngineConfig, sim: SimConfig) -> Self {
         engine.validate();
         SimCluster { app, engine, sim }
@@ -535,138 +457,82 @@ impl<A: GThinkerApp> SimCluster<A> {
 
     /// Runs the application over `graph` in virtual time under the scenario.
     pub fn run(&self, graph: Arc<Graph>) -> SimOutput {
-        let wall_start = qcm_obs::clock::now();
-        let index = match &self.engine.shared_index {
-            Some(shared) if Arc::ptr_eq(shared.graph(), &graph) => shared.clone(),
-            _ => Arc::new(NeighborhoodIndex::build(graph, self.engine.index)),
-        };
-        let table = PartitionedVertexTable::with_index(index.clone(), self.engine.num_machines);
         let machines = self.engine.num_machines;
-
-        let net = Arc::new(Mutex::new(NetInner {
-            machines,
-            clock: 0,
-            next_seq: 0,
-            heap: BinaryHeap::new(),
-            inboxes: (0..machines).map(|_| VecDeque::new()).collect(),
-            alive: vec![true; machines],
-            severed: BTreeSet::new(),
-            rng: SplitMix64::new(self.sim.seed),
-            link_latency_us: self.sim.link_latency_us,
-            latency_jitter_us: self.sim.latency_jitter_us,
-            drop_probability: self.sim.drop_probability,
-            log: EventLog::default(),
-            stats: TransportStats::default(),
-        }));
-        let transport = SimTransport { net: net.clone() };
-
+        let net = Arc::new(Mutex::new(NetInner::new(machines, &self.sim)));
+        let transport = Arc::new(SimTransport { net: net.clone() });
         let mut driver = Driver {
-            app: self.app.as_ref(),
-            engine: &self.engine,
+            run: Run::new(self.app.as_ref(), &self.engine, graph, transport, 1),
             sim: &self.sim,
-            table: &table,
             net,
-            transport,
             machines: (0..machines)
-                .map(|m| SimMachine::new(table.owned_vertices(m).into()))
+                .map(|_| SimMachine {
+                    ready: VecDeque::new(),
+                    parked: BTreeMap::new(),
+                    wake_scheduled: false,
+                    speed: 1,
+                })
                 .collect(),
-            live: BTreeMap::new(),
             dirty: BTreeSet::new(),
+            lost: BTreeSet::new(),
             respawns: BTreeMap::new(),
             results: BTreeMap::new(),
-            outstanding_pulls: BTreeMap::new(),
-            next_task: 0,
-            next_token: 0,
-            next_steal_seq: 0,
+            next_park: 0,
             balance_scheduled: false,
-            tasks_spawned: 0,
-            tasks_processed: 0,
-            tasks_decomposed: 0,
-            stolen_tasks: 0,
-            pull_retry_count: 0,
-            pull_failure_count: 0,
-            local_reads: 0,
-            remote_fetches: 0,
+            fetched: FetchScratch::default(),
+            scratch: MiningScratch::default(),
             faulted: false,
-            interrupted: false,
         };
-        driver.run();
+        let outcome = driver.run();
 
-        let (virtual_us, stats, lines, hash) = {
-            let mut net = driver.net.lock();
-            let log = std::mem::take(&mut net.log);
-            (net.clock, net.stats, log.lines, log.hash.finish())
-        };
-        let outcome = if driver.faulted {
-            RunOutcome::Faulted
-        } else if driver.interrupted {
-            RunOutcome::Cancelled
-        } else {
-            RunOutcome::Complete
-        };
-        let results: Vec<Vec<VertexId>> = driver.results.into_values().flatten().collect();
-        let metrics = EngineMetrics {
-            elapsed: wall_start.elapsed(),
-            tasks_spawned: driver.tasks_spawned,
-            tasks_processed: driver.tasks_processed,
-            tasks_decomposed: driver.tasks_decomposed,
-            results_emitted: results.len() as u64,
-            local_reads: driver.local_reads,
-            remote_fetches: driver.remote_fetches,
-            remote_bytes: stats.wire_bytes,
-            pull_retries: driver.pull_retry_count,
-            pull_failures: driver.pull_failure_count,
-            transport_messages: stats.messages_sent,
-            transport_dropped: stats.messages_dropped,
-            virtual_time: Some(Duration::from_micros(virtual_us)),
-            stolen_tasks: driver.stolen_tasks,
-            outcome,
-            ..EngineMetrics::default()
-        };
+        let rows = std::mem::take(&mut driver.results);
+        let results: Vec<Row> = rows.into_values().flatten().collect();
+        driver.run.fetch.absorb(&mut driver.fetched);
+        let emitted = results.len() as u64;
+        let mut metrics = driver.run.metrics(emitted, Vec::new(), outcome);
+        driver.log(format!(
+            "end outcome={outcome:?} spawned={} processed={} stolen={}",
+            metrics.tasks_spawned, metrics.tasks_processed, metrics.stolen_tasks
+        ));
+        let mut net = driver.net.lock();
+        let virtual_us = net.clock;
+        metrics.remote_bytes = net.stats.wire_bytes;
+        metrics.virtual_time = Some(Duration::from_micros(virtual_us));
+        let lost = driver.lost.iter().filter(|&&root| root != ROOTLESS);
         SimOutput {
             results,
+            lost_roots: lost.map(|&root| VertexId::new(root)).collect(),
             metrics,
             outcome,
-            event_log: lines,
-            log_hash: hash,
+            event_log: std::mem::take(&mut net.log_lines),
+            log_hash: net.log_hash.finish(),
             virtual_us,
-            index: Some(index),
+            index: Some(driver.run.table.index().clone()),
         }
     }
 }
 
 struct Driver<'a, A: GThinkerApp> {
-    app: &'a A,
-    engine: &'a EngineConfig,
+    /// The shared protocol state: machines, termination counters, metrics.
+    run: Run<'a, A>,
     sim: &'a SimConfig,
-    table: &'a PartitionedVertexTable,
     net: Arc<Mutex<NetInner>>,
-    transport: SimTransport,
     machines: Vec<SimMachine<A::Task>>,
-    /// Per-root live task balance; a root is drained when its count ≤ 0.
-    live: BTreeMap<u32, i64>,
     /// Roots that lost work and must be respawned.
     dirty: BTreeSet<u32>,
+    /// Roots that can never be respawned: the run is faulted.
+    lost: BTreeSet<u32>,
     respawns: BTreeMap<u32, u32>,
     /// Result rows keyed by root — discarded wholesale on respawn, so every
     /// root contributes exactly once.
-    results: BTreeMap<u32, Vec<Vec<VertexId>>>,
-    /// Pull token → (requesting machine, task id).
-    outstanding_pulls: BTreeMap<u64, (usize, u64)>,
-    next_task: u64,
-    next_token: u64,
-    next_steal_seq: u64,
+    results: BTreeMap<u32, Vec<Row>>,
+    /// Next park id; it doubles as the token of the parked task's pulls.
+    next_park: u64,
     balance_scheduled: bool,
-    tasks_spawned: u64,
-    tasks_processed: u64,
-    tasks_decomposed: u64,
-    stolen_tasks: u64,
-    pull_retry_count: u64,
-    pull_failure_count: u64,
-    local_reads: u64,
-    remote_fetches: u64,
+    /// Pull accounting, folded into the run's fetch metrics at the end.
+    fetched: FetchScratch,
+    /// The mining arena loaned to every compute step (one thread, one arena).
+    scratch: MiningScratch,
     faulted: bool,
-    interrupted: bool,
 }
 
 impl<'a, A: GThinkerApp> Driver<'a, A> {
@@ -675,22 +541,30 @@ impl<'a, A: GThinkerApp> Driver<'a, A> {
     }
 
     fn log(&self, line: String) {
-        let mut net = self.net();
-        let clock = net.clock;
-        net.log.push(clock, line);
+        self.net().log(line);
     }
 
     fn schedule(&self, delay_us: u64, ev: Event) {
         self.net().schedule(delay_us, ev);
     }
 
+    fn root_key(&self, task: &A::Task) -> u32 {
+        self.run
+            .app
+            .task_label(task)
+            .root
+            .map_or(ROOTLESS, |v| v.raw())
+    }
+
+    fn has_work(&self, m: usize) -> bool {
+        !self.machines[m].ready.is_empty() || self.run.machines[m].has_work()
+    }
+
     fn ensure_wake(&mut self, m: usize) {
         let alive = self.net().alive[m];
-        let mach = &mut self.machines[m];
-        if alive && !mach.wake_scheduled && mach.has_work() {
-            mach.wake_scheduled = true;
-            let epoch = mach.epoch;
-            self.schedule(1, Event::Wake { machine: m, epoch });
+        if alive && !self.machines[m].wake_scheduled && self.has_work(m) {
+            self.machines[m].wake_scheduled = true;
+            self.schedule(1, Event::Wake(m));
         }
     }
 
@@ -701,20 +575,20 @@ impl<'a, A: GThinkerApp> Driver<'a, A> {
         }
     }
 
-    fn run(&mut self) {
+    fn run(&mut self) -> RunOutcome {
         for m in 0..self.machines.len() {
             self.ensure_wake(m);
         }
         for idx in 0..self.sim.scenario.len() {
             let at = self.sim.scenario[idx].at_us;
-            self.schedule(at, Event::Fault { idx });
+            self.schedule(at, Event::Fault(idx));
         }
         self.ensure_balance();
 
         loop {
-            let next = self.net().heap.pop();
+            let next = self.net().events.pop_first();
             match next {
-                Some(Reverse(Scheduled { at, ev, .. })) => {
+                Some(((at, _), ev)) => {
                     if at > self.sim.max_virtual_us {
                         self.faulted = true;
                         self.log(format!(
@@ -724,7 +598,14 @@ impl<'a, A: GThinkerApp> Driver<'a, A> {
                         break;
                     }
                     self.net().clock = at;
-                    self.handle(ev);
+                    match ev {
+                        Event::Wake(m) => self.on_wake(m),
+                        Event::Deliver(to, env) => self.on_deliver(to, env),
+                        Event::PullTimeout(m, park_id) => self.on_pull_timeout(m, park_id),
+                        Event::AckTimeout(m, seq, attempt) => self.on_ack_timeout(m, seq, attempt),
+                        Event::Fault(idx) => self.on_fault(idx),
+                        Event::Balance => self.on_balance(),
+                    }
                 }
                 None => {
                     if !self.respawn_round() {
@@ -733,393 +614,192 @@ impl<'a, A: GThinkerApp> Driver<'a, A> {
                 }
             }
         }
-        self.finalize();
+        self.finalize()
     }
 
-    fn handle(&mut self, ev: Event) {
-        match ev {
-            Event::Wake { machine, epoch } => self.on_wake(machine, epoch),
-            Event::Deliver { to, env } => self.on_deliver(to, env),
-            Event::PullTimeout {
-                machine,
-                task_id,
-                attempt,
-            } => self.on_pull_timeout(machine, task_id, attempt),
-            Event::AckTimeout { machine, seq } => self.on_ack_timeout(machine, seq),
-            Event::Fault { idx } => self.on_fault(idx),
-            Event::Balance => self.on_balance(),
-        }
-    }
-
-    fn on_wake(&mut self, m: usize, epoch: u64) {
-        if self.machines[m].epoch != epoch {
-            return; // stale wake from before a crash
-        }
+    /// One scheduling step of machine `m`, in the worker loop's order: a
+    /// resumed task, else the next queued task, else one spawn batch.
+    fn on_wake(&mut self, m: usize) {
         self.machines[m].wake_scheduled = false;
         if !self.net().alive[m] {
             return;
         }
-        let cost = if let Some(tid) = self.machines[m].queue.pop_front() {
-            self.step_task(m, tid)
-        } else if !self.machines[m].cursor.is_empty() {
-            self.spawn_batch(m)
+        let cost = if let Some(resumed) = self.machines[m].ready.pop_front() {
+            self.compute(m, resumed)
+        } else if let Some(task) = self.run.pop_task(m, 0) {
+            let flight = self.run.begin_task(&task);
+            self.advance(m, task, flight, true)
         } else {
-            return; // idle: a delivery or restart re-wakes the machine
-        };
-        let mach = &mut self.machines[m];
-        if mach.has_work() {
-            mach.wake_scheduled = true;
-            let epoch = mach.epoch;
-            self.schedule(cost.max(1), Event::Wake { machine: m, epoch });
-        } else {
-            // Re-wake once the in-flight step cost elapses anyway: parked
-            // tasks or late deliveries may need the machine again, and the
-            // deliver path also wakes it.
-        }
-    }
-
-    /// Registers freshly created tasks on machine `m`.
-    fn register_tasks(&mut self, m: usize, new_tasks: Vec<A::Task>, decomposed: bool) {
-        for task in new_tasks {
-            let root = self
-                .app
-                .task_label(&task)
-                .root
-                .map(|v| v.raw())
-                .unwrap_or(ROOTLESS);
-            *self.live.entry(root).or_insert(0) += 1;
-            if decomposed {
-                self.tasks_decomposed += 1;
-            } else {
-                self.tasks_spawned += 1;
+            let mut rows = Vec::new();
+            if !self.run.spawn_batch(m, 0, &mut rows) {
+                return; // idle: a delivery or restart re-wakes the machine
             }
-            let tid = self.next_task;
-            self.next_task += 1;
-            self.machines[m].tasks.insert(
-                tid,
-                TaskState {
-                    task,
-                    root,
-                    parked: None,
-                },
-            );
-            self.machines[m].queue.push_back(tid);
+            self.record_spawn_rows(rows);
+            self.sim.spawn_cost_us
+        };
+        if self.has_work(m) {
+            self.machines[m].wake_scheduled = true;
+            let cost = cost * self.machines[m].speed;
+            self.schedule(cost, Event::Wake(m));
         }
     }
 
-    fn record_results(&mut self, root: u32, rows: Vec<Vec<VertexId>>) {
+    fn record_results(&mut self, root: u32, rows: Vec<Row>) {
         if !rows.is_empty() {
             self.results.entry(root).or_default().extend(rows);
         }
     }
 
-    fn spawn_batch(&mut self, m: usize) -> u64 {
-        for _ in 0..self.engine.batch_size {
-            let Some(v) = self.machines[m].cursor.pop_front() else {
-                break;
-            };
-            let adj = self.table.adjacency(v).to_vec();
-            let mut ctx = ComputeContext::new();
-            self.app.spawn(v, &adj, &mut ctx);
-            self.interrupted |= ctx.interrupted;
-            self.record_results(v.raw(), ctx.results);
-            self.register_tasks(m, ctx.new_tasks, false);
+    fn record_spawn_rows(&mut self, spawned: Vec<(VertexId, Vec<Row>)>) {
+        for (v, rows) in spawned {
+            self.record_results(v.raw(), rows);
         }
-        self.sim.spawn_cost_us * self.machines[m].speed
     }
 
-    /// One scheduling step for task `tid` on machine `m`; returns its virtual
-    /// cost.
-    fn step_task(&mut self, m: usize, tid: u64) -> u64 {
-        let Some(state) = self.machines[m].tasks.get_mut(&tid) else {
-            return 1; // stolen or lost since it was queued
-        };
-        // A parked task re-queued by the last pull response computes with its
-        // assembled frontier; otherwise resolve this iteration's pulls.
-        let frontier = if let Some(parked) = state.parked.take() {
-            debug_assert!(parked.outstanding.is_empty());
-            parked.frontier
-        } else {
-            let mut frontier = Frontier::new();
-            let mut remote: BTreeMap<usize, Vec<VertexId>> = BTreeMap::new();
-            for &v in self.app.pending_pulls(&state.task) {
-                let owner = self.table.owner(v);
-                if owner == m {
-                    self.local_reads += 1;
-                    frontier.insert(v, AdjList::Shared(self.table.graph().clone(), v));
-                } else {
-                    self.remote_fetches += 1;
-                    remote.entry(owner).or_default().push(v);
-                }
+    /// Resolves the pulls `task` waits for. Local lists are read in place;
+    /// if any are remote the task parks and one pull request per owner goes
+    /// on the wire. With nothing remote the task computes right away
+    /// (`compute_now`) or queues for the machine's next step. Returns the
+    /// virtual cost.
+    fn advance(&mut self, m: usize, task: A::Task, flight: InFlight, compute_now: bool) -> u64 {
+        let mut frontier = Frontier::new();
+        let mut remote: BTreeMap<usize, Vec<VertexId>> = BTreeMap::new();
+        for &v in self.run.app.pending_pulls(&task) {
+            let owner = self.run.table.owner(v);
+            if owner == m {
+                self.fetched.local_reads += 1;
+                frontier.insert(v, AdjList::Shared(self.run.table.graph().clone(), v));
+            } else {
+                self.fetched.remote_fetches += 1;
+                remote.entry(owner).or_default().push(v);
             }
-            if !remote.is_empty() {
-                // Park: send one pull request per owner, arm the timeout.
-                let state = self.machines[m].tasks.get_mut(&tid).expect("task exists");
-                state.parked = Some(Parked {
-                    frontier,
-                    outstanding: remote.clone(),
-                    attempt: 0,
-                });
-                for (owner, vertices) in remote {
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    self.outstanding_pulls.insert(token, (m, tid));
-                    let _ =
-                        self.transport
-                            .send(m, owner, EngineMsg::PullRequest { token, vertices });
-                }
-                self.schedule(
-                    self.sim.pull_timeout_us,
-                    Event::PullTimeout {
-                        machine: m,
-                        task_id: tid,
-                        attempt: 0,
-                    },
-                );
-                return self.sim.spawn_cost_us * self.machines[m].speed;
-            }
-            frontier
-        };
-
-        let state = self.machines[m].tasks.get_mut(&tid).expect("task exists");
-        let root = state.root;
-        let mut ctx = ComputeContext::new();
-        let more = self.app.compute(&mut state.task, &frontier, &mut ctx);
-        self.interrupted |= ctx.interrupted;
-        self.record_results(root, ctx.results);
-        self.register_tasks(m, ctx.new_tasks, true);
-        if more {
-            self.machines[m].queue.push_back(tid);
-        } else {
-            self.machines[m].tasks.remove(&tid);
-            self.tasks_processed += 1;
-            *self.live.entry(root).or_insert(0) -= 1;
         }
-        self.sim.compute_cost_us * self.machines[m].speed
+        let task = Parked {
+            task,
+            flight,
+            frontier,
+            outstanding: remote,
+            attempt: 0,
+        };
+        if task.outstanding.is_empty() {
+            if compute_now {
+                return self.compute(m, task);
+            }
+            self.machines[m].ready.push_back(task);
+            return 0;
+        }
+        let park_id = self.next_park;
+        self.next_park += 1;
+        self.send_pulls(m, park_id, &task.outstanding);
+        self.machines[m].parked.insert(park_id, task);
+        self.sim.spawn_cost_us
+    }
+
+    /// Sends one pull request per owner on behalf of parked task `park_id`
+    /// and arms the attempt's timeout.
+    fn send_pulls(&self, m: usize, park_id: u64, wanted: &BTreeMap<usize, Vec<VertexId>>) {
+        for (&owner, vertices) in wanted {
+            let request = EngineMsg::PullRequest {
+                token: park_id,
+                vertices: vertices.clone(),
+            };
+            let _ = self.run.transport.send(m, owner, request);
+        }
+        self.schedule(self.sim.pull_timeout_us, Event::PullTimeout(m, park_id));
+    }
+
+    /// One compute step of `task` on machine `m`; returns its virtual cost.
+    fn compute(&mut self, m: usize, resumed: Parked<A::Task>) -> u64 {
+        let (mut task, mut flight, frontier) = (resumed.task, resumed.flight, resumed.frontier);
+        let root = self.root_key(&task);
+        let (more, rows) =
+            self.run
+                .compute_step(m, 0, &mut task, &mut flight, &frontier, &mut self.scratch);
+        self.record_results(root, rows);
+        if more {
+            self.advance(m, task, flight, false);
+        } else {
+            self.run.finish_task(&task, flight);
+        }
+        self.sim.compute_cost_us
     }
 
     fn on_deliver(&mut self, to: usize, env: Envelope) {
         if !self.net().alive[to] {
             let mut net = self.net();
             net.stats.messages_dropped += 1;
-            let clock = net.clock;
-            let kind = env.msg.kind();
-            let from = env.from;
-            net.log
-                .push(clock, format!("lost m{from}->m{to} {kind} (down)"));
+            let (from, kind) = (env.from, env.msg.kind());
+            net.log(format!("lost m{from}->m{to} {kind} (down)"));
             return;
         }
-        // Route through the transport mailbox so the trait surface is the
-        // real delivery path, then handle immediately (control messages are
-        // processed by the machine's communication layer, not its workers).
-        self.net().inboxes[to].push_back(env);
-        while let Some(env) = self.transport.try_recv(to) {
-            self.handle_message(to, env);
+        match self.run.handle_msg(to, env) {
+            Handled::Done => {}
+            Handled::PullResponse { from, token, lists } => {
+                self.on_pull_response(to, from, token, lists)
+            }
+            Handled::Granted { seq } => {
+                self.schedule(self.sim.pull_timeout_us, Event::AckTimeout(to, seq, 0));
+            }
+        }
+        // A grant may have refilled the big-task lane, a response may have
+        // resumed a task.
+        self.ensure_wake(to);
+    }
+
+    fn on_pull_response(&mut self, m: usize, from: MachineId, park_id: u64, lists: PullReply) {
+        let mach = &mut self.machines[m];
+        let Some(parked) = mach.parked.get_mut(&park_id) else {
+            return; // a late duplicate: the task resumed, was abandoned or lost
+        };
+        for (v, adj) in lists {
+            parked.frontier.insert(v, AdjList::Owned(adj));
+        }
+        parked.outstanding.remove(&from);
+        if parked.outstanding.is_empty() {
+            let resumed = mach.parked.remove(&park_id).expect("just seen");
+            mach.ready.push_back(resumed);
         }
     }
 
-    fn handle_message(&mut self, m: usize, env: Envelope) {
-        let from = env.from;
-        match env.msg {
-            EngineMsg::PullRequest { token, vertices } => {
-                let lists: PullReply = vertices
-                    .iter()
-                    .map(|&v| (v, Arc::new(self.table.adjacency(v).to_vec())))
-                    .collect();
-                let _ = self
-                    .transport
-                    .send(m, from, EngineMsg::PullResponse { token, lists });
-            }
-            EngineMsg::PullResponse { token, lists } => {
-                let Some((machine, tid)) = self.outstanding_pulls.remove(&token) else {
-                    self.log(format!("stale pull-resp token={token} at m{m}"));
-                    return;
-                };
-                debug_assert_eq!(machine, m);
-                let Some(state) = self.machines[m].tasks.get_mut(&tid) else {
-                    return; // task abandoned or lost meanwhile
-                };
-                let Some(parked) = state.parked.as_mut() else {
-                    return;
-                };
-                for (v, adj) in lists {
-                    parked.frontier.insert(v, AdjList::Owned(adj));
-                }
-                parked.outstanding.remove(&from);
-                if parked.outstanding.is_empty() {
-                    self.machines[m].queue.push_back(tid);
-                    self.ensure_wake(m);
-                }
-            }
-            EngineMsg::StealRequest { seq, count } => {
-                let mut blobs = Vec::new();
-                let mut roots = Vec::new();
-                for _ in 0..count {
-                    // Steal from the cold (back) end of the queue.
-                    let Some(tid) = self.machines[m].queue.pop_back() else {
-                        break;
-                    };
-                    let Some(state) = self.machines[m].tasks.remove(&tid) else {
-                        continue;
-                    };
-                    let mut buf = Vec::new();
-                    state.task.encode(&mut buf);
-                    blobs.push(buf);
-                    roots.push(state.root);
-                }
-                if blobs.is_empty() {
-                    return;
-                }
-                self.machines[m].pending_grants.insert(
-                    seq,
-                    PendingGrant {
-                        to: from,
-                        blobs: blobs.clone(),
-                        roots,
-                        retries: 0,
-                    },
-                );
-                let _ = self
-                    .transport
-                    .send(m, from, EngineMsg::StealGrant { seq, tasks: blobs });
-                self.schedule(
-                    self.sim.pull_timeout_us,
-                    Event::AckTimeout { machine: m, seq },
-                );
-            }
-            EngineMsg::StealGrant { seq, tasks } => {
-                if self.machines[m].seen_grants.contains(&seq) {
-                    // Duplicate (our ack was lost): just re-ack.
-                    let _ = self.transport.send(m, from, EngineMsg::StealAck { seq });
-                    return;
-                }
-                self.machines[m].seen_grants.insert(seq);
-                let mut decoded = Vec::with_capacity(tasks.len());
-                for blob in &tasks {
-                    let mut slice = blob.as_slice();
-                    match <A::Task as TaskCodec>::decode(&mut slice) {
-                        Some(t) => decoded.push(t),
-                        None => {
-                            // Undecodable stolen task: its root is unknowable
-                            // here, so the loss is unrecoverable.
-                            self.faulted = true;
-                            self.log(format!("undecodable stolen task in seq={seq}"));
-                        }
-                    }
-                }
-                let n = decoded.len() as u64;
-                for task in decoded {
-                    // The task was already counted live by its origin machine;
-                    // re-register without touching the live balance.
-                    let tid = self.next_task;
-                    self.next_task += 1;
-                    let root = self
-                        .app
-                        .task_label(&task)
-                        .root
-                        .map(|v| v.raw())
-                        .unwrap_or(ROOTLESS);
-                    self.machines[m].tasks.insert(
-                        tid,
-                        TaskState {
-                            task,
-                            root,
-                            parked: None,
-                        },
-                    );
-                    self.machines[m].queue.push_back(tid);
-                }
-                self.stolen_tasks += n;
-                let _ = self.transport.send(m, from, EngineMsg::StealAck { seq });
-                self.ensure_wake(m);
-            }
-            EngineMsg::StealAck { seq } => {
-                self.machines[m].pending_grants.remove(&seq);
-            }
-            EngineMsg::SpillNotice { .. } | EngineMsg::RefillNotice { .. } => {
-                // The sim's queues are unbounded; notices are log-only.
-            }
-            EngineMsg::Shutdown => {}
-        }
-    }
-
-    fn on_pull_timeout(&mut self, m: usize, tid: u64, attempt: u32) {
-        let Some(state) = self.machines[m].tasks.get_mut(&tid) else {
-            return;
+    fn on_pull_timeout(&mut self, m: usize, park_id: u64) {
+        let Some(parked) = self.machines[m].parked.get_mut(&park_id) else {
+            return; // resumed, or lost in a crash
         };
-        let Some(parked) = state.parked.as_mut() else {
-            return;
-        };
-        if parked.attempt != attempt || parked.outstanding.is_empty() {
-            return; // resolved or already retried
-        }
-        if attempt < self.sim.pull_retries {
-            parked.attempt = attempt + 1;
-            let resend: Vec<(usize, Vec<VertexId>)> = parked
-                .outstanding
-                .iter()
-                .map(|(&o, vs)| (o, vs.clone()))
-                .collect();
-            self.pull_retry_count += resend.len() as u64;
-            for (owner, vertices) in resend {
-                let token = self.next_token;
-                self.next_token += 1;
-                self.outstanding_pulls.insert(token, (m, tid));
-                let _ = self
-                    .transport
-                    .send(m, owner, EngineMsg::PullRequest { token, vertices });
-            }
-            self.schedule(
-                self.sim.pull_timeout_us,
-                Event::PullTimeout {
-                    machine: m,
-                    task_id: tid,
-                    attempt: attempt + 1,
-                },
-            );
+        if parked.attempt < self.sim.pull_retries {
+            parked.attempt += 1;
+            let resend = parked.outstanding.clone();
+            self.fetched.pull_retries += resend.len() as u64;
+            self.send_pulls(m, park_id, &resend);
         } else {
             // Retry budget exhausted: abandon the task, dirty its root.
-            let root = state.root;
-            self.machines[m].tasks.remove(&tid);
-            self.pull_failure_count += 1;
-            *self.live.entry(root).or_insert(0) -= 1;
+            let parked = self.machines[m].parked.remove(&park_id).expect("just seen");
+            let root = self.root_key(&parked.task);
+            self.run.drop_flight(parked.flight);
+            self.fetched.pull_failures += 1;
             self.dirty.insert(root);
             self.log(format!(
-                "abandon task={tid} root={root} (pull timeout) at m{m}"
+                "abandon task={park_id} root={root} (pull timeout) at m{m}"
             ));
         }
     }
 
-    fn on_ack_timeout(&mut self, m: usize, seq: u64) {
-        if !self.net().alive[m] {
-            return; // crash already accounted for the held grants
-        }
-        let Some(grant) = self.machines[m].pending_grants.get_mut(&seq) else {
-            return; // acked
+    /// Retransmits grant `seq` from machine `m`'s book, or — retries
+    /// exhausted — declares the batch lost and dirties its roots.
+    fn on_ack_timeout(&mut self, m: usize, seq: u64, attempt: u32) {
+        let Some((to, tasks)) = self.run.machines[m].unacked_grant(seq) else {
+            return; // acked, or the granter crashed (which dirtied the roots)
         };
-        if grant.retries < self.sim.grant_retries {
-            grant.retries += 1;
-            let to = grant.to;
-            let blobs = grant.blobs.clone();
-            let _ = self
-                .transport
-                .send(m, to, EngineMsg::StealGrant { seq, tasks: blobs });
-            self.schedule(
-                self.sim.pull_timeout_us,
-                Event::AckTimeout { machine: m, seq },
-            );
+        if attempt < self.sim.grant_retries {
+            let grant = EngineMsg::StealGrant { seq, tasks };
+            let _ = self.run.transport.send(m, to, grant);
+            let again = Event::AckTimeout(m, seq, attempt + 1);
+            self.schedule(self.sim.pull_timeout_us, again);
         } else {
-            let grant = self.machines[m]
-                .pending_grants
-                .remove(&seq)
-                .expect("grant present");
             self.log(format!(
-                "steal-grant seq={seq} m{m}->m{} lost after retries",
-                grant.to
+                "steal-grant seq={seq} m{m}->m{to} lost after retries"
             ));
-            for root in grant.roots {
-                *self.live.entry(root).or_insert(0) -= 1;
-                self.dirty.insert(root);
+            for task in self.run.machines[m].abandon_grant(seq) {
+                self.dirty.insert(self.root_key(&task));
             }
         }
     }
@@ -1129,42 +809,17 @@ impl<'a, A: GThinkerApp> Driver<'a, A> {
             machine: m, fault, ..
         } = self.sim.scenario[idx];
         match fault {
-            Fault::Crash => {
-                if !self.net().alive[m] {
-                    return;
-                }
-                self.net().alive[m] = false;
-                self.net().inboxes[m].clear();
+            // Crashing a dead machine or restarting a live one is a no-op.
+            Fault::Crash if std::mem::replace(&mut self.net().alive[m], false) => {
                 self.log(format!("fault crash m{m}"));
-                let mach = &mut self.machines[m];
-                mach.queue.clear();
-                mach.wake_scheduled = false;
-                mach.epoch += 1;
-                let lost: Vec<u32> = mach.tasks.values().map(|t| t.root).collect();
-                mach.tasks.clear();
-                let grants: Vec<PendingGrant> = std::mem::take(&mut mach.pending_grants)
-                    .into_values()
-                    .collect();
-                for root in lost {
-                    *self.live.entry(root).or_insert(0) -= 1;
-                    self.dirty.insert(root);
-                }
-                for grant in grants {
-                    for root in grant.roots {
-                        *self.live.entry(root).or_insert(0) -= 1;
-                        self.dirty.insert(root);
-                    }
-                }
+                self.strand(m);
             }
-            Fault::Restart => {
-                if self.net().alive[m] {
-                    return;
-                }
-                self.net().alive[m] = true;
+            Fault::Restart if !std::mem::replace(&mut self.net().alive[m], true) => {
                 self.log(format!("fault restart m{m}"));
                 self.ensure_wake(m);
                 self.ensure_balance();
             }
+            Fault::Crash | Fault::Restart => {}
             Fault::SlowDown { factor } => {
                 self.machines[m].speed = factor.max(1) as u64;
                 self.log(format!("fault slowdown m{m} x{factor}"));
@@ -1180,53 +835,29 @@ impl<'a, A: GThinkerApp> Driver<'a, A> {
         }
     }
 
+    /// Machine `m` loses every task it holds — queued, spilled, granted and
+    /// unacked, resumed or parked: their roots turn dirty.
+    fn strand(&mut self, m: usize) {
+        let mut lost = self.run.machines[m].crash();
+        let mach = &mut self.machines[m];
+        let parked = std::mem::take(&mut mach.parked).into_values();
+        for held in mach.ready.drain(..).chain(parked) {
+            self.run.drop_flight(held.flight);
+            lost.push(held.task);
+        }
+        for task in lost {
+            self.dirty.insert(self.root_key(&task));
+        }
+    }
+
+    /// The master's balancing pass over the alive machines. Rearmed while
+    /// any other event is still scheduled: a machine with work has a wake, a
+    /// parked task a pull timeout, an unacked grant an ack timeout.
     fn on_balance(&mut self) {
         self.balance_scheduled = false;
         let alive = self.net().alive.clone();
-        let counts: Vec<usize> = self
-            .machines
-            .iter()
-            .enumerate()
-            .map(|(i, mch)| if alive[i] { mch.queue.len() } else { 0 })
-            .collect();
-        let total: usize = counts.iter().sum();
-        if total > 0 {
-            let candidates: Vec<(usize, usize)> = counts
-                .iter()
-                .copied()
-                .enumerate()
-                .filter(|&(i, _)| alive[i])
-                .collect();
-            if candidates.len() > 1 {
-                let &(rich, rich_count) = candidates
-                    .iter()
-                    .max_by_key(|&&(_, c)| c)
-                    .expect("nonempty");
-                let &(poor, poor_count) = candidates
-                    .iter()
-                    .min_by_key(|&&(_, c)| c)
-                    .expect("nonempty");
-                if rich != poor && rich_count > poor_count + 1 {
-                    let count = self
-                        .engine
-                        .batch_size
-                        .min((rich_count - poor_count) / 2)
-                        .max(1) as u32;
-                    let seq = self.next_steal_seq;
-                    self.next_steal_seq += 1;
-                    let _ = self
-                        .transport
-                        .send(poor, rich, EngineMsg::StealRequest { seq, count });
-                }
-            }
-        }
-        let pending = (0..self.machines.len()).any(|i| {
-            alive[i]
-                && (self.machines[i].has_work()
-                    || !self.machines[i].tasks.is_empty()
-                    || !self.machines[i].pending_grants.is_empty())
-        });
-        if pending {
+        self.run.balance(&alive);
+        if !self.net().events.is_empty() {
             self.ensure_balance();
         }
     }
@@ -1235,54 +866,35 @@ impl<'a, A: GThinkerApp> Driver<'a, A> {
     /// Returns true when new work was scheduled.
     fn respawn_round(&mut self) -> bool {
         let mut progress = false;
-        let dirty: Vec<u32> = self.dirty.iter().copied().collect();
-        for root in dirty {
-            self.dirty.remove(&root);
-            if root == ROOTLESS {
-                self.faulted = true;
-                self.log("permanent loss: rootless task".to_string());
-                continue;
-            }
+        for root in std::mem::take(&mut self.dirty) {
             let v = VertexId::new(root);
-            let owner = self.table.owner(v);
-            if !self.net().alive[owner] {
+            let owner = self.run.table.owner(v);
+            let attempts = self.respawns.entry(root).or_insert(0);
+            let why = if root == ROOTLESS {
+                Some("rootless task".to_string())
+            } else if !self.net.lock().alive[owner] {
                 // No events remain, so the owner can never come back.
-                self.faulted = true;
-                self.log(format!("permanent loss: root={root} owner m{owner} down"));
+                Some(format!("root={root} owner m{owner} down"))
+            } else if *attempts >= self.sim.respawn_limit {
+                Some(format!("root={root} respawn limit"))
+            } else {
+                None
+            };
+            if let Some(why) = why {
+                self.lost.insert(root);
+                self.log(format!("permanent loss: {why}"));
                 continue;
             }
-            let attempts = self.respawns.get(&root).copied().unwrap_or(0);
-            if attempts >= self.sim.respawn_limit {
-                self.faulted = true;
-                self.log(format!("permanent loss: root={root} respawn limit"));
-                continue;
-            }
-            self.respawns.insert(root, attempts + 1);
+            *attempts += 1;
             // Discard the root's partial results and re-mine from scratch —
             // exactly-once results per root.
             self.results.remove(&root);
-            self.live.remove(&root);
             self.log(format!("respawn root={root} at m{owner}"));
-            let adj = self.table.adjacency(v).to_vec();
-            let mut ctx = ComputeContext::new();
-            self.app.spawn(v, &adj, &mut ctx);
-            self.interrupted |= ctx.interrupted;
-            self.record_results(root, ctx.results);
-            self.register_tasks(owner, ctx.new_tasks, false);
+            let mut rows = Vec::new();
+            self.run.spawn_root(owner, 0, v, &mut rows);
+            self.record_spawn_rows(rows);
             self.ensure_wake(owner);
             progress = true;
-        }
-        if !progress {
-            // Defensive: an alive machine with work but no wake means a
-            // bookkeeping bug; re-arm rather than exit with work pending.
-            for m in 0..self.machines.len() {
-                if self.net().alive[m] && self.machines[m].has_work() {
-                    self.ensure_wake(m);
-                    if self.machines[m].wake_scheduled {
-                        progress = true;
-                    }
-                }
-            }
         }
         if progress {
             self.ensure_balance();
@@ -1290,34 +902,39 @@ impl<'a, A: GThinkerApp> Driver<'a, A> {
         progress
     }
 
-    fn finalize(&mut self) {
-        // Anything still undone at exit is dropped work.
+    fn finalize(&mut self) -> RunOutcome {
+        // Anything still held or unspawned at exit is lost for good, and an
+        // incomplete root contributes nothing.
         for m in 0..self.machines.len() {
-            if !self.machines[m].cursor.is_empty() || !self.machines[m].tasks.is_empty() {
-                self.faulted = true;
-            }
+            self.strand(m);
+            let unspawned = self.run.machines[m].unspawned();
+            self.lost.extend(unspawned.iter().map(|v| v.raw()));
         }
-        if !self.dirty.is_empty() || self.live.values().any(|&n| n > 0) {
-            self.faulted = true;
+        self.lost.append(&mut self.dirty);
+        for root in &self.lost {
+            self.results.remove(root);
         }
-        let outcome = if self.faulted {
-            "faulted"
-        } else if self.interrupted {
-            "interrupted"
+        self.faulted |= !self.lost.is_empty() || self.run.term.is_faulted();
+        // A run that lost nothing must leave the shipping termination
+        // counters at zero.
+        debug_assert!(
+            self.faulted || !self.respawns.is_empty() || self.run.term.is_quiescent(),
+            "lossless simulated run ended with pending work on the counters"
+        );
+        if self.faulted {
+            RunOutcome::Faulted
+        } else if self.run.term.is_interrupted() {
+            RunOutcome::Cancelled
         } else {
-            "complete"
-        };
-        self.log(format!(
-            "end outcome={outcome} spawned={} processed={} stolen={}",
-            self.tasks_spawned, self.tasks_processed, self.stolen_tasks
-        ));
+            RunOutcome::Complete
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::TaskLabel;
+    use crate::task::{ComputeContext, TaskCodec, TaskLabel};
 
     /// A toy app: each vertex spawns one task that pulls the root's
     /// neighbors, then emits `[v, max_neighbor]` for every neighbor larger
@@ -1484,6 +1101,12 @@ mod tests {
             g,
         );
         assert_eq!(out.outcome, RunOutcome::Faulted);
+        // An incomplete root is listed and contributes nothing.
+        assert!(!out.lost_roots.is_empty());
+        assert!(out
+            .results
+            .iter()
+            .all(|row| !out.lost_roots.contains(&row[0])));
     }
 
     #[test]
@@ -1521,21 +1144,8 @@ mod tests {
 
     #[test]
     fn sim_transport_rejects_blocking_pulls() {
-        let net = Arc::new(Mutex::new(NetInner {
-            machines: 2,
-            clock: 0,
-            next_seq: 0,
-            heap: BinaryHeap::new(),
-            inboxes: vec![VecDeque::new(), VecDeque::new()],
-            alive: vec![true; 2],
-            severed: BTreeSet::new(),
-            rng: SplitMix64::new(0),
-            link_latency_us: 1,
-            latency_jitter_us: 0,
-            drop_probability: 0.0,
-            log: EventLog::default(),
-            stats: TransportStats::default(),
-        }));
+        let sim = SimConfig::new(0).with_latency(1, 0);
+        let net = Arc::new(Mutex::new(NetInner::new(2, &sim)));
         let t = SimTransport { net };
         assert_eq!(
             t.pull(0, 1, &[VertexId::new(1)], Duration::from_millis(1)),

@@ -1,8 +1,7 @@
 //! Pluggable message passing between machines.
 //!
 //! Every cross-machine interaction of the engine — vertex-table pulls and
-//! responses, Figure-8 steal requests/grants, spill/refill notices, shutdown —
-//! travels as an [`EngineMsg`] through a [`Transport`]. Same-machine worker
+//! responses, Figure-8 steal requests/grants/acks, shutdown — travels as an [`EngineMsg`] through a [`Transport`]. Same-machine worker
 //! deques stay shared-memory; only the machine-to-machine edges go through
 //! the trait, which is exactly the boundary a real cluster deployment would
 //! replace with sockets.
@@ -126,12 +125,6 @@ pub trait Transport: Send + Sync {
         false
     }
 
-    /// Simulated per-fetch latency applied on the shared-memory fast path
-    /// (the `fetch_latency` knob of the pre-transport engine).
-    fn fetch_latency(&self) -> Duration {
-        Duration::ZERO
-    }
-
     /// Counters accumulated so far.
     fn stats(&self) -> TransportStats {
         TransportStats::default()
@@ -147,8 +140,6 @@ pub trait Transport: Send + Sync {
 pub enum TransportFactory {
     /// The in-process transport (machines are thread groups).
     InProc {
-        /// Sleep injected per remote fetch on the zero-copy fast path.
-        fetch_latency: Duration,
         /// Disable the fast path: every pull round-trips through the
         /// [`EngineMsg`] wire form.
         strict: bool,
@@ -162,7 +153,6 @@ pub enum TransportFactory {
 impl Default for TransportFactory {
     fn default() -> Self {
         TransportFactory::InProc {
-            fetch_latency: Duration::ZERO,
             strict: false,
             drop_first_pulls: 0,
         }
@@ -178,56 +168,27 @@ impl TransportFactory {
     /// The serialising in-process transport (no shared-memory fast path).
     pub fn strict() -> Self {
         TransportFactory::InProc {
-            fetch_latency: Duration::ZERO,
             strict: true,
             drop_first_pulls: 0,
         }
     }
 
-    /// Sets the simulated per-fetch latency.
-    pub fn with_fetch_latency(self, latency: Duration) -> Self {
-        match self {
-            TransportFactory::InProc {
-                strict,
-                drop_first_pulls,
-                ..
-            } => TransportFactory::InProc {
-                fetch_latency: latency,
-                strict,
-                drop_first_pulls,
-            },
-        }
-    }
-
     /// Arms pull-drop fault injection (testing).
     pub fn with_pull_drops(self, drops: u32) -> Self {
-        match self {
-            TransportFactory::InProc {
-                fetch_latency,
-                strict,
-                ..
-            } => TransportFactory::InProc {
-                fetch_latency,
-                strict,
-                drop_first_pulls: drops,
-            },
+        let TransportFactory::InProc { strict, .. } = self;
+        TransportFactory::InProc {
+            strict,
+            drop_first_pulls: drops,
         }
     }
 
     /// Builds a fresh transport connecting `machines` machines.
     pub fn build(&self, machines: usize) -> Arc<dyn Transport> {
-        match *self {
-            TransportFactory::InProc {
-                fetch_latency,
-                strict,
-                drop_first_pulls,
-            } => Arc::new(InProcTransport::new(
-                machines,
-                strict,
-                fetch_latency,
-                drop_first_pulls,
-            )),
-        }
+        let TransportFactory::InProc {
+            strict,
+            drop_first_pulls,
+        } = *self;
+        Arc::new(InProcTransport::new(machines, strict, drop_first_pulls))
     }
 }
 
@@ -243,7 +204,6 @@ impl TransportFactory {
 pub struct InProcTransport {
     machines: usize,
     strict: bool,
-    fetch_latency: Duration,
     inboxes: Vec<Mutex<VecDeque<Envelope>>>,
     table: OnceLock<PartitionedVertexTable>,
     next_token: AtomicU64,
@@ -257,16 +217,10 @@ pub struct InProcTransport {
 impl InProcTransport {
     /// Creates the transport; `drop_first_pulls` pull attempts are lost
     /// before any succeed (fault injection).
-    pub fn new(
-        machines: usize,
-        strict: bool,
-        fetch_latency: Duration,
-        drop_first_pulls: u32,
-    ) -> Self {
+    pub fn new(machines: usize, strict: bool, drop_first_pulls: u32) -> Self {
         InProcTransport {
             machines: machines.max(1),
             strict,
-            fetch_latency,
             inboxes: (0..machines.max(1))
                 .map(|_| Mutex::new(VecDeque::new()))
                 .collect(),
@@ -324,7 +278,7 @@ impl Transport for InProcTransport {
 
     fn pull(
         &self,
-        from: MachineId,
+        _from: MachineId,
         owner: MachineId,
         vertices: &[VertexId],
         _timeout: Duration,
@@ -341,9 +295,6 @@ impl Transport for InProcTransport {
         }
         // ordering: Relaxed — statistics counter; no other memory depends on it and readers tolerate skew.
         self.messages_sent.fetch_add(2, Ordering::Relaxed); // request + response
-        if !self.fetch_latency.is_zero() {
-            qcm_sync::thread::sleep(self.fetch_latency);
-        }
         let reply = if self.strict {
             // Full wire-form round trip: exactly the bytes a socket would
             // carry, including the re-materialised adjacency lists.
@@ -376,7 +327,6 @@ impl Transport for InProcTransport {
         } else {
             self.serve(vertices)?
         };
-        let _ = from;
         // ordering: Relaxed — statistics counter; no other memory depends on it and readers tolerate skew.
         self.pull_round_trips.fetch_add(1, Ordering::Relaxed);
         Ok(reply)
@@ -384,10 +334,6 @@ impl Transport for InProcTransport {
 
     fn shared_memory(&self) -> bool {
         !self.strict
-    }
-
-    fn fetch_latency(&self) -> Duration {
-        self.fetch_latency
     }
 
     fn stats(&self) -> TransportStats {
@@ -432,7 +378,7 @@ mod tests {
 
     #[test]
     fn send_and_try_recv_are_fifo_per_machine() {
-        let t = InProcTransport::new(2, false, Duration::ZERO, 0);
+        let t = InProcTransport::new(2, false, 0);
         t.send(0, 1, EngineMsg::StealAck { seq: 1 }).unwrap();
         t.send(0, 1, EngineMsg::StealAck { seq: 2 }).unwrap();
         assert_eq!(t.try_recv(0), None);
@@ -449,7 +395,7 @@ mod tests {
 
     #[test]
     fn strict_pull_round_trips_the_wire_form() {
-        let t = InProcTransport::new(2, true, Duration::ZERO, 0);
+        let t = InProcTransport::new(2, true, 0);
         assert!(!t.shared_memory());
         let tbl = table(2);
         t.bind(&tbl);
@@ -465,7 +411,7 @@ mod tests {
 
     #[test]
     fn fast_path_pull_serves_without_serialising() {
-        let t = InProcTransport::new(2, false, Duration::ZERO, 0);
+        let t = InProcTransport::new(2, false, 0);
         assert!(t.shared_memory());
         let tbl = table(2);
         t.bind(&tbl);
@@ -478,7 +424,7 @@ mod tests {
 
     #[test]
     fn armed_drops_surface_as_timeouts_then_clear() {
-        let t = InProcTransport::new(2, true, Duration::ZERO, 2);
+        let t = InProcTransport::new(2, true, 2);
         let tbl = table(2);
         t.bind(&tbl);
         let v = [VertexId::new(2)];
@@ -494,10 +440,7 @@ mod tests {
         let fast = TransportFactory::in_proc().build(3);
         assert_eq!(fast.machines(), 3);
         assert!(fast.shared_memory());
-        let strict = TransportFactory::strict()
-            .with_fetch_latency(Duration::from_micros(1))
-            .build(2);
+        let strict = TransportFactory::strict().build(2);
         assert!(!strict.shared_memory());
-        assert_eq!(strict.fetch_latency(), Duration::from_micros(1));
     }
 }

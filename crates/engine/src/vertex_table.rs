@@ -189,6 +189,28 @@ pub struct FetchMetrics {
     pub pull_failures: AtomicU64,
 }
 
+impl FetchMetrics {
+    /// Adds the accumulated scratch counters and resets the scratch.
+    pub fn absorb(&self, scratch: &mut FetchScratch) {
+        // ordering: Relaxed — machine-wide fetch statistics, batched from
+        // per-task scratch; read after workers join. A zero adds nothing and
+        // must not touch the shared cache line.
+        let add = |counter: &AtomicU64, n: u64| {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        };
+        add(&self.local_reads, scratch.local_reads);
+        add(&self.remote_fetches, scratch.remote_fetches);
+        add(&self.remote_bytes, scratch.remote_bytes);
+        add(&self.cache_hits, scratch.cache_hits);
+        add(&self.cache_evictions, scratch.cache_evictions);
+        add(&self.pull_retries, scratch.pull_retries);
+        add(&self.pull_failures, scratch.pull_failures);
+        *scratch = FetchScratch::default();
+    }
+}
+
 /// A bounded FIFO cache of remote adjacency lists (per machine).
 #[derive(Debug)]
 pub struct RemoteVertexCache {
@@ -248,8 +270,8 @@ impl RemoteVertexCache {
 /// A task pulls thousands of adjacency lists; updating the machine-wide
 /// atomic counters on every single fetch would make the shared cache line the
 /// hottest memory location in the system and destroy thread scalability.
-/// Workers therefore accumulate into this plain struct and flush once per
-/// task ([`DataService::flush`]).
+/// Workers therefore accumulate into this plain struct and fold it in once
+/// per task ([`FetchMetrics::absorb`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FetchScratch {
     /// Adjacency lists served from the machine's own partition.
@@ -305,7 +327,7 @@ impl DataService {
 
     /// Fetches Γ(v), serving locally owned vertices by borrowing the shared
     /// partition (zero-copy) and remote vertices through the cache and the
-    /// transport, accumulating traffic counters into `scratch` (flush them
+    /// transport, accumulating traffic counters into `scratch` (fold them in
     /// with [`DataService::flush`]).
     ///
     /// # Errors
@@ -331,10 +353,6 @@ impl DataService {
             // Zero-copy transport: owners' partitions are readable in place.
             // The copy below *is* the simulated transfer into this machine's
             // address space, so remote traffic stays measurable.
-            let latency = self.transport.fetch_latency();
-            if !latency.is_zero() {
-                qcm_sync::thread::sleep(latency);
-            }
             Arc::new(self.table.adjacency(v).to_vec())
         } else {
             let mut attempt = 0u32;
@@ -369,6 +387,12 @@ impl DataService {
         Ok(AdjList::Owned(adj))
     }
 
+    /// Adds the accumulated scratch counters into the machine-wide metrics and
+    /// resets the scratch.
+    pub fn flush(&self, scratch: &mut FetchScratch) {
+        self.metrics.absorb(scratch);
+    }
+
     /// Convenience wrapper around [`DataService::fetch_with`] that flushes the
     /// counters immediately (used by tests and one-off fetches).
     pub fn fetch(&self, v: VertexId) -> Result<AdjList, TransportError> {
@@ -376,49 +400,6 @@ impl DataService {
         let adj = self.fetch_with(v, &mut scratch);
         self.flush(&mut scratch);
         adj
-    }
-
-    /// Adds the accumulated scratch counters into the machine-wide metrics and
-    /// resets the scratch.
-    pub fn flush(&self, scratch: &mut FetchScratch) {
-        // ordering: Relaxed (all counters below) — machine-wide fetch
-        // statistics, batched from per-task scratch; read after workers join.
-        if scratch.local_reads > 0 {
-            self.metrics
-                .local_reads
-                .fetch_add(scratch.local_reads, Ordering::Relaxed);
-        }
-        if scratch.remote_fetches > 0 {
-            self.metrics
-                .remote_fetches
-                .fetch_add(scratch.remote_fetches, Ordering::Relaxed);
-        }
-        if scratch.remote_bytes > 0 {
-            self.metrics
-                .remote_bytes
-                .fetch_add(scratch.remote_bytes, Ordering::Relaxed);
-        }
-        if scratch.cache_hits > 0 {
-            self.metrics
-                .cache_hits
-                .fetch_add(scratch.cache_hits, Ordering::Relaxed);
-        }
-        if scratch.cache_evictions > 0 {
-            self.metrics
-                .cache_evictions
-                .fetch_add(scratch.cache_evictions, Ordering::Relaxed);
-        }
-        if scratch.pull_retries > 0 {
-            self.metrics
-                .pull_retries
-                .fetch_add(scratch.pull_retries, Ordering::Relaxed);
-        }
-        if scratch.pull_failures > 0 {
-            self.metrics
-                .pull_failures
-                .fetch_add(scratch.pull_failures, Ordering::Relaxed);
-        }
-        *scratch = FetchScratch::default();
     }
 }
 

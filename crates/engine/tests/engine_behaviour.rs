@@ -9,7 +9,8 @@
 
 use qcm_engine::codec::{put_u32, put_vertices, take_u32, take_vertices};
 use qcm_engine::{
-    Cluster, ComputeContext, EngineConfig, Frontier, GThinkerApp, TaskCodec, TaskLabel,
+    Cluster, ComputeContext, EngineConfig, Frontier, GThinkerApp, SimCluster, SimConfig, TaskCodec,
+    TaskLabel,
 };
 use qcm_graph::{Graph, VertexId};
 use qcm_sync::Arc;
@@ -281,4 +282,54 @@ fn cancelled_run_drains_workers_and_labels_the_metrics() {
     let out = Cluster::new(app, EngineConfig::single_machine(3)).run(g.clone());
     assert_eq!(out.metrics.outcome, RunOutcome::Complete);
     assert_eq!(out.results.len(), expected_rows(&g, 10));
+}
+
+/// The live cluster and the fault simulator drive the same per-machine
+/// protocol: with no fault injected they must agree on the result multiset
+/// and on how many tasks were spawned, processed and decomposed. The
+/// `fault-matrix` CI job runs this next to every scenario cell, so each cell
+/// proves the matrix exercises the shipping core.
+#[test]
+fn live_and_simulated_clusters_agree_without_faults() {
+    use qcm_core::RunOutcome;
+
+    let g = star_with_ring(120);
+    let app = Arc::new(SummerApp { hub_threshold: 8 });
+    // Tiny queues, so both drivers also go through the spill/refill path.
+    let mut config = EngineConfig::cluster(3, 1);
+    config.batch_size = 2;
+    config.local_capacity = 2;
+    config.global_queue_capacity = 2;
+
+    let live = Cluster::new(app.clone(), config.clone()).run(g.clone());
+    let sim = SimCluster::new(app, config, SimConfig::new(7)).run(g.clone());
+    assert_eq!(live.metrics.outcome, RunOutcome::Complete);
+    assert_eq!(sim.outcome, RunOutcome::Complete);
+
+    let (mut live_rows, mut sim_rows) = (live.results, sim.results);
+    live_rows.sort();
+    sim_rows.sort();
+    assert_eq!(live_rows.len(), expected_rows(&g, 8));
+    assert_eq!(live_rows, sim_rows, "result multisets differ");
+    for (name, l, s) in [
+        (
+            "spawned",
+            live.metrics.tasks_spawned,
+            sim.metrics.tasks_spawned,
+        ),
+        (
+            "processed",
+            live.metrics.tasks_processed,
+            sim.metrics.tasks_processed,
+        ),
+        (
+            "decomposed",
+            live.metrics.tasks_decomposed,
+            sim.metrics.tasks_decomposed,
+        ),
+    ] {
+        assert_eq!(l, s, "tasks {name}: live {l} vs simulated {s}");
+    }
+    assert_eq!(sim.metrics.tasks_spawned, 120);
+    assert!(live.metrics.spill_bytes_written > 0 && sim.metrics.spill_bytes_written > 0);
 }

@@ -17,7 +17,7 @@ fn to_vertices(raw: Vec<u32>) -> Vec<VertexId> {
 /// empty ones.
 fn arb_msg() -> impl Strategy<Value = EngineMsg> {
     (
-        0u32..8,
+        0u32..6,
         0u64..u64::MAX,
         proptest::collection::vec(0u32..1_000_000, 0..40),
         proptest::collection::vec(
@@ -58,14 +58,6 @@ fn arb_msg() -> impl Strategy<Value = EngineMsg> {
                     .collect(),
             },
             4 => EngineMsg::StealAck { seq: n },
-            5 => EngineMsg::SpillNotice {
-                machine: (n % 64) as u32,
-                pending: n >> 8,
-            },
-            6 => EngineMsg::RefillNotice {
-                machine: (n % 64) as u32,
-                restored: raw.len() as u32,
-            },
             _ => EngineMsg::Shutdown,
         })
 }

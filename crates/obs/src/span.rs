@@ -444,8 +444,11 @@ mod tests {
         let trace = finish_recording();
         assert_eq!(trace.spans.len(), 4, "bounded buffer must not grow");
         assert_eq!(trace.dropped, 6, "every overflow event must be counted");
-        // The kept spans are the oldest (no wraparound/overwrite).
-        let args: Vec<u64> = trace.spans.iter().map(|s| s.arg).collect();
+        // The kept spans are the oldest (no wraparound/overwrite). Compared
+        // as a set: spans opened in the same microsecond are ordered by
+        // duration (parents first), not by push order.
+        let mut args: Vec<u64> = trace.spans.iter().map(|s| s.arg).collect();
+        args.sort_unstable();
         assert_eq!(args, vec![0, 1, 2, 3]);
     }
 

@@ -72,6 +72,19 @@ impl QuasiCliqueApp {
         self
     }
 
+    /// The application as a miner configures it for an engine run: τ_split,
+    /// τ_time and the per-task index policy come from the engine
+    /// configuration.
+    pub(crate) fn for_engine(
+        params: MiningParams,
+        prune_config: PruneConfig,
+        engine: &qcm_engine::EngineConfig,
+    ) -> Self {
+        QuasiCliqueApp::new(params, engine.tau_split, engine.tau_time)
+            .with_prune_config(prune_config)
+            .with_index(engine.index)
+    }
+
     fn mine_phase_params(&self) -> MinePhaseParams {
         MinePhaseParams {
             params: self.params,

@@ -114,18 +114,10 @@ impl ParallelMiner {
         graph: Arc<Graph>,
         observer: Option<&mut dyn QuasiCliqueSink>,
     ) -> ParallelMiningOutput {
-        let app = Arc::new(
-            QuasiCliqueApp::new(
-                self.params,
-                self.engine_config.tau_split,
-                self.engine_config.tau_time,
-            )
+        let app = QuasiCliqueApp::for_engine(self.params, self.prune_config, &self.engine_config)
             .with_strategy(self.strategy)
-            .with_prune_config(self.prune_config)
-            .with_index(self.engine_config.index)
-            .with_cancel(self.engine_config.cancel.clone()),
-        );
-        let cluster = Cluster::new(app, self.engine_config.clone());
+            .with_cancel(self.engine_config.cancel.clone());
+        let cluster = Cluster::new(Arc::new(app), self.engine_config.clone());
         let output = cluster.run(graph);
         let raw_reported = output.metrics.results_emitted;
         let (maximal, invalid_sets_dropped) = finalize_results(

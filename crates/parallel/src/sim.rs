@@ -1,11 +1,12 @@
 //! Deterministic fault-simulated quasi-clique mining.
 //!
-//! [`SimMiner`] is the fault-testing twin of [`crate::ParallelMiner`]: the
-//! same [`QuasiCliqueApp`] and the same maximality/validity post-processing,
-//! but executed on [`qcm_engine::SimCluster`] — the seeded discrete-event
-//! simulator — instead of the live thread-per-worker cluster. One seed plus
-//! one fault scenario replays byte-identically, so crash, straggler and
-//! partition behaviour is testable in CI without flaky timing.
+//! [`SimMiner`] is [`crate::ParallelMiner`] under fault injection: the same
+//! [`QuasiCliqueApp`], the same per-machine engine protocol (queues, spill
+//! path, message handlers) and the same maximality/validity post-processing,
+//! but driven by [`qcm_engine::SimCluster`] — the seeded discrete-event
+//! scheduler — instead of live worker threads. One seed plus one fault
+//! scenario replays byte-identically, so crash, straggler and partition
+//! behaviour is testable in CI without flaky timing.
 //!
 //! Determinism requires two deviations from the live miner's defaults, both
 //! applied automatically:
@@ -22,17 +23,19 @@ use crate::mine::DecompositionStrategy;
 use crate::runner::finalize_results;
 use qcm_core::{MiningParams, PruneConfig, QuasiCliqueSet, RunOutcome};
 use qcm_engine::{EngineConfig, EngineMetrics, SimCluster, SimConfig};
-use qcm_graph::Graph;
+use qcm_graph::{Graph, VertexId};
 use qcm_sync::Arc;
+use std::collections::HashSet;
 use std::time::Duration;
 
 /// Output of a simulated mining run.
 #[derive(Clone, Debug)]
 pub struct SimMiningOutput {
     /// The final maximal quasi-cliques. When the scenario did not permit
-    /// completion (`outcome != Complete`) this is a *partial* result: every
-    /// set in it is a valid quasi-clique, but roots whose work was lost
-    /// contribute nothing.
+    /// completion (`outcome != Complete`) this is a *partial* result: roots
+    /// whose work was lost contribute nothing, and every set in it is one the
+    /// complete run reports too — a set that a lost root's superset could
+    /// have removed is withheld.
     pub maximal: QuasiCliqueSet,
     /// Number of raw (pre-post-processing) reports emitted by tasks.
     pub raw_reported: u64,
@@ -88,23 +91,20 @@ impl SimMiner {
 
     /// Mines `graph` in virtual time under the configured fault scenario.
     pub fn mine(&self, graph: Arc<Graph>) -> SimMiningOutput {
-        let app = Arc::new(
-            QuasiCliqueApp::new(
-                self.params,
-                self.engine_config.tau_split,
-                self.engine_config.tau_time,
-            )
-            // Size-threshold splitting is the only wall-clock-free strategy;
-            // see the module docs.
-            .with_strategy(DecompositionStrategy::SizeThreshold)
-            .with_prune_config(self.prune_config)
-            .with_index(self.engine_config.index),
+        // Size-threshold splitting is the only wall-clock-free strategy; see
+        // the module docs. No cancel token: the virtual horizon bounds the run.
+        let app = QuasiCliqueApp::for_engine(self.params, self.prune_config, &self.engine_config)
+            .with_strategy(DecompositionStrategy::SizeThreshold);
+        let cluster = SimCluster::new(
+            Arc::new(app),
+            self.engine_config.clone(),
+            self.sim_config.clone(),
         );
-        let cluster = SimCluster::new(app, self.engine_config.clone(), self.sim_config.clone());
-        let output = cluster.run(graph);
+        let output = cluster.run(graph.clone());
         let raw_reported = output.metrics.results_emitted;
-        let (maximal, invalid_sets_dropped) =
+        let (mut maximal, invalid_sets_dropped) =
             finalize_results(output.results, output.index.as_deref(), &self.params, None);
+        retain_provably_maximal(&mut maximal, &output.lost_roots, &graph, &self.params);
         SimMiningOutput {
             maximal,
             raw_reported,
@@ -115,6 +115,28 @@ impl SimMiner {
             log_hash: output.log_hash,
             metrics: output.metrics,
         }
+    }
+}
+
+/// The partial-result contract of a faulted run: keeps the sets that are
+/// maximal whatever the `lost` roots would have reported. A root mines exactly
+/// the quasi-cliques whose smallest member it is, so the superset that would
+/// remove a reported set can only be missing if a lost root is smaller than
+/// all the set's members — and, for γ ≥ 1/2 (diameter ≤ 2), within two hops of
+/// each of them.
+fn retain_provably_maximal(
+    maximal: &mut QuasiCliqueSet,
+    lost: &[VertexId],
+    graph: &Graph,
+    params: &MiningParams,
+) {
+    let two_hops = params.gamma.diameter_two_applies();
+    for &root in lost {
+        let near = graph.neighbors(root);
+        let two_away = near.iter().flat_map(|&u| graph.neighbors(u));
+        let reach: HashSet<&VertexId> = two_away.chain(near).collect();
+        let in_reach = |set: &[VertexId]| set.iter().all(|v| reach.contains(v));
+        maximal.retain_sets(|set| set[0] < root || (two_hops && !in_reach(set)));
     }
 }
 
@@ -193,6 +215,34 @@ mod tests {
         .mine(g.clone());
         assert_eq!(sim.outcome, RunOutcome::Complete);
         assert_eq!(sim.maximal, serial.maximal);
+    }
+
+    #[test]
+    fn only_sets_a_lost_root_cannot_extend_are_kept() {
+        // A path 0–1–2–3–4: vertex 0 reaches {1, 2} within two hops.
+        let path = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]).unwrap();
+        let ids = |raw: &[u32]| raw.iter().map(|&v| VertexId::new(v)).collect::<Vec<_>>();
+        let reported = || {
+            let mut set = QuasiCliqueSet::new();
+            for members in [&[1, 2][..], &[2, 3], &[3, 4]] {
+                set.insert(ids(members));
+            }
+            set
+        };
+        let kept = |lost: &[u32], gamma: f64| {
+            let mut set = reported();
+            let params = MiningParams::new(gamma, 2);
+            retain_provably_maximal(&mut set, &ids(lost), &path, &params);
+            set.into_sorted_vec()
+        };
+        assert_eq!(kept(&[], 0.8), reported().into_sorted_vec());
+        // Lost root 0 could head a superset of {1, 2} only.
+        assert_eq!(kept(&[0], 0.8), vec![ids(&[2, 3]), ids(&[3, 4])]);
+        // A lost root never extends a set with a smaller member; its own
+        // set {2, 3} and {3, 4}, which it reaches, go.
+        assert_eq!(kept(&[2], 0.8), vec![ids(&[1, 2])]);
+        // Below γ = 1/2 distance proves nothing: every later set goes.
+        assert_eq!(kept(&[0], 0.4), Vec::<Vec<VertexId>>::new());
     }
 
     #[test]

@@ -202,6 +202,61 @@ fn unrecoverable_crash_reports_labelled_partial_results() {
     }
 }
 
+/// The partial-result contract does not depend on where the crash lands. A
+/// completed root's set is non-maximal when the smaller root that holds its
+/// superset is lost; whether that pair straddles the crash is a matter of pop
+/// order and timing, so sweep the crash instant across the whole job.
+#[test]
+fn faulted_runs_report_only_serial_maximal_sets_at_every_crash_instant() {
+    let (graph, params) = planted();
+    let serial = SerialMiner::new(params).mine(&graph);
+    let mut partial_sets = 0;
+    for seed in SEEDS {
+        for crash_at_us in (500..=12_000).step_by(500) {
+            let sim = SimConfig::crash_scenario(seed, 1, crash_at_us, None);
+            let out = run_sim(&graph, params, sim);
+            assert_eq!(out.invalid_sets_dropped, 0);
+            for members in out.maximal.iter() {
+                assert!(
+                    serial.maximal.iter().any(|s| s == members),
+                    "seed {seed}, crash at {crash_at_us}us ({:?}): {members:?} is not maximal",
+                    out.outcome
+                );
+            }
+            if out.outcome == RunOutcome::Faulted {
+                partial_sets += out.maximal.len();
+            }
+        }
+    }
+    assert!(
+        partial_sets > 0,
+        "faulted runs must keep what they can prove"
+    );
+}
+
+/// The simulator runs the machines' real spill-backed queues: a crashed and
+/// restarted cluster whose queues hold two tasks must spill, lose the crashed
+/// machine's spilled batches with it, and still recover the serial answer.
+#[test]
+fn tiny_queues_spill_and_recover_under_a_crash() {
+    let (graph, params) = planted();
+    let serial = SerialMiner::new(params).mine(&graph);
+    let mut config =
+        EngineConfig::cluster(MACHINES, 1).with_decomposition(30, Duration::from_millis(50));
+    config.batch_size = 2;
+    config.local_capacity = 2;
+    config.global_queue_capacity = 2;
+    let out = SimMiner::new(params, config, scenario("crash", 42)).mine(graph.clone());
+    dump_log("crash-tiny-queues", 42, &out);
+    assert!(
+        out.metrics.spill_bytes_written > 0,
+        "two-slot queues must spill in the simulator too"
+    );
+    assert_eq!(out.outcome, RunOutcome::Complete);
+    assert_eq!(out.maximal, serial.maximal);
+    assert_eq!(out.invalid_sets_dropped, 0);
+}
+
 /// A 9-vertex graph (the paper's Figure 4) — small enough that the proptest
 /// sweep over random fault schedules stays fast.
 fn figure4() -> Arc<Graph> {

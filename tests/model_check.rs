@@ -4,7 +4,7 @@
 //! The per-crate suites (`model_steal`, `model_cancel`, `model_cache`)
 //! pin down one component each; this suite covers the protocols that
 //! only exist across layers: the engine's counting-based termination
-//! protocol and the deque + cancel-token composition used by the worker
+//! protocol (the `Termination` type the cluster and the simulator share) and the deque + cancel-token composition used by the worker
 //! loops. Each scenario explores at least 1 000 seeded schedules, and
 //! `replayable_failure_reproduces_bit_for_bit` demonstrates the
 //! seed → identical-trace replay contract end to end.
@@ -13,7 +13,8 @@
 
 use qcm::core::CancelToken;
 use qcm::engine::steal::WorkerQueues;
-use qcm_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use qcm::engine::Termination;
+use qcm_sync::atomic::{AtomicU64, Ordering};
 use qcm_sync::model::{check_seed, explore, explore_seeds, extra_seeds, find_failure, ModelConfig};
 use qcm_sync::{thread, Arc, Mutex};
 
@@ -27,18 +28,18 @@ fn run_with(name: &str, cfg: ModelConfig, f: impl Fn() + Sync) {
     }
 }
 
-/// The cluster's termination protocol in miniature, run under the
-/// *strict* model config so any unsynchronised publication fails the
-/// schedule outright.
+/// The engine's termination protocol — the [`Termination`] type both
+/// drivers run — under the *strict* model config, so any unsynchronised
+/// publication fails the schedule outright.
 ///
-/// Shape (mirrors `qcm_engine::cluster`): workers accumulate into a
-/// Relaxed statistics sum, then announce completion with an AcqRel
-/// decrement of the pending counter; whoever reaches zero publishes
-/// `done` with Release. An observer that sees `done` with Acquire must
-/// therefore see every worker's contribution. Weakening the decrement
-/// or the flag to Relaxed makes this test fail with a vector-clock
-/// diagnostic — it is the regression test for the ordering audit of
-/// `cluster.rs`.
+/// Shape (mirrors the worker loop of `qcm_engine::cluster`): workers
+/// accumulate into a Relaxed statistics sum, then release their pending
+/// slot (AcqRel); whoever then reads the counters quiescent publishes
+/// `done` (Release). An observer that sees `done` (Acquire) must
+/// therefore see every worker's contribution. Weakening the release or
+/// the flag to Relaxed in `termination.rs` makes this test fail with a
+/// vector-clock diagnostic — it is the regression test for that file's
+/// ordering audit.
 #[test]
 fn termination_protocol_publishes_all_work() {
     run_with(
@@ -47,40 +48,33 @@ fn termination_protocol_publishes_all_work() {
         || {
             const WORKERS: u64 = 2;
             let sum = Arc::new(AtomicU64::new(0));
-            let pending = Arc::new(AtomicUsize::new(WORKERS as usize));
-            let done = Arc::new(AtomicBool::new(false));
+            let term = Arc::new(Termination::new(0));
+            term.add_pending(WORKERS as usize);
 
             let handles: Vec<_> = (1..=WORKERS)
                 .map(|contribution| {
-                    let (sum, pending, done) = (sum.clone(), pending.clone(), done.clone());
+                    let (sum, term) = (sum.clone(), term.clone());
                     thread::spawn(move || {
                         // ordering: Relaxed — statistics accumulation; publication
-                        // happens via the AcqRel decrement below.
+                        // happens via the pending-slot release below.
                         sum.fetch_add(contribution, Ordering::Relaxed);
-                        // ordering: AcqRel — counter protocol: the decrement
-                        // publishes this worker's contribution and joins all
-                        // previous decrements, so reaching zero proves every
-                        // contribution is visible.
-                        if pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-                            // ordering: Release — publishes the joined clock of
-                            // every decrement to the Acquire observer.
-                            done.store(true, Ordering::Release);
+                        term.release(1);
+                        if term.is_quiescent() {
+                            term.finish();
                         }
                     })
                 })
                 .collect();
 
             let observer = {
-                let (sum, done) = (sum.clone(), done.clone());
+                let (sum, term) = (sum.clone(), term.clone());
                 thread::spawn(move || {
                     // Bounded poll: the property is conditional on observing
                     // `done`, not on winning the race to see it.
                     for _ in 0..3 {
-                        // ordering: Acquire — pairs with the Release store of
-                        // `done`; seeing true imports every worker's sum add.
-                        if done.load(Ordering::Acquire) {
+                        if term.is_done() {
                             // ordering: Relaxed — all adds happen-before via the
-                            // Acquire load above.
+                            // Acquire load inside `is_done`.
                             let total = sum.load(Ordering::Relaxed);
                             assert_eq!(
                                 total,
@@ -97,9 +91,10 @@ fn termination_protocol_publishes_all_work() {
                 h.join().unwrap();
             }
             observer.join().unwrap();
-            // ordering: Acquire / Relaxed — main joined everyone; the loads are
-            // for the final assertion only.
-            assert!(done.load(Ordering::Acquire));
+            // ordering: Relaxed — main joined everyone; the load is for the
+            // final assertion only.
+            assert!(term.is_done());
+            assert!(!term.work_dropped());
             assert_eq!(sum.load(Ordering::Relaxed), WORKERS * (WORKERS + 1) / 2);
         },
     );
