@@ -55,6 +55,17 @@ fn lemma2_feasible(
     sum_ss + prefix_se_sum >= s_len * params.gamma.ceil_mul(s_len + t - 1)
 }
 
+/// The SE-degrees in non-increasing order (`d_S(u_1) ≥ d_S(u_2) ≥ …`, the
+/// ordering of Lemma 2 and Figures 6–7), read off their histogram.
+fn se_degrees_desc(degrees: &Degrees) -> impl Iterator<Item = usize> + '_ {
+    degrees
+        .se_histogram
+        .iter()
+        .enumerate()
+        .rev()
+        .flat_map(|(d, &count)| std::iter::repeat(d).take(count as usize))
+}
+
 /// Computes the tightened upper bound `U_S` (Eqs. 1–4).
 ///
 /// Returns [`UpperBound::ExtensionsPruned`] when no feasible `t` exists.
@@ -82,12 +93,11 @@ pub fn upper_bound(params: &MiningParams, degrees: &Degrees, ext_len: usize) -> 
         return UpperBound::ExtensionsPruned;
     }
     // Eq. 4: largest t ∈ [1, U_min] passing the Lemma 2 mass test.
-    let sorted_se = degrees.sorted_ext_in_s_desc();
     let sum_ss = degrees.sum_s_in_s();
     let mut prefix = 0usize;
     let mut best: Option<usize> = None;
-    for t in 1..=u_min {
-        prefix += sorted_se[t - 1] as usize;
+    for (t, d) in (1..=u_min).zip(se_degrees_desc(degrees)) {
+        prefix += d;
         if lemma2_feasible(params, s_len, sum_ss, prefix, t) {
             best = Some(t);
         }
@@ -129,13 +139,11 @@ pub fn lower_bound(params: &MiningParams, degrees: &Degrees, ext_len: usize) -> 
         return LowerBound::Bound(0);
     }
     // Eq. 8: smallest t ∈ [L_min, |ext|] passing the Lemma 2 mass test.
-    let sorted_se = degrees.sorted_ext_in_s_desc();
     let sum_ss = degrees.sum_s_in_s();
-    let mut prefix: usize = sorted_se.iter().take(l_min).map(|&d| d as usize).sum();
-    for t in l_min..=ext_len {
-        if t > l_min {
-            prefix += sorted_se[t - 1] as usize;
-        }
+    let mut sorted_se = se_degrees_desc(degrees);
+    let mut prefix: usize = sorted_se.by_ref().take(l_min - 1).sum();
+    for (t, d) in (l_min..=ext_len).zip(sorted_se) {
+        prefix += d;
         if lemma2_feasible(params, s_len, sum_ss, prefix, t) {
             return LowerBound::Bound(t);
         }

@@ -116,7 +116,9 @@ impl<'a> MiningContext<'a> {
     /// This is the "examine G(S)" action of Algorithm 1 lines 14–16 / 23–24
     /// and Algorithm 2 lines 14–16.
     pub fn report_if_valid(&mut self, s: &[u32]) -> bool {
-        if s.len() >= self.params.min_size && is_quasi_clique_local(self.graph, s, &self.params) {
+        if s.len() >= self.params.min_size
+            && is_quasi_clique_local(self.graph, s, &self.params, &mut self.scratch)
+        {
             self.report(s);
             true
         } else {

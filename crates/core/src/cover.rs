@@ -13,42 +13,27 @@
 //! has `d_S(v) ≥ ⌈γ·|S|⌉` (otherwise those vertices are already handled by
 //! Theorems 3–4).
 
-use crate::degrees::{compute_degrees_into, Membership};
+use crate::degrees::compute_degrees_into;
 use crate::params::MiningParams;
 use crate::scratch::MiningScratch;
+use qcm_graph::bitset::row_contains;
+use qcm_graph::neighborhoods::perf;
 use qcm_graph::LocalGraph;
 
-/// Result of the cover-vertex search.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct CoverVertex {
-    /// The chosen cover vertex `u` (local index), if any applicable one exists.
-    pub vertex: Option<u32>,
-    /// The cover set `C_S(u)` (local indices, sorted). Empty when no cover
-    /// vertex is applicable.
-    pub covered: Vec<u32>,
-}
-
-/// Finds the cover vertex `u ∈ ext` with the largest `|C_S(u)|` (Eq. 9).
+/// Finds the cover vertex `u ∈ ext` with the largest `|C_S(u)|` (Eq. 9):
+/// writes the winning `C_S(u)` (sorted) into `covered_out` (cleared first)
+/// and returns the chosen cover vertex. Every intermediate set comes from —
+/// and goes back to — the arena, so the per-tree-node call allocates nothing
+/// in steady state.
 ///
 /// Mirrors the implementation note of Algorithm 2 line 2: while scanning
 /// candidates, a vertex whose `|Γ_ext(S)(u)|` is already no larger than the
 /// best cover found so far is skipped without evaluating the intersection.
-pub fn find_cover_vertex(
-    g: &LocalGraph,
-    s: &[u32],
-    ext: &[u32],
-    params: &MiningParams,
-) -> CoverVertex {
-    let mut scratch = MiningScratch::fresh();
-    let mut covered = Vec::new();
-    let vertex = find_cover_vertex_into(g, s, ext, params, &mut scratch, &mut covered);
-    CoverVertex { vertex, covered }
-}
-
-/// Scratch-pooled core of [`find_cover_vertex`]: writes the winning `C_S(u)`
-/// (sorted) into `covered_out` (cleared first) and returns the chosen cover
-/// vertex. Every intermediate buffer comes from — and goes back to — the
-/// arena, so the per-tree-node call allocates nothing in steady state.
+///
+/// The candidate cover set is a bitset: `Γ_ext(S)(u)` is `row(u) ∧ ext`, each
+/// non-neighbor `v ∈ S` narrows it by one `∧ row(v)`, and its size is a
+/// popcount. A vertex without a bit row (hybrid index on a large task graph,
+/// or no index) contributes its adjacency list as a row built on the spot.
 pub fn find_cover_vertex_into(
     g: &LocalGraph,
     s: &[u32],
@@ -66,8 +51,12 @@ pub fn find_cover_vertex_into(
     compute_degrees_into(g, s, ext, &mut degrees, &mut membership);
     let threshold = params.gamma.ceil_mul(s.len());
     let mut best_vertex = None;
-    let mut gamma_ext_u = scratch.take_vec();
-    let mut non_neighbors_in_s = scratch.take_vec();
+    let mut best_len = 0usize;
+    let mut best = scratch.take_bitset(g.capacity());
+    let mut cover = scratch.take_bitset(g.capacity());
+    // The row of a vertex that has none, built from its list when needed.
+    let mut list_row = None;
+    let mut row_probes = 0u64;
 
     for (j, &u) in ext.iter().enumerate() {
         // Applicability: d_S(u) ≥ ⌈γ·|S|⌉.
@@ -75,65 +64,84 @@ pub fn find_cover_vertex_into(
             continue;
         }
         // Γ_ext(S)(u).
-        gamma_ext_u.clear();
-        gamma_ext_u.extend(
-            g.neighbors(u)
-                .filter(|&w| membership.get(w) == Membership::InExt),
-        );
-        // Cheap skip: the cover set can never exceed |Γ_ext(S)(u)|.
-        if gamma_ext_u.len() <= covered_out.len() {
-            continue;
-        }
-        // Applicability: every v ∈ S not adjacent to u must itself satisfy
-        // d_S(v) ≥ ⌈γ·|S|⌉; collect those non-neighbors for the intersection.
-        let mut applicable = true;
-        non_neighbors_in_s.clear();
-        for (i, &v) in s.iter().enumerate() {
-            if !g.has_edge(u, v) {
-                if (degrees.s_in_s[i] as usize) < threshold {
-                    applicable = false;
-                    break;
-                }
-                non_neighbors_in_s.push(v);
+        let row_u = g.hub_row(u);
+        let mut len = match row_u {
+            Some(row) => cover.assign_intersection(row, membership.ext_bits().words()),
+            None => {
+                cover.clear();
+                g.raw_neighbors(u)
+                    .iter()
+                    .filter(|&&w| membership.ext_bits().contains(w) && cover.insert(w))
+                    .count()
             }
-        }
-        if !applicable {
+        };
+        // Cheap skip: the cover set can never exceed |Γ_ext(S)(u)|.
+        if len <= best_len {
             continue;
         }
-        // C_S(u) = Γ_ext(u) ∩ ⋂_{v ∈ non-neighbors} Γ(v), intersected in
-        // place — the buffer is rebuilt for the next candidate anyway.
-        for &v in &non_neighbors_in_s {
-            gamma_ext_u.retain(|&w| g.has_edge(v, w));
-            if gamma_ext_u.len() <= covered_out.len() {
+        // C_S(u) = Γ_ext(u) ∩ ⋂_{v ∈ S, v ∉ Γ(u)} Γ(v). Every such
+        // non-neighbor must itself satisfy d_S(v) ≥ ⌈γ·|S|⌉ for the rule to
+        // apply at all; a candidate that cannot beat the best is dropped as
+        // soon as it shrinks that far.
+        for (i, &v) in s.iter().enumerate() {
+            let adjacent = match row_u {
+                Some(row) => {
+                    row_probes += 1;
+                    row_contains(row, v)
+                }
+                None => g.has_edge(u, v),
+            };
+            if adjacent {
+                continue;
+            }
+            if (degrees.s_in_s[i] as usize) < threshold {
+                len = 0;
+                break;
+            }
+            match g.hub_row(v) {
+                Some(row) => cover.intersect_with_row(row),
+                None => {
+                    let list_row =
+                        list_row.get_or_insert_with(|| scratch.take_bitset(g.capacity()));
+                    list_row.clear();
+                    for &w in g.raw_neighbors(v) {
+                        list_row.insert(w);
+                    }
+                    cover.intersect_with(list_row);
+                }
+            }
+            len = cover.len();
+            if len <= best_len {
                 break;
             }
         }
-        if gamma_ext_u.len() > covered_out.len() {
-            gamma_ext_u.sort_unstable();
-            covered_out.clear();
-            covered_out.extend_from_slice(&gamma_ext_u);
+        if len > best_len {
+            std::mem::swap(&mut best, &mut cover);
+            best_len = len;
             best_vertex = Some(u);
         }
     }
-    scratch.put_vec(non_neighbors_in_s);
-    scratch.put_vec(gamma_ext_u);
+    perf::count_edge_queries(row_probes);
+    perf::count_bitset_hits(row_probes);
+    covered_out.extend(best.iter());
+    if let Some(list_row) = list_row {
+        scratch.put_bitset(list_row);
+    }
+    scratch.put_bitset(cover);
+    scratch.put_bitset(best);
     scratch.put_membership(membership);
     scratch.put_degrees(degrees);
     best_vertex
 }
 
-/// Reorders `ext` so that the vertices of `covered` form the tail, preserving
-/// the relative order of the non-covered prefix (which the extension loop will
-/// iterate over). Returns the number of non-covered vertices (the prefix
-/// length to iterate).
-pub fn move_cover_to_tail(ext: &mut [u32], covered: &[u32]) -> usize {
-    let mut scratch = MiningScratch::fresh();
-    move_cover_to_tail_with(ext, covered, &mut scratch)
-}
-
-/// In-place core of [`move_cover_to_tail`]: compacts the non-covered prefix
-/// forward and copies the covered tail back from a scratch buffer — no
-/// allocation, `ext`'s own buffer is reused.
+/// Reorders `ext` so that the vertices of `covered` (sorted) form the tail,
+/// preserving the relative order of the non-covered prefix (which the
+/// extension loop will iterate over). Returns the number of non-covered
+/// vertices (the prefix length to iterate).
+///
+/// In place: compacts the non-covered prefix forward and copies the covered
+/// tail back from a scratch buffer — no allocation, `ext`'s own buffer is
+/// reused.
 pub fn move_cover_to_tail_with(
     ext: &mut [u32],
     covered: &[u32],
@@ -163,6 +171,51 @@ pub fn move_cover_to_tail_with(
 mod tests {
     use super::*;
     use qcm_graph::{Graph, VertexId};
+
+    /// Result of the cover-vertex search.
+    #[derive(Debug, Default, PartialEq, Eq)]
+    struct CoverVertex {
+        /// The chosen cover vertex `u` (local index), if any applicable one exists.
+        vertex: Option<u32>,
+        /// The cover set `C_S(u)` (local indices, sorted).
+        covered: Vec<u32>,
+    }
+
+    fn find_cover_vertex(
+        g: &LocalGraph,
+        s: &[u32],
+        ext: &[u32],
+        params: &MiningParams,
+    ) -> CoverVertex {
+        // The same answer with a row for every vertex, for some, and for none.
+        let covers: Vec<CoverVertex> = [
+            qcm_graph::IndexSpec::Auto,
+            qcm_graph::IndexSpec::Threshold(3),
+            qcm_graph::IndexSpec::Disabled,
+        ]
+        .into_iter()
+        .map(|spec| {
+            let mut g = g.clone();
+            g.build_hub_index(spec);
+            let mut covered = Vec::new();
+            let vertex = find_cover_vertex_into(
+                &g,
+                s,
+                ext,
+                params,
+                &mut MiningScratch::pooled(),
+                &mut covered,
+            );
+            CoverVertex { vertex, covered }
+        })
+        .collect();
+        assert!(covers.windows(2).all(|w| w[0] == w[1]), "{covers:?}");
+        covers.into_iter().next().unwrap()
+    }
+
+    fn move_cover_to_tail(ext: &mut [u32], covered: &[u32]) -> usize {
+        move_cover_to_tail_with(ext, covered, &mut MiningScratch::fresh())
+    }
 
     fn local(edges: &[(u32, u32)], n: usize) -> LocalGraph {
         let g = Graph::from_edges(n, edges.iter().copied()).unwrap();

@@ -8,15 +8,38 @@
 
 use crate::degrees::Degrees;
 use crate::params::MiningParams;
+use qcm_graph::bitset::row_contains;
+use qcm_graph::neighborhoods::perf;
 use qcm_graph::LocalGraph;
 
-/// Collects `Γ_ext(S)(v)` — the extension vertices a critical vertex `v`
-/// forces into `S` (Theorem 9) — into a scratch-provided buffer (cleared
-/// first), preserving `ext` order. The allocation-free counterpart of the
-/// `filter(...).collect()` the bounding loop used to perform per move.
-pub fn collect_critical_moves(g: &LocalGraph, ext: &[u32], v: u32, moved_out: &mut Vec<u32>) {
+/// Moves `Γ_ext(S)(v)` — the extension vertices a critical vertex `v` forces
+/// into `S` (Theorem 9) — out of `ext` into a scratch-provided buffer
+/// (cleared first); both keep `ext`'s order. When `v` has a bit row the split
+/// is one row probe per extension vertex (`ext` members are alive, so the
+/// row's stale bits cannot match); otherwise it goes through
+/// [`LocalGraph::has_edge`].
+pub fn collect_critical_moves(
+    g: &LocalGraph,
+    ext: &mut Vec<u32>,
+    v: u32,
+    moved_out: &mut Vec<u32>,
+) {
     moved_out.clear();
-    moved_out.extend(ext.iter().copied().filter(|&u| g.has_edge(u, v)));
+    let row = g.hub_row(v);
+    if row.is_some() {
+        perf::count_edge_queries(ext.len() as u64);
+        perf::count_bitset_hits(ext.len() as u64);
+    }
+    ext.retain(|&u| {
+        let adjacent = match row {
+            Some(row) => row_contains(row, u),
+            None => g.has_edge(u, v),
+        };
+        if adjacent {
+            moved_out.push(u);
+        }
+        !adjacent
+    });
 }
 
 /// Finds a critical vertex of `S`, if any.

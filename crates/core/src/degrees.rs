@@ -10,7 +10,7 @@
 //!
 //! The first three are needed to compute the upper/lower bounds `U_S`, `L_S`;
 //! the EE-degrees are only needed by the Type-I rules and are therefore
-//! computed lazily (see [`compute_ee_degrees`]), exactly as the paper
+//! computed lazily (see [`compute_ee_degrees_into`]), exactly as the paper
 //! recommends.
 
 use qcm_graph::bitset::VertexBitSet;
@@ -113,7 +113,7 @@ impl MembershipTable {
 ///
 /// Entries are positionally aligned with the `s` and `ext` slices passed to
 /// [`compute_degrees`].
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Degrees {
     /// `d_S(v)` for every `v ∈ S` (aligned with `s`).
     pub s_in_s: Vec<u32>,
@@ -121,24 +121,21 @@ pub struct Degrees {
     pub s_in_ext: Vec<u32>,
     /// `d_S(u)` for every `u ∈ ext(S)` (aligned with `ext`).
     pub ext_in_s: Vec<u32>,
+    /// The SE-degrees counting-sorted: `se_histogram[d]` is the number of
+    /// extension vertices with `d_S(u) = d` (an SE-degree is at most `|S|`,
+    /// so the histogram has `|S| + 1` entries). Read from the top it is the
+    /// non-increasing `u_1, u_2, …` ordering both bounds walk (Lemma 2), so
+    /// neither sorts.
+    pub se_histogram: Vec<u32>,
 }
 
 impl Degrees {
-    /// Empty degree vectors (pool construction; filled by
-    /// [`compute_degrees_into`]).
-    pub fn empty() -> Self {
-        Degrees {
-            s_in_s: Vec::new(),
-            s_in_ext: Vec::new(),
-            ext_in_s: Vec::new(),
-        }
-    }
-
-    /// Clears all three vectors, keeping their buffers.
+    /// Clears every vector, keeping the buffers.
     pub fn clear(&mut self) {
         self.s_in_s.clear();
         self.s_in_ext.clear();
         self.ext_in_s.clear();
+        self.se_histogram.clear();
     }
 
     /// `d_min = min_{v∈S} (d_S(v) + d_ext(S)(v))` (Eq. 1 of the paper).
@@ -160,26 +157,19 @@ impl Degrees {
     pub fn sum_s_in_s(&self) -> usize {
         self.s_in_s.iter().map(|&a| a as usize).sum()
     }
-
-    /// SE-degrees sorted in non-increasing order (the `u_1, u_2, …` ordering
-    /// required by Lemma 2 and Figures 6–7 of the paper).
-    pub fn sorted_ext_in_s_desc(&self) -> Vec<u32> {
-        let mut sorted = self.ext_in_s.clone();
-        sorted.sort_unstable_by(|a, b| b.cmp(a));
-        sorted
-    }
 }
 
 /// Computes SS, ES and SE degrees of the candidate `⟨s, ext⟩` over the task
 /// subgraph `g`.
 ///
-/// Low-degree members walk their adjacency list (`O(d)`); members with a hub
-/// row ([`LocalGraph::build_hub_index`]) are counted by word-parallel AND of
-/// the row against the membership bitsets (`O(capacity / 64)` per member).
-/// Both paths rely on `S`/`ext` members being alive, so a hub row's stale
-/// bits for peeled vertices can never be counted.
+/// Members with a bit row ([`LocalGraph::build_hub_index`] — every vertex of
+/// a task subgraph of at most [`qcm_graph::subgraph::ALL_ROWS_MAX_VERTICES`])
+/// are counted by word-parallel AND + popcount of the row against the
+/// membership bitsets (`O(capacity / 64)` per member); the rest walk their
+/// adjacency list (`O(d)`). Both paths rely on `S`/`ext` members being alive,
+/// so a row's stale bits for peeled vertices can never be counted.
 pub fn compute_degrees(g: &LocalGraph, s: &[u32], ext: &[u32]) -> (Degrees, MembershipTable) {
-    let mut degrees = Degrees::empty();
+    let mut degrees = Degrees::default();
     let mut membership = MembershipTable::with_capacity(g.capacity());
     compute_degrees_into(g, s, ext, &mut degrees, &mut membership);
     (degrees, membership)
@@ -199,50 +189,48 @@ pub fn compute_degrees_into(
     membership.reset(g.capacity());
     membership.fill(s, ext);
     degrees.clear();
-    degrees.s_in_s.resize(s.len(), 0);
-    degrees.s_in_ext.resize(s.len(), 0);
-    degrees.ext_in_s.resize(ext.len(), 0);
-    for (i, &v) in s.iter().enumerate() {
+    let mut row_counts = 0u64;
+    for &v in s {
+        let (mut in_s, mut in_ext) = (0u32, 0u32);
         if let Some(row) = g.hub_row(v) {
-            perf::count_intersections(2);
-            degrees.s_in_s[i] = row.intersection_count(membership.s_bits()) as u32;
-            degrees.s_in_ext[i] = row.intersection_count(membership.ext_bits()) as u32;
-            continue;
-        }
-        // `raw_neighbors` is safe here: peeled vertices are in neither
-        // membership set, so they contribute to no counter.
-        for &w in g.raw_neighbors(v) {
-            match membership.get(w) {
-                Membership::InS => degrees.s_in_s[i] += 1,
-                Membership::InExt => degrees.s_in_ext[i] += 1,
-                Membership::Neither => {}
+            row_counts += 2;
+            in_s = membership.s_bits().intersection_count_row(row) as u32;
+            in_ext = membership.ext_bits().intersection_count_row(row) as u32;
+        } else {
+            // `raw_neighbors` is safe here: peeled vertices are in neither
+            // membership set, so they contribute to no counter.
+            for &w in g.raw_neighbors(v) {
+                match membership.get(w) {
+                    Membership::InS => in_s += 1,
+                    Membership::InExt => in_ext += 1,
+                    Membership::Neither => {}
+                }
             }
         }
+        degrees.s_in_s.push(in_s);
+        degrees.s_in_ext.push(in_ext);
     }
-    for (j, &u) in ext.iter().enumerate() {
-        if let Some(row) = g.hub_row(u) {
-            perf::count_intersections(1);
-            degrees.ext_in_s[j] = row.intersection_count(membership.s_bits()) as u32;
-            continue;
-        }
-        for &w in g.raw_neighbors(u) {
-            if membership.get(w) == Membership::InS {
-                degrees.ext_in_s[j] += 1;
-            }
-        }
+    degrees.se_histogram.resize(s.len() + 1, 0);
+    for &u in ext {
+        let in_s = if let Some(row) = g.hub_row(u) {
+            row_counts += 1;
+            membership.s_bits().intersection_count_row(row) as u32
+        } else {
+            g.raw_neighbors(u)
+                .iter()
+                .filter(|&&w| membership.s_bits().contains(w))
+                .count() as u32
+        };
+        degrees.ext_in_s.push(in_s);
+        degrees.se_histogram[in_s as usize] += 1;
     }
+    perf::count_intersections(row_counts);
 }
 
 /// Computes the EE-degrees `d_ext(S)(u)` for every `u ∈ ext(S)` (aligned with
-/// `ext`). Deferred until Type-I rules actually need them. Hub members count
-/// by word-parallel AND, exactly like [`compute_degrees`].
-pub fn compute_ee_degrees(g: &LocalGraph, ext: &[u32], membership: &MembershipTable) -> Vec<u32> {
-    let mut ee = Vec::new();
-    compute_ee_degrees_into(g, ext, membership, &mut ee);
-    ee
-}
-
-/// Allocation-free core of [`compute_ee_degrees`]: refills `ee` in place.
+/// `ext`) into `ee`, refilled in place. Deferred until Type-I rules actually
+/// need them. Row members count by word-parallel AND, exactly like
+/// [`compute_degrees`].
 pub fn compute_ee_degrees_into(
     g: &LocalGraph,
     ext: &[u32],
@@ -250,22 +238,30 @@ pub fn compute_ee_degrees_into(
     ee: &mut Vec<u32>,
 ) {
     ee.clear();
+    let mut row_counts = 0u64;
     ee.extend(ext.iter().map(|&u| {
         if let Some(row) = g.hub_row(u) {
-            perf::count_intersections(1);
-            return row.intersection_count(membership.ext_bits()) as u32;
+            row_counts += 1;
+            return membership.ext_bits().intersection_count_row(row) as u32;
         }
         g.raw_neighbors(u)
             .iter()
-            .filter(|&&w| membership.get(w) == Membership::InExt)
+            .filter(|&&w| membership.ext_bits().contains(w))
             .count() as u32
     }));
+    perf::count_intersections(row_counts);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use qcm_graph::{Graph, VertexId};
+
+    fn compute_ee_degrees(g: &LocalGraph, ext: &[u32], membership: &MembershipTable) -> Vec<u32> {
+        let mut ee = Vec::new();
+        compute_ee_degrees_into(g, ext, membership, &mut ee);
+        ee
+    }
 
     fn figure4_local() -> LocalGraph {
         let edges = [
@@ -317,7 +313,8 @@ mod tests {
         assert_eq!(deg.dmin(), Some(3)); // min(1+3, 1+2) = 3
         assert_eq!(deg.dmin_s(), Some(1));
         assert_eq!(deg.sum_s_in_s(), 2);
-        assert_eq!(deg.sorted_ext_in_s_desc(), vec![2, 2, 1]);
+        // SE-degrees are 2, 1, 2 and at most |S| = 2.
+        assert_eq!(deg.se_histogram, vec![0, 1, 2]);
     }
 
     #[test]

@@ -166,7 +166,6 @@ fn bounding_loop(
                     collect_critical_moves(ctx.graph, ext, v, moved);
                     if !moved.is_empty() {
                         ctx.stats.critical_moves += moved.len() as u64;
-                        ext.retain(|&u| !ctx.graph.has_edge(u, v));
                         s.extend_from_slice(moved);
                         if ext.is_empty() {
                             // Skip straight to the C1 exit case.

@@ -53,10 +53,12 @@ pub mod quasiclique;
 pub mod quick;
 pub mod recursive_mine;
 pub mod results;
+pub mod root_task;
 pub mod rules;
 pub mod scratch;
 pub mod serial;
 pub mod stats;
+pub mod validate;
 
 pub use api::{ApiError, ErrorCode, GraphInfo, JobView, SubmitRequest, SubmitResponse};
 pub use cancel::{CancelReason, CancelToken, RunOutcome};
@@ -67,12 +69,14 @@ pub use fingerprint::QueryKey;
 pub use iterative_bounding::iterative_bounding;
 pub use maximality::remove_non_maximal;
 pub use params::{Gamma, MiningParams};
-pub use quasiclique::{is_quasi_clique, is_quasi_clique_local, is_valid_quasi_clique};
+pub use quasiclique::is_quasi_clique_local;
 pub use quick::quick_mine;
-pub use recursive_mine::{recursive_mine, two_hop_bits, two_hop_bits_into, two_hop_local};
+pub use recursive_mine::{recursive_mine, two_hop_bits_into};
 pub use results::{
     CandidateForwarder, CollectingSink, CountingSink, QuasiCliqueSet, QuasiCliqueSink, ResultSink,
 };
+pub use root_task::RootTaskBuilder;
 pub use scratch::{MiningScratch, ScratchMode};
 pub use serial::{MiningOutput, SerialMiner};
 pub use stats::MiningStats;
+pub use validate::{is_quasi_clique, is_valid_quasi_clique};

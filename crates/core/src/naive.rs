@@ -9,8 +9,8 @@
 
 use crate::maximality::remove_non_maximal;
 use crate::params::MiningParams;
-use crate::quasiclique::is_quasi_clique;
 use crate::results::QuasiCliqueSet;
+use crate::validate::is_quasi_clique;
 use qcm_graph::{Graph, VertexId};
 
 /// Maximum graph size the oracle accepts (2^24 subsets would already take

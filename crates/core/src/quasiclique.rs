@@ -1,146 +1,96 @@
-//! Quasi-clique definition checks.
+//! Quasi-clique definition checks over a task subgraph.
 //!
 //! Implements Definitions 1–2 of the paper: a γ-quasi-clique is a *connected*
 //! subgraph in which every vertex is adjacent to at least `⌈γ·(|S|−1)⌉` of
 //! the other vertices; a maximal one has no strict superset that is also a
-//! γ-quasi-clique.
+//! γ-quasi-clique. This is the check the recursion runs at every lookahead
+//! and every `G(S)` examination, so it works on scratch frames and bit rows;
+//! the global-graph validators live in [`crate::validate`].
 
 use crate::params::MiningParams;
-use qcm_graph::{Graph, LocalGraph, Neighborhoods, VertexId};
+use crate::scratch::MiningScratch;
+use qcm_graph::neighborhoods::perf;
+use qcm_graph::LocalGraph;
 
-/// Checks whether the set of *local* vertex indices `s` induces a
-/// γ-quasi-clique in the task subgraph `g`.
+/// Checks whether the set of *local* vertex indices `s` (alive,
+/// duplicate-free) induces a γ-quasi-clique in the task subgraph `g`.
 ///
 /// The check follows Definition 1 exactly: the induced subgraph must be
 /// connected and every member must meet the degree threshold. A single vertex
 /// is a quasi-clique; the empty set is not.
-pub fn is_quasi_clique_local(g: &LocalGraph, s: &[u32], params: &MiningParams) -> bool {
-    let n = s.len();
-    if n == 0 {
-        return false;
-    }
-    if n == 1 {
-        return true;
-    }
-    let required = params.required_degree(n);
-    // Degree check.
-    for &v in s {
-        let d = s.iter().filter(|&&u| u != v && g.has_edge(u, v)).count();
-        if d < required {
-            return false;
-        }
-    }
-    is_connected_local(g, s)
-}
-
-/// Checks whether the set of global vertex ids `s` induces a γ-quasi-clique in
-/// the full graph `g`.
-pub fn is_quasi_clique(g: &Graph, s: &[VertexId], params: &MiningParams) -> bool {
-    let n = s.len();
-    if n == 0 {
-        return false;
-    }
-    if n == 1 {
-        return true;
-    }
-    let required = params.required_degree(n);
-    for &v in s {
-        let d = s.iter().filter(|&&u| u != v && g.has_edge(u, v)).count();
-        if d < required {
-            return false;
-        }
-    }
-    qcm_graph::traversal::is_connected_subset(g, s)
-}
-
-/// Checks whether `s` is a *valid* quasi-clique for reporting: it is a
-/// γ-quasi-clique and satisfies the size threshold τ_size.
-pub fn is_valid_quasi_clique(g: &Graph, s: &[VertexId], params: &MiningParams) -> bool {
-    s.len() >= params.min_size && is_quasi_clique(g, s, params)
-}
-
-/// Definition-1 check through the backend-agnostic [`Neighborhoods`] trait
-/// (raw `u32` ids in the representation's own index space): size threshold,
-/// per-member degree and connectivity.
 ///
-/// This is the kernel behind the engine's post-mining result validation —
-/// every backend's answers are re-checked against the shared (hub-indexed)
-/// edge-query path before they are published or cached, so an indexed
-/// representation and the plain CSR can cross-validate each other.
-pub fn is_valid_quasi_clique_over(
-    nbhd: &dyn Neighborhoods,
+/// A member with a bit row counts its degree as `popcount(row & members)` and
+/// floods by `row & members & !reached`; one without walks its adjacency
+/// list. All working sets are `scratch` frames.
+pub fn is_quasi_clique_local(
+    g: &LocalGraph,
     s: &[u32],
     params: &MiningParams,
+    scratch: &mut MiningScratch,
 ) -> bool {
     let n = s.len();
-    if n < params.min_size {
+    if n == 0 {
         return false;
     }
     if n == 1 {
         return true;
     }
+    debug_assert!(s.iter().all(|&v| g.is_alive(v)));
     let required = params.required_degree(n);
+    let mut members = scratch.take_bitset(g.capacity());
     for &v in s {
-        let d = s.iter().filter(|&&u| u != v && nbhd.adjacent(u, v)).count();
-        if d < required {
-            return false;
-        }
+        members.insert(v);
     }
-    // Connectivity over the induced member set.
-    let mut sorted = s.to_vec();
-    sorted.sort_unstable();
-    let mut visited = vec![false; sorted.len()];
-    let mut stack = vec![0usize];
-    visited[0] = true;
-    let mut count = 1usize;
-    while let Some(i) = stack.pop() {
-        nbhd.for_each_neighbor(sorted[i], &mut |w| {
-            if let Ok(j) = sorted.binary_search(&w) {
-                if !visited[j] {
-                    visited[j] = true;
-                    count += 1;
-                    stack.push(j);
-                }
+    // Degree check.
+    let mut row_counts = 0u64;
+    let degrees_ok = s.iter().all(|&v| {
+        let d = match g.hub_row(v) {
+            Some(row) => {
+                row_counts += 1;
+                members.intersection_count_row(row)
             }
-        });
-    }
-    count == sorted.len()
-}
-
-/// Local-index version of [`is_valid_quasi_clique`].
-pub fn is_valid_quasi_clique_local(g: &LocalGraph, s: &[u32], params: &MiningParams) -> bool {
-    s.len() >= params.min_size && is_quasi_clique_local(g, s, params)
-}
-
-/// Connectivity of the subgraph induced by local indices `s`.
-fn is_connected_local(g: &LocalGraph, s: &[u32]) -> bool {
-    if s.len() <= 1 {
-        return true;
-    }
-    let mut sorted = s.to_vec();
-    sorted.sort_unstable();
-    let mut visited = vec![false; sorted.len()];
-    let mut stack = vec![0usize];
-    visited[0] = true;
-    let mut count = 1usize;
-    while let Some(i) = stack.pop() {
-        for w in g.neighbors(sorted[i]) {
-            if let Ok(j) = sorted.binary_search(&w) {
-                if !visited[j] {
-                    visited[j] = true;
-                    count += 1;
-                    stack.push(j);
+            None => g
+                .raw_neighbors(v)
+                .iter()
+                .filter(|&&w| members.contains(w))
+                .count(),
+        };
+        d >= required
+    });
+    perf::count_intersections(row_counts);
+    let holds = degrees_ok && {
+        // Connectivity: flood the member set from its first vertex.
+        let mut reached = scratch.take_bitset(g.capacity());
+        let mut frontier = scratch.take_vec();
+        reached.insert(s[0]);
+        frontier.push(s[0]);
+        let mut count = 0usize;
+        while let Some(u) = frontier.pop() {
+            count += 1;
+            match g.hub_row(u) {
+                Some(row) => reached.absorb_new(row, &members, &mut frontier),
+                None => {
+                    for &w in g.raw_neighbors(u) {
+                        if members.contains(w) && reached.insert(w) {
+                            frontier.push(w);
+                        }
+                    }
                 }
             }
         }
-    }
-    count == sorted.len()
+        scratch.put_vec(frontier);
+        scratch.put_bitset(reached);
+        count == n
+    };
+    scratch.put_bitset(members);
+    holds
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qcm_graph::Graph;
+    use crate::validate::{is_quasi_clique, is_valid_quasi_clique};
+    use qcm_graph::{Graph, VertexId};
 
     /// Figure 4 graph of the paper (a..i → 0..8).
     fn figure4() -> Graph {
@@ -223,18 +173,42 @@ mod tests {
         let all: Vec<VertexId> = g.vertices().collect();
         let lg = LocalGraph::from_induced(&g, &all);
         let params = MiningParams::new(0.6, 2);
-        // Local indices equal global ids here because we induced on all vertices.
-        assert!(is_quasi_clique_local(&lg, &[0, 1, 2, 3, 4], &params));
-        assert!(!is_quasi_clique_local(&lg, &[], &params));
-        assert!(is_quasi_clique_local(&lg, &[7], &params));
         let strict = MiningParams::new(0.9, 2);
-        assert!(!is_quasi_clique_local(&lg, &[0, 1, 2, 3], &strict));
-        assert!(is_valid_quasi_clique_local(&lg, &[0, 1, 2, 3, 4], &params));
-        assert!(!is_valid_quasi_clique_local(
-            &lg,
-            &[0, 1, 2, 3, 4],
-            &MiningParams::new(0.6, 6)
-        ));
+        // With a row for every vertex, for the hubs only, and for none: the
+        // word and the list paths must agree with the global check.
+        for spec in [
+            qcm_graph::IndexSpec::Auto,
+            qcm_graph::IndexSpec::Threshold(5),
+            qcm_graph::IndexSpec::Disabled,
+        ] {
+            let mut lg = lg.clone();
+            lg.build_hub_index(spec);
+            let mut scratch = MiningScratch::pooled();
+            // Local indices equal global ids here because we induced on all vertices.
+            assert!(is_quasi_clique_local(
+                &lg,
+                &[0, 1, 2, 3, 4],
+                &params,
+                &mut scratch
+            ));
+            assert!(!is_quasi_clique_local(&lg, &[], &params, &mut scratch));
+            assert!(is_quasi_clique_local(&lg, &[7], &params, &mut scratch));
+            assert!(!is_quasi_clique_local(
+                &lg,
+                &[0, 1, 2, 3],
+                &strict,
+                &mut scratch
+            ));
+            // {f, g} ∪ {h, i} passes the degree bar at γ = 1/3 but is disconnected.
+            let loose = MiningParams::new(0.33, 2);
+            assert!(!is_quasi_clique_local(
+                &lg,
+                &[5, 6, 7, 8],
+                &loose,
+                &mut scratch
+            ));
+            assert!(is_quasi_clique_local(&lg, &[3, 7, 8], &loose, &mut scratch));
+        }
     }
 
     #[test]

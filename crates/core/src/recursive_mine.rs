@@ -17,26 +17,17 @@ use crate::quasiclique::is_quasi_clique_local;
 use qcm_graph::bitset::VertexBitSet;
 use qcm_graph::neighborhoods::perf;
 
-/// Computes the set of local vertices within two hops of `v` in the task
-/// subgraph (the `B(v)` of pruning rule P1) as a bitset, excluding `v`
-/// itself.
-pub fn two_hop_bits(g: &qcm_graph::LocalGraph, v: u32) -> VertexBitSet {
-    let mut seen = VertexBitSet::new(g.capacity());
-    let mut first_hop: Vec<u32> = Vec::new();
-    two_hop_bits_into(g, v, &mut seen, &mut first_hop);
-    seen
-}
-
-/// Allocation-free core of [`two_hop_bits`]: fills `seen` (which must be
-/// cleared and sized to `g.capacity()`) with `B(v) \ {v}`, using `first_hop`
-/// as scratch for the frontier between the two hops.
+/// Fills `seen` (which must be cleared and sized to `g.capacity()`) with
+/// `B(v) ∖ {v}` — the local vertices within two hops of `v` in the task
+/// subgraph, the `B(v)` of pruning rule P1 — using `first_hop` as scratch for
+/// the frontier between the two hops.
 ///
 /// When the graph has no peeled vertices (always true for the mining-phase
-/// subgraphs, which are built once and never shrunk), a first-hop hub's
-/// second hop is absorbed by word-parallel OR of its dense row instead of
-/// walking its adjacency list — the same trick that made the degree kernels
-/// cheap. With peeled vertices the rows may carry dead bits, so the walk
-/// path (which filters liveness) is used instead.
+/// subgraphs, which are built once and never shrunk), a first-hop vertex with
+/// a bit row — every vertex of a small task graph — contributes its second
+/// hop by one word-parallel OR of the row instead of a walk of its adjacency
+/// list. With peeled vertices the rows may carry dead bits, so the walk path
+/// (which filters liveness) is used instead.
 pub fn two_hop_bits_into(
     g: &qcm_graph::LocalGraph,
     v: u32,
@@ -54,7 +45,7 @@ pub fn two_hop_bits_into(
     let rows_are_exact = g.num_vertices() == g.capacity();
     for &u in first_hop.iter() {
         match g.hub_row(u) {
-            Some(row) if rows_are_exact => seen.union_with(row),
+            Some(row) if rows_are_exact => seen.union_with_row(row),
             _ => {
                 for w in g.neighbors(u) {
                     seen.insert(w);
@@ -63,12 +54,6 @@ pub fn two_hop_bits_into(
         }
     }
     seen.remove(v);
-}
-
-/// Computes the set of local vertices within two hops of `v` in the task
-/// subgraph (the `B(v)` of pruning rule P1), excluding `v` itself. Sorted.
-pub fn two_hop_local(g: &qcm_graph::LocalGraph, v: u32) -> Vec<u32> {
-    two_hop_bits(g, v).iter().collect()
 }
 
 /// Writes `ext` restricted to the two-hop neighborhood of `v` into `out`
@@ -95,14 +80,6 @@ pub fn shrink_by_diameter(ctx: &mut MiningContext<'_>, ext: &[u32], v: u32, out:
     }
 }
 
-/// Algorithm 2: mines all valid quasi-cliques extending `S` (including
-/// `G(S ∪ ext(S))` via the lookahead), reporting them through the context's
-/// sink. Returns `true` iff some valid quasi-clique **strictly** containing
-/// `S` was found.
-///
-/// `ext` is consumed destructively (vertices are removed as they are
-/// processed, and cover vertices are moved to the tail), matching the paper's
-/// in-place treatment of the extension list.
 /// Cover-vertex pruning over scratch frames (Algorithm 2 lines 2–4): moves
 /// the winning cover set `C_S(u)` to the tail of `ext` and returns the
 /// branchable prefix length. Shared by this serial recursion and both
@@ -118,6 +95,32 @@ pub fn cover_prune_prefix(ctx: &mut MiningContext<'_>, s: &[u32], ext: &mut [u32
     prefix_len
 }
 
+/// The lookahead of Algorithm 2 lines 8–10: if `S` together with the entire
+/// remaining extension already forms a quasi-clique, reports it and returns
+/// `true` — it is maximal within this subtree and everything below is
+/// redundant. Shared by this serial recursion and both decomposition loops in
+/// `qcm-parallel`.
+pub fn lookahead_hit(ctx: &mut MiningContext<'_>, s: &[u32], ext: &[u32]) -> bool {
+    let mut whole = ctx.scratch.take_vec_cap(s.len() + ext.len());
+    whole.extend_from_slice(s);
+    whole.extend_from_slice(ext);
+    let hit = is_quasi_clique_local(ctx.graph, &whole, &ctx.params, &mut ctx.scratch);
+    if hit {
+        ctx.stats.lookahead_hits += 1;
+        ctx.report(&whole);
+    }
+    ctx.scratch.put_vec(whole);
+    hit
+}
+
+/// Algorithm 2: mines all valid quasi-cliques extending `S` (including
+/// `G(S ∪ ext(S))` via the lookahead), reporting them through the context's
+/// sink. Returns `true` iff some valid quasi-clique **strictly** containing
+/// `S` was found.
+///
+/// `ext` is consumed destructively (vertices are removed as they are
+/// processed, and cover vertices are moved to the tail), matching the paper's
+/// in-place treatment of the extension list.
 pub fn recursive_mine(ctx: &mut MiningContext<'_>, s: &[u32], ext: &mut Vec<u32>) -> bool {
     let mut found = false;
 
@@ -128,15 +131,10 @@ pub fn recursive_mine(ctx: &mut MiningContext<'_>, s: &[u32], ext: &mut Vec<u32>
     } else {
         ext.len()
     };
-    // This depth's frame of branching vertices; the arena's high-water mark
-    // tracks the deepest recursion, after which no tree node allocates.
-    let mut branch = ctx.scratch.take_vec_cap(prefix_len);
-    branch.extend_from_slice(&ext[..prefix_len]);
-
-    let mut i = 0usize;
-    while i < branch.len() {
-        let v = branch[i];
-        i += 1;
+    // The branching vertices are the first `prefix_len` of `ext`, in order;
+    // each leaves `ext` from the front as it is branched on, so the next one
+    // is always `ext[0]` and this depth needs no copy of the prefix.
+    for _ in 0..prefix_len {
         // Cooperative cancellation: abandon the remaining subtrees. Everything
         // reported so far stays valid; the run is labelled partial upstream.
         if ctx.is_cancelled() {
@@ -146,28 +144,15 @@ pub fn recursive_mine(ctx: &mut MiningContext<'_>, s: &[u32], ext: &mut Vec<u32>
         if s.len() + ext.len() < ctx.params.min_size {
             break;
         }
-        // Lines 8–10: lookahead — if S together with the entire remaining
-        // extension already forms a quasi-clique, it is maximal within this
-        // subtree and everything below is redundant.
-        if ctx.config.lookahead {
-            let mut whole = ctx.scratch.take_vec_cap(s.len() + ext.len());
-            whole.extend_from_slice(s);
-            whole.extend_from_slice(ext);
-            let hit = is_quasi_clique_local(ctx.graph, &whole, &ctx.params);
-            if hit {
-                ctx.stats.lookahead_hits += 1;
-                ctx.report(&whole);
-            }
-            ctx.scratch.put_vec(whole);
-            if hit {
-                found = true;
-                break;
-            }
+        // Lines 8–10: lookahead.
+        if ctx.config.lookahead && lookahead_hit(ctx, s, ext) {
+            found = true;
+            break;
         }
         // Line 11: S' = S ∪ {v}; v leaves ext for this and all later
         // iterations (the set-enumeration tree's "only extend with larger
         // vertices" discipline).
-        ext.retain(|&u| u != v);
+        let v = ext.remove(0);
         let mut s_prime = ctx.scratch.take_vec_cap(s.len() + 1);
         s_prime.extend_from_slice(s);
         s_prime.push(v);
@@ -202,7 +187,6 @@ pub fn recursive_mine(ctx: &mut MiningContext<'_>, s: &[u32], ext: &mut Vec<u32>
         ctx.scratch.put_vec(ext_prime);
         ctx.scratch.put_vec(s_prime);
     }
-    ctx.scratch.put_vec(branch);
     found
 }
 
@@ -235,6 +219,13 @@ mod tests {
         let g = Graph::from_edges(9, edges.iter().copied()).unwrap();
         let all: Vec<VertexId> = g.vertices().collect();
         LocalGraph::from_induced(&g, &all)
+    }
+
+    /// `B(v) ∖ {v}` as a sorted list.
+    fn two_hop_local(g: &LocalGraph, v: u32) -> Vec<u32> {
+        let mut seen = VertexBitSet::new(g.capacity());
+        two_hop_bits_into(g, v, &mut seen, &mut Vec::new());
+        seen.iter().collect()
     }
 
     fn ids(raw: &[u32]) -> Vec<VertexId> {

@@ -170,7 +170,7 @@ impl MiningScratch {
             }
             None => {
                 perf::count_scratch_fresh_allocs(1);
-                Degrees::empty()
+                Degrees::default()
             }
         }
     }
@@ -227,7 +227,10 @@ fn vec_bytes(v: &Vec<u32>) -> u64 {
 
 #[inline]
 fn degrees_bytes(d: &Degrees) -> u64 {
-    ((d.s_in_s.capacity() + d.s_in_ext.capacity() + d.ext_in_s.capacity())
+    ((d.s_in_s.capacity()
+        + d.s_in_ext.capacity()
+        + d.ext_in_s.capacity()
+        + d.se_histogram.capacity())
         * std::mem::size_of::<u32>()) as u64
 }
 
@@ -281,7 +284,7 @@ mod tests {
         d.s_in_s.push(3);
         scratch.put_degrees(d);
         let d2 = scratch.take_degrees();
-        assert!(d2.s_in_s.is_empty() && d2.s_in_ext.is_empty() && d2.ext_in_s.is_empty());
+        assert_eq!(d2, Degrees::default());
         scratch.put_degrees(d2);
 
         let mut m = scratch.take_membership(16);

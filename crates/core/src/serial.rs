@@ -2,10 +2,15 @@
 //!
 //! [`SerialMiner`] is the single-threaded reference implementation of the
 //! paper's algorithm: shrink the input graph to its k-core (P2 / topic T1),
-//! spawn one set-enumeration root per surviving vertex (`S = {v}`,
-//! `ext(S) = B_{>v}(v)`), run the recursive miner (Algorithm 2) on each, and
-//! finally remove non-maximal results. The parallel engine in `qcm-parallel`
-//! produces exactly the same result set; tests assert that equivalence.
+//! then for every surviving vertex `v` cut out the task subgraph `t.g` — the
+//! k-core of `v` and the larger-id vertices within two hops of it
+//! ([`RootTaskBuilder`], the serial form of Algorithms 6–7) — and run the
+//! recursive miner (Algorithm 2) on `S = {v}`, `ext(S) = V(t.g) − v` in that
+//! subgraph's own compact index space, where every vertex has a bit row.
+//! Roots whose task subgraph cannot hold a result are skipped. Finally the
+//! non-maximal results are removed. The parallel engine in `qcm-parallel`
+//! mines the same task subgraphs and produces exactly the same result set;
+//! tests assert that equivalence.
 
 use qcm_obs::clock::Instant;
 use std::time::Duration;
@@ -15,11 +20,13 @@ use crate::config::PruneConfig;
 use crate::context::MiningContext;
 use crate::maximality::remove_non_maximal;
 use crate::params::MiningParams;
-use crate::recursive_mine::{recursive_mine, two_hop_local};
+use crate::recursive_mine::recursive_mine;
 use crate::results::{QuasiCliqueSet, QuasiCliqueSink};
+use crate::root_task::RootTaskBuilder;
 use crate::scratch::{MiningScratch, ScratchMode};
 use crate::stats::MiningStats;
 use qcm_graph::kcore::k_core_vertices;
+use qcm_graph::neighborhoods::perf;
 use qcm_graph::{Graph, IndexSpec, LocalGraph, VertexId};
 
 /// Everything a mining run produces.
@@ -96,10 +103,12 @@ impl SerialMiner {
         self
     }
 
-    /// Chooses the hybrid bitset neighborhood index built over the working
-    /// subgraph (default [`IndexSpec::Auto`]). [`IndexSpec::Disabled`]
-    /// reproduces the pure binary-search behaviour — results are identical
-    /// either way, only the edge-query cost changes.
+    /// Chooses the bit-row index built over every root's task subgraph
+    /// (default [`IndexSpec::Auto`]: a row for every vertex of a task
+    /// subgraph of at most `qcm_graph::subgraph::ALL_ROWS_MAX_VERTICES`, the
+    /// hybrid degree threshold above). [`IndexSpec::Disabled`] reproduces the
+    /// pure adjacency-list behaviour — results are identical either way, only
+    /// the kernels' cost changes.
     pub fn with_index(mut self, index: IndexSpec) -> Self {
         self.index = index;
         self
@@ -159,45 +168,44 @@ impl SerialMiner {
         let mut sink = QuasiCliqueSet::new();
         let mut interrupted = false;
         if !survivors.is_empty() {
-            let mut work = LocalGraph::from_induced(graph, &survivors);
-            // One hub-index build per run, amortised over every edge query
-            // and degree recomputation of the whole search.
-            work.build_hub_index(self.index);
+            // The working graph only feeds the task builder its adjacency
+            // lists, so it carries no index of its own.
+            let work = LocalGraph::from_induced(graph, &survivors);
+            let mut tasks = RootTaskBuilder::new(self.params, self.config, self.index);
             // One scratch arena for the whole run: the frames warmed up by
             // the first roots serve every later root without reallocating.
             let mut scratch = MiningScratch::new(self.scratch_mode);
-            // Spawn one root per surviving vertex, in id order.
+            let mut ext: Vec<u32> = Vec::new();
+            // One root per surviving vertex, in id order.
             for v in 0..work.capacity() as u32 {
                 if self.cancel.is_cancelled() {
                     interrupted = true;
                     break;
                 }
-                // One mine_phase span per root vertex; the payload is the
-                // root's local id.
+                // One mine_phase span per root vertex, task build included;
+                // the payload is the root's index in the working graph.
                 let _phase = qcm_obs::span_with(qcm_obs::SpanKind::MinePhase, v as u64);
+                let Some(task) = tasks.build(&work, v) else {
+                    continue;
+                };
                 let mut tee = TeeSink {
                     set: &mut sink,
                     observer: observer.as_deref_mut(),
                 };
-                let mut ctx = MiningContext::with_config(&work, self.params, self.config, &mut tee);
+                let mut ctx = MiningContext::with_config(&task, self.params, self.config, &mut tee);
                 ctx.emulate_quick_omissions = self.emulate_quick_omissions;
                 ctx.cancel = self.cancel.clone();
                 ctx.scratch = std::mem::take(&mut scratch);
                 ctx.stats.tasks_processed += 1;
-                let mut ext: Vec<u32> =
-                    if self.config.diameter && self.params.gamma.diameter_two_applies() {
-                        two_hop_local(&work, v)
-                            .into_iter()
-                            .filter(|&u| u > v)
-                            .collect()
-                    } else {
-                        ((v + 1)..work.capacity() as u32).collect()
-                    };
-                let s = vec![v];
-                recursive_mine(&mut ctx, &s, &mut ext);
+                // S = {v} (local 0), ext(S) = V(t.g) − v.
+                ext.clear();
+                ext.extend(1..task.capacity() as u32);
+                recursive_mine(&mut ctx, &[0], &mut ext);
                 scratch = std::mem::take(&mut ctx.scratch);
                 stats.merge(&ctx.stats);
                 interrupted |= ctx.interrupted;
+                // Publish this root's kernel counters.
+                perf::flush();
             }
         }
 

@@ -33,8 +33,40 @@ fn arb_params() -> impl Strategy<Value = MiningParams> {
         .prop_map(|(g10, min_size)| MiningParams::new(g10 as f64 / 10.0, min_size))
 }
 
+/// The γ values and pruning configurations that decide how a root's task
+/// subgraph is cut: γ = 0.4 and `without("diameter")` keep every larger
+/// vertex instead of the two-hop neighborhood, `without("size_threshold")`
+/// and `none()` skip the k-core peel.
+fn arb_task_shape() -> impl Strategy<Value = (MiningParams, PruneConfig)> {
+    (0usize..6, 2usize..=5, 0usize..4).prop_map(|(gamma_idx, min_size, config_idx)| {
+        let gamma = [0.4, 0.5, 0.6, 0.8, 0.9, 1.0][gamma_idx];
+        let config = [
+            PruneConfig::all_enabled(),
+            PruneConfig::none(),
+            PruneConfig::all_enabled().without("size_threshold"),
+            PruneConfig::all_enabled().without("diameter"),
+        ][config_idx];
+        (MiningParams::new(gamma, min_size), config)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Mining every root on its own task subgraph loses and invents nothing,
+    /// however the subgraph is cut.
+    #[test]
+    fn per_root_task_subgraphs_are_exact(
+        g in arb_graph(12),
+        (params, config) in arb_task_shape(),
+    ) {
+        let mined = SerialMiner::with_config(params, config).mine(&g);
+        let oracle = naive::maximal_quasi_cliques(&g, &params);
+        prop_assert_eq!(
+            mined.maximal, oracle,
+            "gamma={} min_size={} config={:?}", params.gamma, params.min_size, config
+        );
+    }
 
     /// The serial miner returns exactly the oracle's maximal quasi-cliques.
     #[test]

@@ -29,6 +29,7 @@ use crate::transport::{Envelope, MachineId, PullReply, Transport};
 use crate::vertex_table::{FetchMetrics, PartitionedVertexTable};
 
 use qcm_core::{MiningScratch, RunOutcome};
+use qcm_graph::neighborhoods::perf;
 use qcm_graph::{Graph, NeighborhoodIndex, VertexId};
 use qcm_obs::clock::Instant;
 use qcm_obs::SpanKind;
@@ -454,6 +455,9 @@ impl<'a, A: GThinkerApp> Run<'a, A> {
         let mut ctx = ComputeContext::new();
         ctx.scratch = std::mem::take(scratch);
         let more = self.app.compute(task, frontier, &mut ctx);
+        // Publish what this step's kernels counted: a worker's counters are
+        // thread-local until flushed.
+        perf::flush();
         *scratch = std::mem::take(&mut ctx.scratch);
         flight.timings.merge(&ctx.timings);
         if ctx.interrupted {

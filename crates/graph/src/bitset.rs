@@ -7,6 +7,28 @@
 //! per AND instruction — which is what turns the miner's `O(log d)`
 //! binary-search edge queries and `O(|A| + |B|)` sorted-merge intersections
 //! into `O(1)` / `O(n / 64)` operations on high-degree (hub) vertices.
+//!
+//! A [`crate::LocalGraph`] keeps its neighbor rows in one flat word matrix, so
+//! the kernels also come in a *row* form that takes a borrowed `&[u64]` word
+//! slice laid out exactly like a set's own words (`*_row` methods,
+//! [`row_contains`]).
+
+/// True if id `v` is set in the borrowed word row `row`.
+#[inline]
+pub fn row_contains(row: &[u64], v: u32) -> bool {
+    let i = v as usize;
+    (row[i >> 6] >> (i & 63)) & 1 != 0
+}
+
+/// `|a ∩ b|` over two word rows of equal length.
+#[inline]
+fn and_count(a: &[u64], b: &[u64]) -> usize {
+    debug_assert_eq!(a.len(), b.len());
+    a.iter()
+        .zip(b)
+        .map(|(&x, &y)| (x & y).count_ones() as usize)
+        .sum()
+}
 
 /// A fixed-capacity set of `u32` vertex ids backed by packed `u64` words.
 ///
@@ -26,10 +48,9 @@ pub struct VertexBitSet {
 impl VertexBitSet {
     /// Creates an empty set able to hold ids `0..capacity`.
     pub fn new(capacity: usize) -> Self {
-        VertexBitSet {
-            words: vec![0u64; capacity.div_ceil(64)],
-            capacity,
-        }
+        let mut set = VertexBitSet::default();
+        set.reset(capacity);
+        set
     }
 
     /// Creates a set holding exactly the given ids (need not be sorted).
@@ -50,9 +71,18 @@ impl VertexBitSet {
     /// True if `v` is in the set.
     #[inline]
     pub fn contains(&self, v: u32) -> bool {
-        let i = v as usize;
-        debug_assert!(i < self.capacity, "id {v} out of range {}", self.capacity);
-        (self.words[i >> 6] >> (i & 63)) & 1 != 0
+        debug_assert!(
+            (v as usize) < self.capacity,
+            "id {v} out of range {}",
+            self.capacity
+        );
+        row_contains(&self.words, v)
+    }
+
+    /// The packed words: id `i` is bit `i & 63` of word `i >> 6`.
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.words
     }
 
     /// Inserts `v`; returns true if it was newly added.
@@ -115,28 +145,79 @@ impl VertexBitSet {
     /// the same capacity.
     pub fn intersection_count(&self, other: &VertexBitSet) -> usize {
         debug_assert_eq!(self.capacity, other.capacity);
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(&a, &b)| (a & b).count_ones() as usize)
-            .sum()
+        and_count(&self.words, &other.words)
+    }
+
+    /// `|self ∩ row|` for a borrowed word row of the same width.
+    #[inline]
+    pub fn intersection_count_row(&self, row: &[u64]) -> usize {
+        and_count(&self.words, row)
     }
 
     /// `self ← self ∩ other` (word-parallel). The sets must have the same
     /// capacity.
     pub fn intersect_with(&mut self, other: &VertexBitSet) {
         debug_assert_eq!(self.capacity, other.capacity);
-        for (a, &b) in self.words.iter_mut().zip(&other.words) {
+        self.intersect_with_row(&other.words);
+    }
+
+    /// `self ← self ∩ row` for a borrowed word row of the same width.
+    #[inline]
+    pub fn intersect_with_row(&mut self, row: &[u64]) {
+        debug_assert_eq!(self.words.len(), row.len());
+        for (a, &b) in self.words.iter_mut().zip(row) {
             *a &= b;
         }
+    }
+
+    /// `self ← a ∩ b` for two word rows of this set's width; returns the new
+    /// member count. One pass, no clearing first.
+    #[inline]
+    pub fn assign_intersection(&mut self, a: &[u64], b: &[u64]) -> usize {
+        debug_assert!(self.words.len() == a.len() && a.len() == b.len());
+        let mut count = 0usize;
+        for ((out, &x), &y) in self.words.iter_mut().zip(a).zip(b) {
+            *out = x & y;
+            count += out.count_ones() as usize;
+        }
+        count
     }
 
     /// `self ← self ∪ other` (word-parallel). The sets must have the same
     /// capacity.
     pub fn union_with(&mut self, other: &VertexBitSet) {
         debug_assert_eq!(self.capacity, other.capacity);
-        for (a, &b) in self.words.iter_mut().zip(&other.words) {
+        self.union_with_row(&other.words);
+    }
+
+    /// `self ← self ∪ row` for a borrowed word row of the same width.
+    #[inline]
+    pub fn union_with_row(&mut self, row: &[u64]) {
+        debug_assert_eq!(self.words.len(), row.len());
+        for (a, &b) in self.words.iter_mut().zip(row) {
             *a |= b;
+        }
+    }
+
+    /// One step of a bitset flood: adds `(row ∩ within) \ self` to `self` and
+    /// appends the newly added ids to `fresh` in increasing order.
+    pub fn absorb_new(&mut self, row: &[u64], within: &VertexBitSet, fresh: &mut Vec<u32>) {
+        debug_assert!(self.words.len() == row.len() && row.len() == within.words.len());
+        for (wi, ((seen, &r), &w)) in self
+            .words
+            .iter_mut()
+            .zip(row)
+            .zip(&within.words)
+            .enumerate()
+        {
+            let new = r & w & !*seen;
+            if new != 0 {
+                *seen |= new;
+                fresh.extend(BitIter {
+                    word: new,
+                    base: (wi as u32) << 6,
+                });
+            }
         }
     }
 

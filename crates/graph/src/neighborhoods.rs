@@ -7,17 +7,27 @@
 //! high-degree vertex makes `has_edge` on hubs a single word probe and turns
 //! candidate-set intersection into word-parallel ANDs.
 //!
-//! Storing a bitset row for **every** vertex would cost `O(|V|² / 8)` bytes,
-//! so the index is hybrid: only vertices whose degree reaches a threshold get
-//! a row, everything else keeps the CSR binary search. With the
-//! [`IndexSpec::Auto`] threshold (`max(16, |V| / 64)`) a hub's row is at most
-//! ~2× the size of its adjacency slice, bounding the whole index at ~2× the
-//! CSR footprint while covering exactly the vertices where `log d` hurts
-//! most (the ones every dense candidate set keeps probing).
+//! Storing a bitset row for **every** vertex costs `O(|V|² / 8)` bytes, so
+//! the rule depends on the size of the graph:
+//!
+//! * A [`crate::LocalGraph`] of at most
+//!   [`crate::subgraph::ALL_ROWS_MAX_VERTICES`] (4096) vertices under
+//!   [`IndexSpec::Auto`] indexes *every* vertex — at most 2 MiB, in one flat
+//!   row-major word vector. That covers the task subgraphs the miners
+//!   recurse on (a root's two-hop k-core), where the same rows are probed and
+//!   ANDed thousands of times, so the mining kernels never leave the word
+//!   path there.
+//! * Anything larger — and the global [`NeighborhoodIndex`] at every size —
+//!   is **hybrid**: only vertices whose degree reaches a threshold get a
+//!   row, everything else keeps the CSR binary search. With the
+//!   [`IndexSpec::Auto`] threshold (`max(16, |V| / 64)`) a hub's row is at
+//!   most ~2× the size of its adjacency slice, bounding the whole index at
+//!   ~2× the CSR footprint while covering exactly the vertices where `log d`
+//!   hurts most (the ones every dense candidate set keeps probing).
 //!
 //! The three consumers share one abstraction, [`Neighborhoods`]: the serial
 //! miner and the parallel mining tasks query their task-local
-//! [`crate::LocalGraph`] (which carries its own hub rows), and the engine's
+//! [`crate::LocalGraph`] (which carries its own rows), and the engine's
 //! partitioned vertex table serves the global [`Graph`] through a
 //! process-wide [`NeighborhoodIndex`] built once per graph and shared across
 //! jobs.
@@ -34,7 +44,10 @@ pub enum IndexSpec {
     /// No bitset rows: every edge query takes the CSR binary-search path.
     Disabled,
     /// Pick the threshold from the graph size: `max(16, |V| / 64)`, which
-    /// bounds the index at roughly twice the CSR footprint.
+    /// bounds the index at roughly twice the CSR footprint. A
+    /// [`crate::LocalGraph`] small enough for a full row matrix
+    /// ([`crate::subgraph::ALL_ROWS_MAX_VERTICES`]) indexes every vertex
+    /// instead.
     #[default]
     Auto,
     /// Give a bitset row to every vertex of degree `>= t`. `Threshold(0)`
@@ -269,77 +282,104 @@ impl Neighborhoods for Graph {
 }
 
 /// Process-wide counters of the neighborhood kernels, read by the benchmark
-/// suite (`BENCH_*.json`'s `edge_queries` / `bitset_hits` / `intersections`
-/// columns) and the service metrics.
+/// of record (`graph.edge_queries`, `graph.bitset_hits`,
+/// `graph.intersections`, `core.scratch_*`) and the service metrics.
 ///
-/// The counters are relaxed atomics: increments cost a few nanoseconds and
-/// never synchronise, so they are left on unconditionally. Reset them with
-/// [`perf::reset`] before a measured region and read them with
-/// [`perf::snapshot`] after.
+/// Counting is a plain add to a thread-local cell — no atomic, no lazy
+/// initialisation — so it stays on unconditionally inside `has_edge` and the
+/// scratch pool. [`perf::flush`] publishes the calling thread's cells to the
+/// shared atomics; the serial miner calls it once per root, the engine once
+/// per compute step, every thread on exit, and [`perf::snapshot`] on entry
+/// (for the caller's own counts). Counts of *another* thread become visible at
+/// its next flush. Reset with [`perf::reset`] before a measured region and
+/// read with [`perf::snapshot`] after.
 pub mod perf {
     use super::{AtomicU64, Ordering};
-    use qcm_sync::atomic::AtomicUsize;
+    use std::cell::Cell;
 
-    /// Counter lanes per logical counter. Each thread hashes to one lane, so
-    /// parallel miners bump different cache lines instead of ping-ponging a
-    /// single one through every core; `snapshot` sums the lanes.
-    const LANES: usize = 8;
+    /// The additive counters, in [`PerfSnapshot`] field order.
+    #[derive(Clone, Copy)]
+    enum Counter {
+        EdgeQueries,
+        BitsetHits,
+        Intersections,
+        AllocationsAvoided,
+        ScratchFreshAllocs,
+        Steals,
+        StealFailures,
+    }
 
-    // One cache line per lane: no false sharing between lanes or counters.
-    #[repr(align(64))]
-    struct PaddedCounter(AtomicU64);
+    const COUNTERS: usize = Counter::StealFailures as usize + 1;
 
     #[allow(clippy::declare_interior_mutable_const)]
-    const ZERO: PaddedCounter = PaddedCounter(AtomicU64::new(0));
+    const ZERO: AtomicU64 = AtomicU64::new(0);
 
-    struct Striped([PaddedCounter; LANES]);
+    /// Published totals. A thread touches these once per flush, not once per
+    /// count, so one cell per counter is enough.
+    static TOTALS: [AtomicU64; COUNTERS] = [ZERO; COUNTERS];
+    /// High-water mark of pooled scratch bytes — a gauge, published by
+    /// `fetch_max`.
+    static SCRATCH_BYTES_PEAK: AtomicU64 = AtomicU64::new(0);
 
-    impl Striped {
-        fn add(&self, n: u64) {
-            // ordering: Relaxed — striped statistics counter; lanes only need
-            // atomicity, the cross-lane sum tolerates skew.
-            self.0[lane()].0.fetch_add(n, Ordering::Relaxed);
-        }
+    /// One thread's unpublished counts.
+    struct Local {
+        counts: [Cell<u64>; COUNTERS],
+        scratch_bytes_peak: Cell<u64>,
+    }
 
-        fn sum(&self) -> u64 {
-            self.0
-                .iter()
-                // ordering: Relaxed — monitoring sum over lanes; skew is acceptable.
-                .map(|lane| lane.0.load(Ordering::Relaxed))
-                .sum()
-        }
-
-        fn reset(&self) {
-            for lane in &self.0 {
-                // ordering: Relaxed — bench-harness reset; concurrent counting keeps
-                // running (documented on `reset`).
-                lane.0.store(0, Ordering::Relaxed);
+    impl Local {
+        fn publish(&self) {
+            for (cell, total) in self.counts.iter().zip(&TOTALS) {
+                let n = cell.replace(0);
+                if n != 0 {
+                    // ordering: Relaxed — statistics counter; the sum only
+                    // needs RMW atomicity.
+                    total.fetch_add(n, Ordering::Relaxed);
+                }
+            }
+            let peak = self.scratch_bytes_peak.replace(0);
+            if peak != 0 {
+                // ordering: Relaxed — high-water gauge, publishes no data.
+                SCRATCH_BYTES_PEAK.fetch_max(peak, Ordering::Relaxed);
             }
         }
     }
 
-    static EDGE_QUERIES: Striped = Striped([ZERO; LANES]);
-    static BITSET_HITS: Striped = Striped([ZERO; LANES]);
-    static INTERSECTIONS: Striped = Striped([ZERO; LANES]);
-    static ALLOCATIONS_AVOIDED: Striped = Striped([ZERO; LANES]);
-    static SCRATCH_FRESH_ALLOCS: Striped = Striped([ZERO; LANES]);
-    static STEALS: Striped = Striped([ZERO; LANES]);
-    static STEAL_FAILURES: Striped = Striped([ZERO; LANES]);
-    /// High-water mark of pooled scratch bytes — a gauge, not a counter, so
-    /// it is a single `fetch_max` cell (updated only when a pool grows, which
-    /// is rare by construction).
-    static SCRATCH_BYTES_PEAK: AtomicU64 = AtomicU64::new(0);
-
-    /// This thread's counter lane (assigned round-robin on first use).
-    #[inline]
-    fn lane() -> usize {
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        thread_local! {
-            // ordering: Relaxed — round-robin lane assignment only needs RMW
-            // atomicity.
-            static LANE: usize = NEXT.fetch_add(1, qcm_sync::atomic::Ordering::Relaxed) % LANES;
+    impl Drop for Local {
+        fn drop(&mut self) {
+            self.publish();
         }
-        LANE.with(|lane| *lane)
+    }
+
+    thread_local! {
+        static LOCAL: Local = const {
+            #[allow(clippy::declare_interior_mutable_const)]
+            const CELL: Cell<u64> = Cell::new(0);
+            Local {
+                counts: [CELL; COUNTERS],
+                scratch_bytes_peak: CELL,
+            }
+        };
+    }
+
+    #[inline]
+    fn add(counter: Counter, n: u64) {
+        let counted = LOCAL.try_with(|local| {
+            let cell = &local.counts[counter as usize];
+            cell.set(cell.get() + n);
+        });
+        if counted.is_err() {
+            // The thread's cells are already destroyed (a count made from
+            // another thread-local's destructor): publish directly.
+            // ordering: Relaxed — statistics counter.
+            TOTALS[counter as usize].fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    /// Publishes the calling thread's counts to the totals [`snapshot`]
+    /// reads. Cheap when nothing was counted since the last call.
+    pub fn flush() {
+        let _ = LOCAL.try_with(Local::publish);
     }
 
     /// A point-in-time copy of the counters.
@@ -444,77 +484,89 @@ pub mod perf {
     /// Adds `n` edge queries.
     #[inline]
     pub fn count_edge_queries(n: u64) {
-        EDGE_QUERIES.add(n);
+        add(Counter::EdgeQueries, n);
     }
 
     /// Adds `n` bitset fast-path hits.
     #[inline]
     pub fn count_bitset_hits(n: u64) {
-        BITSET_HITS.add(n);
+        add(Counter::BitsetHits, n);
     }
 
     /// Adds `n` intersections.
     #[inline]
     pub fn count_intersections(n: u64) {
-        INTERSECTIONS.add(n);
+        add(Counter::Intersections, n);
     }
 
     /// Adds `n` pool-served scratch-frame requests.
     #[inline]
     pub fn count_allocations_avoided(n: u64) {
-        ALLOCATIONS_AVOIDED.add(n);
+        add(Counter::AllocationsAvoided, n);
     }
 
     /// Adds `n` heap-served scratch-frame requests.
     #[inline]
     pub fn count_scratch_fresh_allocs(n: u64) {
-        SCRATCH_FRESH_ALLOCS.add(n);
+        add(Counter::ScratchFreshAllocs, n);
     }
 
     /// Raises the pooled-scratch-bytes high-water mark to at least `bytes`.
     #[inline]
     pub fn record_scratch_bytes(bytes: u64) {
-        // ordering: Relaxed — high-water gauge; monotonic within a pass.
-        SCRATCH_BYTES_PEAK.fetch_max(bytes, Ordering::Relaxed);
+        let recorded = LOCAL.try_with(|local| {
+            if bytes > local.scratch_bytes_peak.get() {
+                local.scratch_bytes_peak.set(bytes);
+            }
+        });
+        if recorded.is_err() {
+            // ordering: Relaxed — high-water gauge, publishes no data.
+            SCRATCH_BYTES_PEAK.fetch_max(bytes, Ordering::Relaxed);
+        }
     }
 
     /// Adds `n` stolen tasks.
     #[inline]
     pub fn count_steals(n: u64) {
-        STEALS.add(n);
+        add(Counter::Steals, n);
     }
 
     /// Adds `n` failed steal sweeps.
     #[inline]
     pub fn count_steal_failures(n: u64) {
-        STEAL_FAILURES.add(n);
+        add(Counter::StealFailures, n);
     }
 
-    /// Reads all counters (sum over lanes).
+    /// Reads all counters, after publishing the calling thread's own.
     pub fn snapshot() -> PerfSnapshot {
+        flush();
+        // ordering: Relaxed — monitoring snapshot, skew tolerated.
+        let total = |counter: Counter| TOTALS[counter as usize].load(Ordering::Relaxed);
         PerfSnapshot {
-            edge_queries: EDGE_QUERIES.sum(),
-            bitset_hits: BITSET_HITS.sum(),
-            intersections: INTERSECTIONS.sum(),
-            allocations_avoided: ALLOCATIONS_AVOIDED.sum(),
-            scratch_fresh_allocs: SCRATCH_FRESH_ALLOCS.sum(),
+            edge_queries: total(Counter::EdgeQueries),
+            bitset_hits: total(Counter::BitsetHits),
+            intersections: total(Counter::Intersections),
+            allocations_avoided: total(Counter::AllocationsAvoided),
+            scratch_fresh_allocs: total(Counter::ScratchFreshAllocs),
             // ordering: Relaxed — monitoring snapshot, skew tolerated.
             scratch_bytes_peak: SCRATCH_BYTES_PEAK.load(Ordering::Relaxed),
-            steals: STEALS.sum(),
-            steal_failures: STEAL_FAILURES.sum(),
+            steals: total(Counter::Steals),
+            steal_failures: total(Counter::StealFailures),
         }
     }
 
-    /// Zeroes all counters (benchmark harness only — concurrent miners will
-    /// keep counting).
+    /// Zeroes all counters, the calling thread's unpublished ones included
+    /// (benchmark harness only — concurrent miners keep counting, and what
+    /// they have not flushed yet lands after the reset).
     pub fn reset() {
-        EDGE_QUERIES.reset();
-        BITSET_HITS.reset();
-        INTERSECTIONS.reset();
-        ALLOCATIONS_AVOIDED.reset();
-        SCRATCH_FRESH_ALLOCS.reset();
-        STEALS.reset();
-        STEAL_FAILURES.reset();
+        let _ = LOCAL.try_with(|local| {
+            local.counts.iter().for_each(|cell| cell.set(0));
+            local.scratch_bytes_peak.set(0);
+        });
+        for total in &TOTALS {
+            // ordering: Relaxed — bench-harness reset, serialised by the caller.
+            total.store(0, Ordering::Relaxed);
+        }
         // ordering: Relaxed — bench-harness reset, serialised by the caller.
         SCRATCH_BYTES_PEAK.store(0, Ordering::Relaxed);
     }

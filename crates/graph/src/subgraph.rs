@@ -7,10 +7,33 @@
 //! space (`0..n_local`) plus a mapping back to the global [`VertexId`]s, so
 //! that result sets can be reported in terms of the original graph.
 
-use crate::bitset::VertexBitSet;
+use crate::bitset::row_contains;
 use crate::graph::Graph;
 use crate::neighborhoods::{perf, IndexSpec, Neighborhoods};
 use crate::vertex::VertexId;
+
+/// Largest vertex count at which [`LocalGraph::build_hub_index`] with
+/// [`IndexSpec::Auto`] gives *every* vertex a row. A full row matrix costs
+/// `n² / 8` bytes, so this bounds it at 2 MiB — a few L2s — while covering the
+/// task subgraphs the miners actually recurse on (a root's two-hop k-core is
+/// a few hundred vertices). Larger graphs keep the hybrid degree threshold.
+pub const ALL_ROWS_MAX_VERTICES: usize = 4096;
+
+/// `row_of` entry of a vertex without a row.
+const NO_ROW: u32 = u32::MAX;
+
+/// Caller-owned buffers for [`LocalGraph::induce_from_local`],
+/// [`LocalGraph::shrink_to_k_core`] and [`LocalGraph::compact`], so a driver
+/// that builds one subgraph per root or per subtask pays for them once. The
+/// rank table is kept all-`u32::MAX` between calls (each call resets only
+/// the entries it set), so a call costs `O(subgraph)`, not `O(parent)`.
+#[derive(Debug, Default)]
+pub struct SubgraphScratch {
+    rank: Vec<u32>,
+    degree: Vec<u32>,
+    stack: Vec<u32>,
+    keep: Vec<u32>,
+}
 
 /// Local index of every kept global id, or `u32::MAX` for dropped ones — the
 /// `O(|V|)` rank array that replaces per-edge binary searches during subgraph
@@ -55,12 +78,13 @@ pub fn induced_subgraph(g: &Graph, vertices: &[VertexId]) -> (Graph, Vec<VertexI
 /// per-task k-core shrinking of Algorithms 6–7) and records the global id of
 /// every local vertex.
 ///
-/// A `LocalGraph` optionally carries a **hybrid hub index**
-/// ([`LocalGraph::build_hub_index`]): a [`VertexBitSet`] row per high-degree
-/// vertex, giving the mining kernels `O(1)` [`LocalGraph::has_edge`] on hubs
-/// and word-parallel degree counting. The index is derived data — two local
-/// graphs compare equal iff their structure (adjacency, global ids, alive
-/// flags) matches, regardless of indexing.
+/// A `LocalGraph` optionally carries a **hub index**
+/// ([`LocalGraph::build_hub_index`]): a dense bit row per indexed vertex —
+/// every vertex of a graph of at most [`ALL_ROWS_MAX_VERTICES`], the
+/// high-degree ones of a larger graph — giving the mining kernels `O(1)`
+/// [`LocalGraph::has_edge`] and word-parallel degree counting. The index is
+/// derived data — two local graphs compare equal iff their structure
+/// (adjacency, global ids, alive flags) matches, regardless of indexing.
 #[derive(Clone, Debug)]
 pub struct LocalGraph {
     /// `adj[i]` is the sorted list of local neighbor indices of local vertex `i`.
@@ -71,12 +95,16 @@ pub struct LocalGraph {
     alive: Vec<bool>,
     /// Number of alive vertices.
     alive_count: usize,
-    /// `hub_rows[i]` is the dense neighbor row of local vertex `i` when its
-    /// *raw* degree reached the hub threshold at index-build time. Rows keep
-    /// bits of peeled neighbors (queries check `alive` separately, and edges
-    /// are never removed — only vertices die), so removal needs no row
-    /// maintenance. Empty when no index is built.
-    hub_rows: Vec<Option<VertexBitSet>>,
+    /// The neighbor rows, row-major: `row_words` words per indexed vertex, in
+    /// slot order. Rows keep bits of peeled neighbors (queries check `alive`
+    /// separately, and edges are never removed — only vertices die), so
+    /// removal needs no row maintenance. Empty when no index is built.
+    rows: Vec<u64>,
+    /// `row_of[i]` is the slot of local vertex `i`'s row, or [`NO_ROW`] when
+    /// its *raw* degree was below the threshold at index-build time.
+    row_of: Vec<u32>,
+    /// Words per row: `capacity.div_ceil(64)` at index-build time.
+    row_words: usize,
     /// The resolved threshold the rows were built with (`None` = no index).
     hub_threshold: Option<usize>,
 }
@@ -102,7 +130,9 @@ impl LocalGraph {
             global: global_ids,
             alive: vec![true; n],
             alive_count: n,
-            hub_rows: Vec::new(),
+            rows: Vec::new(),
+            row_of: Vec::new(),
+            row_words: 0,
             hub_threshold: None,
         }
     }
@@ -132,35 +162,43 @@ impl LocalGraph {
     /// line 19): the child task's graph is induced by `S' ∪ ext(S')`.
     ///
     /// The child carries no hub index — the mining driver decides whether the
-    /// child is big enough to warrant one.
-    pub fn induce_from_local(&self, keep: &[u32]) -> LocalGraph {
+    /// child is big enough to warrant one. Costs `O(Σ_{i∈keep} d(i))`: the
+    /// rank table comes from `scratch` and only its `keep` entries are
+    /// touched.
+    pub fn induce_from_local(&self, keep: &[u32], scratch: &mut SubgraphScratch) -> LocalGraph {
         debug_assert!(keep.windows(2).all(|w| w[0] < w[1]));
-        let global: Vec<VertexId> = keep.iter().map(|&i| self.global[i as usize]).collect();
-        let mut rank = vec![u32::MAX; self.adj.len()];
+        let rank = &mut scratch.rank;
+        if rank.len() < self.adj.len() {
+            rank.resize(self.adj.len(), u32::MAX);
+        }
         for (new_idx, &old_idx) in keep.iter().enumerate() {
             rank[old_idx as usize] = new_idx as u32;
         }
-        let mut child = LocalGraph::new(global);
-        for (new_idx, &old_idx) in keep.iter().enumerate() {
-            let mut list: Vec<u32> = Vec::new();
-            for &w in &self.adj[old_idx as usize] {
-                if !self.alive[w as usize] {
-                    continue;
-                }
-                let new_w = rank[w as usize];
-                if new_w != u32::MAX {
-                    list.push(new_w);
-                }
-            }
-            child.adj[new_idx] = list;
+        let kept = |w: &&u32| self.alive[**w as usize] && rank[**w as usize] != u32::MAX;
+        let mut child = LocalGraph::new(keep.iter().map(|&i| self.global[i as usize]).collect());
+        for (list, &old_idx) in child.adj.iter_mut().zip(keep) {
+            let parent_list = &self.adj[old_idx as usize];
+            // Sized exactly: one allocation per list, never a regrowth.
+            list.reserve_exact(parent_list.iter().filter(kept).count());
+            list.extend(parent_list.iter().filter(kept).map(|&w| rank[w as usize]));
+        }
+        for &old_idx in keep {
+            rank[old_idx as usize] = u32::MAX;
         }
         child
     }
 
-    /// Builds the hybrid hub index: every vertex whose raw adjacency length
-    /// reaches the threshold resolved from `spec` gets a dense
-    /// [`VertexBitSet`] neighbor row, making [`LocalGraph::has_edge`] `O(1)`
-    /// on hubs and letting the degree kernels count by word-parallel AND.
+    /// Builds the hub index: every vertex whose raw adjacency length reaches
+    /// the threshold resolved from `spec` gets a dense neighbor row, making
+    /// [`LocalGraph::has_edge`] `O(1)` on indexed vertices and letting the
+    /// mining kernels count degrees by word-parallel AND + popcount.
+    ///
+    /// Under [`IndexSpec::Auto`] a graph of at most [`ALL_ROWS_MAX_VERTICES`]
+    /// vertices indexes **every** vertex (threshold 0; at most 2 MiB of
+    /// rows), so the kernels never fall back to list walks on the task
+    /// subgraphs the miners recurse on; a larger graph keeps the hybrid
+    /// [`crate::neighborhoods::auto_threshold`]. The rows live in one flat
+    /// row-major word vector.
     ///
     /// Returns the resolved threshold (`None` when `spec` is
     /// [`IndexSpec::Disabled`], which also drops any existing index).
@@ -170,25 +208,38 @@ impl LocalGraph {
     /// queries check liveness).
     pub fn build_hub_index(&mut self, spec: IndexSpec) -> Option<usize> {
         let n = self.adj.len();
-        let threshold = match spec.resolve(n) {
-            None => {
-                self.hub_rows = Vec::new();
-                self.hub_threshold = None;
-                return None;
-            }
-            Some(t) => t,
-        };
-        let mut rows: Vec<Option<VertexBitSet>> = vec![None; n];
-        for (i, list) in self.adj.iter().enumerate() {
-            if list.len() >= threshold {
-                let mut row = VertexBitSet::new(n);
-                for &w in list {
-                    row.insert(w);
+        let threshold = match spec {
+            IndexSpec::Auto if n <= ALL_ROWS_MAX_VERTICES => 0,
+            _ => match spec.resolve(n) {
+                Some(t) => t,
+                None => {
+                    self.invalidate_hub_index();
+                    return None;
                 }
-                rows[i] = Some(row);
+            },
+        };
+        let words = n.div_ceil(64);
+        let mut slots = 0u32;
+        self.row_of.clear();
+        self.row_of.extend(self.adj.iter().map(|list| {
+            if list.len() >= threshold {
+                slots += 1;
+                slots - 1
+            } else {
+                NO_ROW
+            }
+        }));
+        self.rows.clear();
+        self.rows.resize(slots as usize * words, 0);
+        for (list, &slot) in self.adj.iter().zip(&self.row_of) {
+            if slot != NO_ROW {
+                let row = &mut self.rows[slot as usize * words..][..words];
+                for &w in list {
+                    row[w as usize >> 6] |= 1u64 << (w & 63);
+                }
             }
         }
-        self.hub_rows = rows;
+        self.row_words = words;
         self.hub_threshold = Some(threshold);
         Some(threshold)
     }
@@ -202,32 +253,36 @@ impl LocalGraph {
 
     /// Number of vertices carrying a bitset row.
     pub fn hub_count(&self) -> usize {
-        self.hub_rows.iter().flatten().count()
+        self.rows.len().checked_div(self.row_words).unwrap_or(0)
     }
 
-    /// The dense neighbor row of local vertex `i`, when it is a hub. Bits may
-    /// include peeled neighbors; callers intersecting with sets of known-alive
-    /// vertices (the degree kernels) need no extra filtering.
+    /// The dense neighbor row of local vertex `i`, when it is indexed: word
+    /// `w >> 6`, bit `w & 63` is set iff `w` is a raw neighbor (the layout of
+    /// [`crate::VertexBitSet::words`]). Bits may include peeled neighbors;
+    /// callers intersecting with sets of known-alive vertices (the degree
+    /// kernels) need no extra filtering.
     #[inline]
-    pub fn hub_row(&self, i: u32) -> Option<&VertexBitSet> {
-        self.hub_rows.get(i as usize).and_then(|r| r.as_ref())
+    pub fn hub_row(&self, i: u32) -> Option<&[u64]> {
+        match self.row_of.get(i as usize) {
+            Some(&slot) if slot != NO_ROW => {
+                Some(&self.rows[slot as usize * self.row_words..][..self.row_words])
+            }
+            _ => None,
+        }
     }
 
     /// Heap bytes of the hub index (0 when none is built).
     pub fn hub_index_memory_bytes(&self) -> usize {
-        self.hub_rows.capacity() * std::mem::size_of::<Option<VertexBitSet>>()
-            + self
-                .hub_rows
-                .iter()
-                .flatten()
-                .map(VertexBitSet::memory_bytes)
-                .sum::<usize>()
+        self.rows.capacity() * std::mem::size_of::<u64>()
+            + self.row_of.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Drops the hub index (used by mutating builders).
     fn invalidate_hub_index(&mut self) {
         if self.hub_threshold.is_some() {
-            self.hub_rows = Vec::new();
+            self.rows = Vec::new();
+            self.row_of = Vec::new();
+            self.row_words = 0;
             self.hub_threshold = None;
         }
     }
@@ -323,11 +378,11 @@ impl LocalGraph {
             perf::count_bitset_hits(1);
             // Both endpoints are alive (checked above), so a stale bit for a
             // peeled vertex can never be observed here.
-            return row.contains(b);
+            return row_contains(row, b);
         }
         if let Some(row) = self.hub_row(b) {
             perf::count_bitset_hits(1);
-            return row.contains(a);
+            return row_contains(row, a);
         }
         let (s, l) = if self.adj[a as usize].len() <= self.adj[b as usize].len() {
             (a, b)
@@ -377,43 +432,38 @@ impl LocalGraph {
     }
 
     /// Shrinks the graph to its k-core **in place** by peeling alive vertices
-    /// of alive-degree `< k`. Returns the number of vertices removed.
-    pub fn shrink_to_k_core(&mut self, k: usize) -> usize {
+    /// of alive-degree `< k`. Returns the number of vertices removed. The
+    /// degree and stack buffers come from `scratch`.
+    pub fn shrink_to_k_core(&mut self, k: usize, scratch: &mut SubgraphScratch) -> usize {
         if k == 0 {
             return 0;
         }
-        let n = self.adj.len();
-        let mut degree: Vec<usize> = (0..n as u32)
-            .map(|i| {
-                if self.alive[i as usize] {
-                    self.degree(i)
-                } else {
-                    0
-                }
-            })
-            .collect();
-        let mut stack: Vec<u32> = (0..n as u32)
-            .filter(|&i| self.alive[i as usize] && degree[i as usize] < k)
-            .collect();
-        let mut removed = 0usize;
-        let mut dead_now = vec![false; n];
-        for &v in &stack {
-            dead_now[v as usize] = true;
-        }
-        while let Some(v) = stack.pop() {
-            if !self.alive[v as usize] {
-                continue;
+        let k = u32::try_from(k).unwrap_or(u32::MAX);
+        let (degree, stack) = (&mut scratch.degree, &mut scratch.stack);
+        degree.clear();
+        degree.extend((0..self.adj.len() as u32).map(|i| {
+            if self.alive[i as usize] {
+                self.degree(i) as u32
+            } else {
+                0
             }
+        }));
+        stack.clear();
+        stack.extend(
+            (0..self.adj.len() as u32)
+                .filter(|&i| self.alive[i as usize] && degree[i as usize] < k),
+        );
+        let mut removed = 0usize;
+        while let Some(v) = stack.pop() {
             self.remove_vertex(v);
             removed += 1;
-            // Decrement neighbors.
-            let nbrs: Vec<u32> = self.adj[v as usize].clone();
-            for w in nbrs {
-                let wi = w as usize;
-                if self.alive[wi] && !dead_now[wi] {
-                    degree[wi] = degree[wi].saturating_sub(1);
-                    if degree[wi] < k {
-                        dead_now[wi] = true;
+            for &w in &self.adj[v as usize] {
+                let d = &mut degree[w as usize];
+                // A vertex is queued exactly once: at the start if it is
+                // already below k, else when this decrement takes it there.
+                if self.alive[w as usize] && *d >= k {
+                    *d -= 1;
+                    if *d < k {
                         stack.push(w);
                     }
                 }
@@ -425,17 +475,21 @@ impl LocalGraph {
     /// Compacts the graph: drops removed vertices and renumbers the alive ones
     /// to `0..alive_count`, returning the compacted graph. The relative order
     /// of global ids is preserved.
-    pub fn compact(&self) -> LocalGraph {
-        let keep: Vec<u32> = self.vertices().collect();
+    pub fn compact(&self, scratch: &mut SubgraphScratch) -> LocalGraph {
         // `induce_from_local` expects sorted local indices, which `vertices()`
         // yields by construction.
-        self.induce_from_local(&keep)
+        let mut keep = std::mem::take(&mut scratch.keep);
+        keep.clear();
+        keep.extend(self.vertices());
+        let compacted = self.induce_from_local(&keep, scratch);
+        scratch.keep = keep;
+        compacted
     }
 
     /// Converts to an immutable [`Graph`] plus global-id mapping (compacting
     /// removed vertices away).
     pub fn to_graph(&self) -> (Graph, Vec<VertexId>) {
-        let compacted = self.compact();
+        let compacted = self.compact(&mut SubgraphScratch::default());
         let n = compacted.adj.len();
         let mut offsets = vec![0usize; n + 1];
         let mut neighbors = Vec::new();
@@ -557,7 +611,7 @@ mod tests {
         let g = Graph::from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 3)]).unwrap();
         let vs: Vec<VertexId> = (0..6u32).map(VertexId::new).collect();
         let mut lg = LocalGraph::from_induced(&g, &vs);
-        let removed = lg.shrink_to_k_core(2);
+        let removed = lg.shrink_to_k_core(2, &mut SubgraphScratch::default());
         assert_eq!(removed, 3); // 0, 1, 2 peel away
         assert_eq!(lg.num_vertices(), 3);
         let alive: Vec<u32> = lg.alive_global_ids().iter().map(|v| v.raw()).collect();
@@ -569,8 +623,9 @@ mod tests {
         let g = Graph::from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 3)]).unwrap();
         let vs: Vec<VertexId> = (0..6u32).map(VertexId::new).collect();
         let mut lg = LocalGraph::from_induced(&g, &vs);
-        lg.shrink_to_k_core(2);
-        let c = lg.compact();
+        let mut scratch = SubgraphScratch::default();
+        lg.shrink_to_k_core(2, &mut scratch);
+        let c = lg.compact(&mut scratch);
         assert_eq!(c.capacity(), 3);
         assert_eq!(c.num_edges(), 3);
         let (as_graph, mapping) = lg.to_graph();
@@ -589,10 +644,16 @@ mod tests {
         let vs: Vec<VertexId> = (0..5u32).map(VertexId::new).collect();
         let mut lg = LocalGraph::from_induced(&g, &vs);
         lg.remove_vertex(2); // remove c
-        let child = lg.induce_from_local(&[0, 1, 3, 4]);
+        let mut scratch = SubgraphScratch::default();
+        let child = lg.induce_from_local(&[0, 1, 3, 4], &mut scratch);
         assert_eq!(child.capacity(), 4);
         // c's edges must be gone; a-b, a-d, a-e, b-e, d-e remain.
         assert_eq!(child.num_edges(), 5);
+        // The scratch rank table is left clean: a second, different induction
+        // through the same buffers sees none of the first one's entries.
+        let other = lg.induce_from_local(&[1, 4], &mut scratch);
+        assert_eq!(other.capacity(), 2);
+        assert_eq!(other.num_edges(), 1);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use qcm_graph::{
     io, k_core,
     kcore::{core_numbers, k_core_vertices},
-    subgraph::{induced_subgraph, LocalGraph},
+    subgraph::{induced_subgraph, LocalGraph, SubgraphScratch},
     traversal::{bfs_distances, connected_components, two_hop_neighborhood},
     Graph, GraphBuilder, VertexId,
 };
@@ -149,7 +149,7 @@ proptest! {
     fn local_graph_kcore_agrees_with_graph_kcore(g in arb_graph(25), k in 1usize..5) {
         let all: Vec<VertexId> = g.vertices().collect();
         let mut lg = LocalGraph::from_induced(&g, &all);
-        lg.shrink_to_k_core(k);
+        lg.shrink_to_k_core(k, &mut SubgraphScratch::default());
         let survivors = k_core_vertices(&g, k);
         let mut lg_survivors = lg.alive_global_ids();
         lg_survivors.sort_unstable();

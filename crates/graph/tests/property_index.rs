@@ -5,8 +5,10 @@
 
 use proptest::prelude::*;
 use qcm_graph::{
-    bitset::VertexBitSet, subgraph::LocalGraph, Graph, GraphBuilder, IndexSpec, NeighborhoodIndex,
-    Neighborhoods, VertexId,
+    bitset::VertexBitSet,
+    neighborhoods::auto_threshold,
+    subgraph::{LocalGraph, ALL_ROWS_MAX_VERTICES},
+    Graph, GraphBuilder, IndexSpec, NeighborhoodIndex, Neighborhoods, VertexId,
 };
 use qcm_sync::Arc;
 
@@ -100,6 +102,62 @@ proptest! {
                     "threshold {}, pair ({}, {})", threshold, a, b
                 );
                 prop_assert_eq!(indexed.degree(a), plain.degree(a));
+            }
+        }
+    }
+
+    /// `IndexSpec::Auto` gives every vertex a row up to `ALL_ROWS_MAX_VERTICES`
+    /// vertices and only the hubs one vertex later. On either side of that
+    /// boundary the rows must answer like the adjacency lists — edge queries,
+    /// and degrees counted as row ∩ alive — also after vertices are peeled.
+    #[test]
+    fn local_graph_rows_agree_across_the_all_row_size_boundary(
+        over in 0usize..=1,
+        hub_extra in 0usize..40,
+        edges in proptest::collection::vec((0u32..5000, 0u32..5000), 0..300),
+        removals in proptest::collection::vec(0u32..5000, 0..8),
+    ) {
+        let n = ALL_ROWS_MAX_VERTICES + over;
+        let id = |x: u32| x % n as u32;
+        let mut b = GraphBuilder::new();
+        b.set_min_vertices(n);
+        // Vertex 0 is a hub on either side of the hybrid threshold.
+        let hub_degree = auto_threshold(n) - 20 + hub_extra;
+        for w in 1..=hub_degree as u32 {
+            b.add_edge_raw(0, w * 7 % n as u32);
+        }
+        for &(a, x) in &edges {
+            b.add_edge_raw(id(a), id(x));
+        }
+        let g = b.build();
+        let all: Vec<VertexId> = g.vertices().collect();
+        let mut plain = LocalGraph::from_induced(&g, &all);
+        let mut indexed = plain.clone();
+        let threshold = indexed.build_hub_index(IndexSpec::Auto).expect("Auto builds an index");
+        if over == 0 {
+            prop_assert_eq!(threshold, 0);
+            prop_assert_eq!(indexed.hub_count(), n);
+            prop_assert!(indexed.hub_index_memory_bytes() <= (2 << 20) + 4 * n);
+        } else {
+            prop_assert_eq!(threshold, auto_threshold(n));
+            let hubs = (0..n as u32).filter(|&i| plain.raw_neighbors(i).len() >= threshold).count();
+            prop_assert_eq!(indexed.hub_count(), hubs);
+        }
+        for &r in &removals {
+            plain.remove_vertex(id(r));
+            indexed.remove_vertex(id(r));
+        }
+        let alive = VertexBitSet::from_members(n, &plain.vertices().collect::<Vec<u32>>());
+        let mut probes: Vec<u32> = edges.iter().flat_map(|&(a, x)| [id(a), id(x)]).collect();
+        probes.extend(removals.iter().map(|&r| id(r)));
+        probes.extend([0, 7, n as u32 - 1]);
+        for &a in &probes {
+            for &x in &probes {
+                prop_assert_eq!(indexed.has_edge(a, x), plain.has_edge(a, x), "pair ({}, {})", a, x);
+            }
+            prop_assert_eq!(indexed.degree(a), plain.degree(a));
+            if let (Some(row), true) = (indexed.hub_row(a), plain.is_alive(a)) {
+                prop_assert_eq!(alive.intersection_count_row(row), plain.degree(a), "row of {}", a);
             }
         }
     }

@@ -68,8 +68,12 @@ const NET_OK_PREFIXES: &[&str] = &["crates/http", "crates/bench"];
 const HOT_PATH_FILES: &[&str] = &[
     "recursive_mine.rs",
     "iterative_bounding.rs",
+    "bounds.rs",
     "cover.rs",
     "critical.rs",
+    "degrees.rs",
+    "quasiclique.rs",
+    "rules.rs",
     "bitset.rs",
 ];
 

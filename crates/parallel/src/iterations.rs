@@ -256,6 +256,41 @@ mod tests {
     }
 
     #[test]
+    fn serial_root_task_builder_cuts_the_same_subgraph() {
+        // The serial miner's per-root task subgraph and the one iterations 1
+        // and 2 assemble from pulled adjacency lists hold the same vertices,
+        // for every root of Figure 4. The serial side starts from the global
+        // k-core and drops tasks too small to hold a result; the engine does
+        // neither, so those roots are expected to end empty-handed there.
+        use qcm_core::{MiningParams, PruneConfig, RootTaskBuilder};
+        use qcm_graph::kcore::k_core_vertices;
+        use qcm_graph::{IndexSpec, LocalGraph};
+        let g = figure4();
+        for (gamma, min_size) in [(0.6, 5), (0.9, 4), (0.6, 4), (0.5, 3), (1.0, 3)] {
+            let params = MiningParams::new(gamma, min_size);
+            let k = params.kcore_threshold();
+            let survivors = k_core_vertices(&g, k);
+            let work = LocalGraph::from_induced(&g, &survivors);
+            let mut builder =
+                RootTaskBuilder::new(params, PruneConfig::all_enabled(), IndexSpec::Auto);
+            for root in 0..9u32 {
+                let serial: Option<Vec<VertexId>> = survivors
+                    .binary_search(&v(root))
+                    .ok()
+                    .and_then(|local| builder.build(&work, local as u32))
+                    .map(|task| task.alive_global_ids());
+                let engine: Option<Vec<VertexId>> = build_task(&g, root, k)
+                    .map(|task| task.subgraph.adj.iter().map(|(u, _)| *u).collect())
+                    .filter(|vertices: &Vec<VertexId>| vertices.len() >= min_size);
+                assert_eq!(serial, engine, "γ={gamma} τ_size={min_size} root {root}");
+                if let Some(vertices) = &serial {
+                    assert_eq!(vertices[0], v(root), "the root is local 0");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn second_hop_pull_targets_exclude_one_hop_vertices() {
         let g = figure4();
         let root = v(0);

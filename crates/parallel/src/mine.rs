@@ -18,12 +18,12 @@
 //! separately from the mining time; the ratio is Table 6 of the paper.
 
 use crate::task::{QCTask, TaskGraph};
-use qcm_core::recursive_mine::{cover_prune_prefix, shrink_by_diameter};
+use qcm_core::recursive_mine::{cover_prune_prefix, lookahead_hit, shrink_by_diameter};
 use qcm_core::{
-    is_quasi_clique_local, iterative_bounding, recursive_mine, CancelToken, MiningContext,
-    MiningParams, MiningScratch, MiningStats, PruneConfig, QuasiCliqueSet,
+    iterative_bounding, recursive_mine, CancelToken, MiningContext, MiningParams, MiningScratch,
+    MiningStats, PruneConfig, QuasiCliqueSet,
 };
-use qcm_graph::{IndexSpec, LocalGraph, VertexId};
+use qcm_graph::{IndexSpec, LocalGraph, SubgraphScratch, VertexId};
 use qcm_obs::clock::Instant;
 use std::collections::HashMap;
 use std::time::Duration;
@@ -109,6 +109,7 @@ pub fn run_mine_phase(
         graph: &graph,
         subtasks: Vec::new(),
         materialization_time: Duration::ZERO,
+        induce: SubgraphScratch::default(),
     };
 
     {
@@ -161,6 +162,8 @@ struct SubtaskCollector<'a> {
     graph: &'a LocalGraph,
     subtasks: Vec<QCTask>,
     materialization_time: Duration,
+    /// Induction buffers, reused from subtask to subtask.
+    induce: SubgraphScratch,
 }
 
 impl SubtaskCollector<'_> {
@@ -177,7 +180,7 @@ impl SubtaskCollector<'_> {
         let mut keep: Vec<u32> = s_local.iter().chain(ext_local).copied().collect();
         keep.sort_unstable();
         keep.dedup();
-        let child_graph = self.graph.induce_from_local(&keep);
+        let child_graph = self.graph.induce_from_local(&keep, &mut self.induce);
         let mut task_graph = TaskGraph::new();
         let globals: HashMap<u32, VertexId> = keep
             .iter()
@@ -226,19 +229,8 @@ fn size_threshold_decompose(
         if s.len() + ext.len() < ctx.params.min_size {
             break;
         }
-        if ctx.config.lookahead {
-            let mut whole = ctx.scratch.take_vec_cap(s.len() + ext.len());
-            whole.extend_from_slice(s);
-            whole.extend_from_slice(ext);
-            let hit = is_quasi_clique_local(ctx.graph, &whole, &ctx.params);
-            if hit {
-                ctx.stats.lookahead_hits += 1;
-                ctx.report(&whole);
-            }
-            ctx.scratch.put_vec(whole);
-            if hit {
-                break;
-            }
+        if ctx.config.lookahead && lookahead_hit(ctx, s, ext) {
+            break;
         }
         ext.retain(|&u| u != v);
         let mut s_prime = ctx.scratch.take_vec_cap(s.len() + 1);
@@ -300,19 +292,8 @@ fn time_delayed(
             break;
         }
         // Lines 7–8: lookahead.
-        if ctx.config.lookahead {
-            let mut whole = ctx.scratch.take_vec_cap(s.len() + ext.len());
-            whole.extend_from_slice(s);
-            whole.extend_from_slice(ext);
-            let hit = is_quasi_clique_local(ctx.graph, &whole, &ctx.params);
-            if hit {
-                ctx.stats.lookahead_hits += 1;
-                ctx.report(&whole);
-            }
-            ctx.scratch.put_vec(whole);
-            if hit {
-                break;
-            }
+        if ctx.config.lookahead && lookahead_hit(ctx, s, ext) {
+            break;
         }
         // Lines 9–10.
         ext.retain(|&u| u != v);

@@ -7,7 +7,7 @@
 
 use crate::app::QuasiCliqueApp;
 use crate::mine::DecompositionStrategy;
-use qcm_core::quasiclique::is_valid_quasi_clique_over;
+use qcm_core::validate::is_valid_quasi_clique_over;
 use qcm_core::{
     remove_non_maximal, CancelToken, MiningParams, PruneConfig, QuasiCliqueSet, QuasiCliqueSink,
     RunOutcome,
