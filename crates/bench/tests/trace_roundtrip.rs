@@ -50,6 +50,11 @@ fn traced_session_records_the_span_taxonomy() {
     assert!(found > 0, "the planted communities must be mined");
     assert_eq!(trace.dropped, 0, "default capacity must not drop spans");
     assert_eq!(trace.count(SpanKind::Run), 1, "exactly one run span");
+    assert_eq!(
+        trace.count(SpanKind::KCore),
+        1,
+        "one peel before the engine"
+    );
     assert!(trace.count(SpanKind::MinePhase) >= 1);
     assert!(trace.count(SpanKind::Task) >= 1);
     // Every span closed before `finish_recording`, so durations and

@@ -37,10 +37,6 @@ pub struct EngineOutput {
     pub results: Vec<Row>,
     /// Metrics of the run.
     pub metrics: EngineMetrics,
-    /// The neighborhood index the run's vertex table served edge queries
-    /// through — handed back so post-processing (maximality, result
-    /// validation) reuses it instead of rebuilding.
-    pub index: Option<Arc<qcm_graph::NeighborhoodIndex>>,
 }
 
 /// What the worker and balancer threads share on top of the protocol state.
@@ -132,11 +128,7 @@ impl<A: GThinkerApp> Cluster<A> {
         };
         let worker_busy = worker_busy.into_inner();
         let metrics = live.run.metrics(results.len() as u64, worker_busy, outcome);
-        EngineOutput {
-            results,
-            metrics,
-            index: Some(live.run.table.index().clone()),
-        }
+        EngineOutput { results, metrics }
     }
 }
 

@@ -70,9 +70,11 @@ pub struct EngineConfig {
     /// prebuilt one) and to every mining task's materialised subgraph.
     pub index: IndexSpec,
     /// A prebuilt global [`NeighborhoodIndex`] to reuse (built once per
-    /// graph by the session/service layer and shared across jobs). Must wrap
-    /// the same graph the run mines; when `None` the cluster builds one per
-    /// [`EngineConfig::index`].
+    /// graph by the session/service layer and shared across jobs). The vertex
+    /// table adopts it when it wraps the very graph (`Arc::ptr_eq`) the run
+    /// mines; otherwise — `None`, or a run over a peeled copy of that graph —
+    /// the cluster builds one per [`EngineConfig::index`]. The miners also
+    /// validate their results through it.
     pub shared_index: Option<Arc<NeighborhoodIndex>>,
 }
 

@@ -39,7 +39,7 @@ use crate::task::{Frontier, GThinkerApp};
 use crate::transport::{Envelope, MachineId, PullReply, Transport, TransportError, TransportStats};
 use crate::vertex_table::{AdjList, FetchScratch};
 use qcm_core::{MiningScratch, RunOutcome};
-use qcm_graph::{Fnv1a64, Graph, NeighborhoodIndex, VertexId};
+use qcm_graph::{Fnv1a64, Graph, VertexId};
 use qcm_sync::{Arc, Mutex};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::Duration;
@@ -433,8 +433,6 @@ pub struct SimOutput {
     pub log_hash: u64,
     /// Final virtual clock in microseconds.
     pub virtual_us: u64,
-    /// The neighborhood index the run served edge queries through.
-    pub index: Option<Arc<NeighborhoodIndex>>,
 }
 
 /// A deterministic simulated cluster executing one application under a fault
@@ -506,7 +504,6 @@ impl<A: GThinkerApp> SimCluster<A> {
             event_log: std::mem::take(&mut net.log_lines),
             log_hash: net.log_hash.finish(),
             virtual_us,
-            index: Some(driver.run.table.index().clone()),
         }
     }
 }

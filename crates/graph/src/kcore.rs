@@ -11,6 +11,7 @@
 use crate::graph::Graph;
 use crate::subgraph::induced_subgraph;
 use crate::vertex::VertexId;
+use qcm_sync::Arc;
 
 /// Computes the core number of every vertex with the classic O(|E|)
 /// bucket-based peeling algorithm.
@@ -86,35 +87,90 @@ pub fn k_core(g: &Graph, k: usize) -> (Graph, Vec<VertexId>) {
 /// Returns the vertices of the k-core of `g` (sorted by id) without
 /// materialising the subgraph. O(|E|).
 pub fn k_core_vertices(g: &Graph, k: usize) -> Vec<VertexId> {
-    let n = g.num_vertices();
-    if n == 0 {
-        return Vec::new();
+    let peeled = peel(g, k);
+    g.vertices().filter(|&v| peeled.in_core(v)).collect()
+}
+
+/// Returns the k-core of `graph` **in the caller's id space**: the same
+/// vertex count, every vertex outside the k-core isolated, every core vertex
+/// keeping exactly its core neighbours. O(|E|).
+///
+/// This is the form the parallel miners hand to the engine: vertex ids,
+/// partition hash, task labels and result rows need no translation, and a
+/// degree read off the result is an exact core degree. When the peel removes
+/// nothing the *same* `Arc` comes back, so a neighborhood index prepared over
+/// the input still matches it by `Arc::ptr_eq`.
+pub fn k_core_masked(graph: &Arc<Graph>, k: usize) -> Arc<Graph> {
+    let peeled = peel(graph, k);
+    if !peeled.cut_an_edge {
+        // Only isolated vertices went, if any: the masked form is the input.
+        return graph.clone();
     }
-    if k == 0 {
-        return g.vertices().collect();
+    // A survivor's remaining degree is its core degree, so the CSR is sized
+    // exactly and written in one pass.
+    let core_degrees = peeled.degree.iter().filter(|&&d| d != PEELED);
+    let total: usize = core_degrees.map(|&d| d as usize).sum();
+    let mut offsets = Vec::with_capacity(graph.num_vertices() + 1);
+    let mut neighbors = Vec::with_capacity(total);
+    offsets.push(0);
+    for v in graph.vertices() {
+        if peeled.in_core(v) {
+            let adj = graph.neighbors(v).iter().copied();
+            neighbors.extend(adj.filter(|&w| peeled.in_core(w)));
+        }
+        offsets.push(neighbors.len());
     }
-    let mut degree: Vec<usize> = (0..n).map(|v| g.degree(VertexId::from(v))).collect();
-    let mut removed = vec![false; n];
-    let mut stack: Vec<u32> = (0..n as u32).filter(|&v| degree[v as usize] < k).collect();
-    for &v in &stack {
-        removed[v as usize] = true;
+    debug_assert_eq!(neighbors.len(), total);
+    Arc::new(Graph::from_csr(offsets, neighbors))
+}
+
+/// What peeling `g` down to its k-core leaves behind.
+struct Peeled {
+    /// Remaining degree of every vertex when the peel stopped: the core
+    /// degree of a survivor, [`PEELED`] for a removed vertex.
+    degree: Vec<u32>,
+    /// Whether a removed vertex had a neighbour, i.e. the peel cut an edge.
+    cut_an_edge: bool,
+}
+
+/// Degree marker of a peeled vertex (no vertex has this many neighbours: ids
+/// are `u32`).
+const PEELED: u32 = u32::MAX;
+
+impl Peeled {
+    fn in_core(&self, v: VertexId) -> bool {
+        self.degree[v.index()] != PEELED
+    }
+}
+
+/// Repeatedly removes every vertex of degree `< k`.
+fn peel(g: &Graph, k: usize) -> Peeled {
+    let mut degree: Vec<u32> = g.vertices().map(|v| g.degree(v) as u32).collect();
+    let mut stack: Vec<u32> = Vec::new();
+    let mut cut_an_edge = false;
+    for (v, d) in degree.iter_mut().enumerate() {
+        if (*d as usize) < k {
+            cut_an_edge |= *d > 0;
+            *d = PEELED;
+            stack.push(v as u32);
+        }
     }
     while let Some(v) = stack.pop() {
         for &w in g.neighbors(VertexId::new(v)) {
-            let w = w.index();
-            if !removed[w] {
-                degree[w] -= 1;
-                if degree[w] < k {
-                    removed[w] = true;
-                    stack.push(w as u32);
+            let d = &mut degree[w.index()];
+            if *d != PEELED {
+                *d -= 1;
+                if (*d as usize) < k {
+                    *d = PEELED;
+                    stack.push(w.raw());
                 }
             }
         }
     }
-    (0..n as u32)
-        .filter(|&v| !removed[v as usize])
-        .map(VertexId::new)
-        .collect()
+    Peeled {
+        degree,
+        cut_an_edge,
+    }
 }
 
 /// Returns a degeneracy ordering of the graph: vertices in the order they are
@@ -224,6 +280,40 @@ mod tests {
         let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]).unwrap();
         let survivors = k_core_vertices(&g, 2);
         assert!(survivors.is_empty());
+    }
+
+    #[test]
+    fn masked_core_keeps_ids_and_isolates_the_peeled() {
+        let g = Arc::new(triangle_plus_tail());
+        let core2 = k_core_masked(&g, 2);
+        core2.validate().unwrap();
+        assert_eq!(core2.num_vertices(), 5);
+        assert_eq!(core2.num_edges(), 3);
+        let v = VertexId::new;
+        // Vertex 2 loses its tail neighbour 3 and keeps the triangle.
+        assert_eq!(core2.neighbors(v(2)), &[v(0), v(1)]);
+        assert_eq!(core2.degree(v(3)), 0);
+        assert_eq!(core2.degree(v(4)), 0);
+        // Peeling the result again removes nothing more.
+        assert!(Arc::ptr_eq(&k_core_masked(&core2, 2), &core2));
+    }
+
+    #[test]
+    fn masked_core_hands_back_the_input_when_nothing_is_peeled() {
+        let g = Arc::new(triangle_plus_tail());
+        assert!(Arc::ptr_eq(&k_core_masked(&g, 0), &g));
+        assert!(Arc::ptr_eq(&k_core_masked(&g, 1), &g));
+        let triangle = Arc::new(Graph::from_edges(3, [(0, 1), (1, 2), (2, 0)]).unwrap());
+        assert!(Arc::ptr_eq(&k_core_masked(&triangle, 2), &triangle));
+        let none = Arc::new(Graph::empty(0));
+        assert!(Arc::ptr_eq(&k_core_masked(&none, 3), &none));
+    }
+
+    #[test]
+    fn masked_empty_core_is_edgeless_with_every_vertex() {
+        let g = Arc::new(triangle_plus_tail());
+        let core3 = k_core_masked(&g, 3);
+        assert_eq!(*core3, Graph::empty(5));
     }
 
     #[test]

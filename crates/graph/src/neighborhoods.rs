@@ -23,7 +23,11 @@
 //!   [`IndexSpec::Auto`] threshold (`max(16, |V| / 64)`) a hub's row is at
 //!   most ~2× the size of its adjacency slice, bounding the whole index at
 //!   ~2× the CSR footprint while covering exactly the vertices where `log d`
-//!   hurts most (the ones every dense candidate set keeps probing).
+//!   hurts most (the ones every dense candidate set keeps probing). Beside
+//!   the rows the global index keeps a 4-byte slot per vertex, and only once
+//!   the graph has a hub: an index over a hub-less graph (a sparse
+//!   collaboration network, a graph peeled to a small k-core) owns no heap
+//!   memory at all.
 //!
 //! The three consumers share one abstraction, [`Neighborhoods`]: the serial
 //! miner and the parallel mining tasks query their task-local
@@ -121,43 +125,43 @@ pub struct NeighborhoodIndex {
     graph: Arc<Graph>,
     /// Resolved hub threshold; `usize::MAX` when the spec was `Disabled`.
     threshold: usize,
-    /// `rows[v]` is the dense neighbor row of `v` when `d(v) ≥ threshold`.
-    rows: Vec<Option<VertexBitSet>>,
-    hub_count: usize,
+    /// `row_of[v]` is the slot of `v`'s row in `rows`, [`NO_ROW`] for a
+    /// non-hub. Empty while the graph has no hub at all, so a hub-less index
+    /// costs nothing per vertex.
+    row_of: Vec<u32>,
+    /// The dense neighbor rows of the vertices with `d(v) ≥ threshold`, in
+    /// id order.
+    rows: Vec<VertexBitSet>,
 }
+
+/// `row_of` entry of a vertex without a row.
+const NO_ROW: u32 = u32::MAX;
 
 impl NeighborhoodIndex {
     /// Builds the index over `graph` per `spec`.
     pub fn build(graph: Arc<Graph>, spec: IndexSpec) -> Self {
         let n = graph.num_vertices();
-        let threshold = match spec.resolve(n) {
-            None => {
-                return NeighborhoodIndex {
-                    graph,
-                    threshold: usize::MAX,
-                    rows: Vec::new(),
-                    hub_count: 0,
-                }
+        let threshold = spec.resolve(n);
+        let is_hub = |v: &VertexId| threshold.is_some_and(|t| graph.degree(*v) >= t);
+        let mut row_of: Vec<u32> = Vec::new();
+        let mut rows: Vec<VertexBitSet> = Vec::new();
+        for v in graph.vertices().filter(is_hub) {
+            // The slot table appears with the first hub.
+            if row_of.is_empty() {
+                row_of = vec![NO_ROW; n];
             }
-            Some(t) => t,
-        };
-        let mut rows: Vec<Option<VertexBitSet>> = vec![None; n];
-        let mut hub_count = 0usize;
-        for v in graph.vertices() {
-            if graph.degree(v) >= threshold {
-                let mut row = VertexBitSet::new(n);
-                for &w in graph.neighbors(v) {
-                    row.insert(w.raw());
-                }
-                rows[v.index()] = Some(row);
-                hub_count += 1;
+            let mut row = VertexBitSet::new(n);
+            for &w in graph.neighbors(v) {
+                row.insert(w.raw());
             }
+            row_of[v.index()] = rows.len() as u32;
+            rows.push(row);
         }
         NeighborhoodIndex {
             graph,
-            threshold,
+            threshold: threshold.unwrap_or(usize::MAX),
+            row_of,
             rows,
-            hub_count,
         }
     }
 
@@ -173,19 +177,22 @@ impl NeighborhoodIndex {
 
     /// Number of vertices that received a bitset row.
     pub fn hub_count(&self) -> usize {
-        self.hub_count
+        self.rows.len()
     }
 
     /// True if `v` has a bitset row.
     #[inline]
     pub fn is_hub(&self, v: VertexId) -> bool {
-        self.rows.get(v.index()).is_some_and(|row| row.is_some())
+        self.hub_row(v).is_some()
     }
 
     /// The dense neighbor row of `v`, when it is a hub.
     #[inline]
     pub fn hub_row(&self, v: VertexId) -> Option<&VertexBitSet> {
-        self.rows.get(v.index()).and_then(|row| row.as_ref())
+        match self.row_of.get(v.index()) {
+            Some(&slot) if slot != NO_ROW => Some(&self.rows[slot as usize]),
+            _ => None,
+        }
     }
 
     /// True if `(u, v)` is an edge: `O(1)` when either endpoint is a hub,
@@ -229,13 +236,14 @@ impl NeighborhoodIndex {
         }
     }
 
-    /// Heap footprint of the bitset rows in bytes (excludes the shared CSR).
+    /// Heap footprint of the slot table and the bitset rows in bytes
+    /// (excludes the shared CSR).
     pub fn memory_bytes(&self) -> usize {
-        self.rows.capacity() * std::mem::size_of::<Option<VertexBitSet>>()
+        self.row_of.capacity() * std::mem::size_of::<u32>()
+            + self.rows.capacity() * std::mem::size_of::<VertexBitSet>()
             + self
                 .rows
                 .iter()
-                .flatten()
                 .map(VertexBitSet::memory_bytes)
                 .sum::<usize>()
     }
@@ -650,6 +658,25 @@ mod tests {
         assert_eq!(disabled.hub_count(), 0);
         assert_eq!(disabled.threshold(), usize::MAX);
         assert!(disabled.has_edge(VertexId::new(0), VertexId::new(1)));
+    }
+
+    #[test]
+    fn an_index_without_hubs_allocates_nothing() {
+        let g = figure4();
+        for spec in [
+            IndexSpec::Auto,
+            IndexSpec::Disabled,
+            IndexSpec::Threshold(6),
+        ] {
+            let idx = NeighborhoodIndex::build(g.clone(), spec);
+            assert_eq!(idx.hub_count(), 0, "{spec:?}");
+            assert_eq!(idx.memory_bytes(), 0, "{spec:?}");
+            assert!(g.vertices().all(|v| !idx.is_hub(v)));
+        }
+        // One hub brings the slot table (4 bytes a vertex) and its row.
+        let one = NeighborhoodIndex::build(g, IndexSpec::Threshold(5));
+        assert_eq!(one.hub_count(), 2);
+        assert!(one.memory_bytes() >= 9 * 4 + 2 * 8);
     }
 
     #[test]

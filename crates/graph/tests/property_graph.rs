@@ -3,11 +3,12 @@
 use proptest::prelude::*;
 use qcm_graph::{
     io, k_core,
-    kcore::{core_numbers, k_core_vertices},
+    kcore::{core_numbers, k_core_masked, k_core_vertices},
     subgraph::{induced_subgraph, LocalGraph, SubgraphScratch},
     traversal::{bfs_distances, connected_components, two_hop_neighborhood},
     Graph, GraphBuilder, VertexId,
 };
+use qcm_sync::Arc;
 
 /// Strategy producing a random simple graph with up to `max_n` vertices.
 fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -68,6 +69,28 @@ proptest! {
             let in_core = survivors.binary_search(&v).is_ok();
             prop_assert_eq!(in_core, core_nums[v.index()] as usize >= k);
         }
+    }
+
+    #[test]
+    fn masked_kcore_is_the_kcore_in_the_callers_id_space(g in arb_graph(30), k in 0usize..6) {
+        let g = Arc::new(g);
+        let survivors = k_core_vertices(&g, k);
+        let masked = k_core_masked(&g, k);
+        prop_assert!(masked.validate().is_ok());
+        prop_assert_eq!(masked.num_vertices(), g.num_vertices());
+        for v in g.vertices() {
+            let expected: Vec<VertexId> = if survivors.binary_search(&v).is_ok() {
+                let in_core = |w: &&VertexId| survivors.binary_search(w).is_ok();
+                g.neighbors(v).iter().filter(in_core).copied().collect()
+            } else {
+                Vec::new()
+            };
+            prop_assert_eq!(masked.neighbors(v), expected.as_slice(), "vertex {}", v);
+        }
+        // No edge cut: the very same graph comes back. So does a second
+        // peel's input, always.
+        prop_assert_eq!(Arc::ptr_eq(&masked, &g), *masked == *g);
+        prop_assert!(Arc::ptr_eq(&k_core_masked(&masked, k), &masked));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! (`EngineMetrics`, `ServiceMetrics`, the striped graph perf counters and
 //! the transport fault-sim event log):
 //!
-//! * **[Spans](mod@span)** — hierarchical `run → decompose → task →
+//! * **[Spans](mod@span)** — hierarchical `run → kcore/decompose/task →
 //!   mine_phase → steal/pull/spill` intervals recorded into bounded
 //!   per-thread single-writer buffers with an exact drop counter. Enabled
 //!   per `Session` via `Session::builder().tracing(TraceConfig)`; with no

@@ -25,6 +25,8 @@ use std::cell::{Cell, RefCell};
 pub enum SpanKind {
     /// One whole `Session` run (serial or parallel).
     Run,
+    /// Peeling the input graph to its k-core before the engine partitions it.
+    KCore,
     /// Materialising the subtasks of one decomposed big task.
     Decompose,
     /// One engine task being processed by a worker.
@@ -46,6 +48,7 @@ impl SpanKind {
     pub fn as_str(&self) -> &'static str {
         match self {
             SpanKind::Run => "run",
+            SpanKind::KCore => "kcore",
             SpanKind::Decompose => "decompose",
             SpanKind::Task => "task",
             SpanKind::MinePhase => "mine_phase",

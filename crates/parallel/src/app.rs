@@ -1,4 +1,12 @@
 //! The quasi-clique G-thinker application (the two UDFs of Algorithms 4–5).
+//!
+//! `spawn` and the iteration filters compare `adj.len()` with
+//! `k = ⌈γ·(τ_size − 1)⌉`, as the paper does. What that test means depends on
+//! the graph the engine was given: on a raw input it is Algorithm 4's
+//! raw-degree test, a necessary condition only; [`crate::ParallelMiner`] and
+//! [`crate::SimMiner`] hand the engine the k-core of their input, where the
+//! same line is an exact core-degree test and a vertex outside the core, having
+//! no neighbour left, spawns nothing.
 
 use crate::iterations::{iteration_1, iteration_2};
 use crate::mine::{run_mine_phase, DecompositionStrategy, MinePhaseParams};
@@ -102,7 +110,8 @@ impl GThinkerApp for QuasiCliqueApp {
     type Task = QCTask;
 
     /// Algorithm 4: spawn a task from `v` if its degree reaches
-    /// `k = ⌈γ(τ_size − 1)⌉`, pulling its larger-id neighbors.
+    /// `k = ⌈γ(τ_size − 1)⌉`, pulling its larger-id neighbors. (Its core
+    /// degree, when the miners run the engine on the k-core.)
     fn spawn(&self, v: VertexId, adj: &[VertexId], ctx: &mut ComputeContext<Self::Task>) {
         let k = self.params.kcore_threshold();
         if adj.len() < k {

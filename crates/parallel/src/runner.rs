@@ -4,6 +4,19 @@
 //! engine, runs the job on the simulated cluster, and post-processes the raw
 //! reports into the final maximal result set — the same pipeline the paper's
 //! experiments use (Section 7), exposed as one call.
+//!
+//! One step comes first that the paper leaves to its tasks: the input is
+//! peeled to its k-core, `k = ⌈γ·(τ_size − 1)⌉`, *before* the engine
+//! partitions it (`peel_to_core`). In G-thinker no machine sees the whole
+//! graph, so Algorithm 4 can only test a root's raw degree and every task
+//! peels its own subgraph (Algorithms 6–7); here the miner is handed the whole
+//! graph, as a loader is, and the peel is the loader-time form of the same
+//! size-threshold rule (a distributed loader would run a standard distributed
+//! k-core). The engine then runs on a graph with the caller's vertex ids in
+//! which a vertex outside the core is isolated: it spawns no task, is pulled
+//! by none, and a degree read by `spawn` or an iteration filter is an exact
+//! core degree. The published sets are still validated against the graph the
+//! caller passed in (`finalize_results`).
 
 use crate::app::QuasiCliqueApp;
 use crate::mine::DecompositionStrategy;
@@ -13,7 +26,9 @@ use qcm_core::{
     RunOutcome,
 };
 use qcm_engine::{Cluster, EngineConfig, EngineMetrics};
-use qcm_graph::{Graph, NeighborhoodIndex, Neighborhoods, VertexId};
+use qcm_graph::kcore::k_core_masked;
+use qcm_graph::{Graph, Neighborhoods, VertexId};
+use qcm_obs::clock::Instant;
 use qcm_sync::Arc;
 use std::time::Duration;
 
@@ -118,11 +133,14 @@ impl ParallelMiner {
             .with_strategy(self.strategy)
             .with_cancel(self.engine_config.cancel.clone());
         let cluster = Cluster::new(Arc::new(app), self.engine_config.clone());
-        let output = cluster.run(graph);
+        let (core, peel_time) = peel_to_core(&graph, &self.params, &self.prune_config);
+        let mut output = cluster.run(core);
+        output.metrics.elapsed += peel_time;
         let raw_reported = output.metrics.results_emitted;
         let (maximal, invalid_sets_dropped) = finalize_results(
             output.results,
-            output.index.as_deref(),
+            &graph,
+            &self.engine_config,
             &self.params,
             observer,
         );
@@ -135,12 +153,34 @@ impl ParallelMiner {
     }
 }
 
+/// The pre-processing both miners share: the graph the engine runs on is the
+/// k-core of the caller's graph in the caller's id space
+/// ([`k_core_masked`]), so a root that cannot hold a result never becomes a
+/// task and every degree the application reads is a core degree. Follows
+/// [`PruneConfig::size_threshold`], as the serial miner's peel does. Returns
+/// the time spent too: it belongs to the run's `elapsed`.
+pub(crate) fn peel_to_core(
+    graph: &Arc<Graph>,
+    params: &MiningParams,
+    prune: &PruneConfig,
+) -> (Arc<Graph>, Duration) {
+    if !prune.size_threshold {
+        return (graph.clone(), Duration::ZERO);
+    }
+    let started = Instant::now();
+    let _span = qcm_obs::span(qcm_obs::SpanKind::KCore);
+    let core = k_core_masked(graph, params.kcore_threshold());
+    (core, started.elapsed())
+}
+
 /// The post-processing both miners share: collect the raw reports (feeding
-/// `observer` each row), keep the maximal sets, then trust-but-verify.
-/// Returns the final set and how many invalid sets the check dropped.
+/// `observer` each row), keep the maximal sets, then trust-but-verify against
+/// `graph`, the caller's graph. Returns the final set and how many invalid
+/// sets the check dropped.
 pub(crate) fn finalize_results(
     results: Vec<Vec<VertexId>>,
-    index: Option<&NeighborhoodIndex>,
+    graph: &Arc<Graph>,
+    engine_config: &EngineConfig,
     params: &MiningParams,
     mut observer: Option<&mut dyn QuasiCliqueSink>,
 ) -> (QuasiCliqueSet, u64) {
@@ -152,22 +192,24 @@ pub(crate) fn finalize_results(
         set.insert(members);
     }
     let mut maximal = remove_non_maximal(set);
-    // Trust-but-verify: re-check every answer against the global graph
-    // through the run's shared neighborhood index (the same edge-query
-    // path the vertex table serves). The distributed search assembled
-    // these sets from task-local subgraphs; a validation failure here
-    // means an engine bug, and dropping the set beats publishing — or
-    // cache-poisoning, at the service layer — a wrong answer.
+    // Trust-but-verify: re-check every answer against the graph the caller
+    // passed in — never the peeled copy the engine mined, or the check would
+    // share the peel's mistakes — through the caller's prepared index when
+    // there is one. The distributed search assembled these sets from
+    // task-local subgraphs; a validation failure here means an engine bug,
+    // and dropping the set beats publishing — or cache-poisoning, at the
+    // service layer — a wrong answer.
+    let nbhd: &dyn Neighborhoods = match &engine_config.shared_index {
+        Some(index) if Arc::ptr_eq(index.graph(), graph) => index.as_ref(),
+        _ => graph.as_ref(),
+    };
     let before = maximal.len();
-    if let Some(index) = index {
-        let nbhd: &dyn Neighborhoods = index;
-        maximal.retain_sets(|members| {
-            let raw: Vec<u32> = members.iter().map(|v| v.raw()).collect();
-            let valid = is_valid_quasi_clique_over(nbhd, &raw, params);
-            debug_assert!(valid, "engine emitted an invalid result {members:?}");
-            valid
-        });
-    }
+    maximal.retain_sets(|members| {
+        let raw: Vec<u32> = members.iter().map(|v| v.raw()).collect();
+        let valid = is_valid_quasi_clique_over(nbhd, &raw, params);
+        debug_assert!(valid, "engine emitted an invalid result {members:?}");
+        valid
+    });
     let dropped = (before - maximal.len()) as u64;
     (maximal, dropped)
 }

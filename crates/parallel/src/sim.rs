@@ -20,7 +20,7 @@
 
 use crate::app::QuasiCliqueApp;
 use crate::mine::DecompositionStrategy;
-use crate::runner::finalize_results;
+use crate::runner::{finalize_results, peel_to_core};
 use qcm_core::{MiningParams, PruneConfig, QuasiCliqueSet, RunOutcome};
 use qcm_engine::{EngineConfig, EngineMetrics, SimCluster, SimConfig};
 use qcm_graph::{Graph, VertexId};
@@ -100,10 +100,20 @@ impl SimMiner {
             self.engine_config.clone(),
             self.sim_config.clone(),
         );
-        let output = cluster.run(graph.clone());
+        let (core, peel_time) = peel_to_core(&graph, &self.params, &self.prune_config);
+        let mut output = cluster.run(core.clone());
+        output.metrics.elapsed += peel_time;
         let raw_reported = output.metrics.results_emitted;
-        let (mut maximal, invalid_sets_dropped) =
-            finalize_results(output.results, output.index.as_deref(), &self.params, None);
+        let (mut maximal, invalid_sets_dropped) = finalize_results(
+            output.results,
+            &graph,
+            &self.engine_config,
+            &self.params,
+            None,
+        );
+        // A root with no neighbour in the mined graph never spawns a task:
+        // losing it loses nothing.
+        output.lost_roots.retain(|&root| core.degree(root) > 0);
         retain_provably_maximal(&mut maximal, &output.lost_roots, &graph, &self.params);
         SimMiningOutput {
             maximal,

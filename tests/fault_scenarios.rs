@@ -36,14 +36,17 @@ const SEEDS: [u64; 3] = [11, 42, 1337];
 const MACHINES: usize = 4;
 
 /// A planted graph big enough that all four machines own work and the
-/// mid-mine fault injections land while tasks are still in flight.
+/// mid-mine fault injections land while tasks are still in flight. The
+/// engine mines the k-core, so only core vertices become tasks: nine
+/// communities keep about a hundred of them (three left 36, a job over
+/// before the crash scenario's 3 ms and too small to spill).
 fn planted() -> (Arc<Graph>, MiningParams) {
     let spec = qcm::gen::PlantedGraphSpec {
         num_vertices: 400,
         background_avg_degree: 5.0,
         background_beta: 2.5,
         background_max_degree: 40.0,
-        community_sizes: vec![10, 9, 8],
+        community_sizes: vec![10, 9, 8, 10, 9, 8, 10, 9, 8],
         community_density: 0.95,
         seed: 99,
     };
