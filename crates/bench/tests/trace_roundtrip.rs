@@ -18,7 +18,10 @@ fn planted() -> Arc<Graph> {
         background_avg_degree: 4.0,
         background_beta: 2.5,
         background_max_degree: 30.0,
-        community_sizes: vec![9, 8],
+        // Big enough that both machines of a two-machine run own a root that
+        // spawns: `spawn` wants k = 6 larger neighbours, so a community yields
+        // a task for each of its members but the six largest.
+        community_sizes: vec![12, 11],
         community_density: 0.95,
         seed: 1234,
     };

@@ -20,10 +20,10 @@ use crate::codec::EngineMsg;
 use crate::config::EngineConfig;
 use crate::machine::{Row, Run};
 use crate::metrics::EngineMetrics;
-use crate::task::{Frontier, GThinkerApp};
+use crate::task::{Frontier, GThinkerApp, WorkerScratch};
 use crate::vertex_table::{DataService, FetchScratch};
 
-use qcm_core::{MiningScratch, RunOutcome};
+use qcm_core::RunOutcome;
 use qcm_graph::Graph;
 use qcm_obs::clock::Instant;
 use qcm_sync::{Arc, Mutex};
@@ -141,10 +141,8 @@ fn worker_loop<A: GThinkerApp>(live: &Live<'_, A>, worker: usize) -> Duration {
     // Tag this thread's trace lane with its (simulated) machine, so the
     // Chrome export renders one swimlane group per machine.
     qcm_obs::set_lane(m as u32);
-    // The worker's mining scratch arena, loaned to every task it processes —
-    // the recursion frames warmed up by one task serve all later tasks on
-    // this worker without reallocating.
-    let mut scratch = MiningScratch::default();
+    // The worker's scratch buffers, loaned to every task it processes.
+    let mut scratch = WorkerScratch::default();
     let mut busy = Duration::ZERO;
     while !run.term.is_done() {
         // Cooperative cancellation (deadline or explicit): stop popping and
@@ -209,7 +207,7 @@ fn process_task<A: GThinkerApp>(
     live: &Live<'_, A>,
     m: usize,
     local: usize,
-    scratch: &mut MiningScratch,
+    scratch: &mut WorkerScratch,
     mut task: A::Task,
 ) {
     let run = &live.run;

@@ -53,7 +53,9 @@ pub use config::EngineConfig;
 pub use metrics::{EngineMetrics, TaskTimeRecord};
 pub use sim::{Fault, FaultEvent, SimCluster, SimConfig, SimOutput, SimTransport};
 pub use steal::WorkerQueues;
-pub use task::{ComputeContext, Frontier, GThinkerApp, TaskCodec, TaskLabel, TaskTimings};
+pub use task::{
+    ComputeContext, Frontier, GThinkerApp, TaskCodec, TaskLabel, TaskTimings, WorkerScratch,
+};
 pub use termination::Termination;
 pub use transport::{
     Envelope, InProcTransport, Transport, TransportError, TransportFactory, TransportKind,

@@ -23,12 +23,12 @@ use crate::metrics::{EngineMetrics, TaskTimeRecord};
 use crate::queue::TaskQueue;
 use crate::spill::{SpillMetrics, SpillStore};
 use crate::steal::WorkerQueues;
-use crate::task::{ComputeContext, Frontier, GThinkerApp, TaskCodec, TaskTimings};
+use crate::task::{ComputeContext, Frontier, GThinkerApp, TaskCodec, TaskTimings, WorkerScratch};
 use crate::termination::Termination;
 use crate::transport::{Envelope, MachineId, PullReply, Transport};
 use crate::vertex_table::{FetchMetrics, PartitionedVertexTable};
 
-use qcm_core::{MiningScratch, RunOutcome};
+use qcm_core::RunOutcome;
 use qcm_graph::neighborhoods::perf;
 use qcm_graph::{Graph, NeighborhoodIndex, VertexId};
 use qcm_obs::clock::Instant;
@@ -439,7 +439,7 @@ impl<'a, A: GThinkerApp> Run<'a, A> {
     }
 
     /// Runs one `compute` iteration of `task` over its resolved `frontier`,
-    /// loaning the caller's scratch arena to the application, and routes the
+    /// loaning the caller's scratch buffers to the application, and routes the
     /// subtasks it decomposed into. Holds no machine-wide lock while the
     /// application computes. Returns whether the task needs another iteration
     /// (resolve its pulls, step again) and the rows this one emitted.
@@ -450,7 +450,7 @@ impl<'a, A: GThinkerApp> Run<'a, A> {
         task: &mut A::Task,
         flight: &mut InFlight,
         frontier: &Frontier,
-        scratch: &mut MiningScratch,
+        scratch: &mut WorkerScratch,
     ) -> (bool, Vec<Row>) {
         let mut ctx = ComputeContext::new();
         ctx.scratch = std::mem::take(scratch);

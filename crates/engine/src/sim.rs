@@ -35,10 +35,10 @@ use crate::codec::EngineMsg;
 use crate::config::EngineConfig;
 use crate::machine::{Handled, InFlight, Row, Run};
 use crate::metrics::EngineMetrics;
-use crate::task::{Frontier, GThinkerApp};
+use crate::task::{Frontier, GThinkerApp, WorkerScratch};
 use crate::transport::{Envelope, MachineId, PullReply, Transport, TransportError, TransportStats};
 use crate::vertex_table::{AdjList, FetchScratch};
-use qcm_core::{MiningScratch, RunOutcome};
+use qcm_core::RunOutcome;
 use qcm_graph::{Fnv1a64, Graph, VertexId};
 use qcm_sync::{Arc, Mutex};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -477,7 +477,7 @@ impl<A: GThinkerApp> SimCluster<A> {
             next_park: 0,
             balance_scheduled: false,
             fetched: FetchScratch::default(),
-            scratch: MiningScratch::default(),
+            scratch: WorkerScratch::default(),
             faulted: false,
         };
         let outcome = driver.run();
@@ -527,8 +527,8 @@ struct Driver<'a, A: GThinkerApp> {
     balance_scheduled: bool,
     /// Pull accounting, folded into the run's fetch metrics at the end.
     fetched: FetchScratch,
-    /// The mining arena loaned to every compute step (one thread, one arena).
-    scratch: MiningScratch,
+    /// The scratch buffers loaned to every compute step (one thread, one set).
+    scratch: WorkerScratch,
     faulted: bool,
 }
 

@@ -10,8 +10,7 @@
 
 use crate::vertex_table::AdjList;
 use qcm_core::MiningScratch;
-use qcm_graph::VertexId;
-use std::collections::BTreeMap;
+use qcm_graph::{SubgraphScratch, VertexId};
 use std::time::Duration;
 
 /// Serialisation hooks used when tasks are spilled to disk (Section 5: task
@@ -33,13 +32,15 @@ pub trait TaskCodec: Sized {
 /// `Vec<VertexId>`), so application code and tests build frontiers the same
 /// way they always did.
 ///
-/// Iteration is in increasing vertex-id order (a `BTreeMap`, not a
-/// `HashMap`): applications fold frontiers into task state, so a
-/// seed-and-replay deterministic run — the fault simulator's core promise —
-/// needs the iteration order itself to be reproducible.
+/// Iteration is in increasing vertex-id order: applications fold frontiers
+/// into task state, so a seed-and-replay deterministic run — the fault
+/// simulator's core promise — needs the iteration order itself to be
+/// reproducible. The entries are one vector kept in id order; pulls are
+/// resolved in the order of the task's sorted request list, so an insert is
+/// an append unless a caller fills the frontier out of order.
 #[derive(Clone, Debug, Default)]
 pub struct Frontier {
-    lists: BTreeMap<VertexId, AdjList>,
+    lists: Vec<(VertexId, AdjList)>,
 }
 
 impl Frontier {
@@ -49,18 +50,30 @@ impl Frontier {
     }
 
     /// Adds the adjacency list of `v`.
+    /// Adds the adjacency list of `v`, replacing an earlier one.
     pub fn insert(&mut self, v: VertexId, adj: impl Into<AdjList>) {
-        self.lists.insert(v, adj.into());
+        let adj = adj.into();
+        match self.lists.last() {
+            Some((last, _)) if *last >= v => match self.position(v) {
+                Ok(i) => self.lists[i].1 = adj,
+                Err(i) => self.lists.insert(i, (v, adj)),
+            },
+            _ => self.lists.push((v, adj)),
+        }
+    }
+
+    fn position(&self, v: VertexId) -> Result<usize, usize> {
+        self.lists.binary_search_by_key(&v, |(u, _)| *u)
     }
 
     /// The adjacency list of `v`, if it was pulled.
     pub fn get(&self, v: VertexId) -> Option<&[VertexId]> {
-        self.lists.get(&v).map(|a| a.as_slice())
+        self.position(v).ok().map(|i| self.lists[i].1.as_slice())
     }
 
-    /// Iterates over `(vertex, adjacency list)` pairs.
+    /// Iterates over `(vertex, adjacency list)` pairs in increasing id order.
     pub fn iter(&self) -> impl Iterator<Item = (VertexId, &[VertexId])> {
-        self.lists.iter().map(|(&v, a)| (v, a.as_slice()))
+        self.lists.iter().map(|(v, a)| (*v, a.as_slice()))
     }
 
     /// Number of pulled vertices.
@@ -94,6 +107,18 @@ impl TaskTimings {
     }
 }
 
+/// The buffers a worker keeps from task to task and loans to every compute
+/// call: the recursion frames warmed up by one task's search and the rank
+/// table one subtask's subgraph was induced through serve every later task on
+/// the same worker without reallocating.
+#[derive(Debug, Default)]
+pub struct WorkerScratch {
+    /// The mining arena (recursion frames, bitsets, degree tables).
+    pub mining: MiningScratch,
+    /// Buffers of the `LocalGraph` kernels (induction, k-core, compaction).
+    pub subgraph: SubgraphScratch,
+}
+
 /// Everything a `compute`/`spawn` call can hand back to the engine.
 ///
 /// Vertex pulls are *not* part of this context: a task's outstanding data
@@ -114,11 +139,10 @@ pub struct ComputeContext<T> {
     /// token fired and cut its work short; the engine aggregates it so the
     /// run's outcome reflects what was actually truncated.
     pub interrupted: bool,
-    /// The worker's mining scratch arena, loaned to the application for the
-    /// duration of this call. The engine moves one long-lived arena from
-    /// context to context, so the frames warmed up by one task's recursion
-    /// serve every later task on the same worker without reallocating.
-    pub scratch: MiningScratch,
+    /// The worker's scratch buffers, loaned to the application for the
+    /// duration of this call. The engine moves one long-lived set from
+    /// context to context.
+    pub scratch: WorkerScratch,
 }
 
 impl<T> Default for ComputeContext<T> {
@@ -128,7 +152,7 @@ impl<T> Default for ComputeContext<T> {
             results: Vec::new(),
             timings: TaskTimings::default(),
             interrupted: false,
-            scratch: MiningScratch::default(),
+            scratch: WorkerScratch::default(),
         }
     }
 }

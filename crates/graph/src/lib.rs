@@ -52,7 +52,7 @@ pub use hash::Fnv1a64;
 pub use kcore::{core_numbers, degeneracy_ordering, k_core};
 pub use neighborhoods::{IndexSpec, NeighborhoodIndex, Neighborhoods};
 pub use stats::GraphStats;
-pub use subgraph::{LocalGraph, SubgraphScratch};
+pub use subgraph::{IdRanks, LocalGraph, SubgraphScratch};
 pub use vertex::VertexId;
 
 /// Convenience result alias for graph operations.

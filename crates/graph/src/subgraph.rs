@@ -71,6 +71,52 @@ pub fn induced_subgraph(g: &Graph, vertices: &[VertexId]) -> (Graph, Vec<VertexI
     (Graph::from_csr(offsets, neighbors), mapping)
 }
 
+/// Rank lookup for a sorted id table: a bit per id of the table's range and,
+/// per word of bits, the number of table ids before it. [`IdRanks::rank`] is
+/// one probe and a popcount; a binary search of the table, a chain of
+/// dependent loads per lookup, took four times as long when the engine's
+/// tasks translated their pulled adjacency lists. Sized by the range of the
+/// ids (a bit and a half each), so meant to live as long as one task build.
+#[derive(Debug)]
+pub struct IdRanks {
+    lo: u32,
+    words: Vec<u64>,
+    before: Vec<u32>,
+}
+
+impl IdRanks {
+    /// Indexes `ids`, which must be strictly increasing.
+    pub fn over(ids: &[VertexId]) -> Self {
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]));
+        let lo = ids.first().map_or(0, |v| v.raw());
+        let range = ids.last().map_or(0, |hi| (hi.raw() - lo) as usize + 1);
+        let mut words = vec![0u64; range.div_ceil(64)];
+        for v in ids {
+            let off = v.raw() - lo;
+            words[off as usize >> 6] |= 1 << (off & 63);
+        }
+        let mut count = 0u32;
+        let before = words
+            .iter()
+            .map(|w| {
+                count += w.count_ones();
+                count - w.count_ones()
+            })
+            .collect();
+        IdRanks { lo, words, before }
+    }
+
+    /// The index of `v` in the table, if it is there.
+    #[inline]
+    pub fn rank(&self, v: VertexId) -> Option<usize> {
+        let off = v.raw().wrapping_sub(self.lo);
+        let (word, bit) = (off as usize >> 6, off & 63);
+        let bits = *self.words.get(word)?;
+        (bits >> bit & 1 != 0)
+            .then(|| (self.before[word] + (bits & ((1 << bit) - 1)).count_ones()) as usize)
+    }
+}
+
 /// A small adjacency-list graph over a local index space, carried by mining
 /// tasks.
 ///
@@ -135,6 +181,50 @@ impl LocalGraph {
             row_words: 0,
             hub_threshold: None,
         }
+    }
+
+    /// Builds a `LocalGraph` from its parts, checking every condition the
+    /// other constructors establish themselves: one list per id, the ids
+    /// strictly increasing (so a local index is the rank of its global id),
+    /// every list strictly increasing, in range and free of the vertex
+    /// itself, and `b ∈ adj[a]` exactly when `a ∈ adj[b]`. Returns `None`
+    /// otherwise. This is the entry point for lists that were assembled
+    /// outside this crate — decoded from bytes, or merged from pulled
+    /// adjacency lists. `O(|V| + |E|)`.
+    pub fn from_sorted_lists(global_ids: Vec<VertexId>, adj: Vec<Vec<u32>>) -> Option<Self> {
+        let n = global_ids.len();
+        if adj.len() != n || !global_ids.windows(2).all(|w| w[0] < w[1]) {
+            return None;
+        }
+        // `mirrored[b]` counts the entries `a < b` of `adj[b]` already matched
+        // by a `b` in `adj[a]`; lists are sorted, so the matches come in order
+        // and by the time `b` is visited they must be its whole lower part.
+        let mut mirrored = vec![0usize; n];
+        for (a, list) in adj.iter().enumerate() {
+            if !list.windows(2).all(|w| w[0] < w[1])
+                || list.last().is_some_and(|&w| w as usize >= n)
+            {
+                return None;
+            }
+            let lower = list.partition_point(|&w| (w as usize) < a);
+            if lower != mirrored[a] || list.get(lower).is_some_and(|&w| w as usize == a) {
+                return None;
+            }
+            for &b in &list[lower..] {
+                let seen = &mut mirrored[b as usize];
+                if adj[b as usize].get(*seen) != Some(&(a as u32)) {
+                    return None;
+                }
+                *seen += 1;
+            }
+        }
+        Some(LocalGraph {
+            adj,
+            global: global_ids,
+            alive: vec![true; n],
+            alive_count: n,
+            ..LocalGraph::new(Vec::new())
+        })
     }
 
     /// Builds a `LocalGraph` as the subgraph of `g` induced by `vertices`
@@ -719,6 +809,63 @@ mod tests {
         lg.add_edge(0, i);
         assert_eq!(lg.hub_threshold(), None);
         assert!(lg.has_edge(0, i));
+    }
+
+    #[test]
+    fn id_ranks_agree_with_binary_search() {
+        let ids = |raw: &[u32]| raw.iter().map(|&v| VertexId::new(v)).collect::<Vec<_>>();
+        for table in [
+            ids(&[]),
+            ids(&[7]),
+            ids(&[0, 1, 2, 63, 64, 65, 127, 128, 1_000]),
+            ids(&[5, 69, 70, 1_000_000]),
+            (300..700).step_by(3).map(VertexId::new).collect(),
+        ] {
+            let ranks = IdRanks::over(&table);
+            let probes = table
+                .iter()
+                .flat_map(|v| [v.raw().wrapping_sub(1), v.raw(), v.raw().wrapping_add(1)])
+                .chain([0, 64, u32::MAX]);
+            for probe in probes {
+                let v = VertexId::new(probe);
+                assert_eq!(ranks.rank(v), table.binary_search(&v).ok(), "{probe}");
+            }
+        }
+    }
+
+    #[test]
+    fn from_sorted_lists_checks_every_condition() {
+        let ids = |raw: &[u32]| raw.iter().map(|&v| VertexId::new(v)).collect::<Vec<_>>();
+        let build = |raw: &[u32], adj: &[&[u32]]| {
+            LocalGraph::from_sorted_lists(ids(raw), adj.iter().map(|l| l.to_vec()).collect())
+        };
+        // A triangle with a pendant vertex equals the induced construction.
+        let g = Graph::from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]).unwrap();
+        let all: Vec<VertexId> = g.vertices().collect();
+        let lists: [&[u32]; 4] = [&[1, 2], &[0, 2], &[0, 1, 3], &[2]];
+        assert_eq!(
+            build(&[0, 1, 2, 3], &lists),
+            Some(LocalGraph::from_induced(&g, &all))
+        );
+        assert_eq!(build(&[], &[]).map(|g| g.capacity()), Some(0));
+        // Ids need not be dense, only increasing.
+        assert!(build(&[5, 9, 40, 41], &lists).is_some());
+        assert!(build(&[5, 9, 9, 41], &lists).is_none(), "repeated id");
+        assert!(build(&[5, 9, 41, 40], &lists).is_none(), "ids out of order");
+        assert!(build(&[0, 1, 2], &lists).is_none(), "a list without an id");
+        let broken = |adj: [&[u32]; 4]| build(&[0, 1, 2, 3], &adj).is_none();
+        assert!(broken([&[2, 1], &[0, 2], &[0, 1, 3], &[2]]), "unsorted");
+        assert!(broken([&[1, 1, 2], &[0, 2], &[0, 1, 3], &[2]]), "duplicate");
+        assert!(broken([&[0, 1, 2], &[0, 2], &[0, 1, 3], &[2]]), "loop");
+        assert!(
+            broken([&[1, 2], &[0, 2], &[0, 1, 3], &[2, 4]]),
+            "out of range"
+        );
+        assert!(broken([&[1, 2], &[0, 2], &[0, 1], &[2]]), "3 names 2 only");
+        assert!(
+            broken([&[1, 2, 3], &[0, 2], &[0, 1, 3], &[2]]),
+            "0 names 3 only"
+        );
     }
 
     #[test]

@@ -118,10 +118,12 @@ impl GThinkerApp for QuasiCliqueApp {
             return;
         }
         let larger: Vec<VertexId> = adj.iter().copied().filter(|&u| u > v).collect();
-        if larger.is_empty() {
-            // A quasi-clique whose smallest vertex is v needs at least
-            // τ_size − 1 larger members; with none available the task would
-            // terminate in its first iteration anyway.
+        // v needs k neighbors inside its task and all of them are larger
+        // first-hop vertices, so with fewer the peel of iteration 1 would end
+        // the task (the test `RootTaskBuilder::build` makes); with none there
+        // is nothing to pull.
+        let too_few = self.prune_config.size_threshold && larger.len() < k;
+        if too_few || larger.is_empty() {
             return;
         }
         ctx.add_task(QCTask::spawned(v, larger));
@@ -168,8 +170,11 @@ impl GThinkerApp for QuasiCliqueApp {
     }
 
     fn task_memory_bytes(&self, task: &Self::Task) -> usize {
-        64 + task.subgraph.memory_bytes()
-            + 4 * (task.pull_targets.len() + task.one_hop.len() + task.s.len() + task.ext.len())
+        // What the task carries while queued: the hub rows exist only while
+        // its mine phase runs.
+        let graph = &task.subgraph;
+        64 + graph.memory_bytes() - graph.hub_index_memory_bytes()
+            + 4 * (task.pull_targets.len() + task.s.len() + task.ext.len())
     }
 
     fn task_label(&self, task: &Self::Task) -> TaskLabel {
@@ -209,6 +214,20 @@ mod tests {
             ctx.new_tasks.is_empty(),
             "no larger neighbor means the task would die instantly"
         );
+
+        // Degree 4 ≥ k, but only two larger neighbors: the root would need
+        // three inside its task and the peel of iteration 1 would end it.
+        let few_larger = [1, 2, 6, 7].map(VertexId::new);
+        let mut ctx = ComputeContext::new();
+        app.spawn(VertexId::new(5), &few_larger, &mut ctx);
+        assert!(ctx.new_tasks.is_empty(), "fewer than k larger neighbors");
+        // The test belongs to the size-threshold rule.
+        let unpruned = app
+            .clone()
+            .with_prune_config(PruneConfig::all_enabled().without("size_threshold"));
+        let mut ctx = ComputeContext::new();
+        unpruned.spawn(VertexId::new(5), &few_larger, &mut ctx);
+        assert_eq!(ctx.new_tasks.len(), 1);
 
         let mut ctx = ComputeContext::new();
         app.spawn(

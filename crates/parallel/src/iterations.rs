@@ -5,10 +5,89 @@
 //! Iteration 1 integrates the first-hop adjacency lists and requests the
 //! second-hop vertices; iteration 2 integrates those, shrinks to the k-core
 //! and forms the candidate `⟨S = {v}, ext(S) = V(t.g) − v⟩` for iteration 3.
+//!
+//! Both read the frontier in id order into an `Assembly`: a vertex's
+//! position is the rank of its id, all adjacency sits in one flat buffer of
+//! positions, and a destination is turned into a position once, through
+//! [`IdRanks`] over the task's own sorted ids (a bit and a half per id of
+//! their range, dropped with the iteration) — nothing is kept per worker and
+//! nothing is allocated per vertex until the peel has said which vertices
+//! stay. What leaves an iteration is a checked [`LocalGraph`]; between the two
+//! it holds the surviving first-hop vertices only, because an edge from one of
+//! them to a second-hop vertex `w` is read back from `Γ(w)` when `w` arrives.
 
 use crate::task::{QCTask, TaskPhase};
 use qcm_engine::Frontier;
-use qcm_graph::VertexId;
+use qcm_graph::{IdRanks, LocalGraph, VertexId};
+
+/// `t.g` while it is put together: the vertices in id order and, per vertex,
+/// the span of `near` that lists its neighbors inside `t.g` by position.
+struct Assembly {
+    ids: Vec<VertexId>,
+    near: Vec<u32>,
+    span: Vec<(usize, usize)>,
+}
+
+impl Assembly {
+    fn neighbors(&self, p: usize) -> &[u32] {
+        &self.near[self.span[p].0..self.span[p].1]
+    }
+
+    /// Writes `p` into the next free slot of the span reserved for `to`.
+    fn hand(&mut self, p: usize, to: usize) {
+        self.near[self.span[to].1] = p as u32;
+        self.span[to].1 += 1;
+    }
+
+    /// Peels every vertex whose degree is, or falls, below `k`; a removal
+    /// costs each neighbor in `near` one. Returns who is left. The queue-based
+    /// `O(|E|)` peel of Batagelj & Zaversnik: hub tasks assemble thousands of
+    /// vertices.
+    fn peel(&self, mut degree: Vec<usize>, k: usize) -> Vec<bool> {
+        let mut alive: Vec<bool> = degree.iter().map(|&d| d >= k).collect();
+        let mut stack: Vec<usize> = (0..alive.len()).filter(|&p| !alive[p]).collect();
+        while let Some(p) = stack.pop() {
+            for &q in self.neighbors(p) {
+                let q = q as usize;
+                if alive[q] {
+                    degree[q] -= 1;
+                    if degree[q] < k {
+                        alive[q] = false;
+                        stack.push(q);
+                    }
+                }
+            }
+        }
+        alive
+    }
+
+    /// The subgraph on the vertices left, renumbered by rank.
+    fn into_graph(self, alive: &[bool]) -> LocalGraph {
+        let mut rank = vec![0u32; alive.len()];
+        for p in 1..alive.len() {
+            rank[p] = rank[p - 1] + u32::from(alive[p - 1]);
+        }
+        let survivors = || (0..alive.len()).filter(|&p| alive[p]);
+        let lists: Vec<Vec<u32>> = survivors()
+            .map(|p| {
+                let stays = |q: &&u32| alive[**q as usize];
+                let mut list = Vec::with_capacity(self.neighbors(p).iter().filter(stays).count());
+                list.extend(
+                    self.neighbors(p)
+                        .iter()
+                        .filter(stays)
+                        .map(|&q| rank[q as usize]),
+                );
+                list
+            })
+            .collect();
+        let ids: Vec<VertexId> = survivors().map(|p| self.ids[p]).collect();
+        // Refused only if a pulled list names a neighbor whose own list does
+        // not name it back.
+        LocalGraph::from_sorted_lists(ids, lists)
+            .expect("the vertex table serves an undirected graph")
+    }
+}
 
 /// Algorithm 6: processes the pulled first-hop adjacency lists.
 ///
@@ -16,67 +95,75 @@ use qcm_graph::VertexId;
 /// peeled away), `true` when the task should proceed to iteration 2 (its
 /// `pull_targets` now name the second-hop vertices).
 pub fn iteration_1(task: &mut QCTask, frontier: &Frontier, k: usize) -> bool {
+    /// Position of a pulled vertex below the degree threshold (the set V2).
+    const LOW_DEGREE: u32 = u32::MAX;
     let root = task.root;
 
     // Line 2: t.N ← V(frontier) ∪ {v}. Only larger-id neighbors were pulled,
     // which is exactly the slice of the graph this task is responsible for.
-    let mut one_hop: Vec<VertexId> = frontier.iter().map(|(v, _)| v).collect();
-    one_hop.push(root);
-    one_hop.sort_unstable();
-    task.one_hop = one_hop;
-
-    // Lines 3–4: split the pulled vertices by the degree threshold k.
-    let mut low_degree: Vec<VertexId> = Vec::new();
-    let mut kept: Vec<(VertexId, Vec<VertexId>)> = Vec::new();
-    for (u, adj) in frontier.iter() {
-        if adj.len() >= k {
-            kept.push((u, adj.to_vec()));
-        } else {
-            low_degree.push(u);
-        }
-    }
-    low_degree.sort_unstable();
+    // Lines 3–4: split them by the degree threshold k. Position 0 is the
+    // root, positions 1.. are V1 in id order.
+    let pulled: Vec<VertexId> = frontier.iter().map(|(u, _)| u).collect();
+    let mut ids = vec![root];
+    let position: Vec<u32> = frontier
+        .iter()
+        .map(|(u, adj)| {
+            if u > root && adj.len() >= k {
+                ids.push(u);
+                ids.len() as u32 - 1
+            } else {
+                LOW_DEGREE
+            }
+        })
+        .collect();
 
     // Lines 5–9: t.g holds V1 ∪ {v}; adjacency lists keep only destinations
-    // w ≥ v that are not in the low-degree set V2. Destinations two hops from
-    // v stay (they are counted for the degree check but cannot be peeled yet).
-    let root_adj: Vec<VertexId> = task
-        .pull_targets
+    // w ≥ v that are not in V2. A destination inside t.g goes to `near`; one
+    // two hops from v stays an id in `far` (vertex p's are `far_span[p]`): it
+    // counts for the degree check but cannot be peeled yet.
+    let one_hop = IdRanks::over(&pulled);
+    let mut near: Vec<u32> = (1..ids.len() as u32).collect();
+    let mut span = vec![(0, near.len())];
+    let (mut far, mut far_span) = (Vec::new(), vec![(0, 0)]);
+    for ((_, adj), _) in frontier
         .iter()
-        .copied()
-        .filter(|w| low_degree.binary_search(w).is_err())
-        .collect();
-    task.subgraph.insert(root, root_adj);
-    for (u, adj) in kept {
-        let filtered: Vec<VertexId> = adj
-            .into_iter()
-            .filter(|&w| w >= root && low_degree.binary_search(&w).is_err())
-            .collect();
-        task.subgraph.insert(u, filtered);
+        .zip(&position)
+        .filter(|(_, &p)| p != LOW_DEGREE)
+    {
+        let (near_start, far_start) = (near.len(), far.len());
+        for &w in &adj[adj.partition_point(|&w| w < root)..] {
+            match one_hop.rank(w) {
+                _ if w == root => near.push(0),
+                None => far.push(w),
+                Some(j) if position[j] != LOW_DEGREE => near.push(position[j]),
+                Some(_) => {}
+            }
+        }
+        span.push((near_start, near.len()));
+        far_span.push((far_start, far.len()));
     }
+    let t_g = Assembly { ids, near, span };
 
     // Line 10: shrink to the k-core (only materialised vertices are peelable).
-    task.subgraph.peel(k, |_| true);
+    let degree = (0..t_g.ids.len())
+        .map(|p| t_g.neighbors(p).len() + far_span[p].1 - far_span[p].0)
+        .collect();
+    let alive = t_g.peel(degree, k);
 
     // Line 11: the task is only useful if the spawning vertex survived.
-    if !task.subgraph.contains(root) {
-        task.pull_targets.clear();
+    task.pull_targets.clear();
+    if alive.first() != Some(&true) {
         return false;
     }
 
     // Lines 12–15: request the second-hop vertices (w > v, not already within
-    // one hop).
-    let mut second_hop: Vec<VertexId> = Vec::new();
-    for (_, nbrs) in &task.subgraph.adj {
-        for &w in nbrs {
-            if w > root && task.one_hop.binary_search(&w).is_err() {
-                second_hop.push(w);
-            }
-        }
+    // one hop) — the far destinations of the survivors.
+    for (_, &(from, to)) in far_span.iter().enumerate().filter(|(p, _)| alive[*p]) {
+        task.pull_targets.extend_from_slice(&far[from..to]);
     }
-    second_hop.sort_unstable();
-    second_hop.dedup();
-    task.pull_targets = second_hop;
+    task.pull_targets.sort_unstable();
+    task.pull_targets.dedup();
+    task.subgraph = t_g.into_graph(&alive);
     task.phase = TaskPhase::SecondHop;
     true
 }
@@ -88,61 +175,111 @@ pub fn iteration_1(task: &mut QCTask, frontier: &Frontier, k: usize) -> bool {
 /// peeled), `true` when the candidate is ready for iteration 3. Iteration 2
 /// performs no pulls, so the engine immediately advances to iteration 3.
 pub fn iteration_2(task: &mut QCTask, frontier: &Frontier, k: usize) -> bool {
-    let root = task.root;
+    let (root, half) = (task.root, &task.subgraph);
+    let first_hop = half.capacity();
 
-    // Line 2: B ← V(frontier) ∪ t.N — every vertex within two hops of v.
-    let mut within_two_hops: Vec<VertexId> = frontier.iter().map(|(v, _)| v).collect();
-    within_two_hops.extend_from_slice(&task.one_hop);
-    within_two_hops.sort_unstable();
-    within_two_hops.dedup();
+    // Lines 3–5: the second-hop vertices of degree ≥ k join t.g. Merging them
+    // into the id table, once, fixes every final position: `moved[i]` is where
+    // first-hop vertex `i` goes, `origin[p]` where the vertex at `p` came from
+    // (`None`: it arrives with this frontier).
+    let mut arrivals = frontier
+        .iter()
+        .filter(|(u, adj)| *u > root && adj.len() >= k)
+        .peekable();
+    let (mut ids, mut origin, mut moved) = (Vec::new(), Vec::new(), Vec::new());
+    let mut joining: Vec<&[VertexId]> = Vec::new();
+    for i in 0..=first_hop as u32 {
+        let bound = ((i as usize) < first_hop).then(|| half.global_id(i));
+        while let Some((u, adj)) = arrivals.next_if(|(u, _)| bound.map_or(true, |b| *u < b)) {
+            ids.push(u);
+            origin.push(None);
+            joining.push(adj);
+        }
+        if let Some(b) = bound {
+            // A pull of a vertex already in t.g would be a repeat; drop it.
+            arrivals.next_if(|(u, _)| *u == b);
+            moved.push(ids.len());
+            ids.push(b);
+            origin.push(Some(i));
+        }
+    }
+    let n = ids.len();
 
-    // Lines 3–8: add second-hop vertices of degree ≥ k; their adjacency lists
-    // keep only destinations w ≥ v within two hops of v.
-    for (u, adj) in frontier.iter() {
-        if adj.len() >= k {
-            let filtered: Vec<VertexId> = adj
-                .iter()
-                .copied()
-                .filter(|&w| w >= root && within_two_hops.binary_search(&w).is_ok())
-                .collect();
-            task.subgraph.insert(u, filtered);
+    // Lines 6–8: an arriving vertex keeps the destinations that are vertices
+    // of t.g — all of them are ≥ v and within two hops of it. First pass:
+    // their lists, and with them the final degree of every first-hop vertex,
+    // whose own pulled list ended at the first hop.
+    let table = IdRanks::over(&ids);
+    let (mut near, mut span) = (Vec::new(), vec![(0, 0); n]);
+    let first_hop_degree = |i: u32| half.raw_neighbors(i).len();
+    let mut degree: Vec<usize> = origin
+        .iter()
+        .map(|o| o.map_or(0, first_hop_degree))
+        .collect();
+    let arriving = (0..n).filter(|&p| origin[p].is_none());
+    for (p, adj) in arriving.zip(joining) {
+        let start = near.len();
+        let tail = &adj[adj.partition_point(|&w| w < root)..];
+        for q in tail.iter().filter_map(|&w| table.rank(w)) {
+            near.push(q as u32);
+            degree[q] += usize::from(origin[q].is_some());
+        }
+        span[p] = (start, near.len());
+        degree[p] = near.len() - start;
+    }
+    let mut t_g = Assembly { ids, near, span };
+    // Second pass, in id order so that every first-hop list fills in sorted
+    // order: a first-hop vertex hands itself to its first-hop neighbors, an
+    // arriving one to its first-hop destinations.
+    for p in (0..n).filter(|&p| origin[p].is_some()) {
+        let start = t_g.near.len();
+        t_g.span[p] = (start, start);
+        t_g.near.resize(start + degree[p], 0);
+    }
+    for p in 0..n {
+        if let Some(i) = origin[p] {
+            for &j in half.raw_neighbors(i) {
+                t_g.hand(p, moved[j as usize]);
+            }
+            continue;
+        }
+        for at in t_g.span[p].0..t_g.span[p].1 {
+            let to = t_g.near[at] as usize;
+            if origin[to].is_some() {
+                t_g.hand(p, to);
+            }
         }
     }
 
-    // Line 9: exact k-core of the assembled subgraph. Destinations that never
-    // became vertices (dropped second-hop vertices, third-hop fringe) are
-    // removed from adjacency lists first so the peeling uses true degrees.
-    task.subgraph.retain_internal_edges();
-    task.subgraph.peel(k, |_| true);
-
-    // Line 10.
-    if !task.subgraph.contains(root) {
-        task.pull_targets.clear();
+    // Line 9: exact k-core of the assembled subgraph. Line 10: the task is
+    // only useful if the spawning vertex, position 0, survived.
+    let alive = t_g.peel(degree, k);
+    task.pull_targets.clear();
+    if alive.first() != Some(&true) {
         return false;
     }
 
     // Lines 11–12: the candidate for iteration 3.
-    task.s = vec![root];
-    task.ext = task
-        .subgraph
-        .adj
-        .iter()
-        .map(|(v, _)| *v)
-        .filter(|&v| v != root)
-        .collect();
-    task.pull_targets.clear();
+    task.subgraph = t_g.into_graph(&alive);
+    task.s = vec![0];
+    task.ext = (1..task.subgraph.capacity() as u32).collect();
     task.phase = TaskPhase::Mine;
     true
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::reference::{self, RefTask};
+    use proptest::prelude::*;
+    use qcm_core::MiningParams;
+    use qcm_gen::planted::{plant_quasi_cliques, PlantedGraphSpec};
+    use qcm_gen::powerlaw::power_law_graph;
     use qcm_graph::Graph;
     use qcm_sync::Arc;
 
     /// Figure 4 graph of the paper.
-    fn figure4() -> Graph {
+    pub(crate) fn figure4() -> Graph {
         let edges = [
             (0, 1),
             (0, 2),
@@ -167,8 +304,19 @@ mod tests {
         VertexId::new(id)
     }
 
+    /// The global ids behind local indices of the task's subgraph.
+    pub(crate) fn globals(task: &QCTask, locals: &[u32]) -> Vec<VertexId> {
+        locals.iter().map(|&i| task.subgraph.global_id(i)).collect()
+    }
+
+    /// The larger-id neighbors `spawn` would pull for `root`.
+    fn larger_neighbors(g: &Graph, root: VertexId) -> Vec<VertexId> {
+        let adj = g.neighbors(root);
+        adj[adj.partition_point(|&u| u <= root)..].to_vec()
+    }
+
     /// Builds a frontier holding Γ(u) for each requested vertex.
-    fn frontier_for(g: &Graph, pulls: &[VertexId]) -> Frontier {
+    pub(crate) fn frontier_for(g: &Graph, pulls: &[VertexId]) -> Frontier {
         let mut f = Frontier::new();
         for &u in pulls {
             f.insert(u, Arc::new(g.neighbors(u).to_vec()));
@@ -178,15 +326,9 @@ mod tests {
 
     /// Runs iterations 1 and 2 for the task spawned from `root`, returning the
     /// task if it survives.
-    fn build_task(g: &Graph, root: u32, k: usize) -> Option<QCTask> {
+    pub(crate) fn build_task(g: &Graph, root: u32, k: usize) -> Option<QCTask> {
         let root = v(root);
-        let larger: Vec<VertexId> = g
-            .neighbors(root)
-            .iter()
-            .copied()
-            .filter(|&u| u > root)
-            .collect();
-        let mut task = QCTask::spawned(root, larger);
+        let mut task = QCTask::spawned(root, larger_neighbors(g, root));
         let f1 = frontier_for(g, &task.pull_targets);
         if !iteration_1(&mut task, &f1, k) {
             return None;
@@ -206,10 +348,16 @@ mod tests {
         let g = figure4();
         let task = build_task(&g, 0, 3).expect("task for a must survive");
         assert_eq!(task.phase, TaskPhase::Mine);
-        let vertices: Vec<u32> = task.subgraph.adj.iter().map(|(u, _)| u.raw()).collect();
+        let vertices: Vec<u32> = task
+            .subgraph
+            .alive_global_ids()
+            .iter()
+            .map(|u| u.raw())
+            .collect();
         assert_eq!(vertices, vec![0, 1, 2, 3, 4]);
-        assert_eq!(task.s, vec![v(0)]);
-        assert_eq!(task.ext, vec![v(1), v(2), v(3), v(4)]);
+        assert_eq!(globals(&task, &task.s), vec![v(0)]);
+        assert_eq!(globals(&task, &task.ext), vec![v(1), v(2), v(3), v(4)]);
+        assert_eq!(task.subgraph.num_edges(), 9);
     }
 
     #[test]
@@ -229,12 +377,11 @@ mod tests {
         // though they are adjacent — smaller ids belong to other tasks.
         let g = figure4();
         if let Some(task) = build_task(&g, 2, 2) {
-            for (u, nbrs) in &task.subgraph.adj {
-                assert!(u.raw() >= 2);
-                for w in nbrs {
-                    assert!(w.raw() >= 2);
-                }
-            }
+            assert!(task
+                .subgraph
+                .alive_global_ids()
+                .iter()
+                .all(|u| u.raw() >= 2));
         }
     }
 
@@ -251,7 +398,11 @@ mod tests {
         // is peeled; at k = 2 f qualifies, so it may appear — the important
         // invariant is that every kept vertex has id ≥ b.
         if let Some(task) = build_task(&g, 1, 2) {
-            assert!(task.subgraph.adj.iter().all(|(u, _)| u.raw() >= 1));
+            assert!(task
+                .subgraph
+                .alive_global_ids()
+                .iter()
+                .all(|u| u.raw() >= 1));
         }
     }
 
@@ -280,7 +431,7 @@ mod tests {
                     .and_then(|local| builder.build(&work, local as u32))
                     .map(|task| task.alive_global_ids());
                 let engine: Option<Vec<VertexId>> = build_task(&g, root, k)
-                    .map(|task| task.subgraph.adj.iter().map(|(u, _)| *u).collect())
+                    .map(|task| task.subgraph.alive_global_ids())
                     .filter(|vertices: &Vec<VertexId>| vertices.len() >= min_size);
                 assert_eq!(serial, engine, "γ={gamma} τ_size={min_size} root {root}");
                 if let Some(vertices) = &serial {
@@ -298,9 +449,99 @@ mod tests {
         let mut task = QCTask::spawned(root, larger);
         let f1 = frontier_for(&g, &task.pull_targets);
         assert!(iteration_1(&mut task, &f1, 3));
+        assert!(!task.pull_targets.is_empty());
         for w in &task.pull_targets {
-            assert!(task.one_hop.binary_search(w).is_err());
+            assert!(f1.get(*w).is_none());
             assert!(*w > root);
+        }
+    }
+
+    /// Runs the reference and the current iterations side by side on the task
+    /// of every root of `g` and compares them after each phase. Returns how
+    /// many tasks reached iteration 3.
+    fn compare_with_reference(g: &Graph, k: usize) -> Result<usize, String> {
+        let mut ready = 0;
+        for root in g.vertices() {
+            let larger = larger_neighbors(g, root);
+            let mut old = RefTask::spawned(root, larger.clone());
+            let mut new = QCTask::spawned(root, larger);
+            let f1 = frontier_for(g, &new.pull_targets);
+            let goes_on = iteration_1(&mut new, &f1, k);
+            prop_assert_eq!(
+                goes_on,
+                reference::iteration_1(&mut old, &f1, k),
+                "root {root}"
+            );
+            if !goes_on {
+                continue;
+            }
+            // Vertex set and edge set at once: the reference's conversion
+            // keeps the edges between its vertices, which is all the
+            // half-built graph holds.
+            prop_assert_eq!(
+                &new.subgraph,
+                &old.subgraph.to_local_graph().0,
+                "root {root}"
+            );
+            prop_assert_eq!(&new.pull_targets, &old.pull_targets, "root {root}");
+            prop_assert_eq!(new.phase, old.phase);
+
+            let f2 = frontier_for(g, &new.pull_targets);
+            let goes_on = iteration_2(&mut new, &f2, k);
+            prop_assert_eq!(
+                goes_on,
+                reference::iteration_2(&mut old, &f2, k),
+                "root {root}"
+            );
+            if !goes_on {
+                continue;
+            }
+            prop_assert_eq!(
+                &new.subgraph,
+                &old.subgraph.to_local_graph().0,
+                "root {root}"
+            );
+            prop_assert_eq!(globals(&new, &new.s), old.s, "root {root}");
+            prop_assert_eq!(globals(&new, &new.ext), old.ext, "root {root}");
+            prop_assert_eq!(&new.pull_targets, &old.pull_targets);
+            prop_assert_eq!(new.phase, old.phase);
+            ready += 1;
+        }
+        Ok(ready)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// The flat, rank-indexed assembly and the global-id `TaskGraph` it
+        /// replaced agree on every root of planted and power-law graphs, on
+        /// the raw input (low-degree first-hop vertices, peels in both
+        /// iterations) for every γ and τ_size.
+        #[test]
+        fn iterations_agree_with_the_task_graph_reference(
+            seed in 0u64..1_000,
+            n in 120usize..260,
+            min_size in 3usize..9,
+        ) {
+            let planted = plant_quasi_cliques(&PlantedGraphSpec {
+                num_vertices: n,
+                background_avg_degree: 5.0,
+                background_max_degree: 40.0,
+                community_sizes: vec![14, 10, 8],
+                community_density: 0.9,
+                seed,
+                ..PlantedGraphSpec::default()
+            })
+            .0;
+            let power_law = power_law_graph(n, 8.0, 2.2, 60.0, seed);
+            for g in [&planted, &power_law] {
+                let mut ready = 0;
+                for gamma in [0.5, 0.8, 0.9, 1.0] {
+                    let k = MiningParams::new(gamma, min_size).kcore_threshold();
+                    ready += compare_with_reference(g, k)?;
+                }
+                prop_assert!(ready > 0, "no task of the graph was built to the end");
+            }
         }
     }
 }

@@ -38,6 +38,8 @@
 pub mod app;
 pub mod iterations;
 pub mod mine;
+#[cfg(test)]
+mod reference;
 pub mod runner;
 pub mod sim;
 pub mod task;
@@ -46,4 +48,4 @@ pub use app::QuasiCliqueApp;
 pub use mine::{DecompositionStrategy, MineOutcome, MinePhaseParams};
 pub use runner::{ParallelMiner, ParallelMiningOutput};
 pub use sim::{SimMiner, SimMiningOutput};
-pub use task::{QCTask, TaskGraph, TaskPhase};
+pub use task::{QCTask, TaskPhase};

@@ -14,18 +14,22 @@
 //!   tasks finish before the timeout and never pay decomposition overhead,
 //!   expensive tasks are split at whatever granularity they have reached.
 //!
-//! The subgraph-materialisation time of creating subtasks is measured
-//! separately from the mining time; the ratio is Table 6 of the paper.
+//! The task's subgraph is already the [`LocalGraph`] the search runs on, and
+//! `S`/`ext(S)` index it: the phase builds the hub rows and mines. A subtask
+//! gets the subgraph induced by `S' ∪ ext(S')` and the two sets renumbered
+//! into it, nothing else. The subgraph-materialisation time of creating
+//! subtasks is measured separately from the mining time; the ratio is Table 6
+//! of the paper.
 
-use crate::task::{QCTask, TaskGraph};
+use crate::task::QCTask;
 use qcm_core::recursive_mine::{cover_prune_prefix, lookahead_hit, shrink_by_diameter};
 use qcm_core::{
-    iterative_bounding, recursive_mine, CancelToken, MiningContext, MiningParams, MiningScratch,
-    MiningStats, PruneConfig, QuasiCliqueSet,
+    iterative_bounding, recursive_mine, CancelToken, MiningContext, MiningParams, MiningStats,
+    PruneConfig, QuasiCliqueSet,
 };
+use qcm_engine::WorkerScratch;
 use qcm_graph::{IndexSpec, LocalGraph, SubgraphScratch, VertexId};
 use qcm_obs::clock::Instant;
-use std::collections::HashMap;
 use std::time::Duration;
 
 /// How a big mining task is decomposed into subtasks.
@@ -75,75 +79,66 @@ pub struct MinePhaseParams {
     pub index: IndexSpec,
 }
 
-/// Runs iteration 3 for `task`. `scratch` is the calling worker's arena: it
-/// is moved into the mining context for the duration of the phase and handed
-/// back afterwards, so the recursion frames warmed up by one task serve the
-/// worker's next task without reallocating.
+/// Runs iteration 3 for `task`, which ends with it: the hub rows are built
+/// into the task's own subgraph. `scratch` is the calling worker's: the mining
+/// arena is moved into the mining context for the duration of the phase and
+/// handed back afterwards, so the recursion frames warmed up by one task serve
+/// the worker's next task without reallocating; the induction buffers serve
+/// every subtask.
 pub fn run_mine_phase(
-    task: &QCTask,
+    task: &mut QCTask,
     phase: &MinePhaseParams,
-    scratch: &mut MiningScratch,
+    scratch: &mut WorkerScratch,
 ) -> MineOutcome {
     let started = Instant::now();
     // One mine_phase span per task timeslice; the payload is the root vertex.
     let _phase_span = qcm_obs::span_with(qcm_obs::SpanKind::MinePhase, task.root.raw() as u64);
     let mut outcome = MineOutcome::default();
 
-    let (mut graph, index) = task.subgraph.to_local_graph();
     // One hub-index build per task, amortised over the whole backtracking
-    // below (and over the induced child subgraphs' construction).
-    graph.build_hub_index(phase.index);
-    let graph = graph;
-    let to_local = |v: &VertexId| index.get(v).copied();
-    let s_local: Vec<u32> = task.s.iter().filter_map(&to_local).collect();
-    let mut ext_local: Vec<u32> = task.ext.iter().filter_map(to_local).collect();
-    if s_local.len() != task.s.len() {
-        // Some S member is missing from the materialised subgraph; nothing to
-        // mine (can only happen with an empty/over-pruned subgraph).
-        return outcome;
-    }
+    // below.
+    task.subgraph.build_hub_index(phase.index);
+    let graph = &task.subgraph;
+    let s_local = task.s.as_slice();
+    let mut ext_local = task.ext.clone();
 
     let mut sink = QuasiCliqueSet::new();
     let mut collector = SubtaskCollector {
-        parent: task,
-        graph: &graph,
+        root: task.root,
+        graph,
         subtasks: Vec::new(),
         materialization_time: Duration::ZERO,
-        induce: SubgraphScratch::default(),
+        keep: Vec::new(),
+        induce: &mut scratch.subgraph,
     };
 
     {
-        let mut ctx = MiningContext::with_config(&graph, phase.params, phase.config, &mut sink);
+        let mut ctx = MiningContext::with_config(graph, phase.params, phase.config, &mut sink);
         ctx.cancel = phase.cancel.clone();
-        ctx.scratch = std::mem::take(scratch);
+        ctx.scratch = std::mem::take(&mut scratch.mining);
         ctx.stats.tasks_processed = 1;
 
         if ext_local.is_empty() {
             // Nothing to extend: G(S) itself may still be a result.
-            ctx.report_if_valid(&s_local);
+            ctx.report_if_valid(s_local);
         } else {
             match phase.strategy {
                 DecompositionStrategy::SizeThreshold => {
                     if ext_local.len() <= phase.tau_split {
-                        recursive_mine(&mut ctx, &s_local, &mut ext_local);
+                        recursive_mine(&mut ctx, s_local, &mut ext_local);
                     } else {
-                        size_threshold_decompose(
-                            &mut ctx,
-                            &s_local,
-                            &mut ext_local,
-                            &mut collector,
-                        );
+                        size_threshold_decompose(&mut ctx, s_local, &mut ext_local, &mut collector);
                     }
                 }
                 DecompositionStrategy::TimeDelayed => {
                     let deadline = Instant::now() + phase.tau_time;
-                    time_delayed(&mut ctx, &s_local, &mut ext_local, deadline, &mut collector);
+                    time_delayed(&mut ctx, s_local, &mut ext_local, deadline, &mut collector);
                 }
             }
         }
         outcome.stats = ctx.stats;
         outcome.interrupted = ctx.interrupted;
-        *scratch = std::mem::take(&mut ctx.scratch);
+        scratch.mining = std::mem::take(&mut ctx.scratch);
     }
 
     outcome.results = sink.into_sorted_vec();
@@ -158,12 +153,14 @@ pub fn run_mine_phase(
 /// Collects decomposed subtasks, materialising their (smaller) subgraphs and
 /// accounting the time spent doing so.
 struct SubtaskCollector<'a> {
-    parent: &'a QCTask,
+    root: VertexId,
     graph: &'a LocalGraph,
     subtasks: Vec<QCTask>,
     materialization_time: Duration,
-    /// Induction buffers, reused from subtask to subtask.
-    induce: SubgraphScratch,
+    /// `S' ∪ ext(S')` of the subtask being added, sorted.
+    keep: Vec<u32>,
+    /// The worker's induction buffers.
+    induce: &'a mut SubgraphScratch,
 }
 
 impl SubtaskCollector<'_> {
@@ -177,28 +174,20 @@ impl SubtaskCollector<'_> {
             qcm_obs::SpanKind::Decompose,
             (s_local.len() + ext_local.len()) as u64,
         );
-        let mut keep: Vec<u32> = s_local.iter().chain(ext_local).copied().collect();
+        let keep = &mut self.keep;
+        keep.clear();
+        keep.extend(s_local.iter().chain(ext_local));
         keep.sort_unstable();
         keep.dedup();
-        let child_graph = self.graph.induce_from_local(&keep, &mut self.induce);
-        let mut task_graph = TaskGraph::new();
-        let globals: HashMap<u32, VertexId> = keep
-            .iter()
-            .enumerate()
-            .map(|(new_idx, &old)| (new_idx as u32, self.graph.global_id(old)))
-            .collect();
-        for i in child_graph.vertices() {
-            let nbrs: Vec<VertexId> = child_graph.neighbors(i).map(|j| globals[&j]).collect();
-            task_graph.insert(globals[&i], nbrs);
-        }
-        let s_global: Vec<VertexId> = s_local.iter().map(|&i| self.graph.global_id(i)).collect();
-        let ext_global: Vec<VertexId> =
-            ext_local.iter().map(|&i| self.graph.global_id(i)).collect();
+        let child_graph = self.graph.induce_from_local(keep, self.induce);
+        // A child index is the rank among the kept parent indices: the order
+        // of `S'` and of `ext(S')` carries over.
+        let rank = |i: &u32| keep.binary_search(i).expect("S' ∪ ext(S') was kept") as u32;
         self.subtasks.push(QCTask::decomposed(
-            self.parent.root,
-            s_global,
-            ext_global,
-            task_graph,
+            self.root,
+            s_local.iter().map(rank).collect(),
+            ext_local.iter().map(rank).collect(),
+            child_graph,
         ));
         self.materialization_time += t0.elapsed();
     }
@@ -342,46 +331,19 @@ fn time_delayed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qcm_core::SerialMiner;
+    use crate::iterations::tests::{build_task, figure4, globals};
+    use qcm_core::{remove_non_maximal, SerialMiner};
+    use qcm_gen::planted::{plant_quasi_cliques, PlantedGraphSpec};
     use qcm_graph::Graph;
 
-    fn figure4() -> Graph {
-        let edges = [
-            (0, 1),
-            (0, 2),
-            (0, 3),
-            (0, 4),
-            (1, 2),
-            (1, 4),
-            (2, 3),
-            (2, 4),
-            (3, 4),
-            (1, 5),
-            (5, 6),
-            (2, 6),
-            (3, 7),
-            (7, 8),
-            (3, 8),
-        ];
-        Graph::from_edges(9, edges.iter().copied()).unwrap()
-    }
-
-    /// Builds a mining-phase task over the whole graph for the given root.
+    /// Builds a mining-phase task over every vertex of the graph from `root`
+    /// up.
     fn mine_task(g: &Graph, root: u32) -> QCTask {
-        let mut tg = TaskGraph::new();
         let root_id = VertexId::new(root);
         let keep: Vec<VertexId> = g.vertices().filter(|v| *v >= root_id).collect();
-        for &v in &keep {
-            let nbrs: Vec<VertexId> = g
-                .neighbors(v)
-                .iter()
-                .copied()
-                .filter(|w| *w >= root_id)
-                .collect();
-            tg.insert(v, nbrs);
-        }
-        let ext: Vec<VertexId> = keep.iter().copied().filter(|v| *v != root_id).collect();
-        QCTask::decomposed(root_id, vec![root_id], ext, tg)
+        let graph = LocalGraph::from_induced(g, &keep);
+        let ext = (1..keep.len() as u32).collect();
+        QCTask::decomposed(root_id, vec![0], ext, graph)
     }
 
     fn phase(
@@ -401,21 +363,61 @@ mod tests {
     }
 
     /// Drives a task and all transitively created subtasks to completion,
-    /// returning every reported result.
+    /// returning every reported result. Every subtask must carry exactly the
+    /// subgraph of its parent induced by its own `S' ∪ ext(S')`.
     fn drain(task: QCTask, p: &MinePhaseParams) -> (QuasiCliqueSet, usize) {
         let mut queue = vec![task];
         let mut sink = QuasiCliqueSet::new();
         let mut processed = 0usize;
-        while let Some(t) = queue.pop() {
+        let mut scratch = WorkerScratch::default();
+        while let Some(mut t) = queue.pop() {
             processed += 1;
             assert!(processed < 10_000, "decomposition does not terminate");
-            let out = run_mine_phase(&t, p, &mut MiningScratch::default());
+            let out = run_mine_phase(&mut t, p, &mut scratch);
             for r in out.results {
                 sink.insert(r);
+            }
+            for sub in &out.subtasks {
+                assert_eq!(sub.root, t.root);
+                let n = sub.subgraph.capacity() as u32;
+                let mut candidate: Vec<u32> = sub.s.iter().chain(&sub.ext).copied().collect();
+                candidate.sort_unstable();
+                assert_eq!(
+                    candidate,
+                    (0..n).collect::<Vec<_>>(),
+                    "V(t'.g) = S' ∪ ext(S')"
+                );
+                let parent_ids = t.subgraph.alive_global_ids();
+                let keep: Vec<u32> = (0..n)
+                    .map(|i| {
+                        parent_ids
+                            .binary_search(&sub.subgraph.global_id(i))
+                            .unwrap() as u32
+                    })
+                    .collect();
+                let induced = t
+                    .subgraph
+                    .induce_from_local(&keep, &mut SubgraphScratch::default());
+                assert_eq!(sub.subgraph, induced);
             }
             queue.extend(out.subtasks);
         }
         (sink, processed)
+    }
+
+    /// What the serial recursion reports on the task's own candidate.
+    fn recursive_reference(task: &QCTask, p: &MinePhaseParams) -> QuasiCliqueSet {
+        let mut graph = task.subgraph.clone();
+        graph.build_hub_index(p.index);
+        let mut sink = QuasiCliqueSet::new();
+        {
+            let mut ctx = MiningContext::with_config(&graph, p.params, p.config, &mut sink);
+            let found = recursive_mine(&mut ctx, &task.s, &mut task.ext.clone());
+            if !found {
+                ctx.report_if_valid(&task.s);
+            }
+        }
+        sink
     }
 
     #[test]
@@ -467,23 +469,52 @@ mod tests {
     }
 
     #[test]
+    fn decomposing_at_every_node_finds_what_the_recursion_finds() {
+        // τ_time = 0 (or τ_split = 0) splits at every node, so every subtree
+        // travels as a subtask with its own induced subgraph and renumbered
+        // S' and ext(S'); after the maximality filter nothing may differ from
+        // the recursion run on the root task's own candidate.
+        let (g, _) = plant_quasi_cliques(&PlantedGraphSpec {
+            num_vertices: 150,
+            background_avg_degree: 5.0,
+            background_max_degree: 30.0,
+            community_sizes: vec![12, 9],
+            community_density: 0.85,
+            seed: 11,
+            ..PlantedGraphSpec::default()
+        });
+        let mut compared = 0;
+        for (strategy, tau_split) in [
+            (DecompositionStrategy::TimeDelayed, 100),
+            (DecompositionStrategy::SizeThreshold, 0),
+        ] {
+            let mut p = phase(strategy, tau_split, Duration::ZERO);
+            p.params = MiningParams::new(0.8, 6);
+            let k = p.params.kcore_threshold();
+            for task in (0..150).filter_map(|root| build_task(&g, root, k)) {
+                let expected = remove_non_maximal(recursive_reference(&task, &p));
+                let (results, processed) = drain(task, &p);
+                assert_eq!(remove_non_maximal(results), expected);
+                compared += usize::from(processed > 1 && !expected.is_empty());
+            }
+        }
+        assert!(compared >= 2, "some decomposed task must hold a result");
+    }
+
+    #[test]
     fn materialization_time_is_tracked_when_decomposing() {
         let g = figure4();
         let p = phase(DecompositionStrategy::TimeDelayed, 100, Duration::ZERO);
-        let task = mine_task(&g, 0);
-        let out = run_mine_phase(&task, &p, &mut MiningScratch::default());
-        if !out.subtasks.is_empty() {
-            assert!(out.materialization_time > Duration::ZERO);
-        }
+        let mut task = mine_task(&g, 0);
+        let out = run_mine_phase(&mut task, &p, &mut WorkerScratch::default());
+        assert!(!out.subtasks.is_empty());
+        assert!(out.materialization_time > Duration::ZERO);
         // Subtask subgraphs are induced: they never contain vertices outside
         // S' ∪ ext(S').
         for sub in &out.subtasks {
-            let allowed: Vec<VertexId> = sub.s.iter().chain(sub.ext.iter()).copied().collect();
-            for (v, nbrs) in &sub.subgraph.adj {
-                assert!(allowed.contains(v));
-                for w in nbrs {
-                    assert!(allowed.contains(w));
-                }
+            let allowed: Vec<u32> = sub.s.iter().chain(sub.ext.iter()).copied().collect();
+            for i in sub.subgraph.vertices() {
+                assert!(allowed.contains(&i));
             }
         }
     }
@@ -495,8 +526,8 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         p.cancel = token;
-        let task = mine_task(&g, 0);
-        let out = run_mine_phase(&task, &p, &mut MiningScratch::default());
+        let mut task = mine_task(&g, 0);
+        let out = run_mine_phase(&mut task, &p, &mut WorkerScratch::default());
         assert!(out.subtasks.is_empty(), "a dying run must not decompose");
         assert!(out.results.is_empty());
     }
@@ -505,25 +536,16 @@ mod tests {
     fn empty_ext_reports_s_when_valid() {
         let g = figure4();
         // A task whose candidate is exactly the dense block with no extension.
-        let mut tg = TaskGraph::new();
-        for v in 0..5u32 {
-            let nbrs: Vec<VertexId> = g
-                .neighbors(VertexId::new(v))
-                .iter()
-                .copied()
-                .filter(|w| w.raw() < 5)
-                .collect();
-            tg.insert(VertexId::new(v), nbrs);
-        }
-        let s: Vec<VertexId> = (0..5u32).map(VertexId::new).collect();
-        let task = QCTask::decomposed(VertexId::new(0), s.clone(), vec![], tg);
+        let block: Vec<VertexId> = (0..5u32).map(VertexId::new).collect();
+        let graph = LocalGraph::from_induced(&g, &block);
+        let mut task = QCTask::decomposed(VertexId::new(0), (0..5).collect(), vec![], graph);
         let p = phase(
             DecompositionStrategy::TimeDelayed,
             100,
             Duration::from_secs(1),
         );
-        let out = run_mine_phase(&task, &p, &mut MiningScratch::default());
+        let out = run_mine_phase(&mut task, &p, &mut WorkerScratch::default());
         assert_eq!(out.results.len(), 1);
-        assert_eq!(out.results[0], s);
+        assert_eq!(out.results[0], globals(&task, &task.s));
     }
 }

@@ -16,172 +16,21 @@
 //! Tasks must survive queueing, disk spilling and stealing, so everything —
 //! including the partially built subgraph — is stored by value and encodable
 //! with the engine's [`TaskCodec`].
+//!
+//! `t.g` is carried in the form the miner consumes: a compact [`LocalGraph`]
+//! whose local index is the rank of the global id (the id table travels
+//! inside it; no hub rows while the task is queued), with `S` and `ext(S)` as
+//! local indices. Iterations 1 and 2 turn each pulled destination into a
+//! position once per root task; a decomposed subtask receives the induced
+//! subgraph of its parent and never sees a global id again until a result is
+//! reported through [`LocalGraph::global_id`]. Every mapping along the way is monotone in the
+//! global id, so branching order and tie-breaks are those of the global ids.
 
-use qcm_engine::codec::{put_u32, put_vertices, take_u32, take_vertices};
+use qcm_engine::codec::{
+    put_u32, put_u32_slice, put_vertices, take_u32, take_u32_vec, take_vertices,
+};
 use qcm_engine::TaskCodec;
 use qcm_graph::{LocalGraph, VertexId};
-use std::collections::HashMap;
-
-/// Adjacency of the task subgraph keyed by *global* vertex ids, kept sorted by
-/// vertex id. Global ids make the structure stable under spilling and under
-/// transfer between machines.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TaskGraph {
-    /// `(vertex, neighbors)` pairs, sorted by vertex id; neighbor lists sorted.
-    pub adj: Vec<(VertexId, Vec<VertexId>)>,
-}
-
-impl TaskGraph {
-    /// Creates an empty task graph.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of vertices.
-    pub fn num_vertices(&self) -> usize {
-        self.adj.len()
-    }
-
-    /// Number of edges, counting only edges whose both endpoints are vertices
-    /// of the task graph.
-    pub fn num_edges(&self) -> usize {
-        let count: usize = self
-            .adj
-            .iter()
-            .map(|(_, nbrs)| nbrs.iter().filter(|w| self.contains(**w)).count())
-            .sum();
-        count / 2
-    }
-
-    /// True if `v` is a vertex of the task graph.
-    pub fn contains(&self, v: VertexId) -> bool {
-        self.adj.binary_search_by_key(&v, |(u, _)| *u).is_ok()
-    }
-
-    /// The adjacency list of `v`, if present.
-    pub fn neighbors(&self, v: VertexId) -> Option<&[VertexId]> {
-        self.adj
-            .binary_search_by_key(&v, |(u, _)| *u)
-            .ok()
-            .map(|i| self.adj[i].1.as_slice())
-    }
-
-    /// Inserts a vertex with the given (sorted) adjacency list, replacing any
-    /// existing entry.
-    pub fn insert(&mut self, v: VertexId, mut neighbors: Vec<VertexId>) {
-        neighbors.sort_unstable();
-        neighbors.dedup();
-        match self.adj.binary_search_by_key(&v, |(u, _)| *u) {
-            Ok(i) => self.adj[i].1 = neighbors,
-            Err(i) => self.adj.insert(i, (v, neighbors)),
-        }
-    }
-
-    /// Removes destinations that are not vertices of the task graph from every
-    /// adjacency list (used before an exact k-core pass).
-    pub fn retain_internal_edges(&mut self) {
-        let vertices: Vec<VertexId> = self.adj.iter().map(|(v, _)| *v).collect();
-        for (_, nbrs) in &mut self.adj {
-            nbrs.retain(|w| vertices.binary_search(w).is_ok());
-        }
-    }
-
-    /// Iteratively removes *peelable* vertices whose adjacency list is shorter
-    /// than `k`. Destinations that are not vertices of the graph still count
-    /// toward the degree (the paper's iteration-1 treatment of two-hop
-    /// destinations); vertices for which `peelable` returns false are never
-    /// removed. Returns the number of removed vertices.
-    ///
-    /// Uses the O(|E|) queue-based peeling of Batagelj & Zaversnik rather than
-    /// repeated full scans — hub tasks build subgraphs with thousands of
-    /// vertices and a quadratic peel would dominate their build time.
-    pub fn peel<F: Fn(VertexId) -> bool>(&mut self, k: usize, peelable: F) -> usize {
-        let n = self.adj.len();
-        if n == 0 {
-            return 0;
-        }
-        let mut degree: Vec<usize> = self.adj.iter().map(|(_, nbrs)| nbrs.len()).collect();
-        let mut removed = vec![false; n];
-        // The adjacency is sorted by vertex id, so the position of a
-        // destination can be found by binary search without an extra map.
-        let position = |target: &VertexId, adj: &[(VertexId, Vec<VertexId>)]| {
-            adj.binary_search_by_key(target, |(v, _)| *v).ok()
-        };
-        let mut stack: Vec<usize> = (0..n)
-            .filter(|&i| peelable(self.adj[i].0) && degree[i] < k)
-            .collect();
-        for &i in &stack {
-            removed[i] = true;
-        }
-        let mut removed_total = 0usize;
-        while let Some(i) = stack.pop() {
-            removed_total += 1;
-            for w in &self.adj[i].1 {
-                if let Some(j) = position(w, &self.adj) {
-                    if !removed[j] {
-                        degree[j] -= 1;
-                        if degree[j] < k && peelable(self.adj[j].0) {
-                            removed[j] = true;
-                            stack.push(j);
-                        }
-                    }
-                }
-            }
-        }
-        if removed_total == 0 {
-            return 0;
-        }
-        let removed_ids: Vec<VertexId> = self
-            .adj
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| removed[*i])
-            .map(|(_, (v, _))| *v)
-            .collect();
-        let old = std::mem::take(&mut self.adj);
-        self.adj = old
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| !removed[*i])
-            .map(|(_, entry)| entry)
-            .collect();
-        for (_, nbrs) in &mut self.adj {
-            nbrs.retain(|w| removed_ids.binary_search(w).is_err());
-        }
-        removed_total
-    }
-
-    /// Converts the task graph into a [`LocalGraph`] plus a global→local index
-    /// map. Only edges between present vertices are materialised.
-    pub fn to_local_graph(&self) -> (LocalGraph, HashMap<VertexId, u32>) {
-        let globals: Vec<VertexId> = self.adj.iter().map(|(v, _)| *v).collect();
-        let index: HashMap<VertexId, u32> = globals
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, i as u32))
-            .collect();
-        let mut lg = LocalGraph::new(globals);
-        for (v, nbrs) in &self.adj {
-            let vi = index[v];
-            for w in nbrs {
-                // `add_edge` inserts both directions and ignores duplicates,
-                // so asymmetric adjacency input still yields a simple graph.
-                if let Some(&wi) = index.get(w) {
-                    lg.add_edge(vi, wi);
-                }
-            }
-        }
-        (lg, index)
-    }
-
-    /// Approximate in-memory footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.adj
-            .iter()
-            .map(|(_, nbrs)| std::mem::size_of::<(VertexId, Vec<VertexId>)>() + nbrs.len() * 4)
-            .sum()
-    }
-}
 
 /// The iteration a task is in (mirrors `t.iteration` of the paper).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -222,46 +71,40 @@ pub struct QCTask {
     pub phase: TaskPhase,
     /// Vertices whose adjacency lists this task is waiting for.
     pub pull_targets: Vec<VertexId>,
-    /// `t.N`: the spawning vertex plus its (larger-id) first-hop neighbors,
-    /// collected in iteration 1 and used to identify second-hop vertices.
-    pub one_hop: Vec<VertexId>,
-    /// The task subgraph `t.g` (global-id adjacency).
-    pub subgraph: TaskGraph,
-    /// The candidate set `S` (global ids). `{root}` for root tasks; larger for
-    /// decomposed subtasks.
-    pub s: Vec<VertexId>,
-    /// The extension set `ext(S)` (global ids). Empty until iteration 3.
-    pub ext: Vec<VertexId>,
+    /// The task subgraph `t.g`, compact (every vertex alive) and in id order:
+    /// empty until iteration 1, the surviving first-hop vertices and the edges
+    /// among them until iteration 2, final from then on. The root is local 0.
+    pub subgraph: LocalGraph,
+    /// The candidate set `S` as local indices of `subgraph`. `{root}` for
+    /// root tasks; larger for decomposed subtasks. Empty until iteration 2.
+    pub s: Vec<u32>,
+    /// The extension set `ext(S)` as local indices of `subgraph`, in
+    /// branching order. Empty until iteration 2.
+    pub ext: Vec<u32>,
 }
 
 impl QCTask {
-    /// Creates the initial task spawned from `root` (Algorithm 4): iteration 1,
-    /// `S = {root}` and pull requests for the larger-id neighbors.
+    /// Creates the initial task spawned from `root` (Algorithm 4): iteration 1
+    /// and pull requests for the larger-id neighbors.
     pub fn spawned(root: VertexId, larger_neighbors: Vec<VertexId>) -> Self {
         QCTask {
             root,
             phase: TaskPhase::FirstHop,
             pull_targets: larger_neighbors,
-            one_hop: Vec::new(),
-            subgraph: TaskGraph::new(),
-            s: vec![root],
+            subgraph: LocalGraph::new(Vec::new()),
+            s: Vec::new(),
             ext: Vec::new(),
         }
     }
 
     /// Creates a decomposed subtask that enters directly at iteration 3
-    /// (Algorithm 8 lines 12–21 / Algorithm 10 lines 20–22).
-    pub fn decomposed(
-        root: VertexId,
-        s: Vec<VertexId>,
-        ext: Vec<VertexId>,
-        subgraph: TaskGraph,
-    ) -> Self {
+    /// (Algorithm 8 lines 12–21 / Algorithm 10 lines 20–22). `s` and `ext`
+    /// index `subgraph`, which holds the root at local 0.
+    pub fn decomposed(root: VertexId, s: Vec<u32>, ext: Vec<u32>, subgraph: LocalGraph) -> Self {
         QCTask {
             root,
             phase: TaskPhase::Mine,
             pull_targets: Vec::new(),
-            one_hop: Vec::new(),
             subgraph,
             s,
             ext,
@@ -277,52 +120,91 @@ impl QCTask {
             _ => self.pull_targets.len(),
         }
     }
+
+    /// True when the parts fit together the way every constructor and
+    /// iteration leaves them: an empty candidate over an empty graph before
+    /// iteration 1, the root at local 0 afterwards, and `S`, `ext(S)` disjoint,
+    /// duplicate-free and inside the graph.
+    fn is_consistent(&self) -> bool {
+        let n = self.subgraph.capacity();
+        if self.phase == TaskPhase::FirstHop {
+            return n == 0 && self.s.is_empty() && self.ext.is_empty();
+        }
+        if n == 0 || self.subgraph.global_id(0) != self.root {
+            return false;
+        }
+        let mut seen = vec![false; n];
+        self.s.iter().chain(&self.ext).all(|&i| {
+            let fresh = seen.get_mut(i as usize);
+            fresh.is_some_and(|slot| !std::mem::replace(slot, true))
+        })
+    }
 }
 
 impl TaskCodec for QCTask {
+    /// The id table, then one local neighbor list per vertex: the bytes a
+    /// spill file, a steal grant and a strict transport all carry.
     fn encode(&self, buf: &mut Vec<u8>) {
+        debug_assert_eq!(self.subgraph.num_vertices(), self.subgraph.capacity());
         put_u32(buf, self.root.raw());
         put_u32(buf, self.phase.as_u32());
         put_vertices(buf, &self.pull_targets);
-        put_vertices(buf, &self.one_hop);
-        put_vertices(buf, &self.s);
-        put_vertices(buf, &self.ext);
-        put_u32(buf, self.subgraph.adj.len() as u32);
-        for (v, nbrs) in &self.subgraph.adj {
-            put_u32(buf, v.raw());
-            put_vertices(buf, nbrs);
+        put_u32_slice(buf, &self.s);
+        put_u32_slice(buf, &self.ext);
+        // The id table, framed like `put_vertices`.
+        let n = self.subgraph.capacity() as u32;
+        put_u32(buf, n);
+        for i in 0..n {
+            put_u32(buf, self.subgraph.global_id(i).raw());
+        }
+        for i in 0..n {
+            put_u32_slice(buf, self.subgraph.raw_neighbors(i));
         }
     }
 
+    /// Total: every count is bounded by the bytes that remain before anything
+    /// is allocated for it, and the graph and candidate are checked
+    /// ([`LocalGraph::from_sorted_lists`], `QCTask::is_consistent`), so
+    /// corrupt input yields `None`, never a panic or an oversized allocation.
     fn decode(data: &mut &[u8]) -> Option<Self> {
         let root = VertexId::new(take_u32(data)?);
         let phase = TaskPhase::from_u32(take_u32(data)?)?;
         let pull_targets = take_vertices(data)?;
-        let one_hop = take_vertices(data)?;
-        let s = take_vertices(data)?;
-        let ext = take_vertices(data)?;
-        let n = take_u32(data)? as usize;
-        let mut adj = Vec::with_capacity(n);
-        for _ in 0..n {
-            let v = VertexId::new(take_u32(data)?);
-            let nbrs = take_vertices(data)?;
-            adj.push((v, nbrs));
+        let s = take_u32_vec(data)?;
+        let ext = take_u32_vec(data)?;
+        let ids = take_vertices(data)?;
+        // Each list is at least its own length prefix.
+        if data.len() / 4 < ids.len() {
+            return None;
         }
-        Some(QCTask {
+        let mut adj = Vec::with_capacity(ids.len());
+        for _ in 0..ids.len() {
+            adj.push(take_u32_vec(data)?);
+        }
+        let task = QCTask {
             root,
             phase,
             pull_targets,
-            one_hop,
-            subgraph: TaskGraph { adj },
+            subgraph: LocalGraph::from_sorted_lists(ids, adj)?,
             s,
             ext,
-        })
+        };
+        task.is_consistent().then_some(task)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::iterations::iteration_1;
+    use crate::iterations::tests::{build_task, figure4, frontier_for};
+    use crate::mine::{run_mine_phase, DecompositionStrategy, MinePhaseParams};
+    use crate::reference::TaskGraph;
+    use proptest::prelude::*;
+    use qcm_core::{CancelToken, MiningParams, PruneConfig};
+    use qcm_engine::WorkerScratch;
+    use qcm_graph::IndexSpec;
+    use std::time::Duration;
 
     fn v(id: u32) -> VertexId {
         VertexId::new(id)
@@ -387,44 +269,159 @@ mod tests {
         assert!(lg.has_edge(index[&v(10)], index[&v(30)]));
     }
 
-    #[test]
-    fn codec_roundtrip_preserves_every_field() {
-        let mut sub = TaskGraph::new();
-        sub.insert(v(3), vec![v(4), v(5)]);
-        sub.insert(v(4), vec![v(3)]);
-        let task = QCTask {
-            root: v(3),
-            phase: TaskPhase::SecondHop,
-            pull_targets: vec![v(8), v(9)],
-            one_hop: vec![v(3), v(4)],
-            subgraph: sub,
-            s: vec![v(3)],
-            ext: vec![v(4), v(5)],
+    /// One task per phase, off the Figure 4 graph at k = 3: freshly spawned,
+    /// after iteration 1 (a half-built graph and second-hop pulls), ready to
+    /// mine, and a subtask decomposed from that.
+    fn task_of_every_phase() -> Vec<QCTask> {
+        let g = figure4();
+        let spawned = QCTask::spawned(v(0), g.neighbors(v(0)).to_vec());
+        let mut second_hop = spawned.clone();
+        let f1 = frontier_for(&g, &second_hop.pull_targets);
+        assert!(iteration_1(&mut second_hop, &f1, 3));
+        let mine = build_task(&g, 0, 3).unwrap();
+        // Mined with τ_time = 0, the whole graph as one candidate splits.
+        let all: Vec<VertexId> = g.vertices().collect();
+        let mut whole = QCTask::decomposed(
+            v(0),
+            vec![0],
+            (1..9).collect(),
+            LocalGraph::from_induced(&g, &all),
+        );
+        let phase = MinePhaseParams {
+            params: MiningParams::new(0.6, 5),
+            config: PruneConfig::all_enabled(),
+            tau_split: 100,
+            tau_time: Duration::ZERO,
+            strategy: DecompositionStrategy::TimeDelayed,
+            cancel: CancelToken::never(),
+            index: IndexSpec::Auto,
         };
+        let decomposed = run_mine_phase(&mut whole, &phase, &mut WorkerScratch::default())
+            .subtasks
+            .swap_remove(0);
+        assert_eq!(
+            [
+                spawned.phase,
+                second_hop.phase,
+                mine.phase,
+                decomposed.phase
+            ],
+            [
+                TaskPhase::FirstHop,
+                TaskPhase::SecondHop,
+                TaskPhase::Mine,
+                TaskPhase::Mine
+            ]
+        );
+        assert!(second_hop.subgraph.capacity() > 1 && !second_hop.pull_targets.is_empty());
+        assert!(decomposed.s.len() > 1);
+        vec![spawned, second_hop, mine, decomposed]
+    }
+
+    fn encoded(task: &QCTask) -> Vec<u8> {
         let mut buf = Vec::new();
         task.encode(&mut buf);
-        let mut slice = buf.as_slice();
-        let decoded = QCTask::decode(&mut slice).unwrap();
-        assert_eq!(decoded, task);
-        assert!(slice.is_empty());
+        buf
+    }
+
+    #[test]
+    fn codec_roundtrip_preserves_every_field() {
+        for task in task_of_every_phase() {
+            let buf = encoded(&task);
+            let mut slice = buf.as_slice();
+            let decoded = QCTask::decode(&mut slice).unwrap();
+            assert_eq!(decoded, task);
+            assert!(slice.is_empty());
+        }
     }
 
     #[test]
     fn spawned_and_decomposed_constructors() {
         let t = QCTask::spawned(v(7), vec![v(8), v(11)]);
         assert_eq!(t.phase, TaskPhase::FirstHop);
-        assert_eq!(t.s, vec![v(7)]);
+        assert!(t.s.is_empty() && t.subgraph.capacity() == 0);
         assert_eq!(t.size_measure(), 2);
 
-        let sub = TaskGraph::new();
-        let t = QCTask::decomposed(v(7), vec![v(7), v(8)], vec![v(11), v(12), v(13)], sub);
+        let sub = LocalGraph::new(vec![v(7), v(8), v(11), v(12), v(13)]);
+        let t = QCTask::decomposed(v(7), vec![0, 1], vec![2, 3, 4], sub);
         assert_eq!(t.phase, TaskPhase::Mine);
         assert_eq!(t.size_measure(), 3);
+        assert!(t.is_consistent());
     }
 
     #[test]
     fn malformed_bytes_are_rejected() {
         let mut slice: &[u8] = &[1, 2, 3];
         assert!(QCTask::decode(&mut slice).is_none());
+    }
+
+    #[test]
+    fn a_huge_vertex_count_is_refused_before_anything_is_allocated() {
+        // root 0, phase Mine, no pulls, empty S and ext, then an id table that
+        // claims 2³² − 1 entries: the count the old decoder passed straight to
+        // `Vec::with_capacity`, ~137 GB.
+        let mut buf = Vec::new();
+        for word in [0u32, 3, 0, 0, 0, u32::MAX] {
+            put_u32(&mut buf, word);
+        }
+        assert!(QCTask::decode(&mut buf.as_slice()).is_none());
+        // An id table that is there, with no list behind it.
+        buf.truncate(20);
+        put_vertices(&mut buf, &[v(0), v(1), v(2)]);
+        assert!(QCTask::decode(&mut buf.as_slice()).is_none());
+    }
+
+    #[test]
+    fn decode_refuses_tasks_whose_parts_do_not_fit() {
+        let mine = task_of_every_phase().swap_remove(2);
+        let refused = |edit: &dyn Fn(&mut QCTask)| {
+            let mut task = mine.clone();
+            edit(&mut task);
+            QCTask::decode(&mut encoded(&task).as_slice()).is_none()
+        };
+        assert!(!refused(&|_| {}));
+        assert!(refused(&|t| t.ext.push(99)), "ext out of range");
+        assert!(refused(&|t| t.ext.push(0)), "S and ext overlap");
+        assert!(refused(&|t| t.ext.push(1)), "duplicate in ext");
+        assert!(refused(&|t| t.root = v(1)), "the root is not local 0");
+        assert!(
+            refused(&|t| t.phase = TaskPhase::FirstHop),
+            "a graph before iteration 1"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Corrupt spill files and grants: whatever happens to the bytes,
+        /// `decode` answers `None` or a task that holds every condition the
+        /// constructors check — it never panics.
+        #[test]
+        fn decode_is_total_under_mutation_and_truncation(
+            which in 0usize..4,
+            edits in proptest::collection::vec((0usize..4096, 0u32..256), 0..4),
+            cut in 0usize..4096,
+            truncate in 0u32..3,
+        ) {
+            let task = task_of_every_phase().swap_remove(which);
+            let mut bytes = encoded(&task);
+            for (at, byte) in edits {
+                let at = at % bytes.len();
+                bytes[at] = byte as u8;
+            }
+            if truncate == 0 {
+                bytes.truncate(cut % bytes.len());
+            }
+            if let Some(decoded) = QCTask::decode(&mut bytes.as_slice()) {
+                prop_assert!(decoded.is_consistent());
+                let graph = &decoded.subgraph;
+                let n = graph.capacity() as u32;
+                let rebuilt = LocalGraph::from_sorted_lists(
+                    (0..n).map(|i| graph.global_id(i)).collect(),
+                    (0..n).map(|i| graph.raw_neighbors(i).to_vec()).collect(),
+                );
+                prop_assert_eq!(rebuilt.as_ref(), Some(graph));
+            }
+        }
     }
 }
