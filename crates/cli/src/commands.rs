@@ -484,31 +484,20 @@ pub(crate) fn load_graph(path: &str) -> Result<Graph, QcmError> {
 }
 
 /// `qcm fingerprint <edge_list>` — prints the stable content hash that keys
-/// the service result cache and graph registries, plus the neighborhood-index
-/// shape a service would build for this graph (hub threshold, hub count and
-/// index memory), so cache keys and perf reports are explainable.
+/// the service result cache and graph registries, so cache keys are
+/// explainable.
 pub fn fingerprint(args: &[String]) -> Result<(), QcmError> {
     let flags = Flags::parse(args, &STATS_FLAGS)?;
     let path = flags
         .positional
         .first()
         .ok_or_else(|| QcmError::InvalidConfig("fingerprint requires an edge-list path".into()))?;
-    let graph = Arc::new(load_graph(path)?);
+    let graph = load_graph(path)?;
     println!(
         "{path}: {} vertices, {} edges, content hash {:#018x}",
         graph.num_vertices(),
         graph.num_edges(),
         graph.content_hash()
-    );
-    let index = qcm::NeighborhoodIndex::build(graph.clone(), qcm::IndexSpec::Auto);
-    println!(
-        "neighborhood index (auto): bitset threshold {} (degree ≥), {} hub vertices of {}, \
-         index memory {} bytes (csr {} bytes)",
-        index.threshold(),
-        index.hub_count(),
-        graph.num_vertices(),
-        index.memory_bytes(),
-        graph.memory_bytes()
     );
     Ok(())
 }

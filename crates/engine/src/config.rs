@@ -7,8 +7,7 @@
 
 use crate::transport::TransportFactory;
 use qcm_core::CancelToken;
-use qcm_graph::{IndexSpec, NeighborhoodIndex};
-use qcm_sync::Arc;
+use qcm_graph::IndexSpec;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -65,17 +64,11 @@ pub struct EngineConfig {
     /// loop and drain out when it fires, so a cancelled or deadline-hit run
     /// returns the results emitted so far. Defaults to a never-firing token.
     pub cancel: CancelToken,
-    /// Hybrid bitset neighborhood-index policy, applied both to the global
-    /// vertex table (unless [`EngineConfig::shared_index`] supplies a
-    /// prebuilt one) and to every mining task's materialised subgraph.
+    /// Row policy of task subgraphs: which vertices of a mining task's
+    /// materialised `LocalGraph` get a bitset neighbour row. The whole graph
+    /// is only ever read as CSR adjacency lists, so nothing global is built
+    /// from this.
     pub index: IndexSpec,
-    /// A prebuilt global [`NeighborhoodIndex`] to reuse (built once per
-    /// graph by the session/service layer and shared across jobs). The vertex
-    /// table adopts it when it wraps the very graph (`Arc::ptr_eq`) the run
-    /// mines; otherwise — `None`, or a run over a peeled copy of that graph —
-    /// the cluster builds one per [`EngineConfig::index`]. The miners also
-    /// validate their results through it.
-    pub shared_index: Option<Arc<NeighborhoodIndex>>,
 }
 
 impl Default for EngineConfig {
@@ -97,7 +90,6 @@ impl Default for EngineConfig {
             pull_retries: 3,
             cancel: CancelToken::never(),
             index: IndexSpec::Auto,
-            shared_index: None,
         }
     }
 }
@@ -131,16 +123,9 @@ impl EngineConfig {
         self
     }
 
-    /// Chooses the neighborhood-index policy (default [`IndexSpec::Auto`]).
+    /// Chooses the row policy of task subgraphs (default [`IndexSpec::Auto`]).
     pub fn with_index(mut self, index: IndexSpec) -> Self {
         self.index = index;
-        self
-    }
-
-    /// Reuses a prebuilt global neighborhood index instead of building one at
-    /// cluster start.
-    pub fn with_shared_index(mut self, index: Arc<NeighborhoodIndex>) -> Self {
-        self.shared_index = Some(index);
         self
     }
 

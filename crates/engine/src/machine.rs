@@ -30,7 +30,7 @@ use crate::vertex_table::{FetchMetrics, PartitionedVertexTable};
 
 use qcm_core::RunOutcome;
 use qcm_graph::neighborhoods::perf;
-use qcm_graph::{Graph, NeighborhoodIndex, VertexId};
+use qcm_graph::{Graph, VertexId};
 use qcm_obs::clock::Instant;
 use qcm_obs::SpanKind;
 use qcm_sync::atomic::{AtomicU64, Ordering};
@@ -257,10 +257,9 @@ struct Counters {
 }
 
 impl<'a, A: GThinkerApp> Run<'a, A> {
-    /// Sets a run up: reuses the caller's per-graph index when one was
-    /// threaded through (session/service layers build it once per graph),
-    /// partitions the vertex table, binds the transport and creates one
-    /// [`Machine`] per partition with `threads` worker deques each.
+    /// Sets a run up: partitions the vertex table, binds the transport and
+    /// creates one [`Machine`] per partition with `threads` worker deques
+    /// each.
     pub(crate) fn new(
         app: &'a A,
         config: &'a EngineConfig,
@@ -269,11 +268,7 @@ impl<'a, A: GThinkerApp> Run<'a, A> {
         threads: usize,
     ) -> Self {
         let started = Instant::now();
-        let index = match &config.shared_index {
-            Some(shared) if Arc::ptr_eq(shared.graph(), &graph) => shared.clone(),
-            _ => Arc::new(NeighborhoodIndex::build(graph, config.index)),
-        };
-        let table = PartitionedVertexTable::with_index(index, config.num_machines);
+        let table = PartitionedVertexTable::new(graph, config.num_machines);
         transport.bind(&table);
         let spill = Arc::new(SpillMetrics::default());
         let machines = (0..config.num_machines)

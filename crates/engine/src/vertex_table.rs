@@ -10,7 +10,7 @@
 //! the design remain observable.
 
 use crate::transport::{Transport, TransportError};
-use qcm_graph::{Graph, IndexSpec, NeighborhoodIndex, Neighborhoods, VertexId};
+use qcm_graph::{Graph, VertexId};
 use qcm_sync::atomic::{AtomicU64, Ordering};
 use qcm_sync::Arc;
 use std::collections::{HashMap, VecDeque};
@@ -66,36 +66,25 @@ impl From<Vec<VertexId>> for AdjList {
     }
 }
 
-/// Hash partitioning of vertices over machines plus access to adjacency
-/// lists and edge queries.
+/// Hash partitioning of vertices over machines plus access to their
+/// adjacency lists.
 ///
-/// The table serves the shared graph through a [`NeighborhoodIndex`]: hub
-/// vertices answer [`PartitionedVertexTable::has_edge`] with an `O(1)` bitset
-/// probe, everything else falls back to the CSR binary search. The index is
-/// built once per graph — pass a prebuilt one
-/// ([`PartitionedVertexTable::with_index`]) to share it across runs, the way
-/// the session/service layer does for cached jobs.
+/// The table is G-thinker's key–value store of adjacency lists and nothing
+/// more: it serves Γ(v) from the shared graph's CSR. Edge queries are never
+/// answered here — a task answers them from the rows of its own
+/// `LocalGraph`, built from the lists it pulled.
 #[derive(Clone)]
 pub struct PartitionedVertexTable {
-    index: Arc<NeighborhoodIndex>,
+    graph: Arc<Graph>,
     num_machines: usize,
 }
 
 impl PartitionedVertexTable {
-    /// Creates the table over `graph` partitioned across `num_machines`,
-    /// building a fresh [`IndexSpec::Auto`] neighborhood index.
+    /// Creates the table over `graph` partitioned across `num_machines`.
     pub fn new(graph: Arc<Graph>, num_machines: usize) -> Self {
-        Self::with_index(
-            Arc::new(NeighborhoodIndex::build(graph, IndexSpec::Auto)),
-            num_machines,
-        )
-    }
-
-    /// Creates the table around a prebuilt (shared) neighborhood index.
-    pub fn with_index(index: Arc<NeighborhoodIndex>, num_machines: usize) -> Self {
         assert!(num_machines >= 1);
         PartitionedVertexTable {
-            index,
+            graph,
             num_machines,
         }
     }
@@ -106,13 +95,6 @@ impl PartitionedVertexTable {
         (v.raw() as usize) % self.num_machines
     }
 
-    /// True if `(u, v)` is an edge, via the shared edge-query path of the
-    /// neighborhood index (`O(1)` on hub vertices).
-    #[inline]
-    pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        self.index.has_edge(u, v)
-    }
-
     /// True if `machine` owns `v`.
     #[inline]
     pub fn is_local(&self, machine: usize, v: VertexId) -> bool {
@@ -121,8 +103,7 @@ impl PartitionedVertexTable {
 
     /// The vertices owned by `machine`, in increasing id order.
     pub fn owned_vertices(&self, machine: usize) -> Vec<VertexId> {
-        self.index
-            .graph()
+        self.graph
             .vertices()
             .filter(|&v| self.owner(v) == machine)
             .collect()
@@ -131,42 +112,17 @@ impl PartitionedVertexTable {
     /// The adjacency list Γ(v) (borrowed from the shared graph).
     #[inline]
     pub fn adjacency(&self, v: VertexId) -> &[VertexId] {
-        self.index.graph().neighbors(v)
+        self.graph.neighbors(v)
     }
 
     /// The underlying shared graph.
     pub fn graph(&self) -> &Arc<Graph> {
-        self.index.graph()
-    }
-
-    /// The neighborhood index the table serves edge queries through.
-    pub fn index(&self) -> &Arc<NeighborhoodIndex> {
-        &self.index
+        &self.graph
     }
 
     /// Number of machines in the partitioning.
     pub fn num_machines(&self) -> usize {
         self.num_machines
-    }
-}
-
-impl Neighborhoods for PartitionedVertexTable {
-    fn vertex_capacity(&self) -> usize {
-        self.index.graph().num_vertices()
-    }
-
-    fn neighbor_count(&self, v: u32) -> usize {
-        self.index.graph().degree(VertexId::new(v))
-    }
-
-    fn adjacent(&self, u: u32, v: u32) -> bool {
-        self.has_edge(VertexId::new(u), VertexId::new(v))
-    }
-
-    fn for_each_neighbor(&self, v: u32, f: &mut dyn FnMut(u32)) {
-        for &w in self.adjacency(VertexId::new(v)) {
-            f(w.raw());
-        }
     }
 }
 
@@ -432,18 +388,6 @@ mod tests {
         for v in g.vertices() {
             assert_eq!(table.adjacency(v), g.neighbors(v));
         }
-        for u in g.vertices() {
-            for v in g.vertices() {
-                assert_eq!(table.has_edge(u, v), g.has_edge(u, v));
-                assert_eq!(table.adjacent(u.raw(), v.raw()), g.has_edge(u, v));
-            }
-        }
-        // A prebuilt index (e.g. the service layer's per-graph cache) is
-        // adopted as-is.
-        let shared = Arc::new(NeighborhoodIndex::build(g.clone(), IndexSpec::Threshold(0)));
-        let table = PartitionedVertexTable::with_index(shared.clone(), 2);
-        assert!(Arc::ptr_eq(table.index(), &shared));
-        assert!(table.has_edge(VertexId::new(0), VertexId::new(1)));
     }
 
     #[test]

@@ -123,11 +123,9 @@ impl Graph {
     }
 
     /// Returns true if `(u, v)` is an edge. `O(log d)` over the shorter
-    /// adjacency list. This is the **shared edge-query path**: every
-    /// membership probe in the crate (including [`Graph::validate`]) routes
-    /// through here or through a [`crate::NeighborhoodIndex`] wrapping it, so
-    /// the perf counters see each query exactly once and indexed callers get
-    /// the bitset fast path everywhere.
+    /// adjacency list. This is the whole graph's one edge-query path: every
+    /// membership probe on a [`Graph`] (including [`Graph::validate`]) routes
+    /// through here, so the perf counters see each query exactly once.
     #[inline]
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
         if u == v {

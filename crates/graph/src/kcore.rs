@@ -98,8 +98,7 @@ pub fn k_core_vertices(g: &Graph, k: usize) -> Vec<VertexId> {
 /// This is the form the parallel miners hand to the engine: vertex ids,
 /// partition hash, task labels and result rows need no translation, and a
 /// degree read off the result is an exact core degree. When the peel removes
-/// nothing the *same* `Arc` comes back, so a neighborhood index prepared over
-/// the input still matches it by `Arc::ptr_eq`.
+/// nothing the *same* `Arc` comes back and no copy is made.
 pub fn k_core_masked(graph: &Arc<Graph>, k: usize) -> Arc<Graph> {
     let peeled = peel(graph, k);
     if !peeled.cut_an_edge {

@@ -15,11 +15,11 @@
 //! * [`traversal`] — BFS, two-hop neighborhoods (the `B(v)` of the paper),
 //!   connected components.
 //! * [`bitset`] — fixed-capacity [`VertexBitSet`] with word-parallel set
-//!   operations, the scratch type of the hybrid index and the mining kernels.
-//! * [`neighborhoods`] — the [`Neighborhoods`] edge-query trait shared by all
-//!   backends and the hybrid [`NeighborhoodIndex`] (CSR + bitset rows for
-//!   high-degree vertices, `O(1)` hub edge queries), plus the process-wide
-//!   [`neighborhoods::perf`] counters the benchmark pipeline reports.
+//!   operations, the scratch type of the bitset rows and the mining kernels.
+//! * [`neighborhoods`] — the [`IndexSpec`] row policy of task subgraphs, the
+//!   process-wide [`neighborhoods::perf`] counters the benchmark pipeline
+//!   reports, and [`NeighborhoodIndex`] (CSR + bitset rows for high-degree
+//!   vertices over a whole graph), which only the benchmark of record builds.
 //! * [`io`] — SNAP-style edge-list parsing and writing, plus a checksummed
 //!   binary snapshot format.
 //! * [`hash`] — stable FNV-1a hashing behind snapshot checksums and the
@@ -50,7 +50,7 @@ pub use error::GraphError;
 pub use graph::Graph;
 pub use hash::Fnv1a64;
 pub use kcore::{core_numbers, degeneracy_ordering, k_core};
-pub use neighborhoods::{IndexSpec, NeighborhoodIndex, Neighborhoods};
+pub use neighborhoods::{IndexSpec, NeighborhoodIndex};
 pub use stats::GraphStats;
 pub use subgraph::{IdRanks, LocalGraph, SubgraphScratch};
 pub use vertex::VertexId;

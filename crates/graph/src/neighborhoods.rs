@@ -1,11 +1,11 @@
-//! The hybrid bitset neighborhood index and the shared edge-query trait.
+//! The bitset-row policy ([`IndexSpec`]), the hub-indexed whole-graph view
+//! ([`NeighborhoodIndex`]) and the kernel counters ([`perf`]).
 //!
-//! Sorted CSR adjacency lists give `O(log d)` edge queries, which is what
-//! every backend of the miner paid per `has_edge` before this module existed.
-//! Fast in-memory graph analytics engines get their speed from *dense*
-//! adjacency structures tuned for repeated set operations: a bitset row per
-//! high-degree vertex makes `has_edge` on hubs a single word probe and turns
-//! candidate-set intersection into word-parallel ANDs.
+//! Sorted CSR adjacency lists give `O(log d)` edge queries. Fast in-memory
+//! graph analytics engines get their speed from *dense* adjacency structures
+//! tuned for repeated set operations: a bitset row per vertex makes
+//! `has_edge` a single word probe and turns candidate-set intersection into
+//! word-parallel ANDs.
 //!
 //! Storing a bitset row for **every** vertex costs `O(|V|² / 8)` bytes, so
 //! the rule depends on the size of the graph:
@@ -17,24 +17,18 @@
 //!   recurse on (a root's two-hop k-core), where the same rows are probed and
 //!   ANDed thousands of times, so the mining kernels never leave the word
 //!   path there.
-//! * Anything larger — and the global [`NeighborhoodIndex`] at every size —
-//!   is **hybrid**: only vertices whose degree reaches a threshold get a
-//!   row, everything else keeps the CSR binary search. With the
-//!   [`IndexSpec::Auto`] threshold (`max(16, |V| / 64)`) a hub's row is at
-//!   most ~2× the size of its adjacency slice, bounding the whole index at
-//!   ~2× the CSR footprint while covering exactly the vertices where `log d`
-//!   hurts most (the ones every dense candidate set keeps probing). Beside
-//!   the rows the global index keeps a 4-byte slot per vertex, and only once
-//!   the graph has a hub: an index over a hub-less graph (a sparse
-//!   collaboration network, a graph peeled to a small k-core) owns no heap
-//!   memory at all.
+//! * Anything larger is **hybrid**: only vertices whose degree reaches a
+//!   threshold get a row, everything else keeps the CSR binary search. With
+//!   the [`IndexSpec::Auto`] threshold (`max(16, |V| / 64)`) a hub's row is at
+//!   most ~2× the size of its adjacency slice, bounding the rows at ~2× the
+//!   CSR footprint while covering exactly the vertices where `log d` hurts
+//!   most (the ones every dense candidate set keeps probing).
 //!
-//! The three consumers share one abstraction, [`Neighborhoods`]: the serial
-//! miner and the parallel mining tasks query their task-local
-//! [`crate::LocalGraph`] (which carries its own rows), and the engine's
-//! partitioned vertex table serves the global [`Graph`] through a
-//! process-wide [`NeighborhoodIndex`] built once per graph and shared across
-//! jobs.
+//! There is one edge-query backend per level: the whole [`Graph`] answers
+//! from its CSR, and a task — serial root or engine task alike — answers
+//! from the rows of its own [`crate::LocalGraph`]. No run builds rows over
+//! the whole graph; [`NeighborhoodIndex`] does, for the benchmark of record
+//! only.
 
 use crate::bitset::VertexBitSet;
 use crate::graph::Graph;
@@ -81,45 +75,16 @@ pub fn auto_threshold(n: usize) -> usize {
     (n / 64).max(16)
 }
 
-/// Uniform edge-query interface over every graph representation the miner
-/// touches: the global CSR [`Graph`], the task-local
-/// [`crate::LocalGraph`], the hub-indexed [`NeighborhoodIndex`] and the
-/// engine's partitioned vertex table. Having one trait means the mining
-/// kernels (expansion loop, bounds, maximality checks) are written once and
-/// every backend inherits the bitset fast path.
-///
-/// Vertex ids are raw `u32`s in the representation's own index space (local
-/// indices for a `LocalGraph`, global ids elsewhere).
-pub trait Neighborhoods {
-    /// One past the largest addressable vertex id.
-    fn vertex_capacity(&self) -> usize;
-
-    /// Degree of `v` (alive neighbors only, for representations with vertex
-    /// removal).
-    fn neighbor_count(&self, v: u32) -> usize;
-
-    /// True if `{u, v}` is an edge. Implementations route this through their
-    /// bitset fast path when one side has a hub row.
-    fn adjacent(&self, u: u32, v: u32) -> bool;
-
-    /// Calls `f` for every neighbor of `v`, in increasing id order.
-    fn for_each_neighbor(&self, v: u32, f: &mut dyn FnMut(u32));
-
-    /// Appends `candidates ∩ Γ(v)` to `out`, preserving the order of
-    /// `candidates`. Counted as one intersection in [`perf`].
-    fn intersect_neighbors(&self, v: u32, candidates: &[u32], out: &mut Vec<u32>) {
-        perf::count_intersections(1);
-        out.extend(candidates.iter().copied().filter(|&u| self.adjacent(v, u)));
-    }
-}
-
 /// A hub-indexed view of an immutable [`Graph`]: shared CSR plus bitset rows
 /// for every vertex of degree ≥ the resolved threshold.
 ///
-/// Build it **once per graph** (it is `O(|V| + Σ_{hubs} d)` and allocates up
-/// to ~2× the CSR size) and share the [`Arc`] across sessions and jobs — the
-/// service layer caches one per graph fingerprint, and the engine's vertex
-/// table serves adjacency and edge queries straight from it.
+/// Building it is `O(|V| + Σ_{hubs} d)` and allocates up to ~2× the CSR
+/// size: a 4-byte slot per vertex once the graph has a hub, plus the rows; an
+/// index over a hub-less graph owns no heap memory. No miner, engine or
+/// service path builds or reads one — every run answers edge queries inside
+/// per-task [`crate::LocalGraph`]s. Its only caller is the benchmark of
+/// record, which times `build`, `has_edge` and `common_neighbor_count` for
+/// its `graph.index_*` rows; it goes away with those rows (ROADMAP item 4).
 #[derive(Clone, Debug)]
 pub struct NeighborhoodIndex {
     graph: Arc<Graph>,
@@ -246,46 +211,6 @@ impl NeighborhoodIndex {
                 .iter()
                 .map(VertexBitSet::memory_bytes)
                 .sum::<usize>()
-    }
-}
-
-impl Neighborhoods for NeighborhoodIndex {
-    fn vertex_capacity(&self) -> usize {
-        self.graph.num_vertices()
-    }
-
-    fn neighbor_count(&self, v: u32) -> usize {
-        self.graph.degree(VertexId::new(v))
-    }
-
-    fn adjacent(&self, u: u32, v: u32) -> bool {
-        self.has_edge(VertexId::new(u), VertexId::new(v))
-    }
-
-    fn for_each_neighbor(&self, v: u32, f: &mut dyn FnMut(u32)) {
-        for &w in self.graph.neighbors(VertexId::new(v)) {
-            f(w.raw());
-        }
-    }
-}
-
-impl Neighborhoods for Graph {
-    fn vertex_capacity(&self) -> usize {
-        self.num_vertices()
-    }
-
-    fn neighbor_count(&self, v: u32) -> usize {
-        self.degree(VertexId::new(v))
-    }
-
-    fn adjacent(&self, u: u32, v: u32) -> bool {
-        self.has_edge(VertexId::new(u), VertexId::new(v))
-    }
-
-    fn for_each_neighbor(&self, v: u32, f: &mut dyn FnMut(u32)) {
-        for &w in self.neighbors(VertexId::new(v)) {
-            f(w.raw());
-        }
     }
 }
 
@@ -654,6 +579,12 @@ mod tests {
         assert!(idx.memory_bytes() > 0);
         assert_eq!(idx.threshold(), 4);
 
+        // Every vertex of figure 4 has degree >= 2.
+        let all = NeighborhoodIndex::build(g.clone(), IndexSpec::Threshold(2));
+        assert_eq!(all.threshold(), 2);
+        assert_eq!(all.hub_count(), 9);
+        assert!(all.memory_bytes() > 0);
+
         let disabled = NeighborhoodIndex::build(g, IndexSpec::Disabled);
         assert_eq!(disabled.hub_count(), 0);
         assert_eq!(disabled.threshold(), usize::MAX);
@@ -677,25 +608,6 @@ mod tests {
         let one = NeighborhoodIndex::build(g, IndexSpec::Threshold(5));
         assert_eq!(one.hub_count(), 2);
         assert!(one.memory_bytes() >= 9 * 4 + 2 * 8);
-    }
-
-    #[test]
-    fn neighborhoods_trait_is_uniform_across_representations() {
-        let g = figure4();
-        let idx = NeighborhoodIndex::build(g.clone(), IndexSpec::Threshold(0));
-        let reps: [&dyn Neighborhoods; 2] = [g.as_ref(), &idx];
-        for rep in reps {
-            assert_eq!(rep.vertex_capacity(), 9);
-            assert_eq!(rep.neighbor_count(3), 5);
-            assert!(rep.adjacent(0, 4));
-            assert!(!rep.adjacent(0, 8));
-            let mut seen = Vec::new();
-            rep.for_each_neighbor(3, &mut |w| seen.push(w));
-            assert_eq!(seen, vec![0, 2, 4, 7, 8]);
-            let mut out = Vec::new();
-            rep.intersect_neighbors(3, &[1, 2, 4, 6, 8], &mut out);
-            assert_eq!(out, vec![2, 4, 8]);
-        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::bitset::row_contains;
 use crate::graph::Graph;
-use crate::neighborhoods::{perf, IndexSpec, Neighborhoods};
+use crate::neighborhoods::{perf, IndexSpec};
 use crate::vertex::VertexId;
 
 /// Largest vertex count at which [`LocalGraph::build_hub_index`] with
@@ -609,26 +609,6 @@ impl LocalGraph {
     /// Global ids of all alive vertices, in local-index order.
     pub fn alive_global_ids(&self) -> Vec<VertexId> {
         self.vertices().map(|i| self.global_id(i)).collect()
-    }
-}
-
-impl Neighborhoods for LocalGraph {
-    fn vertex_capacity(&self) -> usize {
-        self.capacity()
-    }
-
-    fn neighbor_count(&self, v: u32) -> usize {
-        self.degree(v)
-    }
-
-    fn adjacent(&self, u: u32, v: u32) -> bool {
-        self.has_edge(u, v)
-    }
-
-    fn for_each_neighbor(&self, v: u32, f: &mut dyn FnMut(u32)) {
-        for w in self.neighbors(v) {
-            f(w);
-        }
     }
 }
 

@@ -20,14 +20,13 @@
 
 use crate::app::QuasiCliqueApp;
 use crate::mine::DecompositionStrategy;
-use qcm_core::validate::is_valid_quasi_clique_over;
 use qcm_core::{
-    remove_non_maximal, CancelToken, MiningParams, PruneConfig, QuasiCliqueSet, QuasiCliqueSink,
-    RunOutcome,
+    is_valid_quasi_clique, remove_non_maximal, CancelToken, MiningParams, PruneConfig,
+    QuasiCliqueSet, QuasiCliqueSink, RunOutcome,
 };
 use qcm_engine::{Cluster, EngineConfig, EngineMetrics};
 use qcm_graph::kcore::k_core_masked;
-use qcm_graph::{Graph, Neighborhoods, VertexId};
+use qcm_graph::{Graph, VertexId};
 use qcm_obs::clock::Instant;
 use qcm_sync::Arc;
 use std::time::Duration;
@@ -137,13 +136,8 @@ impl ParallelMiner {
         let mut output = cluster.run(core);
         output.metrics.elapsed += peel_time;
         let raw_reported = output.metrics.results_emitted;
-        let (maximal, invalid_sets_dropped) = finalize_results(
-            output.results,
-            &graph,
-            &self.engine_config,
-            &self.params,
-            observer,
-        );
+        let (maximal, invalid_sets_dropped) =
+            finalize_results(output.results, &graph, &self.params, observer);
         ParallelMiningOutput {
             maximal,
             raw_reported,
@@ -179,8 +173,7 @@ pub(crate) fn peel_to_core(
 /// sets the check dropped.
 pub(crate) fn finalize_results(
     results: Vec<Vec<VertexId>>,
-    graph: &Arc<Graph>,
-    engine_config: &EngineConfig,
+    graph: &Graph,
     params: &MiningParams,
     mut observer: Option<&mut dyn QuasiCliqueSink>,
 ) -> (QuasiCliqueSet, u64) {
@@ -194,19 +187,13 @@ pub(crate) fn finalize_results(
     let mut maximal = remove_non_maximal(set);
     // Trust-but-verify: re-check every answer against the graph the caller
     // passed in — never the peeled copy the engine mined, or the check would
-    // share the peel's mistakes — through the caller's prepared index when
-    // there is one. The distributed search assembled these sets from
-    // task-local subgraphs; a validation failure here means an engine bug,
-    // and dropping the set beats publishing — or cache-poisoning, at the
-    // service layer — a wrong answer.
-    let nbhd: &dyn Neighborhoods = match &engine_config.shared_index {
-        Some(index) if Arc::ptr_eq(index.graph(), graph) => index.as_ref(),
-        _ => graph.as_ref(),
-    };
+    // share the peel's mistakes. The distributed search assembled these
+    // sets from task-local subgraphs; a validation failure here means an
+    // engine bug, and dropping the set beats publishing — or cache-poisoning,
+    // at the service layer — a wrong answer.
     let before = maximal.len();
     maximal.retain_sets(|members| {
-        let raw: Vec<u32> = members.iter().map(|v| v.raw()).collect();
-        let valid = is_valid_quasi_clique_over(nbhd, &raw, params);
+        let valid = is_valid_quasi_clique(graph, members, params);
         debug_assert!(valid, "engine emitted an invalid result {members:?}");
         valid
     });

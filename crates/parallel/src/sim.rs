@@ -104,13 +104,8 @@ impl SimMiner {
         let mut output = cluster.run(core.clone());
         output.metrics.elapsed += peel_time;
         let raw_reported = output.metrics.results_emitted;
-        let (mut maximal, invalid_sets_dropped) = finalize_results(
-            output.results,
-            &graph,
-            &self.engine_config,
-            &self.params,
-            None,
-        );
+        let (mut maximal, invalid_sets_dropped) =
+            finalize_results(output.results, &graph, &self.params, None);
         // A root with no neighbour in the mined graph never spawns a task:
         // losing it loses nothing.
         output.lost_roots.retain(|&root| core.degree(root) > 0);

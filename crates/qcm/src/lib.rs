@@ -112,7 +112,7 @@ pub use qcm_core::{
     CancelReason, CancelToken, CollectingSink, QcmError, QueryKey, ResultSink, RunOutcome,
 };
 pub use qcm_engine::{Fault, FaultEvent, SimConfig, TransportKind};
-pub use qcm_graph::{IndexSpec, NeighborhoodIndex, Neighborhoods, VertexBitSet};
+pub use qcm_graph::{IndexSpec, NeighborhoodIndex, VertexBitSet};
 pub use qcm_obs::{SpanKind, Trace, TraceConfig};
 pub use session::{Backend, BackendStats, MiningReport, PreparedGraph, Session, SessionBuilder};
 
@@ -122,7 +122,7 @@ pub mod prelude {
         Backend, BackendStats, CancelReason, CancelToken, CollectingSink, MiningReport, QcmError,
         ResultSink, RunOutcome, Session, SessionBuilder,
     };
-    pub use crate::{Fault, FaultEvent, IndexSpec, PreparedGraph, SimConfig, TransportKind};
+    pub use crate::{Fault, FaultEvent, IndexSpec, SimConfig, TransportKind};
     pub use crate::{SpanKind, Trace, TraceConfig};
     pub use qcm_core::api::{
         ApiError, ErrorCode, GraphInfo, JobView, SubmitRequest, SubmitResponse, ERROR_CODE_TABLE,

@@ -34,7 +34,7 @@ use qcm_core::{
     QuasiCliqueSet, ResultSink, RunOutcome, SerialMiner,
 };
 use qcm_engine::{EngineConfig, EngineMetrics, SimConfig, TransportFactory, TransportKind};
-use qcm_graph::{Graph, IndexSpec, NeighborhoodIndex};
+use qcm_graph::{Graph, IndexSpec};
 use qcm_obs::{SpanKind, Trace, TraceConfig};
 use qcm_parallel::{DecompositionStrategy, ParallelMiner, SimMiner};
 use qcm_sync::Arc;
@@ -275,13 +275,15 @@ impl SessionBuilder {
         self
     }
 
-    /// Hybrid bitset neighborhood-index policy (default [`IndexSpec::Auto`]).
+    /// Row policy of task subgraphs (default [`IndexSpec::Auto`]): which
+    /// vertices of each root's materialised subgraph get a bitset neighbour
+    /// row.
     ///
-    /// The index accelerates the mining hot path (`O(1)` edge queries on
-    /// high-degree vertices, word-parallel degree counting) without changing
-    /// results; [`IndexSpec::Disabled`] reproduces the pure binary-search
-    /// behaviour. See [`Session::prepare`] to build the global index once and
-    /// reuse it across runs.
+    /// The rows accelerate the mining hot path (`O(1)` edge queries,
+    /// word-parallel degree counting) without changing results;
+    /// [`IndexSpec::Disabled`] reproduces the pure binary-search behaviour.
+    /// They are built per task, by both backends; nothing is built over the
+    /// whole graph.
     pub fn neighborhood_index(mut self, index: IndexSpec) -> Self {
         self.index = index;
         self
@@ -407,44 +409,20 @@ pub struct Session {
     tracing: Option<TraceConfig>,
 }
 
-/// A graph bundled with its neighborhood index, built **once** and reusable
-/// across any number of [`Session`] runs (and, at the service layer, across
-/// cached jobs over the same graph).
-///
-/// Building the index is `O(|V| + Σ_{hubs} d)` and allocates up to ~2× the
-/// CSR size; for one-off runs [`Session::run`] handles it internally, but a
-/// server answering repeated queries over the same graph should prepare once
-/// and call [`Session::run_prepared`].
+/// A graph handed to [`Session::prepare`]. Nothing is built for it: a run
+/// reads the whole graph as CSR adjacency lists and builds bitset rows per
+/// task, so there is no per-graph state to prepare. The type exists for the
+/// benchmark of record (`benchmark/src/rounds.rs`), its only caller, and goes
+/// away with that call (ROADMAP item 4).
 #[derive(Clone, Debug)]
 pub struct PreparedGraph {
     graph: Arc<Graph>,
-    index: Arc<NeighborhoodIndex>,
 }
 
 impl PreparedGraph {
-    /// Builds the index over `graph` per `spec`.
-    pub fn build(graph: Arc<Graph>, spec: IndexSpec) -> Self {
-        let index = Arc::new(NeighborhoodIndex::build(graph.clone(), spec));
-        PreparedGraph { graph, index }
-    }
-
-    /// Adopts an already-built index (must wrap the same `Arc`'d graph).
-    pub fn from_parts(graph: Arc<Graph>, index: Arc<NeighborhoodIndex>) -> Self {
-        assert!(
-            Arc::ptr_eq(index.graph(), &graph),
-            "PreparedGraph index must wrap the same graph"
-        );
-        PreparedGraph { graph, index }
-    }
-
     /// The underlying graph.
     pub fn graph(&self) -> &Arc<Graph> {
         &self.graph
-    }
-
-    /// The shared neighborhood index.
-    pub fn index(&self) -> &Arc<NeighborhoodIndex> {
-        &self.index
     }
 }
 
@@ -471,15 +449,10 @@ impl Session {
         self.cancel.clone()
     }
 
-    /// The configured neighborhood-index policy.
-    pub fn index_spec(&self) -> IndexSpec {
-        self.index
-    }
-
-    /// Builds the session's neighborhood index over `graph` once, for reuse
-    /// across many [`Session::run_prepared`] calls.
+    /// Wraps `graph` for [`Session::run_prepared`]; builds nothing. Kept for
+    /// the benchmark of record, its only caller — use [`Session::run`].
     pub fn prepare(&self, graph: Arc<Graph>) -> PreparedGraph {
-        PreparedGraph::build(graph, self.index)
+        PreparedGraph { graph }
     }
 
     /// Mines `graph` and returns the unified report. Interruption
@@ -487,23 +460,13 @@ impl Session {
     /// not as an error — chain [`MiningReport::into_result`] to treat partial
     /// runs as failures.
     pub fn run(&self, graph: &Arc<Graph>) -> Result<MiningReport, QcmError> {
-        self.run_impl(graph, None, None)
+        self.run_impl(graph, None)
     }
 
-    /// Like [`Session::run`], but reuses the prepared graph's index instead
-    /// of building one for the run.
+    /// [`Session::run`] on the wrapped graph. Kept for the benchmark of
+    /// record, its only caller.
     pub fn run_prepared(&self, prepared: &PreparedGraph) -> Result<MiningReport, QcmError> {
-        self.run_impl(&prepared.graph, Some(&prepared.index), None)
-    }
-
-    /// Like [`Session::run_streaming`], but reuses the prepared graph's
-    /// index.
-    pub fn run_prepared_streaming(
-        &self,
-        prepared: &PreparedGraph,
-        sink: &mut dyn ResultSink,
-    ) -> Result<MiningReport, QcmError> {
-        self.run_impl(&prepared.graph, Some(&prepared.index), Some(sink))
+        self.run(&prepared.graph)
     }
 
     /// Mines `graph`, pushing results into `sink` as the run progresses:
@@ -517,13 +480,12 @@ impl Session {
         graph: &Arc<Graph>,
         sink: &mut dyn ResultSink,
     ) -> Result<MiningReport, QcmError> {
-        self.run_impl(graph, None, Some(sink))
+        self.run_impl(graph, Some(sink))
     }
 
     fn run_impl(
         &self,
         graph: &Arc<Graph>,
-        shared_index: Option<&Arc<NeighborhoodIndex>>,
         mut sink: Option<&mut dyn ResultSink>,
     ) -> Result<MiningReport, QcmError> {
         // Arm the per-run token: session cancellation plus this run's
@@ -544,7 +506,6 @@ impl Session {
                 transport,
             } => self.run_parallel(
                 graph,
-                shared_index,
                 *threads,
                 *machines,
                 transport,
@@ -594,11 +555,9 @@ impl Session {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run_parallel<'a, 'b>(
         &self,
         graph: &Arc<Graph>,
-        shared_index: Option<&Arc<NeighborhoodIndex>>,
         threads: usize,
         machines: usize,
         transport: &TransportKind,
@@ -606,7 +565,7 @@ impl Session {
         sink: Option<&'a mut (dyn ResultSink + 'b)>,
     ) -> MiningReport {
         if let TransportKind::Sim(sim) = transport {
-            return self.run_sim(graph, shared_index, threads, machines, sim.clone());
+            return self.run_sim(graph, threads, machines, sim.clone());
         }
         let factory = match transport {
             TransportKind::InProc => TransportFactory::in_proc(),
@@ -618,9 +577,6 @@ impl Session {
             .with_cancel(cancel)
             .with_index(self.index)
             .with_transport(factory);
-        if let Some(index) = shared_index {
-            config = config.with_shared_index(index.clone());
-        }
         if let Some(period) = self.balance_period {
             config.balance_period = period;
         }
@@ -657,17 +613,13 @@ impl Session {
     fn run_sim(
         &self,
         graph: &Arc<Graph>,
-        shared_index: Option<&Arc<NeighborhoodIndex>>,
         _threads: usize,
         machines: usize,
         sim: SimConfig,
     ) -> MiningReport {
-        let mut config = EngineConfig::cluster(machines, 1)
+        let config = EngineConfig::cluster(machines, 1)
             .with_decomposition(self.tau_split, self.tau_time)
             .with_index(self.index);
-        if let Some(index) = shared_index {
-            config = config.with_shared_index(index.clone());
-        }
         let miner = SimMiner::new(self.params, config, sim).with_prune_config(self.prune);
         let output = miner.mine(graph.clone());
         MiningReport {

@@ -6,7 +6,7 @@ use crate::error::ServiceError;
 use crate::job::{JobId, JobRequest, JobResult, JobStatus, MinedAnswer, ParamsInput, Priority};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::queue::JobQueue;
-use qcm::{CancelToken, IndexSpec, PreparedGraph, ResultSink, RunOutcome, Session};
+use qcm::{CancelToken, ResultSink, RunOutcome, Session};
 use qcm_core::QueryKey;
 use qcm_graph::Graph;
 use qcm_obs::clock::Instant;
@@ -137,57 +137,6 @@ struct Shared {
     done_cv: Condvar,
     metrics: ServiceMetrics,
     admission: AdmissionControl,
-    /// Prepared graphs (graph + neighborhood index), keyed by graph
-    /// fingerprint and index policy, so the index is built **once per graph**
-    /// and reused by every subsequent job over it — including cache misses
-    /// with different mining parameters. Separate lock from `state`: index
-    /// construction is `O(|V| + |E|)` and must not stall submissions.
-    prepared: Mutex<PreparedCache>,
-}
-
-/// A small bounded FIFO cache of [`PreparedGraph`]s.
-#[derive(Default)]
-struct PreparedCache {
-    map: HashMap<(u64, IndexSpec), PreparedGraph>,
-    order: std::collections::VecDeque<(u64, IndexSpec)>,
-}
-
-impl PreparedCache {
-    /// At most this many distinct (graph, policy) indexes are retained; a
-    /// service typically hosts a handful of hot graphs.
-    const CAPACITY: usize = 16;
-
-    /// A cached hit is only reused when it demonstrably wraps the caller's
-    /// graph: the same `Arc` (the common resubmission case), or **full
-    /// structural equality** otherwise. The structural compare is a few
-    /// `Vec` memcmps — far cheaper than the index build it saves — and makes
-    /// it impossible for a 64-bit fingerprint collision between different
-    /// graphs to be served the wrong index/graph.
-    fn get(&self, key: (u64, IndexSpec), graph: &Arc<Graph>) -> Option<PreparedGraph> {
-        let hit = self.map.get(&key)?;
-        let cached = hit.graph();
-        let same_graph = Arc::ptr_eq(cached, graph) || cached.as_ref() == graph.as_ref();
-        same_graph.then(|| hit.clone())
-    }
-
-    fn insert(&mut self, key: (u64, IndexSpec), prepared: PreparedGraph) {
-        // Last write wins. For the benign two-workers-one-cold-graph race the
-        // entries are equivalent; for a genuine fingerprint collision this
-        // keeps the *latest* graph's index cached (the loser rebuilds on its
-        // next job instead of rebuilding forever).
-        if self.map.insert(key, prepared).is_some() {
-            return; // key already tracked in `order`
-        }
-        self.order.push_back(key);
-        while self.map.len() > Self::CAPACITY {
-            match self.order.pop_front() {
-                Some(old) => {
-                    self.map.remove(&old);
-                }
-                None => break,
-            }
-        }
-    }
 }
 
 impl Shared {
@@ -195,22 +144,6 @@ impl Shared {
     /// sink code must not brick the whole service.
     fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock()
-    }
-
-    /// The prepared (indexed) form of `graph`, built on first use per
-    /// (fingerprint, policy) and shared across jobs. The `O(|V| + |E|)`
-    /// index build happens **outside** the cache lock, so a cold large graph
-    /// never stalls workers whose graphs are already cached; two workers
-    /// racing on the same cold graph both build and the first insert wins.
-    fn prepared_for(&self, hash: u64, session: &Session, graph: &Arc<Graph>) -> PreparedGraph {
-        let key = (hash, session.index_spec());
-        let lock = || self.prepared.lock();
-        if let Some(hit) = lock().get(key, graph) {
-            return hit;
-        }
-        let prepared = session.prepare(graph.clone());
-        lock().insert(key, prepared.clone());
-        prepared
     }
 }
 
@@ -243,7 +176,6 @@ impl MiningService {
             done_cv: Condvar::new(),
             metrics: ServiceMetrics::default(),
             admission: config.admission,
-            prepared: Mutex::new(PreparedCache::default()),
         });
         let workers = (0..config.workers.max(1))
             .map(|i| {
@@ -614,7 +546,7 @@ impl Drop for MiningService {
 fn worker_loop(shared: &Shared) {
     loop {
         // Wait for a dispatchable job (or for shutdown).
-        let (id, session, graph, graph_hash, sink) = {
+        let (id, session, graph, sink) = {
             let mut state = shared.lock();
             let job = loop {
                 if state.stop && state.queue.is_empty() {
@@ -639,24 +571,15 @@ fn worker_loop(shared: &Shared) {
                 job,
                 entry.session.take().expect("queued job keeps its session"),
                 entry.graph.take().expect("queued job keeps its graph"),
-                entry.key.graph,
                 entry.sink.take(),
             )
         };
 
-        // Mine outside the lock. Parallel-backend jobs reuse the per-graph
-        // neighborhood index (built once per fingerprint, shared across
-        // cached jobs); serial jobs index their working subgraph internally
-        // and would never consult the global index, so they skip the build.
-        let prepared = match session.backend() {
-            qcm::Backend::Serial => None,
-            qcm::Backend::Parallel { .. } => {
-                Some(shared.prepared_for(graph_hash, &session, &graph))
-            }
-        };
-        let outcome = run_job(&session, &graph, prepared.as_ref(), sink);
+        // Mine outside the lock, on the job's own graph. The entry gave its
+        // handle up above and this one is dropped after the run, so the
+        // service keeps no graph past its job.
+        let outcome = run_job(&session, &graph, sink);
         drop(graph);
-        drop(prepared);
 
         // Publish the terminal state.
         {
@@ -716,20 +639,15 @@ fn worker_loop(shared: &Shared) {
 fn run_job(
     session: &Session,
     graph: &Arc<Graph>,
-    prepared: Option<&PreparedGraph>,
     mut sink: Option<Box<dyn ResultSink + Send>>,
 ) -> Result<MinedAnswer, String> {
     // The run executes caller-supplied sink code; a panic there must fail
     // *this job* (JobStatus::Failed), not unwind the worker thread — an
     // unwinding worker would leak its `running` slot and leave the job stuck
     // in Running, never answering `poll_fetch`.
-    let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        match (prepared, sink.as_mut()) {
-            (Some(prepared), Some(sink)) => session.run_prepared_streaming(prepared, sink.as_mut()),
-            (Some(prepared), None) => session.run_prepared(prepared),
-            (None, Some(sink)) => session.run_streaming(graph, sink.as_mut()),
-            (None, None) => session.run(graph),
-        }
+    let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match sink.as_mut() {
+        Some(sink) => session.run_streaming(graph, sink.as_mut()),
+        None => session.run(graph),
     }))
     .map_err(|panic| format!("job run panicked: {}", panic_message(panic.as_ref())))?
     .map_err(|e| e.to_string())?;

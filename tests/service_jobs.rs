@@ -88,6 +88,36 @@ fn identical_submits_mine_once_and_hit_the_cache() {
     service.shutdown();
 }
 
+/// A parallel-backend job goes first: the result-cache key ignores the
+/// backend, so after a serial job the cache would answer and nothing parallel
+/// would run.
+#[test]
+fn a_finished_parallel_job_answers_like_serial_and_releases_its_graph() {
+    let (graph, gamma, min_size) = easy_graph();
+    let expected = qcm::core::SerialMiner::new(qcm::core::MiningParams::new(gamma, min_size))
+        .mine(&graph)
+        .maximal;
+    assert!(!expected.is_empty(), "planted graph has results");
+    let service = MiningService::start(single_worker_config());
+    let request =
+        || JobRequest::new(graph.clone(), gamma, min_size).backend(qcm::Backend::parallel(2, 1));
+
+    let cold = fetch(&service, service.submit(request()).unwrap()).unwrap();
+    assert!(!cold.cache_hit);
+    assert!(cold.is_complete());
+    assert_eq!(cold.maximal(), &expected);
+
+    let hot = fetch(&service, service.submit(request()).unwrap()).unwrap();
+    assert!(hot.cache_hit, "identical query must be served from cache");
+    assert_eq!(hot.maximal(), &expected);
+    assert_eq!(service.metrics().jobs_mined, 1);
+
+    // Both jobs are terminal and fetched: the service holds answers, not
+    // graphs.
+    assert_eq!(Arc::strong_count(&graph), 1);
+    service.shutdown();
+}
+
 #[test]
 fn deadline_hit_completes_with_partial_result_not_error() {
     let (graph, gamma, min_size) = endless_graph();
