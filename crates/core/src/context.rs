@@ -10,7 +10,9 @@
 use crate::cancel::CancelToken;
 use crate::config::PruneConfig;
 use crate::params::MiningParams;
+use crate::path_degrees::PathDegrees;
 use crate::quasiclique::is_quasi_clique_local;
+use crate::recursive_mine::TwoHopRows;
 use crate::results::QuasiCliqueSink;
 use crate::scratch::MiningScratch;
 use crate::stats::MiningStats;
@@ -47,6 +49,12 @@ pub struct MiningContext<'a> {
     /// from context to context (`std::mem::take`) so the frames warmed up by
     /// one task serve the next without reallocating.
     pub scratch: MiningScratch,
+    /// The S-side degrees of the `S` the search last bounded, over `graph`.
+    /// State of this task, not of the arena: it lives and dies with the
+    /// context and is sized on first use.
+    pub(crate) path: PathDegrees,
+    /// The two-hop rows of `graph` built so far; per task like `path`.
+    pub(crate) two_hop: TwoHopRows,
 }
 
 impl<'a> MiningContext<'a> {
@@ -56,17 +64,7 @@ impl<'a> MiningContext<'a> {
         params: MiningParams,
         sink: &'a mut dyn QuasiCliqueSink,
     ) -> Self {
-        MiningContext {
-            graph,
-            params,
-            config: PruneConfig::default(),
-            sink,
-            stats: MiningStats::new(),
-            emulate_quick_omissions: false,
-            cancel: CancelToken::never(),
-            interrupted: false,
-            scratch: MiningScratch::default(),
-        }
+        Self::with_config(graph, params, PruneConfig::default(), sink)
     }
 
     /// Creates a context with an explicit pruning configuration.
@@ -86,6 +84,8 @@ impl<'a> MiningContext<'a> {
             cancel: CancelToken::never(),
             interrupted: false,
             scratch: MiningScratch::default(),
+            path: PathDegrees::default(),
+            two_hop: TwoHopRows::default(),
         }
     }
 

@@ -13,8 +13,9 @@
 //! has `d_S(v) ≥ ⌈γ·|S|⌉` (otherwise those vertices are already handled by
 //! Theorems 3–4).
 
-use crate::degrees::compute_degrees_into;
+use crate::degrees::carried_degrees_into;
 use crate::params::MiningParams;
+use crate::path_degrees::PathDegrees;
 use crate::scratch::MiningScratch;
 use qcm_graph::bitset::row_contains;
 use qcm_graph::neighborhoods::perf;
@@ -22,9 +23,10 @@ use qcm_graph::LocalGraph;
 
 /// Finds the cover vertex `u ∈ ext` with the largest `|C_S(u)|` (Eq. 9):
 /// writes the winning `C_S(u)` (sorted) into `covered_out` (cleared first)
-/// and returns the chosen cover vertex. Every intermediate set comes from —
-/// and goes back to — the arena, so the per-tree-node call allocates nothing
-/// in steady state.
+/// and returns the chosen cover vertex. `path` is the mining context's
+/// carried S-side degrees (moved to `s` here if they describe another set).
+/// Every intermediate set comes from — and goes back to — the arena, so the
+/// per-tree-node call allocates nothing in steady state.
 ///
 /// Mirrors the implementation note of Algorithm 2 line 2: while scanning
 /// candidates, a vertex whose `|Γ_ext(S)(u)|` is already no larger than the
@@ -36,6 +38,7 @@ use qcm_graph::LocalGraph;
 /// or no index) contributes its adjacency list as a row built on the spot.
 pub fn find_cover_vertex_into(
     g: &LocalGraph,
+    path: &mut PathDegrees,
     s: &[u32],
     ext: &[u32],
     params: &MiningParams,
@@ -47,8 +50,8 @@ pub fn find_cover_vertex_into(
         return None;
     }
     let mut degrees = scratch.take_degrees();
-    let mut membership = scratch.take_membership(g.capacity());
-    compute_degrees_into(g, s, ext, &mut degrees, &mut membership);
+    let mut ext_bits = scratch.take_bitset(g.capacity());
+    carried_degrees_into(g, path, s, ext, &mut degrees, &mut ext_bits);
     let threshold = params.gamma.ceil_mul(s.len());
     let mut best_vertex = None;
     let mut best_len = 0usize;
@@ -66,12 +69,12 @@ pub fn find_cover_vertex_into(
         // Γ_ext(S)(u).
         let row_u = g.hub_row(u);
         let mut len = match row_u {
-            Some(row) => cover.assign_intersection(row, membership.ext_bits().words()),
+            Some(row) => cover.assign_intersection(row, ext_bits.words()),
             None => {
                 cover.clear();
                 g.raw_neighbors(u)
                     .iter()
-                    .filter(|&&w| membership.ext_bits().contains(w) && cover.insert(w))
+                    .filter(|&&w| ext_bits.contains(w) && cover.insert(w))
                     .count()
             }
         };
@@ -129,7 +132,7 @@ pub fn find_cover_vertex_into(
     }
     scratch.put_bitset(cover);
     scratch.put_bitset(best);
-    scratch.put_membership(membership);
+    scratch.put_bitset(ext_bits);
     scratch.put_degrees(degrees);
     best_vertex
 }
@@ -200,6 +203,7 @@ mod tests {
             let mut covered = Vec::new();
             let vertex = find_cover_vertex_into(
                 &g,
+                &mut PathDegrees::default(),
                 s,
                 ext,
                 params,

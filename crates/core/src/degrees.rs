@@ -11,103 +11,14 @@
 //! The first three are needed to compute the upper/lower bounds `U_S`, `L_S`;
 //! the EE-degrees are only needed by the Type-I rules and are therefore
 //! computed lazily (see [`compute_ee_degrees_into`]), exactly as the paper
-//! recommends.
+//! recommends. The two S-side kinds are not counted here at all: they follow
+//! the search path in a [`PathDegrees`] and [`carried_degrees_into`] reads
+//! them.
 
+use crate::path_degrees::PathDegrees;
 use qcm_graph::bitset::VertexBitSet;
 use qcm_graph::neighborhoods::perf;
 use qcm_graph::LocalGraph;
-
-/// Which side of the candidate a local vertex currently belongs to.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Membership {
-    /// Not in `S` nor in `ext(S)`.
-    Neither,
-    /// In the candidate set `S`.
-    InS,
-    /// In the extension set `ext(S)`.
-    InExt,
-}
-
-/// A membership table over the local index space of a task subgraph.
-///
-/// Backed by two [`VertexBitSet`]s so the degree kernels can intersect a hub
-/// vertex's dense neighbor row against either side with word-parallel ANDs
-/// instead of walking the adjacency list.
-#[derive(Clone, Debug)]
-pub struct MembershipTable {
-    in_s: VertexBitSet,
-    in_ext: VertexBitSet,
-}
-
-impl MembershipTable {
-    /// Builds the table for the given `S` and `ext(S)` (local indices).
-    pub fn new(g: &LocalGraph, s: &[u32], ext: &[u32]) -> Self {
-        let mut table = MembershipTable::with_capacity(g.capacity());
-        table.fill(s, ext);
-        table
-    }
-
-    /// An empty table able to address ids `0..capacity` (pool construction).
-    pub fn with_capacity(capacity: usize) -> Self {
-        MembershipTable {
-            in_s: VertexBitSet::new(capacity),
-            in_ext: VertexBitSet::new(capacity),
-        }
-    }
-
-    /// Clears the table and re-targets it to a (possibly different) id
-    /// capacity, reusing the existing bitset buffers (scratch-pool reuse
-    /// across task subgraphs).
-    pub fn reset(&mut self, capacity: usize) {
-        self.in_s.reset(capacity);
-        self.in_ext.reset(capacity);
-    }
-
-    /// Populates a cleared table with the candidate sides.
-    pub fn fill(&mut self, s: &[u32], ext: &[u32]) {
-        for &v in s {
-            self.in_s.insert(v);
-        }
-        for &u in ext {
-            debug_assert!(!self.in_s.contains(u), "S and ext overlap");
-            self.in_ext.insert(u);
-        }
-    }
-
-    /// Marks `v` as a member of `S` (test/scratch helper).
-    pub fn insert_s(&mut self, v: u32) {
-        self.in_s.insert(v);
-    }
-
-    /// Heap footprint of the two bitsets in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.in_s.memory_bytes() + self.in_ext.memory_bytes()
-    }
-
-    /// Membership of local vertex `v`.
-    #[inline]
-    pub fn get(&self, v: u32) -> Membership {
-        if self.in_s.contains(v) {
-            Membership::InS
-        } else if self.in_ext.contains(v) {
-            Membership::InExt
-        } else {
-            Membership::Neither
-        }
-    }
-
-    /// The `S`-side members as a bitset (for word-parallel hub counting).
-    #[inline]
-    pub fn s_bits(&self) -> &VertexBitSet {
-        &self.in_s
-    }
-
-    /// The `ext(S)`-side members as a bitset.
-    #[inline]
-    pub fn ext_bits(&self) -> &VertexBitSet {
-        &self.in_ext
-    }
-}
 
 /// The SS/ES/SE degree vectors of a candidate (EE computed separately).
 ///
@@ -160,67 +71,62 @@ impl Degrees {
 }
 
 /// Computes SS, ES and SE degrees of the candidate `⟨s, ext⟩` over the task
-/// subgraph `g`.
-///
-/// Members with a bit row ([`LocalGraph::build_hub_index`] — every vertex of
-/// a task subgraph of at most [`qcm_graph::subgraph::ALL_ROWS_MAX_VERTICES`])
-/// are counted by word-parallel AND + popcount of the row against the
-/// membership bitsets (`O(capacity / 64)` per member); the rest walk their
-/// adjacency list (`O(d)`). Both paths rely on `S`/`ext` members being alive,
-/// so a row's stale bits for peeled vertices can never be counted.
-pub fn compute_degrees(g: &LocalGraph, s: &[u32], ext: &[u32]) -> (Degrees, MembershipTable) {
+/// subgraph `g` from nothing: [`carried_degrees_into`] on a fresh
+/// [`PathDegrees`]. Returns the degrees and `ext` as a bitset (what
+/// [`compute_ee_degrees_into`] takes).
+pub fn compute_degrees(g: &LocalGraph, s: &[u32], ext: &[u32]) -> (Degrees, VertexBitSet) {
     let mut degrees = Degrees::default();
-    let mut membership = MembershipTable::with_capacity(g.capacity());
-    compute_degrees_into(g, s, ext, &mut degrees, &mut membership);
-    (degrees, membership)
+    let mut ext_bits = VertexBitSet::default();
+    let mut path = PathDegrees::default();
+    carried_degrees_into(g, &mut path, s, ext, &mut degrees, &mut ext_bits);
+    (degrees, ext_bits)
 }
 
-/// Allocation-free core of [`compute_degrees`]: rebuilds `membership` (any
-/// prior contents and capacity are discarded) and refills `degrees` in place.
-/// The hot path calls this with scratch-pooled frames, so a bounding round
-/// recomputing degrees touches no heap.
-pub fn compute_degrees_into(
+/// Refills `degrees` with the SS, ES and SE degrees of the candidate
+/// `⟨s, ext⟩` and `ext_bits` with `ext` (any prior contents and capacity are
+/// discarded), allocating nothing.
+///
+/// The S-side degrees — `d_S(v)` for `v ∈ S` and `d_S(u)` for `u ∈ ext(S)` —
+/// are read from `path` after [`PathDegrees::sync`] has moved it to `s`, so a
+/// round costs them nothing unless `S` changed. Only `d_ext(S)(v)` for
+/// `v ∈ S` is counted: a member with a bit row
+/// ([`LocalGraph::build_hub_index`] — every vertex of a task subgraph of at
+/// most [`qcm_graph::subgraph::ALL_ROWS_MAX_VERTICES`]) by one word-parallel
+/// AND + popcount of the row against `ext_bits`, the rest by a walk of their
+/// adjacency list. `S`/`ext` members are alive, so a row's stale bits for
+/// peeled vertices can never be counted.
+pub fn carried_degrees_into(
     g: &LocalGraph,
+    path: &mut PathDegrees,
     s: &[u32],
     ext: &[u32],
     degrees: &mut Degrees,
-    membership: &mut MembershipTable,
+    ext_bits: &mut VertexBitSet,
 ) {
-    membership.reset(g.capacity());
-    membership.fill(s, ext);
+    debug_assert!(ext.iter().all(|u| !s.contains(u)), "S and ext overlap");
+    path.sync(g, s);
+    ext_bits.reset(g.capacity());
+    for &u in ext {
+        ext_bits.insert(u);
+    }
     degrees.clear();
     let mut row_counts = 0u64;
     for &v in s {
-        let (mut in_s, mut in_ext) = (0u32, 0u32);
-        if let Some(row) = g.hub_row(v) {
-            row_counts += 2;
-            in_s = membership.s_bits().intersection_count_row(row) as u32;
-            in_ext = membership.ext_bits().intersection_count_row(row) as u32;
+        degrees.s_in_s.push(path.d_s(v));
+        let in_ext = if let Some(row) = g.hub_row(v) {
+            row_counts += 1;
+            ext_bits.intersection_count_row(row) as u32
         } else {
-            // `raw_neighbors` is safe here: peeled vertices are in neither
-            // membership set, so they contribute to no counter.
-            for &w in g.raw_neighbors(v) {
-                match membership.get(w) {
-                    Membership::InS => in_s += 1,
-                    Membership::InExt => in_ext += 1,
-                    Membership::Neither => {}
-                }
-            }
-        }
-        degrees.s_in_s.push(in_s);
+            g.raw_neighbors(v)
+                .iter()
+                .filter(|&&w| ext_bits.contains(w))
+                .count() as u32
+        };
         degrees.s_in_ext.push(in_ext);
     }
     degrees.se_histogram.resize(s.len() + 1, 0);
     for &u in ext {
-        let in_s = if let Some(row) = g.hub_row(u) {
-            row_counts += 1;
-            membership.s_bits().intersection_count_row(row) as u32
-        } else {
-            g.raw_neighbors(u)
-                .iter()
-                .filter(|&&w| membership.s_bits().contains(w))
-                .count() as u32
-        };
+        let in_s = path.d_s(u);
         degrees.ext_in_s.push(in_s);
         degrees.se_histogram[in_s as usize] += 1;
     }
@@ -229,12 +135,12 @@ pub fn compute_degrees_into(
 
 /// Computes the EE-degrees `d_ext(S)(u)` for every `u ∈ ext(S)` (aligned with
 /// `ext`) into `ee`, refilled in place. Deferred until Type-I rules actually
-/// need them. Row members count by word-parallel AND, exactly like
-/// [`compute_degrees`].
+/// need them. `ext_bits` is `ext` as [`carried_degrees_into`] left it; row
+/// members count by word-parallel AND, exactly like the ES-degrees there.
 pub fn compute_ee_degrees_into(
     g: &LocalGraph,
     ext: &[u32],
-    membership: &MembershipTable,
+    ext_bits: &VertexBitSet,
     ee: &mut Vec<u32>,
 ) {
     ee.clear();
@@ -242,11 +148,11 @@ pub fn compute_ee_degrees_into(
     ee.extend(ext.iter().map(|&u| {
         if let Some(row) = g.hub_row(u) {
             row_counts += 1;
-            return membership.ext_bits().intersection_count_row(row) as u32;
+            return ext_bits.intersection_count_row(row) as u32;
         }
         g.raw_neighbors(u)
             .iter()
-            .filter(|&&w| membership.ext_bits().contains(w))
+            .filter(|&&w| ext_bits.contains(w))
             .count() as u32
     }));
     perf::count_intersections(row_counts);
@@ -257,9 +163,9 @@ mod tests {
     use super::*;
     use qcm_graph::{Graph, VertexId};
 
-    fn compute_ee_degrees(g: &LocalGraph, ext: &[u32], membership: &MembershipTable) -> Vec<u32> {
+    fn compute_ee_degrees(g: &LocalGraph, ext: &[u32], ext_bits: &VertexBitSet) -> Vec<u32> {
         let mut ee = Vec::new();
-        compute_ee_degrees_into(g, ext, membership, &mut ee);
+        compute_ee_degrees_into(g, ext, ext_bits, &mut ee);
         ee
     }
 
@@ -292,7 +198,7 @@ mod tests {
         // S = {a, b} = {0, 1}; ext = {c, d, e} = {2, 3, 4}.
         let s = vec![0u32, 1];
         let ext = vec![2u32, 3, 4];
-        let (deg, membership) = compute_degrees(&g, &s, &ext);
+        let (deg, ext_bits) = compute_degrees(&g, &s, &ext);
         // d_S(a) = 1 (b), d_S(b) = 1 (a).
         assert_eq!(deg.s_in_s, vec![1, 1]);
         // d_ext(a) = 3 (c, d, e); d_ext(b) = 2 (c, e).
@@ -300,7 +206,7 @@ mod tests {
         // d_S(c) = 2 (a, b); d_S(d) = 1 (a); d_S(e) = 2 (a, b).
         assert_eq!(deg.ext_in_s, vec![2, 1, 2]);
         // EE: d_ext(c) = 2 (d, e); d_ext(d) = 2 (c, e); d_ext(e) = 2 (c, d).
-        let ee = compute_ee_degrees(&g, &ext, &membership);
+        let ee = compute_ee_degrees(&g, &ext, &ext_bits);
         assert_eq!(ee, vec![2, 2, 2]);
     }
 
@@ -320,12 +226,12 @@ mod tests {
     #[test]
     fn empty_candidate_sides() {
         let g = figure4_local();
-        let (deg, membership) = compute_degrees(&g, &[], &[0, 1, 2]);
+        let (deg, ext_bits) = compute_degrees(&g, &[], &[0, 1, 2]);
         assert_eq!(deg.dmin(), None);
         assert_eq!(deg.dmin_s(), None);
         assert_eq!(deg.sum_s_in_s(), 0);
         assert_eq!(deg.ext_in_s, vec![0, 0, 0]);
-        let ee = compute_ee_degrees(&g, &[0, 1, 2], &membership);
+        let ee = compute_ee_degrees(&g, &[0, 1, 2], &ext_bits);
         // Within {a,b,c} all three edges exist.
         assert_eq!(ee, vec![2, 2, 2]);
 
@@ -335,12 +241,11 @@ mod tests {
     }
 
     #[test]
-    fn membership_table_reports_sides() {
+    fn ext_bits_hold_exactly_the_extension_side() {
         let g = figure4_local();
-        let (_, membership) = compute_degrees(&g, &[0], &[3, 4]);
-        assert_eq!(membership.get(0), Membership::InS);
-        assert_eq!(membership.get(3), Membership::InExt);
-        assert_eq!(membership.get(7), Membership::Neither);
+        let (_, ext_bits) = compute_degrees(&g, &[0], &[3, 4]);
+        assert_eq!(ext_bits.capacity(), g.capacity());
+        assert_eq!(ext_bits.iter().collect::<Vec<_>>(), vec![3, 4]);
     }
 
     #[test]

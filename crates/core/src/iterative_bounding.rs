@@ -2,7 +2,8 @@
 //!
 //! Given a candidate `⟨S, ext(S)⟩`, `iterative_bounding` repeatedly
 //!
-//! 1. recomputes the candidate's degrees and the bounds `U_S`, `L_S`,
+//! 1. refreshes the candidate's degrees (the S-side ones are carried along
+//!    the search path, see [`crate::path_degrees`]) and the bounds `U_S`, `L_S`,
 //! 2. applies critical-vertex pruning (which may *grow* `S`),
 //! 3. applies the Type-II rules (which may prune the whole subtree), and
 //! 4. applies the Type-I rules (which shrink `ext(S)`),
@@ -18,10 +19,9 @@
 use crate::bounds::{lower_bound, upper_bound, LowerBound, UpperBound};
 use crate::context::MiningContext;
 use crate::critical::{collect_critical_moves, find_critical_vertex};
-use crate::degrees::{
-    compute_degrees_into, compute_ee_degrees_into, Degrees, Membership, MembershipTable,
-};
+use crate::degrees::{carried_degrees_into, compute_ee_degrees_into, Degrees};
 use crate::rules::{check_type2, type1_prunable, Type2Outcome};
+use qcm_graph::bitset::VertexBitSet;
 
 /// Outcome of computing both bounds for the current `⟨S, ext(S)⟩`.
 struct BoundState {
@@ -102,10 +102,10 @@ pub fn iterative_bounding(
     ext: &mut Vec<u32>,
 ) -> bool {
     // All working frames come from the context's scratch arena: in steady
-    // state a full bounding loop — degree recomputations included — performs
+    // state a full bounding loop — degree refreshes included — performs
     // zero heap allocations.
     let mut degrees = ctx.scratch.take_degrees();
-    let mut membership = ctx.scratch.take_membership(ctx.graph.capacity());
+    let mut ext_bits = ctx.scratch.take_bitset(ctx.graph.capacity());
     let mut ee = ctx.scratch.take_vec();
     let mut kept = ctx.scratch.take_vec();
     let mut moved = ctx.scratch.take_vec();
@@ -114,7 +114,7 @@ pub fn iterative_bounding(
         s,
         ext,
         &mut degrees,
-        &mut membership,
+        &mut ext_bits,
         &mut ee,
         &mut kept,
         &mut moved,
@@ -122,7 +122,7 @@ pub fn iterative_bounding(
     ctx.scratch.put_vec(moved);
     ctx.scratch.put_vec(kept);
     ctx.scratch.put_vec(ee);
-    ctx.scratch.put_membership(membership);
+    ctx.scratch.put_bitset(ext_bits);
     ctx.scratch.put_degrees(degrees);
     pruned
 }
@@ -134,7 +134,7 @@ fn bounding_loop(
     s: &mut Vec<u32>,
     ext: &mut Vec<u32>,
     degrees: &mut Degrees,
-    membership: &mut MembershipTable,
+    ext_bits: &mut VertexBitSet,
     ee: &mut Vec<u32>,
     kept: &mut Vec<u32>,
     moved: &mut Vec<u32>,
@@ -142,7 +142,7 @@ fn bounding_loop(
     loop {
         ctx.stats.bounding_rounds += 1;
         // Line 2: SS/ES/SE degrees (EE deferred to the Type-I phase).
-        compute_degrees_into(ctx.graph, s, ext, degrees, membership);
+        carried_degrees_into(ctx.graph, &mut ctx.path, s, ext, degrees, ext_bits);
 
         // Line 3: bounds (may prune).
         let bounds = match compute_bounds(ctx, s, ext, degrees) {
@@ -171,8 +171,8 @@ fn bounding_loop(
                             // Skip straight to the C1 exit case.
                             break;
                         }
-                        // Line 8: recompute degrees and bounds on the grown S.
-                        compute_degrees_into(ctx.graph, s, ext, degrees, membership);
+                        // Line 8: degrees and bounds of the grown S.
+                        carried_degrees_into(ctx.graph, &mut ctx.path, s, ext, degrees, ext_bits);
                         let bounds = match compute_bounds(ctx, s, ext, degrees) {
                             Ok(b) => b,
                             Err(()) => return true,
@@ -185,7 +185,7 @@ fn bounding_loop(
         }
 
         // Lines 9–16: Type-II rules.
-        match check_type2(&ctx.params, &ctx.config, degrees, ext.len(), us, ls) {
+        match check_type2(&ctx.params, &ctx.config, degrees, us, ls) {
             Type2Outcome::PruneAll => {
                 ctx.stats.type2_pruned += 1;
                 return true;
@@ -199,8 +199,8 @@ fn bounding_loop(
         }
 
         // Lines 17–20: Type-I rules (EE-degrees computed lazily here).
-        compute_ee_degrees_into(ctx.graph, ext, membership, ee);
-        debug_assert!(ext.iter().all(|&u| membership.get(u) == Membership::InExt));
+        compute_ee_degrees_into(ctx.graph, ext, ext_bits, ee);
+        debug_assert!(ext.iter().all(|&u| ext_bits.contains(u)));
         let mut pruned_any = false;
         kept.clear();
         for (j, &u) in ext.iter().enumerate() {
@@ -411,5 +411,39 @@ mod tests {
         let _ = iterative_bounding(&mut ctx, &mut s, &mut ext);
         assert!(ctx.stats.bounding_rounds >= 1);
         assert!(ctx.stats.type1_pruned + ctx.stats.type2_pruned > 0);
+    }
+
+    #[test]
+    fn one_context_bounds_unrelated_candidates_like_fresh_contexts() {
+        // The benchmark probe's pattern: a context over a whole working graph
+        // is handed a fresh S = [v] with no relation to the S it bounded
+        // before. The carried degrees must follow.
+        let mut g = figure4_local();
+        g.build_hub_index(qcm_graph::IndexSpec::Auto);
+        let params = MiningParams::new(0.6, 4);
+        let candidates: [(&[u32], &[u32]); 4] = [
+            (&[0], &[1, 2, 3, 4]),
+            (&[3, 7], &[8]),
+            (&[2], &[0, 1, 3, 4, 6]),
+            (&[0], &[1, 2, 3, 4]),
+        ];
+        let mut shared_sink = QuasiCliqueSet::new();
+        let mut fresh_reports = QuasiCliqueSet::new();
+        let mut shared =
+            MiningContext::with_config(&g, params, PruneConfig::all_enabled(), &mut shared_sink);
+        for (s, ext) in candidates {
+            let (mut s_shared, mut ext_shared) = (s.to_vec(), ext.to_vec());
+            let pruned = iterative_bounding(&mut shared, &mut s_shared, &mut ext_shared);
+            let fresh = run(&g, params, PruneConfig::all_enabled(), s, ext);
+            assert_eq!(
+                (pruned, s_shared, ext_shared),
+                (fresh.0, fresh.1, fresh.2),
+                "S = {s:?}, ext = {ext:?}"
+            );
+            for set in fresh.3.iter() {
+                fresh_reports.insert(set.clone());
+            }
+        }
+        assert_eq!(shared_sink, fresh_reports);
     }
 }

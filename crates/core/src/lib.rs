@@ -49,6 +49,7 @@ pub mod iterative_bounding;
 pub mod maximality;
 pub mod naive;
 pub mod params;
+pub mod path_degrees;
 pub mod quasiclique;
 pub mod quick;
 pub mod recursive_mine;

@@ -14,8 +14,11 @@ use crate::context::MiningContext;
 use crate::cover::{find_cover_vertex_into, move_cover_to_tail_with};
 use crate::iterative_bounding::iterative_bounding;
 use crate::quasiclique::is_quasi_clique_local;
-use qcm_graph::bitset::VertexBitSet;
+use crate::scratch::MiningScratch;
+use qcm_graph::bitset::{row_contains, VertexBitSet};
 use qcm_graph::neighborhoods::perf;
+use qcm_graph::subgraph::ALL_ROWS_MAX_VERTICES;
+use qcm_graph::LocalGraph;
 
 /// Fills `seen` (which must be cleared and sized to `g.capacity()`) with
 /// `B(v) ∖ {v}` — the local vertices within two hops of `v` in the task
@@ -29,7 +32,7 @@ use qcm_graph::neighborhoods::perf;
 /// list. With peeled vertices the rows may carry dead bits, so the walk path
 /// (which filters liveness) is used instead.
 pub fn two_hop_bits_into(
-    g: &qcm_graph::LocalGraph,
+    g: &LocalGraph,
     v: u32,
     seen: &mut VertexBitSet,
     first_hop: &mut Vec<u32>,
@@ -56,27 +59,73 @@ pub fn two_hop_bits_into(
     seen.remove(v);
 }
 
+/// The `B(v) ∖ {v}` rows of one task subgraph, each built the first time the
+/// search branches on `v`. `B(v)` is a function of the task graph alone, and
+/// a task branches on the same vertex at many tree nodes.
+#[derive(Debug, Default)]
+pub(crate) struct TwoHopRows {
+    /// Row-major `n × ⌈n/64⌉` words, laid out like the graph's own bit rows;
+    /// row `v` is meaningful only once `built` holds `v`.
+    rows: Vec<u64>,
+    built: VertexBitSet,
+}
+
+impl TwoHopRows {
+    /// Row `v` of `g` (the same graph on every call), built with
+    /// [`two_hop_bits_into`] on first use — or `None` when no rows are kept
+    /// for `g`. They are kept when `g` has a bit row for every vertex — so
+    /// it is small ([`ALL_ROWS_MAX_VERTICES`] bounds the matrix at 2 MiB) and
+    /// its index policy already pays for one matrix of this size — and
+    /// nothing was peeled from it.
+    fn row(&mut self, g: &LocalGraph, v: u32, scratch: &mut MiningScratch) -> Option<&[u64]> {
+        let n = g.capacity();
+        if g.hub_threshold() != Some(0) || n > ALL_ROWS_MAX_VERTICES || g.num_vertices() != n {
+            return None;
+        }
+        let words = n.div_ceil(64);
+        if self.built.capacity() != n {
+            self.built.reset(n);
+            self.rows.resize(n * words, 0);
+        }
+        let row = &mut self.rows[v as usize * words..][..words];
+        if self.built.insert(v) {
+            let mut b_v = scratch.take_bitset(n);
+            let mut hop = scratch.take_vec();
+            two_hop_bits_into(g, v, &mut b_v, &mut hop);
+            row.copy_from_slice(b_v.words());
+            scratch.put_vec(hop);
+            scratch.put_bitset(b_v);
+        }
+        Some(row)
+    }
+}
+
 /// Writes `ext` restricted to the two-hop neighborhood of `v` into `out`
 /// (cleared first) when the diameter rule applies (γ ≥ 0.5 and the rule is
-/// enabled); otherwise copies `ext` as-is. The two-hop bitset and hop
-/// frontier come from the context's scratch arena. Shared by this serial
-/// recursion and both decomposition loops in `qcm-parallel`.
+/// enabled); otherwise copies `ext` as-is. Shared by this serial recursion
+/// and both decomposition loops in `qcm-parallel`.
 ///
-/// The membership filter is an `O(1)`-per-candidate bitset probe (the old
-/// path binary-searched a sorted two-hop list per candidate).
+/// `B(v)` comes from the context's two-hop rows when the task graph keeps
+/// them — every task subgraph the miners build — and is otherwise computed
+/// here into a scratch bitset by the same [`two_hop_bits_into`]. Either way
+/// the filter is one bit probe per candidate.
 pub fn shrink_by_diameter(ctx: &mut MiningContext<'_>, ext: &[u32], v: u32, out: &mut Vec<u32>) {
     out.clear();
-    if ctx.config.diameter && ctx.params.gamma.diameter_two_applies() {
-        let graph = ctx.graph;
+    if !(ctx.config.diameter && ctx.params.gamma.diameter_two_applies()) {
+        out.extend_from_slice(ext);
+        return;
+    }
+    let graph = ctx.graph;
+    perf::count_intersections(1);
+    if let Some(b_v) = ctx.two_hop.row(graph, v, &mut ctx.scratch) {
+        out.extend(ext.iter().copied().filter(|&u| row_contains(b_v, u)));
+    } else {
         let mut b_v = ctx.scratch.take_bitset(graph.capacity());
         let mut hop = ctx.scratch.take_vec();
         two_hop_bits_into(graph, v, &mut b_v, &mut hop);
-        perf::count_intersections(1);
         out.extend(ext.iter().copied().filter(|&u| b_v.contains(u)));
         ctx.scratch.put_vec(hop);
         ctx.scratch.put_bitset(b_v);
-    } else {
-        out.extend_from_slice(ext);
     }
 }
 
@@ -88,7 +137,15 @@ pub fn cover_prune_prefix(ctx: &mut MiningContext<'_>, s: &[u32], ext: &mut [u32
     let graph = ctx.graph;
     let params = ctx.params;
     let mut covered = ctx.scratch.take_vec();
-    find_cover_vertex_into(graph, s, ext, &params, &mut ctx.scratch, &mut covered);
+    find_cover_vertex_into(
+        graph,
+        &mut ctx.path,
+        s,
+        ext,
+        &params,
+        &mut ctx.scratch,
+        &mut covered,
+    );
     ctx.stats.cover_skipped += covered.len() as u64;
     let prefix_len = move_cover_to_tail_with(ext, &covered, &mut ctx.scratch);
     ctx.scratch.put_vec(covered);

@@ -35,7 +35,6 @@ pub fn check_type2(
     params: &MiningParams,
     config: &PruneConfig,
     degrees: &Degrees,
-    ext_len: usize,
     us: Option<usize>,
     ls: Option<usize>,
 ) -> Type2Outcome {
@@ -78,7 +77,6 @@ pub fn check_type2(
             }
         }
     }
-    let _ = ext_len;
     if extensions_only {
         Type2Outcome::PruneExtensionsKeepS
     } else {
@@ -165,7 +163,7 @@ mod tests {
         let params = MiningParams::new(0.9, 2);
         let (deg, _) = compute_degrees(&g, &[5, 8], &[]);
         assert_eq!(
-            check_type2(&params, &all_rules(), &deg, 0, None, None),
+            check_type2(&params, &all_rules(), &deg, None, None),
             Type2Outcome::PruneAll
         );
     }
@@ -185,7 +183,7 @@ mod tests {
         let params = MiningParams::new(0.95, 2);
         let (deg, _) = compute_degrees(&g, &[0, 1, 2, 4], &[]);
         assert_eq!(
-            check_type2(&params, &all_rules(), &deg, 0, None, None),
+            check_type2(&params, &all_rules(), &deg, None, None),
             Type2Outcome::PruneExtensionsKeepS
         );
     }
@@ -197,7 +195,7 @@ mod tests {
         let params = MiningParams::new(0.6, 2);
         let (deg, _) = compute_degrees(&g, &[0, 1], &[2, 3, 4]);
         assert_eq!(
-            check_type2(&params, &all_rules(), &deg, 3, Some(3), Some(0)),
+            check_type2(&params, &all_rules(), &deg, Some(3), Some(0)),
             Type2Outcome::None
         );
     }
@@ -211,7 +209,7 @@ mod tests {
         let (deg, _) = compute_degrees(&g, &[1, 3], &[0, 2, 4]);
         // With U_S = 1: d_S(b) + 1 = 1 < ⌈0.9·2⌉ = 2 → PruneAll.
         assert_eq!(
-            check_type2(&params, &all_rules(), &deg, 3, Some(1), None),
+            check_type2(&params, &all_rules(), &deg, Some(1), None),
             Type2Outcome::PruneAll
         );
     }
@@ -225,12 +223,12 @@ mod tests {
         let params = MiningParams::new(0.5, 2);
         let (deg, _) = compute_degrees(&g, &[5, 6], &[]);
         assert_eq!(
-            check_type2(&params, &all_rules(), &deg, 0, None, Some(3)),
+            check_type2(&params, &all_rules(), &deg, None, Some(3)),
             Type2Outcome::PruneAll
         );
         // Without the lower bound the candidate survives.
         assert_eq!(
-            check_type2(&params, &all_rules(), &deg, 0, None, None),
+            check_type2(&params, &all_rules(), &deg, None, None),
             Type2Outcome::None
         );
     }
@@ -242,7 +240,7 @@ mod tests {
         let (deg, _) = compute_degrees(&g, &[5, 8], &[]);
         let config = PruneConfig::none();
         assert_eq!(
-            check_type2(&params, &config, &deg, 0, Some(1), Some(5)),
+            check_type2(&params, &config, &deg, Some(1), Some(5)),
             Type2Outcome::None
         );
         assert!(!type1_prunable(&params, &config, 2, 0, 0, Some(1), Some(5)));
@@ -308,7 +306,7 @@ mod tests {
         let params = MiningParams::new(0.9, 2);
         let (deg, _) = compute_degrees(&g, &[], &[0, 1]);
         assert_eq!(
-            check_type2(&params, &all_rules(), &deg, 2, None, None),
+            check_type2(&params, &all_rules(), &deg, None, None),
             Type2Outcome::None
         );
     }

@@ -3,7 +3,7 @@
 //! Every node of the set-enumeration tree used to allocate several fresh
 //! `Vec<u32>`s (branch list, lookahead candidate, `S'`, `ext(S')`, degree
 //! vectors, the Type-I survivor list) and fresh [`VertexBitSet`]s (the
-//! membership table, two-hop neighborhoods). On dense workloads where each
+//! extension-side bitset, two-hop neighborhoods). On dense workloads where each
 //! node does little other work, the allocator became the dominant residual
 //! cost once edge queries were made cheap by the hub index. [`MiningScratch`]
 //! removes it: a pool of reusable frames owned by
@@ -24,7 +24,7 @@
 //! suite uses it as the within-binary baseline, and the property tests assert
 //! the two modes return byte-identical result sets.
 
-use crate::degrees::{Degrees, MembershipTable};
+use crate::degrees::Degrees;
 use qcm_graph::bitset::VertexBitSet;
 use qcm_graph::neighborhoods::perf;
 
@@ -52,7 +52,6 @@ pub struct MiningScratch {
     vecs: Vec<Vec<u32>>,
     bitsets: Vec<VertexBitSet>,
     degrees: Vec<Degrees>,
-    memberships: Vec<MembershipTable>,
     /// Bytes resident in the pools right now (parked frames only).
     pooled_bytes: u64,
 }
@@ -186,33 +185,6 @@ impl MiningScratch {
         self.degrees.push(d);
     }
 
-    /// Borrows an empty membership table able to address ids `0..capacity`.
-    #[inline]
-    pub fn take_membership(&mut self, capacity: usize) -> MembershipTable {
-        match self.memberships.pop() {
-            Some(mut m) => {
-                self.pooled_bytes -= m.memory_bytes() as u64;
-                m.reset(capacity);
-                perf::count_allocations_avoided(1);
-                m
-            }
-            None => {
-                perf::count_scratch_fresh_allocs(1);
-                MembershipTable::with_capacity(capacity)
-            }
-        }
-    }
-
-    /// Returns a membership table to the pool.
-    #[inline]
-    pub fn put_membership(&mut self, m: MembershipTable) {
-        if self.mode == ScratchMode::Fresh {
-            return;
-        }
-        self.park(m.memory_bytes() as u64);
-        self.memberships.push(m);
-    }
-
     #[inline]
     fn park(&mut self, bytes: u64) {
         self.pooled_bytes += bytes;
@@ -278,7 +250,7 @@ mod tests {
     }
 
     #[test]
-    fn degree_and_membership_frames_round_trip() {
+    fn degree_frames_round_trip() {
         let mut scratch = MiningScratch::pooled();
         let mut d = scratch.take_degrees();
         d.s_in_s.push(3);
@@ -286,12 +258,5 @@ mod tests {
         let d2 = scratch.take_degrees();
         assert_eq!(d2, Degrees::default());
         scratch.put_degrees(d2);
-
-        let mut m = scratch.take_membership(16);
-        m.insert_s(3);
-        scratch.put_membership(m);
-        let m2 = scratch.take_membership(32);
-        assert_eq!(m2.get(3), crate::degrees::Membership::Neither);
-        scratch.put_membership(m2);
     }
 }

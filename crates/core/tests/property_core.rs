@@ -7,8 +7,10 @@
 //! final result set).
 
 use proptest::prelude::*;
+use qcm_core::degrees::{carried_degrees_into, Degrees};
+use qcm_core::path_degrees::PathDegrees;
 use qcm_core::{naive, quick_mine, MiningParams, PruneConfig, SerialMiner};
-use qcm_graph::{Graph, GraphBuilder};
+use qcm_graph::{Graph, GraphBuilder, IndexSpec, LocalGraph, VertexBitSet, VertexId};
 
 /// Random simple graph with `n ≤ max_n` vertices and bounded edge count.
 fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -50,8 +52,98 @@ fn arb_task_shape() -> impl Strategy<Value = (MiningParams, PruneConfig)> {
     })
 }
 
+/// One move of a search over `S`, decoded against the current `S` by
+/// [`next_s`]: `(kind, pick, ext_mask)`.
+type Step = (u8, u32, u32);
+
+/// The `S` a step leads to, over the alive vertices `alive` (never empty).
+/// Kind 0 is a DFS push, 1 pops any number of levels at once, 2 is a
+/// critical-vertex style extension by up to three vertices, 3 jumps to an
+/// unrelated set that shares no prefix with `s`.
+fn next_s(s: &[u32], alive: &[u32], (kind, pick, _): Step) -> Vec<u32> {
+    let mut next = s.to_vec();
+    let push_free = |next: &mut Vec<u32>, pick: u32| {
+        let free: Vec<u32> = alive
+            .iter()
+            .copied()
+            .filter(|v| !next.contains(v))
+            .collect();
+        if !free.is_empty() {
+            next.push(free[pick as usize % free.len()]);
+        }
+    };
+    match kind {
+        0 => push_free(&mut next, pick),
+        1 => next.truncate(pick as usize % (s.len() + 1)),
+        2 => (0..3).for_each(|i| push_free(&mut next, pick.rotate_left(8 * i))),
+        _ => {
+            next.clear();
+            let first: Vec<u32> = alive
+                .iter()
+                .copied()
+                .filter(|v| s.first() != Some(v))
+                .collect();
+            if !first.is_empty() {
+                next.push(first[pick as usize % first.len()]);
+                (1..=pick % 4).for_each(|i| push_free(&mut next, pick.rotate_left(4 * i)));
+            }
+        }
+    }
+    next
+}
+
+/// `|Γ(v) ∩ set|` by walking `v`'s alive adjacency list.
+fn list_degree(g: &LocalGraph, v: u32, set: &[u32]) -> u32 {
+    g.neighbors(v).filter(|w| set.contains(w)).count() as u32
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The degrees carried along the search path equal a recount from the
+    /// adjacency lists after every move, whatever the sequence of `S` values
+    /// one `PathDegrees` is asked to follow, with rows for every, some or no
+    /// vertices and with or without a peeled vertex in the graph.
+    #[test]
+    fn carried_degrees_equal_a_recount_after_every_move(
+        g in arb_graph(16),
+        (spec_idx, peeled) in (0usize..3, 0u32..32),
+        steps in proptest::collection::vec((0u8..4, 0u32..u32::MAX, 0u32..u32::MAX), 1..24),
+    ) {
+        let all: Vec<VertexId> = g.vertices().collect();
+        let mut lg = LocalGraph::from_induced(&g, &all);
+        lg.build_hub_index([IndexSpec::Auto, IndexSpec::Threshold(3), IndexSpec::Disabled][spec_idx]);
+        // Half of the cases peel one vertex; its stale row bits and list
+        // entries must count for nothing.
+        if (peeled as usize) < lg.capacity() {
+            lg.remove_vertex(peeled);
+        }
+        let alive: Vec<u32> = lg.vertices().collect();
+        let mut path = PathDegrees::default();
+        let mut degrees = Degrees::default();
+        let mut ext_bits = VertexBitSet::default();
+        let mut s: Vec<u32> = Vec::new();
+        for step in steps {
+            s = next_s(&s, &alive, step);
+            let ext: Vec<u32> = alive
+                .iter()
+                .copied()
+                .filter(|&u| step.2 >> u & 1 != 0 && !s.contains(&u))
+                .collect();
+            carried_degrees_into(&lg, &mut path, &s, &ext, &mut degrees, &mut ext_bits);
+            let mut expected = Degrees {
+                s_in_s: s.iter().map(|&v| list_degree(&lg, v, &s)).collect(),
+                s_in_ext: s.iter().map(|&v| list_degree(&lg, v, &ext)).collect(),
+                ext_in_s: ext.iter().map(|&u| list_degree(&lg, u, &s)).collect(),
+                se_histogram: vec![0; s.len() + 1],
+            };
+            for &d in &expected.ext_in_s {
+                expected.se_histogram[d as usize] += 1;
+            }
+            prop_assert_eq!(&degrees, &expected, "S = {:?}, ext = {:?}, after {:?}", s, ext, step);
+            prop_assert_eq!(ext_bits.iter().collect::<Vec<_>>(), ext);
+        }
+    }
 
     /// Mining every root on its own task subgraph loses and invents nothing,
     /// however the subgraph is cut.

@@ -72,6 +72,7 @@ const HOT_PATH_FILES: &[&str] = &[
     "cover.rs",
     "critical.rs",
     "degrees.rs",
+    "path_degrees.rs",
     "quasiclique.rs",
     "rules.rs",
     "bitset.rs",
