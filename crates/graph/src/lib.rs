@@ -38,6 +38,7 @@ pub mod graph;
 pub mod hash;
 pub mod io;
 pub mod kcore;
+mod lanes;
 pub mod neighborhoods;
 pub mod stats;
 pub mod subgraph;
