@@ -442,9 +442,9 @@ fn ablation(specs: &[DatasetSpec]) {
             DecompositionStrategy::SizeThreshold,
         ),
     ] {
-        let config = EngineConfig::single_machine(default_threads())
-            .with_decomposition(spec.tau_split, Duration::from_millis(spec.tau_time_ms));
+        let config = EngineConfig::single_machine(default_threads());
         let out = ParallelMiner::new(params, config)
+            .with_decomposition(spec.tau_split, Duration::from_millis(spec.tau_time_ms))
             .with_strategy(strategy)
             .mine(graph.clone());
         table.add_row(vec![

@@ -85,10 +85,11 @@ pub fn run_dataset(spec: &DatasetSpec, options: &RunOptions) -> DatasetRun {
     let tau_time = options
         .tau_time
         .unwrap_or(Duration::from_millis(spec.tau_time_ms));
-    let mut config = EngineConfig::cluster(options.machines, options.threads_per_machine)
-        .with_decomposition(tau_split, tau_time);
+    let mut config = EngineConfig::cluster(options.machines, options.threads_per_machine);
     config.balance_period = Duration::from_millis(5);
-    let miner = ParallelMiner::new(params, config).with_strategy(options.strategy);
+    let miner = ParallelMiner::new(params, config)
+        .with_decomposition(tau_split, tau_time)
+        .with_strategy(options.strategy);
     let output = miner.mine(graph.clone());
     DatasetRun {
         name: spec.name.to_string(),

@@ -1,8 +1,8 @@
 //! Cooperative cancellation and deadlines.
 //!
 //! A [`CancelToken`] is a cheap, cloneable handle to a shared stop flag with
-//! an optional deadline. The mining loops ([`crate::recursive_mine()`], the
-//! engine's worker pop loop, the time-delayed decomposition) poll the token at
+//! an optional deadline. The search loop ([`crate::recursive_mine()`], serial
+//! or inside an engine task) and the engine's worker pop loop poll the token at
 //! the top of their expansion/scheduling loops and unwind cooperatively when
 //! it fires, so a cancelled or deadline-hit run returns the results found so
 //! far instead of running to completion — the behaviour `qcm::Session`

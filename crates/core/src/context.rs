@@ -2,9 +2,9 @@
 //!
 //! A [`MiningContext`] bundles everything the recursive algorithms need while
 //! walking one task subgraph: the subgraph itself, the mining parameters, the
-//! pruning configuration, the result sink and the statistics counters. Both
-//! the serial miner (Algorithm 2) and the engine-side time-delayed miner
-//! (Algorithm 10 in `qcm-parallel`) operate through this context, which is
+//! pruning configuration, the result sink and the statistics counters. The
+//! serial miner (Algorithm 2) and an engine task's mine phase (Algorithms 8
+//! and 10 in `qcm-parallel`) run the same loop over this context, which is
 //! what makes the "algorithm-system codesign" reuse possible.
 
 use crate::cancel::CancelToken;

@@ -72,7 +72,7 @@ pub use maximality::remove_non_maximal;
 pub use params::{Gamma, MiningParams};
 pub use quasiclique::is_quasi_clique_local;
 pub use quick::quick_mine;
-pub use recursive_mine::{recursive_mine, two_hop_bits_into};
+pub use recursive_mine::{recursive_mine, two_hop_bits_into, HandOff, NoHandOff};
 pub use results::{
     CandidateForwarder, CollectingSink, CountingSink, QuasiCliqueSet, QuasiCliqueSink, ResultSink,
 };

@@ -1,4 +1,5 @@
-//! The recursive mining algorithm — Algorithm 2 of the paper.
+//! The recursive mining algorithm — Algorithm 2 of the paper, and with a
+//! [`HandOff`] its engine forms, Algorithms 8 and 10.
 //!
 //! `recursive_mine(S, ext(S))` explores the set-enumeration subtree rooted at
 //! `S` (Figure 5): it picks the cover vertex, iterates over the non-covered
@@ -9,6 +10,12 @@
 //! non-maximal `G(S')` when a larger result below it already exists — the
 //! remaining non-maximal reports are removed by the post-processing phase,
 //! exactly as in the paper.
+//!
+//! The loop has one fork, on the line after Algorithm 1: the subtree under
+//! `S'` is either walked here or handed to the caller's [`HandOff`] as a task
+//! of its own. The serial miner never hands off ([`NoHandOff`]); an engine
+//! task does once its timeout has passed (Algorithm 10), or from its first
+//! node (Algorithm 8, the same thing with the timeout already over).
 
 use crate::context::MiningContext;
 use crate::cover::{find_cover_vertex_into, move_cover_to_tail_with};
@@ -102,14 +109,13 @@ impl TwoHopRows {
 
 /// Writes `ext` restricted to the two-hop neighborhood of `v` into `out`
 /// (cleared first) when the diameter rule applies (γ ≥ 0.5 and the rule is
-/// enabled); otherwise copies `ext` as-is. Shared by this serial recursion
-/// and both decomposition loops in `qcm-parallel`.
+/// enabled); otherwise copies `ext` as-is.
 ///
 /// `B(v)` comes from the context's two-hop rows when the task graph keeps
 /// them — every task subgraph the miners build — and is otherwise computed
 /// here into a scratch bitset by the same [`two_hop_bits_into`]. Either way
 /// the filter is one bit probe per candidate.
-pub fn shrink_by_diameter(ctx: &mut MiningContext<'_>, ext: &[u32], v: u32, out: &mut Vec<u32>) {
+fn shrink_by_diameter(ctx: &mut MiningContext<'_>, ext: &[u32], v: u32, out: &mut Vec<u32>) {
     out.clear();
     if !(ctx.config.diameter && ctx.params.gamma.diameter_two_applies()) {
         out.extend_from_slice(ext);
@@ -131,9 +137,8 @@ pub fn shrink_by_diameter(ctx: &mut MiningContext<'_>, ext: &[u32], v: u32, out:
 
 /// Cover-vertex pruning over scratch frames (Algorithm 2 lines 2–4): moves
 /// the winning cover set `C_S(u)` to the tail of `ext` and returns the
-/// branchable prefix length. Shared by this serial recursion and both
-/// decomposition loops in `qcm-parallel`.
-pub fn cover_prune_prefix(ctx: &mut MiningContext<'_>, s: &[u32], ext: &mut [u32]) -> usize {
+/// branchable prefix length.
+fn cover_prune_prefix(ctx: &mut MiningContext<'_>, s: &[u32], ext: &mut [u32]) -> usize {
     let graph = ctx.graph;
     let params = ctx.params;
     let mut covered = ctx.scratch.take_vec();
@@ -155,9 +160,8 @@ pub fn cover_prune_prefix(ctx: &mut MiningContext<'_>, s: &[u32], ext: &mut [u32
 /// The lookahead of Algorithm 2 lines 8–10: if `S` together with the entire
 /// remaining extension already forms a quasi-clique, reports it and returns
 /// `true` — it is maximal within this subtree and everything below is
-/// redundant. Shared by this serial recursion and both decomposition loops in
-/// `qcm-parallel`.
-pub fn lookahead_hit(ctx: &mut MiningContext<'_>, s: &[u32], ext: &[u32]) -> bool {
+/// redundant.
+fn lookahead_hit(ctx: &mut MiningContext<'_>, s: &[u32], ext: &[u32]) -> bool {
     let mut whole = ctx.scratch.take_vec_cap(s.len() + ext.len());
     whole.extend_from_slice(s);
     whole.extend_from_slice(ext);
@@ -170,15 +174,42 @@ pub fn lookahead_hit(ctx: &mut MiningContext<'_>, s: &[u32], ext: &[u32]) -> boo
     hit
 }
 
+/// What a search node does with the subtree under a child `S'` that survived
+/// Algorithm 1: walk it, or hand it to whoever runs tasks.
+pub trait HandOff {
+    /// True once the remaining subtrees are handed off instead of walked.
+    fn due(&mut self) -> bool;
+    /// Takes over the subtree `⟨S', ext(S')⟩` (local indices).
+    fn take(&mut self, s: &[u32], ext: &[u32]);
+}
+
+/// The serial miner's [`HandOff`]: never due, every subtree is walked.
+pub struct NoHandOff;
+
+impl HandOff for NoHandOff {
+    #[inline]
+    fn due(&mut self) -> bool {
+        false
+    }
+
+    fn take(&mut self, _s: &[u32], _ext: &[u32]) {}
+}
+
 /// Algorithm 2: mines all valid quasi-cliques extending `S` (including
 /// `G(S ∪ ext(S))` via the lookahead), reporting them through the context's
 /// sink. Returns `true` iff some valid quasi-clique **strictly** containing
-/// `S` was found.
+/// `S` was found *by this call* — what a handed-off subtree finds is unknown
+/// here.
 ///
 /// `ext` is consumed destructively (vertices are removed as they are
 /// processed, and cover vertices are moved to the tail), matching the paper's
 /// in-place treatment of the extension list.
-pub fn recursive_mine(ctx: &mut MiningContext<'_>, s: &[u32], ext: &mut Vec<u32>) -> bool {
+pub fn recursive_mine<H: HandOff>(
+    ctx: &mut MiningContext<'_>,
+    s: &[u32],
+    ext: &mut Vec<u32>,
+    hand_off: &mut H,
+) -> bool {
     let mut found = false;
 
     // Lines 2–4: cover-vertex pruning — the covered tail is never used as the
@@ -192,7 +223,8 @@ pub fn recursive_mine(ctx: &mut MiningContext<'_>, s: &[u32], ext: &mut Vec<u32>
     // each leaves `ext` from the front as it is branched on, so the next one
     // is always `ext[0]` and this depth needs no copy of the prefix.
     for _ in 0..prefix_len {
-        // Cooperative cancellation: abandon the remaining subtrees. Everything
+        // Cooperative cancellation: abandon the remaining subtrees without
+        // handing them off — the run is ending, not decomposing. Everything
         // reported so far stays valid; the run is labelled partial upstream.
         if ctx.is_cancelled() {
             break;
@@ -232,11 +264,17 @@ pub fn recursive_mine(ctx: &mut MiningContext<'_>, s: &[u32], ext: &mut Vec<u32>
             // appropriate.
             let pruned = iterative_bounding(ctx, &mut s_prime, &mut ext_prime);
 
-            // Lines 20–25.
+            // Lines 20–25, or Algorithm 10 lines 18–24 once a hand-off is due.
             if !pruned && s_prime.len() + ext_prime.len() >= ctx.params.min_size {
-                let child_found = recursive_mine(ctx, &s_prime, &mut ext_prime);
-                found = found || child_found;
-                if !child_found && ctx.report_if_valid(&s_prime) {
+                let child_found = if hand_off.due() {
+                    // The subtask will not tell us what it finds, so G(S') is
+                    // examined now to avoid missing a maximal result.
+                    hand_off.take(&s_prime, &ext_prime);
+                    false
+                } else {
+                    recursive_mine(ctx, &s_prime, &mut ext_prime, hand_off)
+                };
+                if child_found || ctx.report_if_valid(&s_prime) {
                     found = true;
                 }
             }
@@ -301,7 +339,7 @@ mod tests {
                 .filter(|&u| u > v)
                 .collect();
             let s = vec![v];
-            let found = recursive_mine(&mut ctx, &s, &mut ext);
+            let found = recursive_mine(&mut ctx, &s, &mut ext, &mut NoHandOff);
             // The root S = {v} is a singleton: never reportable on its own.
             let _ = found;
         }
@@ -362,7 +400,7 @@ mod tests {
         let params = MiningParams::new(0.9, 5);
         let mut ctx = MiningContext::new(&lg, params, &mut sink);
         let mut ext: Vec<u32> = (1..5).collect();
-        let found = recursive_mine(&mut ctx, &[0], &mut ext);
+        let found = recursive_mine(&mut ctx, &[0], &mut ext, &mut NoHandOff);
         assert!(found);
         assert!(ctx.stats.lookahead_hits >= 1);
         assert!(sink.contains(&ids(&[0, 1, 2, 3, 4])));
@@ -378,7 +416,7 @@ mod tests {
         token.cancel();
         ctx.cancel = token;
         let mut ext: Vec<u32> = (1..9).collect();
-        let found = recursive_mine(&mut ctx, &[0], &mut ext);
+        let found = recursive_mine(&mut ctx, &[0], &mut ext, &mut NoHandOff);
         assert!(!found);
         assert_eq!(ctx.stats.nodes_expanded, 0);
         assert!(sink.is_empty(), "a pre-cancelled run must not report");
@@ -414,7 +452,7 @@ mod tests {
                     .into_iter()
                     .filter(|&u| u > v)
                     .collect();
-                recursive_mine(&mut ctx, &[v], &mut ext);
+                recursive_mine(&mut ctx, &[v], &mut ext, &mut NoHandOff);
             }
             crate::maximality::remove_non_maximal(sink)
         };

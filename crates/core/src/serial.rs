@@ -20,7 +20,7 @@ use crate::config::PruneConfig;
 use crate::context::MiningContext;
 use crate::maximality::remove_non_maximal;
 use crate::params::MiningParams;
-use crate::recursive_mine::recursive_mine;
+use crate::recursive_mine::{recursive_mine, NoHandOff};
 use crate::results::{QuasiCliqueSet, QuasiCliqueSink};
 use crate::root_task::RootTaskBuilder;
 use crate::scratch::{MiningScratch, ScratchMode};
@@ -200,7 +200,7 @@ impl SerialMiner {
                 // S = {v} (local 0), ext(S) = V(t.g) − v.
                 ext.clear();
                 ext.extend(1..task.capacity() as u32);
-                recursive_mine(&mut ctx, &[0], &mut ext);
+                recursive_mine(&mut ctx, &[0], &mut ext, &mut NoHandOff);
                 scratch = std::mem::take(&mut ctx.scratch);
                 stats.merge(&ctx.stats);
                 interrupted |= ctx.interrupted;

@@ -1,13 +1,13 @@
 //! Engine configuration.
 //!
-//! The knobs mirror Section 5 of the paper and Table 2's hyperparameter
-//! columns: the big-task threshold τ_split, the decomposition timeout τ_time,
-//! the spill batch size `C`, the queue/cache capacities and the simulated
-//! cluster shape (number of machines × mining threads per machine).
+//! The knobs mirror Section 5 of the paper: the spill batch size `C`, the
+//! queue/cache capacities and the simulated cluster shape (number of machines
+//! × mining threads per machine). What a big task is and when a task
+//! decomposes (Table 2's τ_split and τ_time) belong to the application; the
+//! engine asks [`crate::GThinkerApp::is_big`].
 
 use crate::transport::TransportFactory;
 use qcm_core::CancelToken;
-use qcm_graph::IndexSpec;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -20,14 +20,6 @@ pub struct EngineConfig {
     pub num_machines: usize,
     /// Mining threads per machine.
     pub threads_per_machine: usize,
-    /// Big-task threshold τ_split: a task whose extension set is larger than
-    /// this goes to the machine's global queue, otherwise to the spawning
-    /// thread's local queue.
-    pub tau_split: usize,
-    /// Decomposition timeout τ_time: a task mines its subgraph by backtracking
-    /// for at least this long before wrapping the remaining subtrees into new
-    /// tasks (Algorithm 10).
-    pub tau_time: Duration,
     /// Spill/steal batch size `C`: tasks are spilled to disk, refilled and
     /// (between machines) stolen in batches of this size.
     pub batch_size: usize,
@@ -37,8 +29,7 @@ pub struct EngineConfig {
     pub local_capacity: usize,
     /// Number of tasks one successful intra-machine steal moves from a
     /// victim's deque (FIFO end) to the thief. `0` disables work stealing —
-    /// workers then only use their own deque and the global queue, which is
-    /// the pre-stealing behaviour the benchmark suite baselines against.
+    /// workers then only use their own deque and the global queue.
     pub steal_batch: usize,
     /// Capacity of each machine's global task queue before spilling.
     pub global_queue_capacity: usize,
@@ -64,11 +55,6 @@ pub struct EngineConfig {
     /// loop and drain out when it fires, so a cancelled or deadline-hit run
     /// returns the results emitted so far. Defaults to a never-firing token.
     pub cancel: CancelToken,
-    /// Row policy of task subgraphs: which vertices of a mining task's
-    /// materialised `LocalGraph` get a bitset neighbour row. The whole graph
-    /// is only ever read as CSR adjacency lists, so nothing global is built
-    /// from this.
-    pub index: IndexSpec,
 }
 
 impl Default for EngineConfig {
@@ -76,8 +62,6 @@ impl Default for EngineConfig {
         EngineConfig {
             num_machines: 1,
             threads_per_machine: num_cpus_fallback(),
-            tau_split: 100,
-            tau_time: Duration::from_millis(10),
             batch_size: 16,
             local_capacity: 256,
             steal_batch: 4,
@@ -89,7 +73,6 @@ impl Default for EngineConfig {
             pull_timeout: Duration::from_millis(100),
             pull_retries: 3,
             cancel: CancelToken::never(),
-            index: IndexSpec::Auto,
         }
     }
 }
@@ -110,22 +93,9 @@ impl EngineConfig {
         }
     }
 
-    /// Sets the two hyperparameters of Table 2 (τ_split, τ_time).
-    pub fn with_decomposition(mut self, tau_split: usize, tau_time: Duration) -> Self {
-        self.tau_split = tau_split;
-        self.tau_time = tau_time;
-        self
-    }
-
     /// Attaches a cancellation token polled by the worker loops.
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
-        self
-    }
-
-    /// Chooses the row policy of task subgraphs (default [`IndexSpec::Auto`]).
-    pub fn with_index(mut self, index: IndexSpec) -> Self {
-        self.index = index;
         self
     }
 
@@ -187,13 +157,6 @@ mod tests {
         c.validate();
         let c = EngineConfig::cluster(0, 0);
         assert_eq!(c.total_threads(), 1);
-    }
-
-    #[test]
-    fn with_decomposition_sets_hyperparameters() {
-        let c = EngineConfig::single_machine(2).with_decomposition(50, Duration::from_millis(1));
-        assert_eq!(c.tau_split, 50);
-        assert_eq!(c.tau_time, Duration::from_millis(1));
     }
 
     #[test]

@@ -50,28 +50,6 @@ impl GraphStats {
     }
 }
 
-/// Degree histogram: `hist[d]` is the number of vertices with degree `d`.
-pub fn degree_histogram(g: &Graph) -> Vec<usize> {
-    let mut hist = vec![0usize; g.max_degree() + 1];
-    for v in g.vertices() {
-        hist[g.degree(v)] += 1;
-    }
-    hist
-}
-
-/// Returns the `top_k` largest core numbers in non-increasing order.
-///
-/// The paper mentions trying "the top-k core numbers" as a feature for
-/// predicting task running time (Section 1, Challenge 3); the experiment
-/// harness reports this feature alongside task times to reproduce that
-/// unpredictability observation.
-pub fn top_k_core_numbers(g: &Graph, top_k: usize) -> Vec<u32> {
-    let mut cores = core_numbers(g);
-    cores.sort_unstable_by(|a, b| b.cmp(a));
-    cores.truncate(top_k);
-    cores
-}
-
 /// Edge density of the whole graph: `2m / (n(n-1))` (0.0 for graphs with
 /// fewer than two vertices).
 pub fn density(g: &Graph) -> f64 {
@@ -80,36 +58,6 @@ pub fn density(g: &Graph) -> f64 {
         return 0.0;
     }
     2.0 * g.num_edges() as f64 / (n as f64 * (n as f64 - 1.0))
-}
-
-/// Clustering coefficient of a single vertex: fraction of pairs of neighbors
-/// that are themselves adjacent (0.0 for degree < 2).
-pub fn local_clustering(g: &Graph, v: VertexId) -> f64 {
-    let nbrs = g.neighbors(v);
-    let d = nbrs.len();
-    if d < 2 {
-        return 0.0;
-    }
-    let mut closed = 0usize;
-    for i in 0..d {
-        for j in (i + 1)..d {
-            if g.has_edge(nbrs[i], nbrs[j]) {
-                closed += 1;
-            }
-        }
-    }
-    closed as f64 / (d * (d - 1) / 2) as f64
-}
-
-/// Average local clustering coefficient over all vertices (0.0 for an empty
-/// graph). O(Σ d(v)²) — intended for the modest-sized stand-in datasets.
-pub fn average_clustering(g: &Graph) -> f64 {
-    let n = g.num_vertices();
-    if n == 0 {
-        return 0.0;
-    }
-    let total: f64 = g.vertices().map(|v| local_clustering(g, v)).sum();
-    total / n as f64
 }
 
 #[cfg(test)]
@@ -143,25 +91,6 @@ mod tests {
     }
 
     #[test]
-    fn degree_histogram_counts() {
-        let g = k5_plus_isolated();
-        let h = degree_histogram(&g);
-        assert_eq!(h[0], 2);
-        assert_eq!(h[4], 5);
-        assert_eq!(h.iter().sum::<usize>(), 7);
-    }
-
-    #[test]
-    fn top_k_core_numbers_sorted_desc() {
-        let g = k5_plus_isolated();
-        let top = top_k_core_numbers(&g, 3);
-        assert_eq!(top, vec![4, 4, 4]);
-        let all = top_k_core_numbers(&g, 100);
-        assert_eq!(all.len(), 7);
-        assert_eq!(all[6], 0);
-    }
-
-    #[test]
     fn density_of_clique_subset_is_high() {
         let g = k5_plus_isolated();
         // 10 edges over 7 vertices: 20 / 42.
@@ -170,21 +99,10 @@ mod tests {
     }
 
     #[test]
-    fn clustering_coefficients() {
-        let g = k5_plus_isolated();
-        // Inside a clique every vertex has clustering 1.
-        assert!((local_clustering(&g, VertexId::new(0)) - 1.0).abs() < 1e-12);
-        assert_eq!(local_clustering(&g, VertexId::new(6)), 0.0);
-        let avg = average_clustering(&g);
-        assert!((avg - 5.0 / 7.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn stats_of_empty_graph() {
         let g = Graph::empty(0);
         let s = GraphStats::compute(&g);
         assert_eq!(s.num_vertices, 0);
         assert_eq!(s.num_components, 0);
-        assert_eq!(average_clustering(&g), 0.0);
     }
 }

@@ -11,16 +11,6 @@
 use crate::graph::Graph;
 use crate::vertex::VertexId;
 
-/// Returns `N1(v) = Γ(v)` restricted to ids strictly greater than `min_id`
-/// (the "only pull larger vertices" rule of the set-enumeration tree).
-pub fn neighbors_greater_than(g: &Graph, v: VertexId, min_id: VertexId) -> Vec<VertexId> {
-    g.neighbors(v)
-        .iter()
-        .copied()
-        .filter(|&w| w > min_id)
-        .collect()
-}
-
 /// Computes the two-hop neighborhood `B̄(v) = N1(v) ∪ N2(v)` of `v`
 /// (excluding `v` itself), sorted by vertex id.
 pub fn two_hop_neighborhood(g: &Graph, v: VertexId) -> Vec<VertexId> {
@@ -46,16 +36,6 @@ pub fn two_hop_neighborhood(g: &Graph, v: VertexId) -> Vec<VertexId> {
     }
     result.sort_unstable();
     result
-}
-
-/// Computes the two-hop neighborhood of `v` restricted to vertices with id
-/// strictly greater than `v` — exactly the candidate set `B_{>v}(v)` used when
-/// spawning the task for `v` (Algorithm 2's initial call and Algorithm 4/6).
-pub fn two_hop_greater_than(g: &Graph, v: VertexId) -> Vec<VertexId> {
-    two_hop_neighborhood(g, v)
-        .into_iter()
-        .filter(|&w| w > v)
-        .collect()
 }
 
 /// Breadth-first search from `start`; returns the distance of every vertex
@@ -134,44 +114,6 @@ pub fn is_connected_subset(g: &Graph, vertices: &[VertexId]) -> bool {
     count == sorted.len()
 }
 
-/// Exact diameter of the subgraph induced by `vertices` (the longest shortest
-/// path). Returns `None` if the induced subgraph is disconnected or empty.
-/// Intended for small result subgraphs (quasi-clique diameter checks), not for
-/// whole graphs.
-pub fn subset_diameter(g: &Graph, vertices: &[VertexId]) -> Option<u32> {
-    if vertices.is_empty() {
-        return None;
-    }
-    let mut sorted = vertices.to_vec();
-    sorted.sort_unstable();
-    let n = sorted.len();
-    let mut best = 0u32;
-    for start in 0..n {
-        // BFS within the subset.
-        let mut dist = vec![u32::MAX; n];
-        dist[start] = 0;
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(start);
-        while let Some(i) = queue.pop_front() {
-            for &w in g.neighbors(sorted[i]) {
-                if let Ok(j) = sorted.binary_search(&w) {
-                    if dist[j] == u32::MAX {
-                        dist[j] = dist[i] + 1;
-                        queue.push_back(j);
-                    }
-                }
-            }
-        }
-        for &d in &dist {
-            if d == u32::MAX {
-                return None;
-            }
-            best = best.max(d);
-        }
-    }
-    Some(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,22 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn two_hop_greater_than_filters_smaller_ids() {
-        let g = figure4();
-        let result = two_hop_greater_than(&g, VertexId::new(4));
-        let raw: Vec<u32> = result.iter().map(|v| v.raw()).collect();
-        assert_eq!(raw, vec![5, 6, 7, 8]);
-    }
-
-    #[test]
-    fn neighbors_greater_than_respects_threshold() {
-        let g = figure4();
-        let result = neighbors_greater_than(&g, VertexId::new(3), VertexId::new(3));
-        let raw: Vec<u32> = result.iter().map(|v| v.raw()).collect();
-        assert_eq!(raw, vec![4, 7, 8]);
-    }
-
-    #[test]
     fn bfs_distances_from_a() {
         let g = figure4();
         let dist = bfs_distances(&g, VertexId::new(0));
@@ -269,20 +195,5 @@ mod tests {
         assert!(!is_connected_subset(&g, &disconnected));
         assert!(is_connected_subset(&g, &[]));
         assert!(is_connected_subset(&g, &[VertexId::new(7)]));
-    }
-
-    #[test]
-    fn subset_diameter_of_quasi_clique_region() {
-        let g = figure4();
-        let subset: Vec<VertexId> = [0u32, 1, 2, 3, 4]
-            .iter()
-            .map(|&v| VertexId::new(v))
-            .collect();
-        // b and d are not adjacent but share neighbors → diameter 2.
-        assert_eq!(subset_diameter(&g, &subset), Some(2));
-        let disconnected: Vec<VertexId> = [5u32, 8].iter().map(|&v| VertexId::new(v)).collect();
-        assert_eq!(subset_diameter(&g, &disconnected), None);
-        assert_eq!(subset_diameter(&g, &[]), None);
-        assert_eq!(subset_diameter(&g, &[VertexId::new(0)]), Some(0));
     }
 }

@@ -9,7 +9,7 @@
 //! no neighbour left, spawns nothing.
 
 use crate::iterations::{iteration_1, iteration_2};
-use crate::mine::{run_mine_phase, DecompositionStrategy, MinePhaseParams};
+use crate::mine::{run_mine_phase, DecompositionStrategy};
 use crate::task::{QCTask, TaskPhase};
 use qcm_core::{CancelToken, MiningParams, PruneConfig};
 use qcm_engine::{ComputeContext, Frontier, GThinkerApp, TaskLabel};
@@ -17,7 +17,9 @@ use qcm_graph::{IndexSpec, VertexId};
 use std::time::Duration;
 
 /// The maximal quasi-clique mining application, parameterised by the mining
-/// thresholds and the task-decomposition hyperparameters of Table 2.
+/// thresholds and the task-decomposition hyperparameters of Table 2. This is
+/// the one place an engine run keeps them: the mine phase reads them here, and
+/// the engine learns what a big task is from [`GThinkerApp::is_big`].
 #[derive(Clone, Debug)]
 pub struct QuasiCliqueApp {
     /// Mining parameters (γ, τ_size).
@@ -38,6 +40,11 @@ pub struct QuasiCliqueApp {
 }
 
 impl QuasiCliqueApp {
+    /// τ_split of a miner or session that sets none.
+    pub const DEFAULT_TAU_SPLIT: usize = 100;
+    /// τ_time of a miner or session that sets none.
+    pub const DEFAULT_TAU_TIME: Duration = Duration::from_millis(10);
+
     /// Creates the application with the paper's default strategy
     /// (time-delayed decomposition) and all pruning rules enabled.
     pub fn new(params: MiningParams, tau_split: usize, tau_time: Duration) -> Self {
@@ -78,31 +85,6 @@ impl QuasiCliqueApp {
     pub fn with_index(mut self, index: IndexSpec) -> Self {
         self.index = index;
         self
-    }
-
-    /// The application as a miner configures it for an engine run: τ_split,
-    /// τ_time and the per-task index policy come from the engine
-    /// configuration.
-    pub(crate) fn for_engine(
-        params: MiningParams,
-        prune_config: PruneConfig,
-        engine: &qcm_engine::EngineConfig,
-    ) -> Self {
-        QuasiCliqueApp::new(params, engine.tau_split, engine.tau_time)
-            .with_prune_config(prune_config)
-            .with_index(engine.index)
-    }
-
-    fn mine_phase_params(&self) -> MinePhaseParams {
-        MinePhaseParams {
-            params: self.params,
-            config: self.prune_config,
-            tau_split: self.tau_split,
-            tau_time: self.tau_time,
-            strategy: self.strategy,
-            cancel: self.cancel.clone(),
-            index: self.index,
-        }
     }
 }
 
@@ -150,7 +132,7 @@ impl GThinkerApp for QuasiCliqueApp {
                 iteration_2(task, frontier, k)
             }
             TaskPhase::Mine => {
-                let outcome = run_mine_phase(task, &self.mine_phase_params(), &mut ctx.scratch);
+                let outcome = run_mine_phase(task, self, &mut ctx.scratch);
                 for r in outcome.results {
                     ctx.emit(r);
                 }

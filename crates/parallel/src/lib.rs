@@ -6,10 +6,13 @@
 //!
 //! * [`QuasiCliqueApp`] implements the two UDFs: `spawn` (Algorithm 4) and the
 //!   three-iteration `compute` (Algorithms 5–7 build the task subgraph,
-//!   Algorithms 8–10 mine/decompose it).
-//! * [`DecompositionStrategy`] selects between the simple size-threshold
-//!   splitting of Algorithm 8 and the paper's **time-delayed task
-//!   decomposition** of Algorithms 9–10.
+//!   Algorithms 8–10 mine/decompose it). It is also the one owner of the
+//!   search's parameters on an engine run.
+//! * The mine phase is `qcm-core`'s serial loop with a hand-off: once one is
+//!   due, a surviving subtree becomes a subtask instead of a recursive call.
+//!   [`DecompositionStrategy`] picks when — at once for a big task
+//!   (Algorithm 8's size threshold), or after τ_time, the paper's
+//!   **time-delayed task decomposition** (Algorithms 9–10).
 //! * [`ParallelMiner`] is the one-call front end: configure γ, τ_size,
 //!   τ_split, τ_time and the simulated cluster shape, call
 //!   [`ParallelMiner::mine`], get back the maximal quasi-cliques plus the
@@ -45,7 +48,7 @@ pub mod sim;
 pub mod task;
 
 pub use app::QuasiCliqueApp;
-pub use mine::{DecompositionStrategy, MineOutcome, MinePhaseParams};
+pub use mine::{DecompositionStrategy, MineOutcome};
 pub use runner::{ParallelMiner, ParallelMiningOutput};
 pub use sim::{SimMiner, SimMiningOutput};
 pub use task::{QCTask, TaskPhase};

@@ -1,18 +1,20 @@
 //! Iteration 3: mining and task decomposition (Algorithms 8–10).
 //!
 //! A mining-phase task holds a materialised subgraph and a candidate
-//! `⟨S, ext(S)⟩`. Two decomposition strategies are implemented:
+//! `⟨S, ext(S)⟩`, and searches it with the serial loop,
+//! [`qcm_core::recursive_mine()`]. What makes it a task is the loop's
+//! [`HandOff`]: from some instant on, a subtree that survived the pruning is
+//! not walked but wrapped into a new task with a smaller materialised
+//! subgraph, and `G(S')` is examined on the spot. The
+//! [`DecompositionStrategy`] only picks that instant:
 //!
-//! * [`DecompositionStrategy::SizeThreshold`] — Algorithm 8: if
-//!   `|ext(S)| ≤ τ_split` the task is mined in place with the serial
-//!   recursion, otherwise one subtask per (surviving) extension vertex is
-//!   created immediately.
-//! * [`DecompositionStrategy::TimeDelayed`] — Algorithms 9–10: the task mines
-//!   its subgraph by backtracking until `τ_time` elapses, after which every
-//!   remaining (unpruned) subtree is wrapped into a new task with a smaller
-//!   materialised subgraph. This is the paper's headline technique: cheap
-//!   tasks finish before the timeout and never pay decomposition overhead,
-//!   expensive tasks are split at whatever granularity they have reached.
+//! * [`DecompositionStrategy::TimeDelayed`] — Algorithms 9–10, the paper's
+//!   headline technique: `τ_time` after the phase began. Cheap tasks finish
+//!   before the timeout and never pay decomposition overhead, expensive tasks
+//!   are split at whatever granularity they have reached.
+//! * [`DecompositionStrategy::SizeThreshold`] — Algorithm 8: at once if
+//!   `|ext(S)| > τ_split`, so one subtask per surviving extension vertex is
+//!   created; never otherwise.
 //!
 //! The task's subgraph is already the [`LocalGraph`] the search runs on, and
 //! `S`/`ext(S)` index it: the phase builds the hub rows and mines. A subtask
@@ -21,23 +23,20 @@
 //! subtasks is measured separately from the mining time; the ratio is Table 6
 //! of the paper.
 
+use crate::app::QuasiCliqueApp;
 use crate::task::QCTask;
-use qcm_core::recursive_mine::{cover_prune_prefix, lookahead_hit, shrink_by_diameter};
-use qcm_core::{
-    iterative_bounding, recursive_mine, CancelToken, MiningContext, MiningParams, MiningStats,
-    PruneConfig, QuasiCliqueSet,
-};
+use qcm_core::{recursive_mine, HandOff, MiningContext, MiningStats, QuasiCliqueSet};
 use qcm_engine::WorkerScratch;
-use qcm_graph::{IndexSpec, LocalGraph, SubgraphScratch, VertexId};
+use qcm_graph::{LocalGraph, SubgraphScratch, VertexId};
 use qcm_obs::clock::Instant;
 use std::time::Duration;
 
-/// How a big mining task is decomposed into subtasks.
+/// When a mining task starts handing its remaining subtrees off as subtasks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DecompositionStrategy {
-    /// Algorithm 8: decompose whenever `|ext(S)| > τ_split`.
+    /// Algorithm 8: from the first node whenever `|ext(S)| > τ_split`.
     SizeThreshold,
-    /// Algorithms 9–10: mine for `τ_time`, then decompose what remains.
+    /// Algorithms 9–10: after mining for `τ_time`.
     TimeDelayed,
 }
 
@@ -59,26 +58,6 @@ pub struct MineOutcome {
     pub interrupted: bool,
 }
 
-/// Parameters threaded through the mining phase.
-#[derive(Clone, Debug)]
-pub struct MinePhaseParams {
-    /// Mining parameters (γ, τ_size).
-    pub params: MiningParams,
-    /// Pruning-rule configuration.
-    pub config: PruneConfig,
-    /// Big-task threshold τ_split.
-    pub tau_split: usize,
-    /// Decomposition timeout τ_time.
-    pub tau_time: Duration,
-    /// Decomposition strategy.
-    pub strategy: DecompositionStrategy,
-    /// Cooperative cancellation polled inside the backtracking loops, so a
-    /// long-running task stops mid-subgraph instead of running to completion.
-    pub cancel: CancelToken,
-    /// Hub-index policy for the task's materialised subgraph.
-    pub index: IndexSpec,
-}
-
 /// Runs iteration 3 for `task`, which ends with it: the hub rows are built
 /// into the task's own subgraph. `scratch` is the calling worker's: the mining
 /// arena is moved into the mining context for the duration of the phase and
@@ -87,7 +66,7 @@ pub struct MinePhaseParams {
 /// every subtask.
 pub fn run_mine_phase(
     task: &mut QCTask,
-    phase: &MinePhaseParams,
+    app: &QuasiCliqueApp,
     scratch: &mut WorkerScratch,
 ) -> MineOutcome {
     let started = Instant::now();
@@ -97,7 +76,7 @@ pub fn run_mine_phase(
 
     // One hub-index build per task, amortised over the whole backtracking
     // below.
-    task.subgraph.build_hub_index(phase.index);
+    task.subgraph.build_hub_index(app.index);
     let graph = &task.subgraph;
     let s_local = task.s.as_slice();
     let mut ext_local = task.ext.clone();
@@ -110,11 +89,18 @@ pub fn run_mine_phase(
         materialization_time: Duration::ZERO,
         keep: Vec::new(),
         induce: &mut scratch.subgraph,
+        hand_off_at: match app.strategy {
+            DecompositionStrategy::TimeDelayed => Some(started + app.tau_time),
+            // Algorithm 8 is Algorithm 10 with the timeout already over.
+            DecompositionStrategy::SizeThreshold => {
+                (ext_local.len() > app.tau_split).then_some(started)
+            }
+        },
     };
 
     {
-        let mut ctx = MiningContext::with_config(graph, phase.params, phase.config, &mut sink);
-        ctx.cancel = phase.cancel.clone();
+        let mut ctx = MiningContext::with_config(graph, app.params, app.prune_config, &mut sink);
+        ctx.cancel = app.cancel.clone();
         ctx.scratch = std::mem::take(&mut scratch.mining);
         ctx.stats.tasks_processed = 1;
 
@@ -122,19 +108,7 @@ pub fn run_mine_phase(
             // Nothing to extend: G(S) itself may still be a result.
             ctx.report_if_valid(s_local);
         } else {
-            match phase.strategy {
-                DecompositionStrategy::SizeThreshold => {
-                    if ext_local.len() <= phase.tau_split {
-                        recursive_mine(&mut ctx, s_local, &mut ext_local);
-                    } else {
-                        size_threshold_decompose(&mut ctx, s_local, &mut ext_local, &mut collector);
-                    }
-                }
-                DecompositionStrategy::TimeDelayed => {
-                    let deadline = Instant::now() + phase.tau_time;
-                    time_delayed(&mut ctx, s_local, &mut ext_local, deadline, &mut collector);
-                }
-            }
+            recursive_mine(&mut ctx, s_local, &mut ext_local, &mut collector);
         }
         outcome.stats = ctx.stats;
         outcome.interrupted = ctx.interrupted;
@@ -161,12 +135,21 @@ struct SubtaskCollector<'a> {
     keep: Vec<u32>,
     /// The worker's induction buffers.
     induce: &'a mut SubgraphScratch,
+    /// From when on the search hands its remaining subtrees off; `None` is
+    /// never.
+    hand_off_at: Option<Instant>,
 }
 
-impl SubtaskCollector<'_> {
+impl HandOff for SubtaskCollector<'_> {
+    fn due(&mut self) -> bool {
+        // `>=`: with τ_time = 0 every node hands off, whether or not the clock
+        // has ticked since the phase began.
+        self.hand_off_at.is_some_and(|at| Instant::now() >= at)
+    }
+
     /// Wraps `⟨S', ext(S')⟩` (local indices) into a new iteration-3 task whose
     /// subgraph is induced by `S' ∪ ext(S')` (Algorithm 8 line 19).
-    fn add(&mut self, s_local: &[u32], ext_local: &[u32]) {
+    fn take(&mut self, s_local: &[u32], ext_local: &[u32]) {
         let t0 = Instant::now();
         // Decompose span: materialising one subtask; payload is the child
         // subgraph's vertex count.
@@ -193,146 +176,11 @@ impl SubtaskCollector<'_> {
     }
 }
 
-/// Algorithm 8 (lines 3–24): decompose a big task into one subtask per
-/// surviving extension vertex, applying the same pruning as the recursion.
-fn size_threshold_decompose(
-    ctx: &mut MiningContext<'_>,
-    s: &[u32],
-    ext: &mut Vec<u32>,
-    collector: &mut SubtaskCollector<'_>,
-) {
-    let prefix_len = if ctx.config.cover_vertex {
-        cover_prune_prefix(ctx, s, ext)
-    } else {
-        ext.len()
-    };
-    let mut branch = ctx.scratch.take_vec_cap(prefix_len);
-    branch.extend_from_slice(&ext[..prefix_len]);
-    let mut i = 0usize;
-    while i < branch.len() {
-        let v = branch[i];
-        i += 1;
-        if ctx.is_cancelled() {
-            break;
-        }
-        if s.len() + ext.len() < ctx.params.min_size {
-            break;
-        }
-        if ctx.config.lookahead && lookahead_hit(ctx, s, ext) {
-            break;
-        }
-        ext.retain(|&u| u != v);
-        let mut s_prime = ctx.scratch.take_vec_cap(s.len() + 1);
-        s_prime.extend_from_slice(s);
-        s_prime.push(v);
-        ctx.stats.nodes_expanded += 1;
-        let mut ext_prime = ctx.scratch.take_vec();
-        shrink_by_diameter(ctx, ext, v, &mut ext_prime);
-
-        // Algorithm 8 lines 15–16: the parent loses track of the subtask, so
-        // G(S') is checked eagerly.
-        ctx.report_if_valid(&s_prime);
-
-        if !ext_prime.is_empty() {
-            let pruned = iterative_bounding(ctx, &mut s_prime, &mut ext_prime);
-            if !pruned && s_prime.len() + ext_prime.len() >= ctx.params.min_size {
-                collector.add(&s_prime, &ext_prime);
-            }
-        }
-        ctx.scratch.put_vec(ext_prime);
-        ctx.scratch.put_vec(s_prime);
-    }
-    ctx.scratch.put_vec(branch);
-}
-
-/// Algorithm 10: backtracking with time-delayed decomposition. Identical to
-/// the serial recursion until the deadline passes, after which every remaining
-/// unpruned subtree is wrapped as a subtask instead of being recursed into.
-/// Returns true iff some valid quasi-clique strictly containing `S` was found
-/// *by this task* (results found by offloaded subtasks are unknown here, which
-/// is why G(S') is checked eagerly when offloading).
-fn time_delayed(
-    ctx: &mut MiningContext<'_>,
-    s: &[u32],
-    ext: &mut Vec<u32>,
-    deadline: Instant,
-    collector: &mut SubtaskCollector<'_>,
-) -> bool {
-    let mut found = false;
-    let prefix_len = if ctx.config.cover_vertex {
-        cover_prune_prefix(ctx, s, ext)
-    } else {
-        ext.len()
-    };
-    // This depth's branch frame, borrowed from the worker's arena.
-    let mut branch = ctx.scratch.take_vec_cap(prefix_len);
-    branch.extend_from_slice(&ext[..prefix_len]);
-    let mut i = 0usize;
-    while i < branch.len() {
-        let v = branch[i];
-        i += 1;
-        // Cooperative cancellation: abandon the remaining subtrees without
-        // offloading them — the run is ending, not decomposing.
-        if ctx.is_cancelled() {
-            break;
-        }
-        // Line 6.
-        if s.len() + ext.len() < ctx.params.min_size {
-            break;
-        }
-        // Lines 7–8: lookahead.
-        if ctx.config.lookahead && lookahead_hit(ctx, s, ext) {
-            break;
-        }
-        // Lines 9–10.
-        ext.retain(|&u| u != v);
-        let mut s_prime = ctx.scratch.take_vec_cap(s.len() + 1);
-        s_prime.extend_from_slice(s);
-        s_prime.push(v);
-        ctx.stats.nodes_expanded += 1;
-        let mut ext_prime = ctx.scratch.take_vec();
-        shrink_by_diameter(ctx, ext, v, &mut ext_prime);
-
-        if ext_prime.is_empty() {
-            // Lines 11–14.
-            if ctx.report_if_valid(&s_prime) {
-                found = true;
-            }
-        } else {
-            // Line 16.
-            let pruned = iterative_bounding(ctx, &mut s_prime, &mut ext_prime);
-
-            if Instant::now() > deadline {
-                // Lines 18–24: offload the remaining subtree as a new task.
-                if !pruned && s_prime.len() + ext_prime.len() >= ctx.params.min_size {
-                    collector.add(&s_prime, &ext_prime);
-                    // The subtask will not tell us about its findings, so
-                    // examine G(S') now to avoid missing a maximal result.
-                    if ctx.report_if_valid(&s_prime) {
-                        found = true;
-                    }
-                }
-            } else if !pruned && s_prime.len() + ext_prime.len() >= ctx.params.min_size {
-                // Lines 25–30: regular backtracking.
-                let child_found = time_delayed(ctx, &s_prime, &mut ext_prime, deadline, collector);
-                found = found || child_found;
-                if !child_found && ctx.report_if_valid(&s_prime) {
-                    found = true;
-                }
-            }
-        }
-        ctx.scratch.put_vec(ext_prime);
-        ctx.scratch.put_vec(s_prime);
-    }
-    ctx.scratch.put_vec(branch);
-    found
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::iterations::tests::{build_task, figure4, globals};
-    use qcm_core::{remove_non_maximal, SerialMiner};
+    use qcm_core::{remove_non_maximal, CancelToken, MiningParams, NoHandOff, SerialMiner};
     use qcm_gen::planted::{plant_quasi_cliques, PlantedGraphSpec};
     use qcm_graph::Graph;
 
@@ -350,22 +198,14 @@ mod tests {
         strategy: DecompositionStrategy,
         tau_split: usize,
         tau_time: Duration,
-    ) -> MinePhaseParams {
-        MinePhaseParams {
-            params: MiningParams::new(0.6, 5),
-            config: PruneConfig::all_enabled(),
-            tau_split,
-            tau_time,
-            strategy,
-            cancel: CancelToken::never(),
-            index: IndexSpec::Auto,
-        }
+    ) -> QuasiCliqueApp {
+        QuasiCliqueApp::new(MiningParams::new(0.6, 5), tau_split, tau_time).with_strategy(strategy)
     }
 
     /// Drives a task and all transitively created subtasks to completion,
     /// returning every reported result. Every subtask must carry exactly the
     /// subgraph of its parent induced by its own `S' ∪ ext(S')`.
-    fn drain(task: QCTask, p: &MinePhaseParams) -> (QuasiCliqueSet, usize) {
+    fn drain(task: QCTask, p: &QuasiCliqueApp) -> (QuasiCliqueSet, usize) {
         let mut queue = vec![task];
         let mut sink = QuasiCliqueSet::new();
         let mut processed = 0usize;
@@ -405,19 +245,16 @@ mod tests {
         (sink, processed)
     }
 
-    /// What the serial recursion reports on the task's own candidate.
-    fn recursive_reference(task: &QCTask, p: &MinePhaseParams) -> QuasiCliqueSet {
+    /// What the serial recursion reports on the task's own candidate, and
+    /// its counters.
+    fn recursive_reference(task: &QCTask, p: &QuasiCliqueApp) -> (QuasiCliqueSet, MiningStats) {
         let mut graph = task.subgraph.clone();
         graph.build_hub_index(p.index);
         let mut sink = QuasiCliqueSet::new();
-        {
-            let mut ctx = MiningContext::with_config(&graph, p.params, p.config, &mut sink);
-            let found = recursive_mine(&mut ctx, &task.s, &mut task.ext.clone());
-            if !found {
-                ctx.report_if_valid(&task.s);
-            }
-        }
-        sink
+        let mut ctx = MiningContext::with_config(&graph, p.params, p.prune_config, &mut sink);
+        recursive_mine(&mut ctx, &task.s, &mut task.ext.clone(), &mut NoHandOff);
+        let stats = ctx.stats;
+        (sink, stats)
     }
 
     #[test]
@@ -468,12 +305,8 @@ mod tests {
         assert_eq!(maximal, expected.maximal);
     }
 
-    #[test]
-    fn decomposing_at_every_node_finds_what_the_recursion_finds() {
-        // τ_time = 0 (or τ_split = 0) splits at every node, so every subtree
-        // travels as a subtask with its own induced subgraph and renumbered
-        // S' and ext(S'); after the maximality filter nothing may differ from
-        // the recursion run on the root task's own candidate.
+    /// The root tasks of a planted 150-vertex graph.
+    fn planted_root_tasks(params: MiningParams) -> Vec<QCTask> {
         let (g, _) = plant_quasi_cliques(&PlantedGraphSpec {
             num_vertices: 150,
             background_avg_degree: 5.0,
@@ -483,6 +316,18 @@ mod tests {
             seed: 11,
             ..PlantedGraphSpec::default()
         });
+        let k = params.kcore_threshold();
+        (0..150)
+            .filter_map(|root| build_task(&g, root, k))
+            .collect()
+    }
+
+    #[test]
+    fn decomposing_at_every_node_finds_what_the_recursion_finds() {
+        // τ_time = 0 (or τ_split = 0) splits at every node, so every subtree
+        // travels as a subtask with its own induced subgraph and renumbered
+        // S' and ext(S'); after the maximality filter nothing may differ from
+        // the recursion run on the root task's own candidate.
         let mut compared = 0;
         for (strategy, tau_split) in [
             (DecompositionStrategy::TimeDelayed, 100),
@@ -490,15 +335,51 @@ mod tests {
         ] {
             let mut p = phase(strategy, tau_split, Duration::ZERO);
             p.params = MiningParams::new(0.8, 6);
-            let k = p.params.kcore_threshold();
-            for task in (0..150).filter_map(|root| build_task(&g, root, k)) {
-                let expected = remove_non_maximal(recursive_reference(&task, &p));
+            for task in planted_root_tasks(p.params) {
+                let expected = remove_non_maximal(recursive_reference(&task, &p).0);
                 let (results, processed) = drain(task, &p);
                 assert_eq!(remove_non_maximal(results), expected);
                 compared += usize::from(processed > 1 && !expected.is_empty());
             }
         }
         assert!(compared >= 2, "some decomposed task must hold a result");
+    }
+
+    #[test]
+    fn a_task_whose_hand_off_is_never_due_is_the_serial_recursion() {
+        // One loop: until a hand-off is due, a task reports the rows and
+        // counts the counters of `recursive_mine` on its candidate, exactly.
+        // The case that tells two loops apart is a lookahead hit beneath the
+        // root: if the child's `found` is lost there, the parent reports a
+        // non-maximal G(S') again. A hit ends its loop, so two hits in one
+        // task put one of them below depth 0, and at γ = 0.6, τ_size = 5 a
+        // few of those have a G(S') that is itself a result.
+        let hour = Duration::from_secs(3600);
+        let mut hits_below_root = 0;
+        for strategy in [
+            DecompositionStrategy::TimeDelayed,
+            DecompositionStrategy::SizeThreshold,
+        ] {
+            let mut p = phase(strategy, 0, hour);
+            for mut task in planted_root_tasks(p.params) {
+                // No split under the size threshold either.
+                p.tau_split = task.ext.len();
+                let (rows, stats) = recursive_reference(&task, &p);
+                let out = run_mine_phase(&mut task, &p, &mut WorkerScratch::default());
+                assert!(out.subtasks.is_empty());
+                assert_eq!(out.results, rows.into_sorted_vec(), "root {}", task.root);
+                let expected = MiningStats {
+                    tasks_processed: 1,
+                    ..stats
+                };
+                assert_eq!(out.stats, expected, "root {}", task.root);
+                hits_below_root += usize::from(stats.lookahead_hits >= 2);
+            }
+        }
+        assert!(
+            hits_below_root >= 2,
+            "no task hit the lookahead below its root"
+        );
     }
 
     #[test]

@@ -26,7 +26,7 @@ use qcm_core::{
 };
 use qcm_engine::{Cluster, EngineConfig, EngineMetrics};
 use qcm_graph::kcore::k_core_masked;
-use qcm_graph::{Graph, VertexId};
+use qcm_graph::{Graph, IndexSpec, VertexId};
 use qcm_obs::clock::Instant;
 use qcm_sync::Arc;
 use std::time::Duration;
@@ -63,14 +63,13 @@ impl ParallelMiningOutput {
 /// Parallel maximal quasi-clique miner (the paper's full system).
 #[derive(Clone, Debug)]
 pub struct ParallelMiner {
-    /// Mining parameters (γ, τ_size).
-    pub params: MiningParams,
-    /// Pruning-rule configuration.
-    pub prune_config: PruneConfig,
-    /// Engine/cluster configuration (threads, machines, τ_split, τ_time, …).
+    /// The application the engine runs: γ, τ_size, the pruning rules and how
+    /// tasks decompose (τ_split, τ_time, strategy, task row policy). Its
+    /// `cancel` is set per run, from `engine_config.cancel`.
+    pub app: QuasiCliqueApp,
+    /// Engine/cluster configuration (threads, machines, queues, transport,
+    /// cancellation).
     pub engine_config: EngineConfig,
-    /// Task decomposition strategy.
-    pub strategy: DecompositionStrategy,
 }
 
 impl ParallelMiner {
@@ -78,22 +77,37 @@ impl ParallelMiner {
     /// and time-delayed task decomposition.
     pub fn new(params: MiningParams, engine_config: EngineConfig) -> Self {
         ParallelMiner {
-            params,
-            prune_config: PruneConfig::all_enabled(),
+            app: QuasiCliqueApp::new(
+                params,
+                QuasiCliqueApp::DEFAULT_TAU_SPLIT,
+                QuasiCliqueApp::DEFAULT_TAU_TIME,
+            ),
             engine_config,
-            strategy: DecompositionStrategy::TimeDelayed,
         }
     }
 
     /// Overrides the decomposition strategy.
     pub fn with_strategy(mut self, strategy: DecompositionStrategy) -> Self {
-        self.strategy = strategy;
+        self.app.strategy = strategy;
+        self
+    }
+
+    /// Sets the two hyperparameters of Table 2 (τ_split, τ_time).
+    pub fn with_decomposition(mut self, tau_split: usize, tau_time: Duration) -> Self {
+        self.app.tau_split = tau_split;
+        self.app.tau_time = tau_time;
+        self
+    }
+
+    /// Chooses the row policy of task subgraphs (default [`IndexSpec::Auto`]).
+    pub fn with_index(mut self, index: IndexSpec) -> Self {
+        self.app.index = index;
         self
     }
 
     /// Overrides the pruning configuration.
     pub fn with_prune_config(mut self, config: PruneConfig) -> Self {
-        self.prune_config = config;
+        self.app.prune_config = config;
         self
     }
 
@@ -128,16 +142,18 @@ impl ParallelMiner {
         graph: Arc<Graph>,
         observer: Option<&mut dyn QuasiCliqueSink>,
     ) -> ParallelMiningOutput {
-        let app = QuasiCliqueApp::for_engine(self.params, self.prune_config, &self.engine_config)
-            .with_strategy(self.strategy)
+        let app = self
+            .app
+            .clone()
             .with_cancel(self.engine_config.cancel.clone());
+        let (params, prune) = (&self.app.params, &self.app.prune_config);
         let cluster = Cluster::new(Arc::new(app), self.engine_config.clone());
-        let (core, peel_time) = peel_to_core(&graph, &self.params, &self.prune_config);
+        let (core, peel_time) = peel_to_core(&graph, params, prune);
         let mut output = cluster.run(core);
         output.metrics.elapsed += peel_time;
         let raw_reported = output.metrics.results_emitted;
         let (maximal, invalid_sets_dropped) =
-            finalize_results(output.results, &graph, &self.params, observer);
+            finalize_results(output.results, &graph, params, observer);
         ParallelMiningOutput {
             maximal,
             raw_reported,
@@ -246,17 +262,25 @@ mod tests {
     fn decomposition_strategies_agree() {
         let g = figure4();
         let params = MiningParams::new(0.6, 5);
-        let mut config = EngineConfig::single_machine(2);
-        config.tau_split = 1; // force heavy decomposition
-        config.tau_time = Duration::ZERO;
-        let time_delayed = ParallelMiner::new(params, config.clone()).mine(g.clone());
-        let size_threshold = ParallelMiner::new(params, config)
+        // Force heavy decomposition.
+        let miner = ParallelMiner::new(params, EngineConfig::single_machine(2))
+            .with_decomposition(1, Duration::ZERO);
+        let time_delayed = miner.mine(g.clone());
+        let size_threshold = miner
             .with_strategy(DecompositionStrategy::SizeThreshold)
             .mine(g.clone());
         let serial = SerialMiner::new(params).mine(&g);
         assert_eq!(time_delayed.maximal, serial.maximal);
         assert_eq!(size_threshold.maximal, serial.maximal);
         assert!(time_delayed.elapsed() > Duration::ZERO);
+    }
+
+    #[test]
+    fn with_decomposition_sets_hyperparameters() {
+        let miner = ParallelMiner::new(MiningParams::new(0.6, 5), EngineConfig::single_machine(2))
+            .with_decomposition(50, Duration::from_millis(1));
+        assert_eq!(miner.app.tau_split, 50);
+        assert_eq!(miner.app.tau_time, Duration::from_millis(1));
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::mine::DecompositionStrategy;
 use crate::runner::{finalize_results, peel_to_core};
 use qcm_core::{MiningParams, PruneConfig, QuasiCliqueSet, RunOutcome};
 use qcm_engine::{EngineConfig, EngineMetrics, SimCluster, SimConfig};
-use qcm_graph::{Graph, VertexId};
+use qcm_graph::{Graph, IndexSpec, VertexId};
 use qcm_sync::Arc;
 use std::collections::HashSet;
 use std::time::Duration;
@@ -60,13 +60,12 @@ pub struct SimMiningOutput {
 /// Parallel maximal quasi-clique miner on the deterministic fault simulator.
 #[derive(Clone, Debug)]
 pub struct SimMiner {
-    /// Mining parameters (γ, τ_size).
-    pub params: MiningParams,
-    /// Pruning-rule configuration.
-    pub prune_config: PruneConfig,
-    /// Engine configuration (machines, τ_split, batch size, …). Thread
-    /// counts are not modelled — each machine performs one scheduling step
-    /// per virtual wake.
+    /// The application the engine runs: γ, τ_size, the pruning rules, τ_split
+    /// and the task row policy. Every run forces its strategy to
+    /// size-threshold, which reads no τ_time; see the module docs.
+    pub app: QuasiCliqueApp,
+    /// Engine configuration (machines, batch size, …). Thread counts are not
+    /// modelled — each machine performs one scheduling step per virtual wake.
     pub engine_config: EngineConfig,
     /// Simulator configuration (seed, latency, drops, fault scenario).
     pub sim_config: SimConfig,
@@ -76,16 +75,31 @@ impl SimMiner {
     /// Creates a simulated miner with the paper's pruning defaults.
     pub fn new(params: MiningParams, engine_config: EngineConfig, sim_config: SimConfig) -> Self {
         SimMiner {
-            params,
-            prune_config: PruneConfig::all_enabled(),
+            app: QuasiCliqueApp::new(
+                params,
+                QuasiCliqueApp::DEFAULT_TAU_SPLIT,
+                QuasiCliqueApp::DEFAULT_TAU_TIME,
+            ),
             engine_config,
             sim_config,
         }
     }
 
+    /// Sets the big-task threshold τ_split.
+    pub fn with_tau_split(mut self, tau_split: usize) -> Self {
+        self.app.tau_split = tau_split;
+        self
+    }
+
+    /// Chooses the row policy of task subgraphs (default [`IndexSpec::Auto`]).
+    pub fn with_index(mut self, index: IndexSpec) -> Self {
+        self.app.index = index;
+        self
+    }
+
     /// Overrides the pruning configuration.
     pub fn with_prune_config(mut self, config: PruneConfig) -> Self {
-        self.prune_config = config;
+        self.app.prune_config = config;
         self
     }
 
@@ -93,23 +107,26 @@ impl SimMiner {
     pub fn mine(&self, graph: Arc<Graph>) -> SimMiningOutput {
         // Size-threshold splitting is the only wall-clock-free strategy; see
         // the module docs. No cancel token: the virtual horizon bounds the run.
-        let app = QuasiCliqueApp::for_engine(self.params, self.prune_config, &self.engine_config)
+        let app = self
+            .app
+            .clone()
             .with_strategy(DecompositionStrategy::SizeThreshold);
+        let (params, prune) = (&self.app.params, &self.app.prune_config);
         let cluster = SimCluster::new(
             Arc::new(app),
             self.engine_config.clone(),
             self.sim_config.clone(),
         );
-        let (core, peel_time) = peel_to_core(&graph, &self.params, &self.prune_config);
+        let (core, peel_time) = peel_to_core(&graph, params, prune);
         let mut output = cluster.run(core.clone());
         output.metrics.elapsed += peel_time;
         let raw_reported = output.metrics.results_emitted;
         let (mut maximal, invalid_sets_dropped) =
-            finalize_results(output.results, &graph, &self.params, None);
+            finalize_results(output.results, &graph, params, None);
         // A root with no neighbour in the mined graph never spawns a task:
         // losing it loses nothing.
         output.lost_roots.retain(|&root| core.degree(root) > 0);
-        retain_provably_maximal(&mut maximal, &output.lost_roots, &graph, &self.params);
+        retain_provably_maximal(&mut maximal, &output.lost_roots, &graph, params);
         SimMiningOutput {
             maximal,
             raw_reported,

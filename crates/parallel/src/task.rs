@@ -196,14 +196,14 @@ impl TaskCodec for QCTask {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::app::QuasiCliqueApp;
     use crate::iterations::iteration_1;
     use crate::iterations::tests::{build_task, figure4, frontier_for};
-    use crate::mine::{run_mine_phase, DecompositionStrategy, MinePhaseParams};
+    use crate::mine::run_mine_phase;
     use crate::reference::TaskGraph;
     use proptest::prelude::*;
-    use qcm_core::{CancelToken, MiningParams, PruneConfig};
+    use qcm_core::MiningParams;
     use qcm_engine::WorkerScratch;
-    use qcm_graph::IndexSpec;
     use std::time::Duration;
 
     fn v(id: u32) -> VertexId {
@@ -287,16 +287,8 @@ mod tests {
             (1..9).collect(),
             LocalGraph::from_induced(&g, &all),
         );
-        let phase = MinePhaseParams {
-            params: MiningParams::new(0.6, 5),
-            config: PruneConfig::all_enabled(),
-            tau_split: 100,
-            tau_time: Duration::ZERO,
-            strategy: DecompositionStrategy::TimeDelayed,
-            cancel: CancelToken::never(),
-            index: IndexSpec::Auto,
-        };
-        let decomposed = run_mine_phase(&mut whole, &phase, &mut WorkerScratch::default())
+        let app = QuasiCliqueApp::new(MiningParams::new(0.6, 5), 100, Duration::ZERO);
+        let decomposed = run_mine_phase(&mut whole, &app, &mut WorkerScratch::default())
             .subtasks
             .swap_remove(0);
         assert_eq!(

@@ -36,7 +36,7 @@ use qcm_core::{
 use qcm_engine::{EngineConfig, EngineMetrics, SimConfig, TransportFactory, TransportKind};
 use qcm_graph::{Graph, IndexSpec};
 use qcm_obs::{SpanKind, Trace, TraceConfig};
-use qcm_parallel::{DecompositionStrategy, ParallelMiner, SimMiner};
+use qcm_parallel::{ParallelMiner, QuasiCliqueApp, SimMiner};
 use qcm_sync::Arc;
 use std::time::Duration;
 
@@ -168,7 +168,6 @@ pub struct SessionBuilder {
     min_size: usize,
     backend: Backend,
     prune: PruneConfig,
-    strategy: DecompositionStrategy,
     deadline: Option<Duration>,
     tau_split: usize,
     tau_time: Duration,
@@ -181,16 +180,14 @@ pub struct SessionBuilder {
 
 impl Default for SessionBuilder {
     fn default() -> Self {
-        let engine_defaults = EngineConfig::default();
         SessionBuilder {
             gamma: GammaSpec::Float(0.9),
             min_size: 10,
             backend: Backend::Serial,
             prune: PruneConfig::all_enabled(),
-            strategy: DecompositionStrategy::TimeDelayed,
             deadline: None,
-            tau_split: engine_defaults.tau_split,
-            tau_time: engine_defaults.tau_time,
+            tau_split: QuasiCliqueApp::DEFAULT_TAU_SPLIT,
+            tau_time: QuasiCliqueApp::DEFAULT_TAU_TIME,
             balance_period: None,
             cancel: None,
             index: IndexSpec::Auto,
@@ -235,13 +232,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Task-decomposition strategy for the parallel backend (default
-    /// time-delayed, per the paper).
-    pub fn strategy(mut self, strategy: DecompositionStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
     /// Soft wall-clock budget: when it passes, the run stops cooperatively
     /// and the report is labelled [`RunOutcome::DeadlineExceeded`].
     pub fn deadline(mut self, deadline: Duration) -> Self {
@@ -255,7 +245,10 @@ impl SessionBuilder {
         self
     }
 
-    /// Decomposition timeout τ_time (parallel backend).
+    /// Decomposition timeout τ_time (parallel backend). A live run
+    /// decomposes time-delayed (Algorithm 10); a simulated one
+    /// ([`TransportKind::Sim`]) by size threshold (Algorithm 8), which keeps it
+    /// replayable and reads no τ_time.
     pub fn tau_time(mut self, tau_time: Duration) -> Self {
         self.tau_time = tau_time;
         self
@@ -375,7 +368,6 @@ impl SessionBuilder {
             params,
             prune: self.prune,
             backend,
-            strategy: self.strategy,
             deadline: self.deadline,
             tau_split: self.tau_split,
             tau_time: self.tau_time,
@@ -399,7 +391,6 @@ pub struct Session {
     params: MiningParams,
     prune: PruneConfig,
     backend: Backend,
-    strategy: DecompositionStrategy,
     deadline: Option<Duration>,
     tau_split: usize,
     tau_time: Duration,
@@ -573,15 +564,14 @@ impl Session {
             TransportKind::Sim(_) => unreachable!("handled above"),
         };
         let mut config = EngineConfig::cluster(machines, threads)
-            .with_decomposition(self.tau_split, self.tau_time)
             .with_cancel(cancel)
-            .with_index(self.index)
             .with_transport(factory);
         if let Some(period) = self.balance_period {
             config.balance_period = period;
         }
         let miner = ParallelMiner::new(self.params, config)
-            .with_strategy(self.strategy)
+            .with_decomposition(self.tau_split, self.tau_time)
+            .with_index(self.index)
             .with_prune_config(self.prune);
         let output = match sink {
             None => miner.mine(graph.clone()),
@@ -617,10 +607,10 @@ impl Session {
         machines: usize,
         sim: SimConfig,
     ) -> MiningReport {
-        let config = EngineConfig::cluster(machines, 1)
-            .with_decomposition(self.tau_split, self.tau_time)
-            .with_index(self.index);
-        let miner = SimMiner::new(self.params, config, sim).with_prune_config(self.prune);
+        let miner = SimMiner::new(self.params, EngineConfig::cluster(machines, 1), sim)
+            .with_tau_split(self.tau_split)
+            .with_index(self.index)
+            .with_prune_config(self.prune);
         let output = miner.mine(graph.clone());
         MiningReport {
             maximal: output.maximal,

@@ -37,11 +37,12 @@ fn tiny_queues_with_disk_spill_produce_correct_results() {
     config.batch_size = 2;
     config.local_capacity = 2;
     config.global_queue_capacity = 2;
-    config.tau_split = 1; // every task is "big" → hammer the global queue
-    config.tau_time = Duration::ZERO; // maximal decomposition
     config.spill_dir = Some(spill_dir.clone());
 
-    let out = ParallelMiner::new(params, config).mine(graph.clone());
+    // Every task is "big" → hammer the global queue; maximal decomposition.
+    let out = ParallelMiner::new(params, config)
+        .with_decomposition(1, Duration::ZERO)
+        .mine(graph.clone());
     assert_eq!(out.maximal, reference.maximal);
     assert!(
         out.metrics.spill_bytes_written > 0,
@@ -105,10 +106,10 @@ fn stealing_moves_big_tasks_under_skew() {
         .run(&graph)
         .unwrap();
     let mut config = EngineConfig::cluster(4, 1);
-    config.tau_split = 1;
-    config.tau_time = Duration::ZERO;
     config.balance_period = Duration::from_micros(200);
-    let out = ParallelMiner::new(params, config).mine(graph.clone());
+    let out = ParallelMiner::new(params, config)
+        .with_decomposition(1, Duration::ZERO)
+        .mine(graph.clone());
     assert_eq!(out.maximal, reference.maximal);
     // The metric is recorded; whether stealing triggered depends on timing,
     // so only sanity-check that the counter is readable and not absurd.

@@ -30,7 +30,6 @@ use qcm::{RunOutcome, SimConfig};
 use qcm_sync::Arc;
 use std::fs;
 use std::path::PathBuf;
-use std::time::Duration;
 
 const SEEDS: [u64; 3] = [11, 42, 1337];
 const MACHINES: usize = 4;
@@ -83,9 +82,9 @@ fn selected(name: &str, seed: u64) -> bool {
 }
 
 fn run_sim(graph: &Arc<Graph>, params: MiningParams, sim: SimConfig) -> SimMiningOutput {
-    let config =
-        EngineConfig::cluster(MACHINES, 1).with_decomposition(30, Duration::from_millis(50));
-    SimMiner::new(params, config, sim).mine(graph.clone())
+    SimMiner::new(params, EngineConfig::cluster(MACHINES, 1), sim)
+        .with_tau_split(30)
+        .mine(graph.clone())
 }
 
 /// Writes the run's event log under `$CARGO_TARGET_TMPDIR/fault-logs/` so a
@@ -244,12 +243,13 @@ fn faulted_runs_report_only_serial_maximal_sets_at_every_crash_instant() {
 fn tiny_queues_spill_and_recover_under_a_crash() {
     let (graph, params) = planted();
     let serial = SerialMiner::new(params).mine(&graph);
-    let mut config =
-        EngineConfig::cluster(MACHINES, 1).with_decomposition(30, Duration::from_millis(50));
+    let mut config = EngineConfig::cluster(MACHINES, 1);
     config.batch_size = 2;
     config.local_capacity = 2;
     config.global_queue_capacity = 2;
-    let out = SimMiner::new(params, config, scenario("crash", 42)).mine(graph.clone());
+    let out = SimMiner::new(params, config, scenario("crash", 42))
+        .with_tau_split(30)
+        .mine(graph.clone());
     dump_log("crash-tiny-queues", 42, &out);
     assert!(
         out.metrics.spill_bytes_written > 0,

@@ -78,17 +78,16 @@ fn forced_decomposition_does_not_change_results() {
     let params = MiningParams::new(0.7, 4);
     let oracle = naive::maximal_quasi_cliques(&g, &params);
 
-    let mut config = EngineConfig::single_machine(4);
-    config.tau_split = 1;
-    config.tau_time = Duration::ZERO;
+    let miner = ParallelMiner::new(params, EngineConfig::single_machine(4))
+        .with_decomposition(1, Duration::ZERO);
 
-    let time_delayed = ParallelMiner::new(params, config.clone()).mine(g.clone());
+    let time_delayed = miner.mine(g.clone());
     assert_eq!(
         time_delayed.maximal, oracle,
         "time-delayed decomposition lost results"
     );
 
-    let size_threshold = ParallelMiner::new(params, config)
+    let size_threshold = miner
         .with_strategy(DecompositionStrategy::SizeThreshold)
         .mine(g.clone());
     assert_eq!(

@@ -38,10 +38,10 @@ fn work_stealing_parallel_matches_serial_across_thread_counts() {
         let mut config = EngineConfig::single_machine(threads);
         // Aggressive decomposition into small subtasks, which land in the
         // decomposing worker's own deque — the steal protocol's diet.
-        config.tau_split = 30;
-        config.tau_time = Duration::ZERO;
         config.steal_batch = 4;
-        let out = ParallelMiner::new(params, config).mine(graph.clone());
+        let out = ParallelMiner::new(params, config)
+            .with_decomposition(30, Duration::ZERO)
+            .mine(graph.clone());
         assert_eq!(
             out.maximal, serial.maximal,
             "work-stealing run diverged at {threads} threads"
@@ -59,8 +59,6 @@ fn stealing_on_and_off_agree_and_spilling_survives_stealing() {
     let spill_dir = std::env::temp_dir().join(format!("qcm_steal_spill_{}", std::process::id()));
     let make_config = |steal_batch: usize| {
         let mut config = EngineConfig::single_machine(4);
-        config.tau_split = 10; // most decomposed tasks are "big" → global queue
-        config.tau_time = Duration::ZERO;
         config.batch_size = 2;
         config.local_capacity = 2; // tiny deques → constant overflow to global
         config.global_queue_capacity = 2; // → constant spilling
@@ -69,8 +67,14 @@ fn stealing_on_and_off_agree_and_spilling_survives_stealing() {
         config
     };
 
-    let stolen = ParallelMiner::new(params, make_config(4)).mine(graph.clone());
-    let unstolen = ParallelMiner::new(params, make_config(0)).mine(graph.clone());
+    // τ_split = 10: most decomposed tasks are "big" → global queue.
+    let mine = |steal_batch: usize| {
+        ParallelMiner::new(params, make_config(steal_batch))
+            .with_decomposition(10, Duration::ZERO)
+            .mine(graph.clone())
+    };
+    let stolen = mine(4);
+    let unstolen = mine(0);
     assert_eq!(stolen.maximal, unstolen.maximal);
     assert_eq!(unstolen.metrics.steals, 0, "steal_batch = 0 must disable");
     assert!(

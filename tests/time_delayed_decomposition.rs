@@ -30,8 +30,9 @@ fn run_with_tau_time(
     params: MiningParams,
     tau_time: Duration,
 ) -> ParallelMiningOutput {
-    let config = EngineConfig::single_machine(4).with_decomposition(30, tau_time);
-    ParallelMiner::new(params, config).mine(graph.clone())
+    ParallelMiner::new(params, EngineConfig::single_machine(4))
+        .with_decomposition(30, tau_time)
+        .mine(graph.clone())
 }
 
 #[test]
@@ -91,9 +92,10 @@ fn time_delayed_beats_or_matches_size_threshold_on_task_count() {
     // splits tasks that actually run long. The time-delayed run must therefore
     // never create more subtasks.
     let (graph, params) = hard_core_graph();
-    let config = EngineConfig::single_machine(4).with_decomposition(10, Duration::from_millis(200));
-    let time_delayed = ParallelMiner::new(params, config.clone()).mine(graph.clone());
-    let size_threshold = ParallelMiner::new(params, config)
+    let miner = ParallelMiner::new(params, EngineConfig::single_machine(4))
+        .with_decomposition(10, Duration::from_millis(200));
+    let time_delayed = miner.mine(graph.clone());
+    let size_threshold = miner
         .with_strategy(DecompositionStrategy::SizeThreshold)
         .mine(graph.clone());
     assert!(
