@@ -24,7 +24,7 @@ use crate::task::{Frontier, GThinkerApp, WorkerScratch};
 use crate::vertex_table::{DataService, FetchScratch};
 
 use qcm_core::RunOutcome;
-use qcm_graph::Graph;
+use qcm_graph::{Graph, VertexId};
 use qcm_obs::clock::Instant;
 use qcm_sync::{Arc, Mutex};
 use std::time::Duration;
@@ -66,14 +66,18 @@ impl<A: GThinkerApp> Cluster<A> {
     }
 
     /// Runs the application over `graph` until every spawned task (and every
-    /// task transitively created by decomposition) has completed.
-    pub fn run(&self, graph: Arc<Graph>) -> EngineOutput {
+    /// task transitively created by decomposition) has completed. The vertex
+    /// table holds `vertices` (sorted, distinct ids of `graph`): `spawn` is
+    /// called once for each of them and for no other vertex, while every
+    /// vertex of `graph` can be pulled.
+    pub fn run(&self, graph: Arc<Graph>, vertices: Vec<VertexId>) -> EngineOutput {
         let config = &self.config;
         let transport = config.transport.build(config.num_machines);
         let run = Run::new(
             self.app.as_ref(),
             config,
             graph,
+            vertices,
             transport.clone(),
             config.threads_per_machine,
         );

@@ -257,18 +257,20 @@ struct Counters {
 }
 
 impl<'a, A: GThinkerApp> Run<'a, A> {
-    /// Sets a run up: partitions the vertex table, binds the transport and
-    /// creates one [`Machine`] per partition with `threads` worker deques
-    /// each.
+    /// Sets a run up: partitions the vertex table holding `vertices`, binds
+    /// the transport and creates one [`Machine`] per partition with `threads`
+    /// worker deques each. Each machine's spawn cursor walks its share of
+    /// `vertices`.
     pub(crate) fn new(
         app: &'a A,
         config: &'a EngineConfig,
         graph: Arc<Graph>,
+        vertices: Vec<VertexId>,
         transport: Arc<dyn Transport>,
         threads: usize,
     ) -> Self {
         let started = Instant::now();
-        let table = PartitionedVertexTable::new(graph, config.num_machines);
+        let table = PartitionedVertexTable::new(graph, vertices, config.num_machines);
         transport.bind(&table);
         let spill = Arc::new(SpillMetrics::default());
         let machines = (0..config.num_machines)
@@ -292,7 +294,7 @@ impl<'a, A: GThinkerApp> Run<'a, A> {
         Run {
             app,
             config,
-            term: Termination::new(table.graph().num_vertices()),
+            term: Termination::new(table.vertices().len()),
             table,
             transport,
             machines,

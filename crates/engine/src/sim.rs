@@ -453,13 +453,21 @@ impl<A: GThinkerApp> SimCluster<A> {
         SimCluster { app, engine, sim }
     }
 
-    /// Runs the application over `graph` in virtual time under the scenario.
-    pub fn run(&self, graph: Arc<Graph>) -> SimOutput {
+    /// Runs the application over `graph` in virtual time under the scenario,
+    /// spawning from `vertices` as [`crate::Cluster::run`] does.
+    pub fn run(&self, graph: Arc<Graph>, vertices: Vec<VertexId>) -> SimOutput {
         let machines = self.engine.num_machines;
         let net = Arc::new(Mutex::new(NetInner::new(machines, &self.sim)));
         let transport = Arc::new(SimTransport { net: net.clone() });
         let mut driver = Driver {
-            run: Run::new(self.app.as_ref(), &self.engine, graph, transport, 1),
+            run: Run::new(
+                self.app.as_ref(),
+                &self.engine,
+                graph,
+                vertices,
+                transport,
+                1,
+            ),
             sim: &self.sim,
             net,
             machines: (0..machines)
@@ -1024,7 +1032,8 @@ mod tests {
     }
 
     fn run(engine: EngineConfig, sim: SimConfig, g: Arc<Graph>) -> SimOutput {
-        SimCluster::new(Arc::new(EchoApp), engine, sim).run(g)
+        let vertices = g.vertices().collect();
+        SimCluster::new(Arc::new(EchoApp), engine, sim).run(g, vertices)
     }
 
     #[test]

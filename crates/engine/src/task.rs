@@ -49,7 +49,6 @@ impl Frontier {
         Self::default()
     }
 
-    /// Adds the adjacency list of `v`.
     /// Adds the adjacency list of `v`, replacing an earlier one.
     pub fn insert(&mut self, v: VertexId, adj: impl Into<AdjList>) {
         let adj = adj.into();
@@ -181,7 +180,9 @@ pub trait GThinkerApp: Send + Sync + 'static {
     type Task: TaskCodec + Send + 'static;
 
     /// UDF `spawn(v)`: optionally creates the initial task for vertex `v` of
-    /// the local vertex table (Algorithm 4). `adj` is Γ(v).
+    /// the local vertex table (Algorithm 4): the engine calls it for each
+    /// vertex the table holds (the list passed to `Cluster::run`) and for no
+    /// other. `adj` is Γ(v), sorted.
     fn spawn(&self, v: VertexId, adj: &[VertexId], ctx: &mut ComputeContext<Self::Task>);
 
     /// The adjacency lists `task` is currently waiting for. The engine

@@ -373,7 +373,7 @@ mod tests {
         let g = Arc::new(
             Graph::from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]).unwrap(),
         );
-        PartitionedVertexTable::new(g, machines)
+        PartitionedVertexTable::new(g.clone(), g.vertices().collect(), machines)
     }
 
     #[test]

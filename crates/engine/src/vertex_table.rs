@@ -73,20 +73,40 @@ impl From<Vec<VertexId>> for AdjList {
 /// more: it serves Γ(v) from the shared graph's CSR. Edge queries are never
 /// answered here — a task answers them from the rows of its own
 /// `LocalGraph`, built from the lists it pulled.
+///
+/// The vertices the table *holds* — the keys a loader handed over, which the
+/// machines spawn from — are a sorted list of the graph's ids, not
+/// necessarily all of them: the quasi-clique miners load the k-core only.
 #[derive(Clone)]
 pub struct PartitionedVertexTable {
     graph: Arc<Graph>,
+    vertices: Arc<[VertexId]>,
     num_machines: usize,
 }
 
 impl PartitionedVertexTable {
-    /// Creates the table over `graph` partitioned across `num_machines`.
-    pub fn new(graph: Arc<Graph>, num_machines: usize) -> Self {
+    /// Creates the table holding `vertices` (sorted, distinct ids of
+    /// `graph`), partitioned across `num_machines`.
+    pub fn new(graph: Arc<Graph>, vertices: Vec<VertexId>, num_machines: usize) -> Self {
         assert!(num_machines >= 1);
+        assert!(
+            vertices.windows(2).all(|w| w[0] < w[1]),
+            "the vertex list must be sorted and distinct"
+        );
+        assert!(
+            vertices.last().map_or(0, |v| v.index() + 1) <= graph.num_vertices(),
+            "the vertex list names an id outside the graph"
+        );
         PartitionedVertexTable {
             graph,
+            vertices: vertices.into(),
             num_machines,
         }
+    }
+
+    /// The vertices the table holds, in increasing id order.
+    pub fn vertices(&self) -> &[VertexId] {
+        &self.vertices
     }
 
     /// The machine that owns vertex `v` (hash partitioning by id).
@@ -101,12 +121,10 @@ impl PartitionedVertexTable {
         self.owner(v) == machine
     }
 
-    /// The vertices owned by `machine`, in increasing id order.
+    /// The held vertices owned by `machine`, in increasing id order.
     pub fn owned_vertices(&self, machine: usize) -> Vec<VertexId> {
-        self.graph
-            .vertices()
-            .filter(|&v| self.owner(v) == machine)
-            .collect()
+        let vertices = self.vertices.iter().copied();
+        vertices.filter(|&v| self.owner(v) == machine).collect()
     }
 
     /// The adjacency list Γ(v) (borrowed from the shared graph).
@@ -370,21 +388,45 @@ mod tests {
         )
     }
 
+    fn all_vertices(g: &Graph) -> Vec<VertexId> {
+        g.vertices().collect()
+    }
+
     #[test]
     fn partitioning_covers_all_vertices_once() {
-        let table = PartitionedVertexTable::new(sample_graph(), 3);
+        let g = sample_graph();
+        let table = PartitionedVertexTable::new(g.clone(), all_vertices(&g), 3);
         let mut all: Vec<VertexId> = (0..3).flat_map(|m| table.owned_vertices(m)).collect();
         all.sort_unstable();
-        assert_eq!(all.len(), 8);
+        assert_eq!(all, all_vertices(&g));
         for v in table.graph().vertices() {
             assert!(table.is_local(table.owner(v), v));
         }
     }
 
     #[test]
+    fn partitioning_covers_the_held_vertices_only() {
+        let held: Vec<VertexId> = [1, 2, 5, 7].map(VertexId::new).to_vec();
+        let table = PartitionedVertexTable::new(sample_graph(), held.clone(), 3);
+        assert_eq!(table.vertices(), held.as_slice());
+        assert_eq!(table.owned_vertices(0), vec![]);
+        assert_eq!(table.owned_vertices(1), [1, 7].map(VertexId::new).to_vec());
+        assert_eq!(table.owned_vertices(2), [2, 5].map(VertexId::new).to_vec());
+        // Every vertex of the graph is still served.
+        assert_eq!(table.adjacency(VertexId::new(3)).len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted and distinct")]
+    fn an_unsorted_vertex_list_is_rejected() {
+        let held = [2, 1].map(VertexId::new).to_vec();
+        let _ = PartitionedVertexTable::new(sample_graph(), held, 2);
+    }
+
+    #[test]
     fn adjacency_matches_graph() {
         let g = sample_graph();
-        let table = PartitionedVertexTable::new(g.clone(), 2);
+        let table = PartitionedVertexTable::new(g.clone(), all_vertices(&g), 2);
         for v in g.vertices() {
             assert_eq!(table.adjacency(v), g.neighbors(v));
         }
@@ -410,7 +452,8 @@ mod tests {
         cache_capacity: usize,
         pull_retries: u32,
     ) -> (DataService, Arc<FetchMetrics>) {
-        let table = PartitionedVertexTable::new(sample_graph(), 2);
+        let g = sample_graph();
+        let table = PartitionedVertexTable::new(g.clone(), all_vertices(&g), 2);
         let metrics = Arc::new(FetchMetrics::default());
         let transport = factory.build(table.num_machines());
         transport.bind(&table);

@@ -126,10 +126,19 @@ fn star_with_ring(n: usize) -> Arc<Graph> {
     Arc::new(Graph::from_edges(n, edges).unwrap())
 }
 
+fn every_vertex(g: &Graph) -> Vec<VertexId> {
+    g.vertices().collect()
+}
+
 fn expected_rows(g: &Graph, hub_threshold: usize) -> usize {
-    // One row per vertex plus one per neighbor of every hub vertex.
-    g.vertices()
-        .map(|v| {
+    rows_spawned_by(g, &every_vertex(g), hub_threshold)
+}
+
+/// One row per spawned vertex plus one per neighbor of every spawned hub.
+fn rows_spawned_by(g: &Graph, spawned: &[VertexId], hub_threshold: usize) -> usize {
+    spawned
+        .iter()
+        .map(|&v| {
             let d = g.degree(v);
             1 + if d >= hub_threshold { d } else { 0 }
         })
@@ -141,7 +150,7 @@ fn single_machine_processes_every_vertex() {
     let g = star_with_ring(64);
     let app = Arc::new(SummerApp { hub_threshold: 16 });
     let cluster = Cluster::new(app, EngineConfig::single_machine(4));
-    let out = cluster.run(g.clone());
+    let out = cluster.run(g.clone(), every_vertex(&g));
     assert_eq!(out.results.len(), expected_rows(&g, 16));
     assert_eq!(out.metrics.tasks_spawned, 64);
     assert_eq!(
@@ -163,7 +172,7 @@ fn results_are_identical_across_thread_counts() {
     for threads in [1, 2, 8] {
         let app = Arc::new(SummerApp { hub_threshold: 10 });
         let cluster = Cluster::new(app, EngineConfig::single_machine(threads));
-        let mut rows = cluster.run(g.clone()).results;
+        let mut rows = cluster.run(g.clone(), every_vertex(&g)).results;
         rows.sort();
         match &reference {
             None => reference = Some(rows),
@@ -178,7 +187,7 @@ fn multi_machine_run_steals_and_matches_single_machine() {
     let single = {
         let app = Arc::new(SummerApp { hub_threshold: 8 });
         let mut rows = Cluster::new(app, EngineConfig::single_machine(2))
-            .run(g.clone())
+            .run(g.clone(), every_vertex(&g))
             .results;
         rows.sort();
         rows
@@ -186,7 +195,7 @@ fn multi_machine_run_steals_and_matches_single_machine() {
     let app = Arc::new(SummerApp { hub_threshold: 8 });
     let mut config = EngineConfig::cluster(4, 2);
     config.balance_period = Duration::from_millis(1);
-    let out = Cluster::new(app, config).run(g.clone());
+    let out = Cluster::new(app, config).run(g.clone(), every_vertex(&g));
     let mut rows = out.results;
     rows.sort();
     assert_eq!(rows, single);
@@ -204,7 +213,7 @@ fn tiny_queues_force_spilling_without_losing_tasks() {
     config.global_queue_capacity = 2;
     config.spill_dir =
         Some(std::env::temp_dir().join(format!("qcm_engine_spill_test_{}", std::process::id())));
-    let out = Cluster::new(app, config.clone()).run(g.clone());
+    let out = Cluster::new(app, config.clone()).run(g.clone(), every_vertex(&g));
     assert_eq!(out.results.len(), expected_rows(&g, 4));
     assert!(
         out.metrics.spill_bytes_written > 0,
@@ -229,7 +238,7 @@ fn tiny_vertex_cache_still_produces_correct_results() {
     let mut config = EngineConfig::cluster(3, 2);
     config.vertex_cache_capacity = 1;
     config.balance_period = Duration::from_millis(1);
-    let out = Cluster::new(app, config).run(g.clone());
+    let out = Cluster::new(app, config).run(g.clone(), every_vertex(&g));
     assert_eq!(out.results.len(), expected_rows(&g, 6));
     assert!(out.metrics.cache_evictions > 0 || out.metrics.remote_fetches > 0);
 }
@@ -238,7 +247,7 @@ fn tiny_vertex_cache_still_produces_correct_results() {
 fn empty_graph_terminates_immediately() {
     let g = Arc::new(Graph::empty(0));
     let app = Arc::new(SummerApp { hub_threshold: 4 });
-    let out = Cluster::new(app, EngineConfig::single_machine(3)).run(g);
+    let out = Cluster::new(app, EngineConfig::single_machine(3)).run(g, Vec::new());
     assert!(out.results.is_empty());
     assert_eq!(out.metrics.tasks_processed, 0);
 }
@@ -247,7 +256,7 @@ fn empty_graph_terminates_immediately() {
 fn per_task_time_log_covers_all_tasks() {
     let g = star_with_ring(50);
     let app = Arc::new(SummerApp { hub_threshold: 10 });
-    let out = Cluster::new(app, EngineConfig::single_machine(2)).run(g.clone());
+    let out = Cluster::new(app, EngineConfig::single_machine(2)).run(g.clone(), every_vertex(&g));
     assert_eq!(
         out.metrics.task_times.len() as u64,
         out.metrics.tasks_processed
@@ -269,17 +278,17 @@ fn cancelled_run_drains_workers_and_labels_the_metrics() {
     let token = CancelToken::new();
     token.cancel();
     let config = EngineConfig::single_machine(3).with_cancel(token);
-    let out = Cluster::new(app.clone(), config).run(g.clone());
+    let out = Cluster::new(app.clone(), config).run(g.clone(), every_vertex(&g));
     assert_eq!(out.metrics.outcome, RunOutcome::Cancelled);
     assert!(out.results.len() <= expected_rows(&g, 10));
 
     // A zero deadline is labelled DeadlineExceeded; an unfired token completes.
     let token = CancelToken::never().with_deadline(Some(Duration::ZERO));
     let config = EngineConfig::single_machine(3).with_cancel(token);
-    let out = Cluster::new(app.clone(), config).run(g.clone());
+    let out = Cluster::new(app.clone(), config).run(g.clone(), every_vertex(&g));
     assert_eq!(out.metrics.outcome, RunOutcome::DeadlineExceeded);
 
-    let out = Cluster::new(app, EngineConfig::single_machine(3)).run(g.clone());
+    let out = Cluster::new(app, EngineConfig::single_machine(3)).run(g.clone(), every_vertex(&g));
     assert_eq!(out.metrics.outcome, RunOutcome::Complete);
     assert_eq!(out.results.len(), expected_rows(&g, 10));
 }
@@ -301,8 +310,8 @@ fn live_and_simulated_clusters_agree_without_faults() {
     config.local_capacity = 2;
     config.global_queue_capacity = 2;
 
-    let live = Cluster::new(app.clone(), config.clone()).run(g.clone());
-    let sim = SimCluster::new(app, config, SimConfig::new(7)).run(g.clone());
+    let live = Cluster::new(app.clone(), config.clone()).run(g.clone(), every_vertex(&g));
+    let sim = SimCluster::new(app, config, SimConfig::new(7)).run(g.clone(), every_vertex(&g));
     assert_eq!(live.metrics.outcome, RunOutcome::Complete);
     assert_eq!(sim.outcome, RunOutcome::Complete);
 
@@ -332,4 +341,54 @@ fn live_and_simulated_clusters_agree_without_faults() {
     }
     assert_eq!(sim.metrics.tasks_spawned, 120);
     assert!(live.metrics.spill_bytes_written > 0 && sim.metrics.spill_bytes_written > 0);
+}
+
+/// The engine spawns the vertices its table holds and no others: handed a
+/// strict subset of the graph's ids, both drivers spawn one task per listed
+/// vertex, emit one root row per listed vertex plus fan-out rows for listed
+/// hubs only, and still pull unlisted neighbours.
+#[test]
+fn both_drivers_spawn_exactly_the_listed_vertices() {
+    use qcm_core::RunOutcome;
+
+    let g = star_with_ring(90);
+    let listed: Vec<VertexId> = g.vertices().filter(|v| v.raw() % 3 != 1).collect();
+    // Every vertex is a hub: degree 3 on the ring, 89 at the centre.
+    let hub_threshold = 3;
+    let app = Arc::new(SummerApp { hub_threshold });
+    let config = EngineConfig::cluster(3, 2);
+
+    let live = Cluster::new(app.clone(), config.clone()).run(g.clone(), listed.clone());
+    let sim = SimCluster::new(app.clone(), config.clone(), SimConfig::new(7))
+        .run(g.clone(), listed.clone());
+    assert_eq!(live.metrics.outcome, RunOutcome::Complete);
+    assert_eq!(sim.outcome, RunOutcome::Complete);
+    for (driver, rows, spawned) in [
+        ("live", live.results, live.metrics.tasks_spawned),
+        ("simulated", sim.results, sim.metrics.tasks_spawned),
+    ] {
+        assert_eq!(spawned, listed.len() as u64, "{driver}: tasks spawned");
+        assert_eq!(
+            rows.len(),
+            rows_spawned_by(&g, &listed, hub_threshold),
+            "{driver}: rows"
+        );
+        let mut roots: Vec<VertexId> = rows.iter().map(|row| row[0]).collect();
+        roots.sort_unstable();
+        roots.dedup();
+        assert_eq!(roots, listed, "{driver}: the rows' roots are not the list");
+    }
+
+    // A crash that never heals loses roots; every root it names, spawned or
+    // not, is a listed one.
+    let crash = SimConfig::crash_scenario(11, 1, 300, None);
+    let out = SimCluster::new(app, config, crash).run(g.clone(), listed.clone());
+    assert_eq!(out.outcome, RunOutcome::Faulted);
+    assert!(!out.lost_roots.is_empty());
+    for root in &out.lost_roots {
+        assert!(
+            listed.binary_search(root).is_ok(),
+            "lost unlisted root {root}"
+        );
+    }
 }

@@ -90,7 +90,10 @@ fn a_finished_step_is_counted_while_its_worker_lives_on() {
     let before = perf::snapshot();
     let run = {
         let app = app.clone();
-        thread::spawn(move || Cluster::new(app, EngineConfig::single_machine(1)).run(graph))
+        let vertices = graph.vertices().collect();
+        thread::spawn(move || {
+            Cluster::new(app, EngineConfig::single_machine(1)).run(graph, vertices)
+        })
     };
     app.wait_for(1);
     // The one worker sits inside its HELD_STEP-th compute: that step's count

@@ -7,6 +7,11 @@
 //! this module implements both the targeted `k_core` extraction and the full
 //! core-number decomposition (used by the experiment harness for workload
 //! characterisation and by the generators for calibration).
+//!
+//! The targeted extraction peels from the *candidates*, the vertices of degree
+//! `≥ k`: every other vertex is dropped on sight, its adjacency list unread,
+//! so the peel costs O(n + Σ_{deg(v) ≥ k} deg(v)) rather than O(n + |E|). On a
+//! sparse graph with a small core most vertices start below `k`.
 
 use crate::graph::Graph;
 use crate::subgraph::induced_subgraph;
@@ -85,25 +90,31 @@ pub fn k_core(g: &Graph, k: usize) -> (Graph, Vec<VertexId>) {
 }
 
 /// Returns the vertices of the k-core of `g` (sorted by id) without
-/// materialising the subgraph. O(|E|).
+/// materialising the subgraph. O(n + Σ_{deg(v) ≥ k} deg(v)).
 pub fn k_core_vertices(g: &Graph, k: usize) -> Vec<VertexId> {
-    let peeled = peel(g, k);
-    g.vertices().filter(|&v| peeled.in_core(v)).collect()
+    peel(g, k).survivors()
 }
 
 /// Returns the k-core of `graph` **in the caller's id space**: the same
 /// vertex count, every vertex outside the k-core isolated, every core vertex
-/// keeping exactly its core neighbours. O(|E|).
+/// keeping exactly its core neighbours. O(n + Σ_{deg(v) ≥ k} deg(v)).
 ///
 /// This is the form the parallel miners hand to the engine: vertex ids,
 /// partition hash, task labels and result rows need no translation, and a
 /// degree read off the result is an exact core degree. When the peel removes
 /// nothing the *same* `Arc` comes back and no copy is made.
 pub fn k_core_masked(graph: &Arc<Graph>, k: usize) -> Arc<Graph> {
+    k_core_masked_with_vertices(graph, k).0
+}
+
+/// [`k_core_masked`] together with the core's vertices, sorted by id — the
+/// list [`k_core_vertices`] returns, collected by the same peel.
+pub fn k_core_masked_with_vertices(graph: &Arc<Graph>, k: usize) -> (Arc<Graph>, Vec<VertexId>) {
     let peeled = peel(graph, k);
+    let core = peeled.survivors();
     if !peeled.cut_an_edge {
         // Only isolated vertices went, if any: the masked form is the input.
-        return graph.clone();
+        return (graph.clone(), core);
     }
     // A survivor's remaining degree is its core degree, so the CSR is sized
     // exactly and written in one pass.
@@ -120,7 +131,7 @@ pub fn k_core_masked(graph: &Arc<Graph>, k: usize) -> Arc<Graph> {
         offsets.push(neighbors.len());
     }
     debug_assert_eq!(neighbors.len(), total);
-    Arc::new(Graph::from_csr(offsets, neighbors))
+    (Arc::new(Graph::from_csr(offsets, neighbors)), core)
 }
 
 /// What peeling `g` down to its k-core leaves behind.
@@ -140,18 +151,50 @@ impl Peeled {
     fn in_core(&self, v: VertexId) -> bool {
         self.degree[v.index()] != PEELED
     }
+
+    /// The vertices that survived, sorted by id.
+    fn survivors(&self) -> Vec<VertexId> {
+        let ids = (0..self.degree.len() as u32).map(VertexId::new);
+        ids.filter(|&v| self.in_core(v)).collect()
+    }
 }
 
 /// Repeatedly removes every vertex of degree `< k`.
+///
+/// A vertex of degree `< k` is removed on sight and its list is never read:
+/// only the candidates (degree `≥ k`) are counted and peeled. A candidate
+/// starts at its number of candidate neighbours, which is its degree once the
+/// first wave is gone.
 fn peel(g: &Graph, k: usize) -> Peeled {
-    let mut degree: Vec<u32> = g.vertices().map(|v| g.degree(v) as u32).collect();
-    let mut stack: Vec<u32> = Vec::new();
     let mut cut_an_edge = false;
-    for (v, d) in degree.iter_mut().enumerate() {
+    let mut candidates: Vec<u32> = Vec::new();
+    let mut degree: Vec<u32> = g
+        .vertices()
+        .map(|v| {
+            let d = g.degree(v);
+            if d < k {
+                // A candidate peeled later also cut an edge, but only ever
+                // after one of these did.
+                cut_an_edge |= d > 0;
+                PEELED
+            } else {
+                candidates.push(v.raw());
+                0
+            }
+        })
+        .collect();
+    // Count in one pass, mark in another: a candidate marked mid-count would
+    // be counted by the neighbours before it and not by those after.
+    for &v in &candidates {
+        let adj = g.neighbors(VertexId::new(v));
+        degree[v as usize] = adj.iter().filter(|w| degree[w.index()] != PEELED).count() as u32;
+    }
+    let mut stack: Vec<u32> = Vec::new();
+    for &v in &candidates {
+        let d = &mut degree[v as usize];
         if (*d as usize) < k {
-            cut_an_edge |= *d > 0;
             *d = PEELED;
-            stack.push(v as u32);
+            stack.push(v);
         }
     }
     while let Some(v) = stack.pop() {
@@ -306,6 +349,21 @@ mod tests {
         assert!(Arc::ptr_eq(&k_core_masked(&triangle, 2), &triangle));
         let none = Arc::new(Graph::empty(0));
         assert!(Arc::ptr_eq(&k_core_masked(&none, 3), &none));
+    }
+
+    #[test]
+    fn masked_core_lists_its_vertices_even_when_nothing_is_cut() {
+        // A triangle plus an isolated vertex 3: at k = 1 only 3 goes, and it
+        // has no edge, so the input comes back beside the shorter list.
+        let g = Arc::new(Graph::from_edges(4, [(0, 1), (1, 2), (2, 0)]).unwrap());
+        let (same, core) = k_core_masked_with_vertices(&g, 1);
+        assert!(Arc::ptr_eq(&same, &g));
+        assert_eq!(core, [0, 1, 2].map(VertexId::new));
+        assert_eq!(k_core_masked_with_vertices(&g, 0).1.len(), 4);
+        // At k = 2 the tail of `triangle_plus_tail` cascades away.
+        let g = Arc::new(triangle_plus_tail());
+        let (_, core) = k_core_masked_with_vertices(&g, 2);
+        assert_eq!(core, [0, 1, 2].map(VertexId::new));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use qcm_graph::{
     io, k_core,
-    kcore::{core_numbers, k_core_masked, k_core_vertices},
+    kcore::{core_numbers, k_core_masked, k_core_masked_with_vertices, k_core_vertices},
     subgraph::{induced_subgraph, LocalGraph, SubgraphScratch},
     traversal::{bfs_distances, connected_components, two_hop_neighborhood},
     Graph, GraphBuilder, VertexId,
@@ -24,6 +24,26 @@ fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
                 b.build()
             },
         )
+    })
+}
+
+/// Strategy producing a sparse graph in which most vertices start below a
+/// small `k`: a dense random block on the first ids (the would-be core), a
+/// sparse random fringe over every id, and at least one isolated id at the
+/// end.
+fn arb_sparse_with_core() -> impl Strategy<Value = Graph> {
+    (4usize..=12, 20usize..=150, 1usize..=10).prop_flat_map(|(core, fringe, isolated)| {
+        let linked = core + fringe;
+        let block = proptest::collection::vec((0..core as u32, 0..core as u32), 0..=core * core);
+        let sparse = proptest::collection::vec((0..linked as u32, 0..linked as u32), 0..=fringe);
+        (block, sparse).prop_map(move |(block, sparse)| {
+            let mut b = GraphBuilder::new();
+            b.set_min_vertices(linked + isolated);
+            for (a, x) in block.into_iter().chain(sparse) {
+                b.add_edge_raw(a, x);
+            }
+            b.build()
+        })
     })
 }
 
@@ -59,7 +79,7 @@ proptest! {
     }
 
     #[test]
-    fn kcore_is_maximal(g in arb_graph(25), k in 1usize..5) {
+    fn kcore_is_maximal(g in arb_graph(25), k in 0usize..9) {
         // No vertex outside the k-core could be added back: in the subgraph
         // induced by (core ∪ {v}) vertex v must have degree < k OR v fails to
         // survive because the peeling order doesn't matter (k-core is unique).
@@ -91,6 +111,29 @@ proptest! {
         // peel's input, always.
         prop_assert_eq!(Arc::ptr_eq(&masked, &g), *masked == *g);
         prop_assert!(Arc::ptr_eq(&k_core_masked(&masked, k), &masked));
+    }
+
+    /// The peel drops a vertex below `k` without reading its list; on a
+    /// graph where most vertices start there, the core is still exactly the
+    /// vertices of core number `≥ k`, and the masked form's list agrees.
+    #[test]
+    fn kcore_of_a_sparse_graph_with_a_small_core_is_exact(g in arb_sparse_with_core(), k in 0usize..9) {
+        let core_nums = core_numbers(&g);
+        let expected: Vec<VertexId> =
+            g.vertices().filter(|v| core_nums[v.index()] as usize >= k).collect();
+        let survivors = k_core_vertices(&g, k);
+        prop_assert_eq!(&survivors, &expected);
+        let g = Arc::new(g);
+        let (masked, listed) = k_core_masked_with_vertices(&g, k);
+        prop_assert_eq!(&listed, &survivors);
+        for v in g.vertices() {
+            let kept = masked.degree(v);
+            if listed.binary_search(&v).is_ok() {
+                prop_assert!(kept >= k, "core vertex {} keeps degree {} < {}", v, kept, k);
+            } else {
+                prop_assert_eq!(kept, 0, "peeled vertex {} kept an edge", v);
+            }
+        }
     }
 
     #[test]

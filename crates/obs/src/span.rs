@@ -18,6 +18,7 @@ use qcm_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use qcm_sync::{Arc, Mutex, OnceLock};
 use std::cell::UnsafeCell;
 use std::cell::{Cell, RefCell};
+use std::mem::MaybeUninit;
 
 /// The span taxonomy, from coarsest to finest:
 /// `run → decompose → task → mine_phase → steal/pull/spill`.
@@ -129,7 +130,8 @@ impl Trace {
 /// observing `len` with `Acquire`, which synchronises with the writer's
 /// `Release` bump — every slot below the observed length is fully written.
 struct ThreadBuf {
-    slots: Box<[UnsafeCell<Option<SpanEvent>>]>,
+    /// Slots below `len` are initialised; the rest were never written.
+    slots: Box<[UnsafeCell<MaybeUninit<SpanEvent>>]>,
     len: AtomicUsize,
     dropped: AtomicU64,
 }
@@ -141,11 +143,17 @@ unsafe impl Sync for ThreadBuf {}
 unsafe impl Send for ThreadBuf {}
 
 impl ThreadBuf {
+    /// Reserves `capacity` slots without writing them, so the pages behind a
+    /// large buffer are mapped as spans fill it and a thread that records
+    /// little pays for little.
     fn new(capacity: usize) -> ThreadBuf {
+        let capacity = capacity.max(1);
+        let mut slots = Vec::with_capacity(capacity);
+        // SAFETY: an uninitialised `MaybeUninit` is a valid value, and the
+        // capacity was just reserved.
+        unsafe { slots.set_len(capacity) };
         ThreadBuf {
-            slots: (0..capacity.max(1))
-                .map(|_| UnsafeCell::new(None))
-                .collect(),
+            slots: slots.into_boxed_slice(),
             len: AtomicUsize::new(0),
             dropped: AtomicU64::new(0),
         }
@@ -165,7 +173,7 @@ impl ThreadBuf {
         // SAFETY: slot `len` is unpublished (readers stop at the Acquire-
         // loaded length) and this thread is the only writer.
         unsafe {
-            *self.slots[len].get() = Some(event);
+            (*self.slots[len].get()).write(event);
         }
         // ordering: Release — publishes the slot write above to any reader
         // that Acquire-loads the new length.
@@ -177,11 +185,9 @@ impl ThreadBuf {
         // slots below `len` are fully initialised.
         let len = self.len.load(Ordering::Acquire).min(self.slots.len());
         for slot in &self.slots[..len] {
-            // SAFETY: published slots are write-once; no writer touches
-            // them again, so a shared read is race-free.
-            if let Some(event) = unsafe { &*slot.get() } {
-                out.push(*event);
-            }
+            // SAFETY: published slots are initialised and write-once; no
+            // writer touches them again, so a shared read is race-free.
+            out.push(unsafe { (*slot.get()).assume_init() });
         }
         // ordering: Relaxed — see `push`; the writer thread has quiesced
         // (or its late drops are an acceptable undercount for one event).

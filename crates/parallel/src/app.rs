@@ -99,7 +99,7 @@ impl GThinkerApp for QuasiCliqueApp {
         if adj.len() < k {
             return;
         }
-        let larger: Vec<VertexId> = adj.iter().copied().filter(|&u| u > v).collect();
+        let larger = &adj[adj.partition_point(|&u| u <= v)..];
         // v needs k neighbors inside its task and all of them are larger
         // first-hop vertices, so with fewer the peel of iteration 1 would end
         // the task (the test `RootTaskBuilder::build` makes); with none there
@@ -108,7 +108,7 @@ impl GThinkerApp for QuasiCliqueApp {
         if too_few || larger.is_empty() {
             return;
         }
-        ctx.add_task(QCTask::spawned(v, larger));
+        ctx.add_task(QCTask::spawned(v, larger.to_vec()));
     }
 
     fn pending_pulls<'t>(&self, task: &'t Self::Task) -> &'t [VertexId] {

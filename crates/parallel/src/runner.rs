@@ -12,11 +12,12 @@
 //! peels its own subgraph (Algorithms 6–7); here the miner is handed the whole
 //! graph, as a loader is, and the peel is the loader-time form of the same
 //! size-threshold rule (a distributed loader would run a standard distributed
-//! k-core). The engine then runs on a graph with the caller's vertex ids in
-//! which a vertex outside the core is isolated: it spawns no task, is pulled
-//! by none, and a degree read by `spawn` or an iteration filter is an exact
-//! core degree. The published sets are still validated against the graph the
-//! caller passed in (`finalize_results`).
+//! k-core). The engine's vertex table then holds the core's vertices, and
+//! only those are spawned from. The graph behind the table keeps the
+//! caller's vertex ids, with every vertex outside the core isolated: it is
+//! pulled by no task, and a degree read by `spawn` or an iteration filter is
+//! an exact core degree. The published sets are still validated against the
+//! graph the caller passed in (`finalize_results`).
 
 use crate::app::QuasiCliqueApp;
 use crate::mine::DecompositionStrategy;
@@ -25,7 +26,7 @@ use qcm_core::{
     QuasiCliqueSet, QuasiCliqueSink, RunOutcome,
 };
 use qcm_engine::{Cluster, EngineConfig, EngineMetrics};
-use qcm_graph::kcore::k_core_masked;
+use qcm_graph::kcore::k_core_masked_with_vertices;
 use qcm_graph::{Graph, IndexSpec, VertexId};
 use qcm_obs::clock::Instant;
 use qcm_sync::Arc;
@@ -148,8 +149,8 @@ impl ParallelMiner {
             .with_cancel(self.engine_config.cancel.clone());
         let (params, prune) = (&self.app.params, &self.app.prune_config);
         let cluster = Cluster::new(Arc::new(app), self.engine_config.clone());
-        let (core, peel_time) = peel_to_core(&graph, params, prune);
-        let mut output = cluster.run(core);
+        let (core, vertices, peel_time) = peel_to_core(&graph, params, prune);
+        let mut output = cluster.run(core, vertices);
         output.metrics.elapsed += peel_time;
         let raw_reported = output.metrics.results_emitted;
         let (maximal, invalid_sets_dropped) =
@@ -164,23 +165,24 @@ impl ParallelMiner {
 }
 
 /// The pre-processing both miners share: the graph the engine runs on is the
-/// k-core of the caller's graph in the caller's id space
-/// ([`k_core_masked`]), so a root that cannot hold a result never becomes a
-/// task and every degree the application reads is a core degree. Follows
-/// [`PruneConfig::size_threshold`], as the serial miner's peel does. Returns
-/// the time spent too: it belongs to the run's `elapsed`.
+/// k-core of the caller's graph in the caller's id space, and the vertex
+/// list its table holds is the core's ([`k_core_masked_with_vertices`]). So
+/// a root that cannot hold a result is never spawned, and every degree the
+/// application reads is a core degree. Follows [`PruneConfig::size_threshold`],
+/// as the serial miner's peel does; without it the engine holds every vertex.
+/// Returns the time spent too: it belongs to the run's `elapsed`.
 pub(crate) fn peel_to_core(
     graph: &Arc<Graph>,
     params: &MiningParams,
     prune: &PruneConfig,
-) -> (Arc<Graph>, Duration) {
+) -> (Arc<Graph>, Vec<VertexId>, Duration) {
     if !prune.size_threshold {
-        return (graph.clone(), Duration::ZERO);
+        return (graph.clone(), graph.vertices().collect(), Duration::ZERO);
     }
     let started = Instant::now();
     let _span = qcm_obs::span(qcm_obs::SpanKind::KCore);
-    let core = k_core_masked(graph, params.kcore_threshold());
-    (core, started.elapsed())
+    let (core, vertices) = k_core_masked_with_vertices(graph, params.kcore_threshold());
+    (core, vertices, started.elapsed())
 }
 
 /// The post-processing both miners share: collect the raw reports (feeding
@@ -323,6 +325,37 @@ mod tests {
         for r in out.maximal.iter() {
             assert!(observed.iter().any(|c| c == r));
         }
+    }
+
+    #[test]
+    fn a_wide_graph_is_mined_from_its_small_core() {
+        // 20,000 vertices of average degree 2 around three planted
+        // communities: at k = ⌈0.9·9⌉ = 9 nearly every vertex starts below k,
+        // and the engine holds the few that survive the peel.
+        let spec = qcm_gen::PlantedGraphSpec {
+            num_vertices: 20_000,
+            background_avg_degree: 2.0,
+            background_beta: 2.5,
+            background_max_degree: 20.0,
+            community_sizes: vec![12, 11, 10],
+            community_density: 0.95,
+            seed: 7,
+        };
+        let g = Arc::new(qcm_gen::plant_quasi_cliques(&spec).0);
+        let params = MiningParams::new(0.9, 10);
+        let core = qcm_graph::kcore::k_core_vertices(&g, params.kcore_threshold());
+        assert!(
+            core.len() * 100 < g.num_vertices(),
+            "{} of {} vertices in the core",
+            core.len(),
+            g.num_vertices()
+        );
+        let serial = SerialMiner::new(params).mine(&g);
+        assert!(!serial.maximal.is_empty(), "the planted communities exist");
+        let parallel = ParallelMiner::new(params, EngineConfig::cluster(2, 2)).mine(g.clone());
+        assert_eq!(parallel.outcome(), RunOutcome::Complete);
+        assert_eq!(parallel.maximal, serial.maximal);
+        assert!(parallel.metrics.tasks_spawned <= core.len() as u64);
     }
 
     #[test]

@@ -117,8 +117,8 @@ impl SimMiner {
             self.engine_config.clone(),
             self.sim_config.clone(),
         );
-        let (core, peel_time) = peel_to_core(&graph, params, prune);
-        let mut output = cluster.run(core.clone());
+        let (core, vertices, peel_time) = peel_to_core(&graph, params, prune);
+        let mut output = cluster.run(core.clone(), vertices);
         output.metrics.elapsed += peel_time;
         let raw_reported = output.metrics.results_emitted;
         let (mut maximal, invalid_sets_dropped) =
