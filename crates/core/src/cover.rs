@@ -13,20 +13,20 @@
 //! has `d_S(v) ≥ ⌈γ·|S|⌉` (otherwise those vertices are already handled by
 //! Theorems 3–4).
 
+use crate::context::MiningContext;
 use crate::degrees::carried_degrees_into;
-use crate::params::MiningParams;
-use crate::path_degrees::PathDegrees;
 use crate::scratch::MiningScratch;
-use qcm_graph::bitset::row_contains;
+use qcm_graph::bitset::{row_contains, VertexBitSet};
 use qcm_graph::neighborhoods::perf;
-use qcm_graph::LocalGraph;
 
-/// Finds the cover vertex `u ∈ ext` with the largest `|C_S(u)|` (Eq. 9):
-/// writes the winning `C_S(u)` (sorted) into `covered_out` (cleared first)
-/// and returns the chosen cover vertex. `path` is the mining context's
-/// carried S-side degrees (moved to `s` here if they describe another set).
-/// Every intermediate set comes from — and goes back to — the arena, so the
-/// per-tree-node call allocates nothing in steady state.
+/// Finds the cover vertex `u ∈ ext` with the largest `|C_S(u)|` (Eq. 9) in
+/// the context's task graph: writes the winning `C_S(u)` (sorted) into
+/// `covered_out` (cleared first) and returns the chosen cover vertex. The
+/// context's carried S-side degrees are moved to `s` here if they describe
+/// another set, and `ext_bits` is `ext` as the bitset the search carries
+/// beside it. Every intermediate set comes from — and goes back to — the
+/// context's arena, so the per-tree-node call allocates nothing in steady
+/// state.
 ///
 /// Mirrors the implementation note of Algorithm 2 line 2: while scanning
 /// candidates, a vertex whose `|Γ_ext(S)(u)|` is already no larger than the
@@ -37,22 +37,21 @@ use qcm_graph::LocalGraph;
 /// popcount. A vertex without a bit row (hybrid index on a large task graph,
 /// or no index) contributes its adjacency list as a row built on the spot.
 pub fn find_cover_vertex_into(
-    g: &LocalGraph,
-    path: &mut PathDegrees,
+    ctx: &mut MiningContext<'_>,
     s: &[u32],
     ext: &[u32],
-    params: &MiningParams,
-    scratch: &mut MiningScratch,
+    ext_bits: &VertexBitSet,
     covered_out: &mut Vec<u32>,
 ) -> Option<u32> {
     covered_out.clear();
     if ext.is_empty() {
         return None;
     }
+    let g = ctx.graph;
+    let scratch = &mut ctx.scratch;
     let mut degrees = scratch.take_degrees();
-    let mut ext_bits = scratch.take_bitset(g.capacity());
-    carried_degrees_into(g, path, s, ext, &mut degrees, &mut ext_bits);
-    let threshold = params.gamma.ceil_mul(s.len());
+    carried_degrees_into(g, &mut ctx.path, s, ext, ext_bits, &mut degrees);
+    let threshold = ctx.params.gamma.ceil_mul(s.len());
     let mut best_vertex = None;
     let mut best_len = 0usize;
     let mut best = scratch.take_bitset(g.capacity());
@@ -132,7 +131,6 @@ pub fn find_cover_vertex_into(
     }
     scratch.put_bitset(cover);
     scratch.put_bitset(best);
-    scratch.put_bitset(ext_bits);
     scratch.put_degrees(degrees);
     best_vertex
 }
@@ -173,7 +171,9 @@ pub fn move_cover_to_tail_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qcm_graph::{Graph, VertexId};
+    use crate::params::MiningParams;
+    use crate::results::QuasiCliqueSet;
+    use qcm_graph::{Graph, LocalGraph, VertexId};
 
     /// Result of the cover-vertex search.
     #[derive(Debug, Default, PartialEq, Eq)]
@@ -200,16 +200,11 @@ mod tests {
         .map(|spec| {
             let mut g = g.clone();
             g.build_hub_index(spec);
+            let mut sink = QuasiCliqueSet::new();
+            let mut ctx = MiningContext::new(&g, *params, &mut sink);
+            let ext_bits = VertexBitSet::from_members(g.capacity(), ext);
             let mut covered = Vec::new();
-            let vertex = find_cover_vertex_into(
-                &g,
-                &mut PathDegrees::default(),
-                s,
-                ext,
-                params,
-                &mut MiningScratch::pooled(),
-                &mut covered,
-            );
+            let vertex = find_cover_vertex_into(&mut ctx, s, ext, &ext_bits, &mut covered);
             CoverVertex { vertex, covered }
         })
         .collect();

@@ -14,6 +14,12 @@
 //! recommends. The two S-side kinds are not counted here at all: they follow
 //! the search path in a [`PathDegrees`] and [`carried_degrees_into`] reads
 //! them.
+//!
+//! The ext-side counts AND bit rows against `ext(S)` as a bitset, and the
+//! search carries that bitset beside the list: `ext` and its bits describe
+//! one set at every bounding round. Whoever shrinks the list clears the bits
+//! of what it removed, so nothing here inserts `ext` into a set; every round
+//! checks the two agree in debug builds.
 
 use crate::path_degrees::PathDegrees;
 use qcm_graph::bitset::VertexBitSet;
@@ -72,19 +78,24 @@ impl Degrees {
 
 /// Computes SS, ES and SE degrees of the candidate `⟨s, ext⟩` over the task
 /// subgraph `g` from nothing: [`carried_degrees_into`] on a fresh
-/// [`PathDegrees`]. Returns the degrees and `ext` as a bitset (what
-/// [`compute_ee_degrees_into`] takes).
+/// [`PathDegrees`] and a fresh bitset of `ext`. Returns the degrees and that
+/// bitset (what [`compute_ee_degrees_into`] takes).
 pub fn compute_degrees(g: &LocalGraph, s: &[u32], ext: &[u32]) -> (Degrees, VertexBitSet) {
     let mut degrees = Degrees::default();
-    let mut ext_bits = VertexBitSet::default();
+    let ext_bits = VertexBitSet::from_members(g.capacity(), ext);
     let mut path = PathDegrees::default();
-    carried_degrees_into(g, &mut path, s, ext, &mut degrees, &mut ext_bits);
+    carried_degrees_into(g, &mut path, s, ext, &ext_bits, &mut degrees);
     (degrees, ext_bits)
 }
 
+/// True if the duplicate-free list `ext` and `bits` hold the same vertices.
+pub(crate) fn same_set(ext: &[u32], bits: &VertexBitSet) -> bool {
+    bits.len() == ext.len() && ext.iter().all(|&u| bits.contains(u))
+}
+
 /// Refills `degrees` with the SS, ES and SE degrees of the candidate
-/// `⟨s, ext⟩` and `ext_bits` with `ext` (any prior contents and capacity are
-/// discarded), allocating nothing.
+/// `⟨s, ext⟩`, allocating nothing. `ext_bits` is `ext` as a bitset sized to
+/// `g` — the bits the search carries beside the list.
 ///
 /// The S-side degrees — `d_S(v)` for `v ∈ S` and `d_S(u)` for `u ∈ ext(S)` —
 /// are read from `path` after [`PathDegrees::sync`] has moved it to `s`, so a
@@ -100,15 +111,13 @@ pub fn carried_degrees_into(
     path: &mut PathDegrees,
     s: &[u32],
     ext: &[u32],
+    ext_bits: &VertexBitSet,
     degrees: &mut Degrees,
-    ext_bits: &mut VertexBitSet,
 ) {
     debug_assert!(ext.iter().all(|u| !s.contains(u)), "S and ext overlap");
+    debug_assert_eq!(ext_bits.capacity(), g.capacity());
+    debug_assert!(same_set(ext, ext_bits), "ext and its bits differ");
     path.sync(g, s);
-    ext_bits.reset(g.capacity());
-    for &u in ext {
-        ext_bits.insert(u);
-    }
     degrees.clear();
     let mut row_counts = 0u64;
     for &v in s {
@@ -135,8 +144,9 @@ pub fn carried_degrees_into(
 
 /// Computes the EE-degrees `d_ext(S)(u)` for every `u ∈ ext(S)` (aligned with
 /// `ext`) into `ee`, refilled in place. Deferred until Type-I rules actually
-/// need them. `ext_bits` is `ext` as [`carried_degrees_into`] left it; row
-/// members count by word-parallel AND, exactly like the ES-degrees there.
+/// need them. `ext_bits` is `ext` as a bitset, as [`carried_degrees_into`]
+/// takes it; row members count by word-parallel AND, exactly like the
+/// ES-degrees there.
 pub fn compute_ee_degrees_into(
     g: &LocalGraph,
     ext: &[u32],

@@ -20,8 +20,8 @@ use crate::bounds::{lower_bound, upper_bound, LowerBound, UpperBound};
 use crate::context::MiningContext;
 use crate::critical::{collect_critical_moves, find_critical_vertex};
 use crate::degrees::{carried_degrees_into, compute_ee_degrees_into, Degrees};
-use crate::rules::{check_type2, type1_prunable, Type2Outcome};
-use qcm_graph::bitset::VertexBitSet;
+use crate::rules::{check_type2, Type1Rule, Type2Outcome};
+use qcm_graph::bitset::{compact, VertexBitSet};
 
 /// Outcome of computing both bounds for the current `⟨S, ext(S)⟩`.
 struct BoundState {
@@ -101,48 +101,51 @@ pub fn iterative_bounding(
     s: &mut Vec<u32>,
     ext: &mut Vec<u32>,
 ) -> bool {
+    let mut ext_bits = ctx.scratch.take_bitset(ctx.graph.capacity());
+    for &u in ext.iter() {
+        ext_bits.insert(u);
+    }
+    let pruned = iterative_bounding_carried(ctx, s, ext, &mut ext_bits);
+    ctx.scratch.put_bitset(ext_bits);
+    pruned
+}
+
+/// [`iterative_bounding`] on an `ext` that travels with its bitset
+/// `ext_bits` (sized to the task graph): every vertex the rules take out of
+/// `ext` leaves `ext_bits` too, so on return the two still describe one set.
+pub(crate) fn iterative_bounding_carried(
+    ctx: &mut MiningContext<'_>,
+    s: &mut Vec<u32>,
+    ext: &mut Vec<u32>,
+    ext_bits: &mut VertexBitSet,
+) -> bool {
     // All working frames come from the context's scratch arena: in steady
     // state a full bounding loop — degree refreshes included — performs
     // zero heap allocations.
     let mut degrees = ctx.scratch.take_degrees();
-    let mut ext_bits = ctx.scratch.take_bitset(ctx.graph.capacity());
     let mut ee = ctx.scratch.take_vec();
-    let mut kept = ctx.scratch.take_vec();
     let mut moved = ctx.scratch.take_vec();
-    let pruned = bounding_loop(
-        ctx,
-        s,
-        ext,
-        &mut degrees,
-        &mut ext_bits,
-        &mut ee,
-        &mut kept,
-        &mut moved,
-    );
+    let pruned = bounding_loop(ctx, s, ext, ext_bits, &mut degrees, &mut ee, &mut moved);
     ctx.scratch.put_vec(moved);
-    ctx.scratch.put_vec(kept);
     ctx.scratch.put_vec(ee);
-    ctx.scratch.put_bitset(ext_bits);
     ctx.scratch.put_degrees(degrees);
     pruned
 }
 
 /// The body of Algorithm 1, operating entirely on borrowed scratch frames.
-#[allow(clippy::too_many_arguments)]
 fn bounding_loop(
     ctx: &mut MiningContext<'_>,
     s: &mut Vec<u32>,
     ext: &mut Vec<u32>,
-    degrees: &mut Degrees,
     ext_bits: &mut VertexBitSet,
+    degrees: &mut Degrees,
     ee: &mut Vec<u32>,
-    kept: &mut Vec<u32>,
     moved: &mut Vec<u32>,
 ) -> bool {
     loop {
         ctx.stats.bounding_rounds += 1;
         // Line 2: SS/ES/SE degrees (EE deferred to the Type-I phase).
-        carried_degrees_into(ctx.graph, &mut ctx.path, s, ext, degrees, ext_bits);
+        carried_degrees_into(ctx.graph, &mut ctx.path, s, ext, ext_bits, degrees);
 
         // Line 3: bounds (may prune).
         let bounds = match compute_bounds(ctx, s, ext, degrees) {
@@ -166,13 +169,16 @@ fn bounding_loop(
                     collect_critical_moves(ctx.graph, ext, v, moved);
                     if !moved.is_empty() {
                         ctx.stats.critical_moves += moved.len() as u64;
+                        for &u in moved.iter() {
+                            ext_bits.remove(u);
+                        }
                         s.extend_from_slice(moved);
                         if ext.is_empty() {
                             // Skip straight to the C1 exit case.
                             break;
                         }
                         // Line 8: degrees and bounds of the grown S.
-                        carried_degrees_into(ctx.graph, &mut ctx.path, s, ext, degrees, ext_bits);
+                        carried_degrees_into(ctx.graph, &mut ctx.path, s, ext, ext_bits, degrees);
                         let bounds = match compute_bounds(ctx, s, ext, degrees) {
                             Ok(b) => b,
                             Err(()) => return true,
@@ -198,33 +204,20 @@ fn bounding_loop(
             Type2Outcome::None => {}
         }
 
-        // Lines 17–20: Type-I rules (EE-degrees computed lazily here).
+        // Lines 17–20: Type-I rules (EE-degrees computed lazily here, all
+        // against the round's ext). The survivors keep their order in place;
+        // a pruned vertex leaves ext_bits without a branch.
         compute_ee_degrees_into(ctx.graph, ext, ext_bits, ee);
-        debug_assert!(ext.iter().all(|&u| ext_bits.contains(u)));
-        let mut pruned_any = false;
-        kept.clear();
-        for (j, &u) in ext.iter().enumerate() {
-            if type1_prunable(
-                &ctx.params,
-                &ctx.config,
-                s.len(),
-                degrees.ext_in_s[j] as usize,
-                ee[j] as usize,
-                us,
-                ls,
-            ) {
-                pruned_any = true;
-                ctx.stats.type1_pruned += 1;
-            } else {
-                kept.push(u);
-            }
-        }
-        // The survivor list becomes the new ext; the old buffer becomes the
-        // next round's survivor frame. No allocation either way.
-        std::mem::swap(ext, kept);
+        let rule = Type1Rule::new(&ctx.params, &ctx.config, s.len(), us, ls);
+        let pruned = compact(ext, |j, u| {
+            let prune = rule.prunes(degrees.ext_in_s[j], ee[j]);
+            ext_bits.remove_if(u, prune);
+            !prune
+        });
+        ctx.stats.type1_pruned += pruned as u64;
 
         // Line 21: stop when ext is empty or this round pruned nothing.
-        if ext.is_empty() || !pruned_any {
+        if ext.is_empty() || pruned == 0 {
             break;
         }
     }

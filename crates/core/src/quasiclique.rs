@@ -10,7 +10,7 @@
 use crate::params::MiningParams;
 use crate::scratch::MiningScratch;
 use qcm_graph::neighborhoods::perf;
-use qcm_graph::LocalGraph;
+use qcm_graph::{LocalGraph, VertexBitSet};
 
 /// Checks whether the set of *local* vertex indices `s` (alive,
 /// duplicate-free) induces a γ-quasi-clique in the task subgraph `g`.
@@ -28,22 +28,41 @@ pub fn is_quasi_clique_local(
     params: &MiningParams,
     scratch: &mut MiningScratch,
 ) -> bool {
-    let n = s.len();
-    if n == 0 {
-        return false;
-    }
-    if n == 1 {
-        return true;
-    }
-    debug_assert!(s.iter().all(|&v| g.is_alive(v)));
-    let required = params.required_degree(n);
     let mut members = scratch.take_bitset(g.capacity());
     for &v in s {
         members.insert(v);
     }
+    let holds = is_quasi_clique_of(g, s, &[], &members, params, scratch);
+    scratch.put_bitset(members);
+    holds
+}
+
+/// [`is_quasi_clique_local`] on the set `head ∪ tail` of two disjoint lists,
+/// with `members` that set as a bitset sized to `g`: the lookahead's
+/// `S ∪ ext(S)`, which the search already holds as two slices and a bitset.
+/// Degrees are checked in list order, `head` first; the flood starts from
+/// the first member.
+pub(crate) fn is_quasi_clique_of(
+    g: &LocalGraph,
+    head: &[u32],
+    tail: &[u32],
+    members: &VertexBitSet,
+    params: &MiningParams,
+    scratch: &mut MiningScratch,
+) -> bool {
+    let n = head.len() + tail.len();
+    if n < 2 {
+        return n == 1;
+    }
+    debug_assert_eq!(members.len(), n);
+    debug_assert!(head
+        .iter()
+        .chain(tail)
+        .all(|&v| g.is_alive(v) && members.contains(v)));
+    let required = params.required_degree(n);
     // Degree check.
     let mut row_counts = 0u64;
-    let degrees_ok = s.iter().all(|&v| {
+    let degrees_ok = head.iter().chain(tail).all(|&v| {
         let d = match g.hub_row(v) {
             Some(row) => {
                 row_counts += 1;
@@ -58,32 +77,34 @@ pub fn is_quasi_clique_local(
         d >= required
     });
     perf::count_intersections(row_counts);
-    let holds = degrees_ok && {
-        // Connectivity: flood the member set from its first vertex.
-        let mut reached = scratch.take_bitset(g.capacity());
-        let mut frontier = scratch.take_vec();
-        reached.insert(s[0]);
-        frontier.push(s[0]);
-        let mut count = 0usize;
-        while let Some(u) = frontier.pop() {
-            count += 1;
-            match g.hub_row(u) {
-                Some(row) => reached.absorb_new(row, &members, &mut frontier),
-                None => {
-                    for &w in g.raw_neighbors(u) {
-                        if members.contains(w) && reached.insert(w) {
-                            frontier.push(w);
-                        }
+    let Some(&first) = head.first().or(tail.first()) else {
+        return false;
+    };
+    if !degrees_ok {
+        return false;
+    }
+    // Connectivity: flood the member set from its first vertex.
+    let mut reached = scratch.take_bitset(g.capacity());
+    let mut frontier = scratch.take_vec();
+    reached.insert(first);
+    frontier.push(first);
+    let mut count = 0usize;
+    while let Some(u) = frontier.pop() {
+        count += 1;
+        match g.hub_row(u) {
+            Some(row) => reached.absorb_new(row, members, &mut frontier),
+            None => {
+                for &w in g.raw_neighbors(u) {
+                    if members.contains(w) && reached.insert(w) {
+                        frontier.push(w);
                     }
                 }
             }
         }
-        scratch.put_vec(frontier);
-        scratch.put_bitset(reached);
-        count == n
-    };
-    scratch.put_bitset(members);
-    holds
+    }
+    scratch.put_vec(frontier);
+    scratch.put_bitset(reached);
+    count == n
 }
 
 #[cfg(test)]

@@ -11,6 +11,13 @@
 //! remaining non-maximal reports are removed by the post-processing phase,
 //! exactly as in the paper.
 //!
+//! `ext(S)` travels down the search as a list and a bitset that describe one
+//! set: the list gives the branching order, the bits serve every membership
+//! test and row AND. A node removes each branching vertex from its bits, a
+//! child's bits are its parent's remaining bits `∧ B(v)`, and Algorithm 1
+//! clears the bits of every vertex it takes out of the list, so no step of a
+//! node re-inserts the extension into a set.
+//!
 //! The loop has one fork, on the line after Algorithm 1: the subtree under
 //! `S'` is either walked here or handed to the caller's [`HandOff`] as a task
 //! of its own. The serial miner never hands off ([`NoHandOff`]); an engine
@@ -19,10 +26,10 @@
 
 use crate::context::MiningContext;
 use crate::cover::{find_cover_vertex_into, move_cover_to_tail_with};
-use crate::iterative_bounding::iterative_bounding;
-use crate::quasiclique::is_quasi_clique_local;
+use crate::iterative_bounding::iterative_bounding_carried;
+use crate::quasiclique::is_quasi_clique_of;
 use crate::scratch::MiningScratch;
-use qcm_graph::bitset::{row_contains, VertexBitSet};
+use qcm_graph::bitset::{compact, row_contains, VertexBitSet};
 use qcm_graph::neighborhoods::perf;
 use qcm_graph::subgraph::ALL_ROWS_MAX_VERTICES;
 use qcm_graph::LocalGraph;
@@ -107,29 +114,44 @@ impl TwoHopRows {
     }
 }
 
-/// Writes `ext` restricted to the two-hop neighborhood of `v` into `out`
-/// (cleared first) when the diameter rule applies (γ ≥ 0.5 and the rule is
-/// enabled); otherwise copies `ext` as-is.
+/// Writes the extension of a child, `tail` restricted to the two-hop
+/// neighborhood of its branching vertex `v`, into `out` and its bits into
+/// `out_bits` when the diameter rule applies (γ ≥ 0.5 and the rule is
+/// enabled); otherwise copies `tail` and `tail_bits`. `tail_bits` is `tail`
+/// as a bitset sized to the task graph, and `out_bits` is sized alike.
 ///
 /// `B(v)` comes from the context's two-hop rows when the task graph keeps
 /// them — every task subgraph the miners build — and is otherwise computed
 /// here into a scratch bitset by the same [`two_hop_bits_into`]. Either way
-/// the filter is one bit probe per candidate.
-fn shrink_by_diameter(ctx: &mut MiningContext<'_>, ext: &[u32], v: u32, out: &mut Vec<u32>) {
+/// the list keeps its order through one branch-free bit probe per candidate,
+/// and the bits are `tail_bits ∧ B(v)`, one AND per word.
+fn shrink_by_diameter(
+    ctx: &mut MiningContext<'_>,
+    tail: &[u32],
+    tail_bits: &VertexBitSet,
+    v: u32,
+    out: &mut Vec<u32>,
+    out_bits: &mut VertexBitSet,
+) {
     out.clear();
+    out.extend_from_slice(tail);
     if !(ctx.config.diameter && ctx.params.gamma.diameter_two_applies()) {
-        out.extend_from_slice(ext);
+        out_bits.copy_from(tail_bits);
         return;
     }
+    let within = |b_v: &[u64], out: &mut Vec<u32>, out_bits: &mut VertexBitSet| {
+        compact(out, |_, u| row_contains(b_v, u));
+        out_bits.assign_intersection(tail_bits.words(), b_v);
+    };
     let graph = ctx.graph;
     perf::count_intersections(1);
     if let Some(b_v) = ctx.two_hop.row(graph, v, &mut ctx.scratch) {
-        out.extend(ext.iter().copied().filter(|&u| row_contains(b_v, u)));
+        within(b_v, out, out_bits);
     } else {
         let mut b_v = ctx.scratch.take_bitset(graph.capacity());
         let mut hop = ctx.scratch.take_vec();
         two_hop_bits_into(graph, v, &mut b_v, &mut hop);
-        out.extend(ext.iter().copied().filter(|&u| b_v.contains(u)));
+        within(b_v.words(), out, out_bits);
         ctx.scratch.put_vec(hop);
         ctx.scratch.put_bitset(b_v);
     }
@@ -137,20 +159,15 @@ fn shrink_by_diameter(ctx: &mut MiningContext<'_>, ext: &[u32], v: u32, out: &mu
 
 /// Cover-vertex pruning over scratch frames (Algorithm 2 lines 2–4): moves
 /// the winning cover set `C_S(u)` to the tail of `ext` and returns the
-/// branchable prefix length.
-fn cover_prune_prefix(ctx: &mut MiningContext<'_>, s: &[u32], ext: &mut [u32]) -> usize {
-    let graph = ctx.graph;
-    let params = ctx.params;
+/// branchable prefix length. `ext_bits` is `ext` as a bitset.
+fn cover_prune_prefix(
+    ctx: &mut MiningContext<'_>,
+    s: &[u32],
+    ext: &mut [u32],
+    ext_bits: &VertexBitSet,
+) -> usize {
     let mut covered = ctx.scratch.take_vec();
-    find_cover_vertex_into(
-        graph,
-        &mut ctx.path,
-        s,
-        ext,
-        &params,
-        &mut ctx.scratch,
-        &mut covered,
-    );
+    find_cover_vertex_into(ctx, s, ext, ext_bits, &mut covered);
     ctx.stats.cover_skipped += covered.len() as u64;
     let prefix_len = move_cover_to_tail_with(ext, &covered, &mut ctx.scratch);
     ctx.scratch.put_vec(covered);
@@ -158,19 +175,32 @@ fn cover_prune_prefix(ctx: &mut MiningContext<'_>, s: &[u32], ext: &mut [u32]) -
 }
 
 /// The lookahead of Algorithm 2 lines 8–10: if `S` together with the entire
-/// remaining extension already forms a quasi-clique, reports it and returns
-/// `true` — it is maximal within this subtree and everything below is
-/// redundant.
-fn lookahead_hit(ctx: &mut MiningContext<'_>, s: &[u32], ext: &[u32]) -> bool {
-    let mut whole = ctx.scratch.take_vec_cap(s.len() + ext.len());
-    whole.extend_from_slice(s);
-    whole.extend_from_slice(ext);
-    let hit = is_quasi_clique_local(ctx.graph, &whole, &ctx.params, &mut ctx.scratch);
+/// remaining extension `rest` (`rest_bits` as a bitset) already forms a
+/// quasi-clique, reports it and returns `true` — it is maximal within this
+/// subtree and everything below is redundant. The check runs over the two
+/// slices and `rest_bits ∪ S`; the set is written out as one list only to be
+/// reported.
+fn lookahead_hit(
+    ctx: &mut MiningContext<'_>,
+    s: &[u32],
+    rest: &[u32],
+    rest_bits: &VertexBitSet,
+) -> bool {
+    let mut members = ctx.scratch.take_bitset(ctx.graph.capacity());
+    members.copy_from(rest_bits);
+    for &v in s {
+        members.insert(v);
+    }
+    let hit = is_quasi_clique_of(ctx.graph, s, rest, &members, &ctx.params, &mut ctx.scratch);
+    ctx.scratch.put_bitset(members);
     if hit {
         ctx.stats.lookahead_hits += 1;
+        let mut whole = ctx.scratch.take_vec_cap(s.len() + rest.len());
+        whole.extend_from_slice(s);
+        whole.extend_from_slice(rest);
         ctx.report(&whole);
+        ctx.scratch.put_vec(whole);
     }
-    ctx.scratch.put_vec(whole);
     hit
 }
 
@@ -201,13 +231,32 @@ impl HandOff for NoHandOff {
 /// `S` was found *by this call* — what a handed-off subtree finds is unknown
 /// here.
 ///
-/// `ext` is consumed destructively (vertices are removed as they are
-/// processed, and cover vertices are moved to the tail), matching the paper's
-/// in-place treatment of the extension list.
+/// `ext` keeps its members but is reordered in place (cover vertices move to
+/// the tail), matching the paper's in-place treatment of the extension list.
 pub fn recursive_mine<H: HandOff>(
     ctx: &mut MiningContext<'_>,
     s: &[u32],
-    ext: &mut Vec<u32>,
+    ext: &mut [u32],
+    hand_off: &mut H,
+) -> bool {
+    let mut rest = ctx.scratch.take_bitset(ctx.graph.capacity());
+    for &u in ext.iter() {
+        rest.insert(u);
+    }
+    let found = mine_node(ctx, s, ext, &mut rest, hand_off);
+    ctx.scratch.put_bitset(rest);
+    found
+}
+
+/// One node of Algorithm 2 on `⟨S, ext(S)⟩` with `rest` = `ext` as a bitset
+/// sized to the task graph. `rest` follows the loop: it holds the extension
+/// vertices not yet branched on, so the cover search, the lookahead and each
+/// child's extension read it instead of re-inserting `ext` into a set.
+fn mine_node<H: HandOff>(
+    ctx: &mut MiningContext<'_>,
+    s: &[u32],
+    ext: &mut [u32],
+    rest: &mut VertexBitSet,
     hand_off: &mut H,
 ) -> bool {
     let mut found = false;
@@ -215,14 +264,14 @@ pub fn recursive_mine<H: HandOff>(
     // Lines 2–4: cover-vertex pruning — the covered tail is never used as the
     // next branching vertex.
     let prefix_len = if ctx.config.cover_vertex {
-        cover_prune_prefix(ctx, s, ext)
+        cover_prune_prefix(ctx, s, ext, rest)
     } else {
         ext.len()
     };
     // The branching vertices are the first `prefix_len` of `ext`, in order;
-    // each leaves `ext` from the front as it is branched on, so the next one
-    // is always `ext[0]` and this depth needs no copy of the prefix.
-    for _ in 0..prefix_len {
+    // `ext[i]` is branched on with `ext[i..]` still to extend with, so this
+    // depth needs no copy of the prefix and no shift of the list.
+    for i in 0..prefix_len {
         // Cooperative cancellation: abandon the remaining subtrees without
         // handing them off — the run is ending, not decomposing. Everything
         // reported so far stays valid; the run is labelled partial upstream.
@@ -230,18 +279,19 @@ pub fn recursive_mine<H: HandOff>(
             break;
         }
         // Line 6: not enough vertices left to ever reach τ_size.
-        if s.len() + ext.len() < ctx.params.min_size {
+        if s.len() + ext.len() - i < ctx.params.min_size {
             break;
         }
         // Lines 8–10: lookahead.
-        if ctx.config.lookahead && lookahead_hit(ctx, s, ext) {
+        if ctx.config.lookahead && lookahead_hit(ctx, s, &ext[i..], rest) {
             found = true;
             break;
         }
-        // Line 11: S' = S ∪ {v}; v leaves ext for this and all later
-        // iterations (the set-enumeration tree's "only extend with larger
-        // vertices" discipline).
-        let v = ext.remove(0);
+        // Line 11: S' = S ∪ {v}; v leaves the extension for this and all
+        // later iterations (the set-enumeration tree's "only extend with
+        // larger vertices" discipline).
+        let v = ext[i];
+        rest.remove(v);
         let mut s_prime = ctx.scratch.take_vec_cap(s.len() + 1);
         s_prime.extend_from_slice(s);
         s_prime.push(v);
@@ -249,7 +299,15 @@ pub fn recursive_mine<H: HandOff>(
 
         // Line 12: diameter-based shrink of the new extension set.
         let mut ext_prime = ctx.scratch.take_vec();
-        shrink_by_diameter(ctx, ext, v, &mut ext_prime);
+        let mut ext_prime_bits = ctx.scratch.take_bitset(ctx.graph.capacity());
+        shrink_by_diameter(
+            ctx,
+            &ext[i + 1..],
+            rest,
+            v,
+            &mut ext_prime,
+            &mut ext_prime_bits,
+        );
 
         if ext_prime.is_empty() {
             // Lines 13–16: nothing to extend S' with; examine G(S') directly.
@@ -262,7 +320,8 @@ pub fn recursive_mine<H: HandOff>(
             // Line 18: apply the pruning rules; this may also grow S' via the
             // critical-vertex rule and will report G(S') itself when
             // appropriate.
-            let pruned = iterative_bounding(ctx, &mut s_prime, &mut ext_prime);
+            let pruned =
+                iterative_bounding_carried(ctx, &mut s_prime, &mut ext_prime, &mut ext_prime_bits);
 
             // Lines 20–25, or Algorithm 10 lines 18–24 once a hand-off is due.
             if !pruned && s_prime.len() + ext_prime.len() >= ctx.params.min_size {
@@ -272,13 +331,14 @@ pub fn recursive_mine<H: HandOff>(
                     hand_off.take(&s_prime, &ext_prime);
                     false
                 } else {
-                    recursive_mine(ctx, &s_prime, &mut ext_prime, hand_off)
+                    mine_node(ctx, &s_prime, &mut ext_prime, &mut ext_prime_bits, hand_off)
                 };
                 if child_found || ctx.report_if_valid(&s_prime) {
                     found = true;
                 }
             }
         }
+        ctx.scratch.put_bitset(ext_prime_bits);
         ctx.scratch.put_vec(ext_prime);
         ctx.scratch.put_vec(s_prime);
     }

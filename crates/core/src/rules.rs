@@ -84,48 +84,84 @@ pub fn check_type2(
     }
 }
 
-/// Evaluates the Type-I rules (Theorems 3, 5, 7) for a single extension vertex
-/// with SE-degree `d_s_u` and EE-degree `d_ext_u`. Returns true if the vertex
-/// can be pruned from `ext(S)`.
-pub fn type1_prunable(
-    params: &MiningParams,
-    config: &PruneConfig,
-    s_len: usize,
-    d_s_u: usize,
-    d_ext_u: usize,
-    us: Option<usize>,
-    ls: Option<usize>,
-) -> bool {
-    let gamma = &params.gamma;
-    if config.degree {
-        // Theorem 3: d_S(u) + d_ext(u) < ⌈γ(|S| + d_ext(u))⌉.
-        if d_s_u + d_ext_u < gamma.ceil_mul(s_len + d_ext_u) {
-            return true;
-        }
-    }
-    if config.upper_bound {
-        if let Some(us) = us {
-            // Theorem 5: d_S(u) + U_S − 1 < ⌈γ(|S| + U_S − 1)⌉.
-            if d_s_u + us - 1 < gamma.ceil_mul(s_len + us - 1) {
-                return true;
+/// The Type-I rules (Theorems 3, 5, 7) of one bounding round: everything
+/// that does not depend on the extension vertex is evaluated once, when the
+/// round builds the value, and [`Type1Rule::prunes`] tests a vertex with no
+/// branch and no division.
+///
+/// * Theorem 5, `d_S(u) + U_S − 1 < ⌈γ(|S| + U_S − 1)⌉`, is
+///   `d_S(u) < ⌈γ(|S| + U_S − 1)⌉ − U_S + 1`.
+/// * Theorem 7, `d_S(u) + d_ext(u) < ⌈γ(|S| + L_S − 1)⌉`, has a right-hand
+///   side that is constant for the round.
+/// * Theorem 3, `d_S(u) + d_ext(u) < ⌈γ(|S| + d_ext(u))⌉`, stays per vertex.
+///   An integer is below `⌈x⌉` exactly when it is below `x`, so the test is
+///   `den·(d_S(u) + d_ext(u)) < num·(|S| + d_ext(u))` for `γ = num/den`.
+///
+/// A disabled family, or a bound that was not computed, has a cut of 0,
+/// which prunes nothing.
+#[derive(Debug)]
+pub(crate) struct Type1Rule {
+    /// Theorem 3 is enabled.
+    degree: bool,
+    /// `γ = num/den`.
+    num: u128,
+    den: u128,
+    /// `num·|S|`.
+    num_s: u128,
+    /// Theorem 5 prunes `d_S(u)` below this.
+    upper_cut: u64,
+    /// Theorem 7 prunes `d_S(u) + d_ext(u)` below this.
+    lower_cut: u64,
+}
+
+impl Type1Rule {
+    /// The rules of a round on a candidate with `|S| = s_len` and the bounds
+    /// `us`/`ls` of [`crate::bounds`] (`None` when disabled or not computed).
+    pub(crate) fn new(
+        params: &MiningParams,
+        config: &PruneConfig,
+        s_len: usize,
+        us: Option<usize>,
+        ls: Option<usize>,
+    ) -> Self {
+        let gamma = &params.gamma;
+        let (num, den) = gamma.as_ratio();
+        let upper_cut = match us {
+            Some(us) if config.upper_bound => {
+                (gamma.ceil_mul((s_len + us).saturating_sub(1)) + 1).saturating_sub(us)
             }
+            _ => 0,
+        };
+        let lower_cut = match ls {
+            Some(ls) if config.lower_bound => gamma.ceil_mul((s_len + ls).saturating_sub(1)),
+            _ => 0,
+        };
+        Type1Rule {
+            degree: config.degree,
+            num: num.into(),
+            den: den.into(),
+            num_s: u128::from(num) * s_len as u128,
+            upper_cut: upper_cut as u64,
+            lower_cut: lower_cut as u64,
         }
     }
-    if config.lower_bound {
-        if let Some(ls) = ls {
-            // Theorem 7: d_S(u) + d_ext(u) < ⌈γ(|S| + L_S − 1)⌉.
-            if d_s_u + d_ext_u < gamma.ceil_mul(s_len + ls - 1) {
-                return true;
-            }
-        }
+
+    /// True if the extension vertex with SE-degree `d_s` and EE-degree
+    /// `d_ext` can be pruned from `ext(S)`.
+    #[inline]
+    pub(crate) fn prunes(&self, d_s: u32, d_ext: u32) -> bool {
+        let (d_s, d_ext) = (u64::from(d_s), u64::from(d_ext));
+        let total = d_s + d_ext;
+        let theorem3 = self.den * u128::from(total) < self.num_s + self.num * u128::from(d_ext);
+        (self.degree & theorem3) | (d_s < self.upper_cut) | (total < self.lower_cut)
     }
-    false
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::degrees::compute_degrees;
+    use crate::params::Gamma;
     use qcm_graph::{Graph, LocalGraph, VertexId};
 
     fn figure4_local() -> LocalGraph {
@@ -243,7 +279,7 @@ mod tests {
             check_type2(&params, &config, &deg, Some(1), Some(5)),
             Type2Outcome::None
         );
-        assert!(!type1_prunable(&params, &config, 2, 0, 0, Some(1), Some(5)));
+        assert!(!Type1Rule::new(&params, &config, 2, Some(1), Some(5)).prunes(0, 0));
     }
 
     #[test]
@@ -251,9 +287,10 @@ mod tests {
         // |S| = 3, γ = 0.9: a candidate u with d_S(u) = 1 and d_ext(u) = 2
         // has 3 < ⌈0.9·5⌉ = 5 → prunable.
         let params = MiningParams::new(0.9, 2);
-        assert!(type1_prunable(&params, &all_rules(), 3, 1, 2, None, None));
+        let rule = Type1Rule::new(&params, &all_rules(), 3, None, None);
+        assert!(rule.prunes(1, 2));
         // A fully connected u is not prunable: d_S = 3, d_ext = 2 → 5 ≥ 5.
-        assert!(!type1_prunable(&params, &all_rules(), 3, 3, 2, None, None));
+        assert!(!rule.prunes(3, 2));
     }
 
     #[test]
@@ -261,43 +298,79 @@ mod tests {
         let params = MiningParams::new(0.8, 2);
         // Theorem 5 with |S| = 4, U_S = 2: u needs d_S(u) + 1 ≥ ⌈0.8·5⌉ = 4,
         // so d_S(u) = 2 is prunable even if its EE-degree is huge.
-        assert!(type1_prunable(
-            &params,
-            &all_rules(),
-            4,
-            2,
-            10,
-            Some(2),
-            None
-        ));
-        assert!(!type1_prunable(
-            &params,
-            &all_rules(),
-            4,
-            4,
-            10,
-            Some(2),
-            None
-        ));
+        let upper = Type1Rule::new(&params, &all_rules(), 4, Some(2), None);
+        assert!(upper.prunes(2, 10));
+        assert!(!upper.prunes(4, 10));
         // Theorem 7 with L_S = 4: u needs d_S + d_ext ≥ ⌈0.8·7⌉ = 6.
-        assert!(type1_prunable(
-            &params,
-            &all_rules(),
-            4,
-            3,
-            2,
-            None,
-            Some(4)
-        ));
-        assert!(!type1_prunable(
-            &params,
-            &all_rules(),
-            4,
-            3,
-            3,
-            None,
-            Some(4)
-        ));
+        let lower = Type1Rule::new(&params, &all_rules(), 4, None, Some(4));
+        assert!(lower.prunes(3, 2));
+        assert!(!lower.prunes(3, 3));
+    }
+
+    /// Every γ, `|S|`, `d_S`, `d_ext`, `U_S`, `L_S` and rule family of the
+    /// grid: the round's rule value prunes a vertex exactly when one of the
+    /// enabled theorems, as the paper states them, does. A bound of 0 makes
+    /// Theorem 5's left-hand side `d_S(u) − 1`, so the statements are
+    /// evaluated over the signed integers.
+    #[test]
+    fn the_round_rule_prunes_exactly_what_theorems_3_5_and_7_prune() {
+        const MAX_S: usize = 20;
+        const EXT: usize = 30;
+        const BOUND: usize = 25;
+        let gammas = [
+            Gamma::new(0.5),
+            Gamma::new(0.6),
+            Gamma::from_ratio(2, 3),
+            Gamma::new(0.9),
+            Gamma::new(1.0),
+        ];
+        let bounds: Vec<Option<usize>> =
+            std::iter::once(None).chain((0..BOUND).map(Some)).collect();
+        let mut checked = 0u64;
+        for gamma in gammas {
+            let params = MiningParams { gamma, min_size: 2 };
+            for s_len in 1..=MAX_S {
+                // ⌈γ·x⌉ for every x the three statements use at this |S|.
+                let ceil: Vec<i64> = (0..s_len + EXT + BOUND)
+                    .map(|x| gamma.ceil_mul(x) as i64)
+                    .collect();
+                let s = s_len as i64;
+                for family in 0..8u8 {
+                    let mut config = PruneConfig::none();
+                    config.degree = family & 1 != 0;
+                    config.upper_bound = family & 2 != 0;
+                    config.lower_bound = family & 4 != 0;
+                    for &us in &bounds {
+                        for &ls in &bounds {
+                            let rule = Type1Rule::new(&params, &config, s_len, us, ls);
+                            for d_s in 0..=s {
+                                // Theorem 5: d_S(u) + U_S − 1 < ⌈γ(|S| + U_S − 1)⌉.
+                                let theorem5 = config.upper_bound
+                                    && us.is_some_and(|u| d_s + u as i64 - 1 < ceil[s_len + u - 1]);
+                                for d_ext in 0..EXT as i64 {
+                                    let total = d_s + d_ext;
+                                    // Theorem 3: d_S(u) + d_ext(u) < ⌈γ(|S| + d_ext(u))⌉.
+                                    let theorem3 =
+                                        config.degree && total < ceil[s_len + d_ext as usize];
+                                    // Theorem 7: d_S(u) + d_ext(u) < ⌈γ(|S| + L_S − 1)⌉.
+                                    let theorem7 = config.lower_bound
+                                        && ls.is_some_and(|l| total < ceil[s_len + l - 1]);
+                                    assert_eq!(
+                                        rule.prunes(d_s as u32, d_ext as u32),
+                                        theorem3 || theorem5 || theorem7,
+                                        "γ = {gamma}, {config:?}, |S| = {s_len}, U_S = {us:?}, \
+                                         L_S = {ls:?}, d_S = {d_s}, d_ext = {d_ext}"
+                                    );
+                                    checked += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let per_family = (1..=MAX_S as u64).map(|s| s + 1).sum::<u64>() * EXT as u64;
+        assert_eq!(checked, 5 * 8 * per_family * (BOUND as u64 + 1).pow(2));
     }
 
     #[test]

@@ -20,6 +20,24 @@ pub fn row_contains(row: &[u64], v: u32) -> bool {
     (row[i >> 6] >> (i & 63)) & 1 != 0
 }
 
+/// Keeps the items of `items` for which `keep(index, item)` holds, in their
+/// order, and returns how many were dropped. No branch per item: each item
+/// is written to the next free slot, which then advances by the predicate's
+/// 0 or 1 — a data-dependent filter that keeps about half its input costs a
+/// mispredict per item otherwise.
+#[inline]
+pub fn compact(items: &mut Vec<u32>, mut keep: impl FnMut(usize, u32) -> bool) -> usize {
+    let len = items.len();
+    let mut write = 0usize;
+    for read in 0..len {
+        let item = items[read];
+        items[write] = item;
+        write += usize::from(keep(read, item));
+    }
+    items.truncate(write);
+    len - write
+}
+
 /// `|a ∩ b|` over two word rows of equal length.
 #[inline]
 fn and_count(a: &[u64], b: &[u64]) -> usize {
@@ -113,6 +131,28 @@ impl VertexBitSet {
         let present = *word & mask != 0;
         *word &= !mask;
         present
+    }
+
+    /// Removes `v` when `cond` holds, without a branch on `cond`. Only
+    /// debug-asserts the range, like [`VertexBitSet::contains`]: clearing a
+    /// slack bit changes nothing.
+    #[inline]
+    pub fn remove_if(&mut self, v: u32, cond: bool) {
+        debug_assert!(
+            (v as usize) < self.capacity,
+            "id {v} out of range {}",
+            self.capacity
+        );
+        let i = v as usize;
+        self.words[i >> 6] &= !(u64::from(cond) << (i & 63));
+    }
+
+    /// Makes `self` a copy of `other`, capacity included, reusing the word
+    /// buffer.
+    pub fn copy_from(&mut self, other: &VertexBitSet) {
+        self.words.clear();
+        self.words.extend_from_slice(&other.words);
+        self.capacity = other.capacity;
     }
 
     /// Removes every member (keeps the capacity).
@@ -299,6 +339,18 @@ mod tests {
         let mut d = a.clone();
         d.union_with(&b);
         assert_eq!(d.len(), a.len() + b.len() - 3);
+    }
+
+    #[test]
+    fn remove_if_and_copy_from() {
+        let mut s = VertexBitSet::from_members(130, &[0, 63, 64, 129]);
+        s.remove_if(63, false);
+        s.remove_if(64, true);
+        s.remove_if(5, true);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 63, 129]);
+        let mut t = VertexBitSet::new(7);
+        t.copy_from(&s);
+        assert_eq!(t, s);
     }
 
     #[test]

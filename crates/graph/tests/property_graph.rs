@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use qcm_graph::{
+    bitset::{compact, VertexBitSet},
     io, k_core,
     kcore::{core_numbers, k_core_masked, k_core_masked_with_vertices, k_core_vertices},
     subgraph::{induced_subgraph, LocalGraph, SubgraphScratch},
@@ -220,5 +221,41 @@ proptest! {
         let mut lg_survivors = lg.alive_global_ids();
         lg_survivors.sort_unstable();
         prop_assert_eq!(lg_survivors, survivors);
+    }
+
+    /// The branch-free compaction keeps what `iter().filter()` keeps, in the
+    /// same order, hands the predicate each item's original index, and
+    /// counts the rest. Clearing each dropped item's bit with `remove_if`,
+    /// as the search does, leaves the bits equal to the kept list.
+    #[test]
+    fn compaction_equals_filter_in_order(
+        raw in proptest::collection::vec((0u32..200, 0u8..2), 0..80),
+    ) {
+        let mut items: Vec<u32> = Vec::new();
+        let mut keep: Vec<bool> = Vec::new();
+        for (item, flag) in raw {
+            if !items.contains(&item) {
+                items.push(item);
+                keep.push(flag == 1);
+            }
+        }
+        let expected: Vec<u32> = items
+            .iter()
+            .zip(&keep)
+            .filter(|(_, &k)| k)
+            .map(|(&item, _)| item)
+            .collect();
+        let mut bits = VertexBitSet::from_members(200, &items);
+        let mut compacted = items.clone();
+        let dropped = compact(&mut compacted, |j, item| {
+            assert_eq!(items[j], item);
+            bits.remove_if(item, !keep[j]);
+            keep[j]
+        });
+        prop_assert_eq!(dropped, items.len() - expected.len());
+        let mut sorted = expected.clone();
+        sorted.sort_unstable();
+        prop_assert_eq!(compacted, expected);
+        prop_assert_eq!(bits.iter().collect::<Vec<_>>(), sorted);
     }
 }

@@ -13,8 +13,8 @@
 //!    must carry a `// ordering:` justification on the same line or in
 //!    the contiguous comment/code block immediately above it.
 //! 3. **hot-path** — the mining inner-loop modules must not allocate,
-//!    `unwrap()`, `expect()` or `panic!` outside their `#[cfg(test)]`
-//!    regions.
+//!    `unwrap()`, `expect()`, `panic!` or shift a list by `remove(0)`
+//!    outside their `#[cfg(test)]` regions.
 //! 4. **no-stray-print** — no `println!`/`eprintln!`/`dbg!` in library
 //!    crates; user-facing output belongs to `crates/cli` and
 //!    `crates/bench`.
@@ -78,7 +78,7 @@ const HOT_PATH_FILES: &[&str] = &[
     "bitset.rs",
 ];
 
-/// Allocation and panic markers forbidden on the hot path.
+/// Allocation, panic and O(n)-shift markers forbidden on the hot path.
 const HOT_PATH_FORBIDDEN: &[&str] = &[
     ".unwrap()",
     ".expect(",
@@ -96,6 +96,9 @@ const HOT_PATH_FORBIDDEN: &[&str] = &[
     "format!(",
     ".to_string()",
     ".to_owned()",
+    // An O(n) shift per tree node has no place in the hot path: walk a
+    // cursor instead.
+    ".remove(0)",
 ];
 
 /// Memory-ordering variants whose use demands a justification.

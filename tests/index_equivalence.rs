@@ -62,6 +62,43 @@ fn serial_results_are_identical_with_index_on_and_off() {
     }
 }
 
+/// Rows may change how a node computes its sets, never which nodes the
+/// search visits: on the Enron stand-in every search counter, not just the
+/// result set, is the same under every row policy. With no rows a task
+/// keeps no two-hop rows either, so each child's extension is cut by a
+/// two-hop set built on the spot. Run with every rule, without the diameter
+/// rule (no two-hop cut at all) and without the cover vertex (every
+/// extension vertex is branched on).
+#[test]
+fn serial_search_counters_are_identical_with_index_on_and_off() {
+    let spec = qcm::gen::datasets::enron();
+    let graph = spec.generate().graph;
+    let params = MiningParams::new(spec.gamma, spec.min_size);
+    for config in [
+        PruneConfig::all_enabled(),
+        PruneConfig::all_enabled().without("diameter"),
+        PruneConfig::all_enabled().without("cover_vertex"),
+    ] {
+        let mine = |index| {
+            SerialMiner::with_config(params, config)
+                .with_index(index)
+                .mine(&graph)
+        };
+        let reference = mine(IndexSpec::Disabled);
+        assert!(reference.outcome.is_complete());
+        assert!(reference.stats.nodes_expanded > 0);
+        for spec in [
+            IndexSpec::Auto,
+            IndexSpec::Threshold(0),
+            IndexSpec::Threshold(4),
+        ] {
+            let out = mine(spec);
+            assert_eq!(out.stats, reference.stats, "{config:?} under {spec:?}");
+            assert_eq!(out.maximal, reference.maximal, "{config:?} under {spec:?}");
+        }
+    }
+}
+
 #[test]
 fn parallel_results_are_identical_with_index_on_and_off() {
     for graph in datasets() {
