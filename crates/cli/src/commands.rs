@@ -260,8 +260,8 @@ fn session_builder_from_flags(
         Backend::Serial
     } else {
         let transport = match flags.values.get("transport").map(String::as_str) {
-            None | Some("inproc") => qcm::TransportKind::InProc,
-            Some("strict") => qcm::TransportKind::InProcStrict,
+            None | Some("inproc") => qcm::TransportFactory::in_proc(),
+            Some("strict") => qcm::TransportFactory::strict(),
             Some(other) => {
                 return Err(QcmError::InvalidConfig(format!(
                     "invalid value {other:?} for --transport (expected inproc or strict; \

@@ -1,11 +1,13 @@
-//! The threaded driver: machines as thread groups over live worker threads.
+//! The engine's entry point and its threaded driver.
 //!
 //! This is the system half of the paper's codesign (Section 5). A
-//! [`Cluster`] runs a [`GThinkerApp`] over a shared input graph on
-//! `num_machines × threads_per_machine` mining threads. The per-machine
-//! protocol — queues, spawn cursor, routing, message handling, the balance
-//! plan — lives in the `machine` module; this module adds what is particular to
-//! running it on real threads:
+//! [`Cluster`] runs a [`GThinkerApp`] over a shared input graph. The
+//! per-machine protocol — queues, spawn cursor, routing, message handling,
+//! the balance plan — lives in the `machine` module, and the configured
+//! [`TransportFactory`] picks the driver that runs it: the discrete-event
+//! driver of [`crate::sim`] for `Sim`, and for `InProc` the threaded driver in
+//! this module, on `num_machines × threads_per_machine` mining threads. What
+//! the threaded driver adds is particular to running on real threads:
 //!
 //! * the **worker loop** (the reforged Algorithm 3): pump the machine's
 //!   mailbox, pop a task (big tasks and refills first), else spawn a batch,
@@ -20,7 +22,9 @@ use crate::codec::EngineMsg;
 use crate::config::EngineConfig;
 use crate::machine::{Row, Run};
 use crate::metrics::EngineMetrics;
+use crate::sim::Replay;
 use crate::task::{Frontier, GThinkerApp, WorkerScratch};
+use crate::transport::{InProcTransport, TransportFactory};
 use crate::vertex_table::{DataService, FetchScratch};
 
 use qcm_core::RunOutcome;
@@ -35,8 +39,17 @@ use std::time::Duration;
 pub struct EngineOutput {
     /// Emitted result rows (members sorted by the caller if needed).
     pub results: Vec<Row>,
+    /// The roots of the work lost for good, sorted and distinct — empty
+    /// unless `metrics.outcome` is [`RunOutcome::Faulted`]: a task abandoned
+    /// after its pulls ran out of retries, or, on the simulator, a root that
+    /// could not be respawned. The simulator withholds such a root's rows;
+    /// the threaded driver has emitted the rows its other tasks found. A lost
+    /// task without a root is not listed.
+    pub lost_roots: Vec<VertexId>,
     /// Metrics of the run.
     pub metrics: EngineMetrics,
+    /// The simulator's event log; `None` on the threaded driver.
+    pub replay: Option<Replay>,
 }
 
 /// What the worker and balancer threads share on top of the protocol state.
@@ -45,9 +58,11 @@ struct Live<'a, A: GThinkerApp> {
     /// Per-machine blocking data access (cache + transport pulls).
     data: Vec<DataService>,
     results: Mutex<Vec<Row>>,
+    /// Roots of abandoned tasks, in abandonment order.
+    lost: Mutex<Vec<VertexId>>,
 }
 
-/// A simulated G-thinker cluster executing one application.
+/// A G-thinker cluster executing one application.
 pub struct Cluster<A: GThinkerApp> {
     app: Arc<A>,
     config: EngineConfig,
@@ -69,12 +84,25 @@ impl<A: GThinkerApp> Cluster<A> {
     /// task transitively created by decomposition) has completed. The vertex
     /// table holds `vertices` (sorted, distinct ids of `graph`): `spawn` is
     /// called once for each of them and for no other vertex, while every
-    /// vertex of `graph` can be pulled.
+    /// vertex of `graph` can be pulled. The configured transport picks the
+    /// driver: live worker threads for `InProc`, virtual time for `Sim`.
     pub fn run(&self, graph: Arc<Graph>, vertices: Vec<VertexId>) -> EngineOutput {
-        let config = &self.config;
-        let transport = config.transport.build(config.num_machines);
+        let (app, config) = (self.app.as_ref(), &self.config);
+        let transport = match &config.transport {
+            &TransportFactory::InProc {
+                strict,
+                drop_first_pulls,
+            } => Arc::new(InProcTransport::new(
+                config.num_machines,
+                strict,
+                drop_first_pulls,
+            )),
+            TransportFactory::Sim(sim) => {
+                return crate::sim::run(app, config, sim, graph, vertices)
+            }
+        };
         let run = Run::new(
-            self.app.as_ref(),
+            app,
             config,
             graph,
             vertices,
@@ -98,6 +126,7 @@ impl<A: GThinkerApp> Cluster<A> {
             run,
             data,
             results: Mutex::new(Vec::new()),
+            lost: Mutex::new(Vec::new()),
         };
 
         let total_workers = config.total_threads();
@@ -132,7 +161,15 @@ impl<A: GThinkerApp> Cluster<A> {
         };
         let worker_busy = worker_busy.into_inner();
         let metrics = live.run.metrics(results.len() as u64, worker_busy, outcome);
-        EngineOutput { results, metrics }
+        let mut lost_roots = live.lost.into_inner();
+        lost_roots.sort_unstable();
+        lost_roots.dedup();
+        EngineOutput {
+            results,
+            lost_roots,
+            metrics,
+            replay: None,
+        }
     }
 }
 
@@ -232,8 +269,12 @@ fn process_task<A: GThinkerApp>(
                 match data.fetch_with(v, &mut fetch_scratch) {
                     Ok(adj) => frontier.insert(v, adj),
                     Err(_) => {
-                        // The pull exhausted its retry budget.
+                        // The pull exhausted its retry budget: the task's
+                        // root can no longer prove its results complete.
                         data.flush(&mut fetch_scratch);
+                        if let Some(root) = run.app.task_label(&task).root {
+                            live.lost.lock().push(root);
+                        }
                         run.abandon_task(flight);
                         return;
                     }

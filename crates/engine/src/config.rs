@@ -41,7 +41,8 @@ pub struct EngineConfig {
     pub spill_dir: Option<PathBuf>,
     /// Period of the master's load-balancing loop (big-task stealing).
     pub balance_period: Duration,
-    /// Builds the inter-machine transport for each run. The config holds a
+    /// Selects the inter-machine transport of each run, and with it the
+    /// driver (live threads or the fault simulator). The config holds a
     /// factory rather than a live channel handle so it stays `Clone + Debug`
     /// and every run starts with fresh mailboxes and counters.
     pub transport: TransportFactory,

@@ -21,13 +21,15 @@
 //! machine's big-task lane, worker deques, spawn cursor and steal-grant book,
 //! and the protocol steps over them (spawn a batch, route, pop, one compute
 //! step, handle one [`EngineMsg`], plan a balance move), plus run set-up and
-//! metrics assembly. Two drivers call those steps. [`Cluster`] adds worker
-//! threads, blocking pulls through a per-machine data service, the balancer
-//! thread and termination by the [`Termination`] counters. [`SimCluster`]
-//! adds a seeded virtual-time event queue, the lossy [`SimTransport`], a
-//! fault script, split-phase parking of tasks while their pulls are on the
-//! wire, grant retransmission and per-root respawn. The README's
-//! "Distribution & fault testing" section describes the transports.
+//! metrics assembly. [`Cluster::run`] calls those steps from one of two
+//! drivers, picked by the configured [`TransportFactory`]. For `InProc` it
+//! adds worker threads, blocking pulls through a per-machine data service,
+//! the balancer thread and termination by the [`Termination`] counters. For
+//! `Sim` it adds a seeded virtual-time event queue, the lossy
+//! [`SimTransport`], a fault script, split-phase parking of tasks while their
+//! pulls are on the wire, grant retransmission and per-root respawn. Both
+//! return one [`EngineOutput`]. The README's "Distribution & fault testing"
+//! section describes the transports.
 //!
 //! Applications implement [`GThinkerApp`] (the `spawn`/`compute` UDF pair plus
 //! the big-task classifier); the quasi-clique application lives in
@@ -51,14 +53,13 @@ pub use cluster::{Cluster, EngineOutput};
 pub use codec::EngineMsg;
 pub use config::EngineConfig;
 pub use metrics::{EngineMetrics, TaskTimeRecord};
-pub use sim::{Fault, FaultEvent, SimCluster, SimConfig, SimOutput, SimTransport};
+pub use sim::{Fault, FaultEvent, Replay, SimConfig, SimTransport};
 pub use steal::WorkerQueues;
 pub use task::{
     ComputeContext, Frontier, GThinkerApp, TaskCodec, TaskLabel, TaskTimings, WorkerScratch,
 };
 pub use termination::Termination;
 pub use transport::{
-    Envelope, InProcTransport, Transport, TransportError, TransportFactory, TransportKind,
-    TransportStats,
+    Envelope, InProcTransport, Transport, TransportError, TransportFactory, TransportStats,
 };
 pub use vertex_table::{AdjList, PartitionedVertexTable, RemoteVertexCache};

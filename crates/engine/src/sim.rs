@@ -1,15 +1,16 @@
 //! The virtual-time driver: deterministic discrete-event fault simulation.
 //!
-//! [`SimCluster`] runs a [`GThinkerApp`] through the same per-machine
-//! protocol as the live [`crate::cluster::Cluster`] — the queues, spill
-//! path, spawn/route/pop/compute steps, message handlers and balance plan of
-//! `crate::machine` — but on one thread in *virtual time*. Machines take
-//! turns on a seeded event queue, every cross-machine message goes through
-//! [`SimTransport`] with per-link latency and drop probability, and a
-//! scenario script can crash, restart, slow down or partition machines
-//! mid-run. Everything random derives from one seed, so a 64-machine fault
-//! scenario replays byte-identically: the event log (and its FNV-1a hash) is
-//! the determinism witness the test suite asserts on.
+//! A [`crate::Cluster`] whose transport is [`crate::TransportFactory::Sim`]
+//! runs its [`GThinkerApp`] here: through the same per-machine protocol as
+//! the threaded driver — the queues, spill path, spawn/route/pop/compute
+//! steps, message handlers and balance plan of `crate::machine` — but on one
+//! thread in *virtual time*. Machines take turns on a seeded event queue, every
+//! cross-machine message goes through [`SimTransport`] with per-link latency
+//! and drop probability, and a scenario script can crash, restart, slow down
+//! or partition machines mid-run. Everything random derives from one seed, so
+//! a 64-machine fault scenario replays byte-identically: the event log (and
+//! its FNV-1a hash, both in [`EngineOutput::replay`]) is the determinism
+//! witness the test suite asserts on.
 //!
 //! What this driver adds to the shared protocol:
 //!
@@ -25,16 +26,16 @@
 //!   queue drains, dirty roots are respawned at their owner (up to
 //!   [`SimConfig::respawn_limit`] times), their earlier rows discarded first.
 //!   A root that cannot be respawned labels the run [`RunOutcome::Faulted`],
-//!   contributes no row and is listed in [`SimOutput::lost_roots`].
+//!   contributes no row and is listed in [`EngineOutput::lost_roots`].
 //! * **Virtual deadline.** Wall-clock cancellation is ignored; the run is
 //!   bounded by [`SimConfig::max_virtual_us`], which also guarantees
 //!   termination under adversarial drop/latency schedules.
 //! * **One worker per machine**: `threads_per_machine` is not modelled.
 
+use crate::cluster::EngineOutput;
 use crate::codec::EngineMsg;
 use crate::config::EngineConfig;
 use crate::machine::{Handled, InFlight, Row, Run};
-use crate::metrics::EngineMetrics;
 use crate::task::{Frontier, GThinkerApp, WorkerScratch};
 use crate::transport::{Envelope, MachineId, PullReply, Transport, TransportError, TransportStats};
 use crate::vertex_table::{AdjList, FetchScratch};
@@ -413,106 +414,76 @@ struct SimMachine<T> {
     speed: u64,
 }
 
-/// Output of a simulated run.
-#[derive(Clone, Debug)]
-pub struct SimOutput {
-    /// Result rows, flattened in root-id order (exactly-once per root).
-    pub results: Vec<Vec<VertexId>>,
-    /// The roots whose work was lost for good, in id order — empty unless the
-    /// run is [`RunOutcome::Faulted`]. Their rows are withheld: an incomplete
-    /// root contributes nothing. (A lost task without a root is not listed.)
-    pub lost_roots: Vec<VertexId>,
-    /// Run metrics; `virtual_time` is set and `elapsed` is the (irrelevant
-    /// for benchmarking) wall time of the simulation itself.
-    pub metrics: EngineMetrics,
-    /// The run outcome (also in `metrics.outcome`).
-    pub outcome: RunOutcome,
-    /// The seeded event log.
+/// The determinism witness of a simulated run.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Replay {
+    /// The seeded event log (sends, drops, faults, respawns).
     pub event_log: Vec<String>,
-    /// FNV-1a hash over the event-log lines — the replay-determinism witness.
+    /// FNV-1a hash over the event-log lines.
     pub log_hash: u64,
-    /// Final virtual clock in microseconds.
-    pub virtual_us: u64,
 }
 
-/// A deterministic simulated cluster executing one application under a fault
-/// scenario.
-pub struct SimCluster<A: GThinkerApp> {
-    app: Arc<A>,
-    engine: EngineConfig,
-    sim: SimConfig,
-}
+/// Runs `app` over `graph` in virtual time under `sim`'s scenario, spawning
+/// from `vertices` as the threaded driver does. The cluster shape (machines),
+/// queue capacities, batch size and spill directory come from `engine`;
+/// thread counts are not modelled — each machine performs one scheduling step
+/// per wake. Rows come back flattened in root-id order, exactly once per
+/// root; `metrics.virtual_time` holds the final virtual clock.
+pub(crate) fn run<A: GThinkerApp>(
+    app: &A,
+    engine: &EngineConfig,
+    sim: &SimConfig,
+    graph: Arc<Graph>,
+    vertices: Vec<VertexId>,
+) -> EngineOutput {
+    let machines = engine.num_machines;
+    let net = Arc::new(Mutex::new(NetInner::new(machines, sim)));
+    let transport = Arc::new(SimTransport { net: net.clone() });
+    let mut driver = Driver {
+        run: Run::new(app, engine, graph, vertices, transport, 1),
+        sim,
+        net,
+        machines: (0..machines)
+            .map(|_| SimMachine {
+                ready: VecDeque::new(),
+                parked: BTreeMap::new(),
+                wake_scheduled: false,
+                speed: 1,
+            })
+            .collect(),
+        dirty: BTreeSet::new(),
+        lost: BTreeSet::new(),
+        respawns: BTreeMap::new(),
+        results: BTreeMap::new(),
+        next_park: 0,
+        balance_scheduled: false,
+        fetched: FetchScratch::default(),
+        scratch: WorkerScratch::default(),
+        faulted: false,
+    };
+    let outcome = driver.run();
 
-impl<A: GThinkerApp> SimCluster<A> {
-    /// Creates the simulated cluster. The cluster shape (machines), queue
-    /// capacities, batch size and spill directory come from `engine`; thread
-    /// counts are not modelled — each machine performs one scheduling step
-    /// per wake.
-    pub fn new(app: Arc<A>, engine: EngineConfig, sim: SimConfig) -> Self {
-        engine.validate();
-        SimCluster { app, engine, sim }
-    }
-
-    /// Runs the application over `graph` in virtual time under the scenario,
-    /// spawning from `vertices` as [`crate::Cluster::run`] does.
-    pub fn run(&self, graph: Arc<Graph>, vertices: Vec<VertexId>) -> SimOutput {
-        let machines = self.engine.num_machines;
-        let net = Arc::new(Mutex::new(NetInner::new(machines, &self.sim)));
-        let transport = Arc::new(SimTransport { net: net.clone() });
-        let mut driver = Driver {
-            run: Run::new(
-                self.app.as_ref(),
-                &self.engine,
-                graph,
-                vertices,
-                transport,
-                1,
-            ),
-            sim: &self.sim,
-            net,
-            machines: (0..machines)
-                .map(|_| SimMachine {
-                    ready: VecDeque::new(),
-                    parked: BTreeMap::new(),
-                    wake_scheduled: false,
-                    speed: 1,
-                })
-                .collect(),
-            dirty: BTreeSet::new(),
-            lost: BTreeSet::new(),
-            respawns: BTreeMap::new(),
-            results: BTreeMap::new(),
-            next_park: 0,
-            balance_scheduled: false,
-            fetched: FetchScratch::default(),
-            scratch: WorkerScratch::default(),
-            faulted: false,
-        };
-        let outcome = driver.run();
-
-        let rows = std::mem::take(&mut driver.results);
-        let results: Vec<Row> = rows.into_values().flatten().collect();
-        driver.run.fetch.absorb(&mut driver.fetched);
-        let emitted = results.len() as u64;
-        let mut metrics = driver.run.metrics(emitted, Vec::new(), outcome);
-        driver.log(format!(
-            "end outcome={outcome:?} spawned={} processed={} stolen={}",
-            metrics.tasks_spawned, metrics.tasks_processed, metrics.stolen_tasks
-        ));
-        let mut net = driver.net.lock();
-        let virtual_us = net.clock;
-        metrics.remote_bytes = net.stats.wire_bytes;
-        metrics.virtual_time = Some(Duration::from_micros(virtual_us));
-        let lost = driver.lost.iter().filter(|&&root| root != ROOTLESS);
-        SimOutput {
-            results,
-            lost_roots: lost.map(|&root| VertexId::new(root)).collect(),
-            metrics,
-            outcome,
+    let rows = std::mem::take(&mut driver.results);
+    let results: Vec<Row> = rows.into_values().flatten().collect();
+    driver.run.fetch.absorb(&mut driver.fetched);
+    let emitted = results.len() as u64;
+    let mut metrics = driver.run.metrics(emitted, Vec::new(), outcome);
+    driver.log(format!(
+        "end outcome={outcome:?} spawned={} processed={} stolen={}",
+        metrics.tasks_spawned, metrics.tasks_processed, metrics.stolen_tasks
+    ));
+    let mut net = driver.net.lock();
+    metrics.remote_bytes = net.stats.wire_bytes;
+    metrics.virtual_time = Some(Duration::from_micros(net.clock));
+    let lost = driver.lost.iter().filter(|&&root| root != ROOTLESS);
+    EngineOutput {
+        results,
+        lost_roots: lost.map(|&root| VertexId::new(root)).collect(),
+        metrics,
+        replay: Some(Replay {
             event_log: std::mem::take(&mut net.log_lines),
             log_hash: net.log_hash.finish(),
-            virtual_us,
-        }
+        }),
     }
 }
 
@@ -940,6 +911,8 @@ impl<'a, A: GThinkerApp> Driver<'a, A> {
 mod tests {
     use super::*;
     use crate::task::{ComputeContext, TaskCodec, TaskLabel};
+    use crate::transport::TransportFactory;
+    use crate::Cluster;
 
     /// A toy app: each vertex spawns one task that pulls the root's
     /// neighbors, then emits `[v, max_neighbor]` for every neighbor larger
@@ -1031,22 +1004,25 @@ mod tests {
         count
     }
 
-    fn run(engine: EngineConfig, sim: SimConfig, g: Arc<Graph>) -> SimOutput {
+    fn run(engine: EngineConfig, sim: SimConfig, g: Arc<Graph>) -> EngineOutput {
         let vertices = g.vertices().collect();
-        SimCluster::new(Arc::new(EchoApp), engine, sim).run(g, vertices)
+        let engine = engine.with_transport(TransportFactory::Sim(sim));
+        Cluster::new(Arc::new(EchoApp), engine).run(g, vertices)
+    }
+
+    fn replay(out: &EngineOutput) -> &Replay {
+        out.replay
+            .as_ref()
+            .expect("a simulated run has an event log")
     }
 
     #[test]
     fn fault_free_sim_completes_with_all_results() {
         let g = ring(24);
         let out = run(EngineConfig::cluster(4, 1), SimConfig::new(7), g.clone());
-        assert_eq!(out.outcome, RunOutcome::Complete);
+        assert_eq!(out.metrics.outcome, RunOutcome::Complete);
         assert_eq!(out.results.len(), expected_rows(&g));
-        assert!(out.virtual_us > 0);
-        assert_eq!(
-            out.metrics.virtual_time,
-            Some(Duration::from_micros(out.virtual_us))
-        );
+        assert!(out.metrics.virtual_time > Some(Duration::ZERO));
         assert!(out.metrics.transport_messages > 0);
     }
 
@@ -1057,10 +1033,14 @@ mod tests {
         let sim = SimConfig::crash_scenario(42, 5, 3_000, Some(40_000));
         let a = run(engine.clone(), sim.clone(), g.clone());
         let b = run(engine, sim, g);
-        assert_eq!(a.log_hash, b.log_hash, "same seed must replay identically");
-        assert_eq!(a.event_log, b.event_log);
+        assert_eq!(
+            replay(&a).log_hash,
+            replay(&b).log_hash,
+            "same seed must replay identically"
+        );
+        assert_eq!(replay(&a).event_log, replay(&b).event_log);
         assert_eq!(a.results, b.results);
-        assert_eq!(a.outcome, b.outcome);
+        assert_eq!(a.metrics.outcome, b.metrics.outcome);
     }
 
     #[test]
@@ -1073,21 +1053,21 @@ mod tests {
             g.clone(),
         );
         let b = run(engine, SimConfig::new(2).with_drop_probability(0.2), g);
-        assert_ne!(a.log_hash, b.log_hash);
+        assert_ne!(replay(&a).log_hash, replay(&b).log_hash);
     }
 
     #[test]
     fn crash_with_restart_recovers_to_complete() {
         let g = ring(24);
         let baseline = run(EngineConfig::cluster(3, 1), SimConfig::new(9), g.clone());
-        assert_eq!(baseline.outcome, RunOutcome::Complete);
+        assert_eq!(baseline.metrics.outcome, RunOutcome::Complete);
         let out = run(
             EngineConfig::cluster(3, 1),
             SimConfig::crash_scenario(9, 1, 2_000, Some(30_000)),
             g.clone(),
         );
         assert_eq!(
-            out.outcome,
+            out.metrics.outcome,
             RunOutcome::Complete,
             "restart permits completion"
         );
@@ -1106,7 +1086,7 @@ mod tests {
             SimConfig::crash_scenario(11, 1, 1_500, None),
             g,
         );
-        assert_eq!(out.outcome, RunOutcome::Faulted);
+        assert_eq!(out.metrics.outcome, RunOutcome::Faulted);
         // An incomplete root is listed and contributes nothing.
         assert!(!out.lost_roots.is_empty());
         assert!(out
@@ -1123,7 +1103,7 @@ mod tests {
             SimConfig::new(3).with_drop_probability(1.0),
             g,
         );
-        assert_eq!(out.outcome, RunOutcome::Faulted);
+        assert_eq!(out.metrics.outcome, RunOutcome::Faulted);
         assert!(out.metrics.transport_dropped > 0);
         assert!(out.metrics.pull_failures > 0);
     }
@@ -1134,12 +1114,11 @@ mod tests {
         let engine = EngineConfig::cluster(3, 1);
         let fast = run(engine.clone(), SimConfig::new(5), g.clone());
         let slow = run(engine, SimConfig::straggler_scenario(5, 0, 0, 50), g);
-        assert_eq!(slow.outcome, RunOutcome::Complete);
+        assert_eq!(slow.metrics.outcome, RunOutcome::Complete);
+        let (slow_us, fast_us) = (slow.metrics.virtual_time, fast.metrics.virtual_time);
         assert!(
-            slow.virtual_us > fast.virtual_us,
-            "a 50x straggler must stretch virtual time ({} vs {})",
-            slow.virtual_us,
-            fast.virtual_us
+            slow_us > fast_us,
+            "a 50x straggler must stretch virtual time ({slow_us:?} vs {fast_us:?})"
         );
         let mut a = fast.results.clone();
         let mut b = slow.results.clone();

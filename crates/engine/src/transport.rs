@@ -6,23 +6,26 @@
 //! the trait, which is exactly the boundary a real cluster deployment would
 //! replace with sockets.
 //!
-//! Two implementations ship with the engine:
+//! Two implementations ship with the engine, and [`TransportFactory`] picks
+//! one per run — and with it the driver:
 //!
-//! * [`InProcTransport`] — machines are thread groups in one address space.
-//!   The default configuration preserves the historical zero-copy fast path
-//!   (owners' adjacency slices are read directly through the shared
+//! * [`InProcTransport`] — machines are thread groups in one address space,
+//!   driven by live worker threads ([`crate::cluster`]). The default
+//!   configuration preserves the historical zero-copy fast path (owners'
+//!   adjacency slices are read directly through the shared
 //!   [`PartitionedVertexTable`]); *strict* mode disables that and forces every
 //!   pull through a full [`EngineMsg`] wire-form round trip, so the codec path
 //!   is exercised under the live multi-threaded engine.
 //! * [`crate::sim::SimTransport`] — a deterministic discrete-event simulator
 //!   with per-link latency, message drop, node crash + restart and a seeded
-//!   event log (see [`crate::sim`]).
+//!   event log, driven in virtual time (see [`crate::sim`]).
 //!
 //! The in-process mailboxes are plain `Mutex<VecDeque<_>>` queues — the
 //! engine's workers poll them from their scheduling loop, which is the same
 //! discipline they already use for the task queues.
 
 use crate::codec::EngineMsg;
+use crate::sim::SimConfig;
 use crate::vertex_table::PartitionedVertexTable;
 use qcm_graph::VertexId;
 use qcm_sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -131,10 +134,11 @@ pub trait Transport: Send + Sync {
     }
 }
 
-/// Builds the transport for a run; the engine-config-level selector.
+/// Selects the transport of a run, and with it the driver; the
+/// engine-config-level selector.
 ///
 /// `EngineConfig` carries a factory rather than a live `Arc<dyn Transport>`
-/// so configs stay `Clone + Debug` and each `run` gets a fresh transport
+/// so configs stay `Clone + Debug` and each run gets a fresh transport
 /// (mailboxes and counters zeroed).
 #[derive(Clone, Debug, PartialEq)]
 pub enum TransportFactory {
@@ -148,6 +152,9 @@ pub enum TransportFactory {
         /// service).
         drop_first_pulls: u32,
     },
+    /// The deterministic discrete-event fault simulator: the run executes in
+    /// virtual time under the scenario in [`SimConfig`].
+    Sim(SimConfig),
 }
 
 impl Default for TransportFactory {
@@ -173,22 +180,17 @@ impl TransportFactory {
         }
     }
 
-    /// Arms pull-drop fault injection (testing).
-    pub fn with_pull_drops(self, drops: u32) -> Self {
-        let TransportFactory::InProc { strict, .. } = self;
-        TransportFactory::InProc {
-            strict,
-            drop_first_pulls: drops,
+    /// Arms pull-drop fault injection on the in-process transport (testing).
+    /// The simulator's losses come from its [`SimConfig`], so `Sim` is
+    /// returned unchanged.
+    pub fn with_pull_drops(mut self, drops: u32) -> Self {
+        if let TransportFactory::InProc {
+            drop_first_pulls, ..
+        } = &mut self
+        {
+            *drop_first_pulls = drops;
         }
-    }
-
-    /// Builds a fresh transport connecting `machines` machines.
-    pub fn build(&self, machines: usize) -> Arc<dyn Transport> {
-        let TransportFactory::InProc {
-            strict,
-            drop_first_pulls,
-        } = *self;
-        Arc::new(InProcTransport::new(machines, strict, drop_first_pulls))
+        self
     }
 }
 
@@ -348,22 +350,6 @@ impl Transport for InProcTransport {
     }
 }
 
-/// Which transport a parallel run uses — the user-facing selector surfaced
-/// through `Backend::Parallel` and `Session::builder().transport(...)`.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub enum TransportKind {
-    /// In-process mailboxes with the zero-copy fast path (the default, and
-    /// the pre-transport behaviour).
-    #[default]
-    InProc,
-    /// In-process mailboxes, but every pull round-trips through the wire
-    /// form — for exercising the full protocol under the live engine.
-    InProcStrict,
-    /// The deterministic discrete-event fault simulator; the run executes in
-    /// virtual time under the scenario in [`crate::sim::SimConfig`].
-    Sim(crate::sim::SimConfig),
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,10 +423,16 @@ mod tests {
 
     #[test]
     fn factory_builds_the_configured_flavour() {
-        let fast = TransportFactory::in_proc().build(3);
-        assert_eq!(fast.machines(), 3);
-        assert!(fast.shared_memory());
-        let strict = TransportFactory::strict().build(2);
-        assert!(!strict.shared_memory());
+        let strict = TransportFactory::strict().with_pull_drops(2);
+        assert_eq!(
+            strict,
+            TransportFactory::InProc {
+                strict: true,
+                drop_first_pulls: 2
+            }
+        );
+        assert_ne!(TransportFactory::in_proc(), TransportFactory::strict());
+        let sim = TransportFactory::Sim(SimConfig::new(3));
+        assert_eq!(sim.clone().with_pull_drops(2), sim);
     }
 }

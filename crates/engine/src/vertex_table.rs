@@ -447,15 +447,18 @@ mod tests {
         assert_eq!(cache.insert(VertexId::new(3), Arc::new(vec![])), 0);
     }
 
+    /// A data service of machine 0 of 2, pulling through an in-process
+    /// transport (`strict`, with `drops` armed pull drops).
     fn service_with(
-        factory: crate::transport::TransportFactory,
+        strict: bool,
+        drops: u32,
         cache_capacity: usize,
         pull_retries: u32,
     ) -> (DataService, Arc<FetchMetrics>) {
         let g = sample_graph();
         let table = PartitionedVertexTable::new(g.clone(), all_vertices(&g), 2);
         let metrics = Arc::new(FetchMetrics::default());
-        let transport = factory.build(table.num_machines());
+        let transport = Arc::new(crate::transport::InProcTransport::new(2, strict, drops));
         transport.bind(&table);
         let service = DataService::new(
             table,
@@ -471,7 +474,7 @@ mod tests {
 
     #[test]
     fn data_service_counts_local_and_remote() {
-        let (service, metrics) = service_with(crate::transport::TransportFactory::in_proc(), 10, 0);
+        let (service, metrics) = service_with(false, 0, 10, 0);
         // Vertex 0 is owned by machine 0 (0 % 2), vertex 1 by machine 1.
         let local = service.fetch(VertexId::new(0)).unwrap();
         assert_eq!(local.len(), 1);
@@ -492,7 +495,7 @@ mod tests {
 
     #[test]
     fn tiny_cache_records_evictions() {
-        let (service, metrics) = service_with(crate::transport::TransportFactory::in_proc(), 1, 0);
+        let (service, metrics) = service_with(false, 0, 1, 0);
         // Vertices 1, 3, 5 are remote to machine 0; cache holds one entry.
         let _ = service.fetch(VertexId::new(1)).unwrap();
         let _ = service.fetch(VertexId::new(3)).unwrap();
@@ -503,7 +506,7 @@ mod tests {
     #[test]
     fn strict_transport_serves_identical_lists() {
         let g = sample_graph();
-        let (service, _) = service_with(crate::transport::TransportFactory::strict(), 10, 0);
+        let (service, _) = service_with(true, 0, 10, 0);
         for v in g.vertices() {
             assert_eq!(service.fetch(v).unwrap().as_slice(), g.neighbors(v));
         }
@@ -513,11 +516,7 @@ mod tests {
     fn dropped_pulls_retry_then_fail_when_budget_is_exhausted() {
         // Two armed drops, one retry: the first remote pull burns the retry
         // on drop #1, hits drop #2 and fails.
-        let (service, metrics) = service_with(
-            crate::transport::TransportFactory::strict().with_pull_drops(2),
-            10,
-            1,
-        );
+        let (service, metrics) = service_with(true, 2, 10, 1);
         let err = service.fetch(VertexId::new(1)).unwrap_err();
         assert_eq!(err, TransportError::Timeout);
         assert_eq!(metrics.pull_retries.load(Ordering::Relaxed), 1);

@@ -9,8 +9,8 @@
 
 use qcm_engine::codec::{put_u32, put_vertices, take_u32, take_vertices};
 use qcm_engine::{
-    Cluster, ComputeContext, EngineConfig, Frontier, GThinkerApp, SimCluster, SimConfig, TaskCodec,
-    TaskLabel,
+    Cluster, ComputeContext, EngineConfig, Frontier, GThinkerApp, SimConfig, TaskCodec, TaskLabel,
+    TransportFactory,
 };
 use qcm_graph::{Graph, VertexId};
 use qcm_sync::Arc;
@@ -311,9 +311,13 @@ fn live_and_simulated_clusters_agree_without_faults() {
     config.global_queue_capacity = 2;
 
     let live = Cluster::new(app.clone(), config.clone()).run(g.clone(), every_vertex(&g));
-    let sim = SimCluster::new(app, config, SimConfig::new(7)).run(g.clone(), every_vertex(&g));
+    let sim = Cluster::new(
+        app,
+        config.with_transport(TransportFactory::Sim(SimConfig::new(7))),
+    )
+    .run(g.clone(), every_vertex(&g));
     assert_eq!(live.metrics.outcome, RunOutcome::Complete);
-    assert_eq!(sim.outcome, RunOutcome::Complete);
+    assert_eq!(sim.metrics.outcome, RunOutcome::Complete);
 
     let (mut live_rows, mut sim_rows) = (live.results, sim.results);
     live_rows.sort();
@@ -359,10 +363,11 @@ fn both_drivers_spawn_exactly_the_listed_vertices() {
     let config = EngineConfig::cluster(3, 2);
 
     let live = Cluster::new(app.clone(), config.clone()).run(g.clone(), listed.clone());
-    let sim = SimCluster::new(app.clone(), config.clone(), SimConfig::new(7))
-        .run(g.clone(), listed.clone());
+    let simulated = |sim| config.clone().with_transport(TransportFactory::Sim(sim));
+    let sim =
+        Cluster::new(app.clone(), simulated(SimConfig::new(7))).run(g.clone(), listed.clone());
     assert_eq!(live.metrics.outcome, RunOutcome::Complete);
-    assert_eq!(sim.outcome, RunOutcome::Complete);
+    assert_eq!(sim.metrics.outcome, RunOutcome::Complete);
     for (driver, rows, spawned) in [
         ("live", live.results, live.metrics.tasks_spawned),
         ("simulated", sim.results, sim.metrics.tasks_spawned),
@@ -382,8 +387,8 @@ fn both_drivers_spawn_exactly_the_listed_vertices() {
     // A crash that never heals loses roots; every root it names, spawned or
     // not, is a listed one.
     let crash = SimConfig::crash_scenario(11, 1, 300, None);
-    let out = SimCluster::new(app, config, crash).run(g.clone(), listed.clone());
-    assert_eq!(out.outcome, RunOutcome::Faulted);
+    let out = Cluster::new(app, simulated(crash)).run(g.clone(), listed.clone());
+    assert_eq!(out.metrics.outcome, RunOutcome::Faulted);
     assert!(!out.lost_roots.is_empty());
     for root in &out.lost_roots {
         assert!(

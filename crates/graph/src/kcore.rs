@@ -99,7 +99,7 @@ pub fn k_core_vertices(g: &Graph, k: usize) -> Vec<VertexId> {
 /// vertex count, every vertex outside the k-core isolated, every core vertex
 /// keeping exactly its core neighbours. O(n + Σ_{deg(v) ≥ k} deg(v)).
 ///
-/// This is the form the parallel miners hand to the engine: vertex ids,
+/// This is the form the parallel miner hands to the engine: vertex ids,
 /// partition hash, task labels and result rows need no translation, and a
 /// degree read off the result is an exact core degree. When the peel removes
 /// nothing the *same* `Arc` comes back and no copy is made.

@@ -84,7 +84,8 @@ pub fn auto_threshold(n: usize) -> usize {
 /// service path builds or reads one — every run answers edge queries inside
 /// per-task [`crate::LocalGraph`]s. Its only caller is the benchmark of
 /// record, which times `build`, `has_edge` and `common_neighbor_count` for
-/// its `graph.index_*` rows; it goes away with those rows (ROADMAP item 4).
+/// its `graph.index_*` rows; it goes away with those rows (ROADMAP item 9,
+/// which re-anchors the benchmark).
 #[derive(Clone, Debug)]
 pub struct NeighborhoodIndex {
     graph: Arc<Graph>,

@@ -14,9 +14,13 @@
 //!   (Algorithm 8's size threshold), or after τ_time, the paper's
 //!   **time-delayed task decomposition** (Algorithms 9–10).
 //! * [`ParallelMiner`] is the one-call front end: configure γ, τ_size,
-//!   τ_split, τ_time and the simulated cluster shape, call
+//!   τ_split, τ_time, the cluster shape and its transport, call
 //!   [`ParallelMiner::mine`], get back the maximal quasi-cliques plus the
-//!   engine metrics used to regenerate the paper's tables and figures.
+//!   engine metrics used to regenerate the paper's tables and figures. The
+//!   same call runs live worker threads or, under
+//!   [`qcm_engine::TransportFactory::Sim`], the deterministic fault
+//!   simulator; a run that lost work publishes only sets it can prove
+//!   maximal.
 //!
 //! ```
 //! use qcm_core::MiningParams;
@@ -44,11 +48,9 @@ pub mod mine;
 #[cfg(test)]
 mod reference;
 pub mod runner;
-pub mod sim;
 pub mod task;
 
 pub use app::QuasiCliqueApp;
 pub use mine::{DecompositionStrategy, MineOutcome};
 pub use runner::{ParallelMiner, ParallelMiningOutput};
-pub use sim::{SimMiner, SimMiningOutput};
 pub use task::{QCTask, TaskPhase};

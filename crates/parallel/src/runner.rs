@@ -1,9 +1,9 @@
 //! High-level parallel mining API.
 //!
 //! [`ParallelMiner`] wires the quasi-clique application to the reforged
-//! engine, runs the job on the simulated cluster, and post-processes the raw
-//! reports into the final maximal result set — the same pipeline the paper's
-//! experiments use (Section 7), exposed as one call.
+//! engine, runs the job on the cluster its [`EngineConfig`] describes, and
+//! post-processes the raw reports into the final maximal result set — the
+//! same pipeline the paper's experiments use (Section 7), exposed as one call.
 //!
 //! One step comes first that the paper leaves to its tasks: the input is
 //! peeled to its k-core, `k = ⌈γ·(τ_size − 1)⌉`, *before* the engine
@@ -18,6 +18,19 @@
 //! pulled by no task, and a degree read by `spawn` or an iteration filter is
 //! an exact core degree. The published sets are still validated against the
 //! graph the caller passed in (`finalize_results`).
+//!
+//! The transport picks the engine's driver. Under
+//! [`TransportFactory::Sim`] the job runs on the deterministic fault
+//! simulator, and one seed plus one fault scenario replays byte-identically.
+//! Determinism needs two deviations from a live run, both applied by
+//! [`ParallelMiner::mine`]: decomposition is forced to
+//! [`DecompositionStrategy::SizeThreshold`], since time-delayed decomposition
+//! consults the wall clock, and the cancel token is not wired in — the run is
+//! bounded by [`qcm_engine::SimConfig::max_virtual_us`] instead.
+//!
+//! A run of either driver that lost work keeps the partial-result contract
+//! (`retain_provably_maximal`): it publishes only sets the complete run
+//! reports too.
 
 use crate::app::QuasiCliqueApp;
 use crate::mine::DecompositionStrategy;
@@ -25,25 +38,36 @@ use qcm_core::{
     is_valid_quasi_clique, remove_non_maximal, CancelToken, MiningParams, PruneConfig,
     QuasiCliqueSet, QuasiCliqueSink, RunOutcome,
 };
-use qcm_engine::{Cluster, EngineConfig, EngineMetrics};
+use qcm_engine::{Cluster, EngineConfig, EngineMetrics, Replay, TransportFactory};
 use qcm_graph::kcore::k_core_masked_with_vertices;
-use qcm_graph::{Graph, IndexSpec, VertexId};
+use qcm_graph::{Graph, VertexId};
 use qcm_obs::clock::Instant;
 use qcm_sync::Arc;
+use std::collections::HashSet;
 use std::time::Duration;
 
 /// Output of a parallel mining run.
 #[derive(Clone, Debug)]
 pub struct ParallelMiningOutput {
-    /// The final maximal quasi-cliques.
+    /// The final maximal quasi-cliques. When work was lost
+    /// ([`RunOutcome::Faulted`]) this is a *partial* result: every set in it
+    /// is one the complete run reports too, and a set that a lost root's
+    /// superset could have removed is withheld.
     pub maximal: QuasiCliqueSet,
     /// Number of raw (pre-post-processing) reports emitted by tasks.
     pub raw_reported: u64,
     /// Sets the post-mining validity check dropped before publication.
     /// Anything but 0 is an engine bug the check swallowed.
     pub invalid_sets_dropped: u64,
-    /// Engine metrics (timing, tasks, spilling, stealing, per-task log).
+    /// Engine metrics (timing, tasks, spilling, stealing, per-task log;
+    /// `virtual_time` on the simulator, whose wall `elapsed` measures only
+    /// the simulation itself).
     pub metrics: EngineMetrics,
+    /// The spawned roots whose work was lost for good, sorted.
+    pub lost_roots: Vec<VertexId>,
+    /// The simulator's event log and its hash, the replay-determinism
+    /// witness; `None` on a live run.
+    pub replay: Option<Replay>,
 }
 
 impl ParallelMiningOutput {
@@ -52,10 +76,11 @@ impl ParallelMiningOutput {
         self.metrics.elapsed
     }
 
-    /// Whether the run drained every task or was interrupted by
-    /// cancellation/deadline. An interrupted run's `maximal` holds the valid
-    /// quasi-cliques found before the interruption; some may be non-maximal
-    /// in the full graph (a completed run could replace them with supersets).
+    /// Whether the run drained every task, lost work to a fault, or was
+    /// interrupted by cancellation/deadline. An interrupted run's `maximal`
+    /// holds the valid quasi-cliques found before the interruption; some may
+    /// be non-maximal in the full graph (a completed run could replace them
+    /// with supersets).
     pub fn outcome(&self) -> RunOutcome {
         self.metrics.outcome
     }
@@ -65,11 +90,13 @@ impl ParallelMiningOutput {
 #[derive(Clone, Debug)]
 pub struct ParallelMiner {
     /// The application the engine runs: γ, τ_size, the pruning rules and how
-    /// tasks decompose (τ_split, τ_time, strategy, task row policy). Its
-    /// `cancel` is set per run, from `engine_config.cancel`.
+    /// tasks decompose (τ_split, τ_time, strategy, task row policy). A live
+    /// run sets its `cancel` from `engine_config.cancel`; a simulated one
+    /// forces its strategy to size threshold.
     pub app: QuasiCliqueApp,
     /// Engine/cluster configuration (threads, machines, queues, transport,
-    /// cancellation).
+    /// cancellation). The transport picks the driver; the simulator models
+    /// one thread per machine.
     pub engine_config: EngineConfig,
 }
 
@@ -100,27 +127,17 @@ impl ParallelMiner {
         self
     }
 
-    /// Chooses the row policy of task subgraphs (default [`IndexSpec::Auto`]).
-    pub fn with_index(mut self, index: IndexSpec) -> Self {
-        self.app.index = index;
-        self
-    }
-
-    /// Overrides the pruning configuration.
-    pub fn with_prune_config(mut self, config: PruneConfig) -> Self {
-        self.app.prune_config = config;
-        self
-    }
-
     /// Attaches a cancellation token, polled both by the engine's worker pop
     /// loops and inside each task's backtracking, so a cancelled or
-    /// deadline-hit run returns the partial results emitted so far.
+    /// deadline-hit run returns the partial results emitted so far. A
+    /// simulated run ignores it.
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.engine_config.cancel = cancel;
         self
     }
 
-    /// Mines all maximal γ-quasi-cliques of `graph` on the simulated cluster.
+    /// Mines all maximal γ-quasi-cliques of `graph` on the configured
+    /// cluster.
     pub fn mine(&self, graph: Arc<Graph>) -> ParallelMiningOutput {
         self.mine_impl(graph, None)
     }
@@ -143,35 +160,43 @@ impl ParallelMiner {
         graph: Arc<Graph>,
         observer: Option<&mut dyn QuasiCliqueSink>,
     ) -> ParallelMiningOutput {
-        let app = self
-            .app
-            .clone()
-            .with_cancel(self.engine_config.cancel.clone());
+        let mut app = self.app.clone();
+        match self.engine_config.transport {
+            // Deterministic replay; see the module docs.
+            TransportFactory::Sim(_) => app.strategy = DecompositionStrategy::SizeThreshold,
+            TransportFactory::InProc { .. } => app.cancel = self.engine_config.cancel.clone(),
+        }
         let (params, prune) = (&self.app.params, &self.app.prune_config);
         let cluster = Cluster::new(Arc::new(app), self.engine_config.clone());
         let (core, vertices, peel_time) = peel_to_core(&graph, params, prune);
-        let mut output = cluster.run(core, vertices);
+        let mut output = cluster.run(core.clone(), vertices);
         output.metrics.elapsed += peel_time;
         let raw_reported = output.metrics.results_emitted;
-        let (maximal, invalid_sets_dropped) =
+        let (mut maximal, invalid_sets_dropped) =
             finalize_results(output.results, &graph, params, observer);
+        // A root with no neighbour in the mined graph never spawns a task:
+        // losing it loses nothing.
+        output.lost_roots.retain(|&root| core.degree(root) > 0);
+        retain_provably_maximal(&mut maximal, &output.lost_roots, &graph, params);
         ParallelMiningOutput {
             maximal,
             raw_reported,
             invalid_sets_dropped,
             metrics: output.metrics,
+            lost_roots: output.lost_roots,
+            replay: output.replay,
         }
     }
 }
 
-/// The pre-processing both miners share: the graph the engine runs on is the
-/// k-core of the caller's graph in the caller's id space, and the vertex
-/// list its table holds is the core's ([`k_core_masked_with_vertices`]). So
-/// a root that cannot hold a result is never spawned, and every degree the
-/// application reads is a core degree. Follows [`PruneConfig::size_threshold`],
-/// as the serial miner's peel does; without it the engine holds every vertex.
+/// The pre-processing: the graph the engine runs on is the k-core of the
+/// caller's graph in the caller's id space, and the vertex list its table
+/// holds is the core's ([`k_core_masked_with_vertices`]). So a root that
+/// cannot hold a result is never spawned, and every degree the application
+/// reads is a core degree. Follows [`PruneConfig::size_threshold`], as the
+/// serial miner's peel does; without it the engine holds every vertex.
 /// Returns the time spent too: it belongs to the run's `elapsed`.
-pub(crate) fn peel_to_core(
+fn peel_to_core(
     graph: &Arc<Graph>,
     params: &MiningParams,
     prune: &PruneConfig,
@@ -185,11 +210,11 @@ pub(crate) fn peel_to_core(
     (core, vertices, started.elapsed())
 }
 
-/// The post-processing both miners share: collect the raw reports (feeding
-/// `observer` each row), keep the maximal sets, then trust-but-verify against
-/// `graph`, the caller's graph. Returns the final set and how many invalid
-/// sets the check dropped.
-pub(crate) fn finalize_results(
+/// The post-processing: collect the raw reports (feeding `observer` each
+/// row), keep the maximal sets, then trust-but-verify against `graph`, the
+/// caller's graph. Returns the final set and how many invalid sets the check
+/// dropped.
+fn finalize_results(
     results: Vec<Vec<VertexId>>,
     graph: &Graph,
     params: &MiningParams,
@@ -219,30 +244,42 @@ pub(crate) fn finalize_results(
     (maximal, dropped)
 }
 
+/// The partial-result contract of a faulted run: keeps the sets that are
+/// maximal whatever the `lost` roots would have reported. A root mines exactly
+/// the quasi-cliques whose smallest member it is, so the superset that would
+/// remove a reported set can only be missing if a lost root is smaller than
+/// all the set's members — and, for γ ≥ 1/2 (diameter ≤ 2), within two hops of
+/// each of them.
+fn retain_provably_maximal(
+    maximal: &mut QuasiCliqueSet,
+    lost: &[VertexId],
+    graph: &Graph,
+    params: &MiningParams,
+) {
+    let two_hops = params.gamma.diameter_two_applies();
+    for &root in lost {
+        let near = graph.neighbors(root);
+        let two_away = near.iter().flat_map(|&u| graph.neighbors(u));
+        let reach: HashSet<&VertexId> = two_away.chain(near).collect();
+        let in_reach = |set: &[VertexId]| set.iter().all(|v| reach.contains(v));
+        maximal.retain_sets(|set| set[0] < root || (two_hops && !in_reach(set)));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use qcm_core::SerialMiner;
+    use qcm_engine::SimConfig;
 
     fn figure4() -> Arc<Graph> {
-        let edges = [
-            (0, 1),
-            (0, 2),
-            (0, 3),
-            (0, 4),
-            (1, 2),
-            (1, 4),
-            (2, 3),
-            (2, 4),
-            (3, 4),
-            (1, 5),
-            (5, 6),
-            (2, 6),
-            (3, 7),
-            (7, 8),
-            (3, 8),
-        ];
-        Arc::new(Graph::from_edges(9, edges.iter().copied()).unwrap())
+        Arc::new(crate::iterations::tests::figure4())
+    }
+
+    /// A miner on the fault simulator with `machines` machines.
+    fn simulated(params: MiningParams, machines: usize, sim: SimConfig) -> ParallelMiner {
+        let config = EngineConfig::cluster(machines, 1).with_transport(TransportFactory::Sim(sim));
+        ParallelMiner::new(params, config)
     }
 
     #[test]
@@ -366,5 +403,90 @@ mod tests {
         let multi = ParallelMiner::new(params, EngineConfig::cluster(3, 2)).mine(g.clone());
         assert_eq!(single.maximal, multi.maximal);
         assert!(multi.raw_reported >= multi.maximal.len() as u64);
+    }
+
+    #[test]
+    fn fault_free_sim_matches_serial() {
+        let g = figure4();
+        for (gamma, min_size) in [(0.6, 5), (0.9, 4)] {
+            let params = MiningParams::new(gamma, min_size);
+            let serial = SerialMiner::new(params).mine(&g);
+            let sim = simulated(params, 3, SimConfig::new(17)).mine(g.clone());
+            assert_eq!(sim.outcome(), RunOutcome::Complete);
+            assert_eq!(
+                sim.maximal, serial.maximal,
+                "sim/serial mismatch at gamma={gamma} min_size={min_size}"
+            );
+        }
+    }
+
+    #[test]
+    fn mining_replays_byte_identically() {
+        let g = figure4();
+        let params = MiningParams::new(0.6, 5);
+        let mk = || {
+            let crash = SimConfig::crash_scenario(99, 2, 2_000, Some(25_000));
+            simulated(params, 4, crash).mine(g.clone())
+        };
+        let a = mk();
+        let b = mk();
+        let (a_log, b_log) = (a.replay.expect("simulated"), b.replay.expect("simulated"));
+        assert_eq!(a_log.log_hash, b_log.log_hash);
+        assert_eq!(a_log.event_log, b_log.event_log);
+        assert_eq!(a.maximal, b.maximal);
+        assert_eq!(a.metrics.outcome, b.metrics.outcome);
+    }
+
+    #[test]
+    fn crash_with_restart_still_matches_serial() {
+        let g = figure4();
+        let params = MiningParams::new(0.6, 5);
+        let serial = SerialMiner::new(params).mine(&g);
+        let crash = SimConfig::crash_scenario(5, 1, 1_000, Some(30_000));
+        let sim = simulated(params, 3, crash).mine(g.clone());
+        assert_eq!(sim.outcome(), RunOutcome::Complete);
+        assert_eq!(sim.maximal, serial.maximal);
+    }
+
+    #[test]
+    fn only_sets_a_lost_root_cannot_extend_are_kept() {
+        // A path 0–1–2–3–4: vertex 0 reaches {1, 2} within two hops.
+        let path = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]).unwrap();
+        let ids = |raw: &[u32]| raw.iter().map(|&v| VertexId::new(v)).collect::<Vec<_>>();
+        let reported = || {
+            let mut set = QuasiCliqueSet::new();
+            for members in [&[1, 2][..], &[2, 3], &[3, 4]] {
+                set.insert(ids(members));
+            }
+            set
+        };
+        let kept = |lost: &[u32], gamma: f64| {
+            let mut set = reported();
+            let params = MiningParams::new(gamma, 2);
+            retain_provably_maximal(&mut set, &ids(lost), &path, &params);
+            set.into_sorted_vec()
+        };
+        assert_eq!(kept(&[], 0.8), reported().into_sorted_vec());
+        // Lost root 0 could head a superset of {1, 2} only.
+        assert_eq!(kept(&[0], 0.8), vec![ids(&[2, 3]), ids(&[3, 4])]);
+        // A lost root never extends a set with a smaller member; its own
+        // set {2, 3} and {3, 4}, which it reaches, go.
+        assert_eq!(kept(&[2], 0.8), vec![ids(&[1, 2])]);
+        // Below γ = 1/2 distance proves nothing: every later set goes.
+        assert_eq!(kept(&[0], 0.4), Vec::<Vec<VertexId>>::new());
+    }
+
+    #[test]
+    fn results_are_valid_even_under_faults() {
+        let g = figure4();
+        let params = MiningParams::new(0.6, 5);
+        let crash = SimConfig::crash_scenario(7, 1, 1_000, None);
+        let sim = simulated(params, 3, crash).mine(g.clone());
+        // Completion is not guaranteed, but every surviving answer must be a
+        // valid quasi-clique (partial-result contract).
+        let serial = SerialMiner::new(params).mine(&g);
+        for members in sim.maximal.iter() {
+            assert!(serial.maximal.iter().any(|s| s == members));
+        }
     }
 }

@@ -93,12 +93,13 @@
 //!
 //! ## Distribution & fault testing
 //!
-//! `Backend::Parallel` carries a [`TransportKind`]: the default in-process
-//! transport, a strict serialising variant, or
-//! [`TransportKind::Sim`] — a deterministic discrete-event fault simulator
+//! `Backend::Parallel` carries the engine's [`TransportFactory`]: the default
+//! in-process transport, a strict serialising variant, or
+//! [`TransportFactory::Sim`] — a deterministic discrete-event fault simulator
 //! that replays a seeded 64-machine crash/straggler/partition scenario
-//! byte-identically. See the README's "Distribution & fault testing" section
-//! and `tests/fault_scenarios.rs`.
+//! byte-identically. The same `ParallelMiner` runs all three; the transport
+//! picks the engine's driver. See the README's "Distribution & fault testing"
+//! section and `tests/fault_scenarios.rs`.
 
 pub mod session;
 
@@ -111,7 +112,7 @@ pub use qcm_parallel as parallel;
 pub use qcm_core::{
     CancelReason, CancelToken, CollectingSink, QcmError, QueryKey, ResultSink, RunOutcome,
 };
-pub use qcm_engine::{Fault, FaultEvent, SimConfig, TransportKind};
+pub use qcm_engine::{Fault, FaultEvent, SimConfig, TransportFactory};
 pub use qcm_graph::{IndexSpec, NeighborhoodIndex, VertexBitSet};
 pub use qcm_obs::{SpanKind, Trace, TraceConfig};
 pub use session::{Backend, BackendStats, MiningReport, PreparedGraph, Session, SessionBuilder};
@@ -122,7 +123,7 @@ pub mod prelude {
         Backend, BackendStats, CancelReason, CancelToken, CollectingSink, MiningReport, QcmError,
         ResultSink, RunOutcome, Session, SessionBuilder,
     };
-    pub use crate::{Fault, FaultEvent, IndexSpec, SimConfig, TransportKind};
+    pub use crate::{Fault, FaultEvent, IndexSpec, SimConfig, TransportFactory};
     pub use crate::{SpanKind, Trace, TraceConfig};
     pub use qcm_core::api::{
         ApiError, ErrorCode, GraphInfo, JobView, SubmitRequest, SubmitResponse, ERROR_CODE_TABLE,

@@ -33,10 +33,10 @@ use qcm_core::{
     CancelToken, CandidateForwarder, MiningParams, MiningStats, PruneConfig, QcmError,
     QuasiCliqueSet, ResultSink, RunOutcome, SerialMiner,
 };
-use qcm_engine::{EngineConfig, EngineMetrics, SimConfig, TransportFactory, TransportKind};
+use qcm_engine::{EngineConfig, EngineMetrics, TransportFactory};
 use qcm_graph::{Graph, IndexSpec};
 use qcm_obs::{SpanKind, Trace, TraceConfig};
-use qcm_parallel::{ParallelMiner, QuasiCliqueApp, SimMiner};
+use qcm_parallel::{ParallelMiner, QuasiCliqueApp};
 use qcm_sync::Arc;
 use std::time::Duration;
 
@@ -56,9 +56,10 @@ pub enum Backend {
         machines: usize,
         /// How messages move between machines: the zero-copy in-process
         /// transport (default), its strict serialising variant, or the
-        /// deterministic fault simulator ([`TransportKind::Sim`], which runs
-        /// the job in virtual time under a seeded fault scenario).
-        transport: TransportKind,
+        /// deterministic fault simulator ([`TransportFactory::Sim`], which
+        /// runs the job in virtual time under a seeded fault scenario, one
+        /// thread per machine, ignoring wall-clock deadlines).
+        transport: TransportFactory,
     },
 }
 
@@ -70,7 +71,7 @@ impl Backend {
         Backend::Parallel {
             threads,
             machines,
-            transport: TransportKind::default(),
+            transport: TransportFactory::default(),
         }
     }
 }
@@ -174,7 +175,6 @@ pub struct SessionBuilder {
     balance_period: Option<Duration>,
     cancel: Option<CancelToken>,
     index: IndexSpec,
-    transport: Option<TransportKind>,
     tracing: Option<TraceConfig>,
 }
 
@@ -191,7 +191,6 @@ impl Default for SessionBuilder {
             balance_period: None,
             cancel: None,
             index: IndexSpec::Auto,
-            transport: None,
             tracing: None,
         }
     }
@@ -247,8 +246,8 @@ impl SessionBuilder {
 
     /// Decomposition timeout τ_time (parallel backend). A live run
     /// decomposes time-delayed (Algorithm 10); a simulated one
-    /// ([`TransportKind::Sim`]) by size threshold (Algorithm 8), which keeps it
-    /// replayable and reads no τ_time.
+    /// ([`TransportFactory::Sim`]) by size threshold (Algorithm 8), which keeps
+    /// it replayable and reads no τ_time.
     pub fn tau_time(mut self, tau_time: Duration) -> Self {
         self.tau_time = tau_time;
         self
@@ -279,21 +278,6 @@ impl SessionBuilder {
     /// whole graph.
     pub fn neighborhood_index(mut self, index: IndexSpec) -> Self {
         self.index = index;
-        self
-    }
-
-    /// Selects the inter-machine transport of the parallel backend,
-    /// overriding whatever the [`SessionBuilder::backend`] call carried.
-    /// Requires [`Backend::Parallel`]; [`SessionBuilder::build`] rejects the
-    /// combination with [`Backend::Serial`].
-    ///
-    /// [`TransportKind::Sim`] runs the job on the deterministic fault
-    /// simulator: virtual time, seeded latency/drops, scripted crashes. Sim
-    /// runs ignore wall-clock deadlines (bounded by
-    /// [`SimConfig::max_virtual_us`] instead) and do not stream raw
-    /// candidates to a [`ResultSink`] (maximal results are still delivered).
-    pub fn transport(mut self, transport: TransportKind) -> Self {
-        self.transport = Some(transport);
         self
     }
 
@@ -338,20 +322,9 @@ impl SessionBuilder {
                 MiningParams::new(gamma, self.min_size)
             }
         };
-        let mut backend = self.backend;
-        if let Some(kind) = self.transport {
-            match &mut backend {
-                Backend::Parallel { transport, .. } => *transport = kind,
-                Backend::Serial => {
-                    return Err(QcmError::InvalidConfig(
-                        "transport selection requires the parallel backend".into(),
-                    ));
-                }
-            }
-        }
         if let Backend::Parallel {
             threads, machines, ..
-        } = &backend
+        } = &self.backend
         {
             if *threads == 0 {
                 return Err(QcmError::InvalidConfig(
@@ -367,7 +340,7 @@ impl SessionBuilder {
         Ok(Session {
             params,
             prune: self.prune,
-            backend,
+            backend: self.backend,
             deadline: self.deadline,
             tau_split: self.tau_split,
             tau_time: self.tau_time,
@@ -404,7 +377,7 @@ pub struct Session {
 /// reads the whole graph as CSR adjacency lists and builds bitset rows per
 /// task, so there is no per-graph state to prepare. The type exists for the
 /// benchmark of record (`benchmark/src/rounds.rs`), its only caller, and goes
-/// away with that call (ROADMAP item 4).
+/// away with that call (ROADMAP item 9, which re-anchors the benchmark).
 #[derive(Clone, Debug)]
 pub struct PreparedGraph {
     graph: Arc<Graph>,
@@ -551,28 +524,20 @@ impl Session {
         graph: &Arc<Graph>,
         threads: usize,
         machines: usize,
-        transport: &TransportKind,
+        transport: &TransportFactory,
         cancel: CancelToken,
         sink: Option<&'a mut (dyn ResultSink + 'b)>,
     ) -> MiningReport {
-        if let TransportKind::Sim(sim) = transport {
-            return self.run_sim(graph, threads, machines, sim.clone());
-        }
-        let factory = match transport {
-            TransportKind::InProc => TransportFactory::in_proc(),
-            TransportKind::InProcStrict => TransportFactory::strict(),
-            TransportKind::Sim(_) => unreachable!("handled above"),
-        };
-        let mut config = EngineConfig::cluster(machines, threads)
+        let mut engine_config = EngineConfig::cluster(machines, threads)
             .with_cancel(cancel)
-            .with_transport(factory);
+            .with_transport(transport.clone());
         if let Some(period) = self.balance_period {
-            config.balance_period = period;
+            engine_config.balance_period = period;
         }
-        let miner = ParallelMiner::new(self.params, config)
-            .with_decomposition(self.tau_split, self.tau_time)
+        let app = QuasiCliqueApp::new(self.params, self.tau_split, self.tau_time)
             .with_index(self.index)
             .with_prune_config(self.prune);
+        let miner = ParallelMiner { app, engine_config };
         let output = match sink {
             None => miner.mine(graph.clone()),
             Some(sink) => {
@@ -587,36 +552,6 @@ impl Session {
             raw_reported: output.raw_reported,
             elapsed,
             outcome,
-            stats: BackendStats::Parallel {
-                metrics: Box::new(output.metrics),
-            },
-            trace: None,
-        }
-    }
-
-    /// Runs the job on the deterministic fault simulator
-    /// ([`TransportKind::Sim`]). Thread counts are not modelled and
-    /// wall-clock cancellation is ignored — the run is bounded by the
-    /// scenario's virtual-time horizon; a scenario that loses work
-    /// permanently yields [`RunOutcome::Faulted`] with the surviving valid
-    /// results.
-    fn run_sim(
-        &self,
-        graph: &Arc<Graph>,
-        _threads: usize,
-        machines: usize,
-        sim: SimConfig,
-    ) -> MiningReport {
-        let miner = SimMiner::new(self.params, EngineConfig::cluster(machines, 1), sim)
-            .with_tau_split(self.tau_split)
-            .with_index(self.index)
-            .with_prune_config(self.prune);
-        let output = miner.mine(graph.clone());
-        MiningReport {
-            maximal: output.maximal,
-            raw_reported: output.raw_reported,
-            elapsed: output.metrics.elapsed,
-            outcome: output.outcome,
             stats: BackendStats::Parallel {
                 metrics: Box::new(output.metrics),
             },

@@ -166,3 +166,47 @@ fn dropped_pulls_are_retried_until_the_results_are_correct() {
     );
     assert_eq!(out.metrics.pull_failures, 0, "retries must eventually win");
 }
+
+/// The partial-result contract holds on the live driver too: a pull that
+/// runs out of retries abandons its task, names the task's root in
+/// `lost_roots`, and every set the run still publishes is one the serial
+/// miner proves maximal. Drops land on whichever tasks pull first, so sweep
+/// how many are armed.
+#[test]
+fn live_faulted_runs_report_only_serial_maximal_sets() {
+    // The planted graph of `tests/fault_scenarios.rs`.
+    let spec = PlantedGraphSpec {
+        num_vertices: 400,
+        background_avg_degree: 5.0,
+        background_beta: 2.5,
+        background_max_degree: 40.0,
+        community_sizes: vec![10, 9, 8, 10, 9, 8, 10, 9, 8],
+        community_density: 0.95,
+        seed: 99,
+    };
+    let graph = Arc::new(qcm::gen::plant_quasi_cliques(&spec).0);
+    let params = MiningParams::new(0.8, 8);
+    let serial = SerialMiner::new(params).mine(&graph);
+    let mut faulted = 0;
+    for drops in [1, 2, 3, 5, 8, 13, 21, 34] {
+        let mut config = EngineConfig::cluster(3, 1)
+            .with_transport(TransportFactory::strict().with_pull_drops(drops));
+        config.pull_retries = 0;
+        config.pull_timeout = Duration::from_millis(1);
+        let out = ParallelMiner::new(params, config).mine(graph.clone());
+        if out.outcome() == RunOutcome::Faulted {
+            faulted += 1;
+            assert!(!out.lost_roots.is_empty(), "{drops} drops: no root named");
+        }
+        for members in out.maximal.iter() {
+            assert!(
+                serial.maximal.contains(members),
+                "{drops} drops ({:?}, lost {:?}): {members:?} is not maximal",
+                out.outcome(),
+                out.lost_roots
+            );
+        }
+        assert_eq!(out.invalid_sets_dropped, 0, "{drops} drops");
+    }
+    assert!(faulted > 0, "armed drops with no retry must fault a run");
+}

@@ -1,6 +1,6 @@
 //! The fault-scenario suite: mid-mine crash, slow straggler and partitioned
 //! steal victim, driven through the deterministic discrete-event simulator
-//! (`TransportKind::Sim`) on a 4-machine cluster.
+//! (`TransportFactory::Sim`) on a 4-machine cluster.
 //!
 //! Every scenario is run from fixed seeds and asserts
 //!
@@ -23,10 +23,10 @@
 
 use proptest::prelude::*;
 use qcm::core::{MiningParams, SerialMiner};
-use qcm::engine::EngineConfig;
+use qcm::engine::{EngineConfig, Replay};
 use qcm::graph::Graph;
-use qcm::parallel::{SimMiner, SimMiningOutput};
-use qcm::{RunOutcome, SimConfig};
+use qcm::parallel::{ParallelMiner, ParallelMiningOutput};
+use qcm::{RunOutcome, SimConfig, TransportFactory};
 use qcm_sync::Arc;
 use std::fs;
 use std::path::PathBuf;
@@ -81,26 +81,38 @@ fn selected(name: &str, seed: u64) -> bool {
     scenario_ok && seed_ok
 }
 
-fn run_sim(graph: &Arc<Graph>, params: MiningParams, sim: SimConfig) -> SimMiningOutput {
-    SimMiner::new(params, EngineConfig::cluster(MACHINES, 1), sim)
-        .with_tau_split(30)
-        .mine(graph.clone())
+/// A miner on the fault simulator with τ_split 30, on the cluster `config`
+/// describes.
+fn sim_miner(params: MiningParams, config: EngineConfig, sim: SimConfig) -> ParallelMiner {
+    let mut miner = ParallelMiner::new(params, config.with_transport(TransportFactory::Sim(sim)));
+    miner.app.tau_split = 30;
+    miner
+}
+
+fn run_sim(graph: &Arc<Graph>, params: MiningParams, sim: SimConfig) -> ParallelMiningOutput {
+    sim_miner(params, EngineConfig::cluster(MACHINES, 1), sim).mine(graph.clone())
+}
+
+fn replay(out: &ParallelMiningOutput) -> &Replay {
+    out.replay
+        .as_ref()
+        .expect("a simulated run has an event log")
 }
 
 /// Writes the run's event log under `$CARGO_TARGET_TMPDIR/fault-logs/` so a
 /// failing CI cell can upload it for offline replay analysis.
-fn dump_log(name: &str, seed: u64, out: &SimMiningOutput) {
+fn dump_log(name: &str, seed: u64, out: &ParallelMiningOutput) {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("fault-logs");
     if fs::create_dir_all(&dir).is_err() {
         return;
     }
     let header = format!(
         "# scenario={name} seed={seed} outcome={:?} hash={:016x} virtual={}us\n",
-        out.outcome,
-        out.log_hash,
-        out.virtual_time.as_micros()
+        out.outcome(),
+        replay(out).log_hash,
+        out.metrics.virtual_time.unwrap_or_default().as_micros()
     );
-    let body = out.event_log.join("\n");
+    let body = replay(out).event_log.join("\n");
     let _ = fs::write(
         dir.join(format!("{name}-seed{seed}.log")),
         header + &body + "\n",
@@ -120,7 +132,7 @@ fn recoverable_scenarios_match_the_serial_miner() {
             let out = run_sim(&graph, params, scenario(name, seed));
             dump_log(name, seed, &out);
             assert_eq!(
-                out.outcome,
+                out.outcome(),
                 RunOutcome::Complete,
                 "{name} seed {seed} must recover to completion"
             );
@@ -147,16 +159,18 @@ fn every_scenario_replays_byte_identically_from_its_seed() {
             let first = run_sim(&graph, params, scenario(name, seed));
             let again = run_sim(&graph, params, scenario(name, seed));
             assert_eq!(
-                first.log_hash, again.log_hash,
+                replay(&first).log_hash,
+                replay(&again).log_hash,
                 "{name} seed {seed}: event-log hash diverged across replays"
             );
             assert_eq!(
-                first.event_log, again.event_log,
+                replay(&first).event_log,
+                replay(&again).event_log,
                 "{name} seed {seed}: event logs diverged with equal hashes"
             );
             assert_eq!(first.maximal, again.maximal);
-            assert_eq!(first.outcome, again.outcome);
-            assert_eq!(first.virtual_time, again.virtual_time);
+            assert_eq!(first.outcome(), again.outcome());
+            assert_eq!(first.metrics.virtual_time, again.metrics.virtual_time);
         }
     }
 }
@@ -166,7 +180,7 @@ fn distinct_seeds_schedule_distinct_histories() {
     let (graph, params) = planted();
     let hashes: Vec<u64> = SEEDS
         .iter()
-        .map(|&seed| run_sim(&graph, params, scenario("crash", seed)).log_hash)
+        .map(|&seed| replay(&run_sim(&graph, params, scenario("crash", seed))).log_hash)
         .collect();
     assert_ne!(hashes[0], hashes[1]);
     assert_ne!(hashes[1], hashes[2]);
@@ -185,7 +199,7 @@ fn unrecoverable_crash_reports_labelled_partial_results() {
         SimConfig::crash_scenario(42, 1, 2_000, None),
     );
     dump_log("crash-norestart", 42, &out);
-    match out.outcome {
+    match out.outcome() {
         RunOutcome::Complete => {
             assert_eq!(out.maximal, serial.maximal);
             assert_eq!(out.invalid_sets_dropped, 0);
@@ -222,10 +236,10 @@ fn faulted_runs_report_only_serial_maximal_sets_at_every_crash_instant() {
                 assert!(
                     serial.maximal.iter().any(|s| s == members),
                     "seed {seed}, crash at {crash_at_us}us ({:?}): {members:?} is not maximal",
-                    out.outcome
+                    out.outcome()
                 );
             }
-            if out.outcome == RunOutcome::Faulted {
+            if out.outcome() == RunOutcome::Faulted {
                 partial_sets += out.maximal.len();
             }
         }
@@ -247,15 +261,13 @@ fn tiny_queues_spill_and_recover_under_a_crash() {
     config.batch_size = 2;
     config.local_capacity = 2;
     config.global_queue_capacity = 2;
-    let out = SimMiner::new(params, config, scenario("crash", 42))
-        .with_tau_split(30)
-        .mine(graph.clone());
+    let out = sim_miner(params, config, scenario("crash", 42)).mine(graph.clone());
     dump_log("crash-tiny-queues", 42, &out);
     assert!(
         out.metrics.spill_bytes_written > 0,
         "two-slot queues must spill in the simulator too"
     );
-    assert_eq!(out.outcome, RunOutcome::Complete);
+    assert_eq!(out.outcome(), RunOutcome::Complete);
     assert_eq!(out.maximal, serial.maximal);
     assert_eq!(out.invalid_sets_dropped, 0);
 }
@@ -303,12 +315,13 @@ proptest! {
         let sim = SimConfig::new(seed)
             .with_drop_probability(f64::from(drop_millis) / 1_000.0)
             .with_latency(latency_us, jitter_us);
-        let out = SimMiner::new(params, EngineConfig::cluster(3, 1), sim).mine(graph.clone());
+        let config = EngineConfig::cluster(3, 1).with_transport(TransportFactory::Sim(sim));
+        let out = ParallelMiner::new(params, config).mine(graph.clone());
         prop_assert!(
-            matches!(out.outcome, RunOutcome::Complete | RunOutcome::Faulted),
-            "unexpected outcome {:?}", out.outcome
+            matches!(out.outcome(), RunOutcome::Complete | RunOutcome::Faulted),
+            "unexpected outcome {:?}", out.outcome()
         );
-        if out.outcome == RunOutcome::Complete {
+        if out.outcome() == RunOutcome::Complete {
             let serial = SerialMiner::new(params).mine(&graph);
             prop_assert_eq!(out.maximal, serial.maximal);
             prop_assert_eq!(out.invalid_sets_dropped, 0);

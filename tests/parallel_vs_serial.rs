@@ -162,7 +162,6 @@ fn validity_net_drops_nothing_on_any_cluster_shape() {
 /// serial miner reports.
 #[test]
 fn peeling_to_the_core_first_never_changes_the_answer() {
-    use qcm::engine::TransportFactory;
     let planted = PlantedGraphSpec {
         num_vertices: 90,
         background_avg_degree: 4.0,
@@ -200,9 +199,9 @@ fn peeling_to_the_core_first_never_changes_the_answer() {
                 for (shape, config) in &shapes {
                     let case = format!("{name} γ={gamma} τ={min_size} {shape}");
                     let peeled = ParallelMiner::new(params, config.clone()).mine(graph.clone());
-                    let plain = ParallelMiner::new(params, config.clone())
-                        .with_prune_config(unpeeled)
-                        .mine(graph.clone());
+                    let mut unpeeled_miner = ParallelMiner::new(params, config.clone());
+                    unpeeled_miner.app.prune_config = unpeeled;
+                    let plain = unpeeled_miner.mine(graph.clone());
                     assert!(peeled.outcome().is_complete(), "{case}");
                     assert_eq!(peeled.invalid_sets_dropped, 0, "{case}");
                     assert_eq!(plain.invalid_sets_dropped, 0, "{case} (no peel)");
@@ -281,8 +280,9 @@ fn simulated_and_live_miners_agree_on_a_complete_run() {
     let live = ParallelMiner::new(params, config.clone())
         .with_strategy(DecompositionStrategy::SizeThreshold)
         .mine(graph.clone());
-    let sim = qcm::parallel::SimMiner::new(params, config, SimConfig::new(3)).mine(graph.clone());
-    assert_eq!(sim.outcome, RunOutcome::Complete);
+    let simulated = config.with_transport(TransportFactory::Sim(SimConfig::new(3)));
+    let sim = ParallelMiner::new(params, simulated).mine(graph.clone());
+    assert_eq!(sim.outcome(), RunOutcome::Complete);
     assert!(!live.maximal.is_empty());
     assert_eq!(sim.maximal, live.maximal);
     assert_eq!(sim.invalid_sets_dropped, 0);

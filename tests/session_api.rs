@@ -177,20 +177,6 @@ fn streaming_run_matches_plain_run_and_orders_maximal_results() {
 }
 
 #[test]
-fn transport_selection_requires_the_parallel_backend() {
-    let err = Session::builder()
-        .gamma(0.8)
-        .min_size(8)
-        .transport(TransportKind::InProcStrict)
-        .build()
-        .unwrap_err();
-    let QcmError::InvalidConfig(msg) = err else {
-        panic!("expected InvalidConfig for transport on the serial backend");
-    };
-    assert!(msg.contains("transport"), "{msg}");
-}
-
-#[test]
 fn strict_transport_agrees_with_default_in_proc() {
     let (graph, base) = planted();
     let default_run = base
@@ -201,8 +187,11 @@ fn strict_transport_agrees_with_default_in_proc() {
         .run(&graph)
         .unwrap();
     let strict_run = base
-        .backend(Backend::parallel(2, 2))
-        .transport(TransportKind::InProcStrict)
+        .backend(Backend::Parallel {
+            threads: 2,
+            machines: 2,
+            transport: TransportFactory::strict(),
+        })
         .build()
         .unwrap()
         .run(&graph)
@@ -216,8 +205,11 @@ fn sim_transport_matches_serial_and_replays_deterministically() {
     let (graph, base) = planted();
     let serial = base.clone().build().unwrap().run(&graph).unwrap();
     let session = base
-        .backend(Backend::parallel(1, 3))
-        .transport(TransportKind::Sim(SimConfig::new(7)))
+        .backend(Backend::Parallel {
+            threads: 1,
+            machines: 3,
+            transport: TransportFactory::Sim(SimConfig::new(7)),
+        })
         .build()
         .unwrap();
     let first = session.run(&graph).unwrap();
