@@ -75,7 +75,7 @@ fn profile_dataset(name: &str) {
     println!("top individual task records:");
     for rec in run.metrics.top_k_task_times(10) {
         println!(
-            "  root {:?}  elapsed {:>12?}  subgraph |V| {:>6}  mining {:?} materialization {:?}",
+            "  root {}  elapsed {:>12?}  subgraph |V| {:>6}  mining {:?} materialization {:?}",
             rec.root,
             rec.elapsed,
             rec.subgraph_size,

@@ -18,11 +18,10 @@ use qcm_bench::report::{mib, seconds, Table};
 use qcm_bench::runner::{default_threads, run_dataset, RunOptions};
 use qcm_bench::scaled;
 use qcm_core::{MiningParams, PruneConfig, SerialMiner};
-use qcm_engine::EngineConfig;
+use qcm_engine::{DecompositionStrategy, EngineConfig, ParallelMiner};
 use qcm_gen::datasets;
 use qcm_gen::DatasetSpec;
 use qcm_graph::GraphStats;
-use qcm_parallel::{DecompositionStrategy, ParallelMiner};
 use qcm_sync::Arc;
 use std::time::Duration;
 

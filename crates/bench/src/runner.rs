@@ -2,9 +2,8 @@
 //! simulated cluster, and collect the columns the paper's tables report.
 
 use qcm_core::MiningParams;
-use qcm_engine::{EngineConfig, EngineMetrics};
+use qcm_engine::{DecompositionStrategy, EngineConfig, EngineMetrics, ParallelMiner};
 use qcm_gen::DatasetSpec;
-use qcm_parallel::{DecompositionStrategy, ParallelMiner};
 use qcm_sync::Arc;
 use std::time::Duration;
 

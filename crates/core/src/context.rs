@@ -4,7 +4,7 @@
 //! walking one task subgraph: the subgraph itself, the mining parameters, the
 //! pruning configuration, the result sink and the statistics counters. The
 //! serial miner (Algorithm 2) and an engine task's mine phase (Algorithms 8
-//! and 10 in `qcm-parallel`) run the same loop over this context, which is
+//! and 10 in `qcm-engine`) run the same loop over this context, which is
 //! what makes the "algorithm-system codesign" reuse possible.
 
 use crate::cancel::CancelToken;

@@ -29,9 +29,9 @@
 //! ([`QcmError`]), deadlines and cancellation ([`CancelToken`]) and streaming
 //! delivery ([`ResultSink`]) on top of these primitives.
 //!
-//! The parallel, task-based version of the algorithm lives in `qcm-parallel`
-//! and runs on the reforged G-thinker-style engine in `qcm-engine`; both reuse
-//! the primitives exported here ([`iterative_bounding()`], [`recursive_mine()`],
+//! The parallel, task-based version of the algorithm runs on the reforged
+//! G-thinker-style engine in `qcm-engine`; the serial and the parallel miner
+//! both reuse the primitives exported here ([`iterative_bounding()`], [`recursive_mine()`],
 //! [`MiningContext`], the bounds and rules modules), which is what the paper
 //! means by algorithm–system codesign.
 

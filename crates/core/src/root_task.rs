@@ -7,7 +7,7 @@
 //! the quasi-clique (P1), all of whose members have ids ≥ `v`, and every
 //! member keeps at least `k = ⌈γ·(τ_size − 1)⌉` neighbors there (P2). The
 //! engine's tasks assemble `t.g` from pulled adjacency lists
-//! (`qcm_parallel::iterations`); [`RootTaskBuilder`] cuts the same subgraph
+//! (`qcm_engine::iterations`); [`RootTaskBuilder`] cuts the same subgraph
 //! out of the serial miner's working graph, so the recursion runs in a
 //! compact index space of a few hundred vertices where every vertex has a
 //! bit row, whatever the size of the input.

@@ -8,7 +8,7 @@
 //! recursive miner (Algorithm 2) on `S = {v}`, `ext(S) = V(t.g) − v` in that
 //! subgraph's own compact index space, where every vertex has a bit row.
 //! Roots whose task subgraph cannot hold a result are skipped. Finally the
-//! non-maximal results are removed. The parallel engine in `qcm-parallel`
+//! non-maximal results are removed. The parallel miner in `qcm-engine`
 //! mines the same task subgraphs and produces exactly the same result set;
 //! tests assert that equivalence.
 

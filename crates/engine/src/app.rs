@@ -1,4 +1,5 @@
-//! The quasi-clique G-thinker application (the two UDFs of Algorithms 4–5).
+//! The quasi-clique application (the two UDFs of Algorithms 4–5) the engine
+//! runs.
 //!
 //! `spawn` and the iteration filters compare `adj.len()` with
 //! `k = ⌈γ·(τ_size − 1)⌉`, as the paper does. What that test means depends on
@@ -9,17 +10,16 @@
 //! spawns nothing.
 
 use crate::iterations::{iteration_1, iteration_2};
-use crate::mine::{run_mine_phase, DecompositionStrategy};
-use crate::task::{QCTask, TaskPhase};
+use crate::mine::{run_mine_phase, DecompositionStrategy, MineOutcome};
+use crate::task::{Frontier, QCTask, TaskPhase, WorkerScratch};
 use qcm_core::{CancelToken, MiningParams, PruneConfig};
-use qcm_engine::{ComputeContext, Frontier, GThinkerApp, TaskLabel};
 use qcm_graph::{IndexSpec, VertexId};
 use std::time::Duration;
 
 /// The maximal quasi-clique mining application, parameterised by the mining
 /// thresholds and the task-decomposition hyperparameters of Table 2. This is
 /// the one place an engine run keeps them: the mine phase reads them here, and
-/// the engine learns what a big task is from [`GThinkerApp::is_big`].
+/// the engine learns what a big task is from [`QuasiCliqueApp::is_big`].
 #[derive(Clone, Debug)]
 pub struct QuasiCliqueApp {
     /// Mining parameters (γ, τ_size).
@@ -86,18 +86,16 @@ impl QuasiCliqueApp {
         self.index = index;
         self
     }
-}
 
-impl GThinkerApp for QuasiCliqueApp {
-    type Task = QCTask;
-
-    /// Algorithm 4: spawn a task from `v` if its degree reaches
+    /// Algorithm 4: the task spawned from `v`, if its degree reaches
     /// `k = ⌈γ(τ_size − 1)⌉`, pulling its larger-id neighbors. (Its core
-    /// degree, when the miner runs the engine on the k-core.)
-    fn spawn(&self, v: VertexId, adj: &[VertexId], ctx: &mut ComputeContext<Self::Task>) {
+    /// degree, when the miner runs the engine on the k-core.) The engine calls
+    /// it for each vertex its table holds and for no other; `adj` is Γ(v),
+    /// sorted.
+    pub fn spawn(&self, v: VertexId, adj: &[VertexId]) -> Option<QCTask> {
         let k = self.params.kcore_threshold();
         if adj.len() < k {
-            return;
+            return None;
         }
         let larger = &adj[adj.partition_point(|&u| u <= v)..];
         // v needs k neighbors inside its task and all of them are larger
@@ -106,67 +104,46 @@ impl GThinkerApp for QuasiCliqueApp {
         // is nothing to pull.
         let too_few = self.prune_config.size_threshold && larger.len() < k;
         if too_few || larger.is_empty() {
-            return;
+            return None;
         }
-        ctx.add_task(QCTask::spawned(v, larger.to_vec()));
+        Some(QCTask::spawned(v, larger.to_vec()))
     }
 
-    fn pending_pulls<'t>(&self, task: &'t Self::Task) -> &'t [VertexId] {
-        &task.pull_targets
-    }
-
-    /// Algorithm 5: dispatch on the task's iteration.
-    fn compute(
+    /// Algorithm 5: advances `task` by one iteration over `frontier`, the
+    /// adjacency lists of its `pull_targets`. Returns whether the task needs
+    /// another iteration, and what its mine phase produced (nothing for
+    /// iterations 1 and 2). `scratch` is the calling worker's.
+    pub fn compute(
         &self,
-        task: &mut Self::Task,
+        task: &mut QCTask,
         frontier: &Frontier,
-        ctx: &mut ComputeContext<Self::Task>,
-    ) -> bool {
+        scratch: &mut WorkerScratch,
+    ) -> (bool, MineOutcome) {
         let k = self.params.kcore_threshold();
         match task.phase {
-            TaskPhase::FirstHop => iteration_1(task, frontier, k),
-            TaskPhase::SecondHop => {
-                // Iteration 2 performs no pulls, so returning `true` makes the
-                // engine run iteration 3 immediately (the paper's "G-thinker
-                // will schedule t to run Iteration 3 right away").
-                iteration_2(task, frontier, k)
-            }
-            TaskPhase::Mine => {
-                let outcome = run_mine_phase(task, self, &mut ctx.scratch);
-                for r in outcome.results {
-                    ctx.emit(r);
-                }
-                for sub in outcome.subtasks {
-                    ctx.add_task(sub);
-                }
-                ctx.timings.mining += outcome.mining_time;
-                ctx.timings.materialization += outcome.materialization_time;
-                ctx.interrupted |= outcome.interrupted;
-                false
-            }
+            TaskPhase::FirstHop => (iteration_1(task, frontier, k), MineOutcome::default()),
+            // Iteration 2 performs no pulls, so returning `true` makes the
+            // engine run iteration 3 immediately (the paper's "G-thinker will
+            // schedule t to run Iteration 3 right away").
+            TaskPhase::SecondHop => (iteration_2(task, frontier, k), MineOutcome::default()),
+            TaskPhase::Mine => (false, run_mine_phase(task, self, scratch)),
         }
     }
 
-    fn is_big(&self, task: &Self::Task) -> bool {
+    /// Classifies a task as *big* (goes to the machine-wide global queue and
+    /// participates in inter-machine stealing) or small (stays in the
+    /// spawning thread's local queue): `|ext(S)|` against τ_split.
+    pub fn is_big(&self, task: &QCTask) -> bool {
         task.size_measure() > self.tau_split
     }
 
-    fn task_memory_bytes(&self, task: &Self::Task) -> usize {
-        // What the task carries while queued: the hub rows exist only while
-        // its mine phase runs.
+    /// Approximate in-memory size of a task in bytes, for the engine's
+    /// peak-memory accounting (Table 2's RAM column): what the task carries
+    /// while queued, as the hub rows exist only while its mine phase runs.
+    pub fn task_memory_bytes(&self, task: &QCTask) -> usize {
         let graph = &task.subgraph;
         64 + graph.memory_bytes() - graph.hub_index_memory_bytes()
             + 4 * (task.pull_targets.len() + task.s.len() + task.ext.len())
-    }
-
-    fn task_label(&self, task: &Self::Task) -> TaskLabel {
-        TaskLabel {
-            root: Some(task.root),
-            subgraph_size: task
-                .subgraph
-                .num_vertices()
-                .max(task.s.len() + task.ext.len()),
-        }
     }
 }
 
@@ -177,49 +154,34 @@ mod tests {
     #[test]
     fn spawn_filters_by_degree_and_larger_neighbors() {
         let app = QuasiCliqueApp::new(MiningParams::new(0.9, 4), 100, Duration::from_millis(10));
+        let ids = |raw: &[u32]| raw.iter().map(|&v| VertexId::new(v)).collect::<Vec<_>>();
+        let root = VertexId::new(5);
         // k = ⌈0.9·3⌉ = 3.
-        let mut ctx = ComputeContext::new();
-        app.spawn(
-            VertexId::new(5),
-            &[VertexId::new(1), VertexId::new(2)],
-            &mut ctx,
-        );
-        assert!(ctx.new_tasks.is_empty(), "degree 2 < k must not spawn");
-
-        let mut ctx = ComputeContext::new();
-        app.spawn(
-            VertexId::new(5),
-            &[VertexId::new(1), VertexId::new(2), VertexId::new(3)],
-            &mut ctx,
+        assert!(
+            app.spawn(root, &ids(&[1, 2])).is_none(),
+            "degree 2 < k must not spawn"
         );
         assert!(
-            ctx.new_tasks.is_empty(),
+            app.spawn(root, &ids(&[1, 2, 3])).is_none(),
             "no larger neighbor means the task would die instantly"
         );
 
         // Degree 4 ≥ k, but only two larger neighbors: the root would need
         // three inside its task and the peel of iteration 1 would end it.
-        let few_larger = [1, 2, 6, 7].map(VertexId::new);
-        let mut ctx = ComputeContext::new();
-        app.spawn(VertexId::new(5), &few_larger, &mut ctx);
-        assert!(ctx.new_tasks.is_empty(), "fewer than k larger neighbors");
+        let few_larger = ids(&[1, 2, 6, 7]);
+        assert!(
+            app.spawn(root, &few_larger).is_none(),
+            "fewer than k larger neighbors"
+        );
         // The test belongs to the size-threshold rule.
         let unpruned = app
             .clone()
             .with_prune_config(PruneConfig::all_enabled().without("size_threshold"));
-        let mut ctx = ComputeContext::new();
-        unpruned.spawn(VertexId::new(5), &few_larger, &mut ctx);
-        assert_eq!(ctx.new_tasks.len(), 1);
+        assert!(unpruned.spawn(root, &few_larger).is_some());
 
-        let mut ctx = ComputeContext::new();
-        app.spawn(
-            VertexId::new(5),
-            &[VertexId::new(6), VertexId::new(7), VertexId::new(8)],
-            &mut ctx,
-        );
-        assert_eq!(ctx.new_tasks.len(), 1);
-        assert_eq!(ctx.new_tasks[0].pull_targets.len(), 3);
-        assert_eq!(app.pending_pulls(&ctx.new_tasks[0]).len(), 3);
+        let task = app.spawn(root, &ids(&[6, 7, 8])).expect("three larger");
+        assert_eq!(task.root, root);
+        assert_eq!(task.pull_targets, ids(&[6, 7, 8]));
     }
 
     #[test]
@@ -233,6 +195,6 @@ mod tests {
         );
         assert!(app.is_big(&big));
         assert!(app.task_memory_bytes(&big) > 0);
-        assert_eq!(app.task_label(&big).root, Some(VertexId::new(0)));
+        assert_eq!(big.subgraph_size(), 0);
     }
 }

@@ -1,13 +1,14 @@
 //! The engine's entry point and its threaded driver.
 //!
-//! This is the system half of the paper's codesign (Section 5). A
-//! [`Cluster`] runs a [`GThinkerApp`] over a shared input graph. The
-//! per-machine protocol — queues, spawn cursor, routing, message handling,
-//! the balance plan — lives in the `machine` module, and the configured
-//! [`TransportFactory`] picks the driver that runs it: the discrete-event
-//! driver of [`crate::sim`] for `Sim`, and for `InProc` the threaded driver in
-//! this module, on `num_machines × threads_per_machine` mining threads. What
-//! the threaded driver adds is particular to running on real threads:
+//! This is the system half of the paper's codesign (Section 5). [`run`]
+//! runs the quasi-clique application over a shared input graph for
+//! [`crate::ParallelMiner`]. The per-machine protocol — queues, spawn
+//! cursor, routing, message handling, the balance plan — lives in the
+//! `machine` module, and the configured [`TransportFactory`] picks the
+//! driver that runs it: the discrete-event driver of [`crate::sim`] for
+//! `Sim`, and for `InProc` the threaded driver in this module, on
+//! `num_machines × threads_per_machine` mining threads. What the threaded
+//! driver adds is particular to running on real threads:
 //!
 //! * the **worker loop** (the reforged Algorithm 3): pump the machine's
 //!   mailbox, pop a task (big tasks and refills first), else spawn a batch,
@@ -18,12 +19,13 @@
 //!   protocol for one big-task steal and wakes early when the run ends;
 //! * cooperative **cancellation** and the run's outcome label.
 
+use crate::app::QuasiCliqueApp;
 use crate::codec::EngineMsg;
 use crate::config::EngineConfig;
 use crate::machine::{Row, Run};
 use crate::metrics::EngineMetrics;
 use crate::sim::Replay;
-use crate::task::{Frontier, GThinkerApp, WorkerScratch};
+use crate::task::{Frontier, QCTask, WorkerScratch};
 use crate::transport::{InProcTransport, TransportFactory};
 use crate::vertex_table::{DataService, FetchScratch};
 
@@ -33,18 +35,17 @@ use qcm_obs::clock::Instant;
 use qcm_sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// The output of an engine run: raw result rows (the application's emitted
-/// quasi-cliques, before maximality post-processing) and the run metrics.
-#[derive(Clone, Debug, Default)]
-pub struct EngineOutput {
-    /// Emitted result rows (members sorted by the caller if needed).
+/// The output of an engine run: raw result rows (the reported quasi-cliques,
+/// before maximality post-processing) and the run metrics.
+#[derive(Debug)]
+pub(crate) struct EngineOutput {
+    /// Emitted result rows.
     pub results: Vec<Row>,
     /// The roots of the work lost for good, sorted and distinct — empty
     /// unless `metrics.outcome` is [`RunOutcome::Faulted`]: a task abandoned
     /// after its pulls ran out of retries, or, on the simulator, a root that
     /// could not be respawned. The simulator withholds such a root's rows;
-    /// the threaded driver has emitted the rows its other tasks found. A lost
-    /// task without a root is not listed.
+    /// the threaded driver has emitted the rows its other tasks found.
     pub lost_roots: Vec<VertexId>,
     /// Metrics of the run.
     pub metrics: EngineMetrics,
@@ -53,8 +54,8 @@ pub struct EngineOutput {
 }
 
 /// What the worker and balancer threads share on top of the protocol state.
-struct Live<'a, A: GThinkerApp> {
-    run: Run<'a, A>,
+struct Live<'a> {
+    run: Run<'a>,
     /// Per-machine blocking data access (cache + transport pulls).
     data: Vec<DataService>,
     results: Mutex<Vec<Row>>,
@@ -62,120 +63,103 @@ struct Live<'a, A: GThinkerApp> {
     lost: Mutex<Vec<VertexId>>,
 }
 
-/// A G-thinker cluster executing one application.
-pub struct Cluster<A: GThinkerApp> {
-    app: Arc<A>,
-    config: EngineConfig,
-}
+/// Runs `app` over `graph` until every spawned task (and every task
+/// transitively created by decomposition) has completed. The vertex table
+/// holds `vertices` (sorted, distinct ids of `graph`): `spawn` is called once
+/// for each of them and for no other vertex, while every vertex of `graph`
+/// can be pulled. The configured transport picks the driver: live worker
+/// threads for `InProc`, virtual time for `Sim`. `config` must be valid.
+pub(crate) fn run(
+    app: &QuasiCliqueApp,
+    config: &EngineConfig,
+    graph: Arc<Graph>,
+    vertices: Vec<VertexId>,
+) -> EngineOutput {
+    let transport = match &config.transport {
+        &TransportFactory::InProc {
+            strict,
+            drop_first_pulls,
+        } => Arc::new(InProcTransport::new(
+            config.num_machines,
+            strict,
+            drop_first_pulls,
+        )),
+        TransportFactory::Sim(sim) => return crate::sim::run(app, config, sim, graph, vertices),
+    };
+    let run = Run::new(
+        app,
+        config,
+        graph,
+        vertices,
+        transport.clone(),
+        config.threads_per_machine,
+    );
+    let data = (0..config.num_machines)
+        .map(|m| {
+            DataService::new(
+                run.table.clone(),
+                m,
+                config.vertex_cache_capacity,
+                run.fetch.clone(),
+                transport.clone(),
+                config.pull_timeout,
+                config.pull_retries,
+            )
+        })
+        .collect();
+    let live = Live {
+        run,
+        data,
+        results: Mutex::new(Vec::new()),
+        lost: Mutex::new(Vec::new()),
+    };
 
-impl<A: GThinkerApp> Cluster<A> {
-    /// Creates a cluster for `app` with the given configuration.
-    pub fn new(app: Arc<A>, config: EngineConfig) -> Self {
-        config.validate();
-        Cluster { app, config }
-    }
+    let total_workers = config.total_threads();
+    let worker_busy: Mutex<Vec<Duration>> = Mutex::new(vec![Duration::ZERO; total_workers]);
 
-    /// The configuration this cluster was built with.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// Runs the application over `graph` until every spawned task (and every
-    /// task transitively created by decomposition) has completed. The vertex
-    /// table holds `vertices` (sorted, distinct ids of `graph`): `spawn` is
-    /// called once for each of them and for no other vertex, while every
-    /// vertex of `graph` can be pulled. The configured transport picks the
-    /// driver: live worker threads for `InProc`, virtual time for `Sim`.
-    pub fn run(&self, graph: Arc<Graph>, vertices: Vec<VertexId>) -> EngineOutput {
-        let (app, config) = (self.app.as_ref(), &self.config);
-        let transport = match &config.transport {
-            &TransportFactory::InProc {
-                strict,
-                drop_first_pulls,
-            } => Arc::new(InProcTransport::new(
-                config.num_machines,
-                strict,
-                drop_first_pulls,
-            )),
-            TransportFactory::Sim(sim) => {
-                return crate::sim::run(app, config, sim, graph, vertices)
-            }
-        };
-        let run = Run::new(
-            app,
-            config,
-            graph,
-            vertices,
-            transport.clone(),
-            config.threads_per_machine,
-        );
-        let data = (0..config.num_machines)
-            .map(|m| {
-                DataService::new(
-                    run.table.clone(),
-                    m,
-                    config.vertex_cache_capacity,
-                    run.fetch.clone(),
-                    transport.clone(),
-                    config.pull_timeout,
-                    config.pull_retries,
-                )
-            })
-            .collect();
-        let live = Live {
-            run,
-            data,
-            results: Mutex::new(Vec::new()),
-            lost: Mutex::new(Vec::new()),
-        };
-
-        let total_workers = config.total_threads();
-        let worker_busy: Mutex<Vec<Duration>> = Mutex::new(vec![Duration::ZERO; total_workers]);
-
-        // A worker panic resumes out of the scope once every thread joined.
-        qcm_sync::thread::scope(|scope| {
-            // Master load balancer (big-task stealing between machines).
-            if config.num_machines > 1 {
-                scope.spawn(|| balancer_loop(&live));
-            }
-            for worker in 0..total_workers {
-                let (live, busy) = (&live, &worker_busy);
-                scope.spawn(move || {
-                    let spent = worker_loop(live, worker);
-                    busy.lock()[worker] = spent;
-                });
-            }
-        });
-
-        let results = live.results.into_inner();
-        // Interrupted iff work was actually dropped. A cancellation that
-        // fires after the pool drained leaves the run Complete; dropped work
-        // with no cancellation to blame is a fault.
-        let outcome = if live.run.term.work_dropped() {
-            match config.cancel.run_outcome() {
-                RunOutcome::Complete => RunOutcome::Faulted,
-                cancelled => cancelled,
-            }
-        } else {
-            RunOutcome::Complete
-        };
-        let worker_busy = worker_busy.into_inner();
-        let metrics = live.run.metrics(results.len() as u64, worker_busy, outcome);
-        let mut lost_roots = live.lost.into_inner();
-        lost_roots.sort_unstable();
-        lost_roots.dedup();
-        EngineOutput {
-            results,
-            lost_roots,
-            metrics,
-            replay: None,
+    // A worker panic resumes out of the scope once every thread joined.
+    qcm_sync::thread::scope(|scope| {
+        // Master load balancer (big-task stealing between machines).
+        if config.num_machines > 1 {
+            scope.spawn(|| balancer_loop(&live));
         }
+        for worker in 0..total_workers {
+            let (live, busy) = (&live, &worker_busy);
+            scope.spawn(move || {
+                let spent = worker_loop(live, worker);
+                busy.lock()[worker] = spent;
+            });
+        }
+    });
+
+    let results = live.results.into_inner();
+    // Interrupted iff work was actually dropped. A cancellation that fires
+    // after the pool drained leaves the run Complete; dropped work with no
+    // cancellation to blame is a fault.
+    let outcome = if live.run.term.work_dropped() {
+        match config.cancel.run_outcome() {
+            RunOutcome::Complete => RunOutcome::Faulted,
+            cancelled => cancelled,
+        }
+    } else {
+        RunOutcome::Complete
+    };
+    let worker_busy = worker_busy.into_inner();
+    let metrics = live.run.metrics(results.len() as u64, worker_busy, outcome);
+    let mut lost_roots = live.lost.into_inner();
+    lost_roots.sort_unstable();
+    lost_roots.dedup();
+    EngineOutput {
+        results,
+        lost_roots,
+        metrics,
+        replay: None,
     }
 }
 
 /// Main loop of one mining thread (the reforged Algorithm 3, on the
 /// work-stealing pop path). Returns the time spent on tasks and spawning.
-fn worker_loop<A: GThinkerApp>(live: &Live<'_, A>, worker: usize) -> Duration {
+fn worker_loop(live: &Live<'_>, worker: usize) -> Duration {
     let run = &live.run;
     let tpm = run.config.threads_per_machine;
     let (m, local) = (worker / tpm, worker % tpm);
@@ -209,12 +193,7 @@ fn worker_loop<A: GThinkerApp>(live: &Live<'_, A>, worker: usize) -> Duration {
             busy += t0.elapsed();
             continue;
         }
-        let mut rows = Vec::new();
-        if run.spawn_batch(m, local, &mut rows) {
-            if !rows.is_empty() {
-                let mut results = live.results.lock();
-                results.extend(rows.into_iter().flat_map(|(_, rows)| rows));
-            }
+        if run.spawn_batch(m, local) {
             busy += t0.elapsed();
             continue;
         }
@@ -234,7 +213,7 @@ fn worker_loop<A: GThinkerApp>(live: &Live<'_, A>, worker: usize) -> Duration {
 /// Ends the run and tells every other machine (`done` is also a shared flag,
 /// but the explicit [`EngineMsg::Shutdown`] keeps the protocol complete for
 /// transports whose machines do not share memory).
-fn shut_down<A: GThinkerApp>(live: &Live<'_, A>, m: usize) {
+fn shut_down(live: &Live<'_>, m: usize) {
     live.run.term.finish();
     for peer in (0..live.run.config.num_machines).filter(|&peer| peer != m) {
         let _ = live.run.transport.send(m, peer, EngineMsg::Shutdown);
@@ -244,12 +223,12 @@ fn shut_down<A: GThinkerApp>(live: &Live<'_, A>, m: usize) {
 /// Processes one task to completion: repeatedly resolves its pending pulls
 /// into a frontier (blocking) and runs a compute step until the application
 /// reports the task finished.
-fn process_task<A: GThinkerApp>(
-    live: &Live<'_, A>,
+fn process_task(
+    live: &Live<'_>,
     m: usize,
     local: usize,
     scratch: &mut WorkerScratch,
-    mut task: A::Task,
+    mut task: QCTask,
 ) {
     let run = &live.run;
     let data = &live.data[m];
@@ -259,7 +238,7 @@ fn process_task<A: GThinkerApp>(
     loop {
         let mut frontier = Frontier::new();
         {
-            let pending = run.app.pending_pulls(&task);
+            let pending = &task.pull_targets;
             // Pull span: one fetch round; payload is the number of vertices
             // resolved. Skipped entirely when the task needs nothing, and
             // closed before compute runs so it measures only the fetches.
@@ -272,9 +251,7 @@ fn process_task<A: GThinkerApp>(
                         // The pull exhausted its retry budget: the task's
                         // root can no longer prove its results complete.
                         data.flush(&mut fetch_scratch);
-                        if let Some(root) = run.app.task_label(&task).root {
-                            live.lost.lock().push(root);
-                        }
+                        live.lost.lock().push(task.root);
                         run.abandon_task(flight);
                         return;
                     }
@@ -290,13 +267,13 @@ fn process_task<A: GThinkerApp>(
         }
     }
     data.flush(&mut fetch_scratch);
-    let root = run.finish_task(&task, flight);
-    task_span.set_arg(root.map_or(0, |v| u64::from(v.raw())));
+    run.finish_task(&task, flight);
+    task_span.set_arg(u64::from(task.root.raw()));
 }
 
 /// Master load-balancing loop: every `balance_period`, one balancing pass;
 /// the end of the run cuts the wait short.
-fn balancer_loop<A: GThinkerApp>(live: &Live<'_, A>) {
+fn balancer_loop(live: &Live<'_>) {
     let config = live.run.config;
     let alive = vec![true; config.num_machines];
     while !live.run.term.wait_done(config.balance_period) {

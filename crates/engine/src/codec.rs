@@ -3,7 +3,7 @@
 //!
 //! The spill files and the inter-machine transport messages use a small
 //! hand-rolled little-endian format built on these helpers, so the task
-//! types in `qcm-parallel` do not need a serde dependency and the on-disk
+//! types do not need a serde dependency and the on-disk
 //! framing stays under the engine's control. [`EngineMsg`] is the single
 //! typed envelope carried by every [`crate::transport::Transport`]
 //! implementation; the per-call-site byte packing that used to live next to

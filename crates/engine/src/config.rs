@@ -3,8 +3,8 @@
 //! The knobs mirror Section 5 of the paper: the spill batch size `C`, the
 //! queue/cache capacities and the simulated cluster shape (number of machines
 //! × mining threads per machine). What a big task is and when a task
-//! decomposes (Table 2's τ_split and τ_time) belong to the application; the
-//! engine asks [`crate::GThinkerApp::is_big`].
+//! decomposes (Table 2's τ_split and τ_time) belong to the quasi-clique
+//! application; the engine asks [`crate::QuasiCliqueApp::is_big`].
 
 use crate::transport::TransportFactory;
 use qcm_core::CancelToken;
@@ -112,7 +112,7 @@ impl EngineConfig {
     }
 
     /// Validates the configuration, panicking on nonsensical values. Called by
-    /// the cluster constructor.
+    /// [`crate::ParallelMiner::mine`] before every run.
     pub fn validate(&self) {
         assert!(self.num_machines >= 1, "need at least one machine");
         assert!(

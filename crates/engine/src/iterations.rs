@@ -16,8 +16,7 @@
 //! it holds the surviving first-hop vertices only, because an edge from one of
 //! them to a second-hop vertex `w` is read back from `Γ(w)` when `w` arrives.
 
-use crate::task::{QCTask, TaskPhase};
-use qcm_engine::Frontier;
+use crate::task::{Frontier, QCTask, TaskPhase};
 use qcm_graph::{IdRanks, LocalGraph, VertexId};
 
 /// `t.g` while it is put together: the vertices in id order and, per vertex,

@@ -5,11 +5,11 @@
 //! **big-task lane** (a spill-backed [`TaskQueue`], also the overflow path of
 //! the worker deques), one bounded deque per mining thread, the spawn cursor
 //! over its vertex partition, and the steal-grant book. A [`Run`] holds the
-//! machines plus what they share for one execution (application, vertex
-//! table, transport, [`Termination`] counters, metric counters) and exposes
-//! the steps of the reforged Algorithm 3 as plain methods: spawn one batch,
-//! route a new task, pop the next task, run one compute step, handle one
-//! message, plan and request one balance move.
+//! machines plus what they share for one execution (the quasi-clique
+//! application, vertex table, transport, [`Termination`] counters, metric
+//! counters) and exposes the steps of the reforged Algorithm 3 as plain
+//! methods: spawn one batch, route a new task, pop the next task, run one
+//! compute step, handle one message, plan and request one balance move.
 //!
 //! The module owns no thread and no clock: `cluster` calls the steps from
 //! worker threads with blocking pulls, `sim` from a discrete-event queue with
@@ -17,13 +17,14 @@
 //! step (the rows it emitted, a pull response, a grant awaiting its ack) the
 //! step returns.
 
+use crate::app::QuasiCliqueApp;
 use crate::codec::EngineMsg;
 use crate::config::EngineConfig;
 use crate::metrics::{EngineMetrics, TaskTimeRecord};
 use crate::queue::TaskQueue;
 use crate::spill::{SpillMetrics, SpillStore};
 use crate::steal::WorkerQueues;
-use crate::task::{ComputeContext, Frontier, GThinkerApp, TaskCodec, TaskTimings, WorkerScratch};
+use crate::task::{Frontier, QCTask, TaskCodec, TaskTimings, WorkerScratch};
 use crate::termination::Termination;
 use crate::transport::{Envelope, MachineId, PullReply, Transport};
 use crate::vertex_table::{FetchMetrics, PartitionedVertexTable};
@@ -42,12 +43,12 @@ use std::time::Duration;
 pub(crate) type Row = Vec<VertexId>;
 
 /// The queues and bookkeeping of one machine.
-pub(crate) struct Machine<T> {
+pub(crate) struct Machine {
     /// The big-task lane: big tasks plus worker-deque overflow, spilling to
     /// disk when full. The balancer steals from here.
-    big: Mutex<TaskQueue<T>>,
+    big: Mutex<TaskQueue<QCTask>>,
     /// One bounded deque per mining thread of this machine (small tasks).
-    workers: WorkerQueues<T>,
+    workers: WorkerQueues<QCTask>,
     threads: usize,
     /// Owned vertices not yet spawned.
     cursor: Mutex<VecDeque<VertexId>>,
@@ -55,7 +56,7 @@ pub(crate) struct Machine<T> {
     /// once). Grants sent and not yet acked: seq → (receiver, the batch
     /// itself — moved here, not copied), kept so a driver whose network can
     /// lose messages can retransmit.
-    unacked: Mutex<BTreeMap<u64, (MachineId, Vec<T>)>>,
+    unacked: Mutex<BTreeMap<u64, (MachineId, Vec<QCTask>)>>,
     /// Grants already decoded here; a retransmitted duplicate is re-acked,
     /// not re-enqueued. One `u64` per grant received (at most one per balance
     /// period), never pruned: no message tells the receiver that its ack
@@ -63,7 +64,7 @@ pub(crate) struct Machine<T> {
     seen: Mutex<BTreeSet<u64>>,
 }
 
-impl<T: TaskCodec> Machine<T> {
+impl Machine {
     /// Pending tasks of the big-task lane (in memory + spilled) — the load
     /// figure the balancer evens out.
     pub(crate) fn big_pending(&self) -> usize {
@@ -78,7 +79,7 @@ impl<T: TaskCodec> Machine<T> {
     }
 
     /// Puts tasks (back) into the big-task lane.
-    fn requeue(&self, tasks: Vec<T>) {
+    fn requeue(&self, tasks: Vec<QCTask>) {
         let mut big = self.big.lock();
         for task in tasks {
             big.push(task);
@@ -98,34 +99,9 @@ impl<T: TaskCodec> Machine<T> {
     }
 
     /// Gives up on grant `seq`: returns the tasks it carried.
-    pub(crate) fn abandon_grant(&self, seq: u64) -> Vec<T> {
+    pub(crate) fn abandon_grant(&self, seq: u64) -> Vec<QCTask> {
         let grant = self.unacked.lock().remove(&seq);
         grant.map(|(_, batch)| batch).unwrap_or_default()
-    }
-
-    /// The machine dies: every queued task (in memory, spilled, or held in an
-    /// unacked grant) is taken out and returned. The spawn cursor survives —
-    /// the vertex partition is re-readable state.
-    pub(crate) fn crash(&self) -> Vec<T> {
-        let mut lost = Vec::new();
-        for worker in 0..self.threads {
-            while let Some(task) = self.workers.pop_local(worker) {
-                lost.push(task);
-            }
-        }
-        let mut big = self.big.lock();
-        loop {
-            while let Some(task) = big.pop() {
-                lost.push(task);
-            }
-            if big.refill_from_spill() == 0 {
-                break;
-            }
-        }
-        for (_, batch) in std::mem::take(&mut *self.unacked.lock()).into_values() {
-            lost.extend(batch);
-        }
-        lost
     }
 }
 
@@ -147,8 +123,8 @@ fn close_span(mut span: qcm_obs::SpanGuard, moved: usize) {
 }
 
 /// Encodes a steal batch for the wire.
-fn encode_tasks<T: TaskCodec>(batch: &[T]) -> Vec<Vec<u8>> {
-    let encode = |task: &T| {
+fn encode_tasks(batch: &[QCTask]) -> Vec<Vec<u8>> {
+    let encode = |task: &QCTask| {
         let mut buf = Vec::new();
         task.encode(&mut buf);
         buf
@@ -157,10 +133,10 @@ fn encode_tasks<T: TaskCodec>(batch: &[T]) -> Vec<Vec<u8>> {
 }
 
 /// Decodes a steal batch; the second value counts undecodable entries.
-fn decode_tasks<T: TaskCodec>(blobs: &[Vec<u8>]) -> (Vec<T>, usize) {
-    let tasks: Vec<T> = blobs
+fn decode_tasks(blobs: &[Vec<u8>]) -> (Vec<QCTask>, usize) {
+    let tasks: Vec<QCTask> = blobs
         .iter()
-        .filter_map(|blob| T::decode(&mut blob.as_slice()))
+        .filter_map(|blob| QCTask::decode(&mut blob.as_slice()))
         .collect();
     let lost = blobs.len() - tasks.len();
     (tasks, lost)
@@ -224,14 +200,14 @@ pub(crate) fn plan_balance(
 }
 
 /// Everything one execution shares, and the protocol steps over it.
-pub(crate) struct Run<'a, A: GThinkerApp> {
-    pub(crate) app: &'a A,
+pub(crate) struct Run<'a> {
+    pub(crate) app: &'a QuasiCliqueApp,
     pub(crate) config: &'a EngineConfig,
     pub(crate) table: PartitionedVertexTable,
     /// All cross-machine interactions (pulls, steal requests/grants/acks,
     /// shutdown) travel through it; same-machine paths stay shared-memory.
     pub(crate) transport: Arc<dyn Transport>,
-    pub(crate) machines: Vec<Machine<A::Task>>,
+    pub(crate) machines: Vec<Machine>,
     pub(crate) term: Termination,
     pub(crate) fetch: Arc<FetchMetrics>,
     spill: Arc<SpillMetrics>,
@@ -256,13 +232,13 @@ struct Counters {
     materialization_nanos: AtomicU64,
 }
 
-impl<'a, A: GThinkerApp> Run<'a, A> {
+impl<'a> Run<'a> {
     /// Sets a run up: partitions the vertex table holding `vertices`, binds
     /// the transport and creates one [`Machine`] per partition with `threads`
     /// worker deques each. Each machine's spawn cursor walks its share of
     /// `vertices`.
     pub(crate) fn new(
-        app: &'a A,
+        app: &'a QuasiCliqueApp,
         config: &'a EngineConfig,
         graph: Arc<Graph>,
         vertices: Vec<VertexId>,
@@ -309,15 +285,9 @@ impl<'a, A: GThinkerApp> Run<'a, A> {
 
     /// Spawns up to one batch of root tasks from machine `m`'s cursor,
     /// stopping early as soon as a spawned task is big (the paper's rule to
-    /// avoid flooding the big-task lane from a single refill). Rows that
-    /// `spawn` itself emitted are appended to `rows` per spawning vertex;
-    /// true if at least one vertex left the cursor.
-    pub(crate) fn spawn_batch(
-        &self,
-        m: usize,
-        worker: usize,
-        rows: &mut Vec<(VertexId, Vec<Row>)>,
-    ) -> bool {
+    /// avoid flooding the big-task lane from a single refill). True if at
+    /// least one vertex left the cursor.
+    pub(crate) fn spawn_batch(&self, m: usize, worker: usize) -> bool {
         let mut consumed = false;
         for _ in 0..self.config.batch_size {
             // Hold a transient pending slot across the spawn so that the
@@ -330,7 +300,7 @@ impl<'a, A: GThinkerApp> Run<'a, A> {
             };
             self.term.mark_spawned();
             consumed = true;
-            let spawned_big = self.spawn_root(m, worker, v, rows);
+            let spawned_big = self.spawn_root(m, worker, v);
             self.term.release(1);
             if spawned_big {
                 break;
@@ -339,38 +309,23 @@ impl<'a, A: GThinkerApp> Run<'a, A> {
         consumed
     }
 
-    /// Calls `spawn(v)` on machine `m` and routes what it creates; true if a
-    /// created task is big. Also the entry point for re-spawning a root whose
+    /// Calls `spawn(v)` on machine `m` and routes the task it creates; true
+    /// if that task is big. Also the entry point for re-spawning a root whose
     /// work a fault lost.
-    pub(crate) fn spawn_root(
-        &self,
-        m: usize,
-        worker: usize,
-        v: VertexId,
-        rows: &mut Vec<(VertexId, Vec<Row>)>,
-    ) -> bool {
-        let mut ctx = ComputeContext::new();
-        self.app.spawn(v, self.table.adjacency(v), &mut ctx);
-        if ctx.interrupted {
-            self.term.interrupt();
-        }
-        if !ctx.results.is_empty() {
-            rows.push((v, ctx.results));
-        }
-        let mut spawned_big = false;
-        for task in ctx.new_tasks {
-            self.term.add_pending(1);
-            count(&self.counters.tasks_spawned, 1);
-            spawned_big |= self.route(m, worker, task);
-        }
-        spawned_big
+    pub(crate) fn spawn_root(&self, m: usize, worker: usize, v: VertexId) -> bool {
+        let Some(task) = self.app.spawn(v, self.table.adjacency(v)) else {
+            return false;
+        };
+        self.term.add_pending(1);
+        count(&self.counters.tasks_spawned, 1);
+        self.route(m, worker, task)
     }
 
     /// Routes a freshly created task: big tasks go to the machine's big-task
     /// lane, small tasks to the worker's own deque, overflowing into the lane
     /// — and from there to disk — when the deque is at capacity (the paper's
     /// bounded-memory spilling). Returns whether the task is big.
-    pub(crate) fn route(&self, m: usize, worker: usize, task: A::Task) -> bool {
+    pub(crate) fn route(&self, m: usize, worker: usize, task: QCTask) -> bool {
         let machine = &self.machines[m];
         let big = self.app.is_big(&task);
         // Measures the push-with-possible-spill.
@@ -392,10 +347,11 @@ impl<'a, A: GThinkerApp> Run<'a, A> {
     /// 2. the machine's big-task lane (FIFO; big tasks plus overflow),
     ///    refilled from its spill files when it runs below one batch — a
     ///    try-lock, so a worker never stalls behind a sibling's pop (the miss
-    ///    is counted as `pop_contention`);
+    ///    is counted as `pop_contention`); spilled tasks that do not come
+    ///    back fault the run;
     /// 3. a FIFO steal from the fullest sibling deque on the same machine
     ///    (Figure 8's stealing, brought inside the machine).
-    pub(crate) fn pop_task(&self, m: usize, worker: usize) -> Option<A::Task> {
+    pub(crate) fn pop_task(&self, m: usize, worker: usize) -> Option<QCTask> {
         let machine = &self.machines[m];
         if let Some(task) = machine.workers.pop_local(worker) {
             return Some(task);
@@ -404,8 +360,9 @@ impl<'a, A: GThinkerApp> Run<'a, A> {
             Some(mut big) => {
                 if big.needs_refill() {
                     let refill_span = qcm_obs::span(SpanKind::Spill);
-                    let restored = big.refill_from_spill();
-                    close_span(refill_span, restored);
+                    let refilled = big.refill_from_spill().unwrap_or_default();
+                    close_span(refill_span, refilled.restored);
+                    self.lose_unreadable(refilled.lost);
                 }
                 if let Some(task) = big.pop() {
                     return Some(task);
@@ -425,7 +382,7 @@ impl<'a, A: GThinkerApp> Run<'a, A> {
     }
 
     /// Starts the accounting of a popped task.
-    pub(crate) fn begin_task(&self, task: &A::Task) -> InFlight {
+    pub(crate) fn begin_task(&self, task: &QCTask) -> InFlight {
         let mem = self.app.task_memory_bytes(task) as u64;
         self.add_active_bytes(mem);
         InFlight {
@@ -444,24 +401,21 @@ impl<'a, A: GThinkerApp> Run<'a, A> {
         &self,
         m: usize,
         worker: usize,
-        task: &mut A::Task,
+        task: &mut QCTask,
         flight: &mut InFlight,
         frontier: &Frontier,
         scratch: &mut WorkerScratch,
     ) -> (bool, Vec<Row>) {
-        let mut ctx = ComputeContext::new();
-        ctx.scratch = std::mem::take(scratch);
-        let more = self.app.compute(task, frontier, &mut ctx);
+        let (more, mined) = self.app.compute(task, frontier, scratch);
         // Publish what this step's kernels counted: a worker's counters are
         // thread-local until flushed.
         perf::flush();
-        *scratch = std::mem::take(&mut ctx.scratch);
-        flight.timings.merge(&ctx.timings);
-        if ctx.interrupted {
-            // The application observed the token and truncated this task.
+        flight.timings.merge(&mined.timings);
+        if mined.interrupted {
+            // The mine phase observed the token and truncated this task.
             self.term.interrupt();
         }
-        for subtask in ctx.new_tasks {
+        for subtask in mined.subtasks {
             self.term.add_pending(1);
             count(&self.counters.tasks_decomposed, 1);
             self.route(m, worker, subtask);
@@ -474,13 +428,12 @@ impl<'a, A: GThinkerApp> Run<'a, A> {
             self.sub_active_bytes(flight.mem - mem);
         }
         flight.mem = mem;
-        (more, ctx.results)
+        (more, mined.results)
     }
 
     /// Closes the accounting of a task whose last step reported it finished,
-    /// then releases its pending slot. Returns the task's spawning root.
-    pub(crate) fn finish_task(&self, task: &A::Task, flight: InFlight) -> Option<VertexId> {
-        let label = self.app.task_label(task);
+    /// then releases its pending slot.
+    pub(crate) fn finish_task(&self, task: &QCTask, flight: InFlight) {
         self.sub_active_bytes(flight.mem);
         let (timings, c) = (&flight.timings, &self.counters);
         count(&c.tasks_processed, 1);
@@ -490,13 +443,12 @@ impl<'a, A: GThinkerApp> Run<'a, A> {
             timings.materialization.as_nanos() as u64,
         );
         self.task_times.lock().push(TaskTimeRecord {
-            root: label.root,
-            subgraph_size: label.subgraph_size,
+            root: task.root,
+            subgraph_size: task.subgraph_size(),
             elapsed: flight.started.elapsed(),
             timings: flight.timings,
         });
         self.term.release(1);
-        label.root
     }
 
     /// Abandons a task that can never finish (its pull exhausted the retry
@@ -512,6 +464,44 @@ impl<'a, A: GThinkerApp> Run<'a, A> {
     /// abandoned pull) without touching the termination counters.
     pub(crate) fn drop_flight(&self, flight: InFlight) {
         self.sub_active_bytes(flight.mem);
+    }
+
+    /// `lost` tasks that a spill batch or a steal grant carried did not
+    /// decode: they can never run, so their pending slots are released for
+    /// the pool to drain, and the run is labelled.
+    fn lose_unreadable(&self, lost: usize) {
+        if lost > 0 {
+            self.term.fault();
+            self.term.release(lost);
+        }
+    }
+
+    /// Machine `m` dies: every task it queued (in memory, spilled, or held in
+    /// an unacked grant) is taken out and returned. Spilled tasks that do not
+    /// come back are lost with no root to respawn, which faults the run. The
+    /// spawn cursor survives — the vertex partition is re-readable state.
+    pub(crate) fn crash(&self, m: usize) -> Vec<QCTask> {
+        let machine = &self.machines[m];
+        let mut lost = Vec::new();
+        for worker in 0..machine.threads {
+            while let Some(task) = machine.workers.pop_local(worker) {
+                lost.push(task);
+            }
+        }
+        let mut big = machine.big.lock();
+        loop {
+            while let Some(task) = big.pop() {
+                lost.push(task);
+            }
+            let Some(refilled) = big.refill_from_spill() else {
+                break;
+            };
+            self.lose_unreadable(refilled.lost);
+        }
+        for (_, batch) in std::mem::take(&mut *machine.unacked.lock()).into_values() {
+            lost.extend(batch);
+        }
+        lost
     }
 
     /// Handles one message addressed to machine `m`: serves a pull from the
@@ -549,14 +539,8 @@ impl<'a, A: GThinkerApp> Run<'a, A> {
             }
             EngineMsg::StealGrant { seq, tasks } => {
                 if machine.seen.lock().insert(seq) {
-                    let (decoded, lost) = decode_tasks::<A::Task>(&tasks);
-                    if lost > 0 {
-                        // An undecodable task can never run: release its
-                        // pending slot so the pool still drains, and label
-                        // the run.
-                        self.term.fault();
-                        self.term.release(lost);
-                    }
+                    let (decoded, lost) = decode_tasks(&tasks);
+                    self.lose_unreadable(lost);
                     count(&self.counters.stolen_tasks, decoded.len() as u64);
                     machine.requeue(decoded);
                 }
@@ -652,6 +636,9 @@ impl<'a, A: GThinkerApp> Run<'a, A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::iterations::tests::figure4;
+    use crate::transport::InProcTransport;
+    use qcm_core::MiningParams;
 
     fn plan(pending: &[usize], batch_size: usize) -> Option<BalanceMove> {
         plan_balance(pending, &vec![true; pending.len()], batch_size)
@@ -688,5 +675,48 @@ mod tests {
         // ...nor does a dead empty machine receive.
         assert_eq!(plan_balance(&[9, 8, 0], &[true, true, false], 16), None);
         assert_eq!(plan_balance(&[9, 0], &[false, false], 16), None);
+    }
+
+    /// A spilled batch whose file is gone can never run: popping past it
+    /// faults the run and releases the lost tasks' pending slots, so the pool
+    /// drains instead of waiting for them forever.
+    #[test]
+    fn a_spill_batch_that_comes_back_short_faults_the_run() {
+        let dir = std::env::temp_dir().join(format!("qcm_short_spill_{}", std::process::id()));
+        let g = Arc::new(figure4());
+        // k = 1: the six vertices with a larger neighbour spawn a task each.
+        let app = QuasiCliqueApp::new(MiningParams::new(0.5, 3), 100, Duration::ZERO);
+        let mut config = EngineConfig::single_machine(1);
+        config.batch_size = 2;
+        config.local_capacity = 2;
+        config.global_queue_capacity = 2;
+        config.spill_dir = Some(dir.clone());
+        let transport = Arc::new(InProcTransport::new(1, false, 0));
+        let run = Run::new(
+            &app,
+            &config,
+            g.clone(),
+            g.vertices().collect(),
+            transport,
+            1,
+        );
+        while run.spawn_batch(0, 0) {}
+        assert!(run.spill.bytes_written.load(Ordering::Relaxed) > 0);
+        for file in std::fs::read_dir(&dir).unwrap() {
+            std::fs::remove_file(file.unwrap().path()).unwrap();
+        }
+        let mut popped = 0;
+        while let Some(task) = run.pop_task(0, 0) {
+            let flight = run.begin_task(&task);
+            run.finish_task(&task, flight);
+            popped += 1;
+        }
+        assert_eq!(popped, 4, "two deque slots, two lane slots");
+        assert!(run.term.is_faulted());
+        assert!(
+            run.term.is_quiescent(),
+            "lost tasks still hold pending slots"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -17,14 +17,14 @@ use std::time::Duration;
 /// One entry in the per-task time log.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TaskTimeRecord {
-    /// The vertex the root task was spawned from, if the application reported
-    /// one.
-    pub root: Option<VertexId>,
-    /// Size of the task's subgraph (vertices), as reported by the application.
+    /// The vertex the root task was spawned from.
+    pub root: VertexId,
+    /// Size of the task's subgraph in vertices: `|V(t.g)|`, or
+    /// `|S| + |ext(S)|` when that is larger.
     pub subgraph_size: usize,
     /// Wall-clock time spent processing the task (all its compute iterations).
     pub elapsed: Duration,
-    /// Mining vs materialisation attribution reported by the application.
+    /// Mining vs materialisation attribution of the task's mine phase.
     pub timings: TaskTimings,
 }
 
@@ -83,8 +83,8 @@ pub struct EngineMetrics {
     /// simulated loss).
     pub transport_dropped: u64,
     /// Virtual clock at the end of a simulated run (`None` for live runs).
-    /// Simulated rows measure virtual time, so the bench harness excludes
-    /// them from the wall-time regression gate.
+    /// A simulated run's `elapsed` measures only the simulation itself; this
+    /// is the time the modelled cluster took.
     pub virtual_time: Option<Duration>,
     /// Big tasks moved between machines by the load balancer.
     pub stolen_tasks: u64,
@@ -122,9 +122,9 @@ impl EngineMetrics {
         }
     }
 
-    /// Estimated peak memory in bytes: in-memory tasks plus remote-cache
-    /// traffic high-water mark is dominated by task subgraphs, which is what
-    /// the paper's RAM column tracks.
+    /// Estimated peak memory in bytes: the high-water mark of the bytes held
+    /// by in-memory tasks, which their subgraphs dominate. This is what the
+    /// paper's RAM column tracks; the remote-vertex cache is not counted.
     pub fn peak_memory_bytes(&self) -> u64 {
         self.peak_task_bytes
     }
@@ -187,11 +187,9 @@ impl EngineMetrics {
         use std::collections::HashMap;
         let mut acc: HashMap<VertexId, (Duration, usize)> = HashMap::new();
         for rec in &self.task_times {
-            if let Some(root) = rec.root {
-                let entry = acc.entry(root).or_insert((Duration::ZERO, 0));
-                entry.0 += rec.elapsed;
-                entry.1 = entry.1.max(rec.subgraph_size);
-            }
+            let entry = acc.entry(rec.root).or_insert((Duration::ZERO, 0));
+            entry.0 += rec.elapsed;
+            entry.1 = entry.1.max(rec.subgraph_size);
         }
         let mut rows: Vec<(VertexId, Duration, usize)> =
             acc.into_iter().map(|(v, (d, s))| (v, d, s)).collect();
@@ -242,7 +240,7 @@ mod tests {
 
     fn record(root: u32, size: usize, ms: u64) -> TaskTimeRecord {
         TaskTimeRecord {
-            root: Some(VertexId::new(root)),
+            root: VertexId::new(root),
             subgraph_size: size,
             elapsed: Duration::from_millis(ms),
             timings: TaskTimings::default(),
@@ -267,8 +265,8 @@ mod tests {
         };
         let top2 = m.top_k_task_times(2);
         assert_eq!(top2.len(), 2);
-        assert_eq!(top2[0].root, Some(VertexId::new(2)));
-        assert_eq!(top2[1].root, Some(VertexId::new(3)));
+        assert_eq!(top2[0].root, VertexId::new(2));
+        assert_eq!(top2[1].root, VertexId::new(3));
         assert_eq!(m.top_k_task_times(10).len(), 3);
     }
 
@@ -312,12 +310,7 @@ mod tests {
                 record(7, 100, 30),
                 record(7, 40, 20),
                 record(9, 10, 5),
-                TaskTimeRecord {
-                    root: None,
-                    subgraph_size: 3,
-                    elapsed: Duration::from_millis(1),
-                    timings: TaskTimings::default(),
-                },
+                record(9, 3, 1),
             ],
             ..EngineMetrics::default()
         };
@@ -326,6 +319,7 @@ mod tests {
         assert_eq!(totals[0].0, VertexId::new(7));
         assert_eq!(totals[0].1, Duration::from_millis(50));
         assert_eq!(totals[0].2, 100);
+        assert_eq!(totals[1], (VertexId::new(9), Duration::from_millis(6), 10));
     }
 
     #[test]

@@ -24,9 +24,8 @@
 //! of the paper.
 
 use crate::app::QuasiCliqueApp;
-use crate::task::QCTask;
+use crate::task::{QCTask, TaskTimings, WorkerScratch};
 use qcm_core::{recursive_mine, HandOff, MiningContext, MiningStats, QuasiCliqueSet};
-use qcm_engine::WorkerScratch;
 use qcm_graph::{LocalGraph, SubgraphScratch, VertexId};
 use qcm_obs::clock::Instant;
 use std::time::Duration;
@@ -47,10 +46,9 @@ pub struct MineOutcome {
     pub results: Vec<Vec<VertexId>>,
     /// Subtasks to hand back to the engine.
     pub subtasks: Vec<QCTask>,
-    /// Time spent on actual mining (backtracking + pruning).
-    pub mining_time: Duration,
-    /// Time spent materialising subtask subgraphs.
-    pub materialization_time: Duration,
+    /// Time spent on actual mining (backtracking + pruning) and on
+    /// materialising subtask subgraphs.
+    pub timings: TaskTimings,
     /// Search/pruning statistics of this task.
     pub stats: MiningStats,
     /// True if this task's backtracking observed the cancellation token fired
@@ -117,10 +115,12 @@ pub fn run_mine_phase(
 
     outcome.results = sink.into_sorted_vec();
     outcome.subtasks = collector.subtasks;
-    outcome.materialization_time = collector.materialization_time;
-    outcome.mining_time = started
-        .elapsed()
-        .saturating_sub(outcome.materialization_time);
+    outcome.timings = TaskTimings {
+        mining: started
+            .elapsed()
+            .saturating_sub(collector.materialization_time),
+        materialization: collector.materialization_time,
+    };
     outcome
 }
 
@@ -389,7 +389,7 @@ mod tests {
         let mut task = mine_task(&g, 0);
         let out = run_mine_phase(&mut task, &p, &mut WorkerScratch::default());
         assert!(!out.subtasks.is_empty());
-        assert!(out.materialization_time > Duration::ZERO);
+        assert!(out.timings.materialization > Duration::ZERO);
         // Subtask subgraphs are induced: they never contain vertices outside
         // S' ∪ ext(S').
         for sub in &out.subtasks {

@@ -11,6 +11,16 @@ use crate::spill::SpillStore;
 use crate::task::TaskCodec;
 use std::collections::VecDeque;
 
+/// What one refill brought back from the spill store.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Refilled {
+    /// Tasks decoded back into the queue.
+    pub restored: usize,
+    /// Tasks the batch held that did not come back: its file could not be
+    /// read in full, or a task in it did not decode.
+    pub lost: usize,
+}
+
 /// A bounded FIFO task queue backed by a spill store.
 #[derive(Debug)]
 pub struct TaskQueue<T> {
@@ -77,18 +87,16 @@ impl<T: TaskCodec> TaskQueue<T> {
         self.deque.len() < self.batch
     }
 
-    /// Loads one spilled batch back into the in-memory queue (if any).
-    /// Returns the number of tasks restored.
-    pub fn refill_from_spill(&mut self) -> usize {
-        if let Some(batch) = self.spill.refill::<T>() {
-            let n = batch.len();
-            for t in batch {
-                self.deque.push_back(t);
-            }
-            n
-        } else {
-            0
-        }
+    /// Loads the oldest spilled batch back into the in-memory queue. Returns
+    /// how many of its tasks came back and how many did not; `None` when
+    /// nothing is spilled.
+    pub fn refill_from_spill(&mut self) -> Option<Refilled> {
+        let spilled = self.spill.pending_tasks();
+        let batch = self.spill.refill::<T>()?;
+        let restored = batch.len();
+        self.deque.extend(batch);
+        let lost = spilled - self.spill.pending_tasks() - restored;
+        Some(Refilled { restored, lost })
     }
 
     /// Drains up to `n` tasks from the head (used by the load balancer when a
@@ -160,7 +168,7 @@ mod tests {
             while let Some(t) = q.pop() {
                 seen.push(t.0);
             }
-            if q.refill_from_spill() == 0 {
+            if q.refill_from_spill().is_none() {
                 break;
             }
         }

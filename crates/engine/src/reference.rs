@@ -4,8 +4,7 @@
 //! map. Kept, test-only, as the reference the property tests in
 //! [`crate::iterations`] compare Algorithms 6–7 against.
 
-use crate::task::TaskPhase;
-use qcm_engine::Frontier;
+use crate::task::{Frontier, TaskPhase};
 use qcm_graph::{LocalGraph, VertexId};
 use std::collections::HashMap;
 

@@ -1,9 +1,10 @@
 //! High-level parallel mining API.
 //!
-//! [`ParallelMiner`] wires the quasi-clique application to the reforged
-//! engine, runs the job on the cluster its [`EngineConfig`] describes, and
-//! post-processes the raw reports into the final maximal result set — the
-//! same pipeline the paper's experiments use (Section 7), exposed as one call.
+//! [`ParallelMiner`] is the engine's one entry point: it validates its
+//! [`EngineConfig`], runs the quasi-clique application on the cluster that
+//! config describes, and post-processes the raw reports into the final
+//! maximal result set — the same pipeline the paper's experiments use
+//! (Section 7), exposed as one call.
 //!
 //! One step comes first that the paper leaves to its tasks: the input is
 //! peeled to its k-core, `k = ⌈γ·(τ_size − 1)⌉`, *before* the engine
@@ -26,19 +27,23 @@
 //! [`ParallelMiner::mine`]: decomposition is forced to
 //! [`DecompositionStrategy::SizeThreshold`], since time-delayed decomposition
 //! consults the wall clock, and the cancel token is not wired in — the run is
-//! bounded by [`qcm_engine::SimConfig::max_virtual_us`] instead.
+//! bounded by [`crate::SimConfig::max_virtual_us`] instead.
 //!
 //! A run of either driver that lost work keeps the partial-result contract
 //! (`retain_provably_maximal`): it publishes only sets the complete run
 //! reports too.
 
 use crate::app::QuasiCliqueApp;
+use crate::cluster;
+use crate::config::EngineConfig;
+use crate::metrics::EngineMetrics;
 use crate::mine::DecompositionStrategy;
+use crate::sim::Replay;
+use crate::transport::TransportFactory;
 use qcm_core::{
     is_valid_quasi_clique, remove_non_maximal, CancelToken, MiningParams, PruneConfig,
     QuasiCliqueSet, QuasiCliqueSink, RunOutcome,
 };
-use qcm_engine::{Cluster, EngineConfig, EngineMetrics, Replay, TransportFactory};
 use qcm_graph::kcore::k_core_masked_with_vertices;
 use qcm_graph::{Graph, VertexId};
 use qcm_obs::clock::Instant;
@@ -167,9 +172,9 @@ impl ParallelMiner {
             TransportFactory::InProc { .. } => app.cancel = self.engine_config.cancel.clone(),
         }
         let (params, prune) = (&self.app.params, &self.app.prune_config);
-        let cluster = Cluster::new(Arc::new(app), self.engine_config.clone());
+        self.engine_config.validate();
         let (core, vertices, peel_time) = peel_to_core(&graph, params, prune);
-        let mut output = cluster.run(core.clone(), vertices);
+        let mut output = cluster::run(&app, &self.engine_config, core.clone(), vertices);
         output.metrics.elapsed += peel_time;
         let raw_reported = output.metrics.results_emitted;
         let (mut maximal, invalid_sets_dropped) =
@@ -269,8 +274,8 @@ fn retain_provably_maximal(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::SimConfig;
     use qcm_core::SerialMiner;
-    use qcm_engine::SimConfig;
 
     fn figure4() -> Arc<Graph> {
         Arc::new(crate::iterations::tests::figure4())

@@ -1,16 +1,16 @@
 //! The virtual-time driver: deterministic discrete-event fault simulation.
 //!
-//! A [`crate::Cluster`] whose transport is [`crate::TransportFactory::Sim`]
-//! runs its [`GThinkerApp`] here: through the same per-machine protocol as
-//! the threaded driver — the queues, spill path, spawn/route/pop/compute
-//! steps, message handlers and balance plan of `crate::machine` — but on one
-//! thread in *virtual time*. Machines take turns on a seeded event queue, every
+//! A [`crate::ParallelMiner`] whose transport is
+//! [`crate::TransportFactory::Sim`] runs here: through the same per-machine
+//! protocol as the threaded driver — the queues, spill path,
+//! spawn/route/pop/compute steps, message handlers and balance plan of
+//! `crate::machine` — but on one thread in *virtual time*. Machines take turns on a seeded event queue, every
 //! cross-machine message goes through [`SimTransport`] with per-link latency
 //! and drop probability, and a scenario script can crash, restart, slow down
 //! or partition machines mid-run. Everything random derives from one seed, so
 //! a 64-machine fault scenario replays byte-identically: the event log (and
-//! its FNV-1a hash, both in [`EngineOutput::replay`]) is the determinism
-//! witness the test suite asserts on.
+//! its FNV-1a hash, both in [`crate::ParallelMiningOutput::replay`]) is the
+//! determinism witness the test suite asserts on.
 //!
 //! What this driver adds to the shared protocol:
 //!
@@ -22,21 +22,23 @@
 //!   sent again from the granting machine's book, a bounded number of times.
 //! * **Exactly-once results per root.** Lost work — a crashed machine's
 //!   queues, an abandoned pull, a grant never acked — marks the task's
-//!   spawning root ([`crate::task::TaskLabel::root`]) *dirty*. Once the event
+//!   spawning root ([`crate::QCTask::root`]) *dirty*. Once the event
 //!   queue drains, dirty roots are respawned at their owner (up to
 //!   [`SimConfig::respawn_limit`] times), their earlier rows discarded first.
 //!   A root that cannot be respawned labels the run [`RunOutcome::Faulted`],
-//!   contributes no row and is listed in [`EngineOutput::lost_roots`].
+//!   contributes no row and is listed in
+//!   [`crate::ParallelMiningOutput::lost_roots`].
 //! * **Virtual deadline.** Wall-clock cancellation is ignored; the run is
 //!   bounded by [`SimConfig::max_virtual_us`], which also guarantees
 //!   termination under adversarial drop/latency schedules.
 //! * **One worker per machine**: `threads_per_machine` is not modelled.
 
+use crate::app::QuasiCliqueApp;
 use crate::cluster::EngineOutput;
 use crate::codec::EngineMsg;
 use crate::config::EngineConfig;
 use crate::machine::{Handled, InFlight, Row, Run};
-use crate::task::{Frontier, GThinkerApp, WorkerScratch};
+use crate::task::{Frontier, QCTask, WorkerScratch};
 use crate::transport::{Envelope, MachineId, PullReply, Transport, TransportError, TransportStats};
 use crate::vertex_table::{AdjList, FetchScratch};
 use qcm_core::RunOutcome;
@@ -44,10 +46,6 @@ use qcm_graph::{Fnv1a64, Graph, VertexId};
 use qcm_sync::{Arc, Mutex};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::Duration;
-
-/// Root key used for tasks whose application reports no spawning root; such
-/// work cannot be respawned, so losing it is a permanent fault.
-const ROOTLESS: u32 = u32::MAX;
 
 /// A scripted fault applied to one machine at a virtual instant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -391,8 +389,8 @@ impl Transport for SimTransport {
 
 /// A popped task between two steps: parked while its pulls are on the wire,
 /// then ready for the machine's next step.
-struct Parked<T> {
-    task: T,
+struct Parked {
+    task: QCTask,
     flight: InFlight,
     frontier: Frontier,
     /// Owner machine → vertices still awaited from it; empty once ready.
@@ -402,11 +400,11 @@ struct Parked<T> {
 
 /// What this driver keeps per machine beside the protocol's own
 /// [`crate::machine::Machine`].
-struct SimMachine<T> {
+struct SimMachine {
     /// Tasks whose frontier is resolved, waiting for the machine's next step.
-    ready: VecDeque<Parked<T>>,
+    ready: VecDeque<Parked>,
     /// Tasks waiting for pull responses, by park id.
-    parked: BTreeMap<u64, Parked<T>>,
+    parked: BTreeMap<u64, Parked>,
     /// A Wake event is in the queue. It survives a crash: a wake that finds
     /// the machine down is a no-op, one that finds it restarted is its wake.
     wake_scheduled: bool,
@@ -429,8 +427,8 @@ pub struct Replay {
 /// thread counts are not modelled — each machine performs one scheduling step
 /// per wake. Rows come back flattened in root-id order, exactly once per
 /// root; `metrics.virtual_time` holds the final virtual clock.
-pub(crate) fn run<A: GThinkerApp>(
-    app: &A,
+pub(crate) fn run(
+    app: &QuasiCliqueApp,
     engine: &EngineConfig,
     sim: &SimConfig,
     graph: Arc<Graph>,
@@ -475,10 +473,13 @@ pub(crate) fn run<A: GThinkerApp>(
     let mut net = driver.net.lock();
     metrics.remote_bytes = net.stats.wire_bytes;
     metrics.virtual_time = Some(Duration::from_micros(net.clock));
-    let lost = driver.lost.iter().filter(|&&root| root != ROOTLESS);
     EngineOutput {
         results,
-        lost_roots: lost.map(|&root| VertexId::new(root)).collect(),
+        lost_roots: driver
+            .lost
+            .iter()
+            .map(|&root| VertexId::new(root))
+            .collect(),
         metrics,
         replay: Some(Replay {
             event_log: std::mem::take(&mut net.log_lines),
@@ -487,12 +488,12 @@ pub(crate) fn run<A: GThinkerApp>(
     }
 }
 
-struct Driver<'a, A: GThinkerApp> {
+struct Driver<'a> {
     /// The shared protocol state: machines, termination counters, metrics.
-    run: Run<'a, A>,
+    run: Run<'a>,
     sim: &'a SimConfig,
     net: Arc<Mutex<NetInner>>,
-    machines: Vec<SimMachine<A::Task>>,
+    machines: Vec<SimMachine>,
     /// Roots that lost work and must be respawned.
     dirty: BTreeSet<u32>,
     /// Roots that can never be respawned: the run is faulted.
@@ -511,7 +512,7 @@ struct Driver<'a, A: GThinkerApp> {
     faulted: bool,
 }
 
-impl<'a, A: GThinkerApp> Driver<'a, A> {
+impl Driver<'_> {
     fn net(&self) -> qcm_sync::MutexGuard<'_, NetInner> {
         self.net.lock()
     }
@@ -522,14 +523,6 @@ impl<'a, A: GThinkerApp> Driver<'a, A> {
 
     fn schedule(&self, delay_us: u64, ev: Event) {
         self.net().schedule(delay_us, ev);
-    }
-
-    fn root_key(&self, task: &A::Task) -> u32 {
-        self.run
-            .app
-            .task_label(task)
-            .root
-            .map_or(ROOTLESS, |v| v.raw())
     }
 
     fn has_work(&self, m: usize) -> bool {
@@ -606,11 +599,9 @@ impl<'a, A: GThinkerApp> Driver<'a, A> {
             let flight = self.run.begin_task(&task);
             self.advance(m, task, flight, true)
         } else {
-            let mut rows = Vec::new();
-            if !self.run.spawn_batch(m, 0, &mut rows) {
+            if !self.run.spawn_batch(m, 0) {
                 return; // idle: a delivery or restart re-wakes the machine
             }
-            self.record_spawn_rows(rows);
             self.sim.spawn_cost_us
         };
         if self.has_work(m) {
@@ -626,21 +617,15 @@ impl<'a, A: GThinkerApp> Driver<'a, A> {
         }
     }
 
-    fn record_spawn_rows(&mut self, spawned: Vec<(VertexId, Vec<Row>)>) {
-        for (v, rows) in spawned {
-            self.record_results(v.raw(), rows);
-        }
-    }
-
     /// Resolves the pulls `task` waits for. Local lists are read in place;
     /// if any are remote the task parks and one pull request per owner goes
     /// on the wire. With nothing remote the task computes right away
     /// (`compute_now`) or queues for the machine's next step. Returns the
     /// virtual cost.
-    fn advance(&mut self, m: usize, task: A::Task, flight: InFlight, compute_now: bool) -> u64 {
+    fn advance(&mut self, m: usize, task: QCTask, flight: InFlight, compute_now: bool) -> u64 {
         let mut frontier = Frontier::new();
         let mut remote: BTreeMap<usize, Vec<VertexId>> = BTreeMap::new();
-        for &v in self.run.app.pending_pulls(&task) {
+        for &v in &task.pull_targets {
             let owner = self.run.table.owner(v);
             if owner == m {
                 self.fetched.local_reads += 1;
@@ -685,9 +670,9 @@ impl<'a, A: GThinkerApp> Driver<'a, A> {
     }
 
     /// One compute step of `task` on machine `m`; returns its virtual cost.
-    fn compute(&mut self, m: usize, resumed: Parked<A::Task>) -> u64 {
+    fn compute(&mut self, m: usize, resumed: Parked) -> u64 {
         let (mut task, mut flight, frontier) = (resumed.task, resumed.flight, resumed.frontier);
-        let root = self.root_key(&task);
+        let root = task.root.raw();
         let (more, rows) =
             self.run
                 .compute_step(m, 0, &mut task, &mut flight, &frontier, &mut self.scratch);
@@ -749,7 +734,7 @@ impl<'a, A: GThinkerApp> Driver<'a, A> {
         } else {
             // Retry budget exhausted: abandon the task, dirty its root.
             let parked = self.machines[m].parked.remove(&park_id).expect("just seen");
-            let root = self.root_key(&parked.task);
+            let root = parked.task.root.raw();
             self.run.drop_flight(parked.flight);
             self.fetched.pull_failures += 1;
             self.dirty.insert(root);
@@ -775,7 +760,7 @@ impl<'a, A: GThinkerApp> Driver<'a, A> {
                 "steal-grant seq={seq} m{m}->m{to} lost after retries"
             ));
             for task in self.run.machines[m].abandon_grant(seq) {
-                self.dirty.insert(self.root_key(&task));
+                self.dirty.insert(task.root.raw());
             }
         }
     }
@@ -814,7 +799,7 @@ impl<'a, A: GThinkerApp> Driver<'a, A> {
     /// Machine `m` loses every task it holds — queued, spilled, granted and
     /// unacked, resumed or parked: their roots turn dirty.
     fn strand(&mut self, m: usize) {
-        let mut lost = self.run.machines[m].crash();
+        let mut lost = self.run.crash(m);
         let mach = &mut self.machines[m];
         let parked = std::mem::take(&mut mach.parked).into_values();
         for held in mach.ready.drain(..).chain(parked) {
@@ -822,7 +807,7 @@ impl<'a, A: GThinkerApp> Driver<'a, A> {
             lost.push(held.task);
         }
         for task in lost {
-            self.dirty.insert(self.root_key(&task));
+            self.dirty.insert(task.root.raw());
         }
     }
 
@@ -846,9 +831,7 @@ impl<'a, A: GThinkerApp> Driver<'a, A> {
             let v = VertexId::new(root);
             let owner = self.run.table.owner(v);
             let attempts = self.respawns.entry(root).or_insert(0);
-            let why = if root == ROOTLESS {
-                Some("rootless task".to_string())
-            } else if !self.net.lock().alive[owner] {
+            let why = if !self.net.lock().alive[owner] {
                 // No events remain, so the owner can never come back.
                 Some(format!("root={root} owner m{owner} down"))
             } else if *attempts >= self.sim.respawn_limit {
@@ -866,9 +849,7 @@ impl<'a, A: GThinkerApp> Driver<'a, A> {
             // exactly-once results per root.
             self.results.remove(&root);
             self.log(format!("respawn root={root} at m{owner}"));
-            let mut rows = Vec::new();
-            self.run.spawn_root(owner, 0, v, &mut rows);
-            self.record_spawn_rows(rows);
+            self.run.spawn_root(owner, 0, v);
             self.ensure_wake(owner);
             progress = true;
         }
@@ -910,107 +891,39 @@ impl<'a, A: GThinkerApp> Driver<'a, A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::{ComputeContext, TaskCodec, TaskLabel};
+    use crate::runner::{ParallelMiner, ParallelMiningOutput};
     use crate::transport::TransportFactory;
-    use crate::Cluster;
+    use qcm_core::{MiningParams, QuasiCliqueSet, SerialMiner};
 
-    /// A toy app: each vertex spawns one task that pulls the root's
-    /// neighbors, then emits `[v, max_neighbor]` for every neighbor larger
-    /// than the root. Pull-heavy enough to exercise the split-phase path.
-    struct EchoApp;
-
-    #[derive(Clone, Debug)]
-    struct EchoTask {
-        root: VertexId,
-        pulls: Vec<VertexId>,
+    /// About a hundred core vertices in nine planted communities, so every
+    /// machine of a small cluster owns work and a fault lands mid-mine.
+    fn planted() -> Arc<Graph> {
+        let spec = qcm_gen::PlantedGraphSpec {
+            num_vertices: 400,
+            background_avg_degree: 5.0,
+            background_beta: 2.5,
+            background_max_degree: 40.0,
+            community_sizes: vec![10, 9, 8, 10, 9, 8, 10, 9, 8],
+            community_density: 0.95,
+            seed: 99,
+        };
+        Arc::new(qcm_gen::plant_quasi_cliques(&spec).0)
     }
 
-    impl TaskCodec for EchoTask {
-        fn encode(&self, buf: &mut Vec<u8>) {
-            crate::codec::put_u32(buf, self.root.raw());
-            crate::codec::put_u32(buf, self.pulls.len() as u32);
-            for v in &self.pulls {
-                crate::codec::put_u32(buf, v.raw());
-            }
-        }
-        fn decode(data: &mut &[u8]) -> Option<Self> {
-            let root = VertexId::new(crate::codec::take_u32(data)?);
-            let n = crate::codec::take_u32(data)? as usize;
-            let mut pulls = Vec::with_capacity(n);
-            for _ in 0..n {
-                pulls.push(VertexId::new(crate::codec::take_u32(data)?));
-            }
-            Some(EchoTask { root, pulls })
-        }
+    fn params() -> MiningParams {
+        MiningParams::new(0.8, 8)
     }
 
-    impl GThinkerApp for EchoApp {
-        type Task = EchoTask;
-
-        fn spawn(&self, v: VertexId, adj: &[VertexId], ctx: &mut ComputeContext<Self::Task>) {
-            if !adj.is_empty() {
-                ctx.add_task(EchoTask {
-                    root: v,
-                    pulls: adj.to_vec(),
-                });
-            }
-        }
-
-        fn pending_pulls<'t>(&self, task: &'t Self::Task) -> &'t [VertexId] {
-            &task.pulls
-        }
-
-        fn compute(
-            &self,
-            task: &mut Self::Task,
-            frontier: &Frontier,
-            ctx: &mut ComputeContext<Self::Task>,
-        ) -> bool {
-            for (u, adj) in frontier.iter() {
-                if u > task.root && !adj.is_empty() {
-                    ctx.emit(vec![task.root, u]);
-                }
-            }
-            task.pulls.clear();
-            false
-        }
-
-        fn is_big(&self, _task: &Self::Task) -> bool {
-            true
-        }
-
-        fn task_label(&self, task: &Self::Task) -> TaskLabel {
-            TaskLabel {
-                root: Some(task.root),
-                subgraph_size: task.pulls.len(),
-            }
-        }
+    fn serial_maximal(g: &Graph) -> QuasiCliqueSet {
+        SerialMiner::new(params()).mine(g).maximal
     }
 
-    fn ring(n: u32) -> Arc<Graph> {
-        let edges: Vec<(u32, u32)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
-        Arc::new(Graph::from_edges(n as usize, edges).unwrap())
-    }
-
-    fn expected_rows(g: &Graph) -> usize {
-        let mut count = 0;
-        for v in g.vertices() {
-            for &u in g.neighbors(v) {
-                if u > v && !g.neighbors(u).is_empty() {
-                    count += 1;
-                }
-            }
-        }
-        count
-    }
-
-    fn run(engine: EngineConfig, sim: SimConfig, g: Arc<Graph>) -> EngineOutput {
-        let vertices = g.vertices().collect();
+    fn run(engine: EngineConfig, sim: SimConfig, g: &Arc<Graph>) -> ParallelMiningOutput {
         let engine = engine.with_transport(TransportFactory::Sim(sim));
-        Cluster::new(Arc::new(EchoApp), engine).run(g, vertices)
+        ParallelMiner::new(params(), engine).mine(g.clone())
     }
 
-    fn replay(out: &EngineOutput) -> &Replay {
+    fn replay(out: &ParallelMiningOutput) -> &Replay {
         out.replay
             .as_ref()
             .expect("a simulated run has an event log")
@@ -1018,90 +931,61 @@ mod tests {
 
     #[test]
     fn fault_free_sim_completes_with_all_results() {
-        let g = ring(24);
-        let out = run(EngineConfig::cluster(4, 1), SimConfig::new(7), g.clone());
+        let g = planted();
+        let out = run(EngineConfig::cluster(4, 1), SimConfig::new(7), &g);
         assert_eq!(out.metrics.outcome, RunOutcome::Complete);
-        assert_eq!(out.results.len(), expected_rows(&g));
+        assert_eq!(out.maximal, serial_maximal(&g));
         assert!(out.metrics.virtual_time > Some(Duration::ZERO));
         assert!(out.metrics.transport_messages > 0);
     }
 
     #[test]
     fn sixty_four_machine_crash_scenario_replays_byte_identically() {
-        let g = ring(192);
+        let g = planted();
         let engine = EngineConfig::cluster(64, 1);
         let sim = SimConfig::crash_scenario(42, 5, 3_000, Some(40_000));
-        let a = run(engine.clone(), sim.clone(), g.clone());
-        let b = run(engine, sim, g);
+        let a = run(engine.clone(), sim.clone(), &g);
+        let b = run(engine, sim, &g);
+        assert!(replay(&a)
+            .event_log
+            .iter()
+            .any(|line| line.contains("crash m5")));
         assert_eq!(
             replay(&a).log_hash,
             replay(&b).log_hash,
             "same seed must replay identically"
         );
         assert_eq!(replay(&a).event_log, replay(&b).event_log);
-        assert_eq!(a.results, b.results);
+        assert_eq!(a.maximal, b.maximal);
         assert_eq!(a.metrics.outcome, b.metrics.outcome);
     }
 
     #[test]
-    fn different_seeds_diverge() {
-        let g = ring(32);
-        let engine = EngineConfig::cluster(8, 1);
-        let a = run(
-            engine.clone(),
-            SimConfig::new(1).with_drop_probability(0.2),
-            g.clone(),
-        );
-        let b = run(engine, SimConfig::new(2).with_drop_probability(0.2), g);
-        assert_ne!(replay(&a).log_hash, replay(&b).log_hash);
-    }
-
-    #[test]
-    fn crash_with_restart_recovers_to_complete() {
-        let g = ring(24);
-        let baseline = run(EngineConfig::cluster(3, 1), SimConfig::new(9), g.clone());
-        assert_eq!(baseline.metrics.outcome, RunOutcome::Complete);
-        let out = run(
-            EngineConfig::cluster(3, 1),
-            SimConfig::crash_scenario(9, 1, 2_000, Some(30_000)),
-            g.clone(),
-        );
-        assert_eq!(
-            out.metrics.outcome,
-            RunOutcome::Complete,
-            "restart permits completion"
-        );
-        let mut a = baseline.results.clone();
-        let mut b = out.results.clone();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "recovered run must match the fault-free result set");
-    }
-
-    #[test]
     fn crash_without_restart_is_faulted_and_partial() {
-        let g = ring(24);
+        let g = planted();
         let out = run(
             EngineConfig::cluster(3, 1),
             SimConfig::crash_scenario(11, 1, 1_500, None),
-            g,
+            &g,
         );
         assert_eq!(out.metrics.outcome, RunOutcome::Faulted);
-        // An incomplete root is listed and contributes nothing.
+        // An incomplete root is listed and contributes nothing; what is left
+        // the serial miner proves maximal too.
         assert!(!out.lost_roots.is_empty());
-        assert!(out
-            .results
-            .iter()
-            .all(|row| !out.lost_roots.contains(&row[0])));
+        let serial = serial_maximal(&g);
+        for set in out.maximal.iter() {
+            assert!(!out.lost_roots.contains(&set[0]), "{set:?}");
+            assert!(serial.contains(set), "{set:?}");
+        }
     }
 
     #[test]
     fn total_loss_terminates_via_retry_exhaustion() {
-        let g = ring(12);
+        let g = planted();
         let out = run(
             EngineConfig::cluster(2, 1),
             SimConfig::new(3).with_drop_probability(1.0),
-            g,
+            &g,
         );
         assert_eq!(out.metrics.outcome, RunOutcome::Faulted);
         assert!(out.metrics.transport_dropped > 0);
@@ -1110,21 +994,18 @@ mod tests {
 
     #[test]
     fn straggler_completes_slower_than_baseline() {
-        let g = ring(24);
+        let g = planted();
         let engine = EngineConfig::cluster(3, 1);
-        let fast = run(engine.clone(), SimConfig::new(5), g.clone());
-        let slow = run(engine, SimConfig::straggler_scenario(5, 0, 0, 50), g);
+        let fast = run(engine.clone(), SimConfig::new(5), &g);
+        let slow = run(engine, SimConfig::straggler_scenario(5, 0, 0, 50), &g);
         assert_eq!(slow.metrics.outcome, RunOutcome::Complete);
         let (slow_us, fast_us) = (slow.metrics.virtual_time, fast.metrics.virtual_time);
         assert!(
             slow_us > fast_us,
             "a 50x straggler must stretch virtual time ({slow_us:?} vs {fast_us:?})"
         );
-        let mut a = fast.results.clone();
-        let mut b = slow.results.clone();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
+        assert_eq!(slow.maximal, fast.maximal);
+        assert_eq!(slow.maximal, serial_maximal(&g));
     }
 
     #[test]

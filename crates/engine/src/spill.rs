@@ -153,10 +153,13 @@ impl SpillStore {
     }
 
     /// Loads the oldest batch back into memory, removing it from the store.
-    /// Returns `None` when the store is empty.
+    /// Returns `None` when the store is empty. A batch comes back short when
+    /// its file cannot be opened or read in full, or a task in it does not
+    /// decode: the tasks before the first bad one are returned, the rest are
+    /// the caller's shortfall, and only the bytes actually read are counted.
     pub fn refill<T: TaskCodec>(&mut self) -> Option<Vec<T>> {
         let batch = self.batches.pop_front()?;
-        let (data, bytes) = match batch {
+        let (data, stored) = match batch {
             Batch::File { path, bytes, .. } => {
                 let mut buf = Vec::new();
                 if let Ok(mut f) = fs::File::open(&path) {
@@ -170,8 +173,8 @@ impl SpillStore {
                 (data, bytes)
             }
         };
-        self.resident_bytes = self.resident_bytes.saturating_sub(bytes);
-        self.metrics.record_read(bytes);
+        self.resident_bytes = self.resident_bytes.saturating_sub(stored);
+        self.metrics.record_read(data.len() as u64);
         let mut slice = data.as_slice();
         let mut tasks = Vec::new();
         while !slice.is_empty() {

@@ -10,7 +10,7 @@
 //! one per run — and with it the driver:
 //!
 //! * [`InProcTransport`] — machines are thread groups in one address space,
-//!   driven by live worker threads ([`crate::cluster`]). The default
+//!   driven by live worker threads (the `cluster` module). The default
 //!   configuration preserves the historical zero-copy fast path (owners'
 //!   adjacency slices are read directly through the shared
 //!   [`PartitionedVertexTable`]); *strict* mode disables that and forces every

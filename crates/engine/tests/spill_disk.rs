@@ -1,13 +1,15 @@
 //! Disk-backed `SpillStore` behaviour: spill → refill ordering and
 //! `SpillMetrics` accounting, cross-checked against the memory-backed mode
 //! (the two modes must be observationally identical apart from where the
-//! bytes live).
+//! bytes live), and what a refill reports when its file comes back short.
 
 use qcm_engine::codec;
+use qcm_engine::queue::{Refilled, TaskQueue};
 use qcm_engine::spill::{SpillMetrics, SpillStore};
 use qcm_engine::TaskCodec;
 use qcm_sync::atomic::Ordering;
 use qcm_sync::Arc;
+use std::fs;
 use std::path::PathBuf;
 
 #[derive(Clone, Debug, PartialEq)]
@@ -148,4 +150,54 @@ fn disk_peak_bytes_is_a_high_watermark_under_interleaving() {
     store.spill(&batch(200, 2));
     assert_eq!(metrics.peak_bytes.load(Ordering::Relaxed), peak);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn encoded(tasks: &[FakeTask]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    for task in tasks {
+        task.encode(&mut buf);
+    }
+    buf
+}
+
+/// A batch whose file is gone or cut short is a shortfall the caller hears
+/// about, not a silent loss: the refill reports how many of the batch's
+/// tasks did not come back, and `bytes_read` counts only the bytes read.
+#[test]
+fn batches_that_come_back_short_report_their_shortfall() {
+    let dir = temp_dir("short");
+    let metrics = Arc::new(SpillMetrics::default());
+    let mut store = SpillStore::new(Some(dir.clone()), "short", metrics.clone());
+    let batches: Vec<Vec<FakeTask>> = (0..3).map(|i| batch(i * 100, 6)).collect();
+    for b in &batches {
+        store.spill(b);
+    }
+    // File names carry the spill sequence.
+    let mut files: Vec<PathBuf> = fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 3);
+    // The oldest batch's file is gone; the next one ends two bytes into its
+    // fourth task.
+    fs::remove_file(&files[0]).unwrap();
+    let kept = encoded(&batches[1][..3]).len() + 2;
+    let second = fs::read(&files[1]).unwrap();
+    fs::write(&files[1], &second[..kept]).unwrap();
+
+    let mut queue = TaskQueue::new(16, 2, store);
+    let refilled = |restored, lost| Some(Refilled { restored, lost });
+    assert_eq!(queue.refill_from_spill(), refilled(0, 6));
+    assert_eq!(queue.refill_from_spill(), refilled(3, 3));
+    assert_eq!(queue.refill_from_spill(), refilled(6, 0));
+    assert_eq!(queue.refill_from_spill(), None);
+    let restored: Vec<FakeTask> = std::iter::from_fn(|| queue.pop()).collect();
+    let expected: Vec<FakeTask> = batches[1][..3].iter().chain(&batches[2]).cloned().collect();
+    assert_eq!(restored, expected);
+
+    let read = metrics.bytes_read.load(Ordering::Relaxed);
+    assert_eq!(read, (kept + encoded(&batches[2]).len()) as u64);
+    assert!(read < metrics.bytes_written.load(Ordering::Relaxed));
+    let _ = fs::remove_dir_all(&dir);
 }

@@ -77,8 +77,9 @@
 //! * [`gen`] — synthetic dataset generators (including the stand-ins for the
 //!   paper's eight evaluation graphs);
 //! * [`core`] — the serial mining algorithm, pruning rules and baselines;
-//! * [`engine`] — the reforged G-thinker-style task engine;
-//! * [`parallel`] — the parallel miner (the paper's full system).
+//! * [`engine`] — the paper's full system: the reforged G-thinker-style task
+//!   engine and the parallel miner ([`engine::ParallelMiner`]) that runs the
+//!   quasi-clique task on it.
 //!
 //! Above this facade sits `qcm-service`: an embeddable multi-tenant mining
 //! *job service* that executes submissions as [`Session`] runs on a worker
@@ -107,7 +108,6 @@ pub use qcm_core as core;
 pub use qcm_engine as engine;
 pub use qcm_gen as gen;
 pub use qcm_graph as graph;
-pub use qcm_parallel as parallel;
 
 pub use qcm_core::{
     CancelReason, CancelToken, CollectingSink, QcmError, QueryKey, ResultSink, RunOutcome,
@@ -132,10 +132,11 @@ pub mod prelude {
         quick_mine, Gamma, MiningOutput, MiningParams, MiningStats, PruneConfig, QuasiCliqueSet,
         QueryKey, SerialMiner,
     };
-    pub use qcm_engine::{EngineConfig, EngineMetrics};
+    pub use qcm_engine::{
+        DecompositionStrategy, EngineConfig, EngineMetrics, ParallelMiner, ParallelMiningOutput,
+    };
     pub use qcm_gen::{DatasetSpec, PlantedGraphSpec, SyntheticDataset};
     pub use qcm_graph::{Graph, GraphBuilder, GraphStats, VertexId};
-    pub use qcm_parallel::{DecompositionStrategy, ParallelMiner, ParallelMiningOutput};
 }
 
 #[cfg(test)]

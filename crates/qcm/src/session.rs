@@ -33,10 +33,9 @@ use qcm_core::{
     CancelToken, CandidateForwarder, MiningParams, MiningStats, PruneConfig, QcmError,
     QuasiCliqueSet, ResultSink, RunOutcome, SerialMiner,
 };
-use qcm_engine::{EngineConfig, EngineMetrics, TransportFactory};
+use qcm_engine::{EngineConfig, EngineMetrics, ParallelMiner, QuasiCliqueApp, TransportFactory};
 use qcm_graph::{Graph, IndexSpec};
 use qcm_obs::{SpanKind, Trace, TraceConfig};
-use qcm_parallel::{ParallelMiner, QuasiCliqueApp};
 use qcm_sync::Arc;
 use std::time::Duration;
 

@@ -23,9 +23,8 @@
 
 use proptest::prelude::*;
 use qcm::core::{MiningParams, SerialMiner};
-use qcm::engine::{EngineConfig, Replay};
+use qcm::engine::{EngineConfig, ParallelMiner, ParallelMiningOutput, Replay};
 use qcm::graph::Graph;
-use qcm::parallel::{ParallelMiner, ParallelMiningOutput};
 use qcm::{RunOutcome, SimConfig, TransportFactory};
 use qcm_sync::Arc;
 use std::fs;

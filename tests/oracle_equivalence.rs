@@ -8,7 +8,7 @@
 //! queues, spilling) must not change the result set either.
 
 use qcm::core::naive;
-use qcm::parallel::DecompositionStrategy;
+use qcm::engine::DecompositionStrategy;
 use qcm::prelude::*;
 use qcm_sync::Arc;
 use std::time::Duration;

@@ -11,7 +11,7 @@
 //! * subgraph-materialisation time stays a small fraction of mining time
 //!   (Table 6's ratio).
 
-use qcm::parallel::{DecompositionStrategy, ParallelMiner};
+use qcm::engine::{DecompositionStrategy, ParallelMiner};
 use qcm::prelude::*;
 use qcm_sync::Arc;
 use std::time::Duration;
