@@ -71,7 +71,7 @@ pub fn find_cover_vertex_into(
             Some(row) => cover.assign_intersection(row, ext_bits.words()),
             None => {
                 cover.clear();
-                g.raw_neighbors(u)
+                g.neighbors(u)
                     .iter()
                     .filter(|&&w| ext_bits.contains(w) && cover.insert(w))
                     .count()
@@ -106,7 +106,7 @@ pub fn find_cover_vertex_into(
                     let list_row =
                         list_row.get_or_insert_with(|| scratch.take_bitset(g.capacity()));
                     list_row.clear();
-                    for &w in g.raw_neighbors(v) {
+                    for &w in g.neighbors(v) {
                         list_row.insert(w);
                     }
                     cover.intersect_with(list_row);

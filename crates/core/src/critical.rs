@@ -15,8 +15,7 @@ use qcm_graph::LocalGraph;
 /// Moves `Γ_ext(S)(v)` — the extension vertices a critical vertex `v` forces
 /// into `S` (Theorem 9) — out of `ext` into a scratch-provided buffer
 /// (cleared first); both keep `ext`'s order. When `v` has a bit row the split
-/// is one row probe per extension vertex (`ext` members are alive, so the
-/// row's stale bits cannot match); otherwise it goes through
+/// is one row probe per extension vertex; otherwise it goes through
 /// [`LocalGraph::has_edge`].
 pub fn collect_critical_moves(
     g: &LocalGraph,

@@ -104,8 +104,7 @@ pub(crate) fn same_set(ext: &[u32], bits: &VertexBitSet) -> bool {
 /// ([`LocalGraph::build_hub_index`] — every vertex of a task subgraph of at
 /// most [`qcm_graph::subgraph::ALL_ROWS_MAX_VERTICES`]) by one word-parallel
 /// AND + popcount of the row against `ext_bits`, the rest by a walk of their
-/// adjacency list. `S`/`ext` members are alive, so a row's stale bits for
-/// peeled vertices can never be counted.
+/// adjacency list.
 pub fn carried_degrees_into(
     g: &LocalGraph,
     path: &mut PathDegrees,
@@ -126,7 +125,7 @@ pub fn carried_degrees_into(
             row_counts += 1;
             ext_bits.intersection_count_row(row) as u32
         } else {
-            g.raw_neighbors(v)
+            g.neighbors(v)
                 .iter()
                 .filter(|&&w| ext_bits.contains(w))
                 .count() as u32
@@ -160,7 +159,7 @@ pub fn compute_ee_degrees_into(
             row_counts += 1;
             return ext_bits.intersection_count_row(row) as u32;
         }
-        g.raw_neighbors(u)
+        g.neighbors(u)
             .iter()
             .filter(|&&w| ext_bits.contains(w))
             .count() as u32
@@ -280,14 +279,6 @@ mod tests {
                 "EE degrees for S={s:?}, ext={ext:?}"
             );
         }
-        // With a peeled vertex: stale hub-row bits must not be counted.
-        let mut peeled_indexed = indexed.clone();
-        peeled_indexed.remove_vertex(4);
-        let mut peeled_plain = plain.clone();
-        peeled_plain.remove_vertex(4);
-        let (a, _) = compute_degrees(&peeled_indexed, &[0, 1], &[2, 3]);
-        let (b, _) = compute_degrees(&peeled_plain, &[0, 1], &[2, 3]);
-        assert_eq!(a, b);
     }
 
     #[test]

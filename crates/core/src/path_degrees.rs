@@ -14,15 +14,14 @@ use qcm_graph::LocalGraph;
 /// currently describes.
 #[derive(Debug, Default)]
 pub struct PathDegrees {
-    /// `d_s[w]` counts the members of `members` adjacent to `w`. Entries of
-    /// peeled vertices are maintained like any other and never read.
+    /// `d_s[w]` counts the members of `members` adjacent to `w`.
     d_s: Vec<u32>,
     /// The `S` the counts describe, in the order its members entered.
     members: Vec<u32>,
 }
 
 impl PathDegrees {
-    /// Makes the counts describe `s` (alive, duplicate-free local vertices of
+    /// Makes the counts describe `s` (duplicate-free local vertices of
     /// `g`, which must be the same graph on every call): the common prefix of
     /// `s` and the described set stays, the members after it leave and the
     /// rest of `s` enters, each at the cost of one walk of its adjacency
@@ -42,13 +41,13 @@ impl PathDegrees {
             .take_while(|(a, b)| a == b)
             .count();
         for &v in &self.members[common..] {
-            for &w in g.raw_neighbors(v) {
+            for &w in g.neighbors(v) {
                 self.d_s[w as usize] -= 1;
             }
         }
         self.members.truncate(common);
         for &v in &s[common..] {
-            for &w in g.raw_neighbors(v) {
+            for &w in g.neighbors(v) {
                 self.d_s[w as usize] += 1;
             }
         }

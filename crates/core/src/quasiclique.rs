@@ -12,8 +12,8 @@ use crate::scratch::MiningScratch;
 use qcm_graph::neighborhoods::perf;
 use qcm_graph::{LocalGraph, VertexBitSet};
 
-/// Checks whether the set of *local* vertex indices `s` (alive,
-/// duplicate-free) induces a γ-quasi-clique in the task subgraph `g`.
+/// Checks whether the set of *local* vertex indices `s` (duplicate-free)
+/// induces a γ-quasi-clique in the task subgraph `g`.
 ///
 /// The check follows Definition 1 exactly: the induced subgraph must be
 /// connected and every member must meet the degree threshold. A single vertex
@@ -55,10 +55,7 @@ pub(crate) fn is_quasi_clique_of(
         return n == 1;
     }
     debug_assert_eq!(members.len(), n);
-    debug_assert!(head
-        .iter()
-        .chain(tail)
-        .all(|&v| g.is_alive(v) && members.contains(v)));
+    debug_assert!(head.iter().chain(tail).all(|&v| members.contains(v)));
     let required = params.required_degree(n);
     // Degree check.
     let mut row_counts = 0u64;
@@ -69,7 +66,7 @@ pub(crate) fn is_quasi_clique_of(
                 members.intersection_count_row(row)
             }
             None => g
-                .raw_neighbors(v)
+                .neighbors(v)
                 .iter()
                 .filter(|&&w| members.contains(w))
                 .count(),
@@ -94,7 +91,7 @@ pub(crate) fn is_quasi_clique_of(
         match g.hub_row(u) {
             Some(row) => reached.absorb_new(row, members, &mut frontier),
             None => {
-                for &w in g.raw_neighbors(u) {
+                for &w in g.neighbors(u) {
                     if members.contains(w) && reached.insert(w) {
                         frontier.push(w);
                     }

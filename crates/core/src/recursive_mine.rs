@@ -39,12 +39,9 @@ use qcm_graph::LocalGraph;
 /// subgraph, the `B(v)` of pruning rule P1 — using `first_hop` as scratch for
 /// the frontier between the two hops.
 ///
-/// When the graph has no peeled vertices (always true for the mining-phase
-/// subgraphs, which are built once and never shrunk), a first-hop vertex with
-/// a bit row — every vertex of a small task graph — contributes its second
-/// hop by one word-parallel OR of the row instead of a walk of its adjacency
-/// list. With peeled vertices the rows may carry dead bits, so the walk path
-/// (which filters liveness) is used instead.
+/// A first-hop vertex with a bit row — every vertex of a small task graph —
+/// contributes its second hop by one word-parallel OR of the row instead of a
+/// walk of its adjacency list.
 pub fn two_hop_bits_into(
     g: &LocalGraph,
     v: u32,
@@ -54,17 +51,16 @@ pub fn two_hop_bits_into(
     debug_assert!(seen.is_empty() && seen.capacity() == g.capacity());
     seen.insert(v);
     first_hop.clear();
-    for u in g.neighbors(v) {
+    for &u in g.neighbors(v) {
         if seen.insert(u) {
             first_hop.push(u);
         }
     }
-    let rows_are_exact = g.num_vertices() == g.capacity();
     for &u in first_hop.iter() {
         match g.hub_row(u) {
-            Some(row) if rows_are_exact => seen.union_with_row(row),
-            _ => {
-                for w in g.neighbors(u) {
+            Some(row) => seen.union_with_row(row),
+            None => {
+                for &w in g.neighbors(u) {
                     seen.insert(w);
                 }
             }
@@ -89,11 +85,10 @@ impl TwoHopRows {
     /// [`two_hop_bits_into`] on first use — or `None` when no rows are kept
     /// for `g`. They are kept when `g` has a bit row for every vertex — so
     /// it is small ([`ALL_ROWS_MAX_VERTICES`] bounds the matrix at 2 MiB) and
-    /// its index policy already pays for one matrix of this size — and
-    /// nothing was peeled from it.
+    /// its index policy already pays for one matrix of this size.
     fn row(&mut self, g: &LocalGraph, v: u32, scratch: &mut MiningScratch) -> Option<&[u64]> {
         let n = g.capacity();
-        if g.hub_threshold() != Some(0) || n > ALL_ROWS_MAX_VERTICES || g.num_vertices() != n {
+        if g.hub_threshold() != Some(0) || n > ALL_ROWS_MAX_VERTICES {
             return None;
         }
         let words = n.div_ceil(64);

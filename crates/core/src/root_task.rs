@@ -11,19 +11,32 @@
 //! out of the serial miner's working graph, so the recursion runs in a
 //! compact index space of a few hundred vertices where every vertex has a
 //! bit row, whatever the size of the input.
+//!
+//! A root costs something only if it can hold a result. The builder walks
+//! the working graph's suffix cores ([`SuffixCores`]) and visits only the
+//! roots `v` that lie in their own, `C_v`, the k-core of `G[{u ≥ v}]`: any
+//! other root's `t.g` peels away. It then collects and peels inside `C_v`,
+//! which changes no task, because the k-core of every subgraph of
+//! `G[{u ≥ v}]` lies inside `C_v`.
 
 use crate::config::PruneConfig;
 use crate::params::MiningParams;
-use qcm_graph::{IndexSpec, LocalGraph, SubgraphScratch, VertexBitSet};
+use qcm_graph::{IndexSpec, LocalGraph, SubgraphScratch, SuffixCores, VertexBitSet};
 
-/// Builds root task subgraphs out of one working graph, reusing its marker
-/// set, vertex list, peel buffers and induction buffers from root to root: a
-/// root costs `O(its ego-net)`, never `O(|work|)`.
+/// Builds the root task subgraphs of one working graph, root by root in id
+/// order, reusing its marker set, vertex list, peel buffers and induction
+/// buffers from root to root: a root costs `O(its ego-net)`, never
+/// `O(|work|)`, and a vertex outside its suffix core costs only its share of
+/// the `O(V + E)` suffix walk.
 #[derive(Debug)]
-pub struct RootTaskBuilder {
+pub struct RootTaskBuilder<'w> {
+    work: &'w LocalGraph,
     params: MiningParams,
     config: PruneConfig,
     index: IndexSpec,
+    /// The suffix core of the current root; every vertex is a root without
+    /// the size-threshold rule.
+    suffix: SuffixCores,
     /// Marks the vertices of `keep` still in the task; all-clear between
     /// roots.
     seen: VertexBitSet,
@@ -38,77 +51,94 @@ pub struct RootTaskBuilder {
     scratch: SubgraphScratch,
 }
 
-impl RootTaskBuilder {
-    /// A builder of task subgraphs; `index` is their hub-index policy.
-    pub fn new(params: MiningParams, config: PruneConfig, index: IndexSpec) -> Self {
+impl<'w> RootTaskBuilder<'w> {
+    /// A builder of the task subgraphs of `work`, the k-core of the input
+    /// (every vertex of it without the size-threshold rule); `index` is their
+    /// hub-index policy.
+    pub fn new(
+        work: &'w LocalGraph,
+        params: MiningParams,
+        config: PruneConfig,
+        index: IndexSpec,
+    ) -> Self {
+        let k = if config.size_threshold {
+            params.kcore_threshold()
+        } else {
+            0
+        };
+        let degrees = (0..work.capacity() as u32).map(|v| work.degree(v) as u32);
         RootTaskBuilder {
+            work,
             params,
             config,
             index,
-            seen: VertexBitSet::default(),
+            suffix: SuffixCores::new(degrees.collect(), k),
+            seen: VertexBitSet::new(work.capacity()),
             keep: Vec::new(),
-            degree: Vec::new(),
+            degree: vec![0; work.capacity()],
             stack: Vec::new(),
             scratch: SubgraphScratch::default(),
         }
     }
 
-    /// The task subgraph of root `v` of `work`, with `v` at local index 0 and
-    /// the other vertices in increasing order of their `work` index, or
-    /// `None` when no valid quasi-clique can have `v` as its smallest member.
+    /// Moves on to the next root in id order that lies in its own suffix
+    /// core, and returns it; `None` when no root is left.
+    pub fn next_root(&mut self) -> Option<u32> {
+        let work = self.work;
+        self.suffix.next_root(|v| work.neighbors(v).iter().copied())
+    }
+
+    /// The task subgraph of the current root `v` (the last
+    /// [`RootTaskBuilder::next_root`]), with `v` at local index 0 and the
+    /// other vertices in increasing order of their `work` index, or `None`
+    /// when no valid quasi-clique can have `v` as its smallest member.
     ///
-    /// The vertices are `v` and every `u > v` reached from `v` in at most two
-    /// hops through vertices `> v` — every `u > v` when the diameter rule is
-    /// off or γ < ½. When the size-threshold rule is on they are peeled to
-    /// their k-core first, on the working graph's own lists; the task is
-    /// dropped when that removes `v`, and in any case when fewer than τ_size
-    /// vertices remain. Only the survivors are cut out, once.
-    pub fn build(&mut self, work: &LocalGraph, v: u32) -> Option<LocalGraph> {
-        let survives = self.collect(work, v) && (!self.config.size_threshold || self.peel(work, v));
+    /// The vertices are `v` and every `u > v` of `C_v` reached from `v` in at
+    /// most two hops through vertices `> v` — every `u > v` of `C_v` when the
+    /// diameter rule is off or γ < ½. When the size-threshold rule is on they
+    /// are peeled to their k-core first, on the working graph's own lists;
+    /// the task is dropped when that removes `v`, and in any case when fewer
+    /// than τ_size vertices remain. Only the survivors are cut out, once.
+    pub fn build(&mut self, v: u32) -> Option<LocalGraph> {
+        debug_assert!(self.suffix.contains(v), "{v} is outside the suffix core");
+        let survives = self.collect(v) && (!self.config.size_threshold || self.peel(v));
         self.unmark();
         if !survives {
             return None;
         }
-        let mut task = work.induce_from_local(&self.keep, &mut self.scratch);
+        let mut task = self.work.induce_from_local(&self.keep, &mut self.scratch);
         task.build_hub_index(self.index);
         Some(task)
     }
 
     /// Fills `keep` with `v` and its candidate vertices in increasing order
-    /// and marks them in `seen`. False when they cannot hold a result: `v`
-    /// has too few larger neighbors, or fewer than τ_size were collected.
-    fn collect(&mut self, work: &LocalGraph, v: u32) -> bool {
-        if self.seen.capacity() != work.capacity() {
-            self.seen.reset(work.capacity());
-        }
-        self.keep.clear();
-        self.keep.push(v);
-        self.seen.insert(v);
+    /// and marks them in `seen`. False when fewer than τ_size were collected.
+    fn collect(&mut self, v: u32) -> bool {
+        let (work, suffix) = (self.work, &self.suffix);
+        let (seen, keep) = (&mut self.seen, &mut self.keep);
+        keep.clear();
+        keep.push(v);
+        seen.insert(v);
+        // `C_v` holds no vertex below `v`, and `v` is marked already.
+        let mut take = |u: u32| {
+            if suffix.contains(u) && seen.insert(u) {
+                keep.push(u);
+            }
+        };
         if self.config.diameter && self.params.gamma.diameter_two_applies() {
-            for u in work.neighbors(v) {
-                if u > v && self.seen.insert(u) {
-                    self.keep.push(u);
-                }
+            let larger = |u: u32| {
+                let adj = work.neighbors(u);
+                &adj[adj.partition_point(|&w| w <= v)..]
+            };
+            // A second hop may pass through a first-hop vertex outside
+            // `C_v`: the vertex it reaches can still be in the task's core.
+            for &u in larger(v) {
+                take(u);
+                larger(u).iter().for_each(|&w| take(w));
             }
-            let one_hop = self.keep.len();
-            // `v` itself needs k neighbors inside the task, and all of them
-            // are first-hop vertices: most roots of a sparse graph end here.
-            if self.config.size_threshold && one_hop <= self.params.kcore_threshold() {
-                return false;
-            }
-            for i in 1..one_hop {
-                for w in work.neighbors(self.keep[i]) {
-                    if w > v && self.seen.insert(w) {
-                        self.keep.push(w);
-                    }
-                }
-            }
-            self.keep[1..].sort_unstable();
+            keep[1..].sort_unstable();
         } else {
-            for u in work.vertices().filter(|&u| u > v) {
-                self.seen.insert(u);
-                self.keep.push(u);
-            }
+            (v + 1..work.capacity() as u32).for_each(take);
         }
         self.keep.len() >= self.params.min_size
     }
@@ -124,17 +154,13 @@ impl RootTaskBuilder {
     /// with fewer than `k` marked neighbors and drops it from `keep`. False —
     /// at once, with the marks and `keep` in no particular state — when the
     /// root falls below `k` or fewer than τ_size vertices stay.
-    fn peel(&mut self, work: &LocalGraph, v: u32) -> bool {
+    fn peel(&mut self, v: u32) -> bool {
         let k = u32::try_from(self.params.kcore_threshold()).unwrap_or(u32::MAX);
-        let (seen, degree, stack) = (&mut self.seen, &mut self.degree, &mut self.stack);
-        if degree.len() < work.capacity() {
-            degree.resize(work.capacity(), 0);
-        }
+        let (work, seen, degree, stack) =
+            (self.work, &mut self.seen, &mut self.degree, &mut self.stack);
         stack.clear();
-        // A dead vertex of `work` is never marked, so its list entries count
-        // for nothing.
         for &u in &self.keep {
-            let marked = work.raw_neighbors(u).iter().filter(|&&w| seen.contains(w));
+            let marked = work.neighbors(u).iter().filter(|&&w| seen.contains(w));
             degree[u as usize] = marked.count() as u32;
             if degree[u as usize] < k {
                 stack.push(u);
@@ -147,7 +173,7 @@ impl RootTaskBuilder {
                 return false;
             }
             seen.remove(x);
-            for &w in work.raw_neighbors(x) {
+            for &w in work.neighbors(x) {
                 // A vertex is queued exactly once: above if it starts below
                 // k, else when this decrement takes it there.
                 let d = &mut degree[w as usize];
@@ -162,36 +188,18 @@ impl RootTaskBuilder {
         self.keep.retain(|&u| seen.contains(u));
         true
     }
-
-    /// The task subgraph as [`RootTaskBuilder::build`] used to cut it: induce
-    /// every collected vertex, peel the copy, compact it. The reference the
-    /// peel-first build is tested against.
-    #[cfg(test)]
-    fn build_by_induce_peel_compact(&mut self, work: &LocalGraph, v: u32) -> Option<LocalGraph> {
-        let collected = self.collect(work, v);
-        self.unmark();
-        if !collected {
-            return None;
-        }
-        let k = self.params.kcore_threshold();
-        let mut task = work.induce_from_local(&self.keep, &mut self.scratch);
-        if self.config.size_threshold && task.shrink_to_k_core(k, &mut self.scratch) > 0 {
-            if !task.is_alive(0) || task.num_vertices() < self.params.min_size {
-                return None;
-            }
-            task = task.compact(&mut self.scratch);
-        }
-        task.build_hub_index(self.index);
-        Some(task)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qcm_gen::planted::{plant_quasi_cliques, PlantedGraphSpec};
+    use qcm_gen::powerlaw::power_law_graph;
+    use qcm_graph::kcore::k_core_vertices;
+    use qcm_graph::subgraph::induced_subgraph;
     use qcm_graph::{Graph, VertexId};
 
-    fn figure4_work() -> LocalGraph {
+    fn figure4() -> Graph {
         let edges = [
             (0, 1),
             (0, 2),
@@ -209,57 +217,78 @@ mod tests {
             (7, 8),
             (3, 8),
         ];
-        let g = Graph::from_edges(9, edges.iter().copied()).unwrap();
-        let all: Vec<VertexId> = g.vertices().collect();
-        LocalGraph::from_induced(&g, &all)
+        Graph::from_edges(9, edges.iter().copied()).unwrap()
     }
 
-    fn globals(task: &LocalGraph) -> Vec<u32> {
-        (0..task.capacity() as u32)
-            .map(|i| task.global_id(i).raw())
-            .collect()
+    /// The working graph `SerialMiner` builds from `g`: its k-core, or all of
+    /// it without the size-threshold rule.
+    fn work_of(g: &Graph, params: MiningParams, config: PruneConfig) -> LocalGraph {
+        let k = if config.size_threshold {
+            params.kcore_threshold()
+        } else {
+            0
+        };
+        LocalGraph::from_induced(g, &k_core_vertices(g, k))
+    }
+
+    /// Every root the builder visits, as its id in `g`, with what it built.
+    fn root_tasks(
+        g: &Graph,
+        params: MiningParams,
+        config: PruneConfig,
+    ) -> Vec<(u32, Option<Vec<u32>>)> {
+        let work = work_of(g, params, config);
+        let mut builder = RootTaskBuilder::new(&work, params, config, IndexSpec::Auto);
+        let mut tasks = Vec::new();
+        while let Some(v) = builder.next_root() {
+            let task = builder.build(v);
+            assert!(builder.seen.is_empty(), "marks left behind by root {v}");
+            let globals = task.map(|t| t.global_ids().iter().map(|u| u.raw()).collect());
+            tasks.push((work.global_id(v).raw(), globals));
+        }
+        tasks
     }
 
     #[test]
     fn root_a_gets_the_dense_region_with_the_root_first() {
         // γ = 0.6, τ_size = 5 → k = 3: the 3-core of a's larger two-hop
-        // neighborhood is {a, b, c, d, e}.
-        let work = figure4_work();
+        // neighborhood is {a, b, c, d, e}, and a is the only root whose
+        // suffix core is not empty.
+        let g = figure4();
         let params = MiningParams::new(0.6, 5);
-        let mut builder = RootTaskBuilder::new(params, PruneConfig::all_enabled(), IndexSpec::Auto);
-        let task = builder.build(&work, 0).expect("root a survives");
-        assert_eq!(globals(&task), vec![0, 1, 2, 3, 4]);
-        assert_eq!(task.num_vertices(), task.capacity(), "compacted");
+        let config = PruneConfig::all_enabled();
+        assert_eq!(
+            root_tasks(&g, params, config),
+            vec![(0, Some(vec![0, 1, 2, 3, 4]))]
+        );
+        let work = work_of(&g, params, config);
+        let mut builder = RootTaskBuilder::new(&work, params, config, IndexSpec::Auto);
+        let task = builder.next_root().and_then(|v| builder.build(v)).unwrap();
         assert_eq!(task.num_edges(), 9);
         assert_eq!(
             task.hub_count(),
             5,
             "a small task graph indexes every vertex"
         );
-        // Every later root lacks three larger neighbors or peels away.
-        for v in 1..9 {
-            assert!(builder.build(&work, v).is_none(), "root {v}");
-        }
     }
 
     #[test]
     fn only_larger_ids_reached_through_larger_ids_are_kept() {
         // k = 1 peels nothing here. d (3) reaches e directly and h, i through
         // each other; a, c are smaller, and nothing else is within two hops
-        // through larger ids.
-        let work = figure4_work();
-        let params = MiningParams::new(0.5, 2);
-        let mut builder = RootTaskBuilder::new(params, PruneConfig::all_enabled(), IndexSpec::Auto);
-        let task = builder.build(&work, 3).expect("root d survives");
-        assert_eq!(globals(&task), vec![3, 4, 7, 8]);
-        // f (5) reaches g (6) only; c is smaller.
-        let task = builder.build(&work, 5).expect("root f survives");
-        assert_eq!(globals(&task), vec![5, 6]);
+        // through larger ids. f (5) reaches g (6) only; c is smaller. e, g
+        // and i have no larger neighbour, so their suffix cores lost them.
+        let g = figure4();
+        let tasks = root_tasks(&g, MiningParams::new(0.5, 2), PruneConfig::all_enabled());
+        let roots: Vec<u32> = tasks.iter().map(|(v, _)| *v).collect();
+        assert_eq!(roots, [0, 1, 2, 3, 5, 7]);
+        assert_eq!(tasks[3].1, Some(vec![3, 4, 7, 8]));
+        assert_eq!(tasks[4].1, Some(vec![5, 6]));
     }
 
     #[test]
     fn without_the_diameter_rule_every_larger_vertex_is_kept() {
-        let work = figure4_work();
+        let g = figure4();
         for (params, config) in [
             // γ < ½: the two-hop property does not hold.
             (MiningParams::new(0.4, 2), PruneConfig::none()),
@@ -270,11 +299,12 @@ mod tests {
                     .without("size_threshold"),
             ),
         ] {
-            let mut builder = RootTaskBuilder::new(params, config, IndexSpec::Auto);
-            let task = builder.build(&work, 4).expect("root e survives");
-            assert_eq!(globals(&task), vec![4, 5, 6, 7, 8]);
+            let tasks = root_tasks(&g, params, config);
+            // Without the size-threshold rule every vertex is a root.
+            assert_eq!(tasks.len(), 9);
+            assert_eq!(tasks[4].1, Some(vec![4, 5, 6, 7, 8]));
             // Fewer than τ_size vertices can hold no result.
-            assert!(builder.build(&work, 8).is_none());
+            assert_eq!(tasks[8].1, None);
         }
     }
 
@@ -282,74 +312,113 @@ mod tests {
     fn size_threshold_off_keeps_the_unpeeled_neighborhood() {
         // γ = 0.9, τ_size = 4 → k = 3 would peel f and g away from b's task;
         // without the rule they stay.
-        let work = figure4_work();
+        let g = figure4();
         let params = MiningParams::new(0.9, 4);
         let config = PruneConfig::all_enabled().without("size_threshold");
-        let mut builder = RootTaskBuilder::new(params, config, IndexSpec::Auto);
-        let task = builder.build(&work, 1).expect("root b survives");
-        assert_eq!(globals(&task), vec![1, 2, 3, 4, 5, 6]);
+        let tasks = root_tasks(&g, params, config);
+        assert_eq!(tasks[1], (1, Some(vec![1, 2, 3, 4, 5, 6])));
     }
 
-    /// Peeling the marked vertices on the working graph and cutting out the
-    /// survivors gives the graph that inducing everything, peeling the copy
-    /// and compacting it gave — and drops exactly the same roots.
+    /// The task the serial miner cut before it walked suffix cores, computed
+    /// on a plain [`Graph`]: collect `v` and its larger two-hop neighborhood
+    /// (every larger vertex without the diameter rule), induce it, peel the
+    /// copy to its k-core, and keep the survivors when `v` is one of them and
+    /// there are τ_size of them.
+    fn induce_and_peel(
+        g: &Graph,
+        v: VertexId,
+        params: MiningParams,
+        config: PruneConfig,
+    ) -> Option<LocalGraph> {
+        let larger = |u: VertexId| {
+            let adj = g.neighbors(u);
+            &adj[adj.partition_point(|&w| w <= v)..]
+        };
+        let mut collected: Vec<VertexId> = if config.diameter && params.gamma.diameter_two_applies()
+        {
+            let two_hops = larger(v)
+                .iter()
+                .flat_map(|&u| larger(u).iter().copied().chain([u]));
+            two_hops.collect()
+        } else {
+            g.vertices().filter(|&u| u > v).collect()
+        };
+        collected.push(v);
+        collected.sort_unstable();
+        collected.dedup();
+        if config.size_threshold {
+            let (sub, mapping) = induced_subgraph(g, &collected);
+            let core = k_core_vertices(&sub, params.kcore_threshold());
+            if core.first() != Some(&VertexId::new(0)) {
+                return None;
+            }
+            collected = core.iter().map(|u| mapping[u.index()]).collect();
+        }
+        (collected.len() >= params.min_size).then(|| LocalGraph::from_induced(g, &collected))
+    }
+
+    /// Walking the suffix cores changes no task: every root the reference
+    /// builds a task for is visited, and every visited root gets exactly the
+    /// reference's task, on planted and power-law graphs at every γ ≥ ½ and
+    /// several τ_size.
     #[test]
-    fn peel_first_build_cuts_what_induce_peel_compact_cut() {
-        use qcm_gen::planted::{plant_quasi_cliques, PlantedGraphSpec};
-        let (mut built, mut dropped, mut shrunk) = (0, 0, 0);
-        for seed in 0..4u64 {
-            let (graph, _) = plant_quasi_cliques(&PlantedGraphSpec {
-                num_vertices: 120,
-                background_avg_degree: 5.0,
+    fn suffix_root_builds_equal_the_induce_and_peel_reference() {
+        let (mut built, mut skipped) = (0, 0);
+        for seed in 0..3u64 {
+            let (planted, _) = plant_quasi_cliques(&PlantedGraphSpec {
+                num_vertices: 150,
+                background_avg_degree: 6.0,
                 background_beta: 2.3,
-                background_max_degree: 30.0,
-                community_sizes: vec![9, 8, 7],
+                background_max_degree: 40.0,
+                community_sizes: vec![12, 10, 9, 8],
                 community_density: 0.9,
                 seed,
             });
-            let all: Vec<VertexId> = graph.vertices().collect();
-            let work = LocalGraph::from_induced(&graph, &all);
-            for gamma in [0.4, 0.6, 0.9] {
-                for config in [
-                    PruneConfig::all_enabled(),
-                    PruneConfig::all_enabled().without("size_threshold"),
-                    PruneConfig::all_enabled().without("diameter"),
-                    PruneConfig::none(),
-                ] {
-                    let params = MiningParams::new(gamma, 6);
-                    let mut builder = RootTaskBuilder::new(params, config, IndexSpec::Auto);
-                    let mut reference = RootTaskBuilder::new(params, config, IndexSpec::Auto);
-                    let mut unpeeled = RootTaskBuilder::new(
-                        params,
-                        config.without("size_threshold"),
-                        IndexSpec::Auto,
-                    );
-                    for v in 0..work.capacity() as u32 {
-                        let task = builder.build(&work, v);
-                        let expected = reference.build_by_induce_peel_compact(&work, v);
-                        assert_eq!(
-                            task, expected,
-                            "seed {seed}, gamma {gamma}, {config:?}, root {v}"
-                        );
-                        assert!(builder.seen.is_empty(), "marks left behind by root {v}");
-                        match task {
-                            Some(task) => {
-                                assert_eq!(task.num_vertices(), task.capacity());
-                                assert_eq!(task.global_id(0), work.global_id(v));
-                                built += 1;
-                                let collected = unpeeled.build(&work, v).map(|t| t.capacity());
-                                shrunk += usize::from(Some(task.capacity()) < collected);
+            let power_law = power_law_graph(200, 8.0, 2.2, 60.0, seed);
+            for graph in [&planted, &power_law] {
+                for gamma in [0.5, 0.6, 0.8, 0.9, 1.0] {
+                    for min_size in [4, 6, 9] {
+                        for config in [
+                            PruneConfig::all_enabled(),
+                            PruneConfig::all_enabled().without("diameter"),
+                        ] {
+                            let params = MiningParams::new(gamma, min_size);
+                            let k = params.kcore_threshold();
+                            let core = k_core_vertices(graph, k);
+                            let (g, _) = induced_subgraph(graph, &core);
+                            let all: Vec<VertexId> = g.vertices().collect();
+                            let work = LocalGraph::from_induced(&g, &all);
+                            let mut builder =
+                                RootTaskBuilder::new(&work, params, config, IndexSpec::Auto);
+                            let mut next = builder.next_root();
+                            for v in g.vertices() {
+                                let expected = induce_and_peel(&g, v, params, config);
+                                let case = format!(
+                                    "seed {seed}, γ {gamma}, τ {min_size}, {config:?}, root {v}"
+                                );
+                                if next != Some(v.raw()) {
+                                    assert_eq!(expected, None, "{case}: not a suffix root");
+                                    let larger = g.neighbors(v).iter().filter(|&&u| u > v);
+                                    skipped += usize::from(larger.count() >= k);
+                                    continue;
+                                }
+                                let task = builder.build(v.raw());
+                                assert_eq!(task, expected, "{case}");
+                                built += usize::from(task.is_some());
+                                next = builder.next_root();
                             }
-                            None => dropped += 1,
+                            assert_eq!(next, None);
                         }
                     }
                 }
             }
         }
-        // The inputs must exercise every outcome, or the equality is hollow.
+        // Both outcomes must be common, or the equality is hollow: roots
+        // built, and roots the engine's spawn test alone would have let
+        // through (k larger neighbours) that the walk skips.
         assert!(
-            built > 100 && dropped > 100 && shrunk > 20,
-            "{built} built, {dropped} dropped, {shrunk} built from a peeled candidate set"
+            built > 100 && skipped > 100,
+            "{built} built, {skipped} skipped"
         );
     }
 }

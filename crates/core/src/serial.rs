@@ -2,15 +2,16 @@
 //!
 //! [`SerialMiner`] is the single-threaded reference implementation of the
 //! paper's algorithm: shrink the input graph to its k-core (P2 / topic T1),
-//! then for every surviving vertex `v` cut out the task subgraph `t.g` — the
-//! k-core of `v` and the larger-id vertices within two hops of it
-//! ([`RootTaskBuilder`], the serial form of Algorithms 6–7) — and run the
-//! recursive miner (Algorithm 2) on `S = {v}`, `ext(S) = V(t.g) − v` in that
-//! subgraph's own compact index space, where every vertex has a bit row.
-//! Roots whose task subgraph cannot hold a result are skipped. Finally the
-//! non-maximal results are removed. The parallel miner in `qcm-engine`
-//! mines the same task subgraphs and produces exactly the same result set;
-//! tests assert that equivalence.
+//! then for every vertex `v` that lies in its suffix core — the k-core of
+//! the vertices `≥ v`, without which `v` can head no result — cut out the
+//! task subgraph `t.g`, the k-core of `v` and the larger-id vertices within
+//! two hops of it ([`RootTaskBuilder`], the serial form of Algorithms 6–7),
+//! and run the recursive miner (Algorithm 2) on `S = {v}`,
+//! `ext(S) = V(t.g) − v` in that subgraph's own compact index space, where
+//! every vertex has a bit row. Roots whose task subgraph cannot hold a
+//! result are skipped. Finally the non-maximal results are removed. The
+//! parallel miner in `qcm-engine` mines the same task subgraphs and produces
+//! exactly the same result set; tests assert that equivalence.
 
 use qcm_obs::clock::Instant;
 use std::time::Duration;
@@ -171,13 +172,13 @@ impl SerialMiner {
             // The working graph only feeds the task builder its adjacency
             // lists, so it carries no index of its own.
             let work = LocalGraph::from_induced(graph, &survivors);
-            let mut tasks = RootTaskBuilder::new(self.params, self.config, self.index);
+            let mut tasks = RootTaskBuilder::new(&work, self.params, self.config, self.index);
             // One scratch arena for the whole run: the frames warmed up by
             // the first roots serve every later root without reallocating.
             let mut scratch = MiningScratch::new(self.scratch_mode);
             let mut ext: Vec<u32> = Vec::new();
-            // One root per surviving vertex, in id order.
-            for v in 0..work.capacity() as u32 {
+            // One root per vertex in its suffix core, in id order.
+            while let Some(v) = tasks.next_root() {
                 if self.cancel.is_cancelled() {
                     interrupted = true;
                     break;
@@ -185,7 +186,7 @@ impl SerialMiner {
                 // One mine_phase span per root vertex, task build included;
                 // the payload is the root's index in the working graph.
                 let _phase = qcm_obs::span_with(qcm_obs::SpanKind::MinePhase, v as u64);
-                let Some(task) = tasks.build(&work, v) else {
+                let Some(task) = tasks.build(v) else {
                     continue;
                 };
                 let mut tee = TeeSink {

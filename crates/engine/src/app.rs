@@ -6,8 +6,8 @@
 //! the graph the engine was given: on a raw input it is Algorithm 4's
 //! raw-degree test, a necessary condition only; [`crate::ParallelMiner`]
 //! hands the engine the k-core of its input, where the same line is an exact
-//! core-degree test and a vertex outside the core, having no neighbour left,
-//! spawns nothing.
+//! core-degree test, and spawns only from the core's suffix roots, none of
+//! which `spawn` refuses.
 
 use crate::iterations::{iteration_1, iteration_2};
 use crate::mine::{run_mine_phase, DecompositionStrategy, MineOutcome};
@@ -91,7 +91,8 @@ impl QuasiCliqueApp {
     /// `k = ⌈γ(τ_size − 1)⌉`, pulling its larger-id neighbors. (Its core
     /// degree, when the miner runs the engine on the k-core.) The engine calls
     /// it for each vertex its table holds and for no other; `adj` is Γ(v),
-    /// sorted.
+    /// sorted. The miner's table holds suffix roots, and a suffix root has at
+    /// least `k` larger neighbours in the core, so none of them is refused.
     pub fn spawn(&self, v: VertexId, adj: &[VertexId]) -> Option<QCTask> {
         let k = self.params.kcore_threshold();
         if adj.len() < k {
@@ -140,6 +141,7 @@ impl QuasiCliqueApp {
     /// Approximate in-memory size of a task in bytes, for the engine's
     /// peak-memory accounting (Table 2's RAM column): what the task carries
     /// while queued, as the hub rows exist only while its mine phase runs.
+    /// `O(1)`.
     pub fn task_memory_bytes(&self, task: &QCTask) -> usize {
         let graph = &task.subgraph;
         64 + graph.memory_bytes() - graph.hub_index_memory_bytes()

@@ -76,16 +76,25 @@ pub fn take_u64(data: &mut &[u8]) -> Option<u64> {
 
 /// Reads a length-prefixed list of `u32`s, advancing the slice.
 pub fn take_u32_vec(data: &mut &[u8]) -> Option<Vec<u32>> {
+    let mut out = Vec::new();
+    take_u32s_into(data, &mut out)?;
+    Some(out)
+}
+
+/// Appends a length-prefixed list of `u32`s to `out`, advancing the slice.
+pub fn take_u32s_into(data: &mut &[u8], out: &mut Vec<u32>) -> Option<()> {
     let len = take_u32(data)? as usize;
     // Guard against corrupted lengths that would cause huge allocations.
     if data.len() < len * 4 {
         return None;
     }
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(take_u32(data)?);
-    }
-    Some(out)
+    let (head, rest) = data.split_at(len * 4);
+    out.extend(
+        head.chunks_exact(4)
+            .map(|word| u32::from_le_bytes([word[0], word[1], word[2], word[3]])),
+    );
+    *data = rest;
+    Some(())
 }
 
 /// Reads a length-prefixed list of vertex ids, advancing the slice.

@@ -11,10 +11,11 @@
 //! positions, and a destination is turned into a position once, through
 //! [`IdRanks`] over the task's own sorted ids (a bit and a half per id of
 //! their range, dropped with the iteration) — nothing is kept per worker and
-//! nothing is allocated per vertex until the peel has said which vertices
-//! stay. What leaves an iteration is a checked [`LocalGraph`]; between the two
-//! it holds the surviving first-hop vertices only, because an edge from one of
-//! them to a second-hop vertex `w` is read back from `Γ(w)` when `w` arrives.
+//! nothing is allocated per vertex. What leaves an iteration is a checked
+//! [`LocalGraph`], written as one flat CSR of the vertices the peel kept;
+//! between the two it holds the surviving first-hop vertices only, because an
+//! edge from one of them to a second-hop vertex `w` is read back from `Γ(w)`
+//! when `w` arrives.
 
 use crate::task::{Frontier, QCTask, TaskPhase};
 use qcm_graph::{IdRanks, LocalGraph, VertexId};
@@ -67,23 +68,20 @@ impl Assembly {
             rank[p] = rank[p - 1] + u32::from(alive[p - 1]);
         }
         let survivors = || (0..alive.len()).filter(|&p| alive[p]);
-        let lists: Vec<Vec<u32>> = survivors()
-            .map(|p| {
-                let stays = |q: &&u32| alive[**q as usize];
-                let mut list = Vec::with_capacity(self.neighbors(p).iter().filter(stays).count());
-                list.extend(
-                    self.neighbors(p)
-                        .iter()
-                        .filter(stays)
-                        .map(|&q| rank[q as usize]),
-                );
-                list
-            })
-            .collect();
+        let staying = |p: usize| self.neighbors(p).iter().filter(|&&q| alive[q as usize]);
+        // Sized exactly: one allocation per buffer.
+        let edges: usize = survivors().map(|p| staying(p).count()).sum();
+        let mut offsets = Vec::with_capacity(survivors().count() + 1);
+        let mut targets = Vec::with_capacity(edges);
+        offsets.push(0);
+        for p in survivors() {
+            targets.extend(staying(p).map(|&q| rank[q as usize]));
+            offsets.push(targets.len());
+        }
         let ids: Vec<VertexId> = survivors().map(|p| self.ids[p]).collect();
         // Refused only if a pulled list names a neighbor whose own list does
         // not name it back.
-        LocalGraph::from_sorted_lists(ids, lists)
+        LocalGraph::from_sorted_lists(ids, offsets, targets)
             .expect("the vertex table serves an undirected graph")
     }
 }
@@ -210,7 +208,7 @@ pub fn iteration_2(task: &mut QCTask, frontier: &Frontier, k: usize) -> bool {
     // whose own pulled list ended at the first hop.
     let table = IdRanks::over(&ids);
     let (mut near, mut span) = (Vec::new(), vec![(0, 0); n]);
-    let first_hop_degree = |i: u32| half.raw_neighbors(i).len();
+    let first_hop_degree = |i: u32| half.degree(i);
     let mut degree: Vec<usize> = origin
         .iter()
         .map(|o| o.map_or(0, first_hop_degree))
@@ -237,7 +235,7 @@ pub fn iteration_2(task: &mut QCTask, frontier: &Frontier, k: usize) -> bool {
     }
     for p in 0..n {
         if let Some(i) = origin[p] {
-            for &j in half.raw_neighbors(i) {
+            for &j in half.neighbors(i) {
                 t_g.hand(p, moved[j as usize]);
             }
             continue;
@@ -347,12 +345,7 @@ pub(crate) mod tests {
         let g = figure4();
         let task = build_task(&g, 0, 3).expect("task for a must survive");
         assert_eq!(task.phase, TaskPhase::Mine);
-        let vertices: Vec<u32> = task
-            .subgraph
-            .alive_global_ids()
-            .iter()
-            .map(|u| u.raw())
-            .collect();
+        let vertices: Vec<u32> = task.subgraph.global_ids().iter().map(|u| u.raw()).collect();
         assert_eq!(vertices, vec![0, 1, 2, 3, 4]);
         assert_eq!(globals(&task, &task.s), vec![v(0)]);
         assert_eq!(globals(&task, &task.ext), vec![v(1), v(2), v(3), v(4)]);
@@ -376,11 +369,7 @@ pub(crate) mod tests {
         // though they are adjacent — smaller ids belong to other tasks.
         let g = figure4();
         if let Some(task) = build_task(&g, 2, 2) {
-            assert!(task
-                .subgraph
-                .alive_global_ids()
-                .iter()
-                .all(|u| u.raw() >= 2));
+            assert!(task.subgraph.global_ids().iter().all(|u| u.raw() >= 2));
         }
     }
 
@@ -397,11 +386,7 @@ pub(crate) mod tests {
         // is peeled; at k = 2 f qualifies, so it may appear — the important
         // invariant is that every kept vertex has id ≥ b.
         if let Some(task) = build_task(&g, 1, 2) {
-            assert!(task
-                .subgraph
-                .alive_global_ids()
-                .iter()
-                .all(|u| u.raw() >= 1));
+            assert!(task.subgraph.global_ids().iter().all(|u| u.raw() >= 1));
         }
     }
 
@@ -410,8 +395,9 @@ pub(crate) mod tests {
         // The serial miner's per-root task subgraph and the one iterations 1
         // and 2 assemble from pulled adjacency lists hold the same vertices,
         // for every root of Figure 4. The serial side starts from the global
-        // k-core and drops tasks too small to hold a result; the engine does
-        // neither, so those roots are expected to end empty-handed there.
+        // k-core, visits only the roots in their suffix core and drops tasks
+        // too small to hold a result; the engine does none of that, so the
+        // other roots are expected to end empty-handed there.
         use qcm_core::{MiningParams, PruneConfig, RootTaskBuilder};
         use qcm_graph::kcore::k_core_vertices;
         use qcm_graph::{IndexSpec, LocalGraph};
@@ -422,15 +408,15 @@ pub(crate) mod tests {
             let survivors = k_core_vertices(&g, k);
             let work = LocalGraph::from_induced(&g, &survivors);
             let mut builder =
-                RootTaskBuilder::new(params, PruneConfig::all_enabled(), IndexSpec::Auto);
-            for root in 0..9u32 {
-                let serial: Option<Vec<VertexId>> = survivors
-                    .binary_search(&v(root))
-                    .ok()
-                    .and_then(|local| builder.build(&work, local as u32))
-                    .map(|task| task.alive_global_ids());
+                RootTaskBuilder::new(&work, params, PruneConfig::all_enabled(), IndexSpec::Auto);
+            let mut serial = vec![None; 9];
+            while let Some(local) = builder.next_root() {
+                let task = builder.build(local);
+                serial[survivors[local as usize].index()] = task.map(|t| t.global_ids().to_vec());
+            }
+            for (root, serial) in (0..9u32).zip(serial) {
                 let engine: Option<Vec<VertexId>> = build_task(&g, root, k)
-                    .map(|task| task.subgraph.alive_global_ids())
+                    .map(|task| task.subgraph.global_ids().to_vec())
                     .filter(|vertices: &Vec<VertexId>| vertices.len() >= min_size);
                 assert_eq!(serial, engine, "γ={gamma} τ_size={min_size} root {root}");
                 if let Some(vertices) = &serial {

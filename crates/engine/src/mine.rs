@@ -227,7 +227,7 @@ mod tests {
                     (0..n).collect::<Vec<_>>(),
                     "V(t'.g) = S' ∪ ext(S')"
                 );
-                let parent_ids = t.subgraph.alive_global_ids();
+                let parent_ids = t.subgraph.global_ids();
                 let keep: Vec<u32> = (0..n)
                     .map(|i| {
                         parent_ids
@@ -394,7 +394,7 @@ mod tests {
         // S' ∪ ext(S').
         for sub in &out.subtasks {
             let allowed: Vec<u32> = sub.s.iter().chain(sub.ext.iter()).copied().collect();
-            for i in sub.subgraph.vertices() {
+            for i in 0..sub.subgraph.capacity() as u32 {
                 assert!(allowed.contains(&i));
             }
         }

@@ -138,7 +138,9 @@ impl TaskGraph {
     }
 
     /// Converts the task graph into a [`LocalGraph`] plus a global→local index
-    /// map. Only edges between present vertices are materialised.
+    /// map, through the checked constructor. Only edges between present
+    /// vertices are materialised; a list that names a present vertex whose
+    /// own list does not name it back is refused.
     pub fn to_local_graph(&self) -> (LocalGraph, HashMap<VertexId, u32>) {
         let globals: Vec<VertexId> = self.adj.iter().map(|(v, _)| *v).collect();
         let index: HashMap<VertexId, u32> = globals
@@ -146,17 +148,13 @@ impl TaskGraph {
             .enumerate()
             .map(|(i, &v)| (v, i as u32))
             .collect();
-        let mut lg = LocalGraph::new(globals);
-        for (v, nbrs) in &self.adj {
-            let vi = index[v];
-            for w in nbrs {
-                // `add_edge` inserts both directions and ignores duplicates,
-                // so asymmetric adjacency input still yields a simple graph.
-                if let Some(&wi) = index.get(w) {
-                    lg.add_edge(vi, wi);
-                }
-            }
+        let (mut offsets, mut targets) = (vec![0], Vec::new());
+        for (_, nbrs) in &self.adj {
+            targets.extend(nbrs.iter().filter_map(|w| index.get(w)));
+            offsets.push(targets.len());
         }
+        let lg = LocalGraph::from_sorted_lists(globals, offsets, targets)
+            .expect("the reference keeps its adjacency symmetric");
         (lg, index)
     }
 }

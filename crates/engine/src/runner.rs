@@ -13,8 +13,10 @@
 //! peels its own subgraph (Algorithms 6–7); here the miner is handed the whole
 //! graph, as a loader is, and the peel is the loader-time form of the same
 //! size-threshold rule (a distributed loader would run a standard distributed
-//! k-core). The engine's vertex table then holds the core's vertices, and
-//! only those are spawned from. The graph behind the table keeps the
+//! k-core). The engine's vertex table then holds the *suffix roots*: the
+//! core vertices `v` that lie in the k-core of the core's vertices `≥ v`
+//! ([`suffix_roots`]). Every other root's task would die in iterations 1–2,
+//! so only those are spawned from. The graph behind the table keeps the
 //! caller's vertex ids, with every vertex outside the core isolated: it is
 //! pulled by no task, and a degree read by `spawn` or an iteration filter is
 //! an exact core degree. The published sets are still validated against the
@@ -44,7 +46,7 @@ use qcm_core::{
     is_valid_quasi_clique, remove_non_maximal, CancelToken, MiningParams, PruneConfig,
     QuasiCliqueSet, QuasiCliqueSink, RunOutcome,
 };
-use qcm_graph::kcore::k_core_masked_with_vertices;
+use qcm_graph::kcore::{k_core_masked_with_vertices, suffix_roots};
 use qcm_graph::{Graph, VertexId};
 use qcm_obs::clock::Instant;
 use qcm_sync::Arc;
@@ -173,8 +175,8 @@ impl ParallelMiner {
         }
         let (params, prune) = (&self.app.params, &self.app.prune_config);
         self.engine_config.validate();
-        let (core, vertices, peel_time) = peel_to_core(&graph, params, prune);
-        let mut output = cluster::run(&app, &self.engine_config, core.clone(), vertices);
+        let (core, roots, peel_time) = peel_to_core(&graph, params, prune);
+        let mut output = cluster::run(&app, &self.engine_config, core.clone(), roots);
         output.metrics.elapsed += peel_time;
         let raw_reported = output.metrics.results_emitted;
         let (mut maximal, invalid_sets_dropped) =
@@ -195,12 +197,14 @@ impl ParallelMiner {
 }
 
 /// The pre-processing: the graph the engine runs on is the k-core of the
-/// caller's graph in the caller's id space, and the vertex list its table
-/// holds is the core's ([`k_core_masked_with_vertices`]). So a root that
-/// cannot hold a result is never spawned, and every degree the application
-/// reads is a core degree. Follows [`PruneConfig::size_threshold`], as the
-/// serial miner's peel does; without it the engine holds every vertex.
-/// Returns the time spent too: it belongs to the run's `elapsed`.
+/// caller's graph in the caller's id space
+/// ([`k_core_masked_with_vertices`]), and the vertex list its table holds is
+/// the core's suffix roots ([`suffix_roots`]), the roots the serial miner
+/// visits. So a root that cannot hold a result is never spawned, and every
+/// degree the application reads is a core degree. Follows
+/// [`PruneConfig::size_threshold`], as the serial miner's peel does; without
+/// it the engine holds every vertex. Returns the time spent too: it belongs
+/// to the run's `elapsed`.
 fn peel_to_core(
     graph: &Arc<Graph>,
     params: &MiningParams,
@@ -211,8 +215,10 @@ fn peel_to_core(
     }
     let started = Instant::now();
     let _span = qcm_obs::span(qcm_obs::SpanKind::KCore);
-    let (core, vertices) = k_core_masked_with_vertices(graph, params.kcore_threshold());
-    (core, vertices, started.elapsed())
+    let k = params.kcore_threshold();
+    let (core, vertices) = k_core_masked_with_vertices(graph, k);
+    let roots = suffix_roots(&core, &vertices, k);
+    (core, roots, started.elapsed())
 }
 
 /// The post-processing: collect the raw reports (feeding `observer` each

@@ -32,7 +32,9 @@
 //! reported through [`LocalGraph::global_id`]. Every mapping along the way is monotone in the
 //! global id, so branching order and tie-breaks are those of the global ids.
 
-use crate::codec::{put_u32, put_u32_slice, put_vertices, take_u32, take_u32_vec, take_vertices};
+use crate::codec::{
+    put_u32, put_u32_slice, put_vertices, take_u32, take_u32_vec, take_u32s_into, take_vertices,
+};
 use crate::vertex_table::AdjList;
 use qcm_core::MiningScratch;
 use qcm_graph::{LocalGraph, SubgraphScratch, VertexId};
@@ -138,7 +140,7 @@ impl TaskTimings {
 pub struct WorkerScratch {
     /// The mining arena (recursion frames, bitsets, degree tables).
     pub mining: MiningScratch,
-    /// Buffers of the `LocalGraph` kernels (induction, k-core, compaction).
+    /// The rank table subtask subgraphs are induced through.
     pub subgraph: SubgraphScratch,
 }
 
@@ -185,9 +187,9 @@ pub struct QCTask {
     /// resolves them through the vertex table and delivers them as the
     /// frontier of the next compute step.
     pub pull_targets: Vec<VertexId>,
-    /// The task subgraph `t.g`, compact (every vertex alive) and in id order:
-    /// empty until iteration 1, the surviving first-hop vertices and the edges
-    /// among them until iteration 2, final from then on. The root is local 0.
+    /// The task subgraph `t.g`, in id order: empty until iteration 1, the
+    /// surviving first-hop vertices and the edges among them until
+    /// iteration 2, final from then on. The root is local 0.
     pub subgraph: LocalGraph,
     /// The candidate set `S` as local indices of `subgraph`. `{root}` for
     /// root tasks; larger for decomposed subtasks. Empty until iteration 2.
@@ -239,7 +241,7 @@ impl QCTask {
     /// `|S| + |ext(S)|` when that is larger.
     pub fn subgraph_size(&self) -> usize {
         let candidate = self.s.len() + self.ext.len();
-        self.subgraph.num_vertices().max(candidate)
+        self.subgraph.capacity().max(candidate)
     }
 
     /// True when the parts fit together the way every constructor and
@@ -266,7 +268,6 @@ impl TaskCodec for QCTask {
     /// The id table, then one local neighbor list per vertex: the bytes a
     /// spill file, a steal grant and a strict transport all carry.
     fn encode(&self, buf: &mut Vec<u8>) {
-        debug_assert_eq!(self.subgraph.num_vertices(), self.subgraph.capacity());
         put_u32(buf, self.root.raw());
         put_u32(buf, self.phase.as_u32());
         put_vertices(buf, &self.pull_targets);
@@ -279,7 +280,7 @@ impl TaskCodec for QCTask {
             put_u32(buf, self.subgraph.global_id(i).raw());
         }
         for i in 0..n {
-            put_u32_slice(buf, self.subgraph.raw_neighbors(i));
+            put_u32_slice(buf, self.subgraph.neighbors(i));
         }
     }
 
@@ -298,15 +299,17 @@ impl TaskCodec for QCTask {
         if data.len() / 4 < ids.len() {
             return None;
         }
-        let mut adj = Vec::with_capacity(ids.len());
+        let (mut offsets, mut targets) = (Vec::with_capacity(ids.len() + 1), Vec::new());
+        offsets.push(0);
         for _ in 0..ids.len() {
-            adj.push(take_u32_vec(data)?);
+            take_u32s_into(data, &mut targets)?;
+            offsets.push(targets.len());
         }
         let task = QCTask {
             root,
             phase,
             pull_targets,
-            subgraph: LocalGraph::from_sorted_lists(ids, adj)?,
+            subgraph: LocalGraph::from_sorted_lists(ids, offsets, targets)?,
             s,
             ext,
         };
@@ -409,7 +412,7 @@ mod tests {
         g.insert(v(20), vec![v(10), v(30)]);
         g.insert(v(30), vec![v(10), v(20), v(99)]);
         let (lg, index) = g.to_local_graph();
-        assert_eq!(lg.num_vertices(), 3);
+        assert_eq!(lg.capacity(), 3);
         assert_eq!(lg.num_edges(), 3);
         assert_eq!(lg.global_id(index[&v(20)]), v(20));
         assert!(lg.has_edge(index[&v(10)], index[&v(30)]));
@@ -570,10 +573,14 @@ mod tests {
                 prop_assert!(decoded.is_consistent());
                 let graph = &decoded.subgraph;
                 let n = graph.capacity() as u32;
-                let rebuilt = LocalGraph::from_sorted_lists(
-                    (0..n).map(|i| graph.global_id(i)).collect(),
-                    (0..n).map(|i| graph.raw_neighbors(i).to_vec()).collect(),
-                );
+                let mut offsets = vec![0];
+                offsets.extend((0..n).map(|i| graph.degree(i)).scan(0, |end, d| {
+                    *end += d;
+                    Some(*end)
+                }));
+                let targets = (0..n).flat_map(|i| graph.neighbors(i).iter().copied()).collect();
+                let rebuilt =
+                    LocalGraph::from_sorted_lists(graph.global_ids().to_vec(), offsets, targets);
                 prop_assert_eq!(rebuilt.as_ref(), Some(graph));
             }
         }

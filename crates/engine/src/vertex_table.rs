@@ -76,7 +76,8 @@ impl From<Vec<VertexId>> for AdjList {
 ///
 /// The vertices the table *holds* — the keys a loader handed over, which the
 /// machines spawn from — are a sorted list of the graph's ids, not
-/// necessarily all of them: the quasi-clique miners load the k-core only.
+/// necessarily all of them: the quasi-clique miner hands over the suffix
+/// roots of the k-core, the only vertices whose task can hold a result.
 #[derive(Clone)]
 pub struct PartitionedVertexTable {
     graph: Arc<Graph>,

@@ -1,5 +1,5 @@
 //! Engine integration tests through its one entry point, `ParallelMiner`,
-//! on a planted graph: spawning from the k-core, the big/small task routing,
+//! on a planted graph: spawning from the suffix roots, the big/small task routing,
 //! pull resolution through the vertex table and cache, recursive task
 //! decomposition, disk spilling under tiny queue capacities, multi-machine
 //! stealing, clean termination, and the live and simulated drivers agreeing.
@@ -9,7 +9,7 @@ use qcm_core::{MiningParams, QuasiCliqueSet, RunOutcome, SerialMiner};
 use qcm_engine::{
     DecompositionStrategy, EngineConfig, ParallelMiner, QuasiCliqueApp, SimConfig, TransportFactory,
 };
-use qcm_graph::kcore::k_core_vertices;
+use qcm_graph::kcore::{k_core_vertices, suffix_roots};
 use qcm_graph::{Graph, VertexId};
 use qcm_sync::Arc;
 use std::time::Duration;
@@ -39,9 +39,10 @@ fn serial_maximal(g: &Graph) -> QuasiCliqueSet {
     serial
 }
 
-/// The vertices the engine's table holds: the k-core's.
-fn core(g: &Graph) -> Vec<VertexId> {
-    k_core_vertices(g, params().kcore_threshold())
+/// The vertices the engine's table holds: the k-core's suffix roots.
+fn roots(g: &Graph) -> Vec<VertexId> {
+    let k = params().kcore_threshold();
+    suffix_roots(g, &k_core_vertices(g, k), k)
 }
 
 #[test]
@@ -54,7 +55,7 @@ fn single_machine_processes_every_vertex() {
     assert_eq!(out.outcome(), RunOutcome::Complete);
     assert_eq!(out.maximal, serial_maximal(&g));
     let m = &out.metrics;
-    assert!((1..=core(&g).len() as u64).contains(&m.tasks_spawned));
+    assert_eq!(m.tasks_spawned, roots(&g).len() as u64);
     assert!(m.tasks_decomposed > 0);
     assert_eq!(m.tasks_processed, m.tasks_spawned + m.tasks_decomposed);
     assert!(m.peak_task_bytes > 0);
@@ -178,16 +179,19 @@ fn live_and_simulated_clusters_agree_without_faults() {
 }
 
 /// The engine spawns the vertices its table holds and no others. The miner
-/// hands it the k-core's: on a graph most of whose vertices fall outside the
-/// core, both drivers spawn the same tasks, every task's root is a core
-/// vertex, and every root a crash loses is one.
+/// hands it the k-core's suffix roots, each of which has `k` larger core
+/// neighbours, so `spawn` refuses none: on a graph most of whose core
+/// vertices are not suffix roots, both drivers spawn exactly one task per
+/// suffix root, every task's root is one, and every root a crash loses is
+/// one.
 #[test]
 fn both_drivers_spawn_exactly_the_listed_vertices() {
     let g = planted();
-    let listed = core(&g);
+    let listed = roots(&g);
+    let core = k_core_vertices(&g, params().kcore_threshold());
     assert!(
-        listed.len() * 2 < g.num_vertices(),
-        "most vertices lie outside the core"
+        listed.len() * 2 < core.len(),
+        "most core vertices lie outside their suffix core"
     );
     let config = EngineConfig::cluster(3, 2);
     let simulated = |sim| config.clone().with_transport(TransportFactory::Sim(sim));
@@ -196,10 +200,8 @@ fn both_drivers_spawn_exactly_the_listed_vertices() {
     let sim = ParallelMiner::new(params(), simulated(SimConfig::new(7))).mine(g.clone());
     assert_eq!(live.outcome(), RunOutcome::Complete);
     assert_eq!(sim.outcome(), RunOutcome::Complete);
-    assert_eq!(live.metrics.tasks_spawned, sim.metrics.tasks_spawned);
     for (driver, out) in [("live", &live), ("simulated", &sim)] {
-        let spawned = out.metrics.tasks_spawned;
-        assert!((1..=listed.len() as u64).contains(&spawned), "{driver}");
+        assert_eq!(out.metrics.tasks_spawned, listed.len() as u64, "{driver}");
         for record in &out.metrics.task_times {
             let root = record.root;
             assert!(listed.binary_search(&root).is_ok(), "{driver}: root {root}");

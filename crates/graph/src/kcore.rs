@@ -12,6 +12,10 @@
 //! `≥ k`: every other vertex is dropped on sight, its adjacency list unread,
 //! so the peel costs O(n + Σ_{deg(v) ≥ k} deg(v)) rather than O(n + |E|). On a
 //! sparse graph with a small core most vertices start below `k`.
+//!
+//! [`SuffixCores`] goes one step further for the miners: it walks the core in
+//! id order and keeps a vertex as a root only if it lies in the k-core of the
+//! vertices from it up, the only roots whose task can hold a result.
 
 use crate::graph::Graph;
 use crate::subgraph::induced_subgraph;
@@ -215,6 +219,101 @@ fn peel(g: &Graph, k: usize) -> Peeled {
     }
 }
 
+/// The suffix cores of a k-core, visited in increasing id order.
+///
+/// The set-enumeration search assigns every result to the task of its
+/// smallest member `v`, inside `G[{u ≥ v}]`, and under the size-threshold
+/// rule every member of a result keeps `k` neighbours there. So `v` can head
+/// a result only if it lies in the k-core of `G[{u ≥ v}]`, its *suffix core*
+/// `C_v`. Walking the core in increasing order, `C_v` is what is left when
+/// every smaller vertex has been deleted and the deletions peeled:
+/// [`SuffixCores::next_root`] returns the next vertex still in, deletes it on
+/// the following call and cascades, so the whole walk costs `O(V + E)` of the
+/// core. With `k = 0` nothing peels and every vertex is a root.
+///
+/// Vertices are named by their rank in the core's sorted vertex list, and
+/// the arrays are sized to the core, not to the id range.
+#[derive(Debug)]
+pub struct SuffixCores {
+    k: u32,
+    /// Number of neighbours in the current suffix core, by rank, or
+    /// [`PEELED`] once the vertex is deleted or peeled.
+    degree: Vec<u32>,
+    /// The current root, deleted by the next [`SuffixCores::next_root`].
+    root: Option<u32>,
+    /// The rank the search for the next root starts from.
+    next: usize,
+    stack: Vec<u32>,
+}
+
+impl SuffixCores {
+    /// Starts the walk over a k-core whose vertex of rank `i` has
+    /// `degrees[i]` core neighbours, all at least `k`.
+    pub fn new(degrees: Vec<u32>, k: usize) -> Self {
+        let k = u32::try_from(k).unwrap_or(u32::MAX);
+        debug_assert!(degrees.iter().all(|&d| d >= k), "not a k-core");
+        SuffixCores {
+            k,
+            degree: degrees,
+            root: None,
+            next: 0,
+            stack: Vec::new(),
+        }
+    }
+
+    /// Deletes the current root, peels what that leaves below `k`, and moves
+    /// to the next vertex still in: its rank, or `None` when none is left.
+    /// `neighbors(i)` lists the ranks of the core neighbours of rank `i`.
+    pub fn next_root<I>(&mut self, mut neighbors: impl FnMut(u32) -> I) -> Option<u32>
+    where
+        I: IntoIterator<Item = u32>,
+    {
+        if let Some(root) = self.root.take() {
+            self.degree[root as usize] = PEELED;
+            self.stack.push(root);
+            while let Some(x) = self.stack.pop() {
+                for w in neighbors(x) {
+                    let d = &mut self.degree[w as usize];
+                    if *d != PEELED {
+                        *d -= 1;
+                        if *d < self.k {
+                            *d = PEELED;
+                            self.stack.push(w);
+                        }
+                    }
+                }
+            }
+        }
+        let skipped = self.degree[self.next..].iter().position(|&d| d != PEELED);
+        self.next = skipped.map_or(self.degree.len(), |i| self.next + i + 1);
+        self.root = skipped.map(|_| self.next as u32 - 1);
+        self.root
+    }
+
+    /// True if rank `i` lies in the current root's suffix core (the root
+    /// included).
+    #[inline]
+    pub fn contains(&self, i: u32) -> bool {
+        self.degree[i as usize] != PEELED
+    }
+}
+
+/// The vertices of `core`, the sorted vertex list of the k-core of `graph`,
+/// that lie in their own suffix core (see [`SuffixCores`]): the only roots
+/// whose task can hold a result of minimum degree `k`. `O(V + E)` of the
+/// core, with every array sized to the core.
+pub fn suffix_roots(graph: &Graph, core: &[VertexId], k: usize) -> Vec<VertexId> {
+    let rank = |w: &VertexId| core.binary_search(w).ok().map(|r| r as u32);
+    let core_neighbors = |i: u32| graph.neighbors(core[i as usize]).iter().filter_map(rank);
+    let degrees = (0..core.len() as u32).map(|i| core_neighbors(i).count() as u32);
+    let mut walk = SuffixCores::new(degrees.collect(), k);
+    let mut roots = Vec::new();
+    while let Some(i) = walk.next_root(core_neighbors) {
+        roots.push(core[i as usize]);
+    }
+    roots
+}
+
 /// Returns a degeneracy ordering of the graph: vertices in the order they are
 /// peeled when repeatedly removing a minimum-degree vertex. The degeneracy of
 /// the graph is `max(core_numbers)`.
@@ -371,6 +470,29 @@ mod tests {
         let g = Arc::new(triangle_plus_tail());
         let core3 = k_core_masked(&g, 3);
         assert_eq!(*core3, Graph::empty(5));
+    }
+
+    #[test]
+    fn suffix_roots_stop_where_the_suffix_core_peels_away() {
+        let g = triangle_plus_tail();
+        let roots = |k: usize| {
+            let raw = suffix_roots(&g, &k_core_vertices(&g, k), k);
+            raw.iter().map(|v| v.raw()).collect::<Vec<_>>()
+        };
+        assert_eq!(roots(0), [0, 1, 2, 3, 4]);
+        // Deleting 3 leaves 4 with no neighbour in {4}.
+        assert_eq!(roots(1), [0, 1, 2, 3]);
+        // Deleting 0 peels the rest of the triangle.
+        assert_eq!(roots(2), [0]);
+        assert!(roots(3).is_empty());
+        // The walk itself: 0's suffix core is the whole 2-core, 1's is empty.
+        let mut walk = SuffixCores::new(vec![2, 2, 2], 2);
+        let triangle = |i: u32| [0u32, 1, 2].into_iter().filter(move |&j| j != i);
+        assert_eq!(walk.next_root(triangle), Some(0));
+        assert!((0..3).all(|i| walk.contains(i)));
+        assert_eq!(walk.next_root(triangle), None);
+        assert!((0..3).all(|i| !walk.contains(i)));
+        assert_eq!(walk.next_root(triangle), None);
     }
 
     #[test]

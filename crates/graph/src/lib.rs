@@ -8,7 +8,8 @@
 //! * [`GraphBuilder`] — incremental construction with de-duplication,
 //!   self-loop removal and vertex-id compaction.
 //! * [`kcore`] — the O(|E|) peeling algorithm of Batagelj & Zaversnik used by
-//!   the size-threshold pruning rule (P2) of the paper.
+//!   the size-threshold pruning rule (P2) of the paper, and the suffix-core
+//!   walk that picks the roots able to hold a result.
 //! * [`subgraph`] — induced subgraphs and the [`subgraph::LocalGraph`]
 //!   representation that mining tasks carry around (local index space with a
 //!   mapping back to global vertex ids).
@@ -50,7 +51,7 @@ pub use builder::GraphBuilder;
 pub use error::GraphError;
 pub use graph::Graph;
 pub use hash::Fnv1a64;
-pub use kcore::{core_numbers, degeneracy_ordering, k_core};
+pub use kcore::{core_numbers, degeneracy_ordering, k_core, SuffixCores};
 pub use neighborhoods::{IndexSpec, NeighborhoodIndex};
 pub use stats::GraphStats;
 pub use subgraph::{IdRanks, LocalGraph, SubgraphScratch};

@@ -4,8 +4,10 @@ use proptest::prelude::*;
 use qcm_graph::{
     bitset::{compact, VertexBitSet},
     io, k_core,
-    kcore::{core_numbers, k_core_masked, k_core_masked_with_vertices, k_core_vertices},
-    subgraph::{induced_subgraph, LocalGraph, SubgraphScratch},
+    kcore::{
+        core_numbers, k_core_masked, k_core_masked_with_vertices, k_core_vertices, suffix_roots,
+    },
+    subgraph::{induced_subgraph, LocalGraph},
     traversal::{bfs_distances, connected_components, two_hop_neighborhood},
     Graph, GraphBuilder, VertexId,
 };
@@ -160,8 +162,12 @@ proptest! {
         let vs: Vec<VertexId> = g.vertices().filter(|v| v.raw() % 3 != 0).collect();
         let (sub, _) = induced_subgraph(&g, &vs);
         let lg = LocalGraph::from_induced(&g, &vs);
-        prop_assert_eq!(sub.num_vertices(), lg.num_vertices());
+        prop_assert_eq!(sub.num_vertices(), lg.capacity());
         prop_assert_eq!(sub.num_edges(), lg.num_edges());
+        for v in sub.vertices() {
+            let local: Vec<u32> = sub.neighbors(v).iter().map(|w| w.raw()).collect();
+            prop_assert_eq!(lg.neighbors(v.raw()), local.as_slice());
+        }
     }
 
     #[test]
@@ -212,15 +218,21 @@ proptest! {
         prop_assert_eq!(g2.num_edges(), g.num_edges());
     }
 
+    /// The suffix-core walk keeps exactly the core vertices `v` that lie in
+    /// the k-core of `G[{u ≥ v}]`.
     #[test]
-    fn local_graph_kcore_agrees_with_graph_kcore(g in arb_graph(25), k in 1usize..5) {
-        let all: Vec<VertexId> = g.vertices().collect();
-        let mut lg = LocalGraph::from_induced(&g, &all);
-        lg.shrink_to_k_core(k, &mut SubgraphScratch::default());
-        let survivors = k_core_vertices(&g, k);
-        let mut lg_survivors = lg.alive_global_ids();
-        lg_survivors.sort_unstable();
-        prop_assert_eq!(lg_survivors, survivors);
+    fn suffix_roots_lie_in_their_suffix_core(g in arb_graph(25), k in 0usize..5) {
+        let core = k_core_vertices(&g, k);
+        let expected: Vec<VertexId> = core
+            .iter()
+            .copied()
+            .filter(|&v| {
+                let suffix: Vec<VertexId> = g.vertices().filter(|&u| u >= v).collect();
+                let (sub, _) = induced_subgraph(&g, &suffix);
+                k_core_vertices(&sub, k).first() == Some(&VertexId::new(0))
+            })
+            .collect();
+        prop_assert_eq!(suffix_roots(&g, &core, k), expected);
     }
 
     /// The branch-free compaction keeps what `iter().filter()` keeps, in the

@@ -72,6 +72,7 @@ mod tests {
                     lane: 0,
                     tid: 0,
                     arg: 0,
+                    seq: 0,
                 },
                 SpanEvent {
                     kind: SpanKind::Task,
@@ -80,6 +81,7 @@ mod tests {
                     lane: 1,
                     tid: 2,
                     arg: 9,
+                    seq: 1,
                 },
             ],
             dropped: 0,

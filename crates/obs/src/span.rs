@@ -79,12 +79,23 @@ pub struct SpanEvent {
     pub tid: u32,
     /// Kind-specific payload (root vertex, task id, batch size, bytes, …).
     pub arg: u64,
+    /// Open order on its thread: a span opened later has a larger `seq`.
+    /// Spans are recorded when they close, so a child is recorded before its
+    /// parent; when the two start and end in the same µs, this is what says
+    /// which encloses the other.
+    pub seq: u64,
 }
 
 impl SpanEvent {
     /// End of the span, µs since the trace epoch.
     pub fn end_us(&self) -> u64 {
         self.start_us + self.dur_us
+    }
+
+    /// The order in which enclosing spans precede the spans they enclose:
+    /// earlier start first, then the longer span, then the one opened first.
+    pub fn nesting_order(&self) -> (u64, std::cmp::Reverse<u64>, u64) {
+        (self.start_us, std::cmp::Reverse(self.dur_us), self.seq)
     }
 }
 
@@ -112,7 +123,8 @@ impl Default for TraceConfig {
 /// did not fit.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
-    /// Captured spans, sorted by start time.
+    /// Captured spans, enclosing spans before those they enclose
+    /// ([`SpanEvent::nesting_order`]).
     pub spans: Vec<SpanEvent>,
     /// Spans dropped because a thread buffer was full.
     pub dropped: u64,
@@ -230,6 +242,8 @@ thread_local! {
     static LOCAL: RefCell<Option<(u64, u32, Arc<ThreadBuf>)>> = const { RefCell::new(None) };
     /// Machine lane for Chrome-trace `pid` grouping (see [`set_lane`]).
     static LANE: Cell<u32> = const { Cell::new(0) };
+    /// The `seq` of the next span this thread opens.
+    static NEXT_SEQ: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Starts the process-wide recording. Returns `false` (and records
@@ -267,9 +281,7 @@ pub fn finish_recording() -> Trace {
     for buf in &rec.bufs {
         trace.dropped += buf.drain_into(&mut trace.spans);
     }
-    trace
-        .spans
-        .sort_by_key(|s| (s.start_us, std::cmp::Reverse(s.dur_us)));
+    trace.spans.sort_by_key(SpanEvent::nesting_order);
     trace
 }
 
@@ -286,7 +298,7 @@ pub fn set_lane(machine: u32) {
     LANE.with(|lane| lane.set(machine));
 }
 
-fn record(kind: SpanKind, start_us: u64, arg: u64) {
+fn record(kind: SpanKind, start_us: u64, arg: u64, seq: u64) {
     let end_us = now_us();
     LOCAL.with(|local| {
         let mut local = local.borrow_mut();
@@ -314,6 +326,7 @@ fn record(kind: SpanKind, start_us: u64, arg: u64) {
             lane: LANE.with(|lane| lane.get()),
             tid: *tid,
             arg,
+            seq,
         });
     });
 }
@@ -326,6 +339,7 @@ pub struct SpanGuard {
     kind: SpanKind,
     start_us: u64,
     arg: u64,
+    seq: u64,
     armed: bool,
 }
 
@@ -345,7 +359,7 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if self.armed {
-            record(self.kind, self.start_us, self.arg);
+            record(self.kind, self.start_us, self.arg, self.seq);
         }
     }
 }
@@ -367,6 +381,7 @@ pub fn span_with(kind: SpanKind, arg: u64) -> SpanGuard {
             kind,
             start_us: 0,
             arg,
+            seq: 0,
             armed: false,
         };
     }
@@ -374,6 +389,7 @@ pub fn span_with(kind: SpanKind, arg: u64) -> SpanGuard {
         kind,
         start_us: now_us(),
         arg,
+        seq: NEXT_SEQ.with(|next| next.replace(next.get() + 1)),
         armed: true,
     }
 }

@@ -17,9 +17,9 @@ pub fn self_time_by_kind(trace: &Trace) -> BTreeMap<&'static str, u64> {
     tids.dedup();
     for tid in tids {
         let mut spans: Vec<&SpanEvent> = trace.spans.iter().filter(|s| s.tid == tid).collect();
-        // Parents sort before their children: earlier start first, and on
-        // a tie the longer (enclosing) span first.
-        spans.sort_by_key(|s| (s.start_us, std::cmp::Reverse(s.dur_us)));
+        // Parents sort before their children, also when the two start and
+        // end in the same µs.
+        spans.sort_by_key(|s| s.nesting_order());
         // Containment stack: (end_us, kind, dur_us, direct-child time).
         let mut stack: Vec<(u64, SpanKind, u64, u64)> = Vec::new();
         let close = |stack: &mut Vec<(u64, SpanKind, u64, u64)>,
@@ -57,6 +57,7 @@ mod tests {
             lane: 0,
             tid,
             arg: 0,
+            seq: 0,
         }
     }
 
@@ -86,6 +87,27 @@ mod tests {
             attributed, 105,
             "every traced µs lands in exactly one phase"
         );
+    }
+
+    #[test]
+    fn a_child_that_ties_its_parent_gets_the_self_time() {
+        // A task and its mine phase opened and closed in the same µs, listed
+        // as recorded: the child closes, and is recorded, first.
+        let parent = SpanEvent {
+            seq: 7,
+            ..ev(SpanKind::Task, 10, 30, 0)
+        };
+        let child = SpanEvent {
+            seq: 8,
+            ..ev(SpanKind::MinePhase, 10, 30, 0)
+        };
+        let trace = Trace {
+            spans: vec![child, parent],
+            dropped: 0,
+        };
+        let totals = self_time_by_kind(&trace);
+        assert_eq!(totals["mine_phase"], 30);
+        assert_eq!(totals["task"], 0);
     }
 
     #[test]
