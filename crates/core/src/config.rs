@@ -9,13 +9,16 @@
 //! preprocessing the paper identifies as "a dominating factor to scale beyond
 //! a small graph").
 
+use crate::params::MiningParams;
+
 /// Which pruning rules the miner applies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PruneConfig {
     /// P1: diameter-based restriction of `ext(S)` to two-hop neighborhoods
     /// (only applied when γ ≥ 0.5).
     pub diameter: bool,
-    /// P2: size-threshold (k-core) preprocessing of the input graph.
+    /// P2: size-threshold (k-core) peels of the input graph and of every
+    /// task, at [`PruneConfig::peel_threshold`].
     pub size_threshold: bool,
     /// P3: degree-based Type-I/Type-II pruning (Theorems 3–4).
     pub degree: bool,
@@ -84,6 +87,17 @@ impl PruneConfig {
             other => panic!("unknown pruning rule name: {other}"),
         }
         self
+    }
+
+    /// The `k` of every k-core peel of a run, global or per task:
+    /// [`MiningParams::kcore_threshold`] under the size-threshold rule, else
+    /// 0, which peels nothing.
+    pub fn peel_threshold(&self, params: &MiningParams) -> usize {
+        if self.size_threshold {
+            params.kcore_threshold()
+        } else {
+            0
+        }
     }
 
     /// Names of all toggleable rules (used by the ablation benchmark to sweep).

@@ -17,17 +17,19 @@
 //! roots `v` that lie in their own, `C_v`, the k-core of `G[{u ≥ v}]`: any
 //! other root's `t.g` peels away. It then collects and peels inside `C_v`,
 //! which changes no task, because the k-core of every subgraph of
-//! `G[{u ≥ v}]` lies inside `C_v`.
+//! `G[{u ≥ v}]` lies inside `C_v`. The walk and the task peel are both the
+//! one k-core cascade of the workspace, [`Peel`].
 
 use crate::config::PruneConfig;
 use crate::params::MiningParams;
-use qcm_graph::{IndexSpec, LocalGraph, SubgraphScratch, SuffixCores, VertexBitSet};
+use qcm_graph::kcore::PEELED;
+use qcm_graph::{IndexSpec, LocalGraph, Peel, SubgraphScratch, SuffixCores};
 
 /// Builds the root task subgraphs of one working graph, root by root in id
-/// order, reusing its marker set, vertex list, peel buffers and induction
-/// buffers from root to root: a root costs `O(its ego-net)`, never
-/// `O(|work|)`, and a vertex outside its suffix core costs only its share of
-/// the `O(V + E)` suffix walk.
+/// order, reusing its peel, vertex list and induction buffers from root to
+/// root: a root costs `O(its ego-net)`, never `O(|work|)`, and a vertex
+/// outside its suffix core costs only its share of the `O(V + E)` suffix
+/// walk.
 #[derive(Debug)]
 pub struct RootTaskBuilder<'w> {
     work: &'w LocalGraph,
@@ -37,17 +39,11 @@ pub struct RootTaskBuilder<'w> {
     /// The suffix core of the current root; every vertex is a root without
     /// the size-threshold rule.
     suffix: SuffixCores,
-    /// Marks the vertices of `keep` still in the task; all-clear between
-    /// roots.
-    seen: VertexBitSet,
+    /// The peel of the current root's task, over working-graph vertices: in
+    /// are the vertices of `keep` still in the task; all out between roots.
+    task: Peel,
     /// The root and its candidate vertices, as indices of the working graph.
     keep: Vec<u32>,
-    /// Peel state, indexed by working-graph vertex: the number of marked
-    /// neighbors of a marked vertex. Only the entries of `keep` are ever
-    /// written or read.
-    degree: Vec<u32>,
-    /// Vertices that fell below `k` and wait to be unmarked.
-    stack: Vec<u32>,
     scratch: SubgraphScratch,
 }
 
@@ -61,22 +57,16 @@ impl<'w> RootTaskBuilder<'w> {
         config: PruneConfig,
         index: IndexSpec,
     ) -> Self {
-        let k = if config.size_threshold {
-            params.kcore_threshold()
-        } else {
-            0
-        };
+        let k = config.peel_threshold(&params);
         let degrees = (0..work.capacity() as u32).map(|v| work.degree(v) as u32);
         RootTaskBuilder {
             work,
             params,
             config,
             index,
-            suffix: SuffixCores::new(degrees.collect(), k),
-            seen: VertexBitSet::new(work.capacity()),
+            suffix: SuffixCores::over(Peel::new(degrees.collect(), k)),
+            task: Peel::new(vec![PEELED; work.capacity()], k),
             keep: Vec::new(),
-            degree: vec![0; work.capacity()],
-            stack: Vec::new(),
             scratch: SubgraphScratch::default(),
         }
     }
@@ -95,14 +85,16 @@ impl<'w> RootTaskBuilder<'w> {
     ///
     /// The vertices are `v` and every `u > v` of `C_v` reached from `v` in at
     /// most two hops through vertices `> v` — every `u > v` of `C_v` when the
-    /// diameter rule is off or γ < ½. When the size-threshold rule is on they
-    /// are peeled to their k-core first, on the working graph's own lists;
-    /// the task is dropped when that removes `v`, and in any case when fewer
-    /// than τ_size vertices remain. Only the survivors are cut out, once.
+    /// diameter rule is off or γ < ½. They are peeled to their k-core first,
+    /// on the working graph's own lists; the task is dropped when that
+    /// removes `v`, and in any case when fewer than τ_size vertices remain.
+    /// Only the survivors are cut out, once.
     pub fn build(&mut self, v: u32) -> Option<LocalGraph> {
         debug_assert!(self.suffix.contains(v), "{v} is outside the suffix core");
-        let survives = self.collect(v) && (!self.config.size_threshold || self.peel(v));
-        self.unmark();
+        let survives = self.collect(v) && self.shrink(v);
+        for &u in &self.keep {
+            self.task.set(u, PEELED);
+        }
         if !survives {
             return None;
         }
@@ -112,16 +104,18 @@ impl<'w> RootTaskBuilder<'w> {
     }
 
     /// Fills `keep` with `v` and its candidate vertices in increasing order
-    /// and marks them in `seen`. False when fewer than τ_size were collected.
+    /// and puts them in the task. False when fewer than τ_size were
+    /// collected.
     fn collect(&mut self, v: u32) -> bool {
         let (work, suffix) = (self.work, &self.suffix);
-        let (seen, keep) = (&mut self.seen, &mut self.keep);
+        let (task, keep) = (&mut self.task, &mut self.keep);
         keep.clear();
         keep.push(v);
-        seen.insert(v);
-        // `C_v` holds no vertex below `v`, and `v` is marked already.
+        task.set(v, 0);
+        // `C_v` holds no vertex below `v`, and `v` is in already.
         let mut take = |u: u32| {
-            if suffix.contains(u) && seen.insert(u) {
+            if suffix.contains(u) && !task.contains(u) {
+                task.set(u, 0);
                 keep.push(u);
             }
         };
@@ -143,49 +137,24 @@ impl<'w> RootTaskBuilder<'w> {
         self.keep.len() >= self.params.min_size
     }
 
-    /// Leaves `seen` all-clear for the next root.
-    fn unmark(&mut self) {
+    /// Peels the task to its k-core and drops the vertices that fell from
+    /// `keep`. False — at once, with the task and `keep` in no particular
+    /// state — when the root falls or fewer than τ_size vertices stay.
+    fn shrink(&mut self, v: u32) -> bool {
+        let (work, task) = (self.work, &mut self.task);
         for &u in &self.keep {
-            self.seen.remove(u);
+            let inside = work.neighbors(u).iter().filter(|&&w| task.contains(w));
+            task.set(u, inside.count() as u32);
         }
-    }
-
-    /// Peels the marked vertices to their k-core: unmarks every vertex left
-    /// with fewer than `k` marked neighbors and drops it from `keep`. False —
-    /// at once, with the marks and `keep` in no particular state — when the
-    /// root falls below `k` or fewer than τ_size vertices stay.
-    fn peel(&mut self, v: u32) -> bool {
-        let k = u32::try_from(self.params.kcore_threshold()).unwrap_or(u32::MAX);
-        let (work, seen, degree, stack) =
-            (self.work, &mut self.seen, &mut self.degree, &mut self.stack);
-        stack.clear();
-        for &u in &self.keep {
-            let marked = work.neighbors(u).iter().filter(|&&w| seen.contains(w));
-            degree[u as usize] = marked.count() as u32;
-            if degree[u as usize] < k {
-                stack.push(u);
-            }
-        }
+        task.seed(self.keep.iter().copied());
         let mut remaining = self.keep.len();
-        while let Some(x) = stack.pop() {
+        while let Some(x) = task.pop(|x| work.neighbors(x).iter().copied()) {
             remaining -= 1;
             if x == v || remaining < self.params.min_size {
                 return false;
             }
-            seen.remove(x);
-            for &w in work.neighbors(x) {
-                // A vertex is queued exactly once: above if it starts below
-                // k, else when this decrement takes it there.
-                let d = &mut degree[w as usize];
-                if seen.contains(w) && *d >= k {
-                    *d -= 1;
-                    if *d < k {
-                        stack.push(w);
-                    }
-                }
-            }
         }
-        self.keep.retain(|&u| seen.contains(u));
+        self.keep.retain(|&u| task.contains(u));
         true
     }
 }
@@ -223,11 +192,7 @@ mod tests {
     /// The working graph `SerialMiner` builds from `g`: its k-core, or all of
     /// it without the size-threshold rule.
     fn work_of(g: &Graph, params: MiningParams, config: PruneConfig) -> LocalGraph {
-        let k = if config.size_threshold {
-            params.kcore_threshold()
-        } else {
-            0
-        };
+        let k = config.peel_threshold(&params);
         LocalGraph::from_induced(g, &k_core_vertices(g, k))
     }
 
@@ -242,7 +207,8 @@ mod tests {
         let mut tasks = Vec::new();
         while let Some(v) = builder.next_root() {
             let task = builder.build(v);
-            assert!(builder.seen.is_empty(), "marks left behind by root {v}");
+            let marked = (0..work.capacity() as u32).find(|&u| builder.task.contains(u));
+            assert_eq!(marked, None, "marks left behind by root {v}");
             let globals = task.map(|t| t.global_ids().iter().map(|u| u.raw()).collect());
             tasks.push((work.global_id(v).raw(), globals));
         }

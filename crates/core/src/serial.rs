@@ -156,15 +156,9 @@ impl SerialMiner {
         let mut stats = MiningStats::new();
 
         // (T1) Size-threshold preprocessing: shrink to the k-core.
-        let survivors: Vec<VertexId> = if self.config.size_threshold {
-            let k = self.params.kcore_threshold();
-            let kept = k_core_vertices(graph, k);
-            stats.kcore_removed += (graph.num_vertices() - kept.len()) as u64;
-            kept
-        } else {
-            graph.vertices().collect()
-        };
+        let survivors = k_core_vertices(graph, self.config.peel_threshold(&self.params));
         let kcore_vertices = survivors.len();
+        stats.kcore_removed += (graph.num_vertices() - kcore_vertices) as u64;
 
         let mut sink = QuasiCliqueSet::new();
         let mut interrupted = false;

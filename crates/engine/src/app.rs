@@ -1,13 +1,14 @@
 //! The quasi-clique application (the two UDFs of Algorithms 4–5) the engine
 //! runs.
 //!
-//! `spawn` and the iteration filters compare `adj.len()` with
-//! `k = ⌈γ·(τ_size − 1)⌉`, as the paper does. What that test means depends on
-//! the graph the engine was given: on a raw input it is Algorithm 4's
-//! raw-degree test, a necessary condition only; [`crate::ParallelMiner`]
-//! hands the engine the k-core of its input, where the same line is an exact
-//! core-degree test, and spawns only from the core's suffix roots, none of
-//! which `spawn` refuses.
+//! `spawn` and the iteration filters compare degrees with the size-threshold
+//! rule's `k = ⌈γ·(τ_size − 1)⌉`, as the paper does, and the iterations peel
+//! at it; with the rule off `k` is 0 and nothing is filtered or peeled. What
+//! a degree means depends on the graph the engine was given: on a raw input
+//! the test is Algorithm 4's raw-degree test, a necessary condition only;
+//! [`crate::ParallelMiner`] hands the engine the k-core of its input, where
+//! the same line is an exact core-degree test, and spawns only from the
+//! core's suffix roots, none of which `spawn` refuses.
 
 use crate::iterations::{iteration_1, iteration_2};
 use crate::mine::{run_mine_phase, DecompositionStrategy, MineOutcome};
@@ -87,24 +88,15 @@ impl QuasiCliqueApp {
         self
     }
 
-    /// Algorithm 4: the task spawned from `v`, if its degree reaches
-    /// `k = ⌈γ(τ_size − 1)⌉`, pulling its larger-id neighbors. (Its core
-    /// degree, when the miner runs the engine on the k-core.) The engine calls
-    /// it for each vertex its table holds and for no other; `adj` is Γ(v),
-    /// sorted. The miner's table holds suffix roots, and a suffix root has at
-    /// least `k` larger neighbours in the core, so none of them is refused.
+    /// Algorithm 4: the task spawned from `v`, pulling its larger-id
+    /// neighbors, if it has at least [`PruneConfig::peel_threshold`] of them
+    /// (fewer, and the peel of iteration 1 would end the task) and any at all.
+    /// The engine calls it for each vertex its table holds, suffix roots that
+    /// have enough larger neighbours, and for no other; `adj` is Γ(v), sorted.
     pub fn spawn(&self, v: VertexId, adj: &[VertexId]) -> Option<QCTask> {
-        let k = self.params.kcore_threshold();
-        if adj.len() < k {
-            return None;
-        }
         let larger = &adj[adj.partition_point(|&u| u <= v)..];
-        // v needs k neighbors inside its task and all of them are larger
-        // first-hop vertices, so with fewer the peel of iteration 1 would end
-        // the task (the test `RootTaskBuilder::build` makes); with none there
-        // is nothing to pull.
-        let too_few = self.prune_config.size_threshold && larger.len() < k;
-        if too_few || larger.is_empty() {
+        let k = self.prune_config.peel_threshold(&self.params);
+        if larger.len() < k || larger.is_empty() {
             return None;
         }
         Some(QCTask::spawned(v, larger.to_vec()))
@@ -120,7 +112,7 @@ impl QuasiCliqueApp {
         frontier: &Frontier,
         scratch: &mut WorkerScratch,
     ) -> (bool, MineOutcome) {
-        let k = self.params.kcore_threshold();
+        let k = self.prune_config.peel_threshold(&self.params);
         match task.phase {
             TaskPhase::FirstHop => (iteration_1(task, frontier, k), MineOutcome::default()),
             // Iteration 2 performs no pulls, so returning `true` makes the

@@ -11,14 +11,15 @@
 //! positions, and a destination is turned into a position once, through
 //! [`IdRanks`] over the task's own sorted ids (a bit and a half per id of
 //! their range, dropped with the iteration) — nothing is kept per worker and
-//! nothing is allocated per vertex. What leaves an iteration is a checked
-//! [`LocalGraph`], written as one flat CSR of the vertices the peel kept;
-//! between the two it holds the surviving first-hop vertices only, because an
-//! edge from one of them to a second-hop vertex `w` is read back from `Γ(w)`
-//! when `w` arrives.
+//! nothing is allocated per vertex. The peel is the one k-core cascade of
+//! the workspace, [`Peel`], over those positions. What leaves an iteration
+//! is a checked [`LocalGraph`], written as one flat CSR of the vertices the
+//! peel kept; between the two it holds the surviving first-hop vertices only,
+//! because an edge from one of them to a second-hop vertex `w` is read back
+//! from `Γ(w)` when `w` arrives.
 
 use crate::task::{Frontier, QCTask, TaskPhase};
-use qcm_graph::{IdRanks, LocalGraph, VertexId};
+use qcm_graph::{IdRanks, LocalGraph, Peel, VertexId};
 
 /// `t.g` while it is put together: the vertices in id order and, per vertex,
 /// the span of `near` that lists its neighbors inside `t.g` by position.
@@ -39,36 +40,26 @@ impl Assembly {
         self.span[to].1 += 1;
     }
 
-    /// Peels every vertex whose degree is, or falls, below `k`; a removal
-    /// costs each neighbor in `near` one. Returns who is left. The queue-based
-    /// `O(|E|)` peel of Batagelj & Zaversnik: hub tasks assemble thousands of
-    /// vertices.
-    fn peel(&self, mut degree: Vec<usize>, k: usize) -> Vec<bool> {
-        let mut alive: Vec<bool> = degree.iter().map(|&d| d >= k).collect();
-        let mut stack: Vec<usize> = (0..alive.len()).filter(|&p| !alive[p]).collect();
-        while let Some(p) = stack.pop() {
-            for &q in self.neighbors(p) {
-                let q = q as usize;
-                if alive[q] {
-                    degree[q] -= 1;
-                    if degree[q] < k {
-                        alive[q] = false;
-                        stack.push(q);
-                    }
-                }
-            }
-        }
-        alive
+    /// The k-core of `t.g`, in `O(|E|)`: `degree[p]` counts the neighbors of
+    /// `p` in `near` and those beyond `t.g`, which no peel removes.
+    fn k_core(&self, degree: Vec<u32>, k: usize) -> Peel {
+        let mut core = Peel::new(degree, k);
+        core.seed(0..self.ids.len() as u32);
+        let neighbors = |p: u32| self.neighbors(p as usize).iter().copied();
+        while core.pop(neighbors).is_some() {}
+        core
     }
 
-    /// The subgraph on the vertices left, renumbered by rank.
-    fn into_graph(self, alive: &[bool]) -> LocalGraph {
-        let mut rank = vec![0u32; alive.len()];
-        for p in 1..alive.len() {
-            rank[p] = rank[p - 1] + u32::from(alive[p - 1]);
+    /// The subgraph on the vertices left in `core`, renumbered by rank.
+    fn into_graph(self, core: &Peel) -> LocalGraph {
+        let n = self.ids.len();
+        let alive = |p: usize| core.contains(p as u32);
+        let mut rank = vec![0u32; n];
+        for p in 1..n {
+            rank[p] = rank[p - 1] + u32::from(alive(p - 1));
         }
-        let survivors = || (0..alive.len()).filter(|&p| alive[p]);
-        let staying = |p: usize| self.neighbors(p).iter().filter(|&&q| alive[q as usize]);
+        let survivors = || (0..n).filter(|&p| alive(p));
+        let staying = |p: usize| self.neighbors(p).iter().filter(|&&q| alive(q as usize));
         // Sized exactly: one allocation per buffer.
         let edges: usize = survivors().map(|p| staying(p).count()).sum();
         let mut offsets = Vec::with_capacity(survivors().count() + 1);
@@ -143,24 +134,24 @@ pub fn iteration_1(task: &mut QCTask, frontier: &Frontier, k: usize) -> bool {
 
     // Line 10: shrink to the k-core (only materialised vertices are peelable).
     let degree = (0..t_g.ids.len())
-        .map(|p| t_g.neighbors(p).len() + far_span[p].1 - far_span[p].0)
+        .map(|p| (t_g.neighbors(p).len() + far_span[p].1 - far_span[p].0) as u32)
         .collect();
-    let alive = t_g.peel(degree, k);
+    let core = t_g.k_core(degree, k);
 
     // Line 11: the task is only useful if the spawning vertex survived.
     task.pull_targets.clear();
-    if alive.first() != Some(&true) {
+    if !core.contains(0) {
         return false;
     }
 
     // Lines 12–15: request the second-hop vertices (w > v, not already within
     // one hop) — the far destinations of the survivors.
-    for (_, &(from, to)) in far_span.iter().enumerate().filter(|(p, _)| alive[*p]) {
+    for (_, &(from, to)) in (0..).zip(&far_span).filter(|(p, _)| core.contains(*p)) {
         task.pull_targets.extend_from_slice(&far[from..to]);
     }
     task.pull_targets.sort_unstable();
     task.pull_targets.dedup();
-    task.subgraph = t_g.into_graph(&alive);
+    task.subgraph = t_g.into_graph(&core);
     task.phase = TaskPhase::SecondHop;
     true
 }
@@ -208,8 +199,8 @@ pub fn iteration_2(task: &mut QCTask, frontier: &Frontier, k: usize) -> bool {
     // whose own pulled list ended at the first hop.
     let table = IdRanks::over(&ids);
     let (mut near, mut span) = (Vec::new(), vec![(0, 0); n]);
-    let first_hop_degree = |i: u32| half.degree(i);
-    let mut degree: Vec<usize> = origin
+    let first_hop_degree = |i: u32| half.degree(i) as u32;
+    let mut degree: Vec<u32> = origin
         .iter()
         .map(|o| o.map_or(0, first_hop_degree))
         .collect();
@@ -219,10 +210,10 @@ pub fn iteration_2(task: &mut QCTask, frontier: &Frontier, k: usize) -> bool {
         let tail = &adj[adj.partition_point(|&w| w < root)..];
         for q in tail.iter().filter_map(|&w| table.rank(w)) {
             near.push(q as u32);
-            degree[q] += usize::from(origin[q].is_some());
+            degree[q] += u32::from(origin[q].is_some());
         }
         span[p] = (start, near.len());
-        degree[p] = near.len() - start;
+        degree[p] = (near.len() - start) as u32;
     }
     let mut t_g = Assembly { ids, near, span };
     // Second pass, in id order so that every first-hop list fills in sorted
@@ -231,7 +222,7 @@ pub fn iteration_2(task: &mut QCTask, frontier: &Frontier, k: usize) -> bool {
     for p in (0..n).filter(|&p| origin[p].is_some()) {
         let start = t_g.near.len();
         t_g.span[p] = (start, start);
-        t_g.near.resize(start + degree[p], 0);
+        t_g.near.resize(start + degree[p] as usize, 0);
     }
     for p in 0..n {
         if let Some(i) = origin[p] {
@@ -250,14 +241,14 @@ pub fn iteration_2(task: &mut QCTask, frontier: &Frontier, k: usize) -> bool {
 
     // Line 9: exact k-core of the assembled subgraph. Line 10: the task is
     // only useful if the spawning vertex, position 0, survived.
-    let alive = t_g.peel(degree, k);
+    let core = t_g.k_core(degree, k);
     task.pull_targets.clear();
-    if alive.first() != Some(&true) {
+    if !core.contains(0) {
         return false;
     }
 
     // Lines 11–12: the candidate for iteration 3.
-    task.subgraph = t_g.into_graph(&alive);
+    task.subgraph = t_g.into_graph(&core);
     task.s = vec![0];
     task.ext = (1..task.subgraph.capacity() as u32).collect();
     task.phase = TaskPhase::Mine;
@@ -267,13 +258,16 @@ pub fn iteration_2(task: &mut QCTask, frontier: &Frontier, k: usize) -> bool {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::app::QuasiCliqueApp;
     use crate::reference::{self, RefTask};
+    use crate::task::WorkerScratch;
     use proptest::prelude::*;
     use qcm_core::MiningParams;
     use qcm_gen::planted::{plant_quasi_cliques, PlantedGraphSpec};
     use qcm_gen::powerlaw::power_law_graph;
     use qcm_graph::Graph;
     use qcm_sync::Arc;
+    use std::time::Duration;
 
     /// Figure 4 graph of the paper.
     pub(crate) fn figure4() -> Graph {
@@ -390,37 +384,57 @@ pub(crate) mod tests {
         }
     }
 
+    /// The task `app` spawns from `root` and builds through iterations 1 and
+    /// 2, if it survives them.
+    fn app_task(app: &QuasiCliqueApp, g: &Graph, root: VertexId) -> Option<QCTask> {
+        let mut task = app.spawn(root, g.neighbors(root))?;
+        while task.phase != TaskPhase::Mine {
+            let frontier = frontier_for(g, &task.pull_targets);
+            let (goes_on, _) = app.compute(&mut task, &frontier, &mut WorkerScratch::default());
+            if !goes_on {
+                return None;
+            }
+        }
+        Some(task)
+    }
+
     #[test]
     fn serial_root_task_builder_cuts_the_same_subgraph() {
-        // The serial miner's per-root task subgraph and the one iterations 1
-        // and 2 assemble from pulled adjacency lists hold the same vertices,
-        // for every root of Figure 4. The serial side starts from the global
-        // k-core, visits only the roots in their suffix core and drops tasks
-        // too small to hold a result; the engine does none of that, so the
-        // other roots are expected to end empty-handed there.
-        use qcm_core::{MiningParams, PruneConfig, RootTaskBuilder};
+        // The serial miner's per-root task subgraph and the one the engine's
+        // spawn and iterations 1 and 2 assemble from pulled adjacency lists
+        // hold the same vertices, for every root of Figure 4, with the
+        // size-threshold rule on and off. The serial side starts from the
+        // global k-core, visits only the roots in their suffix core and drops
+        // tasks too small to hold a result; the engine does none of that, so
+        // the other roots are expected to end empty-handed there.
+        use qcm_core::{PruneConfig, RootTaskBuilder};
         use qcm_graph::kcore::k_core_vertices;
         use qcm_graph::{IndexSpec, LocalGraph};
         let g = figure4();
-        for (gamma, min_size) in [(0.6, 5), (0.9, 4), (0.6, 4), (0.5, 3), (1.0, 3)] {
-            let params = MiningParams::new(gamma, min_size);
-            let k = params.kcore_threshold();
-            let survivors = k_core_vertices(&g, k);
-            let work = LocalGraph::from_induced(&g, &survivors);
-            let mut builder =
-                RootTaskBuilder::new(&work, params, PruneConfig::all_enabled(), IndexSpec::Auto);
-            let mut serial = vec![None; 9];
-            while let Some(local) = builder.next_root() {
-                let task = builder.build(local);
-                serial[survivors[local as usize].index()] = task.map(|t| t.global_ids().to_vec());
-            }
-            for (root, serial) in (0..9u32).zip(serial) {
-                let engine: Option<Vec<VertexId>> = build_task(&g, root, k)
-                    .map(|task| task.subgraph.global_ids().to_vec())
-                    .filter(|vertices: &Vec<VertexId>| vertices.len() >= min_size);
-                assert_eq!(serial, engine, "γ={gamma} τ_size={min_size} root {root}");
-                if let Some(vertices) = &serial {
-                    assert_eq!(vertices[0], v(root), "the root is local 0");
+        let unpeeled = PruneConfig::all_enabled().without("size_threshold");
+        for config in [PruneConfig::all_enabled(), unpeeled] {
+            for (gamma, min_size) in [(0.6, 5), (0.9, 4), (0.6, 4), (0.5, 3), (1.0, 3)] {
+                let params = MiningParams::new(gamma, min_size);
+                let app =
+                    QuasiCliqueApp::new(params, 100, Duration::ZERO).with_prune_config(config);
+                let survivors = k_core_vertices(&g, config.peel_threshold(&params));
+                let work = LocalGraph::from_induced(&g, &survivors);
+                let mut builder = RootTaskBuilder::new(&work, params, config, IndexSpec::Auto);
+                let mut serial = vec![None; 9];
+                while let Some(local) = builder.next_root() {
+                    let task = builder.build(local);
+                    serial[survivors[local as usize].index()] =
+                        task.map(|t| t.global_ids().to_vec());
+                }
+                for (root, serial) in g.vertices().zip(serial) {
+                    let engine: Option<Vec<VertexId>> = app_task(&app, &g, root)
+                        .map(|task| task.subgraph.global_ids().to_vec())
+                        .filter(|vertices: &Vec<VertexId>| vertices.len() >= min_size);
+                    let case = format!("{config:?} γ={gamma} τ_size={min_size} root {root}");
+                    assert_eq!(serial, engine, "{case}");
+                    if let Some(vertices) = &serial {
+                        assert_eq!(vertices[0], root, "the root is local 0");
+                    }
                 }
             }
         }

@@ -15,12 +15,12 @@
 //! size-threshold rule (a distributed loader would run a standard distributed
 //! k-core). The engine's vertex table then holds the *suffix roots*: the
 //! core vertices `v` that lie in the k-core of the core's vertices `≥ v`
-//! ([`suffix_roots`]). Every other root's task would die in iterations 1–2,
-//! so only those are spawned from. The graph behind the table keeps the
-//! caller's vertex ids, with every vertex outside the core isolated: it is
-//! pulled by no task, and a degree read by `spawn` or an iteration filter is
-//! an exact core degree. The published sets are still validated against the
-//! graph the caller passed in (`finalize_results`).
+//! ([`k_core_masked_with_roots`]). Every other root's task would die in
+//! iterations 1–2, so only those are spawned from. The graph behind the table
+//! keeps the caller's vertex ids, with every vertex outside the core
+//! isolated: it is pulled by no task, and a degree read by `spawn` or an
+//! iteration filter is an exact core degree. The published sets are still
+//! validated against the graph the caller passed in (`finalize_results`).
 //!
 //! The transport picks the engine's driver. Under
 //! [`TransportFactory::Sim`] the job runs on the deterministic fault
@@ -46,7 +46,7 @@ use qcm_core::{
     is_valid_quasi_clique, remove_non_maximal, CancelToken, MiningParams, PruneConfig,
     QuasiCliqueSet, QuasiCliqueSink, RunOutcome,
 };
-use qcm_graph::kcore::{k_core_masked_with_vertices, suffix_roots};
+use qcm_graph::kcore::k_core_masked_with_roots;
 use qcm_graph::{Graph, VertexId};
 use qcm_obs::clock::Instant;
 use qcm_sync::Arc;
@@ -197,27 +197,20 @@ impl ParallelMiner {
 }
 
 /// The pre-processing: the graph the engine runs on is the k-core of the
-/// caller's graph in the caller's id space
-/// ([`k_core_masked_with_vertices`]), and the vertex list its table holds is
-/// the core's suffix roots ([`suffix_roots`]), the roots the serial miner
-/// visits. So a root that cannot hold a result is never spawned, and every
-/// degree the application reads is a core degree. Follows
-/// [`PruneConfig::size_threshold`], as the serial miner's peel does; without
-/// it the engine holds every vertex. Returns the time spent too: it belongs
-/// to the run's `elapsed`.
+/// caller's graph in the caller's id space, and the vertex list its table
+/// holds is the core's suffix roots, the roots the serial miner visits
+/// ([`k_core_masked_with_roots`], at [`PruneConfig::peel_threshold`]). So a
+/// root that cannot hold a result is never spawned, and every degree the
+/// application reads is a core degree. Returns the time spent too: it
+/// belongs to the run's `elapsed`.
 fn peel_to_core(
     graph: &Arc<Graph>,
     params: &MiningParams,
     prune: &PruneConfig,
 ) -> (Arc<Graph>, Vec<VertexId>, Duration) {
-    if !prune.size_threshold {
-        return (graph.clone(), graph.vertices().collect(), Duration::ZERO);
-    }
     let started = Instant::now();
     let _span = qcm_obs::span(qcm_obs::SpanKind::KCore);
-    let k = params.kcore_threshold();
-    let (core, vertices) = k_core_masked_with_vertices(graph, k);
-    let roots = suffix_roots(&core, &vertices, k);
+    let (core, roots) = k_core_masked_with_roots(graph, prune.peel_threshold(params));
     (core, roots, started.elapsed())
 }
 

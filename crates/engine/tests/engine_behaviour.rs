@@ -9,7 +9,7 @@ use qcm_core::{MiningParams, QuasiCliqueSet, RunOutcome, SerialMiner};
 use qcm_engine::{
     DecompositionStrategy, EngineConfig, ParallelMiner, QuasiCliqueApp, SimConfig, TransportFactory,
 };
-use qcm_graph::kcore::{k_core_vertices, suffix_roots};
+use qcm_graph::kcore::{k_core_masked_with_roots, k_core_vertices};
 use qcm_graph::{Graph, VertexId};
 use qcm_sync::Arc;
 use std::time::Duration;
@@ -40,9 +40,8 @@ fn serial_maximal(g: &Graph) -> QuasiCliqueSet {
 }
 
 /// The vertices the engine's table holds: the k-core's suffix roots.
-fn roots(g: &Graph) -> Vec<VertexId> {
-    let k = params().kcore_threshold();
-    suffix_roots(g, &k_core_vertices(g, k), k)
+fn roots(g: &Arc<Graph>) -> Vec<VertexId> {
+    k_core_masked_with_roots(g, params().kcore_threshold()).1
 }
 
 #[test]

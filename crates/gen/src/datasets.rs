@@ -354,7 +354,7 @@ pub fn tiny_test_dataset(seed: u64) -> SyntheticDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qcm_graph::k_core;
+    use qcm_graph::kcore::k_core_vertices;
 
     #[test]
     fn all_specs_are_listed_in_table1_order() {
@@ -392,11 +392,11 @@ mod tests {
         let spec = cx_gse1730();
         let ds = spec.generate();
         let k = (spec.gamma * (spec.min_size as f64 - 1.0)).ceil() as usize;
-        let (_, mapping) = k_core(&ds.graph, k);
+        let core = k_core_vertices(&ds.graph, k);
         for community in &ds.planted {
             for &v in &community.members {
                 assert!(
-                    mapping.binary_search(&v).is_ok(),
+                    core.binary_search(&v).is_ok(),
                     "planted vertex {v} was peeled by the {k}-core"
                 );
             }

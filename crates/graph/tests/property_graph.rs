@@ -3,10 +3,8 @@
 use proptest::prelude::*;
 use qcm_graph::{
     bitset::{compact, VertexBitSet},
-    io, k_core,
-    kcore::{
-        core_numbers, k_core_masked, k_core_masked_with_vertices, k_core_vertices, suffix_roots,
-    },
+    io,
+    kcore::{core_numbers, k_core_masked_with_roots, k_core_vertices, Peel, PEELED},
     subgraph::{induced_subgraph, LocalGraph},
     traversal::{bfs_distances, connected_components, two_hop_neighborhood},
     Graph, GraphBuilder, VertexId,
@@ -50,6 +48,26 @@ fn arb_sparse_with_core() -> impl Strategy<Value = Graph> {
     })
 }
 
+/// Runs `peel`'s cascade to its end on `g`'s lists, counting each popped
+/// vertex in `popped` and checking after every pop that no vertex seen out
+/// (`out`) is back in, as a decrement of a `PEELED` entry would put it.
+fn drain(peel: &mut Peel, g: &Graph, popped: &mut [u32], out: &mut [bool]) -> Result<(), String> {
+    let neighbors = |v: u32| g.neighbors(VertexId::new(v)).iter().map(|w| w.raw());
+    while let Some(x) = peel.pop(neighbors) {
+        popped[x as usize] += 1;
+        for (v, was_out) in out.iter_mut().enumerate() {
+            let gone = !peel.contains(v as u32);
+            prop_assert!(
+                gone || !*was_out,
+                "vertex {} came back after it was removed",
+                v
+            );
+            *was_out = gone;
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -72,7 +90,7 @@ proptest! {
 
     #[test]
     fn kcore_vertices_all_have_degree_at_least_k(g in arb_graph(30), k in 1usize..6) {
-        let (core, mapping) = k_core(&g, k);
+        let (core, mapping) = induced_subgraph(&g, &k_core_vertices(&g, k));
         core.validate().unwrap();
         for v in core.vertices() {
             prop_assert!(core.degree(v) >= k,
@@ -98,7 +116,7 @@ proptest! {
     fn masked_kcore_is_the_kcore_in_the_callers_id_space(g in arb_graph(30), k in 0usize..6) {
         let g = Arc::new(g);
         let survivors = k_core_vertices(&g, k);
-        let masked = k_core_masked(&g, k);
+        let masked = k_core_masked_with_roots(&g, k).0;
         prop_assert!(masked.validate().is_ok());
         prop_assert_eq!(masked.num_vertices(), g.num_vertices());
         for v in g.vertices() {
@@ -113,12 +131,13 @@ proptest! {
         // No edge cut: the very same graph comes back. So does a second
         // peel's input, always.
         prop_assert_eq!(Arc::ptr_eq(&masked, &g), *masked == *g);
-        prop_assert!(Arc::ptr_eq(&k_core_masked(&masked, k), &masked));
+        prop_assert!(Arc::ptr_eq(&k_core_masked_with_roots(&masked, k).0, &masked));
     }
 
     /// The peel drops a vertex below `k` without reading its list; on a
     /// graph where most vertices start there, the core is still exactly the
-    /// vertices of core number `≥ k`, and the masked form's list agrees.
+    /// vertices of core number `≥ k`, the masked form agrees, and its roots
+    /// lie in the core.
     #[test]
     fn kcore_of_a_sparse_graph_with_a_small_core_is_exact(g in arb_sparse_with_core(), k in 0usize..9) {
         let core_nums = core_numbers(&g);
@@ -127,11 +146,11 @@ proptest! {
         let survivors = k_core_vertices(&g, k);
         prop_assert_eq!(&survivors, &expected);
         let g = Arc::new(g);
-        let (masked, listed) = k_core_masked_with_vertices(&g, k);
-        prop_assert_eq!(&listed, &survivors);
+        let (masked, roots) = k_core_masked_with_roots(&g, k);
+        prop_assert!(roots.iter().all(|v| survivors.binary_search(v).is_ok()));
         for v in g.vertices() {
             let kept = masked.degree(v);
-            if listed.binary_search(&v).is_ok() {
+            if survivors.binary_search(&v).is_ok() {
                 prop_assert!(kept >= k, "core vertex {} keeps degree {} < {}", v, kept, k);
             } else {
                 prop_assert_eq!(kept, 0, "peeled vertex {} kept an edge", v);
@@ -232,7 +251,52 @@ proptest! {
                 k_core_vertices(&sub, k).first() == Some(&VertexId::new(0))
             })
             .collect();
-        prop_assert_eq!(suffix_roots(&g, &core, k), expected);
+        prop_assert_eq!(k_core_masked_with_roots(&Arc::new(g), k).1, expected);
+    }
+
+    /// The peel kernel's contract, on any graph and `k`: with a pre-removed
+    /// set out from the start, one seeded cascade, then removals in any
+    /// order, each run to the end of its cascade, what stays in is the naive
+    /// fixed point — drop any vertex with fewer than `k` neighbours in until
+    /// none is left, over the vertices neither pre-removed nor removed. Every
+    /// removed vertex is popped exactly once, a pre-removed one never, and no
+    /// vertex comes back in.
+    #[test]
+    fn peel_kernel_equals_the_naive_fixed_point(
+        g in arb_graph(25),
+        k in 0usize..6,
+        pre in proptest::collection::vec(0u8..5, 25),
+        removals in proptest::collection::vec(0u32..25, 0..8),
+    ) {
+        let n = g.num_vertices();
+        let pre: Vec<bool> = pre[..n].iter().map(|&x| x == 0).collect();
+        let count_in = |v: VertexId, keep: &[bool]| {
+            g.neighbors(v).iter().filter(|w| keep[w.index()]).count()
+        };
+        let mine: Vec<bool> = pre.iter().map(|&p| !p).collect();
+        let degree = g.vertices().map(|v| if pre[v.index()] { PEELED } else { count_in(v, &mine) as u32 });
+        let mut peel = Peel::new(degree.collect(), k);
+        let (mut popped, mut out) = (vec![0u32; n], pre.clone());
+        peel.seed(0..n as u32);
+        drain(&mut peel, &g, &mut popped, &mut out)?;
+        let mut naive = mine;
+        for &r in &removals {
+            let r = r % n as u32;
+            if peel.contains(r) {
+                peel.remove(r);
+                drain(&mut peel, &g, &mut popped, &mut out)?;
+            }
+            naive[r as usize] = false;
+        }
+        while let Some(v) = g.vertices().find(|&v| naive[v.index()] && count_in(v, &naive) < k) {
+            naive[v.index()] = false;
+        }
+        let survivors: Vec<bool> = (0..n as u32).map(|v| peel.contains(v)).collect();
+        prop_assert_eq!(&survivors, &naive);
+        for v in 0..n {
+            let removed = !pre[v] && !survivors[v];
+            prop_assert_eq!(popped[v], u32::from(removed), "vertex {} popped {} times", v, popped[v]);
+        }
     }
 
     /// The branch-free compaction keeps what `iter().filter()` keeps, in the
