@@ -194,7 +194,7 @@ mod tests {
         let covers: Vec<CoverVertex> = [
             qcm_graph::IndexSpec::Auto,
             qcm_graph::IndexSpec::Threshold(3),
-            qcm_graph::IndexSpec::Disabled,
+            qcm_graph::IndexSpec::Threshold(usize::MAX),
         ]
         .into_iter()
         .map(|spec| {

@@ -77,7 +77,7 @@ pub use results::{
     CandidateForwarder, CollectingSink, CountingSink, QuasiCliqueSet, QuasiCliqueSink, ResultSink,
 };
 pub use root_task::RootTaskBuilder;
-pub use scratch::{MiningScratch, ScratchMode};
+pub use scratch::MiningScratch;
 pub use serial::{MiningOutput, SerialMiner};
 pub use stats::MiningStats;
 pub use validate::{is_quasi_clique, is_valid_quasi_clique};

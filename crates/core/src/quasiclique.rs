@@ -197,11 +197,11 @@ mod tests {
         for spec in [
             qcm_graph::IndexSpec::Auto,
             qcm_graph::IndexSpec::Threshold(5),
-            qcm_graph::IndexSpec::Disabled,
+            qcm_graph::IndexSpec::Threshold(usize::MAX),
         ] {
             let mut lg = lg.clone();
             lg.build_hub_index(spec);
-            let mut scratch = MiningScratch::pooled();
+            let mut scratch = MiningScratch::default();
             // Local indices equal global ids here because we induced on all vertices.
             assert!(is_quasi_clique_local(
                 &lg,

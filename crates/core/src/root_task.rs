@@ -35,7 +35,6 @@ pub struct RootTaskBuilder<'w> {
     work: &'w LocalGraph,
     params: MiningParams,
     config: PruneConfig,
-    index: IndexSpec,
     /// The suffix core of the current root; every vertex is a root without
     /// the size-threshold rule.
     suffix: SuffixCores,
@@ -49,21 +48,16 @@ pub struct RootTaskBuilder<'w> {
 
 impl<'w> RootTaskBuilder<'w> {
     /// A builder of the task subgraphs of `work`, the k-core of the input
-    /// (every vertex of it without the size-threshold rule); `index` is their
-    /// hub-index policy.
-    pub fn new(
-        work: &'w LocalGraph,
-        params: MiningParams,
-        config: PruneConfig,
-        index: IndexSpec,
-    ) -> Self {
+    /// (every vertex of it without the size-threshold rule). Every task
+    /// carries [`IndexSpec::Auto`] rows, the policy [`LocalGraph`] picks from
+    /// the task's size.
+    pub fn new(work: &'w LocalGraph, params: MiningParams, config: PruneConfig) -> Self {
         let k = config.peel_threshold(&params);
         let degrees = (0..work.capacity() as u32).map(|v| work.degree(v) as u32);
         RootTaskBuilder {
             work,
             params,
             config,
-            index,
             suffix: SuffixCores::over(Peel::new(degrees.collect(), k)),
             task: Peel::new(vec![PEELED; work.capacity()], k),
             keep: Vec::new(),
@@ -99,7 +93,7 @@ impl<'w> RootTaskBuilder<'w> {
             return None;
         }
         let mut task = self.work.induce_from_local(&self.keep, &mut self.scratch);
-        task.build_hub_index(self.index);
+        task.build_hub_index(IndexSpec::Auto);
         Some(task)
     }
 
@@ -203,7 +197,7 @@ mod tests {
         config: PruneConfig,
     ) -> Vec<(u32, Option<Vec<u32>>)> {
         let work = work_of(g, params, config);
-        let mut builder = RootTaskBuilder::new(&work, params, config, IndexSpec::Auto);
+        let mut builder = RootTaskBuilder::new(&work, params, config);
         let mut tasks = Vec::new();
         while let Some(v) = builder.next_root() {
             let task = builder.build(v);
@@ -228,7 +222,7 @@ mod tests {
             vec![(0, Some(vec![0, 1, 2, 3, 4]))]
         );
         let work = work_of(&g, params, config);
-        let mut builder = RootTaskBuilder::new(&work, params, config, IndexSpec::Auto);
+        let mut builder = RootTaskBuilder::new(&work, params, config);
         let task = builder.next_root().and_then(|v| builder.build(v)).unwrap();
         assert_eq!(task.num_edges(), 9);
         assert_eq!(
@@ -354,8 +348,7 @@ mod tests {
                             let (g, _) = induced_subgraph(graph, &core);
                             let all: Vec<VertexId> = g.vertices().collect();
                             let work = LocalGraph::from_induced(&g, &all);
-                            let mut builder =
-                                RootTaskBuilder::new(&work, params, config, IndexSpec::Auto);
+                            let mut builder = RootTaskBuilder::new(&work, params, config);
                             let mut next = builder.next_root();
                             for v in g.vertices() {
                                 let expected = induce_and_peel(&g, v, params, config);

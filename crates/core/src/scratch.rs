@@ -19,25 +19,23 @@
 //! [`qcm_graph::neighborhoods::perf`] make that verifiable from a benchmark
 //! report.
 //!
-//! [`ScratchMode::Fresh`] turns the pool off: every take allocates and every
-//! put drops, reproducing the pre-arena allocation behaviour. The benchmark
-//! suite uses it as the within-binary baseline, and the property tests assert
-//! the two modes return byte-identical result sets.
+//! Every run pools. [`MiningScratch::fresh`] is the reference arena that tests
+//! install in a [`crate::MiningContext`]: every take allocates and every put
+//! drops, as before the arena, and the property tests assert that it mines
+//! byte-identically.
 
 use crate::degrees::Degrees;
 use qcm_graph::bitset::VertexBitSet;
 use qcm_graph::neighborhoods::perf;
 
-/// Whether scratch frames are pooled (the optimisation) or freshly allocated
-/// per request (the reference behaviour the pool is benchmarked against).
+/// Whether scratch frames are pooled or freshly allocated per request.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ScratchMode {
+enum ScratchMode {
     /// Reuse frames across tree nodes and tasks (zero allocations in steady
     /// state).
     #[default]
     Pooled,
-    /// Allocate every frame fresh, mirroring the pre-arena hot path. Used as
-    /// the benchmark baseline and the equivalence-test reference.
+    /// Allocate every frame fresh, mirroring the pre-arena hot path.
     Fresh,
 }
 
@@ -57,27 +55,14 @@ pub struct MiningScratch {
 }
 
 impl MiningScratch {
-    /// Creates an empty arena in the given mode.
-    pub fn new(mode: ScratchMode) -> Self {
+    /// An arena that never pools — every take allocates, every put drops.
+    /// The reference arena of the equivalence tests; every run pools
+    /// ([`MiningScratch::default`]).
+    pub fn fresh() -> Self {
         MiningScratch {
-            mode,
+            mode: ScratchMode::Fresh,
             ..Default::default()
         }
-    }
-
-    /// An empty pooled arena (the default).
-    pub fn pooled() -> Self {
-        Self::new(ScratchMode::Pooled)
-    }
-
-    /// An arena that never pools — every take allocates, every put drops.
-    pub fn fresh() -> Self {
-        Self::new(ScratchMode::Fresh)
-    }
-
-    /// The arena's mode.
-    pub fn mode(&self) -> ScratchMode {
-        self.mode
     }
 
     /// Bytes currently parked in the pools.
@@ -212,7 +197,7 @@ mod tests {
 
     #[test]
     fn pooled_arena_reuses_buffers() {
-        let mut scratch = MiningScratch::pooled();
+        let mut scratch = MiningScratch::default();
         let mut v = scratch.take_vec();
         v.extend_from_slice(&[1, 2, 3]);
         let ptr = v.as_ptr();
@@ -237,7 +222,7 @@ mod tests {
 
     #[test]
     fn bitsets_retarget_capacity_on_reuse() {
-        let mut scratch = MiningScratch::pooled();
+        let mut scratch = MiningScratch::default();
         let mut b = scratch.take_bitset(100);
         b.insert(99);
         scratch.put_bitset(b);
@@ -251,7 +236,7 @@ mod tests {
 
     #[test]
     fn degree_frames_round_trip() {
-        let mut scratch = MiningScratch::pooled();
+        let mut scratch = MiningScratch::default();
         let mut d = scratch.take_degrees();
         d.s_in_s.push(3);
         scratch.put_degrees(d);

@@ -24,11 +24,11 @@ use crate::params::MiningParams;
 use crate::recursive_mine::{recursive_mine, NoHandOff};
 use crate::results::{QuasiCliqueSet, QuasiCliqueSink};
 use crate::root_task::RootTaskBuilder;
-use crate::scratch::{MiningScratch, ScratchMode};
+use crate::scratch::MiningScratch;
 use crate::stats::MiningStats;
 use qcm_graph::kcore::k_core_vertices;
 use qcm_graph::neighborhoods::perf;
-use qcm_graph::{Graph, IndexSpec, LocalGraph, VertexId};
+use qcm_graph::{Graph, LocalGraph, VertexId};
 
 /// Everything a mining run produces.
 #[derive(Clone, Debug)]
@@ -59,21 +59,12 @@ pub struct SerialMiner {
     config: PruneConfig,
     emulate_quick_omissions: bool,
     cancel: CancelToken,
-    index: IndexSpec,
-    scratch_mode: ScratchMode,
 }
 
 impl SerialMiner {
     /// Creates a miner with the default (fully enabled) pruning configuration.
     pub fn new(params: MiningParams) -> Self {
-        SerialMiner {
-            params,
-            config: PruneConfig::default(),
-            emulate_quick_omissions: false,
-            cancel: CancelToken::never(),
-            index: IndexSpec::Auto,
-            scratch_mode: ScratchMode::Pooled,
-        }
+        Self::with_config(params, PruneConfig::default())
     }
 
     /// Creates a miner with an explicit pruning configuration (used by the
@@ -84,8 +75,6 @@ impl SerialMiner {
             config,
             emulate_quick_omissions: false,
             cancel: CancelToken::never(),
-            index: IndexSpec::Auto,
-            scratch_mode: ScratchMode::Pooled,
         }
     }
 
@@ -101,27 +90,6 @@ impl SerialMiner {
     /// labelled with the firing reason.
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
-        self
-    }
-
-    /// Chooses the bit-row index built over every root's task subgraph
-    /// (default [`IndexSpec::Auto`]: a row for every vertex of a task
-    /// subgraph of at most `qcm_graph::subgraph::ALL_ROWS_MAX_VERTICES`, the
-    /// hybrid degree threshold above). [`IndexSpec::Disabled`] reproduces the
-    /// pure adjacency-list behaviour — results are identical either way, only
-    /// the kernels' cost changes.
-    pub fn with_index(mut self, index: IndexSpec) -> Self {
-        self.index = index;
-        self
-    }
-
-    /// Chooses the scratch-arena mode (default [`ScratchMode::Pooled`]).
-    /// [`ScratchMode::Fresh`] reproduces the pre-arena
-    /// allocation-per-tree-node behaviour — results are identical either way
-    /// (property-tested), only the allocator traffic changes. The benchmark
-    /// suite uses it as the within-binary baseline.
-    pub fn with_scratch_mode(mut self, mode: ScratchMode) -> Self {
-        self.scratch_mode = mode;
         self
     }
 
@@ -166,10 +134,10 @@ impl SerialMiner {
             // The working graph only feeds the task builder its adjacency
             // lists, so it carries no index of its own.
             let work = LocalGraph::from_induced(graph, &survivors);
-            let mut tasks = RootTaskBuilder::new(&work, self.params, self.config, self.index);
+            let mut tasks = RootTaskBuilder::new(&work, self.params, self.config);
             // One scratch arena for the whole run: the frames warmed up by
             // the first roots serve every later root without reallocating.
-            let mut scratch = MiningScratch::new(self.scratch_mode);
+            let mut scratch = MiningScratch::default();
             let mut ext: Vec<u32> = Vec::new();
             // One root per vertex in its suffix core, in id order.
             while let Some(v) = tasks.next_root() {

@@ -112,7 +112,8 @@ proptest! {
     ) {
         let all: Vec<VertexId> = g.vertices().collect();
         let mut lg = LocalGraph::from_induced(&g, &all);
-        lg.build_hub_index([IndexSpec::Auto, IndexSpec::Threshold(3), IndexSpec::Disabled][spec_idx]);
+        let none = IndexSpec::Threshold(usize::MAX);
+        lg.build_hub_index([IndexSpec::Auto, IndexSpec::Threshold(3), none][spec_idx]);
         let alive: Vec<u32> = (0..lg.capacity() as u32).collect();
         let mut path = PathDegrees::default();
         let mut degrees = Degrees::default();

@@ -1,20 +1,19 @@
 //! The quasi-clique application (the two UDFs of Algorithms 4–5) the engine
 //! runs.
 //!
-//! `spawn` and the iteration filters compare degrees with the size-threshold
-//! rule's `k = ⌈γ·(τ_size − 1)⌉`, as the paper does, and the iterations peel
-//! at it; with the rule off `k` is 0 and nothing is filtered or peeled. What
-//! a degree means depends on the graph the engine was given: on a raw input
-//! the test is Algorithm 4's raw-degree test, a necessary condition only;
-//! [`crate::ParallelMiner`] hands the engine the k-core of its input, where
-//! the same line is an exact core-degree test, and spawns only from the
-//! core's suffix roots, none of which `spawn` refuses.
+//! The iteration filters compare degrees with the size-threshold rule's
+//! `k = ⌈γ·(τ_size − 1)⌉`, as the paper does, and peel at it; with the rule
+//! off `k` is 0 and nothing is filtered or peeled. [`crate::ParallelMiner`]
+//! hands the engine the k-core of its input, where a degree is an exact core
+//! degree, and spawns only from the core's suffix roots, so Algorithm 4's
+//! degree test is already passed when `spawn` runs: every root has `k`
+//! larger neighbours, and at least one.
 
 use crate::iterations::{iteration_1, iteration_2};
 use crate::mine::{run_mine_phase, DecompositionStrategy, MineOutcome};
 use crate::task::{Frontier, QCTask, TaskPhase, WorkerScratch};
 use qcm_core::{CancelToken, MiningParams, PruneConfig};
-use qcm_graph::{IndexSpec, VertexId};
+use qcm_graph::VertexId;
 use std::time::Duration;
 
 /// The maximal quasi-clique mining application, parameterised by the mining
@@ -35,9 +34,6 @@ pub struct QuasiCliqueApp {
     pub strategy: DecompositionStrategy,
     /// Cooperative cancellation threaded into every mining-phase context.
     pub cancel: CancelToken,
-    /// Hybrid bitset neighborhood index built over each mining task's
-    /// materialised subgraph (Auto by default).
-    pub index: IndexSpec,
 }
 
 impl QuasiCliqueApp {
@@ -56,7 +52,6 @@ impl QuasiCliqueApp {
             tau_time,
             strategy: DecompositionStrategy::TimeDelayed,
             cancel: CancelToken::never(),
-            index: IndexSpec::Auto,
         }
     }
 
@@ -81,25 +76,14 @@ impl QuasiCliqueApp {
         self
     }
 
-    /// Chooses the per-task hub index policy (default [`IndexSpec::Auto`]);
-    /// results are identical with the index on or off.
-    pub fn with_index(mut self, index: IndexSpec) -> Self {
-        self.index = index;
-        self
-    }
-
     /// Algorithm 4: the task spawned from `v`, pulling its larger-id
-    /// neighbors, if it has at least [`PruneConfig::peel_threshold`] of them
-    /// (fewer, and the peel of iteration 1 would end the task) and any at all.
-    /// The engine calls it for each vertex its table holds, suffix roots that
-    /// have enough larger neighbours, and for no other; `adj` is Γ(v), sorted.
-    pub fn spawn(&self, v: VertexId, adj: &[VertexId]) -> Option<QCTask> {
+    /// neighbors; `adj` is Γ(v), sorted. The engine calls it only for the
+    /// vertices its table holds, suffix roots with at least
+    /// `max(`[`PruneConfig::peel_threshold`]`, 1)` larger neighbours, so it
+    /// refuses none.
+    pub fn spawn(&self, v: VertexId, adj: &[VertexId]) -> QCTask {
         let larger = &adj[adj.partition_point(|&u| u <= v)..];
-        let k = self.prune_config.peel_threshold(&self.params);
-        if larger.len() < k || larger.is_empty() {
-            return None;
-        }
-        Some(QCTask::spawned(v, larger.to_vec()))
+        QCTask::spawned(v, larger.to_vec())
     }
 
     /// Algorithm 5: advances `task` by one iteration over `frontier`, the
@@ -147,33 +131,12 @@ mod tests {
 
     #[test]
     fn spawn_filters_by_degree_and_larger_neighbors() {
+        // The degree test is the root list's (`peel_to_core`); spawn keeps
+        // the larger neighbours.
         let app = QuasiCliqueApp::new(MiningParams::new(0.9, 4), 100, Duration::from_millis(10));
         let ids = |raw: &[u32]| raw.iter().map(|&v| VertexId::new(v)).collect::<Vec<_>>();
         let root = VertexId::new(5);
-        // k = ⌈0.9·3⌉ = 3.
-        assert!(
-            app.spawn(root, &ids(&[1, 2])).is_none(),
-            "degree 2 < k must not spawn"
-        );
-        assert!(
-            app.spawn(root, &ids(&[1, 2, 3])).is_none(),
-            "no larger neighbor means the task would die instantly"
-        );
-
-        // Degree 4 ≥ k, but only two larger neighbors: the root would need
-        // three inside its task and the peel of iteration 1 would end it.
-        let few_larger = ids(&[1, 2, 6, 7]);
-        assert!(
-            app.spawn(root, &few_larger).is_none(),
-            "fewer than k larger neighbors"
-        );
-        // The test belongs to the size-threshold rule.
-        let unpruned = app
-            .clone()
-            .with_prune_config(PruneConfig::all_enabled().without("size_threshold"));
-        assert!(unpruned.spawn(root, &few_larger).is_some());
-
-        let task = app.spawn(root, &ids(&[6, 7, 8])).expect("three larger");
+        let task = app.spawn(root, &ids(&[1, 2, 6, 7, 8]));
         assert_eq!(task.root, root);
         assert_eq!(task.pull_targets, ids(&[6, 7, 8]));
     }

@@ -27,9 +27,8 @@ pub struct EngineConfig {
     /// tasks beyond it overflow into the machine's spill-backed global queue,
     /// so per-worker memory stays bounded without per-worker spill files.
     pub local_capacity: usize,
-    /// Number of tasks one successful intra-machine steal moves from a
-    /// victim's deque (FIFO end) to the thief. `0` disables work stealing —
-    /// workers then only use their own deque and the global queue.
+    /// Number of tasks (at least 1) one successful intra-machine steal moves
+    /// from a victim's deque (FIFO end) to the thief.
     pub steal_batch: usize,
     /// Capacity of each machine's global task queue before spilling.
     pub global_queue_capacity: usize,
@@ -125,6 +124,10 @@ impl EngineConfig {
             "local capacity must hold at least one task"
         );
         assert!(
+            self.steal_batch >= 1,
+            "steal batch must move at least one task"
+        );
+        assert!(
             self.global_queue_capacity >= self.batch_size,
             "global queue capacity must hold at least one batch"
         );
@@ -175,6 +178,16 @@ mod tests {
     fn validate_rejects_zero_local_capacity() {
         let c = EngineConfig {
             local_capacity: 0,
+            ..EngineConfig::default()
+        };
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "steal batch")]
+    fn validate_rejects_zero_steal_batch() {
+        let c = EngineConfig {
+            steal_batch: 0,
             ..EngineConfig::default()
         };
         c.validate();

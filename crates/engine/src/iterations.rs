@@ -387,7 +387,7 @@ pub(crate) mod tests {
     /// The task `app` spawns from `root` and builds through iterations 1 and
     /// 2, if it survives them.
     fn app_task(app: &QuasiCliqueApp, g: &Graph, root: VertexId) -> Option<QCTask> {
-        let mut task = app.spawn(root, g.neighbors(root))?;
+        let mut task = app.spawn(root, g.neighbors(root));
         while task.phase != TaskPhase::Mine {
             let frontier = frontier_for(g, &task.pull_targets);
             let (goes_on, _) = app.compute(&mut task, &frontier, &mut WorkerScratch::default());
@@ -409,7 +409,7 @@ pub(crate) mod tests {
         // the other roots are expected to end empty-handed there.
         use qcm_core::{PruneConfig, RootTaskBuilder};
         use qcm_graph::kcore::k_core_vertices;
-        use qcm_graph::{IndexSpec, LocalGraph};
+        use qcm_graph::LocalGraph;
         let g = figure4();
         let unpeeled = PruneConfig::all_enabled().without("size_threshold");
         for config in [PruneConfig::all_enabled(), unpeeled] {
@@ -419,7 +419,7 @@ pub(crate) mod tests {
                     QuasiCliqueApp::new(params, 100, Duration::ZERO).with_prune_config(config);
                 let survivors = k_core_vertices(&g, config.peel_threshold(&params));
                 let work = LocalGraph::from_induced(&g, &survivors);
-                let mut builder = RootTaskBuilder::new(&work, params, config, IndexSpec::Auto);
+                let mut builder = RootTaskBuilder::new(&work, params, config);
                 let mut serial = vec![None; 9];
                 while let Some(local) = builder.next_root() {
                     let task = builder.build(local);

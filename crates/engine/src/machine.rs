@@ -313,9 +313,7 @@ impl<'a> Run<'a> {
     /// if that task is big. Also the entry point for re-spawning a root whose
     /// work a fault lost.
     pub(crate) fn spawn_root(&self, m: usize, worker: usize, v: VertexId) -> bool {
-        let Some(task) = self.app.spawn(v, self.table.adjacency(v)) else {
-            return false;
-        };
+        let task = self.app.spawn(v, self.table.adjacency(v));
         self.term.add_pending(1);
         count(&self.counters.tasks_spawned, 1);
         self.route(m, worker, task)
@@ -684,7 +682,9 @@ mod tests {
     fn a_spill_batch_that_comes_back_short_faults_the_run() {
         let dir = std::env::temp_dir().join(format!("qcm_short_spill_{}", std::process::id()));
         let g = Arc::new(figure4());
-        // k = 1: the six vertices with a larger neighbour spawn a task each.
+        // k = 1: the six vertices with a larger neighbour are the suffix
+        // roots, and spawn a task each.
+        let (g, roots) = qcm_graph::kcore::k_core_masked_with_roots(&g, 1);
         let app = QuasiCliqueApp::new(MiningParams::new(0.5, 3), 100, Duration::ZERO);
         let mut config = EngineConfig::single_machine(1);
         config.batch_size = 2;
@@ -692,14 +692,7 @@ mod tests {
         config.global_queue_capacity = 2;
         config.spill_dir = Some(dir.clone());
         let transport = Arc::new(InProcTransport::new(1, false, 0));
-        let run = Run::new(
-            &app,
-            &config,
-            g.clone(),
-            g.vertices().collect(),
-            transport,
-            1,
-        );
+        let run = Run::new(&app, &config, g, roots, transport, 1);
         while run.spawn_batch(0, 0) {}
         assert!(run.spill.bytes_written.load(Ordering::Relaxed) > 0);
         for file in std::fs::read_dir(&dir).unwrap() {

@@ -26,7 +26,7 @@
 use crate::app::QuasiCliqueApp;
 use crate::task::{QCTask, TaskTimings, WorkerScratch};
 use qcm_core::{recursive_mine, HandOff, MiningContext, MiningStats, QuasiCliqueSet};
-use qcm_graph::{LocalGraph, SubgraphScratch, VertexId};
+use qcm_graph::{IndexSpec, LocalGraph, SubgraphScratch, VertexId};
 use qcm_obs::clock::Instant;
 use std::time::Duration;
 
@@ -74,7 +74,7 @@ pub fn run_mine_phase(
 
     // One hub-index build per task, amortised over the whole backtracking
     // below.
-    task.subgraph.build_hub_index(app.index);
+    task.subgraph.build_hub_index(IndexSpec::Auto);
     let graph = &task.subgraph;
     let s_local = task.s.as_slice();
     let mut ext_local = task.ext.clone();
@@ -249,7 +249,7 @@ mod tests {
     /// its counters.
     fn recursive_reference(task: &QCTask, p: &QuasiCliqueApp) -> (QuasiCliqueSet, MiningStats) {
         let mut graph = task.subgraph.clone();
-        graph.build_hub_index(p.index);
+        graph.build_hub_index(IndexSpec::Auto);
         let mut sink = QuasiCliqueSet::new();
         let mut ctx = MiningContext::with_config(&graph, p.params, p.prune_config, &mut sink);
         recursive_mine(&mut ctx, &task.s, &mut task.ext.clone(), &mut NoHandOff);

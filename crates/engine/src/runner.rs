@@ -176,14 +176,11 @@ impl ParallelMiner {
         let (params, prune) = (&self.app.params, &self.app.prune_config);
         self.engine_config.validate();
         let (core, roots, peel_time) = peel_to_core(&graph, params, prune);
-        let mut output = cluster::run(&app, &self.engine_config, core.clone(), roots);
+        let mut output = cluster::run(&app, &self.engine_config, core, roots);
         output.metrics.elapsed += peel_time;
         let raw_reported = output.metrics.results_emitted;
         let (mut maximal, invalid_sets_dropped) =
             finalize_results(output.results, &graph, params, observer);
-        // A root with no neighbour in the mined graph never spawns a task:
-        // losing it loses nothing.
-        output.lost_roots.retain(|&root| core.degree(root) > 0);
         retain_provably_maximal(&mut maximal, &output.lost_roots, &graph, params);
         ParallelMiningOutput {
             maximal,
@@ -198,11 +195,13 @@ impl ParallelMiner {
 
 /// The pre-processing: the graph the engine runs on is the k-core of the
 /// caller's graph in the caller's id space, and the vertex list its table
-/// holds is the core's suffix roots, the roots the serial miner visits
-/// ([`k_core_masked_with_roots`], at [`PruneConfig::peel_threshold`]). So a
-/// root that cannot hold a result is never spawned, and every degree the
-/// application reads is a core degree. Returns the time spent too: it
-/// belongs to the run's `elapsed`.
+/// holds is the core's suffix roots ([`k_core_masked_with_roots`], at
+/// [`PruneConfig::peel_threshold`]). So a root that cannot hold a result is
+/// never spawned, and every degree the application reads is a core degree.
+/// The peel runs at `k ≥ 1`: without the size-threshold rule `k` is 0, and
+/// `k = 1` drops only the roots with no larger neighbour, which head no set
+/// of τ_size ≥ 2 vertices, and the isolated vertices, which no task pulls.
+/// Returns the time spent too: it belongs to the run's `elapsed`.
 fn peel_to_core(
     graph: &Arc<Graph>,
     params: &MiningParams,
@@ -210,7 +209,7 @@ fn peel_to_core(
 ) -> (Arc<Graph>, Vec<VertexId>, Duration) {
     let started = Instant::now();
     let _span = qcm_obs::span(qcm_obs::SpanKind::KCore);
-    let (core, roots) = k_core_masked_with_roots(graph, prune.peel_threshold(params));
+    let (core, roots) = k_core_masked_with_roots(graph, prune.peel_threshold(params).max(1));
     (core, roots, started.elapsed())
 }
 
@@ -299,6 +298,19 @@ mod tests {
                 "parallel/serial mismatch at gamma={gamma} min_size={min_size}"
             );
         }
+    }
+
+    #[test]
+    fn without_the_size_threshold_only_roots_with_a_larger_neighbour_are_listed() {
+        let g = figure4();
+        let params = MiningParams::new(0.9, 4);
+        let prune = PruneConfig::all_enabled().without("size_threshold");
+        let (core, roots, _) = peel_to_core(&g, &params, &prune);
+        assert!(Arc::ptr_eq(&core, &g), "nothing is peeled");
+        let larger = |v: &VertexId| g.neighbors(*v).iter().any(|u| u > v);
+        let expected: Vec<VertexId> = g.vertices().filter(larger).collect();
+        assert_eq!(roots, expected);
+        assert_eq!(roots.len(), 6, "e, g and i have no larger neighbour");
     }
 
     #[test]

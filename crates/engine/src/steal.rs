@@ -17,10 +17,6 @@
 //!   spill-backed global queue, so the paper's bounded-memory spilling
 //!   semantics (Figure 8) are preserved, as is the big-task lane: big tasks
 //!   never enter a worker deque at all.
-//!
-//! `steal_batch == 0` disables stealing entirely (workers only ever touch
-//! their own deque plus the global queue), which is the within-binary
-//! baseline the benchmark suite measures the protocol against.
 
 use qcm_graph::neighborhoods::perf;
 use qcm_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -47,8 +43,8 @@ struct Slot<T> {
 
 impl<T> WorkerQueues<T> {
     /// Creates `workers` empty deques bounded at `local_capacity` tasks each.
-    /// `steal_batch` is the number of tasks a successful steal moves
-    /// (`0` disables stealing).
+    /// `steal_batch` (at least 1) is the number of tasks a successful steal
+    /// moves.
     pub fn new(workers: usize, local_capacity: usize, steal_batch: usize) -> Self {
         WorkerQueues {
             slots: (0..workers)
@@ -62,11 +58,6 @@ impl<T> WorkerQueues<T> {
             steals: AtomicU64::new(0),
             steal_failures: AtomicU64::new(0),
         }
-    }
-
-    /// True when the steal protocol is active (`steal_batch > 0`).
-    pub fn stealing_enabled(&self) -> bool {
-        self.steal_batch > 0
     }
 
     /// Pushes to the hot (LIFO) end of `worker`'s own deque. Returns the task
@@ -115,11 +106,8 @@ impl<T> WorkerQueues<T> {
     /// `victims` (FIFO end — the victim's oldest work). The first stolen task
     /// is returned for immediate processing, the rest land in the thief's own
     /// deque. Returns `None` when every victim was empty (counted as a steal
-    /// failure) or when stealing is disabled.
+    /// failure) or when the range names no victim.
     pub fn steal_into(&self, thief: usize, victims: std::ops::Range<usize>) -> Option<T> {
-        if self.steal_batch == 0 {
-            return None;
-        }
         let mut candidates = false;
         let mut best = thief;
         let mut best_len = 0usize;
@@ -271,11 +259,5 @@ mod tests {
         // Single-worker range: no candidate victims, not a failure.
         assert_eq!(q.steal_into(0, 0..1), None);
         assert_eq!(q.steal_failures(), 1);
-
-        let disabled: WorkerQueues<u32> = WorkerQueues::new(2, 8, 0);
-        disabled.push_local(1, 9).unwrap();
-        assert!(!disabled.stealing_enabled());
-        assert_eq!(disabled.steal_into(0, 0..2), None);
-        assert_eq!(disabled.steal_failures(), 0);
     }
 }

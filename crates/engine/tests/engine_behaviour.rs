@@ -5,7 +5,7 @@
 //! stealing, clean termination, and the live and simulated drivers agreeing.
 //! Every run is compared with the serial miner.
 
-use qcm_core::{MiningParams, QuasiCliqueSet, RunOutcome, SerialMiner};
+use qcm_core::{MiningParams, PruneConfig, QuasiCliqueSet, RunOutcome, SerialMiner};
 use qcm_engine::{
     DecompositionStrategy, EngineConfig, ParallelMiner, QuasiCliqueApp, SimConfig, TransportFactory,
 };
@@ -179,10 +179,11 @@ fn live_and_simulated_clusters_agree_without_faults() {
 
 /// The engine spawns the vertices its table holds and no others. The miner
 /// hands it the k-core's suffix roots, each of which has `k` larger core
-/// neighbours, so `spawn` refuses none: on a graph most of whose core
-/// vertices are not suffix roots, both drivers spawn exactly one task per
-/// suffix root, every task's root is one, and every root a crash loses is
-/// one.
+/// neighbours, and at least one, so `spawn` needs no test: on a graph most of
+/// whose core vertices are not suffix roots, both drivers spawn exactly one
+/// task per suffix root, every task's root is one, and every root a crash
+/// loses is one. Without the size-threshold rule the listed roots are the
+/// vertices with a larger neighbour.
 #[test]
 fn both_drivers_spawn_exactly_the_listed_vertices() {
     let g = planted();
@@ -192,18 +193,33 @@ fn both_drivers_spawn_exactly_the_listed_vertices() {
         listed.len() * 2 < core.len(),
         "most core vertices lie outside their suffix core"
     );
+    let has_larger = |v: &VertexId| g.neighbors(*v).iter().any(|u| u > v);
+    let unpeeled: Vec<VertexId> = g.vertices().filter(has_larger).collect();
+    assert!(unpeeled.len() < g.num_vertices());
     let config = EngineConfig::cluster(3, 2);
     let simulated = |sim| config.clone().with_transport(TransportFactory::Sim(sim));
 
-    let live = ParallelMiner::new(params(), config.clone()).mine(g.clone());
-    let sim = ParallelMiner::new(params(), simulated(SimConfig::new(7))).mine(g.clone());
-    assert_eq!(live.outcome(), RunOutcome::Complete);
-    assert_eq!(sim.outcome(), RunOutcome::Complete);
-    for (driver, out) in [("live", &live), ("simulated", &sim)] {
-        assert_eq!(out.metrics.tasks_spawned, listed.len() as u64, "{driver}");
-        for record in &out.metrics.task_times {
-            let root = record.root;
-            assert!(listed.binary_search(&root).is_ok(), "{driver}: root {root}");
+    for (prune, listed) in [
+        (PruneConfig::all_enabled(), &listed),
+        (
+            PruneConfig::all_enabled().without("size_threshold"),
+            &unpeeled,
+        ),
+    ] {
+        let miner = |config| {
+            let mut miner = ParallelMiner::new(params(), config);
+            miner.app.prune_config = prune;
+            miner
+        };
+        let live = miner(config.clone()).mine(g.clone());
+        let sim = miner(simulated(SimConfig::new(7))).mine(g.clone());
+        for (driver, out) in [("live", &live), ("simulated", &sim)] {
+            assert_eq!(out.outcome(), RunOutcome::Complete, "{driver}");
+            assert_eq!(out.metrics.tasks_spawned, listed.len() as u64, "{driver}");
+            for record in &out.metrics.task_times {
+                let root = record.root;
+                assert!(listed.binary_search(&root).is_ok(), "{driver}: root {root}");
+            }
         }
     }
 

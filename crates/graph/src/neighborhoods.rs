@@ -36,11 +36,11 @@ use crate::vertex::VertexId;
 use qcm_sync::atomic::{AtomicU64, Ordering};
 use qcm_sync::Arc;
 
-/// How (and whether) to build a bitset neighborhood index over a graph.
+/// Which vertices of a graph get a bitset neighborhood row. Every run uses
+/// [`IndexSpec::Auto`]; tests pick a [`IndexSpec::Threshold`] to reach the
+/// other kernel paths.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum IndexSpec {
-    /// No bitset rows: every edge query takes the CSR binary-search path.
-    Disabled,
     /// Pick the threshold from the graph size: `max(16, |V| / 64)`, which
     /// bounds the index at roughly twice the CSR footprint. A
     /// [`crate::LocalGraph`] small enough for a full row matrix
@@ -49,18 +49,18 @@ pub enum IndexSpec {
     #[default]
     Auto,
     /// Give a bitset row to every vertex of degree `>= t`. `Threshold(0)`
-    /// indexes every vertex (useful in equivalence tests).
+    /// indexes every vertex, `Threshold(usize::MAX)` none, so every edge
+    /// query takes the CSR binary-search path.
     Threshold(usize),
 }
 
 impl IndexSpec {
-    /// Resolves the spec against a vertex count: `None` means "build no
-    /// index", `Some(t)` means "row for every vertex of degree ≥ t".
-    pub fn resolve(self, num_vertices: usize) -> Option<usize> {
+    /// Resolves the spec against a vertex count: a row for every vertex of
+    /// degree ≥ the returned threshold.
+    pub fn resolve(self, num_vertices: usize) -> usize {
         match self {
-            IndexSpec::Disabled => None,
-            IndexSpec::Auto => Some(auto_threshold(num_vertices)),
-            IndexSpec::Threshold(t) => Some(t),
+            IndexSpec::Auto => auto_threshold(num_vertices),
+            IndexSpec::Threshold(t) => t,
         }
     }
 }
@@ -89,7 +89,7 @@ pub fn auto_threshold(n: usize) -> usize {
 #[derive(Clone, Debug)]
 pub struct NeighborhoodIndex {
     graph: Arc<Graph>,
-    /// Resolved hub threshold; `usize::MAX` when the spec was `Disabled`.
+    /// Resolved hub threshold.
     threshold: usize,
     /// `row_of[v]` is the slot of `v`'s row in `rows`, [`NO_ROW`] for a
     /// non-hub. Empty while the graph has no hub at all, so a hub-less index
@@ -108,7 +108,7 @@ impl NeighborhoodIndex {
     pub fn build(graph: Arc<Graph>, spec: IndexSpec) -> Self {
         let n = graph.num_vertices();
         let threshold = spec.resolve(n);
-        let is_hub = |v: &VertexId| threshold.is_some_and(|t| graph.degree(*v) >= t);
+        let is_hub = |v: &VertexId| graph.degree(*v) >= threshold;
         let mut row_of: Vec<u32> = Vec::new();
         let mut rows: Vec<VertexBitSet> = Vec::new();
         for v in graph.vertices().filter(is_hub) {
@@ -125,7 +125,7 @@ impl NeighborhoodIndex {
         }
         NeighborhoodIndex {
             graph,
-            threshold: threshold.unwrap_or(usize::MAX),
+            threshold,
             row_of,
             rows,
         }
@@ -136,7 +136,7 @@ impl NeighborhoodIndex {
         &self.graph
     }
 
-    /// The resolved hub degree threshold (`usize::MAX` when disabled).
+    /// The resolved hub degree threshold.
     pub fn threshold(&self) -> usize {
         self.threshold
     }
@@ -536,16 +536,15 @@ mod tests {
         assert_eq!(auto_threshold(0), 16);
         assert_eq!(auto_threshold(1_000), 16);
         assert_eq!(auto_threshold(6_400), 100);
-        assert_eq!(IndexSpec::Auto.resolve(6_400), Some(100));
-        assert_eq!(IndexSpec::Disabled.resolve(6_400), None);
-        assert_eq!(IndexSpec::Threshold(3).resolve(6_400), Some(3));
+        assert_eq!(IndexSpec::Auto.resolve(6_400), 100);
+        assert_eq!(IndexSpec::Threshold(3).resolve(6_400), 3);
     }
 
     #[test]
     fn index_agrees_with_csr_on_every_pair() {
         let g = figure4();
         for spec in [
-            IndexSpec::Disabled,
+            IndexSpec::Threshold(usize::MAX),
             IndexSpec::Auto,
             IndexSpec::Threshold(0),
             IndexSpec::Threshold(3),
@@ -586,10 +585,9 @@ mod tests {
         assert_eq!(all.hub_count(), 9);
         assert!(all.memory_bytes() > 0);
 
-        let disabled = NeighborhoodIndex::build(g, IndexSpec::Disabled);
-        assert_eq!(disabled.hub_count(), 0);
-        assert_eq!(disabled.threshold(), usize::MAX);
-        assert!(disabled.has_edge(VertexId::new(0), VertexId::new(1)));
+        let none = NeighborhoodIndex::build(g, IndexSpec::Threshold(usize::MAX));
+        assert_eq!(none.hub_count(), 0);
+        assert!(none.has_edge(VertexId::new(0), VertexId::new(1)));
     }
 
     #[test]
@@ -597,7 +595,7 @@ mod tests {
         let g = figure4();
         for spec in [
             IndexSpec::Auto,
-            IndexSpec::Disabled,
+            IndexSpec::Threshold(usize::MAX),
             IndexSpec::Threshold(6),
         ] {
             let idx = NeighborhoodIndex::build(g.clone(), spec);

@@ -300,23 +300,13 @@ impl LocalGraph {
     /// [`crate::neighborhoods::auto_threshold`]. The rows live in one flat
     /// row-major word vector.
     ///
-    /// Returns the resolved threshold (`None` when `spec` is
-    /// [`IndexSpec::Disabled`], which also drops any existing index).
-    /// Rebuilding replaces the previous index.
-    pub fn build_hub_index(&mut self, spec: IndexSpec) -> Option<usize> {
+    /// Returns the resolved threshold. Rebuilding replaces the previous
+    /// index.
+    pub fn build_hub_index(&mut self, spec: IndexSpec) -> usize {
         let n = self.capacity();
         let threshold = match spec {
             IndexSpec::Auto if n <= ALL_ROWS_MAX_VERTICES => 0,
-            _ => match spec.resolve(n) {
-                Some(t) => t,
-                None => {
-                    self.rows = Vec::new();
-                    self.row_of = Vec::new();
-                    self.row_words = 0;
-                    self.hub_threshold = None;
-                    return None;
-                }
-            },
+            _ => spec.resolve(n),
         };
         let words = n.div_ceil(64);
         let (offsets, targets) = (&self.offsets, &self.targets);
@@ -342,7 +332,7 @@ impl LocalGraph {
         }
         self.row_words = words;
         self.hub_threshold = Some(threshold);
-        Some(threshold)
+        threshold
     }
 
     /// The threshold the current hub index was built with (`None` = no
@@ -554,13 +544,13 @@ mod tests {
         assert!(lg.hub_row(3).is_some());
         assert!(lg.hub_row(5).is_none());
         // Auto on a small graph gives every vertex a row.
-        assert_eq!(lg.build_hub_index(IndexSpec::Auto), Some(0));
+        assert_eq!(lg.build_hub_index(IndexSpec::Auto), 0);
         assert_eq!(lg.hub_count(), 9);
-        // Disabled drops the index.
-        lg.build_hub_index(IndexSpec::Disabled);
-        assert_eq!(lg.hub_threshold(), None);
+        // A threshold no degree reaches drops every row.
+        lg.build_hub_index(IndexSpec::Threshold(usize::MAX));
+        assert_eq!(lg.hub_threshold(), Some(usize::MAX));
         assert_eq!(lg.hub_count(), 0);
-        assert_eq!(lg.hub_index_memory_bytes(), 0);
+        assert!((0..9).all(|i| lg.hub_row(i).is_none()));
     }
 
     #[test]

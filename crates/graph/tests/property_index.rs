@@ -29,15 +29,14 @@ fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
     })
 }
 
-/// Thresholds straddling every interesting boundary: disabled, auto, 0 (all
-/// vertices indexed), tiny values around real degrees, and one far above the
-/// maximum degree (no vertex indexed).
+/// Thresholds straddling every interesting boundary: auto, 0 (all vertices
+/// indexed), tiny values around real degrees, and one far above the maximum
+/// degree (no vertex indexed).
 fn arb_spec() -> impl Strategy<Value = IndexSpec> {
-    (0usize..15).prop_map(|k| match k {
-        0 => IndexSpec::Disabled,
-        1 => IndexSpec::Auto,
-        2 => IndexSpec::Threshold(usize::MAX),
-        t => IndexSpec::Threshold(t - 3),
+    (0usize..14).prop_map(|k| match k {
+        0 => IndexSpec::Auto,
+        1 => IndexSpec::Threshold(usize::MAX),
+        t => IndexSpec::Threshold(t - 2),
     })
 }
 
@@ -123,7 +122,7 @@ proptest! {
         let all: Vec<VertexId> = g.vertices().collect();
         let plain = LocalGraph::from_induced(&g, &all);
         let mut indexed = plain.clone();
-        let threshold = indexed.build_hub_index(IndexSpec::Auto).expect("Auto builds an index");
+        let threshold = indexed.build_hub_index(IndexSpec::Auto);
         if over == 0 {
             prop_assert_eq!(threshold, 0);
             prop_assert_eq!(indexed.hub_count(), n);

@@ -123,7 +123,7 @@ pub mod prelude {
         Backend, BackendStats, CancelReason, CancelToken, CollectingSink, MiningReport, QcmError,
         ResultSink, RunOutcome, Session, SessionBuilder,
     };
-    pub use crate::{Fault, FaultEvent, IndexSpec, SimConfig, TransportFactory};
+    pub use crate::{Fault, FaultEvent, SimConfig, TransportFactory};
     pub use crate::{SpanKind, Trace, TraceConfig};
     pub use qcm_core::api::{
         ApiError, ErrorCode, GraphInfo, JobView, SubmitRequest, SubmitResponse, ERROR_CODE_TABLE,

@@ -34,7 +34,7 @@ use qcm_core::{
     QuasiCliqueSet, ResultSink, RunOutcome, SerialMiner,
 };
 use qcm_engine::{EngineConfig, EngineMetrics, ParallelMiner, QuasiCliqueApp, TransportFactory};
-use qcm_graph::{Graph, IndexSpec};
+use qcm_graph::Graph;
 use qcm_obs::{SpanKind, Trace, TraceConfig};
 use qcm_sync::Arc;
 use std::time::Duration;
@@ -173,7 +173,6 @@ pub struct SessionBuilder {
     tau_time: Duration,
     balance_period: Option<Duration>,
     cancel: Option<CancelToken>,
-    index: IndexSpec,
     tracing: Option<TraceConfig>,
 }
 
@@ -189,7 +188,6 @@ impl Default for SessionBuilder {
             tau_time: QuasiCliqueApp::DEFAULT_TAU_TIME,
             balance_period: None,
             cancel: None,
-            index: IndexSpec::Auto,
             tracing: None,
         }
     }
@@ -266,20 +264,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Row policy of task subgraphs (default [`IndexSpec::Auto`]): which
-    /// vertices of each root's materialised subgraph get a bitset neighbour
-    /// row.
-    ///
-    /// The rows accelerate the mining hot path (`O(1)` edge queries,
-    /// word-parallel degree counting) without changing results;
-    /// [`IndexSpec::Disabled`] reproduces the pure binary-search behaviour.
-    /// They are built per task, by both backends; nothing is built over the
-    /// whole graph.
-    pub fn neighborhood_index(mut self, index: IndexSpec) -> Self {
-        self.index = index;
-        self
-    }
-
     /// Enables span tracing for this session's runs: each run records the
     /// `run → decompose → task → mine_phase → steal/pull/spill` hierarchy
     /// into bounded per-thread buffers and attaches the captured
@@ -348,7 +332,6 @@ impl SessionBuilder {
             // one, while a session-owned token must be cancellable.
             #[allow(clippy::unwrap_or_default)]
             cancel: self.cancel.unwrap_or_else(CancelToken::new),
-            index: self.index,
             tracing: self.tracing,
         })
     }
@@ -368,7 +351,6 @@ pub struct Session {
     tau_time: Duration,
     balance_period: Option<Duration>,
     cancel: CancelToken,
-    index: IndexSpec,
     tracing: Option<TraceConfig>,
 }
 
@@ -495,9 +477,7 @@ impl Session {
         cancel: CancelToken,
         sink: Option<&'a mut (dyn ResultSink + 'b)>,
     ) -> MiningReport {
-        let miner = SerialMiner::with_config(self.params, self.prune)
-            .with_index(self.index)
-            .with_cancel(cancel);
+        let miner = SerialMiner::with_config(self.params, self.prune).with_cancel(cancel);
         let output = match sink {
             None => miner.mine(graph),
             Some(sink) => {
@@ -534,7 +514,6 @@ impl Session {
             engine_config.balance_period = period;
         }
         let app = QuasiCliqueApp::new(self.params, self.tau_split, self.tau_time)
-            .with_index(self.index)
             .with_prune_config(self.prune);
         let miner = ParallelMiner { app, engine_config };
         let output = match sink {

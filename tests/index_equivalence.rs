@@ -1,10 +1,13 @@
-//! Backend-equivalence tests for the per-task bitset-row policy
-//! (`IndexSpec`): the serial and parallel backends must produce
-//! **byte-identical** result sets whether task subgraphs carry no rows, the
-//! automatic choice, or a row for every vertex — rows may only change how
-//! fast edge queries run, never what is mined.
+//! Equivalence tests for the per-task bitset-row policy (`IndexSpec`). Every
+//! run gives its tasks `IndexSpec::Auto` rows; the other policies are
+//! reached here, where a task is mined. Rows may only change how fast edge
+//! queries run, never what is mined.
 
+use qcm::core::{recursive_mine, remove_non_maximal, MiningContext, NoHandOff, RootTaskBuilder};
+use qcm::graph::kcore::k_core_vertices;
+use qcm::graph::{LocalGraph, VertexId};
 use qcm::prelude::*;
+use qcm::IndexSpec;
 use qcm_sync::Arc;
 
 fn datasets() -> Vec<Arc<qcm::graph::Graph>> {
@@ -13,8 +16,7 @@ fn datasets() -> Vec<Arc<qcm::graph::Graph>> {
     vec![Arc::new(tiny.graph), Arc::new(planted)]
 }
 
-/// A strongly reduced planted dataset (a few hundred vertices) so the matrix
-/// of backends × index specs below stays fast.
+/// A strongly reduced planted dataset (a few hundred vertices).
 fn qcm_bench_dataset(spec: &qcm::gen::DatasetSpec) -> qcm::graph::Graph {
     let mut spec = spec.clone();
     spec.num_vertices = spec.num_vertices.min(300);
@@ -23,54 +25,31 @@ fn qcm_bench_dataset(spec: &qcm::gen::DatasetSpec) -> qcm::graph::Graph {
     spec.generate().graph
 }
 
-fn run(graph: &Arc<qcm::graph::Graph>, backend: Backend, index: IndexSpec) -> Vec<Vec<u32>> {
-    let report = Session::builder()
-        .gamma(0.85)
-        .min_size(5)
-        .backend(backend)
-        .neighborhood_index(index)
-        .build()
-        .expect("valid session")
-        .run(graph)
-        .expect("run succeeds");
-    assert!(report.is_complete());
-    report
-        .maximal
-        .into_sorted_vec()
-        .into_iter()
-        .map(|set| set.into_iter().map(|v| v.raw()).collect())
-        .collect()
-}
-
-#[test]
-fn serial_results_are_identical_with_index_on_and_off() {
-    for graph in datasets() {
-        let specs = [
-            IndexSpec::Disabled,
-            IndexSpec::Auto,
-            IndexSpec::Threshold(0),
-            IndexSpec::Threshold(4),
-        ];
-        let reference = run(&graph, Backend::Serial, IndexSpec::Disabled);
-        for spec in specs {
-            assert_eq!(
-                run(&graph, Backend::Serial, spec),
-                reference,
-                "serial results diverged under {spec:?}"
-            );
-        }
-    }
+/// The rows a task reports, in report order, and its search counters.
+fn mine_task(
+    task: &LocalGraph,
+    params: MiningParams,
+    config: PruneConfig,
+) -> (Vec<Vec<VertexId>>, MiningStats) {
+    let mut rows = Vec::new();
+    let mut ctx = MiningContext::with_config(task, params, config, &mut rows);
+    let mut ext: Vec<u32> = (1..task.capacity() as u32).collect();
+    recursive_mine(&mut ctx, &[0], &mut ext, &mut NoHandOff);
+    let stats = ctx.stats;
+    (rows, stats)
 }
 
 /// Rows may change how a node computes its sets, never which nodes the
-/// search visits: on the Enron stand-in every search counter, not just the
-/// result set, is the same under every row policy. With no rows a task
-/// keeps no two-hop rows either, so each child's extension is cut by a
-/// two-hop set built on the spot. Run with every rule, without the diameter
-/// rule (no two-hop cut at all) and without the cover vertex (every
-/// extension vertex is branched on).
+/// search visits: on the Enron stand-in every root task reports the same
+/// rows and the same search counters with a row for every vertex, for the
+/// vertices of degree ≥ 4 and for none. With no rows a task keeps no
+/// two-hop rows either, so each child's extension is cut by a two-hop set
+/// built on the spot. Run with every rule, without the diameter rule (no
+/// two-hop cut at all) and without the cover vertex (every extension vertex
+/// is branched on). The tasks as built, with their `Auto` rows, add up to
+/// what `SerialMiner` reports.
 #[test]
-fn serial_search_counters_are_identical_with_index_on_and_off() {
+fn task_search_counters_are_identical_under_every_row_policy() {
     let spec = qcm::gen::datasets::enron();
     let graph = spec.generate().graph;
     let params = MiningParams::new(spec.gamma, spec.min_size);
@@ -79,46 +58,39 @@ fn serial_search_counters_are_identical_with_index_on_and_off() {
         PruneConfig::all_enabled().without("diameter"),
         PruneConfig::all_enabled().without("cover_vertex"),
     ] {
-        let mine = |index| {
-            SerialMiner::with_config(params, config)
-                .with_index(index)
-                .mine(&graph)
-        };
-        let reference = mine(IndexSpec::Disabled);
-        assert!(reference.outcome.is_complete());
-        assert!(reference.stats.nodes_expanded > 0);
-        for spec in [
-            IndexSpec::Auto,
-            IndexSpec::Threshold(0),
-            IndexSpec::Threshold(4),
-        ] {
-            let out = mine(spec);
-            assert_eq!(out.stats, reference.stats, "{config:?} under {spec:?}");
-            assert_eq!(out.maximal, reference.maximal, "{config:?} under {spec:?}");
-        }
-    }
-}
-
-#[test]
-fn parallel_results_are_identical_with_index_on_and_off() {
-    for graph in datasets() {
-        let reference = run(&graph, Backend::Serial, IndexSpec::Disabled);
-        for spec in [
-            IndexSpec::Disabled,
-            IndexSpec::Auto,
-            IndexSpec::Threshold(0),
-        ] {
-            // A queued task carries no rows; its mine phase builds them under
-            // the policy. Two machines also cover tasks whose subgraph came
-            // from remote pulls or went through the codec in a grant.
-            for backend in [Backend::parallel(4, 1), Backend::parallel(1, 2)] {
-                let parallel = run(&graph, backend.clone(), spec);
-                assert_eq!(
-                    parallel, reference,
-                    "{backend:?} results diverged from serial under {spec:?}"
-                );
+        let survivors = k_core_vertices(&graph, config.peel_threshold(&params));
+        let work = LocalGraph::from_induced(&graph, &survivors);
+        let mut tasks = RootTaskBuilder::new(&work, params, config);
+        let mut total = MiningStats::new();
+        total.kcore_removed = (graph.num_vertices() - survivors.len()) as u64;
+        let mut reported = QuasiCliqueSet::new();
+        while let Some(v) = tasks.next_root() {
+            let Some(task) = tasks.build(v) else {
+                continue;
+            };
+            let built = mine_task(&task, params, config);
+            for policy in [
+                IndexSpec::Threshold(0),
+                IndexSpec::Threshold(4),
+                IndexSpec::Threshold(usize::MAX),
+            ] {
+                let mut rebuilt = task.clone();
+                rebuilt.build_hub_index(policy);
+                let case = format!("{config:?}, root {v} under {policy:?}");
+                assert_eq!(mine_task(&rebuilt, params, config), built, "{case}");
             }
+            let (rows, stats) = built;
+            for row in rows {
+                reported.insert(row);
+            }
+            total.merge(&stats);
+            total.tasks_processed += 1;
         }
+        let serial = SerialMiner::with_config(params, config).mine(&graph);
+        assert!(serial.outcome.is_complete());
+        assert!(total.nodes_expanded > 0 && total.tasks_processed > 0);
+        assert_eq!(total, serial.stats, "{config:?}");
+        assert_eq!(remove_non_maximal(reported), serial.maximal, "{config:?}");
     }
 }
 

@@ -1,12 +1,11 @@
 //! Work-stealing equivalence and ordering tests.
 //!
 //! The per-worker deques + steal protocol are a scheduling change only: the
-//! mined result set must stay byte-identical to the serial reference with
-//! stealing on or off, across thread counts, and with the global queue
-//! forced through its disk-spill path. The last test pins the ordering
-//! contract: the spill-backed global queue stays FIFO through spill→refill
-//! cycles even while tasks are simultaneously being pushed to and stolen
-//! from worker deques.
+//! mined result set must stay byte-identical to the serial reference across
+//! thread counts, and with the global queue forced through its disk-spill
+//! path. The last test pins the ordering contract: the spill-backed global
+//! queue stays FIFO through spill→refill cycles even while tasks are
+//! simultaneously being pushed to and stolen from worker deques.
 
 use qcm::prelude::*;
 use qcm_engine::codec::{put_u32, take_u32};
@@ -54,29 +53,23 @@ fn work_stealing_parallel_matches_serial_across_thread_counts() {
 }
 
 #[test]
-fn stealing_on_and_off_agree_and_spilling_survives_stealing() {
+fn spilling_stealing_run_matches_serial() {
     let (graph, params) = test_graph();
     let spill_dir = std::env::temp_dir().join(format!("qcm_steal_spill_{}", std::process::id()));
-    let make_config = |steal_batch: usize| {
-        let mut config = EngineConfig::single_machine(4);
-        config.batch_size = 2;
-        config.local_capacity = 2; // tiny deques → constant overflow to global
-        config.global_queue_capacity = 2; // → constant spilling
-        config.spill_dir = Some(spill_dir.clone());
-        config.steal_batch = steal_batch;
-        config
-    };
+    let mut config = EngineConfig::single_machine(4);
+    config.batch_size = 2;
+    config.local_capacity = 2; // tiny deques → constant overflow to global
+    config.global_queue_capacity = 2; // → constant spilling
+    config.spill_dir = Some(spill_dir.clone());
 
     // τ_split = 10: most decomposed tasks are "big" → global queue.
-    let mine = |steal_batch: usize| {
-        ParallelMiner::new(params, make_config(steal_batch))
-            .with_decomposition(10, Duration::ZERO)
-            .mine(graph.clone())
-    };
-    let stolen = mine(4);
-    let unstolen = mine(0);
-    assert_eq!(stolen.maximal, unstolen.maximal);
-    assert_eq!(unstolen.metrics.steals, 0, "steal_batch = 0 must disable");
+    let stolen = ParallelMiner::new(params, config)
+        .with_decomposition(10, Duration::ZERO)
+        .mine(graph.clone());
+    assert_eq!(
+        stolen.maximal,
+        SerialMiner::new(params).mine(&graph).maximal
+    );
     assert!(
         stolen.metrics.spill_bytes_written > 0,
         "2-slot queues with full decomposition must spill"
