@@ -10,10 +10,14 @@
 //!
 //! The first three are needed to compute the upper/lower bounds `U_S`, `L_S`;
 //! the EE-degrees are only needed by the Type-I rules and are therefore
-//! computed lazily (see [`compute_ee_degrees_into`]), exactly as the paper
-//! recommends. The two S-side kinds are not counted here at all: they follow
-//! the search path in a [`PathDegrees`] and [`carried_degrees_into`] reads
-//! them.
+//! computed lazily, exactly as the paper recommends, and only for the
+//! vertices Theorem 5 leaves open (see [`compute_ee_degrees_into`]). The two
+//! S-side kinds are not counted here at all: they follow the search path in
+//! a [`PathDegrees`] and [`carried_degrees_into`] reads them.
+//!
+//! A root's child `S = {root, v}` needs no per-vertex count for the bounds:
+//! an SE-degree is 0, 1 or 2, so the histogram comes from four popcounts of
+//! `ext(S)` against the two members' rows ([`pair_degrees_into`]).
 //!
 //! The ext-side counts AND bit rows against `ext(S)` as a bitset, and the
 //! search carries that bitset beside the list: `ext` and its bits describe
@@ -22,7 +26,7 @@
 //! checks the two agree in debug builds.
 
 use crate::path_degrees::PathDegrees;
-use qcm_graph::bitset::VertexBitSet;
+use qcm_graph::bitset::{row_contains, VertexBitSet};
 use qcm_graph::neighborhoods::perf;
 use qcm_graph::LocalGraph;
 
@@ -141,20 +145,65 @@ pub fn carried_degrees_into(
     perf::count_intersections(row_counts);
 }
 
-/// Computes the EE-degrees `d_ext(S)(u)` for every `u ∈ ext(S)` (aligned with
-/// `ext`) into `ee`, refilled in place. Deferred until Type-I rules actually
-/// need them. `ext_bits` is `ext` as a bitset, as [`carried_degrees_into`]
-/// takes it; row members count by word-parallel AND, exactly like the
-/// ES-degrees there.
+/// Refills `degrees` with the SS and ES degrees and the SE histogram of a
+/// root's child `S = [root, v]` from the bits alone, or returns `false`
+/// without touching it when either member has no bit row. `ext_bits` is
+/// `ext(S)` with `ext_len` members.
+///
+/// Four popcounts per word give `d_ext(S)` of both members,
+/// `h2 = |ext ∩ Γ(root) ∩ Γ(v)|` and `h1 = |ext ∩ (Γ(root) ⊕ Γ(v))|`, so the
+/// histogram is `[|ext| − h1 − h2, h1, h2]`; `d_S` of each member is
+/// `[root ~ v]`. `ext_in_s` stays empty: the bounds, the critical-vertex
+/// test and the Type-II rules read only the rest, and whoever needs the
+/// per-vertex SE-degrees runs [`carried_degrees_into`] on the list.
+pub fn pair_degrees_into(
+    g: &LocalGraph,
+    s: [u32; 2],
+    ext_bits: &VertexBitSet,
+    ext_len: usize,
+    degrees: &mut Degrees,
+) -> bool {
+    let (Some(root_row), Some(v_row)) = (g.hub_row(s[0]), g.hub_row(s[1])) else {
+        return false;
+    };
+    debug_assert_eq!(ext_bits.len(), ext_len);
+    debug_assert!(!ext_bits.contains(s[0]) && !ext_bits.contains(s[1]));
+    let [root_ext, v_ext, h2, h1] = ext_bits.pair_counts_rows(root_row, v_row);
+    perf::count_intersections(4);
+    let adjacent = u32::from(row_contains(root_row, s[1]));
+    degrees.clear();
+    degrees.s_in_s.extend([adjacent, adjacent]);
+    degrees.s_in_ext.extend([root_ext as u32, v_ext as u32]);
+    degrees
+        .se_histogram
+        .extend([(ext_len - h1 - h2) as u32, h1 as u32, h2 as u32]);
+    true
+}
+
+/// Refills `ee` (aligned with `ext`) with the EE-degrees `d_ext(S)(u)` of
+/// the extension vertices whose SE-degree `ext_in_s` is at least `from`; the
+/// others get 0 and cost nothing. `ext_bits` is `ext` as a bitset, as
+/// [`carried_degrees_into`] takes it; row members count by word-parallel
+/// AND, exactly like the ES-degrees there. `from = 0` counts every vertex.
+///
+/// Type-I passes Theorem 5's cut as `from`: that theorem prunes a vertex
+/// with `d_S(u)` below the cut whatever its EE-degree, and in a large task
+/// it prunes most of the vertices Type-I examines.
 pub fn compute_ee_degrees_into(
     g: &LocalGraph,
     ext: &[u32],
     ext_bits: &VertexBitSet,
+    ext_in_s: &[u32],
+    from: u32,
     ee: &mut Vec<u32>,
 ) {
+    debug_assert_eq!(ext.len(), ext_in_s.len());
     ee.clear();
     let mut row_counts = 0u64;
-    ee.extend(ext.iter().map(|&u| {
+    ee.extend(ext.iter().zip(ext_in_s).map(|(&u, &d_s)| {
+        if d_s < from {
+            return 0;
+        }
         if let Some(row) = g.hub_row(u) {
             row_counts += 1;
             return ext_bits.intersection_count_row(row) as u32;
@@ -174,7 +223,7 @@ mod tests {
 
     fn compute_ee_degrees(g: &LocalGraph, ext: &[u32], ext_bits: &VertexBitSet) -> Vec<u32> {
         let mut ee = Vec::new();
-        compute_ee_degrees_into(g, ext, ext_bits, &mut ee);
+        compute_ee_degrees_into(g, ext, ext_bits, &vec![0; ext.len()], 0, &mut ee);
         ee
     }
 

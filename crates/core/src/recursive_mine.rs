@@ -18,6 +18,12 @@
 //! clears the bits of every vertex it takes out of the list, so no step of a
 //! node re-inserts the extension into a set.
 //!
+//! A child's extension is decided on its bits first: `rest ∧ B(v)`, one AND
+//! per word. A root's child `{root, v}` then runs Algorithm 1's first round
+//! on those bits alone ([`mod@crate::iterative_bounding`]), and its list is cut
+//! from the parent's tail only if it survives that round; a deeper child
+//! cuts its list at once.
+//!
 //! The loop has one fork, on the line after Algorithm 1: the subtree under
 //! `S'` is either walked here or handed to the caller's [`HandOff`] as a task
 //! of its own. The serial miner never hands off ([`NoHandOff`]); an engine
@@ -26,10 +32,10 @@
 
 use crate::context::MiningContext;
 use crate::cover::{find_cover_vertex_into, move_cover_to_tail_with};
-use crate::iterative_bounding::iterative_bounding_carried;
+use crate::iterative_bounding::{iterative_bounding_carried, pair_round};
 use crate::quasiclique::is_quasi_clique_of;
 use crate::scratch::MiningScratch;
-use qcm_graph::bitset::{compact, row_contains, VertexBitSet};
+use qcm_graph::bitset::{compact, VertexBitSet};
 use qcm_graph::neighborhoods::perf;
 use qcm_graph::subgraph::ALL_ROWS_MAX_VERTICES;
 use qcm_graph::LocalGraph;
@@ -109,47 +115,52 @@ impl TwoHopRows {
     }
 }
 
-/// Writes the extension of a child, `tail` restricted to the two-hop
-/// neighborhood of its branching vertex `v`, into `out` and its bits into
-/// `out_bits` when the diameter rule applies (γ ≥ 0.5 and the rule is
-/// enabled); otherwise copies `tail` and `tail_bits`. `tail_bits` is `tail`
-/// as a bitset sized to the task graph, and `out_bits` is sized alike.
+/// Writes the bits of a child's extension into `out_bits` and returns its
+/// size: `tail_bits` (the `tail_len` vertices the parent has not branched
+/// on) restricted to the two-hop neighborhood of the branching vertex `v`
+/// when the diameter rule applies (γ ≥ 0.5 and the rule is enabled), or
+/// `tail_bits` itself. `out_bits` is sized to the task graph like
+/// `tail_bits`.
 ///
 /// `B(v)` comes from the context's two-hop rows when the task graph keeps
 /// them — every task subgraph the miners build — and is otherwise computed
 /// here into a scratch bitset by the same [`two_hop_bits_into`]. Either way
-/// the list keeps its order through one branch-free bit probe per candidate,
-/// and the bits are `tail_bits ∧ B(v)`, one AND per word.
-fn shrink_by_diameter(
+/// the bits are `tail_bits ∧ B(v)`, one AND per word.
+fn extension_bits(
     ctx: &mut MiningContext<'_>,
-    tail: &[u32],
     tail_bits: &VertexBitSet,
+    tail_len: usize,
     v: u32,
-    out: &mut Vec<u32>,
     out_bits: &mut VertexBitSet,
-) {
-    out.clear();
-    out.extend_from_slice(tail);
+) -> usize {
     if !(ctx.config.diameter && ctx.params.gamma.diameter_two_applies()) {
         out_bits.copy_from(tail_bits);
-        return;
+        return tail_len;
     }
-    let within = |b_v: &[u64], out: &mut Vec<u32>, out_bits: &mut VertexBitSet| {
-        compact(out, |_, u| row_contains(b_v, u));
-        out_bits.assign_intersection(tail_bits.words(), b_v);
-    };
     let graph = ctx.graph;
     perf::count_intersections(1);
     if let Some(b_v) = ctx.two_hop.row(graph, v, &mut ctx.scratch) {
-        within(b_v, out, out_bits);
-    } else {
-        let mut b_v = ctx.scratch.take_bitset(graph.capacity());
-        let mut hop = ctx.scratch.take_vec();
-        two_hop_bits_into(graph, v, &mut b_v, &mut hop);
-        within(b_v.words(), out, out_bits);
-        ctx.scratch.put_vec(hop);
-        ctx.scratch.put_bitset(b_v);
+        return out_bits.assign_intersection(tail_bits.words(), b_v);
     }
+    let mut b_v = ctx.scratch.take_bitset(graph.capacity());
+    let mut hop = ctx.scratch.take_vec();
+    two_hop_bits_into(graph, v, &mut b_v, &mut hop);
+    let len = out_bits.assign_intersection(tail_bits.words(), b_v.words());
+    ctx.scratch.put_vec(hop);
+    ctx.scratch.put_bitset(b_v);
+    len
+}
+
+/// Writes a child's extension list into `out`: the members of `bits` (of
+/// size `len`, a subset of `tail`) in `tail`'s order, by one branch-free bit
+/// probe per vertex of `tail` — or none when `bits` kept all of it.
+fn cut_extension(tail: &[u32], bits: &VertexBitSet, len: usize, out: &mut Vec<u32>) {
+    out.clear();
+    out.extend_from_slice(tail);
+    if len != tail.len() {
+        compact(out, |_, u| bits.contains(u));
+    }
+    debug_assert_eq!(out.len(), len);
 }
 
 /// Cover-vertex pruning over scratch frames (Algorithm 2 lines 2–4): moves
@@ -292,19 +303,14 @@ fn mine_node<H: HandOff>(
         s_prime.push(v);
         ctx.stats.nodes_expanded += 1;
 
-        // Line 12: diameter-based shrink of the new extension set.
+        // Line 12: diameter-based shrink of the new extension set, on its
+        // bits; the list waits until Algorithm 1 needs it.
+        let tail = &ext[i + 1..];
         let mut ext_prime = ctx.scratch.take_vec();
         let mut ext_prime_bits = ctx.scratch.take_bitset(ctx.graph.capacity());
-        shrink_by_diameter(
-            ctx,
-            &ext[i + 1..],
-            rest,
-            v,
-            &mut ext_prime,
-            &mut ext_prime_bits,
-        );
+        let ext_len = extension_bits(ctx, rest, tail.len(), v, &mut ext_prime_bits);
 
-        if ext_prime.is_empty() {
+        if ext_len == 0 {
             // Lines 13–16: nothing to extend S' with; examine G(S') directly.
             // (The original Quick misses this check — toggled for the
             // baseline.)
@@ -314,9 +320,12 @@ fn mine_node<H: HandOff>(
         } else {
             // Line 18: apply the pruning rules; this may also grow S' via the
             // critical-vertex rule and will report G(S') itself when
-            // appropriate.
-            let pruned =
-                iterative_bounding_carried(ctx, &mut s_prime, &mut ext_prime, &mut ext_prime_bits);
+            // appropriate. A root's child runs round 1 on the bits first and
+            // needs no list if that round ends it.
+            let pruned = (s.len() == 1 && pair_round(ctx, &s_prime, &ext_prime_bits, ext_len)) || {
+                cut_extension(tail, &ext_prime_bits, ext_len, &mut ext_prime);
+                iterative_bounding_carried(ctx, &mut s_prime, &mut ext_prime, &mut ext_prime_bits)
+            };
 
             // Lines 20–25, or Algorithm 10 lines 18–24 once a hand-off is due.
             if !pruned && s_prime.len() + ext_prime.len() >= ctx.params.min_size {

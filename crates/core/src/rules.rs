@@ -146,6 +146,13 @@ impl Type1Rule {
         }
     }
 
+    /// The SE-degree from which [`Type1Rule::prunes`] reads its EE-degree
+    /// argument. Below it Theorem 5 prunes the vertex, whatever `d_ext` is.
+    #[inline]
+    pub(crate) fn ee_from(&self) -> u32 {
+        u32::try_from(self.upper_cut).unwrap_or(u32::MAX)
+    }
+
     /// True if the extension vertex with SE-degree `d_s` and EE-degree
     /// `d_ext` can be pruned from `ext(S)`.
     #[inline]
@@ -355,6 +362,11 @@ mod tests {
                                     // Theorem 7: d_S(u) + d_ext(u) < ⌈γ(|S| + L_S − 1)⌉.
                                     let theorem7 = config.lower_bound
                                         && ls.is_some_and(|l| total < ceil[s_len + l - 1]);
+                                    // Below `ee_from` the EE-degree is never read.
+                                    assert!(
+                                        (d_s as u32) >= rule.ee_from()
+                                            || rule.prunes(d_s as u32, d_ext as u32)
+                                    );
                                     assert_eq!(
                                         rule.prunes(d_s as u32, d_ext as u32),
                                         theorem3 || theorem5 || theorem7,

@@ -226,3 +226,82 @@ proptest! {
         prop_assert!(mined.raw_reported >= mined.maximal.len() as u64);
     }
 }
+
+/// A planted-community graph small enough that every root's task keeps a
+/// bit row for every vertex: a power-law background with a few dense
+/// communities of size 8–19.
+fn arb_planted() -> impl Strategy<Value = Graph> {
+    (80usize..200, 0u64..1 << 32, 6u32..=10, 1usize..4).prop_map(|(n, seed, density10, count)| {
+        let spec = qcm_gen::PlantedGraphSpec {
+            num_vertices: n,
+            background_avg_degree: 5.0,
+            background_max_degree: 40.0,
+            community_sizes: (0..count)
+                .map(|i| 8 + (seed as usize >> (4 * i)) % 12)
+                .collect(),
+            community_density: density10 as f64 / 10.0,
+            seed,
+            ..qcm_gen::PlantedGraphSpec::default()
+        };
+        qcm_gen::plant_quasi_cliques(&spec).0
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// For every child `S' = {root, v}` of every root task — its extension
+    /// being the vertices after `v` within two hops of it — the popcount
+    /// round yields the degrees the list round reads (`ext_in_s` aside,
+    /// which no bound or Type-II rule reads), and so the same `U_S`, `L_S`
+    /// and Type-II outcome.
+    #[test]
+    fn the_popcount_round_bounds_a_roots_child_like_the_list_round(
+        g in arb_planted(),
+        (params, config) in arb_task_shape(),
+    ) {
+        use qcm_core::bounds::{lower_bound, upper_bound, LowerBound, UpperBound};
+        use qcm_core::degrees::pair_degrees_into;
+        use qcm_core::rules::check_type2;
+        let survivors = qcm_graph::kcore::k_core_vertices(&g, config.peel_threshold(&params));
+        let work = LocalGraph::from_induced(&g, &survivors);
+        let mut tasks = qcm_core::RootTaskBuilder::new(&work, params, config);
+        let (mut children, mut both) = (0u64, 0u64);
+        while let Some(root) = tasks.next_root() {
+            let Some(t) = tasks.build(root) else { continue };
+            let n = t.capacity();
+            let mut path = PathDegrees::default();
+            let (mut list, mut pair) = (Degrees::default(), Degrees::default());
+            for v in 1..n as u32 {
+                let mut b_v = VertexBitSet::new(n);
+                qcm_core::two_hop_bits_into(&t, v, &mut b_v, &mut Vec::new());
+                let ext: Vec<u32> = (v + 1..n as u32).filter(|&u| b_v.contains(u)).collect();
+                let bits = VertexBitSet::from_members(n, &ext);
+                children += 1;
+                let rows = t.hub_row(0).is_some() && t.hub_row(v).is_some();
+                prop_assert_eq!(pair_degrees_into(&t, [0, v], &bits, ext.len(), &mut pair), rows);
+                if !rows {
+                    continue;
+                }
+                both += 1;
+                carried_degrees_into(&t, &mut path, &[0, v], &ext, &bits, &mut list);
+                list.ext_in_s.clear();
+                prop_assert_eq!(&pair, &list, "root {} child {}", root, v);
+                let bounds = |d: &Degrees| {
+                    let us = match upper_bound(&params, d, ext.len()) {
+                        UpperBound::Bound(b) => Some(b),
+                        UpperBound::ExtensionsPruned => None,
+                    };
+                    let ls = match lower_bound(&params, d, ext.len()) {
+                        LowerBound::Bound(b) => Some(b),
+                        LowerBound::AllPruned => None,
+                    };
+                    (us, ls, check_type2(&params, &config, d, us, ls))
+                };
+                prop_assert_eq!(bounds(&pair), bounds(&list));
+            }
+        }
+        // Every task of these graphs is small enough to keep all its rows.
+        prop_assert_eq!(both, children);
+    }
+}

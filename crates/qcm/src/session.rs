@@ -35,6 +35,7 @@ use qcm_core::{
 };
 use qcm_engine::{EngineConfig, EngineMetrics, ParallelMiner, QuasiCliqueApp, TransportFactory};
 use qcm_graph::Graph;
+use qcm_obs::clock::Instant;
 use qcm_obs::{SpanKind, Trace, TraceConfig};
 use qcm_sync::Arc;
 use std::time::Duration;
@@ -104,7 +105,8 @@ pub struct MiningReport {
     pub maximal: QuasiCliqueSet,
     /// Raw (pre-post-processing) reports produced by the run.
     pub raw_reported: u64,
-    /// Wall-clock time of the mining phase.
+    /// Wall-clock time of the run on either backend: the k-core peel, the
+    /// search and the maximality post-processing.
     pub elapsed: Duration,
     /// How the run ended.
     pub outcome: RunOutcome,
@@ -516,6 +518,8 @@ impl Session {
         let app = QuasiCliqueApp::new(self.params, self.tau_split, self.tau_time)
             .with_prune_config(self.prune);
         let miner = ParallelMiner { app, engine_config };
+        // The engine's own clock stops before `finalize_results`.
+        let start = Instant::now();
         let output = match sink {
             None => miner.mine(graph.clone()),
             Some(sink) => {
@@ -523,7 +527,7 @@ impl Session {
                 miner.mine_with_observer(graph.clone(), &mut forwarder)
             }
         };
-        let elapsed = output.metrics.elapsed;
+        let elapsed = start.elapsed();
         let outcome = output.outcome();
         MiningReport {
             maximal: output.maximal,
@@ -642,6 +646,28 @@ mod tests {
         assert!(serial.engine_metrics().is_none());
         assert!(parallel.engine_metrics().is_some());
         assert!(parallel.serial_stats().is_none());
+    }
+
+    #[test]
+    fn parallel_elapsed_spans_the_whole_run() {
+        let g = figure4();
+        let session = Session::builder()
+            .gamma(0.6)
+            .min_size(5)
+            .backend(Backend::parallel(2, 1))
+            .build()
+            .unwrap();
+        let start = Instant::now();
+        let report = session.run(&g).unwrap();
+        let wall = start.elapsed();
+        let engine = report.engine_metrics().unwrap().elapsed;
+        // `finalize_results` runs after the engine's clock stops.
+        assert!(
+            report.elapsed > engine,
+            "{:?} <= {engine:?}",
+            report.elapsed
+        );
+        assert!(report.elapsed <= wall, "{:?} > {wall:?}", report.elapsed);
     }
 
     #[test]

@@ -39,3 +39,20 @@ fn two_threads_report_the_serial_set_and_drop_nothing() {
     assert_eq!(parallel.maximal, serial.maximal);
     assert_eq!(parallel.invalid_sets_dropped, 0);
 }
+
+#[test]
+fn serial_search_on_the_youtube_standin_repeats_to_the_last_digit() {
+    let spec = qcm::gen::datasets::youtube();
+    let graph = spec.generate().graph;
+    let out = SerialMiner::new(MiningParams::new(spec.gamma, spec.min_size)).mine(&graph);
+    assert!(out.outcome.is_complete());
+    assert_eq!(out.maximal.len(), 227, "maximal");
+    let stats = out.stats;
+    assert_eq!(stats.nodes_expanded, 143_643, "nodes_expanded");
+    assert_eq!(stats.bounding_rounds, 198_116, "bounding_rounds");
+    assert_eq!(stats.type1_pruned, 1_086_870, "type1_pruned");
+    assert_eq!(stats.type2_pruned, 111_265, "type2_pruned");
+    assert_eq!(stats.cover_skipped, 159_995, "cover_skipped");
+    assert_eq!(stats.critical_moves, 58_118, "critical_moves");
+    assert_eq!(stats.lookahead_hits, 136, "lookahead_hits");
+}
