@@ -219,35 +219,12 @@ pub fn compute_ee_degrees_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qcm_graph::{Graph, VertexId};
+    use qcm_gen::datasets::figure4_local;
 
     fn compute_ee_degrees(g: &LocalGraph, ext: &[u32], ext_bits: &VertexBitSet) -> Vec<u32> {
         let mut ee = Vec::new();
         compute_ee_degrees_into(g, ext, ext_bits, &vec![0; ext.len()], 0, &mut ee);
         ee
-    }
-
-    fn figure4_local() -> LocalGraph {
-        let edges = [
-            (0, 1),
-            (0, 2),
-            (0, 3),
-            (0, 4),
-            (1, 2),
-            (1, 4),
-            (2, 3),
-            (2, 4),
-            (3, 4),
-            (1, 5),
-            (5, 6),
-            (2, 6),
-            (3, 7),
-            (7, 8),
-            (3, 8),
-        ];
-        let g = Graph::from_edges(9, edges.iter().copied()).unwrap();
-        let all: Vec<VertexId> = g.vertices().collect();
-        LocalGraph::from_induced(&g, &all)
     }
 
     #[test]

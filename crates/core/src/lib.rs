@@ -76,7 +76,7 @@ pub use recursive_mine::{recursive_mine, two_hop_bits_into, HandOff, NoHandOff};
 pub use results::{
     CandidateForwarder, CollectingSink, CountingSink, QuasiCliqueSet, QuasiCliqueSink, ResultSink,
 };
-pub use root_task::RootTaskBuilder;
+pub use root_task::{CoreNumbering, Step, TaskAssembly};
 pub use scratch::MiningScratch;
 pub use serial::{MiningOutput, SerialMiner};
 pub use stats::MiningStats;

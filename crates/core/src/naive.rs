@@ -59,30 +59,10 @@ pub fn maximal_quasi_cliques(g: &Graph, params: &MiningParams) -> QuasiCliqueSet
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qcm_gen::datasets::figure4;
 
     fn ids(raw: &[u32]) -> Vec<VertexId> {
         raw.iter().map(|&v| VertexId::new(v)).collect()
-    }
-
-    fn figure4() -> Graph {
-        let edges = [
-            (0, 1),
-            (0, 2),
-            (0, 3),
-            (0, 4),
-            (1, 2),
-            (1, 4),
-            (2, 3),
-            (2, 4),
-            (3, 4),
-            (1, 5),
-            (5, 6),
-            (2, 6),
-            (3, 7),
-            (7, 8),
-            (3, 8),
-        ];
-        Graph::from_edges(9, edges.iter().copied()).unwrap()
     }
 
     #[test]

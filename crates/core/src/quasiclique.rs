@@ -108,29 +108,8 @@ pub(crate) fn is_quasi_clique_of(
 mod tests {
     use super::*;
     use crate::validate::{is_quasi_clique, is_valid_quasi_clique};
+    use qcm_gen::datasets::figure4;
     use qcm_graph::{Graph, VertexId};
-
-    /// Figure 4 graph of the paper (a..i → 0..8).
-    fn figure4() -> Graph {
-        let edges = [
-            (0, 1),
-            (0, 2),
-            (0, 3),
-            (0, 4),
-            (1, 2),
-            (1, 4),
-            (2, 3),
-            (2, 4),
-            (3, 4),
-            (1, 5),
-            (5, 6),
-            (2, 6),
-            (3, 7),
-            (7, 8),
-            (3, 8),
-        ];
-        Graph::from_edges(9, edges.iter().copied()).unwrap()
-    }
 
     fn ids(raw: &[u32]) -> Vec<VertexId> {
         raw.iter().map(|&v| VertexId::new(v)).collect()

@@ -41,27 +41,7 @@ pub fn quick_mine_with_kcore(graph: &Graph, params: MiningParams) -> MiningOutpu
 mod tests {
     use super::*;
     use crate::serial::SerialMiner;
-
-    fn figure4() -> Graph {
-        let edges = [
-            (0, 1),
-            (0, 2),
-            (0, 3),
-            (0, 4),
-            (1, 2),
-            (1, 4),
-            (2, 3),
-            (2, 4),
-            (3, 4),
-            (1, 5),
-            (5, 6),
-            (2, 6),
-            (3, 7),
-            (7, 8),
-            (3, 8),
-        ];
-        Graph::from_edges(9, edges.iter().copied()).unwrap()
-    }
+    use qcm_gen::datasets::figure4;
 
     #[test]
     fn quick_never_reports_results_the_fixed_algorithm_lacks() {

@@ -169,30 +169,7 @@ mod tests {
     use super::*;
     use crate::degrees::compute_degrees;
     use crate::params::Gamma;
-    use qcm_graph::{Graph, LocalGraph, VertexId};
-
-    fn figure4_local() -> LocalGraph {
-        let edges = [
-            (0, 1),
-            (0, 2),
-            (0, 3),
-            (0, 4),
-            (1, 2),
-            (1, 4),
-            (2, 3),
-            (2, 4),
-            (3, 4),
-            (1, 5),
-            (5, 6),
-            (2, 6),
-            (3, 7),
-            (7, 8),
-            (3, 8),
-        ];
-        let g = Graph::from_edges(9, edges.iter().copied()).unwrap();
-        let all: Vec<VertexId> = g.vertices().collect();
-        LocalGraph::from_induced(&g, &all)
-    }
+    use qcm_gen::datasets::figure4_local;
 
     fn all_rules() -> PruneConfig {
         PruneConfig::all_enabled()

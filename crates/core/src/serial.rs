@@ -1,17 +1,18 @@
 //! The serial mining driver.
 //!
 //! [`SerialMiner`] is the single-threaded reference implementation of the
-//! paper's algorithm: shrink the input graph to its k-core (P2 / topic T1),
-//! then for every vertex `v` that lies in its suffix core — the k-core of
-//! the vertices `≥ v`, without which `v` can head no result — cut out the
-//! task subgraph `t.g`, the k-core of `v` and the larger-id vertices within
-//! two hops of it ([`RootTaskBuilder`], the serial form of Algorithms 6–7),
-//! and run the recursive miner (Algorithm 2) on `S = {v}`,
+//! paper's algorithm: peel the input graph to its k-core (P2 / topic T1) and
+//! list its suffix roots, the vertices `v` that lie in the k-core of the
+//! vertices `≥ v`, without which `v` can head no result — the peel and the
+//! root list the parallel miner hands its engine. For every root it builds
+//! the task subgraph `t.g` with the [`TaskAssembly`] the engine's tasks run
+//! too, fed synchronously from the input graph's own lists with the core as
+//! the numbering, and runs the recursive miner (Algorithm 2) on `S = {v}`,
 //! `ext(S) = V(t.g) − v` in that subgraph's own compact index space, where
-//! every vertex has a bit row. Roots whose task subgraph cannot hold a
-//! result are skipped. Finally the non-maximal results are removed. The
-//! parallel miner in `qcm-engine` mines the same task subgraphs and produces
-//! exactly the same result set; tests assert that equivalence.
+//! every vertex has a bit row. Roots whose task cannot hold a result — the
+//! root fell, or fewer than τ_size vertices are left — are skipped. Finally the non-maximal results are removed. The parallel miner
+//! in `qcm-engine` mines the same task subgraphs and produces exactly the
+//! same result set; tests assert that equivalence.
 
 use qcm_obs::clock::Instant;
 use std::time::Duration;
@@ -23,12 +24,13 @@ use crate::maximality::remove_non_maximal;
 use crate::params::MiningParams;
 use crate::recursive_mine::{recursive_mine, NoHandOff};
 use crate::results::{QuasiCliqueSet, QuasiCliqueSink};
-use crate::root_task::RootTaskBuilder;
+use crate::root_task::{CoreNumbering, TaskAssembly};
 use crate::scratch::MiningScratch;
 use crate::stats::MiningStats;
-use qcm_graph::kcore::k_core_vertices;
+use qcm_graph::kcore::k_core_with_roots;
 use qcm_graph::neighborhoods::perf;
-use qcm_graph::{Graph, LocalGraph, VertexId};
+use qcm_graph::{Graph, IndexSpec, VertexId};
+use qcm_sync::Arc;
 
 /// Everything a mining run produces.
 #[derive(Clone, Debug)]
@@ -42,8 +44,8 @@ pub struct MiningOutput {
     pub stats: MiningStats,
     /// Wall-clock time of the mining phase (excludes graph loading).
     pub elapsed: Duration,
-    /// Number of vertices that survived the k-core preprocessing (equal to the
-    /// input size when the size-threshold rule is disabled).
+    /// Number of vertices in the k-core at [`PruneConfig::peel_threshold`]
+    /// (the input size when the size-threshold rule is disabled).
     pub kcore_vertices: usize,
     /// Whether the run completed or was interrupted (cancellation/deadline).
     /// An interrupted run's `maximal` holds the valid quasi-cliques found
@@ -123,53 +125,61 @@ impl SerialMiner {
         let start = Instant::now();
         let mut stats = MiningStats::new();
 
-        // (T1) Size-threshold preprocessing: shrink to the k-core.
-        let survivors = k_core_vertices(graph, self.config.peel_threshold(&self.params));
-        let kcore_vertices = survivors.len();
+        // (T1) Size-threshold preprocessing: the k-core and its suffix roots.
+        // The roots are listed at `k ≥ 1`, as the parallel miner lists them:
+        // without the rule `k` is 0, and `k = 1` drops only the roots with no
+        // larger neighbour, which head no set of τ_size ≥ 2 vertices. The
+        // count stays the k-core's at `k`.
+        let k = self.config.peel_threshold(&self.params);
+        let (core, roots) = k_core_with_roots(graph, k.max(1));
+        let kcore_vertices = if k == 0 {
+            graph.num_vertices()
+        } else {
+            core.len()
+        };
         stats.kcore_removed += (graph.num_vertices() - kcore_vertices) as u64;
 
         let mut sink = QuasiCliqueSet::new();
         let mut interrupted = false;
-        if !survivors.is_empty() {
-            // The working graph only feeds the task builder its adjacency
-            // lists, so it carries no index of its own.
-            let work = LocalGraph::from_induced(graph, &survivors);
-            let mut tasks = RootTaskBuilder::new(&work, self.params, self.config);
-            // One scratch arena for the whole run: the frames warmed up by
-            // the first roots serve every later root without reallocating.
-            let mut scratch = MiningScratch::default();
-            let mut ext: Vec<u32> = Vec::new();
-            // One root per vertex in its suffix core, in id order.
-            while let Some(v) = tasks.next_root() {
-                if self.cancel.is_cancelled() {
-                    interrupted = true;
-                    break;
-                }
-                // One mine_phase span per root vertex, task build included;
-                // the payload is the root's index in the working graph.
-                let _phase = qcm_obs::span_with(qcm_obs::SpanKind::MinePhase, v as u64);
-                let Some(task) = tasks.build(v) else {
-                    continue;
-                };
-                let mut tee = TeeSink {
-                    set: &mut sink,
-                    observer: observer.as_deref_mut(),
-                };
-                let mut ctx = MiningContext::with_config(&task, self.params, self.config, &mut tee);
-                ctx.emulate_quick_omissions = self.emulate_quick_omissions;
-                ctx.cancel = self.cancel.clone();
-                ctx.scratch = std::mem::take(&mut scratch);
-                ctx.stats.tasks_processed += 1;
-                // S = {v} (local 0), ext(S) = V(t.g) − v.
-                ext.clear();
-                ext.extend(1..task.capacity() as u32);
-                recursive_mine(&mut ctx, &[0], &mut ext, &mut NoHandOff);
-                scratch = std::mem::take(&mut ctx.scratch);
-                stats.merge(&ctx.stats);
-                interrupted |= ctx.interrupted;
-                // Publish this root's kernel counters.
-                perf::flush();
+        let mut tasks = TaskAssembly::new(
+            self.params,
+            &self.config,
+            Arc::new(CoreNumbering::new(core)),
+        );
+        // One scratch arena for the whole run: the frames warmed up by the
+        // first roots serve every later root without reallocating.
+        let mut scratch = MiningScratch::default();
+        let mut ext: Vec<u32> = Vec::new();
+        for &v in &roots {
+            if self.cancel.is_cancelled() {
+                interrupted = true;
+                break;
             }
+            // One mine_phase span per root vertex, task build included.
+            let _phase = qcm_obs::span_with(qcm_obs::SpanKind::MinePhase, v.raw() as u64);
+            let task = tasks.build(graph, v);
+            let Some(mut task) = task.filter(|t| t.capacity() >= self.params.min_size) else {
+                continue;
+            };
+            task.build_hub_index(IndexSpec::Auto);
+            let mut tee = TeeSink {
+                set: &mut sink,
+                observer: observer.as_deref_mut(),
+            };
+            let mut ctx = MiningContext::with_config(&task, self.params, self.config, &mut tee);
+            ctx.emulate_quick_omissions = self.emulate_quick_omissions;
+            ctx.cancel = self.cancel.clone();
+            ctx.scratch = std::mem::take(&mut scratch);
+            ctx.stats.tasks_processed += 1;
+            // S = {v} (local 0), ext(S) = V(t.g) − v.
+            ext.clear();
+            ext.extend(1..task.capacity() as u32);
+            recursive_mine(&mut ctx, &[0], &mut ext, &mut NoHandOff);
+            scratch = std::mem::take(&mut ctx.scratch);
+            stats.merge(&ctx.stats);
+            interrupted |= ctx.interrupted;
+            // Publish this root's kernel counters.
+            perf::flush();
         }
 
         let raw_reported = stats.results_reported;
@@ -214,27 +224,7 @@ impl QuasiCliqueSink for TeeSink<'_, '_> {
 mod tests {
     use super::*;
     use crate::naive;
-
-    fn figure4() -> Graph {
-        let edges = [
-            (0, 1),
-            (0, 2),
-            (0, 3),
-            (0, 4),
-            (1, 2),
-            (1, 4),
-            (2, 3),
-            (2, 4),
-            (3, 4),
-            (1, 5),
-            (5, 6),
-            (2, 6),
-            (3, 7),
-            (7, 8),
-            (3, 8),
-        ];
-        Graph::from_edges(9, edges.iter().copied()).unwrap()
-    }
+    use qcm_gen::datasets::figure4;
 
     #[test]
     fn serial_miner_matches_oracle_on_figure4() {
@@ -263,12 +253,19 @@ mod tests {
 
     #[test]
     fn disabling_size_threshold_keeps_all_vertices() {
-        let g = figure4();
+        // Figure 4 and an isolated vertex 9, which the root list (at k = 1)
+        // leaves out and the 0-core keeps.
+        let edges = figure4()
+            .edges()
+            .map(|(a, b)| (a.raw(), b.raw()))
+            .collect::<Vec<_>>();
+        let g = Graph::from_edges(10, edges).unwrap();
         let params = MiningParams::new(0.9, 4);
         let miner =
             SerialMiner::with_config(params, PruneConfig::all_enabled().without("size_threshold"));
         let out = miner.mine(&g);
-        assert_eq!(out.kcore_vertices, 9);
+        assert_eq!(out.kcore_vertices, 10);
+        assert_eq!(out.stats.kcore_removed, 0);
         // Result set unchanged.
         let default_out = SerialMiner::new(params).mine(&g);
         assert_eq!(out.maximal, default_out.maximal);

@@ -263,12 +263,15 @@ proptest! {
         use qcm_core::bounds::{lower_bound, upper_bound, LowerBound, UpperBound};
         use qcm_core::degrees::pair_degrees_into;
         use qcm_core::rules::check_type2;
-        let survivors = qcm_graph::kcore::k_core_vertices(&g, config.peel_threshold(&params));
-        let work = LocalGraph::from_induced(&g, &survivors);
-        let mut tasks = qcm_core::RootTaskBuilder::new(&work, params, config);
+        let k = config.peel_threshold(&params);
+        let (core, roots) = qcm_graph::kcore::k_core_with_roots(&g, k.max(1));
+        let core = qcm_sync::Arc::new(qcm_core::CoreNumbering::new(core));
+        let mut tasks = qcm_core::TaskAssembly::new(params, &config, core);
         let (mut children, mut both) = (0u64, 0u64);
-        while let Some(root) = tasks.next_root() {
-            let Some(t) = tasks.build(root) else { continue };
+        for root in roots {
+            let task = tasks.build(&g, root).filter(|t| t.capacity() >= params.min_size);
+            let Some(mut t) = task else { continue };
+            t.build_hub_index(IndexSpec::Auto);
             let n = t.capacity();
             let mut path = PathDegrees::default();
             let (mut list, mut pair) = (Degrees::default(), Degrees::default());

@@ -3,7 +3,7 @@
 //! The pooled recursion must be a pure performance change: for any graph,
 //! mining parameters and pruning configuration, [`SerialMiner`], which
 //! carries one warm pooled arena from root to root, and a per-root loop over
-//! the same [`RootTaskBuilder`] tasks that installs the fresh-allocation
+//! the same [`TaskAssembly`] tasks that installs the fresh-allocation
 //! reference arena ([`MiningScratch::fresh`]) in every context must produce
 //! byte-identical result sets, identical raw report counts and identical
 //! search statistics — the pool may only change *where* buffers come from,
@@ -11,11 +11,12 @@
 
 use proptest::prelude::*;
 use qcm_core::{
-    recursive_mine, remove_non_maximal, MiningContext, MiningOutput, MiningParams, MiningScratch,
-    MiningStats, NoHandOff, PruneConfig, QuasiCliqueSet, RootTaskBuilder, SerialMiner,
+    recursive_mine, remove_non_maximal, CoreNumbering, MiningContext, MiningOutput, MiningParams,
+    MiningScratch, MiningStats, NoHandOff, PruneConfig, QuasiCliqueSet, SerialMiner, TaskAssembly,
 };
-use qcm_graph::kcore::k_core_vertices;
-use qcm_graph::{Graph, GraphBuilder, IndexSpec, LocalGraph};
+use qcm_graph::kcore::k_core_with_roots;
+use qcm_graph::{Graph, GraphBuilder, IndexSpec};
+use qcm_sync::Arc;
 
 /// Random simple graph with `n ≤ max_n` vertices and bounded edge count.
 fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -63,25 +64,28 @@ fn mine_fresh_per_root(
     prune: PruneConfig,
     index: IndexSpec,
 ) -> (QuasiCliqueSet, u64, MiningStats) {
-    let survivors = k_core_vertices(g, prune.peel_threshold(&params));
+    let k = prune.peel_threshold(&params);
+    let (core, roots) = k_core_with_roots(g, k.max(1));
     let mut stats = MiningStats::new();
-    stats.kcore_removed = (g.num_vertices() - survivors.len()) as u64;
+    if k > 0 {
+        stats.kcore_removed = (g.num_vertices() - core.len()) as u64;
+    }
     let mut sink = QuasiCliqueSet::new();
-    if !survivors.is_empty() {
-        let work = LocalGraph::from_induced(g, &survivors);
-        let mut tasks = RootTaskBuilder::new(&work, params, prune);
-        while let Some(v) = tasks.next_root() {
-            let Some(mut task) = tasks.build(v) else {
-                continue;
-            };
-            task.build_hub_index(index);
-            let mut ctx = MiningContext::with_config(&task, params, prune, &mut sink);
-            ctx.scratch = MiningScratch::fresh();
-            let mut ext: Vec<u32> = (1..task.capacity() as u32).collect();
-            recursive_mine(&mut ctx, &[0], &mut ext, &mut NoHandOff);
-            stats.merge(&ctx.stats);
-            stats.tasks_processed += 1;
-        }
+    let mut tasks = TaskAssembly::new(params, &prune, Arc::new(CoreNumbering::new(core)));
+    for v in roots {
+        let task = tasks
+            .build(g, v)
+            .filter(|t| t.capacity() >= params.min_size);
+        let Some(mut task) = task else {
+            continue;
+        };
+        task.build_hub_index(index);
+        let mut ctx = MiningContext::with_config(&task, params, prune, &mut sink);
+        ctx.scratch = MiningScratch::fresh();
+        let mut ext: Vec<u32> = (1..task.capacity() as u32).collect();
+        recursive_mine(&mut ctx, &[0], &mut ext, &mut NoHandOff);
+        stats.merge(&ctx.stats);
+        stats.tasks_processed += 1;
     }
     (remove_non_maximal(sink), stats.results_reported, stats)
 }

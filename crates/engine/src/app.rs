@@ -1,15 +1,15 @@
 //! The quasi-clique application (the two UDFs of Algorithms 4–5) the engine
 //! runs.
 //!
-//! The iteration filters compare degrees with the size-threshold rule's
-//! `k = ⌈γ·(τ_size − 1)⌉`, as the paper does, and peel at it; with the rule
-//! off `k` is 0 and nothing is filtered or peeled. [`crate::ParallelMiner`]
-//! hands the engine the k-core of its input, where a degree is an exact core
-//! degree, and spawns only from the core's suffix roots, so Algorithm 4's
-//! degree test is already passed when `spawn` runs: every root has `k`
-//! larger neighbours, and at least one.
+//! A task's build iterations feed the worker's [`qcm_core::TaskAssembly`],
+//! which peels at the size-threshold rule's `k = ⌈γ·(τ_size − 1)⌉`, as the
+//! paper does; with the rule off `k` is 0 and nothing is peeled.
+//! [`crate::ParallelMiner`] hands the engine the k-core of its input, where a
+//! degree is an exact core degree, and spawns only from the core's suffix
+//! roots, so Algorithm 4's degree test is already passed when `spawn` runs:
+//! every root has `k` larger neighbours, and at least one.
 
-use crate::iterations::{iteration_1, iteration_2};
+use crate::iterations::build_round;
 use crate::mine::{run_mine_phase, DecompositionStrategy, MineOutcome};
 use crate::task::{Frontier, QCTask, TaskPhase, WorkerScratch};
 use qcm_core::{CancelToken, MiningParams, PruneConfig};
@@ -88,21 +88,24 @@ impl QuasiCliqueApp {
 
     /// Algorithm 5: advances `task` by one iteration over `frontier`, the
     /// adjacency lists of its `pull_targets`. Returns whether the task needs
-    /// another iteration, and what its mine phase produced (nothing for
-    /// iterations 1 and 2). `scratch` is the calling worker's.
+    /// another iteration, and what its mine phase produced (nothing for a
+    /// build iteration). `scratch` is the calling worker's, which must carry
+    /// an assembly for a task that is still being built.
     pub fn compute(
         &self,
         task: &mut QCTask,
         frontier: &Frontier,
         scratch: &mut WorkerScratch,
     ) -> (bool, MineOutcome) {
-        let k = self.prune_config.peel_threshold(&self.params);
         match task.phase {
-            TaskPhase::FirstHop => (iteration_1(task, frontier, k), MineOutcome::default()),
-            // Iteration 2 performs no pulls, so returning `true` makes the
-            // engine run iteration 3 immediately (the paper's "G-thinker will
-            // schedule t to run Iteration 3 right away").
-            TaskPhase::SecondHop => (iteration_2(task, frontier, k), MineOutcome::default()),
+            TaskPhase::Build(_) => {
+                let assembly = scratch.assembly.as_mut();
+                let assembly = assembly.expect("a worker that builds tasks carries an assembly");
+                (
+                    build_round(task, frontier, assembly),
+                    MineOutcome::default(),
+                )
+            }
             TaskPhase::Mine => (false, run_mine_phase(task, self, scratch)),
         }
     }

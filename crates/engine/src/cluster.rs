@@ -167,7 +167,7 @@ fn worker_loop(live: &Live<'_>, worker: usize) -> Duration {
     // Chrome export renders one swimlane group per machine.
     qcm_obs::set_lane(m as u32);
     // The worker's scratch buffers, loaned to every task it processes.
-    let mut scratch = WorkerScratch::default();
+    let mut scratch = run.worker_scratch();
     let mut busy = Duration::ZERO;
     while !run.term.is_done() {
         // Cooperative cancellation (deadline or explicit): stop popping and

@@ -29,7 +29,7 @@ use crate::termination::Termination;
 use crate::transport::{Envelope, MachineId, PullReply, Transport};
 use crate::vertex_table::{FetchMetrics, PartitionedVertexTable};
 
-use qcm_core::RunOutcome;
+use qcm_core::{CoreNumbering, RunOutcome, TaskAssembly};
 use qcm_graph::neighborhoods::perf;
 use qcm_graph::{Graph, VertexId};
 use qcm_obs::clock::Instant;
@@ -204,6 +204,9 @@ pub(crate) struct Run<'a> {
     pub(crate) app: &'a QuasiCliqueApp,
     pub(crate) config: &'a EngineConfig,
     pub(crate) table: PartitionedVertexTable,
+    /// The core numbering of the run's task assemblies: every vertex of the
+    /// graph with a neighbour, the only vertices a task pulls.
+    core: Arc<CoreNumbering>,
     /// All cross-machine interactions (pulls, steal requests/grants/acks,
     /// shutdown) travel through it; same-machine paths stay shared-memory.
     pub(crate) transport: Arc<dyn Transport>,
@@ -246,6 +249,8 @@ impl<'a> Run<'a> {
         threads: usize,
     ) -> Self {
         let started = Instant::now();
+        let held: Vec<VertexId> = graph.vertices().filter(|&v| graph.degree(v) > 0).collect();
+        let core = Arc::new(CoreNumbering::new(held));
         let table = PartitionedVertexTable::new(graph, vertices, config.num_machines);
         transport.bind(&table);
         let spill = Arc::new(SpillMetrics::default());
@@ -272,6 +277,7 @@ impl<'a> Run<'a> {
             config,
             term: Termination::new(table.vertices().len()),
             table,
+            core,
             transport,
             machines,
             fetch: Arc::new(FetchMetrics::default()),
@@ -281,6 +287,12 @@ impl<'a> Run<'a> {
             started,
             counters: Counters::default(),
         }
+    }
+
+    /// The scratch of one of the run's workers, with its own task assembly.
+    pub(crate) fn worker_scratch(&self) -> WorkerScratch {
+        let (params, config) = (self.app.params, &self.app.prune_config);
+        WorkerScratch::building(TaskAssembly::new(params, config, self.core.clone()))
     }
 
     /// Spawns up to one batch of root tasks from machine `m`'s cursor,
@@ -418,7 +430,7 @@ impl<'a> Run<'a> {
             count(&self.counters.tasks_decomposed, 1);
             self.route(m, worker, subtask);
         }
-        // The task's subgraph may have grown (iterations 1–2 materialise it).
+        // The task's subgraph may have grown (the build rounds materialise it).
         let mem = self.app.task_memory_bytes(task) as u64;
         if mem > flight.mem {
             self.add_active_bytes(mem - flight.mem);

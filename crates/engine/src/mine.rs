@@ -316,9 +316,8 @@ mod tests {
             seed: 11,
             ..PlantedGraphSpec::default()
         });
-        let k = params.kcore_threshold();
         (0..150)
-            .filter_map(|root| build_task(&g, root, k))
+            .filter_map(|root| build_task(&g, root, params))
             .collect()
     }
 

@@ -2,7 +2,8 @@
 //! [`qcm_graph::LocalGraph`]: adjacency keyed by global ids, built by sorted
 //! insertion, peeled by binary search, converted for the miner through a hash
 //! map. Kept, test-only, as the reference the property tests in
-//! [`crate::iterations`] compare Algorithms 6–7 against.
+//! [`crate::iterations`] compare the build iterations (Algorithms 6–7)
+//! against.
 
 use crate::task::{Frontier, TaskPhase};
 use qcm_graph::{LocalGraph, VertexId};
@@ -177,7 +178,7 @@ impl RefTask {
     pub fn spawned(root: VertexId, larger_neighbors: Vec<VertexId>) -> Self {
         RefTask {
             root,
-            phase: TaskPhase::FirstHop,
+            phase: TaskPhase::Build(0),
             pull_targets: larger_neighbors,
             one_hop: Vec::new(),
             subgraph: TaskGraph::new(),
@@ -254,7 +255,7 @@ pub fn iteration_1(task: &mut RefTask, frontier: &Frontier, k: usize) -> bool {
     second_hop.sort_unstable();
     second_hop.dedup();
     task.pull_targets = second_hop;
-    task.phase = TaskPhase::SecondHop;
+    task.phase = TaskPhase::Build(1);
     true
 }
 

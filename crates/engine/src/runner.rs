@@ -15,12 +15,14 @@
 //! size-threshold rule (a distributed loader would run a standard distributed
 //! k-core). The engine's vertex table then holds the *suffix roots*: the
 //! core vertices `v` that lie in the k-core of the core's vertices `≥ v`
-//! ([`k_core_masked_with_roots`]). Every other root's task would die in
-//! iterations 1–2, so only those are spawned from. The graph behind the table
-//! keeps the caller's vertex ids, with every vertex outside the core
-//! isolated: it is pulled by no task, and a degree read by `spawn` or an
-//! iteration filter is an exact core degree. The published sets are still
-//! validated against the graph the caller passed in (`finalize_results`).
+//! ([`k_core_masked_with_roots`]). Every other root's task would lose its
+//! root in the task assembly's peels, so only those are spawned from, and
+//! `SerialMiner` visits the same roots. The graph behind the table keeps the
+//! caller's vertex ids, with every vertex outside the core isolated: it is
+//! pulled by no task, and a degree the assembly counts is a core degree; its
+//! vertices with a neighbour are the run's core numbering. The published
+//! sets are still validated against the graph the caller passed in
+//! (`finalize_results`).
 //!
 //! The transport picks the engine's driver. Under
 //! [`TransportFactory::Sim`] the job runs on the deterministic fault

@@ -437,8 +437,10 @@ pub(crate) fn run(
     let machines = engine.num_machines;
     let net = Arc::new(Mutex::new(NetInner::new(machines, sim)));
     let transport = Arc::new(SimTransport { net: net.clone() });
+    let run = Run::new(app, engine, graph, vertices, transport, 1);
     let mut driver = Driver {
-        run: Run::new(app, engine, graph, vertices, transport, 1),
+        scratch: run.worker_scratch(),
+        run,
         sim,
         net,
         machines: (0..machines)
@@ -456,7 +458,6 @@ pub(crate) fn run(
         next_park: 0,
         balance_scheduled: false,
         fetched: FetchScratch::default(),
-        scratch: WorkerScratch::default(),
         faulted: false,
     };
     let outcome = driver.run();

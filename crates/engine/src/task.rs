@@ -5,38 +5,39 @@
 //! creates a task from a vertex of the local vertex table, and
 //! `compute(t, frontier)` advances a task by one iteration, optionally pulling
 //! more vertices, emitting results and creating new (sub)tasks. Here the pair
-//! belongs to [`crate::QuasiCliqueApp`], and a [`QCTask`] progresses through
-//! three iterations, exactly like the paper's UDF `compute(t, frontier)`:
+//! belongs to [`crate::QuasiCliqueApp`], and a [`QCTask`] goes through two
+//! phases, like the paper's UDF `compute(t, frontier)`:
 //!
-//! 1. **Iteration 1** (Algorithm 6): the pulled first-hop adjacency lists are
-//!    filtered by the degree threshold `k` and assembled into the task
-//!    subgraph `t.g`; the second-hop vertices are requested.
-//! 2. **Iteration 2** (Algorithm 7): second-hop vertices are added, the
-//!    subgraph is shrunk to its k-core, and the candidate `⟨S = {v},
-//!    ext(S) = V(t.g) − v⟩` is formed.
-//! 3. **Iteration 3** (Algorithms 8–10): the subgraph is mined; if the task is
-//!    big it is decomposed into subtasks, which re-enter the engine directly
-//!    at iteration 3 with a materialised (smaller) subgraph.
+//! 1. **Build** (Algorithms 6–7, [`TaskPhase::Build`]): every iteration feeds
+//!    the pulled adjacency lists to the worker's [`TaskAssembly`], which
+//!    peels the task subgraph `t.g` and names the vertices to pull next —
+//!    two rounds for γ ≥ ½, as many as add something below — until it
+//!    hands back `t.g` and the candidate `⟨S = {v}, ext(S) = V(t.g) − v⟩`,
+//!    or drops a task that can hold no result.
+//! 2. **Mine** (Algorithms 8–10): the subgraph is mined; if the task is big
+//!    it is decomposed into subtasks, which re-enter the engine directly in
+//!    this phase with a materialised (smaller) subgraph.
 //!
 //! Tasks must survive queueing, disk spilling and stealing, so everything —
-//! including the partially built subgraph and the outstanding pull requests —
-//! is stored by value and encodable with [`TaskCodec`], the same reason the
-//! original G-thinker serialises requests with suspended tasks.
+//! including the partially built subgraph, the rounds fed so far and the
+//! outstanding pull requests — is stored by value and encodable with
+//! [`TaskCodec`], the same reason the original G-thinker serialises requests
+//! with suspended tasks.
 //!
 //! `t.g` is carried in the form the miner consumes: a compact [`LocalGraph`]
 //! whose local index is the rank of the global id (the id table travels
 //! inside it; no hub rows while the task is queued), with `S` and `ext(S)` as
-//! local indices. Iterations 1 and 2 turn each pulled destination into a
-//! position once per root task; a decomposed subtask receives the induced
-//! subgraph of its parent and never sees a global id again until a result is
-//! reported through [`LocalGraph::global_id`]. Every mapping along the way is monotone in the
-//! global id, so branching order and tie-breaks are those of the global ids.
+//! local indices. A decomposed subtask receives the induced subgraph of its
+//! parent and never sees a global id again until a result is reported
+//! through [`LocalGraph::global_id`]. Every mapping along the way is monotone
+//! in the global id, so branching order and tie-breaks are those of the
+//! global ids.
 
 use crate::codec::{
     put_u32, put_u32_slice, put_vertices, take_u32, take_u32_vec, take_u32s_into, take_vertices,
 };
 use crate::vertex_table::AdjList;
-use qcm_core::MiningScratch;
+use qcm_core::{MiningScratch, TaskAssembly};
 use qcm_graph::{LocalGraph, SubgraphScratch, VertexId};
 use std::time::Duration;
 
@@ -58,8 +59,8 @@ pub trait TaskCodec: Sized {
 /// anything convertible (an `AdjList`, an `Arc<Vec<VertexId>>`, a plain
 /// `Vec<VertexId>`), so the drivers and tests build frontiers the same way.
 ///
-/// Iteration is in increasing vertex-id order: the iterations fold frontiers
-/// into task state, so a seed-and-replay deterministic run — the fault
+/// Iteration is in increasing vertex-id order: the build rounds fold
+/// frontiers into task state, so a seed-and-replay deterministic run — the fault
 /// simulator's core promise — needs the iteration order itself to be
 /// reproducible. The entries are one vector kept in id order; pulls are
 /// resolved in the order of the task's sorted request list, so an insert is
@@ -133,24 +134,36 @@ impl TaskTimings {
 }
 
 /// The buffers a worker keeps from task to task and loans to every compute
-/// call: the recursion frames warmed up by one task's search and the rank
-/// table one subtask's subgraph was induced through serve every later task on
-/// the same worker without reallocating.
+/// call: the recursion frames warmed up by one task's search, the rank table
+/// one subtask's subgraph was induced through and the task assembly's arrays
+/// serve every later task on the same worker without reallocating.
 #[derive(Debug, Default)]
 pub struct WorkerScratch {
     /// The mining arena (recursion frames, bitsets, degree tables).
     pub mining: MiningScratch,
     /// The rank table subtask subgraphs are induced through.
     pub subgraph: SubgraphScratch,
+    /// The assembly build-phase tasks are fed to, over the run's core
+    /// numbering; a worker that only mines needs none.
+    pub assembly: Option<TaskAssembly>,
 }
 
-/// The iteration a task is in (mirrors `t.iteration` of the paper).
+impl WorkerScratch {
+    /// The scratch of a worker that builds tasks with `assembly`.
+    pub fn building(assembly: TaskAssembly) -> Self {
+        WorkerScratch {
+            assembly: Some(assembly),
+            ..WorkerScratch::default()
+        }
+    }
+}
+
+/// The phase a task is in (mirrors `t.iteration` of the paper).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TaskPhase {
-    /// Waiting for first-hop adjacency lists (Algorithm 6 next).
-    FirstHop,
-    /// Waiting for second-hop adjacency lists (Algorithm 7 next).
-    SecondHop,
+    /// Building `t.g` (Algorithms 6–7): this many rounds of pulled lists were
+    /// fed so far, and the pulls of the next one are pending.
+    Build(u32),
     /// Subgraph ready; mine / decompose (Algorithms 8–10 next).
     Mine,
 }
@@ -158,18 +171,15 @@ pub enum TaskPhase {
 impl TaskPhase {
     fn as_u32(self) -> u32 {
         match self {
-            TaskPhase::FirstHop => 1,
-            TaskPhase::SecondHop => 2,
-            TaskPhase::Mine => 3,
+            TaskPhase::Mine => 0,
+            TaskPhase::Build(rounds) => rounds + 1,
         }
     }
 
-    fn from_u32(v: u32) -> Option<Self> {
+    fn from_u32(v: u32) -> Self {
         match v {
-            1 => Some(TaskPhase::FirstHop),
-            2 => Some(TaskPhase::SecondHop),
-            3 => Some(TaskPhase::Mine),
-            _ => None,
+            0 => TaskPhase::Mine,
+            _ => TaskPhase::Build(v - 1),
         }
     }
 }
@@ -181,31 +191,31 @@ pub struct QCTask {
     /// Every task has one, decomposed subtasks included: the simulator
     /// respawns it when the task is lost.
     pub root: VertexId,
-    /// Current iteration.
+    /// Current phase.
     pub phase: TaskPhase,
     /// Vertices whose adjacency lists this task is waiting for. The engine
     /// resolves them through the vertex table and delivers them as the
     /// frontier of the next compute step.
     pub pull_targets: Vec<VertexId>,
-    /// The task subgraph `t.g`, in id order: empty until iteration 1, the
-    /// surviving first-hop vertices and the edges among them until
-    /// iteration 2, final from then on. The root is local 0.
+    /// The task subgraph `t.g`, in id order: empty before the first round,
+    /// what [`TaskAssembly::suspend`] carries between rounds, final in the
+    /// mine phase. The root is local 0.
     pub subgraph: LocalGraph,
     /// The candidate set `S` as local indices of `subgraph`. `{root}` for
-    /// root tasks; larger for decomposed subtasks. Empty until iteration 2.
+    /// root tasks; larger for decomposed subtasks. Empty while building.
     pub s: Vec<u32>,
     /// The extension set `ext(S)` as local indices of `subgraph`, in
-    /// branching order. Empty until iteration 2.
+    /// branching order. Empty while building.
     pub ext: Vec<u32>,
 }
 
 impl QCTask {
-    /// Creates the initial task spawned from `root` (Algorithm 4): iteration 1
-    /// and pull requests for the larger-id neighbors.
+    /// Creates the initial task spawned from `root` (Algorithm 4): no round
+    /// fed yet, and pull requests for the larger-id neighbors.
     pub fn spawned(root: VertexId, larger_neighbors: Vec<VertexId>) -> Self {
         QCTask {
             root,
-            phase: TaskPhase::FirstHop,
+            phase: TaskPhase::Build(0),
             pull_targets: larger_neighbors,
             subgraph: LocalGraph::new(Vec::new()),
             s: Vec::new(),
@@ -213,7 +223,7 @@ impl QCTask {
         }
     }
 
-    /// Creates a decomposed subtask that enters directly at iteration 3
+    /// Creates a decomposed subtask that enters directly in the mine phase
     /// (Algorithm 8 lines 12–21 / Algorithm 10 lines 20–22). `s` and `ext`
     /// index `subgraph`, which holds the root at local 0.
     pub fn decomposed(root: VertexId, s: Vec<u32>, ext: Vec<u32>, subgraph: LocalGraph) -> Self {
@@ -245,12 +255,12 @@ impl QCTask {
     }
 
     /// True when the parts fit together the way every constructor and
-    /// iteration leaves them: an empty candidate over an empty graph before
-    /// iteration 1, the root at local 0 afterwards, and `S`, `ext(S)` disjoint,
-    /// duplicate-free and inside the graph.
+    /// round leaves them: an empty candidate over an empty graph before the
+    /// first round, the root at local 0 afterwards, and `S`, `ext(S)`
+    /// disjoint, duplicate-free and inside the graph.
     fn is_consistent(&self) -> bool {
         let n = self.subgraph.capacity();
-        if self.phase == TaskPhase::FirstHop {
+        if self.phase == TaskPhase::Build(0) {
             return n == 0 && self.s.is_empty() && self.ext.is_empty();
         }
         if n == 0 || self.subgraph.global_id(0) != self.root {
@@ -290,7 +300,7 @@ impl TaskCodec for QCTask {
     /// corrupt input yields `None`, never a panic or an oversized allocation.
     fn decode(data: &mut &[u8]) -> Option<Self> {
         let root = VertexId::new(take_u32(data)?);
-        let phase = TaskPhase::from_u32(take_u32(data)?)?;
+        let phase = TaskPhase::from_u32(take_u32(data)?);
         let pull_targets = take_vertices(data)?;
         let s = take_u32_vec(data)?;
         let ext = take_u32_vec(data)?;
@@ -321,8 +331,8 @@ impl TaskCodec for QCTask {
 mod tests {
     use super::*;
     use crate::app::QuasiCliqueApp;
-    use crate::iterations::iteration_1;
-    use crate::iterations::tests::{build_task, figure4, frontier_for};
+    use crate::iterations::build_round;
+    use crate::iterations::tests::{assembly_for, build_task, figure4, frontier_for};
     use crate::mine::run_mine_phase;
     use crate::reference::TaskGraph;
     use proptest::prelude::*;
@@ -419,15 +429,20 @@ mod tests {
     }
 
     /// One task per phase, off the Figure 4 graph at k = 3: freshly spawned,
-    /// after iteration 1 (a half-built graph and second-hop pulls), ready to
+    /// after the first round (a carried graph and second-hop pulls), ready to
     /// mine, and a subtask decomposed from that.
     fn task_of_every_phase() -> Vec<QCTask> {
         let g = figure4();
+        let params = MiningParams::new(0.6, 5);
         let spawned = QCTask::spawned(v(0), g.neighbors(v(0)).to_vec());
         let mut second_hop = spawned.clone();
         let f1 = frontier_for(&g, &second_hop.pull_targets);
-        assert!(iteration_1(&mut second_hop, &f1, 3));
-        let mine = build_task(&g, 0, 3).unwrap();
+        assert!(build_round(
+            &mut second_hop,
+            &f1,
+            &mut assembly_for(&g, params)
+        ));
+        let mine = build_task(&g, 0, params).unwrap();
         // Mined with τ_time = 0, the whole graph as one candidate splits.
         let all: Vec<VertexId> = g.vertices().collect();
         let mut whole = QCTask::decomposed(
@@ -448,8 +463,8 @@ mod tests {
                 decomposed.phase
             ],
             [
-                TaskPhase::FirstHop,
-                TaskPhase::SecondHop,
+                TaskPhase::Build(0),
+                TaskPhase::Build(1),
                 TaskPhase::Mine,
                 TaskPhase::Mine
             ]
@@ -495,7 +510,7 @@ mod tests {
     #[test]
     fn spawned_and_decomposed_constructors() {
         let t = QCTask::spawned(v(7), vec![v(8), v(11)]);
-        assert_eq!(t.phase, TaskPhase::FirstHop);
+        assert_eq!(t.phase, TaskPhase::Build(0));
         assert!(t.s.is_empty() && t.subgraph.capacity() == 0);
         assert_eq!(t.size_measure(), 2);
 
@@ -518,7 +533,7 @@ mod tests {
         // claims 2³² − 1 entries: the count the old decoder passed straight to
         // `Vec::with_capacity`, ~137 GB.
         let mut buf = Vec::new();
-        for word in [0u32, 3, 0, 0, 0, u32::MAX] {
+        for word in [0u32, 0, 0, 0, 0, u32::MAX] {
             put_u32(&mut buf, word);
         }
         assert!(QCTask::decode(&mut buf.as_slice()).is_none());
@@ -542,8 +557,8 @@ mod tests {
         assert!(refused(&|t| t.ext.push(1)), "duplicate in ext");
         assert!(refused(&|t| t.root = v(1)), "the root is not local 0");
         assert!(
-            refused(&|t| t.phase = TaskPhase::FirstHop),
-            "a graph before iteration 1"
+            refused(&|t| t.phase = TaskPhase::Build(0)),
+            "a graph before the first round"
         );
     }
 

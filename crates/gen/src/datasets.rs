@@ -28,7 +28,7 @@
 
 use crate::planted::{plant_into, PlantedCommunity};
 use crate::powerlaw::power_law_graph;
-use qcm_graph::{Graph, GraphBuilder, VertexId};
+use qcm_graph::{Graph, GraphBuilder, LocalGraph, VertexId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -349,6 +349,35 @@ pub fn tiny_test_spec(seed: u64) -> DatasetSpec {
 /// A tiny dataset for unit/integration tests (see [`tiny_test_spec`]).
 pub fn tiny_test_dataset(seed: u64) -> SyntheticDataset {
     tiny_test_spec(seed).generate()
+}
+
+/// The illustrative graph of Figure 4 of the paper, its vertices a–i as
+/// 0–8: the dense region {a, b, c, d, e} and the periphery f–i.
+pub fn figure4() -> Graph {
+    let edges = [
+        (0, 1),
+        (0, 2),
+        (0, 3),
+        (0, 4),
+        (1, 2),
+        (1, 4),
+        (2, 3),
+        (2, 4),
+        (3, 4),
+        (1, 5),
+        (5, 6),
+        (2, 6),
+        (3, 7),
+        (7, 8),
+        (3, 8),
+    ];
+    Graph::from_edges(9, edges).expect("the edges name vertices 0–8")
+}
+
+/// [`figure4`] as a task graph over all its vertices, local index = id.
+pub fn figure4_local() -> LocalGraph {
+    let g = figure4();
+    LocalGraph::from_induced(&g, &g.vertices().collect::<Vec<_>>())
 }
 
 #[cfg(test)]

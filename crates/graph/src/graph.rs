@@ -283,7 +283,7 @@ impl Graph {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// The 9-vertex illustrative graph of Figure 4 of the paper

@@ -7,16 +7,16 @@
 //! & Zaversnik \[13\]. [`Peel`] is that cascade, once, and every peel of the
 //! miners runs on it:
 //!
-//! * the global peel of the input ([`k_core_vertices`] for the serial
+//! * the global peel of the input ([`k_core_with_roots`] for the serial
 //!   miner, [`k_core_masked_with_roots`] for the parallel one). It peels from
 //!   the *candidates*, the vertices of degree `≥ k`: every other vertex is
 //!   dropped on sight, its adjacency list unread, so the peel costs
 //!   O(n + Σ_{deg(v) ≥ k} deg(v)) rather than O(n + |E|);
-//! * the suffix walk [`SuffixCores`], which walks a peeled core in id order
+//! * the suffix walk of those two, which walks the peeled core in id order
 //!   and keeps a vertex as a root only if it lies in the k-core of the
 //!   vertices from it up, the only roots whose task can hold a result;
-//! * the serial miner's per-root task peel (`qcm_core::RootTaskBuilder`);
-//! * the engine's iterations 1 and 2 (`qcm_engine::iterations`).
+//! * every round of a root task's assembly (`qcm_core::TaskAssembly`), which
+//!   both miners run.
 //!
 //! [`core_numbers`] is the full bucket decomposition behind the degeneracy
 //! that [`crate::GraphStats`] reports.
@@ -160,6 +160,19 @@ impl Peel {
         Some(x)
     }
 
+    /// Appends a position with entry `degree` ([`PEELED`]: out from the
+    /// start).
+    #[inline]
+    pub fn push(&mut self, degree: u32) {
+        self.degree.push(degree);
+    }
+
+    /// Drops every position, keeping the buffers for the next subgraph.
+    pub fn clear(&mut self) {
+        self.degree.clear();
+        self.stack.clear();
+    }
+
     /// True while position `i` is in.
     #[inline]
     pub fn contains(&self, i: u32) -> bool {
@@ -215,10 +228,19 @@ pub fn k_core_vertices(g: &Graph, k: usize) -> Vec<VertexId> {
     ids.map(VertexId::new).collect()
 }
 
+/// Returns the vertices of the k-core of `graph` and the core's suffix roots
+/// (see `suffix_roots`), both sorted by id, without copying the graph.
+/// O(n + Σ_{deg(v) ≥ k} deg(v)).
+pub fn k_core_with_roots(graph: &Graph, k: usize) -> (Vec<VertexId>, Vec<VertexId>) {
+    let peel = peel(graph, k);
+    let core = (0..graph.num_vertices() as u32).filter(|&v| peel.contains(v));
+    (core.map(VertexId::new).collect(), suffix_roots(peel, graph))
+}
+
 /// Returns the k-core of `graph` **in the caller's id space** — the same
 /// vertex count, every vertex outside the k-core isolated, every core vertex
 /// keeping exactly its core neighbours — and the core's suffix roots (see
-/// [`SuffixCores`]), sorted by id. O(n + Σ_{deg(v) ≥ k} deg(v)).
+/// [`k_core_with_roots`]), sorted by id. O(n + Σ_{deg(v) ≥ k} deg(v)).
 ///
 /// This is the form the parallel miner hands to the engine: vertex ids,
 /// partition hash, task labels and result rows need no translation, a degree
@@ -249,73 +271,30 @@ pub fn k_core_masked_with_roots(graph: &Arc<Graph>, k: usize) -> (Arc<Graph>, Ve
         debug_assert_eq!(neighbors.len(), total);
         Arc::new(Graph::from_csr(offsets, neighbors))
     };
-    let mut walk = SuffixCores::over(peel);
-    let mut roots = Vec::new();
-    while let Some(v) = walk.next_root(|v| raw_neighbors(&core, v)) {
-        roots.push(VertexId::new(v));
-    }
-    (core, roots)
+    (core, suffix_roots(peel, graph))
 }
 
-/// The suffix cores of a k-core, visited in increasing position order.
+/// The suffix roots of `peel`, the k-core of `graph`, sorted by id.
 ///
 /// The set-enumeration search assigns every result to the task of its
 /// smallest member `v`, inside `G[{u ≥ v}]`, and under the size-threshold
 /// rule every member of a result keeps `k` neighbours there. So `v` can head
-/// a result only if it lies in the k-core of `G[{u ≥ v}]`, its *suffix core*
-/// `C_v`. Walking the core in increasing order, `C_v` is what is left when
-/// every smaller vertex has been removed and the removals peeled:
-/// [`SuffixCores::next_root`] returns the next position still in, removes it
-/// on the following call and runs the cascade, so the whole walk costs
-/// `O(V + E)` of the core. With `k = 0` nothing peels and every position is a
-/// root.
-#[derive(Debug)]
-pub struct SuffixCores {
-    /// In: the positions of the current root's suffix core.
-    peel: Peel,
-    /// The current root, removed by the next [`SuffixCores::next_root`].
-    root: Option<u32>,
-    /// The position the search for the next root starts from.
-    next: usize,
-}
-
-impl SuffixCores {
-    /// Starts the walk over `peel`, a k-core whose cascades are over: every
-    /// position still in has at least `k` neighbours in.
-    pub fn over(peel: Peel) -> Self {
-        debug_assert!(peel.degree.iter().all(|&d| d >= peel.k), "not a k-core");
-        SuffixCores {
-            peel,
-            root: None,
-            next: 0,
+/// a result only if it lies in the k-core of `G[{u ≥ v}]`, its *suffix core*.
+/// Walking the core in increasing order, that is what is left when every
+/// smaller vertex has been removed and the removals peeled, so the walk
+/// removes each root once it is listed and runs the cascade: `O(V + E)` of
+/// the core in all. A neighbour outside the core is out of the peel, which a
+/// pop passes over. With `k = 0` nothing peels and every vertex is a root.
+fn suffix_roots(mut peel: Peel, graph: &Graph) -> Vec<VertexId> {
+    let mut roots = Vec::new();
+    for v in 0..graph.num_vertices() as u32 {
+        if peel.contains(v) {
+            roots.push(VertexId::new(v));
+            peel.remove(v);
+            while peel.pop(|x| raw_neighbors(graph, x)).is_some() {}
         }
     }
-
-    /// Removes the current root, peels what that leaves below `k`, and moves
-    /// to the next position still in: it, or `None` when none is left.
-    /// `neighbors(i)` lists the neighbours of position `i`.
-    pub fn next_root<I>(&mut self, mut neighbors: impl FnMut(u32) -> I) -> Option<u32>
-    where
-        I: IntoIterator<Item = u32>,
-    {
-        if let Some(root) = self.root.take() {
-            self.peel.remove(root);
-            while self.peel.pop(&mut neighbors).is_some() {}
-        }
-        let skipped = self.peel.degree[self.next..]
-            .iter()
-            .position(|&d| d != PEELED);
-        self.next = skipped.map_or(self.peel.degree.len(), |i| self.next + i + 1);
-        self.root = skipped.map(|_| self.next as u32 - 1);
-        self.root
-    }
-
-    /// True if position `i` lies in the current root's suffix core (the root
-    /// included).
-    #[inline]
-    pub fn contains(&self, i: u32) -> bool {
-        self.peel.contains(i)
-    }
+    roots
 }
 
 #[cfg(test)]
@@ -434,14 +413,14 @@ mod tests {
         // Deleting 0 peels the rest of the triangle.
         assert_eq!(roots(2), [0]);
         assert!(roots(3).is_empty());
-        // The walk itself: 0's suffix core is the whole 2-core, 1's is empty.
-        let mut walk = SuffixCores::over(Peel::new(vec![2, 2, 2], 2));
-        let triangle = |i: u32| [0u32, 1, 2].into_iter().filter(move |&j| j != i);
-        assert_eq!(walk.next_root(triangle), Some(0));
-        assert!((0..3).all(|i| walk.contains(i)));
-        assert_eq!(walk.next_root(triangle), None);
-        assert!((0..3).all(|i| !walk.contains(i)));
-        assert_eq!(walk.next_root(triangle), None);
+        // Without the copy: the same roots beside the core.
+        assert_eq!(
+            k_core_with_roots(&g, 2),
+            (
+                vec![0, 1, 2].into_iter().map(VertexId::new).collect(),
+                vec![VertexId::new(0)]
+            )
+        );
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use builder::GraphBuilder;
 pub use error::GraphError;
 pub use graph::Graph;
 pub use hash::Fnv1a64;
-pub use kcore::{core_numbers, Peel, SuffixCores};
+pub use kcore::{core_numbers, Peel};
 pub use neighborhoods::{IndexSpec, NeighborhoodIndex};
 pub use stats::GraphStats;
 pub use subgraph::{IdRanks, LocalGraph, SubgraphScratch};

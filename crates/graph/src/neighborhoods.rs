@@ -511,24 +511,7 @@ mod tests {
     use super::*;
 
     fn figure4() -> Arc<Graph> {
-        let edges = [
-            (0, 1),
-            (0, 2),
-            (0, 3),
-            (0, 4),
-            (1, 2),
-            (1, 4),
-            (2, 3),
-            (2, 4),
-            (3, 4),
-            (1, 5),
-            (5, 6),
-            (2, 6),
-            (3, 7),
-            (7, 8),
-            (3, 8),
-        ];
-        Arc::new(Graph::from_edges(9, edges.iter().copied()).unwrap())
+        Arc::new(crate::graph::tests::figure4_graph())
     }
 
     #[test]

@@ -72,7 +72,8 @@ pub fn induced_subgraph(g: &Graph, vertices: &[VertexId]) -> (Graph, Vec<VertexI
 /// one probe and a popcount; a binary search of the table, a chain of
 /// dependent loads per lookup, took four times as long when the engine's
 /// tasks translated their pulled adjacency lists. Sized by the range of the
-/// ids (a bit and a half each), so meant to live as long as one task build.
+/// ids (a bit and a half each): over a run's k-core it is the numbering the
+/// task assembly's per-worker arrays are indexed by.
 #[derive(Debug)]
 pub struct IdRanks {
     lo: u32,
@@ -441,27 +442,7 @@ impl LocalGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn figure4() -> Graph {
-        let edges = [
-            (0, 1),
-            (0, 2),
-            (0, 3),
-            (0, 4),
-            (1, 2),
-            (1, 4),
-            (2, 3),
-            (2, 4),
-            (3, 4),
-            (1, 5),
-            (5, 6),
-            (2, 6),
-            (3, 7),
-            (7, 8),
-            (3, 8),
-        ];
-        Graph::from_edges(9, edges.iter().copied()).unwrap()
-    }
+    use crate::graph::tests::figure4_graph as figure4;
 
     #[test]
     fn induced_subgraph_of_figure4_red_set() {

@@ -117,27 +117,7 @@ pub fn is_connected_subset(g: &Graph, vertices: &[VertexId]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn figure4() -> Graph {
-        let edges = [
-            (0, 1),
-            (0, 2),
-            (0, 3),
-            (0, 4),
-            (1, 2),
-            (1, 4),
-            (2, 3),
-            (2, 4),
-            (3, 4),
-            (1, 5),
-            (5, 6),
-            (2, 6),
-            (3, 7),
-            (7, 8),
-            (3, 8),
-        ];
-        Graph::from_edges(9, edges.iter().copied()).unwrap()
-    }
+    use crate::graph::tests::figure4_graph as figure4;
 
     #[test]
     fn two_hop_of_e_covers_whole_figure4_graph() {

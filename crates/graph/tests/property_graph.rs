@@ -4,7 +4,9 @@ use proptest::prelude::*;
 use qcm_graph::{
     bitset::{compact, VertexBitSet},
     io,
-    kcore::{core_numbers, k_core_masked_with_roots, k_core_vertices, Peel, PEELED},
+    kcore::{
+        core_numbers, k_core_masked_with_roots, k_core_vertices, k_core_with_roots, Peel, PEELED,
+    },
     subgraph::{induced_subgraph, LocalGraph},
     traversal::{bfs_distances, connected_components, two_hop_neighborhood},
     Graph, GraphBuilder, VertexId,
@@ -251,6 +253,7 @@ proptest! {
                 k_core_vertices(&sub, k).first() == Some(&VertexId::new(0))
             })
             .collect();
+        prop_assert_eq!(k_core_with_roots(&g, k), (core, expected.clone()));
         prop_assert_eq!(k_core_masked_with_roots(&Arc::new(g), k).1, expected);
     }
 

@@ -3,8 +3,10 @@
 //! reached here, where a task is mined. Rows may only change how fast edge
 //! queries run, never what is mined.
 
-use qcm::core::{recursive_mine, remove_non_maximal, MiningContext, NoHandOff, RootTaskBuilder};
-use qcm::graph::kcore::k_core_vertices;
+use qcm::core::{
+    recursive_mine, remove_non_maximal, CoreNumbering, MiningContext, NoHandOff, TaskAssembly,
+};
+use qcm::graph::kcore::k_core_with_roots;
 use qcm::graph::{LocalGraph, VertexId};
 use qcm::prelude::*;
 use qcm::IndexSpec;
@@ -58,16 +60,19 @@ fn task_search_counters_are_identical_under_every_row_policy() {
         PruneConfig::all_enabled().without("diameter"),
         PruneConfig::all_enabled().without("cover_vertex"),
     ] {
-        let survivors = k_core_vertices(&graph, config.peel_threshold(&params));
-        let work = LocalGraph::from_induced(&graph, &survivors);
-        let mut tasks = RootTaskBuilder::new(&work, params, config);
+        let (core, roots) = k_core_with_roots(&graph, config.peel_threshold(&params));
         let mut total = MiningStats::new();
-        total.kcore_removed = (graph.num_vertices() - survivors.len()) as u64;
+        total.kcore_removed = (graph.num_vertices() - core.len()) as u64;
+        let mut tasks = TaskAssembly::new(params, &config, Arc::new(CoreNumbering::new(core)));
         let mut reported = QuasiCliqueSet::new();
-        while let Some(v) = tasks.next_root() {
-            let Some(task) = tasks.build(v) else {
+        for v in roots {
+            let task = tasks
+                .build(&graph, v)
+                .filter(|t| t.capacity() >= params.min_size);
+            let Some(mut task) = task else {
                 continue;
             };
+            task.build_hub_index(IndexSpec::Auto);
             let built = mine_task(&task, params, config);
             for policy in [
                 IndexSpec::Threshold(0),
