@@ -5,12 +5,13 @@
 //! The paper mines each root `v` not on the whole graph but on `t.g`, the
 //! k-core (`k = ⌈γ·(τ_size − 1)⌉`, P2) of `v` and larger-id vertices around
 //! it; a quasi-clique whose smallest member is `v` lies inside it.
-//! [`TaskAssembly`] builds it over global ids: [`TaskAssembly::start`] names
-//! `v`'s larger neighbours, and each [`TaskAssembly::feed`] of the lists it
-//! named adds those vertices, peels the task with every larger neighbour not
-//! pulled yet counted as a neighbour (Algorithm 6, line 10: such a vertex may
-//! still join), and then either names the survivors' larger neighbours it has
-//! not pulled yet ([`Step::Need`]) or ends with the task ([`Step::Done`]):
+//! [`TaskAssembly`] builds it over global ids: [`TaskAssembly::resume`] of
+//! a fresh task takes `v`'s larger neighbours as the first arrivals, and
+//! each [`TaskAssembly::feed`] of their lists adds those vertices, peels the
+//! task with every larger neighbour not pulled yet counted as a neighbour
+//! (Algorithm 6, line 10: such a vertex may still join), and then either
+//! names the survivors' larger neighbours it has not pulled yet
+//! ([`Step::Need`]) or ends with the task ([`Step::Done`]):
 //! its k-core with `v` at local 0, or `None` when `v` falls. A task of fewer
 //! than τ_size vertices holds no result; the serial miner skips it, and an
 //! engine task mines it as Algorithms 6–8 do.
@@ -27,24 +28,26 @@
 //! The state lives in dense buffers a worker reuses from task to task, over
 //! the run's [`CoreNumbering`] — the ids a task can hold, numbered in id
 //! order once per run: `at` maps a core index to its *slot* in the current
-//! task, slots being the task's vertices in pull order. A list is translated
-//! into core indices the first time the worker is fed it and kept for every
-//! later task that pulls the same vertex; a listed vertex outside the
-//! numbering is not a vertex of the mined graph and is passed over, so the
-//! serial miner feeds the input graph's own lists with its k-core as the
-//! numbering. The counts, the peel and the written task then read the
-//! translated lists with one probe of `at` per entry. [`TaskAssembly::build`]
-//! is the synchronous driver; an engine task parks between rounds in the form
+//! task, slots being the task's vertices in pull order. A slot's list holds
+//! the core indices of its neighbours from the root on, for the current task
+//! only. The counts, the peel and the written task read the lists with one
+//! probe of `at` per entry. [`TaskAssembly::build`] is the synchronous
+//! driver: it feeds the lists of the core itself, indexed by the numbering
+//! and copied once per run, so they need no translating. An engine task
+//! feeds pulled lists of global ids, which [`TaskAssembly::feed`] translates
+//! (a listed vertex outside the numbering is not a vertex of the mined graph
+//! and is passed over); it parks between rounds in the form
 //! [`TaskAssembly::suspend`] leaves and picks up with
-//! [`TaskAssembly::resume`]. The peel of every round is the one k-core
-//! cascade of the workspace, [`Peel`].
+//! [`TaskAssembly::resume`], its earlier vertices reading their edges from
+//! the parked graph. The peel of every round is the one k-core cascade of the
+//! workspace, [`Peel`].
 
 use crate::config::PruneConfig;
 use crate::params::MiningParams;
-use qcm_graph::{Graph, IdRanks, LocalGraph, Peel, VertexId};
+use qcm_graph::{IdRanks, LocalGraph, Peel, VertexId};
 use qcm_sync::Arc;
 
-/// No core index, no translated list, or no local index.
+/// No core index, or no local index.
 const UNSEEN: u32 = u32::MAX;
 /// The entry of `at` for an unpulled vertex the current round already named.
 const NAMED: u32 = u32::MAX;
@@ -99,9 +102,10 @@ pub struct TaskAssembly {
     hand: bool,
 }
 
-/// The task's edges while it is built. A slot whose list the worker was fed
-/// reads its neighbours off that list; any other slot — a root or a carried
-/// vertex the worker never pulled — keeps them in `near`.
+/// The task's edges while it is built. A slot the task was fed the list of
+/// reads its neighbours off that list; any other slot — the root of an
+/// engine task, or a vertex of an earlier round carried over a park — keeps
+/// them in `near`.
 #[derive(Debug)]
 struct Adjacency {
     /// Per core index, one more than the slot of that vertex in the current
@@ -110,16 +114,13 @@ struct Adjacency {
     /// The slots from here on were named by the last [`Step::Need`]: during a
     /// round, its arrivals.
     first: usize,
-    /// Every list the worker was fed, translated: `pool[kept[c]]` lists the
-    /// numbered neighbours of core vertex `c`, sorted.
+    /// The lists the current task was fed, translated: per slot, its span of
+    /// `pool` — the numbered neighbours from the root on, sorted — and empty
+    /// without a list.
     pool: Vec<u32>,
-    kept: Vec<(u32, u32)>,
-    /// The core indices from here on are of the root and larger vertices.
-    larger: u32,
-    /// Per slot, its span of `pool` from `larger` on; empty without a list.
     span: Vec<(u32, u32)>,
-    /// Per slot without a list, its neighbours in the task as slots;
-    /// kept beyond the task's slots for the next tasks.
+    /// Per slot without a list, its neighbours in the task as slots; the
+    /// buffers outlive the task for the next one.
     near: Vec<Vec<u32>>,
 }
 
@@ -132,33 +133,18 @@ impl Adjacency {
         listed.chain(self.near[x as usize].iter().copied())
     }
 
-    /// The translated list of slot `x`, from `larger` on.
+    /// The translated list of slot `x`, empty without one.
     fn listed(&self, x: u32) -> &[u32] {
         let (from, to) = self.span[x as usize];
         &self.pool[from as usize..to as usize]
     }
 
-    /// Points slot `s`, core vertex `c`, at its translated list, translating
-    /// `adj` first if the worker has not been fed it yet.
-    fn list(&mut self, ranks: &IdRanks, s: u32, c: usize, adj: &[VertexId]) {
-        if self.kept[c].0 == UNSEEN {
-            let from = self.pool.len() as u32;
-            let numbered = adj.iter().filter_map(|&w| ranks.rank(w));
-            self.pool.extend(numbered.map(|c| c as u32));
-            self.kept[c] = (from, self.pool.len() as u32);
-        }
-        self.point(s, c);
-    }
-
-    /// Points slot `s`, core vertex `c`, at its translated list if the worker
-    /// has one.
-    fn point(&mut self, s: u32, c: usize) {
-        let (from, to) = self.kept[c];
-        if from != UNSEEN {
-            let smaller =
-                self.pool[from as usize..to as usize].partition_point(|&c| c < self.larger);
-            self.span[s as usize] = (from + smaller as u32, to);
-        }
+    /// Gives slot `s` its list: the core indices of its neighbours from the
+    /// root on, sorted.
+    fn list(&mut self, s: u32, listed: impl IntoIterator<Item = u32>) {
+        let from = self.pool.len() as u32;
+        self.pool.extend(listed);
+        self.span[s as usize] = (from, self.pool.len() as u32);
     }
 }
 
@@ -173,8 +159,6 @@ impl TaskAssembly {
                 at: vec![0; core.ids.len()],
                 first: 0,
                 pool: Vec::new(),
-                kept: vec![(UNSEEN, 0); core.ids.len()],
-                larger: 0,
                 span: Vec::new(),
                 near: Vec::new(),
             },
@@ -189,63 +173,81 @@ impl TaskAssembly {
         }
     }
 
-    /// The task of `root`, fed from `graph`'s lists round after round.
-    pub fn build(&mut self, graph: &Graph, root: VertexId) -> Option<LocalGraph> {
-        let mut need = self.start(root, graph.neighbors(root));
+    /// The task of `root`, a vertex of the numbering, fed round after round
+    /// from `core`: the mined graph with the numbering as its local index
+    /// ([`LocalGraph::from_induced`] over the numbered ids), so its lists
+    /// need no translating.
+    pub fn build(&mut self, core: &LocalGraph, root: VertexId) -> Option<LocalGraph> {
+        debug_assert!(core.global_ids() == self.core.ids, "not the numbered graph");
+        self.reset(root, 0);
+        let c = self.slots[0];
+        assert!(c != UNSEEN, "{root} is not numbered");
+        let larger = |x: u32| {
+            let listed = core.neighbors(x);
+            &listed[listed.partition_point(|&y| y < c)..]
+        };
+        self.adj.list(0, larger(c).iter().copied());
+        larger(c).iter().for_each(|&u| self.push_slot(u));
         loop {
-            match self.feed(need.iter().map(|&u| (u, graph.neighbors(u)))) {
-                Step::Need(next) => need = next,
-                Step::Done(task) => return task,
+            let (first, n) = (self.adj.first as u32, self.slots.len() as u32);
+            let last = self.begin_round();
+            for s in first..n {
+                self.adj
+                    .list(s, larger(self.slots[s as usize]).iter().copied());
+                self.count(s, last);
+            }
+            if let Step::Done(task) = self.end_round(last) {
+                return task;
             }
         }
     }
 
-    /// Begins the task of `root`, whose sorted adjacency list is `adj`, and
-    /// returns its first [`Step::Need`]: the larger neighbours.
-    pub fn start(&mut self, root: VertexId, adj: &[VertexId]) -> Vec<VertexId> {
-        self.reset(root, 0);
-        let ranks = &self.core.ranks;
-        if let Some(c) = ranks.rank(root) {
-            self.adj.list(ranks, 0, c, adj);
-        }
-        let larger = &adj[adj.partition_point(|&u| u <= root)..];
-        let need: Vec<VertexId> = larger
-            .iter()
-            .copied()
-            .filter(|&u| ranks.rank(u).is_some())
-            .collect();
-        need.iter().for_each(|&u| self.add_slot(u));
-        need
-    }
-
     /// Picks up the task of `root` after `hops` rounds, from `carried`, the
     /// graph [`TaskAssembly::suspend`] left (empty before the first round),
-    /// and `need`, the vertices the last round named.
+    /// and `need`, the vertices the last round named. The carried vertices
+    /// have no list: their edges are the carried graph's.
     pub fn resume(&mut self, root: VertexId, hops: u32, carried: &LocalGraph, need: &[VertexId]) {
         self.reset(root, hops);
         for i in 0..carried.capacity() as u32 {
             if i > 0 {
                 self.add_slot(carried.global_id(i));
-                let c = self.slots[i as usize];
-                self.adj.point(i, c as usize);
             }
-            if self.adj.listed(i).is_empty() {
-                self.adj.near[i as usize].extend_from_slice(carried.neighbors(i));
-            }
+            self.adj.near[i as usize].extend_from_slice(carried.neighbors(i));
         }
         self.adj.first = self.slots.len();
         need.iter().for_each(|&u| self.add_slot(u));
     }
 
     /// One round: `lists` are the adjacency lists of every vertex the last
-    /// [`Step::Need`] named, in id order.
+    /// [`Step::Need`] named, in id order. Each is translated into core
+    /// indices from the root on, a listed vertex outside the numbering
+    /// passed over.
     pub fn feed<'a>(
         &mut self,
         lists: impl IntoIterator<Item = (VertexId, &'a [VertexId])>,
     ) -> Step {
+        let last = self.begin_round();
+        for (u, adj) in lists {
+            let ranks = &self.core.ranks;
+            let c = ranks.rank(u).expect("a pulled vertex is numbered");
+            debug_assert!(
+                self.adj.at[c] as usize > self.adj.first,
+                "{u} was not asked for"
+            );
+            let s = self.adj.at[c] - 1;
+            let larger = &adj[adj.partition_point(|&w| w < self.root)..];
+            let numbered = larger.iter().filter_map(|&w| ranks.rank(w));
+            self.adj.list(s, numbered.map(|c| c as u32));
+            self.count(s, last);
+        }
+        self.end_round(last)
+    }
+
+    /// Opens a round: marks the slots in before it, and whether one of them
+    /// has no list. True when the round is the last.
+    fn begin_round(&mut self) -> bool {
         self.hops += 1;
         let n = self.slots.len();
-        let last = self.adj.first == n || (self.two_hops && self.hops == 2);
         let (peel, a) = (&self.peel, &self.adj);
         self.live.clear();
         self.live.push(0);
@@ -253,9 +255,13 @@ impl TaskAssembly {
             .extend((0..n as u32).map(|s| u8::from(peel.contains(s))));
         let listless = |q: usize| a.span[q].0 == a.span[q].1;
         self.hand = (0..a.first).any(|q| self.live[q + 1] != 0 && listless(q));
-        for (u, adj) in lists {
-            self.add_list(u, adj, last);
-        }
+        a.first == n || (self.two_hops && self.hops >= 2)
+    }
+
+    /// Closes a round whose arrivals all have their lists and counts: peels,
+    /// then ends the task or names the next arrivals.
+    fn end_round(&mut self, last: bool) -> Step {
+        let n = self.slots.len();
         if !self.peel_round() {
             self.reset(self.root, 0);
             return Step::Done(None);
@@ -271,7 +277,11 @@ impl TaskAssembly {
     /// Parks the task after a [`Step::Need`]: the subgraph of its vertices so
     /// far, in id order, for [`TaskAssembly::resume`]. Below γ = ½ it also
     /// holds the vertices peeled so far, without edges, so that no later
-    /// round pulls them again; the next peel removes them at once.
+    /// round pulls them again. The next peel removes them at once: such a
+    /// vertex fell while it counted every later arrival adjacent to it as an
+    /// unpulled neighbour (or had none left, once it had survived a round),
+    /// so those arrivals alone cannot hold it, and each of them is handed
+    /// the edge it loses when the vertex falls.
     pub fn suspend(&mut self) -> LocalGraph {
         let carried = self.write(self.adj.first, !self.two_hops);
         self.reset(self.root, 0);
@@ -288,14 +298,11 @@ impl TaskAssembly {
         }
         self.slots.clear();
         self.peel.clear();
+        self.adj.pool.clear();
         self.adj.span.clear();
         (self.root, self.hops) = (root, hops);
-        self.adj.larger = self.core.ids.partition_point(|&v| v < root) as u32;
         let c = self.core.ranks.rank(root).map_or(UNSEEN, |c| c as u32);
         self.push_slot(c);
-        if c != UNSEEN {
-            self.adj.point(0, c as usize);
-        }
         self.adj.first = 1;
     }
 
@@ -319,21 +326,13 @@ impl TaskAssembly {
         }
     }
 
-    /// Lines 5–9 of Algorithm 6, lines 3–8 of Algorithm 7: arrival `u` joins
-    /// with its larger neighbours, translated, and counts those in the task.
-    /// A vertex of an earlier round without a list of its own is handed the
-    /// edge. Outside the `last` round a larger neighbour not pulled yet
-    /// counts too: it may still join, and is pulled next if `u` survives.
-    fn add_list(&mut self, u: VertexId, adj: &[VertexId], last: bool) {
-        let c = self
-            .core
-            .ranks
-            .rank(u)
-            .expect("a pulled vertex is numbered");
+    /// Lines 5–9 of Algorithm 6, lines 3–8 of Algorithm 7: arrival `s` joins
+    /// with its list and counts the neighbours in the task. A vertex of an
+    /// earlier round without a list of its own is handed the edge. Outside
+    /// the `last` round a larger neighbour not pulled yet counts too: it may
+    /// still join, and is pulled next if `s` survives.
+    fn count(&mut self, s: u32, last: bool) {
         let (a, live) = (&mut self.adj, &self.live);
-        debug_assert!(a.at[c] as usize > a.first, "{u} was not asked for");
-        let s = a.at[c] - 1;
-        a.list(&self.core.ranks, s, c, adj);
         let (from, to) = a.span[s as usize];
         let listed = &a.pool[from as usize..to as usize];
         let (mut inside, mut unpulled) = (0, 0);
@@ -459,6 +458,7 @@ mod tests {
     use super::*;
     use qcm_gen::datasets::figure4;
     use qcm_graph::kcore::k_core_with_roots;
+    use qcm_graph::Graph;
 
     /// Every root `SerialMiner` visits, with what the assembly built for it.
     fn root_tasks(
@@ -468,10 +468,11 @@ mod tests {
     ) -> Vec<(u32, Option<Vec<u32>>)> {
         let k = config.peel_threshold(&params);
         let (core, roots) = k_core_with_roots(g, k.max(1));
+        let lists = LocalGraph::from_induced(g, &core);
         let mut assembly = TaskAssembly::new(params, &config, Arc::new(CoreNumbering::new(core)));
         let mut tasks = Vec::new();
         for v in roots {
-            let task = assembly.build(g, v);
+            let task = assembly.build(&lists, v);
             // Only the root's own mark outlives its task.
             let marked = assembly.adj.at.iter().filter(|&&s| s != 0);
             assert!(marked.eq([&1]), "marks left behind by root {v}");
@@ -493,9 +494,10 @@ mod tests {
             root_tasks(&g, params, config),
             vec![(0, Some(vec![0, 1, 2, 3, 4]))]
         );
-        let core = Arc::new(CoreNumbering::new(g.vertices().collect()));
-        let task = TaskAssembly::new(params, &config, core)
-            .build(&g, VertexId::new(0))
+        let all: Vec<VertexId> = g.vertices().collect();
+        let lists = LocalGraph::from_induced(&g, &all);
+        let task = TaskAssembly::new(params, &config, Arc::new(CoreNumbering::new(all)))
+            .build(&lists, VertexId::new(0))
             .unwrap();
         assert_eq!(task.num_edges(), 9);
         assert_eq!(task.hub_count(), 0, "the driver builds the rows");
@@ -541,10 +543,13 @@ mod tests {
         edges.extend([2, 6, 7].into_iter().flat_map(|u| [(u, 3), (u, 4), (u, 5)]));
         let g = Graph::from_edges(8, edges).unwrap();
         let (params, config) = (MiningParams::new(0.4, 7), PruneConfig::all_enabled());
-        let core = Arc::new(CoreNumbering::new(g.vertices().collect()));
+        let all: Vec<VertexId> = g.vertices().collect();
+        let lists = LocalGraph::from_induced(&g, &all);
+        let core = Arc::new(CoreNumbering::new(all));
         let mut parked = TaskAssembly::new(params, &config, core.clone());
         let root = VertexId::new(0);
-        let mut need = parked.start(root, g.neighbors(root));
+        let mut need = g.neighbors(root).to_vec();
+        parked.resume(root, 0, &LocalGraph::new(Vec::new()), &need);
         let (mut pulled, mut hops) = (need.clone(), 0);
         let task = loop {
             match parked.feed(need.iter().map(|&u| (u, g.neighbors(u)))) {
@@ -559,7 +564,7 @@ mod tests {
                 Step::Done(task) => break task,
             }
         };
-        let built = TaskAssembly::new(params, &config, core).build(&g, root);
+        let built = TaskAssembly::new(params, &config, core).build(&lists, root);
         assert_eq!(task, built);
         let ids = task.expect("the root survives").global_ids().to_vec();
         assert_eq!(ids, [0, 2, 3, 4, 5, 6, 7].map(VertexId::new));

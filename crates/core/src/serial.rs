@@ -6,13 +6,14 @@
 //! vertices `≥ v`, without which `v` can head no result — the peel and the
 //! root list the parallel miner hands its engine. For every root it builds
 //! the task subgraph `t.g` with the [`TaskAssembly`] the engine's tasks run
-//! too, fed synchronously from the input graph's own lists with the core as
-//! the numbering, and runs the recursive miner (Algorithm 2) on `S = {v}`,
-//! `ext(S) = V(t.g) − v` in that subgraph's own compact index space, where
-//! every vertex has a bit row. Roots whose task cannot hold a result — the
-//! root fell, or fewer than τ_size vertices are left — are skipped. Finally the non-maximal results are removed. The parallel miner
-//! in `qcm-engine` mines the same task subgraphs and produces exactly the
-//! same result set; tests assert that equivalence.
+//! too, fed synchronously from the core, which is copied once per run with
+//! its own numbering as the index, and runs the recursive miner
+//! (Algorithm 2) on `S = {v}`, `ext(S) = V(t.g) − v` in that subgraph's own
+//! compact index space, where every vertex has a bit row. Roots whose task
+//! cannot hold a result — the root fell, or fewer than τ_size vertices are
+//! left — are skipped. Finally the non-maximal results are removed. The
+//! parallel miner in `qcm-engine` mines the same task subgraphs and produces
+//! exactly the same result set; tests assert that equivalence.
 
 use qcm_obs::clock::Instant;
 use std::time::Duration;
@@ -29,7 +30,7 @@ use crate::scratch::MiningScratch;
 use crate::stats::MiningStats;
 use qcm_graph::kcore::k_core_with_roots;
 use qcm_graph::neighborhoods::perf;
-use qcm_graph::{Graph, IndexSpec, VertexId};
+use qcm_graph::{Graph, IndexSpec, LocalGraph, VertexId};
 use qcm_sync::Arc;
 
 /// Everything a mining run produces.
@@ -141,6 +142,8 @@ impl SerialMiner {
 
         let mut sink = QuasiCliqueSet::new();
         let mut interrupted = false;
+        // The core indexed by its numbering: the lists every task is fed.
+        let lists = LocalGraph::from_induced(graph, &core);
         let mut tasks = TaskAssembly::new(
             self.params,
             &self.config,
@@ -157,7 +160,7 @@ impl SerialMiner {
             }
             // One mine_phase span per root vertex, task build included.
             let _phase = qcm_obs::span_with(qcm_obs::SpanKind::MinePhase, v.raw() as u64);
-            let task = tasks.build(graph, v);
+            let task = tasks.build(&lists, v);
             let Some(mut task) = task.filter(|t| t.capacity() >= self.params.min_size) else {
                 continue;
             };

@@ -265,11 +265,12 @@ proptest! {
         use qcm_core::rules::check_type2;
         let k = config.peel_threshold(&params);
         let (core, roots) = qcm_graph::kcore::k_core_with_roots(&g, k.max(1));
+        let lists = LocalGraph::from_induced(&g, &core);
         let core = qcm_sync::Arc::new(qcm_core::CoreNumbering::new(core));
         let mut tasks = qcm_core::TaskAssembly::new(params, &config, core);
         let (mut children, mut both) = (0u64, 0u64);
         for root in roots {
-            let task = tasks.build(&g, root).filter(|t| t.capacity() >= params.min_size);
+            let task = tasks.build(&lists, root).filter(|t| t.capacity() >= params.min_size);
             let Some(mut t) = task else { continue };
             t.build_hub_index(IndexSpec::Auto);
             let n = t.capacity();

@@ -15,7 +15,7 @@ use qcm_core::{
     MiningScratch, MiningStats, NoHandOff, PruneConfig, QuasiCliqueSet, SerialMiner, TaskAssembly,
 };
 use qcm_graph::kcore::k_core_with_roots;
-use qcm_graph::{Graph, GraphBuilder, IndexSpec};
+use qcm_graph::{Graph, GraphBuilder, IndexSpec, LocalGraph};
 use qcm_sync::Arc;
 
 /// Random simple graph with `n ≤ max_n` vertices and bounded edge count.
@@ -71,10 +71,11 @@ fn mine_fresh_per_root(
         stats.kcore_removed = (g.num_vertices() - core.len()) as u64;
     }
     let mut sink = QuasiCliqueSet::new();
+    let lists = LocalGraph::from_induced(g, &core);
     let mut tasks = TaskAssembly::new(params, &prune, Arc::new(CoreNumbering::new(core)));
     for v in roots {
         let task = tasks
-            .build(g, v)
+            .build(&lists, v)
             .filter(|t| t.capacity() >= params.min_size);
         let Some(mut task) = task else {
             continue;

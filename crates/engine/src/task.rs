@@ -257,11 +257,15 @@ impl QCTask {
     /// True when the parts fit together the way every constructor and
     /// round leaves them: an empty candidate over an empty graph before the
     /// first round, the root at local 0 afterwards, and `S`, `ext(S)`
-    /// disjoint, duplicate-free and inside the graph.
+    /// disjoint, duplicate-free and inside the graph. A round that names
+    /// more pulls has added a vertex, so after `r` rounds the graph holds
+    /// more than `r`.
     fn is_consistent(&self) -> bool {
         let n = self.subgraph.capacity();
-        if self.phase == TaskPhase::Build(0) {
-            return n == 0 && self.s.is_empty() && self.ext.is_empty();
+        match self.phase {
+            TaskPhase::Build(0) => return n == 0 && self.s.is_empty() && self.ext.is_empty(),
+            TaskPhase::Build(rounds) if rounds as usize >= n => return false,
+            _ => {}
         }
         if n == 0 || self.subgraph.global_id(0) != self.root {
             return false;
@@ -560,6 +564,16 @@ mod tests {
             refused(&|t| t.phase = TaskPhase::Build(0)),
             "a graph before the first round"
         );
+        let n = mine.subgraph.capacity() as u32;
+        assert!(!refused(&|t| t.phase = TaskPhase::Build(n - 1)));
+        assert!(
+            refused(&|t| t.phase = TaskPhase::Build(n)),
+            "more rounds than vertices"
+        );
+        // The largest phase word, whose round count no task reaches.
+        let mut bytes = encoded(&mine);
+        bytes[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(QCTask::decode(&mut bytes.as_slice()).is_none());
     }
 
     proptest! {

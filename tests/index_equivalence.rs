@@ -63,11 +63,12 @@ fn task_search_counters_are_identical_under_every_row_policy() {
         let (core, roots) = k_core_with_roots(&graph, config.peel_threshold(&params));
         let mut total = MiningStats::new();
         total.kcore_removed = (graph.num_vertices() - core.len()) as u64;
+        let lists = LocalGraph::from_induced(&graph, &core);
         let mut tasks = TaskAssembly::new(params, &config, Arc::new(CoreNumbering::new(core)));
         let mut reported = QuasiCliqueSet::new();
         for v in roots {
             let task = tasks
-                .build(&graph, v)
+                .build(&lists, v)
                 .filter(|t| t.capacity() >= params.min_size);
             let Some(mut task) = task else {
                 continue;

@@ -7,6 +7,11 @@
 //! τ_size): every cluster shape and every hyperparameter setting must return
 //! exactly what the serial reference returns.
 
+use proptest::prelude::*;
+use qcm::core::{CoreNumbering, TaskAssembly};
+use qcm::engine::{Frontier, QCTask, QuasiCliqueApp, TaskCodec, TaskPhase, WorkerScratch};
+use qcm::graph::kcore::{k_core_masked_with_roots, k_core_with_roots};
+use qcm::graph::LocalGraph;
 use qcm::prelude::*;
 use qcm_sync::Arc;
 use std::time::Duration;
@@ -278,54 +283,78 @@ fn simulated_and_live_miners_agree_on_a_complete_run() {
     assert_eq!(sim.metrics.tasks_processed, live.metrics.tasks_processed);
 }
 
+/// The task an engine worker builds for `root` from lists pulled off
+/// `graph`, parked between rounds and passed through the codec, the
+/// `workers` taking the rounds in turn; `None` when it terminates.
+fn pulled_task(
+    app: &QuasiCliqueApp,
+    workers: &mut [WorkerScratch],
+    graph: &Graph,
+    root: VertexId,
+) -> Option<LocalGraph> {
+    let (mut task, mut round) = (app.spawn(root, graph.neighbors(root)), 0);
+    loop {
+        let mut frontier = Frontier::new();
+        for &u in &task.pull_targets {
+            frontier.insert(u, graph.neighbors(u).to_vec());
+        }
+        let worker = &mut workers[round % workers.len()];
+        round += 1;
+        if !app.compute(&mut task, &frontier, worker).0 {
+            return None;
+        }
+        if task.phase == TaskPhase::Mine {
+            return Some(task.subgraph);
+        }
+        let mut bytes = Vec::new();
+        task.encode(&mut bytes);
+        task = QCTask::decode(&mut bytes.as_slice()).expect("a parked task decodes");
+    }
+}
+
+/// The engine's assembly over `graph` and the synchronous driver's, which
+/// reads the same vertices as a graph indexed by their numbering: every
+/// vertex with a neighbour, as a run numbers the core it mines.
+fn both_drivers(
+    graph: &Graph,
+    params: MiningParams,
+) -> (TaskAssembly, impl FnMut(VertexId) -> Option<LocalGraph>) {
+    let held: Vec<VertexId> = graph.vertices().filter(|&v| graph.degree(v) > 0).collect();
+    let lists = LocalGraph::from_induced(graph, &held);
+    let numbering = Arc::new(CoreNumbering::new(held));
+    let config = PruneConfig::all_enabled();
+    let engine = TaskAssembly::new(params, &config, numbering.clone());
+    let mut serial = TaskAssembly::new(params, &config, numbering);
+    (engine, move |root| serial.build(&lists, root))
+}
+
 /// One task assembly serves both miners: on every root of the Enron and
 /// YouTube stand-ins, the task `SerialMiner` builds — fed synchronously from
-/// the input graph, with its k-core as the numbering — and the task an engine
-/// worker builds from lists pulled off the masked core, parked between
-/// rounds and passed through the codec, are the same `Option<LocalGraph>`.
+/// its copy of the core — and the task an engine worker builds from lists
+/// pulled off the masked core, parked between rounds and passed through the
+/// codec, are the same `Option<LocalGraph>`.
 #[test]
 fn serial_and_engine_tasks_are_built_alike_on_every_root() {
-    use qcm::core::{CoreNumbering, TaskAssembly};
-    use qcm::engine::{Frontier, QCTask, QuasiCliqueApp, TaskCodec, TaskPhase, WorkerScratch};
-    use qcm::graph::kcore::{k_core_masked_with_roots, k_core_with_roots};
     for spec in [qcm::gen::datasets::enron(), qcm::gen::datasets::youtube()] {
         let graph = Arc::new(spec.generate().graph);
         let params = MiningParams::new(spec.gamma, spec.min_size);
-        let config = PruneConfig::all_enabled();
-        let k = config.peel_threshold(&params);
+        let k = PruneConfig::all_enabled().peel_threshold(&params);
         let (core, roots) = k_core_with_roots(&graph, k);
-        let mut serial =
-            TaskAssembly::new(params, &config, Arc::new(CoreNumbering::new(core.clone())));
         // What `ParallelMiner` hands its engine, and how a run numbers it.
         let (masked, listed) = k_core_masked_with_roots(&graph, k);
         assert_eq!(listed, roots);
+        let (engine, mut serial) = both_drivers(&masked, params);
         let held: Vec<VertexId> = masked
             .vertices()
             .filter(|&v| masked.degree(v) > 0)
             .collect();
         assert_eq!(held, core);
-        let numbering = Arc::new(CoreNumbering::new(held));
-        let mut worker = WorkerScratch::building(TaskAssembly::new(params, &config, numbering));
+        let mut worker = [WorkerScratch::building(engine)];
         let app = QuasiCliqueApp::new(params, 100, Duration::ZERO);
         let (mut built, mut dropped) = (0, 0);
         for &root in &roots {
-            let mut task = app.spawn(root, masked.neighbors(root));
-            let pulled = loop {
-                let mut frontier = Frontier::new();
-                for &u in &task.pull_targets {
-                    frontier.insert(u, masked.neighbors(u).to_vec());
-                }
-                if !app.compute(&mut task, &frontier, &mut worker).0 {
-                    break None;
-                }
-                if task.phase == TaskPhase::Mine {
-                    break Some(task.subgraph);
-                }
-                let mut bytes = Vec::new();
-                task.encode(&mut bytes);
-                task = QCTask::decode(&mut bytes.as_slice()).expect("a parked task decodes");
-            };
-            let synchronous = serial.build(&graph, root);
+            let pulled = pulled_task(&app, &mut worker, &masked, root);
+            let synchronous = serial(root);
             assert_eq!(synchronous, pulled, "{} root {root}", spec.name);
             built += usize::from(pulled.is_some_and(|t| t.capacity() >= params.min_size));
             dropped += usize::from(synchronous.is_none());
@@ -335,5 +364,68 @@ fn serial_and_engine_tasks_are_built_alike_on_every_root() {
             "{}: {built} built, {dropped} dropped",
             spec.name
         );
+    }
+}
+
+#[test]
+fn below_one_half_a_parked_task_is_built_as_the_synchronous_driver_builds_it() {
+    // γ = 0.4, τ_size = 4 → k = 2. Round 1 peels 3, whose only neighbour is
+    // the root, and names 4. Parked with the task, 3 is gone again at round
+    // 2 without costing the root a neighbour: the task keeps {0, 1, 2, 4}.
+    // One worker runs every round, so it has been fed the list of 3 before.
+    let edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 4)];
+    let graph = Graph::from_edges(5, edges).unwrap();
+    let params = MiningParams::new(0.4, 4);
+    let (engine, mut serial) = both_drivers(&graph, params);
+    let app = QuasiCliqueApp::new(params, 100, Duration::ZERO);
+    let root = VertexId::new(0);
+    let pulled = pulled_task(&app, &mut [WorkerScratch::building(engine)], &graph, root);
+    assert_eq!(pulled, serial(root));
+    let ids = pulled.expect("the root survives").global_ids().to_vec();
+    assert_eq!(ids, [0, 1, 2, 4].map(VertexId::new));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Below γ = ½ a task parks between as many rounds as add something,
+    /// carrying the vertices it peeled: on every vertex of planted and
+    /// power-law graphs, the engine's build iterations, with the codec
+    /// between rounds and one worker or two taking turns, build what the
+    /// synchronous driver builds.
+    #[test]
+    fn below_one_half_parked_tasks_are_built_as_the_synchronous_driver_builds_them(
+        seed in 0u64..1_000,
+        n in 120usize..260,
+        min_size in 3usize..9,
+    ) {
+        let planted = qcm::gen::plant_quasi_cliques(&PlantedGraphSpec {
+            num_vertices: n,
+            background_avg_degree: 5.0,
+            background_max_degree: 40.0,
+            community_sizes: vec![14, 10, 8],
+            community_density: 0.6,
+            seed,
+            ..PlantedGraphSpec::default()
+        })
+        .0;
+        let power_law = qcm::gen::powerlaw::power_law_graph(n, 6.0, 2.2, 40.0, seed);
+        for graph in [&planted, &power_law] {
+            for gamma in [0.3, 0.4] {
+                let params = MiningParams::new(gamma, min_size);
+                let app = QuasiCliqueApp::new(params, 100, Duration::ZERO);
+                let (one, mut serial) = both_drivers(graph, params);
+                let (two, three) = (both_drivers(graph, params).0, both_drivers(graph, params).0);
+                let mut one = [WorkerScratch::building(one)];
+                let mut two = [WorkerScratch::building(two), WorkerScratch::building(three)];
+                for root in graph.vertices().filter(|&v| graph.degree(v) > 0) {
+                    let task = serial(root);
+                    let by_one = pulled_task(&app, &mut one, graph, root);
+                    prop_assert_eq!(&by_one, &task, "γ {} root {}", gamma, root);
+                    let by_two = pulled_task(&app, &mut two, graph, root);
+                    prop_assert_eq!(&by_two, &task, "γ {} root {}, two workers", gamma, root);
+                }
+            }
+        }
     }
 }
