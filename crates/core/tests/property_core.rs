@@ -6,34 +6,14 @@
 //! soundness of the pruning rules (no pruning configuration may change the
 //! final result set).
 
+use common::{arb_graph, arb_params};
 use proptest::prelude::*;
 use qcm_core::degrees::{carried_degrees_into, Degrees};
 use qcm_core::path_degrees::PathDegrees;
 use qcm_core::{naive, quick_mine, MiningParams, PruneConfig, SerialMiner};
-use qcm_graph::{Graph, GraphBuilder, IndexSpec, LocalGraph, VertexBitSet, VertexId};
+use qcm_graph::{Graph, IndexSpec, LocalGraph, VertexBitSet, VertexId};
 
-/// Random simple graph with `n ≤ max_n` vertices and bounded edge count.
-fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
-    (4usize..=max_n).prop_flat_map(|n| {
-        let max_edges = n * (n - 1) / 2;
-        proptest::collection::vec((0..n as u32, 0..n as u32), 0..=max_edges).prop_map(
-            move |edges| {
-                let mut b = GraphBuilder::new();
-                b.set_min_vertices(n);
-                for (a, x) in edges {
-                    b.add_edge_raw(a, x);
-                }
-                b.build()
-            },
-        )
-    })
-}
-
-/// Random mining parameters in the ranges the paper uses (γ ∈ [0.5, 1.0]).
-fn arb_params() -> impl Strategy<Value = MiningParams> {
-    (5u32..=10, 3usize..=5)
-        .prop_map(|(g10, min_size)| MiningParams::new(g10 as f64 / 10.0, min_size))
-}
+mod common;
 
 /// The γ values and pruning configurations that decide how a root's task
 /// subgraph is cut: γ = 0.4 and `without("diameter")` keep every larger

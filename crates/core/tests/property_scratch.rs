@@ -9,37 +9,17 @@
 //! search statistics — the pool may only change *where* buffers come from,
 //! never what the search does with them.
 
+use common::{arb_graph, arb_params};
 use proptest::prelude::*;
 use qcm_core::{
     recursive_mine, remove_non_maximal, CoreNumbering, MiningContext, MiningOutput, MiningParams,
     MiningScratch, MiningStats, NoHandOff, PruneConfig, QuasiCliqueSet, SerialMiner, TaskAssembly,
 };
 use qcm_graph::kcore::k_core_with_roots;
-use qcm_graph::{Graph, GraphBuilder, IndexSpec, LocalGraph};
+use qcm_graph::{Graph, IndexSpec, LocalGraph};
 use qcm_sync::Arc;
 
-/// Random simple graph with `n ≤ max_n` vertices and bounded edge count.
-fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
-    (4usize..=max_n).prop_flat_map(|n| {
-        let max_edges = n * (n - 1) / 2;
-        proptest::collection::vec((0..n as u32, 0..n as u32), 0..=max_edges).prop_map(
-            move |edges| {
-                let mut b = GraphBuilder::new();
-                b.set_min_vertices(n);
-                for (a, x) in edges {
-                    b.add_edge_raw(a, x);
-                }
-                b.build()
-            },
-        )
-    })
-}
-
-/// Random mining parameters in the ranges the paper uses (γ ∈ [0.5, 1.0]).
-fn arb_params() -> impl Strategy<Value = MiningParams> {
-    (5u32..=10, 3usize..=5)
-        .prop_map(|(g10, min_size)| MiningParams::new(g10 as f64 / 10.0, min_size))
-}
+mod common;
 
 /// A pruning configuration: everything on, everything off, or exactly one
 /// rule off — the shapes the hot path branches on.

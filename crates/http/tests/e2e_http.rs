@@ -241,6 +241,12 @@ fn malformed_and_oversized_requests_leave_the_listener_sane() {
     let (status, _, _) = parse_response(&response);
     assert_eq!(status, 501);
 
+    // Nesting deep enough to overflow a recursive parser's stack: a 400.
+    let deep = "[".repeat(512 * 1024);
+    let (status, _, body) = request(&addr, "POST", "/v1/jobs", &[], &deep);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("\"code\":\"bad_request\""), "{body}");
+
     // After all of that, the listener still answers normal requests.
     let (status, _, health) = request(&addr, "GET", "/healthz", &[], "");
     assert_eq!(status, 200, "{health}");

@@ -74,7 +74,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -215,12 +215,22 @@ fn expect(bytes: &[u8], pos: &mut usize, what: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// How deep arrays and objects may nest. The parser recurses once per level
+/// on the caller's stack, and `POST /v1/jobs` bodies are parsed on handler
+/// threads, so untrusted input must not choose the depth; the wire DTOs nest
+/// two deep.
+const MAX_DEPTH: usize = 128;
+
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nested deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::String(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -300,7 +310,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -309,7 +319,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -322,7 +332,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut map = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -335,7 +345,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         map.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -390,6 +400,54 @@ mod tests {
     fn rejects_malformed_documents() {
         for bad in ["", "{", "[1,]", "{\"a\" 1}", "nul", "1 2", "\"open"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
+        }
+    }
+
+    /// 1 MiB of openers on a default-size thread stack: the depth cap
+    /// returns an error where unbounded recursion would overflow the stack
+    /// and abort the process.
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let bodies = ["[".repeat(1 << 20), "{\"a\":".repeat((1 << 20) / 5)];
+        let parsed =
+            qcm_sync::thread::spawn(move || bodies.map(|body| Json::parse(&body).is_err()));
+        assert_eq!(parsed.join().expect("no stack overflow"), [true, true]);
+        let nested = |depth| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
+    }
+
+    /// Every prefix and every single-byte change of a rendered document
+    /// parses or returns an error; none panics.
+    #[test]
+    fn truncated_and_mutated_documents_never_panic() {
+        let document = object(vec![
+            ("graph", Json::from("g \"1\"\n\u{e9}")),
+            ("gamma", Json::from(0.85)),
+            ("min_size", Json::from(12u64)),
+            (
+                "sets",
+                Json::Array(vec![Json::Array(vec![Json::from(1u64), Json::Null])]),
+            ),
+            ("done", Json::from(true)),
+        ])
+        .render();
+        let bytes = document.as_bytes();
+        let mut parsed = 0;
+        for end in 0..=bytes.len() {
+            if let Ok(prefix) = std::str::from_utf8(&bytes[..end]) {
+                parsed += usize::from(Json::parse(prefix).is_ok());
+            }
+        }
+        assert_eq!(parsed, 1, "only the whole document is one");
+        for at in 0..bytes.len() {
+            for byte in 0..=u8::MAX {
+                let mut changed = bytes.to_vec();
+                changed[at] = byte;
+                if let Ok(text) = String::from_utf8(changed) {
+                    let _ = Json::parse(&text);
+                }
+            }
         }
     }
 

@@ -1,0 +1,28 @@
+//! Exactness on every surface: the differential harness of
+//! `tests/common/harness.rs` over its whole sweep — the regressions, small
+//! graphs the naive oracle checks, planted and power-law graphs and the
+//! shrunk Table 1 stand-ins, on both sides of γ = ½ — through every surface.
+//! Over the sweep every piece of machinery must have been exercised, and
+//! every surface must have run below γ = ½ on a case with an answer.
+
+mod common;
+
+use common::harness::{left_by_the_legs, run, run_each, sweep, FLOORS, SURFACES, TIER_1_SEEDS};
+use std::ops::Range;
+
+/// The tier-1 seeds, less what the legs of the other targets check.
+#[test]
+fn every_surface_agrees_with_the_serial_miner() {
+    let tally = run_each(&left_by_the_legs(TIER_1_SEEDS));
+    tally.assert_floors(&FLOORS);
+    tally.assert_below_half(&SURFACES);
+}
+
+#[test]
+#[ignore = "ten times the tier-1 seeds; CI runs it in release"]
+fn every_surface_agrees_on_ten_times_the_seeds() {
+    let Range { start, end } = TIER_1_SEEDS;
+    let tally = run(&sweep(start..start + 10 * (end - start)), &SURFACES);
+    tally.assert_floors(&FLOORS);
+    tally.assert_below_half(&SURFACES);
+}

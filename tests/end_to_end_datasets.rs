@@ -1,97 +1,35 @@
 //! End-to-end runs on (scaled-down versions of) the synthetic stand-in
-//! datasets, mirroring the Table 2 pipeline: generate → parallel mine →
-//! post-process → sanity-check the result set against the planted ground
-//! truth and the serial reference.
+//! datasets, mirroring the Table 2 pipeline: generate → mine on the
+//! differential harness's surfaces → check the result sets against the
+//! planted ground truth and the serial reference.
 //!
 //! The full-size stand-ins are exercised by the release-mode experiment
 //! harness (`qcm-bench`); these debug-mode tests shrink the specs so the whole
 //! suite stays fast.
 
 use qcm::prelude::*;
-use qcm_sync::Arc;
 
-/// Shrinks a dataset spec to a debug-test-friendly size while keeping its
-/// mining parameters and structural character.
-fn shrink(spec: &DatasetSpec) -> DatasetSpec {
-    let mut s = spec.clone();
-    s.num_vertices = s.num_vertices.min(600);
-    s.max_degree = s.max_degree.min(60.0);
-    // Keep at most two planted communities and cap their size so that the
-    // debug-mode miner finishes quickly.
-    s.planted_sizes.truncate(2);
-    for size in &mut s.planted_sizes {
-        *size = (*size).min(s.min_size + 2).max(s.min_size);
-    }
-    s.hard_core = s.hard_core.map(|(size, p)| (size.min(20), p.min(0.6)));
-    s
-}
+mod common;
 
+use common::harness::leg;
+
+// Each stand-in shrunk, at its own seed, γ and τ_size
+// (`tests/common/harness.rs`, `legs`).
+
+/// Every reported set is a valid quasi-clique of at least τ_size members,
+/// and every planted community lies in one, serial and parallel alike; each
+/// stand-in plants some, so no answer is empty.
 #[test]
 fn every_dataset_standin_yields_its_planted_communities() {
-    for spec in qcm::gen::datasets::all_datasets() {
-        let spec = shrink(&spec);
-        let dataset = spec.generate();
-        let params = MiningParams::new(spec.gamma, spec.min_size);
-        let graph = Arc::new(dataset.graph.clone());
-        let out = Session::builder()
-            .params(params)
-            .backend(Backend::parallel(4, 1))
-            .build()
-            .unwrap()
-            .run(&graph)
-            .unwrap();
-        assert!(
-            !out.maximal.is_empty(),
-            "{}: no quasi-cliques found at γ={} τ_size={}",
-            spec.name,
-            spec.gamma,
-            spec.min_size
-        );
-        for community in &dataset.planted {
-            assert!(
-                out.maximal.contains_superset_of(&community.members),
-                "{}: planted community of size {} not recovered",
-                spec.name,
-                community.members.len()
-            );
-        }
-        // Every reported set is a valid quasi-clique of the right size.
-        for s in out.maximal.iter() {
-            assert!(s.len() >= spec.min_size);
-            assert!(qcm::core::is_valid_quasi_clique(&graph, s, &params));
-        }
-    }
+    let tally = leg("every_dataset_standin_yields_its_planted_communities");
+    let standins = qcm::gen::datasets::all_datasets().len();
+    assert!(tally.answers >= standins, "{tally:?}");
 }
 
+/// CX_GSE1730 and Amazon on every cluster shape.
 #[test]
 fn parallel_equals_serial_on_two_shrunk_datasets() {
-    for spec in [
-        qcm::gen::datasets::cx_gse1730(),
-        qcm::gen::datasets::amazon(),
-    ] {
-        let spec = shrink(&spec);
-        let dataset = spec.generate();
-        let params = MiningParams::new(spec.gamma, spec.min_size);
-        let graph = Arc::new(dataset.graph.clone());
-        let serial = Session::builder()
-            .params(params)
-            .build()
-            .unwrap()
-            .run(&graph)
-            .unwrap();
-        let parallel = Session::builder()
-            .params(params)
-            .backend(Backend::parallel(4, 1))
-            .build()
-            .unwrap()
-            .run(&graph)
-            .unwrap();
-        assert_eq!(
-            serial.maximal, parallel.maximal,
-            "{}: serial vs parallel mismatch",
-            spec.name
-        );
-    }
+    leg("parallel_equals_serial_on_two_shrunk_datasets");
 }
 
 #[test]
@@ -99,7 +37,7 @@ fn dataset_table1_shapes_are_reported() {
     // The Table 1 regeneration path: every stand-in reports |V| and |E| and
     // the generated sizes match the spec's vertex budget.
     for spec in qcm::gen::datasets::all_datasets() {
-        let spec = shrink(&spec);
+        let spec = common::shrink(&spec);
         let dataset = spec.generate();
         let stats = GraphStats::compute(&dataset.graph);
         assert_eq!(stats.num_vertices, spec.num_vertices);

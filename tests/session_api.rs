@@ -1,8 +1,13 @@
 //! Workspace-level tests of the unified `qcm::Session` front door: builder
-//! validation, serial-vs-parallel equivalence on the planted datasets,
-//! deadline/cancellation semantics (typed partial reports, never panics or
-//! blocks) and streaming delivery.
+//! validation, serial-vs-parallel equivalence on the planted data (through
+//! the differential harness's `session` surface: serial, in-process, strict
+//! and simulated backends, plain and streaming), deadline/cancellation
+//! semantics (typed partial reports, never panics or blocks) and streaming
+//! delivery.
 
+mod common;
+
+use common::harness::leg;
 use qcm::prelude::*;
 use qcm_sync::Arc;
 use std::time::Duration;
@@ -61,30 +66,8 @@ fn builder_validation_returns_typed_errors() {
 
 #[test]
 fn serial_and_parallel_backends_are_equivalent_on_planted_data() {
-    let (graph, base) = planted();
-    let serial = base
-        .clone()
-        .backend(Backend::Serial)
-        .build()
-        .unwrap()
-        .run(&graph)
-        .unwrap();
-    assert!(!serial.maximal.is_empty(), "planted communities expected");
-    assert!(serial.is_complete());
-    for (threads, machines) in [(1, 1), (4, 1), (2, 3)] {
-        let parallel = base
-            .clone()
-            .backend(Backend::parallel(threads, machines))
-            .build()
-            .unwrap()
-            .run(&graph)
-            .unwrap();
-        assert_eq!(
-            parallel.maximal, serial.maximal,
-            "mismatch at {threads} threads × {machines} machines"
-        );
-        assert!(parallel.is_complete());
-    }
+    let tally = leg("serial_and_parallel_backends_are_equivalent_on_planted_data");
+    assert!(tally.answers > 0, "planted communities expected");
 }
 
 #[test]
@@ -159,66 +142,21 @@ fn generous_deadline_completes_normally() {
     assert!(report.into_result().is_ok());
 }
 
+/// Plain and streamed reports agree; the sink sees every candidate, and the
+/// maximal sets once each, in canonical order.
 #[test]
 fn streaming_run_matches_plain_run_and_orders_maximal_results() {
-    let (graph, base) = planted();
-    let session = base.build().unwrap();
-    let plain = session.run(&graph).unwrap();
-    let mut sink = CollectingSink::default();
-    let streamed = session.run_streaming(&graph, &mut sink).unwrap();
-    assert_eq!(plain.maximal, streamed.maximal);
-    assert_eq!(sink.candidates, streamed.raw_reported);
-    // on_maximal fires once per final result, in canonical order.
-    let from_sink: QuasiCliqueSet = sink.maximal.iter().cloned().collect();
-    assert_eq!(from_sink, streamed.maximal);
-    let mut sorted = sink.maximal.clone();
-    sorted.sort();
-    assert_eq!(sorted, sink.maximal, "maximal stream must be ordered");
+    leg("streaming_run_matches_plain_run_and_orders_maximal_results");
 }
 
 #[test]
 fn strict_transport_agrees_with_default_in_proc() {
-    let (graph, base) = planted();
-    let default_run = base
-        .clone()
-        .backend(Backend::parallel(2, 2))
-        .build()
-        .unwrap()
-        .run(&graph)
-        .unwrap();
-    let strict_run = base
-        .backend(Backend::Parallel {
-            threads: 2,
-            machines: 2,
-            transport: TransportFactory::strict(),
-        })
-        .build()
-        .unwrap()
-        .run(&graph)
-        .unwrap();
-    assert_eq!(default_run.maximal, strict_run.maximal);
-    assert!(strict_run.is_complete());
+    leg("strict_transport_agrees_with_default_in_proc");
 }
 
+/// Virtual time is reported through the engine metrics, and a second run
+/// replays the same event log.
 #[test]
 fn sim_transport_matches_serial_and_replays_deterministically() {
-    let (graph, base) = planted();
-    let serial = base.clone().build().unwrap().run(&graph).unwrap();
-    let session = base
-        .backend(Backend::Parallel {
-            threads: 1,
-            machines: 3,
-            transport: TransportFactory::Sim(SimConfig::new(7)),
-        })
-        .build()
-        .unwrap();
-    let first = session.run(&graph).unwrap();
-    assert_eq!(first.outcome, RunOutcome::Complete);
-    assert_eq!(first.maximal, serial.maximal);
-    // Virtual time is reported through the engine metrics.
-    let metrics = first.engine_metrics().expect("parallel stats");
-    assert!(metrics.virtual_time.is_some());
-    // A second run of the same session replays the identical result.
-    let again = session.run(&graph).unwrap();
-    assert_eq!(again.maximal, first.maximal);
+    leg("sim_transport_matches_serial_and_replays_deterministically");
 }

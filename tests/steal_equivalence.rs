@@ -1,88 +1,38 @@
 //! Work-stealing equivalence and ordering tests.
 //!
 //! The per-worker deques + steal protocol are a scheduling change only: the
-//! mined result set must stay byte-identical to the serial reference across
+//! mined result set must stay identical to the serial reference across
 //! thread counts, and with the global queue forced through its disk-spill
-//! path. The last test pins the ordering contract: the spill-backed global
-//! queue stays FIFO through spill→refill cycles even while tasks are
-//! simultaneously being pushed to and stolen from worker deques.
+//! path (the differential harness's `shapes` and `spill` surfaces). The last
+//! test pins the ordering contract: the spill-backed global queue stays FIFO
+//! through spill→refill cycles even while tasks are simultaneously being
+//! pushed to and stolen from worker deques.
 
-use qcm::prelude::*;
+mod common;
+
+use common::harness::leg;
 use qcm_engine::codec::{put_u32, take_u32};
 use qcm_engine::queue::TaskQueue;
 use qcm_engine::spill::{SpillMetrics, SpillStore};
 use qcm_engine::{TaskCodec, WorkerQueues};
 use qcm_sync::Arc;
-use std::time::Duration;
 
-fn test_graph() -> (Arc<Graph>, MiningParams) {
-    let spec = PlantedGraphSpec {
-        num_vertices: 250,
-        background_avg_degree: 5.0,
-        background_beta: 2.4,
-        background_max_degree: 50.0,
-        community_sizes: vec![9, 8, 8],
-        community_density: 0.95,
-        seed: 4242,
-    };
-    let (graph, _) = qcm::gen::plant_quasi_cliques(&spec);
-    (Arc::new(graph), MiningParams::new(0.8, 7))
-}
+// A 250-vertex planted graph on a heavy-tailed background, mined at γ = 0.8,
+// τ_size = 7 with τ_time = 0 (`tests/common/harness.rs`, `legs`).
 
+/// Aggressive decomposition (τ_split 30 and 10) into small subtasks, which
+/// land in the decomposing worker's own deque — the steal protocol's diet —
+/// on one to eight workers; some of them must be stolen.
 #[test]
 fn work_stealing_parallel_matches_serial_across_thread_counts() {
-    let (graph, params) = test_graph();
-    let serial = SerialMiner::new(params).mine(&graph);
-    for threads in [2usize, 4, 8] {
-        let mut config = EngineConfig::single_machine(threads);
-        // Aggressive decomposition into small subtasks, which land in the
-        // decomposing worker's own deque — the steal protocol's diet.
-        config.steal_batch = 4;
-        let out = ParallelMiner::new(params, config)
-            .with_decomposition(30, Duration::ZERO)
-            .mine(graph.clone());
-        assert_eq!(
-            out.maximal, serial.maximal,
-            "work-stealing run diverged at {threads} threads"
-        );
-        assert!(
-            out.metrics.steals + out.metrics.steal_failures > 0,
-            "multi-worker runs must exercise the steal path"
-        );
-    }
+    leg("work_stealing_parallel_matches_serial_across_thread_counts");
 }
 
+/// 2-slot queues under full decomposition spill constantly; every spilled
+/// byte is refilled and no spill file is left.
 #[test]
 fn spilling_stealing_run_matches_serial() {
-    let (graph, params) = test_graph();
-    let spill_dir = std::env::temp_dir().join(format!("qcm_steal_spill_{}", std::process::id()));
-    let mut config = EngineConfig::single_machine(4);
-    config.batch_size = 2;
-    config.local_capacity = 2; // tiny deques → constant overflow to global
-    config.global_queue_capacity = 2; // → constant spilling
-    config.spill_dir = Some(spill_dir.clone());
-
-    // τ_split = 10: most decomposed tasks are "big" → global queue.
-    let stolen = ParallelMiner::new(params, config)
-        .with_decomposition(10, Duration::ZERO)
-        .mine(graph.clone());
-    assert_eq!(
-        stolen.maximal,
-        SerialMiner::new(params).mine(&graph).maximal
-    );
-    assert!(
-        stolen.metrics.spill_bytes_written > 0,
-        "2-slot queues with full decomposition must spill"
-    );
-    assert_eq!(
-        stolen.metrics.spill_bytes_written, stolen.metrics.spill_bytes_read,
-        "every byte spilled under stealing must be refilled"
-    );
-    let leftover = std::fs::read_dir(&spill_dir)
-        .map(|d| d.count())
-        .unwrap_or(0);
-    assert_eq!(leftover, 0, "spill files must be consumed and removed");
-    let _ = std::fs::remove_dir_all(&spill_dir);
+    leg("spilling_stealing_run_matches_serial");
 }
 
 /// A minimal spillable task for the queue-level ordering test.
