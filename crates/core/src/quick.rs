@@ -28,9 +28,11 @@ pub fn quick_mine(graph: &Graph, params: MiningParams) -> MiningOutput {
         .mine(graph)
 }
 
-/// Mines with Quick's pruning behaviour but *with* the k-core preprocessing —
-/// useful for isolating how much of the improvement comes from Theorem 2
-/// alone (the paper's T1 discussion).
+/// Mines with Quick's pruning behaviour but *with* the global peel — the
+/// (k, s)-core of [`PruneConfig::core_of`]: Theorem 2's vertex rule and the
+/// same size bound on edges — useful for isolating how much of the
+/// improvement comes from the size threshold alone (the paper's T1
+/// discussion).
 pub fn quick_mine_with_kcore(graph: &Graph, params: MiningParams) -> MiningOutput {
     SerialMiner::new(params)
         .emulating_quick_omissions(true)

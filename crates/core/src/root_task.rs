@@ -175,8 +175,8 @@ impl TaskAssembly {
 
     /// The task of `root`, a vertex of the numbering, fed round after round
     /// from `core`: the mined graph with the numbering as its local index
-    /// ([`LocalGraph::from_induced`] over the numbered ids), so its lists
-    /// need no translating.
+    /// (the `graph` of [`PruneConfig::core_of`], the (k, s)-core the
+    /// numbering was taken from), so its lists need no translating.
     pub fn build(&mut self, core: &LocalGraph, root: VertexId) -> Option<LocalGraph> {
         debug_assert!(core.global_ids() == self.core.ids, "not the numbered graph");
         self.reset(root, 0);
@@ -457,7 +457,6 @@ impl TaskAssembly {
 mod tests {
     use super::*;
     use qcm_gen::datasets::figure4;
-    use qcm_graph::kcore::k_core_with_roots;
     use qcm_graph::Graph;
 
     /// Every root `SerialMiner` visits, with what the assembly built for it.
@@ -466,13 +465,12 @@ mod tests {
         params: MiningParams,
         config: PruneConfig,
     ) -> Vec<(u32, Option<Vec<u32>>)> {
-        let k = config.peel_threshold(&params);
-        let (core, roots) = k_core_with_roots(g, k.max(1));
-        let lists = LocalGraph::from_induced(g, &core);
-        let mut assembly = TaskAssembly::new(params, &config, Arc::new(CoreNumbering::new(core)));
+        let core = config.core_of(g, &params);
+        let numbering = CoreNumbering::new(core.graph.global_ids().to_vec());
+        let mut assembly = TaskAssembly::new(params, &config, Arc::new(numbering));
         let mut tasks = Vec::new();
-        for v in roots {
-            let task = assembly.build(&lists, v);
+        for &v in &core.roots {
+            let task = assembly.build(&core.graph, v);
             // Only the root's own mark outlives its task.
             let marked = assembly.adj.at.iter().filter(|&&s| s != 0);
             assert!(marked.eq([&1]), "marks left behind by root {v}");

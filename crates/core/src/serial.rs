@@ -1,13 +1,14 @@
 //! The serial mining driver.
 //!
 //! [`SerialMiner`] is the single-threaded reference implementation of the
-//! paper's algorithm: peel the input graph to its k-core (P2 / topic T1) and
-//! list its suffix roots, the vertices `v` that lie in the k-core of the
+//! paper's algorithm: peel the input graph to its (k, s)-core (P2 / topic
+//! T1, applied to vertices and edges, [`PruneConfig::core_of`]) and list its
+//! suffix roots, the vertices `v` that lie in the k-core of the core's
 //! vertices `≥ v`, without which `v` can head no result — the peel and the
 //! root list the parallel miner hands its engine. For every root it builds
 //! the task subgraph `t.g` with the [`TaskAssembly`] the engine's tasks run
-//! too, fed synchronously from the core, which is copied once per run with
-//! its own numbering as the index, and runs the recursive miner
+//! too, fed synchronously from the peel's copy of the core, numbered in id
+//! order, and runs the recursive miner
 //! (Algorithm 2) on `S = {v}`, `ext(S) = V(t.g) − v` in that subgraph's own
 //! compact index space, where every vertex has a bit row. Roots whose task
 //! cannot hold a result — the root fell, or fewer than τ_size vertices are
@@ -28,9 +29,8 @@ use crate::results::{QuasiCliqueSet, QuasiCliqueSink};
 use crate::root_task::{CoreNumbering, TaskAssembly};
 use crate::scratch::MiningScratch;
 use crate::stats::MiningStats;
-use qcm_graph::kcore::k_core_with_roots;
 use qcm_graph::neighborhoods::perf;
-use qcm_graph::{Graph, IndexSpec, LocalGraph, VertexId};
+use qcm_graph::{Graph, IndexSpec, VertexId};
 use qcm_sync::Arc;
 
 /// Everything a mining run produces.
@@ -45,8 +45,9 @@ pub struct MiningOutput {
     pub stats: MiningStats,
     /// Wall-clock time of the mining phase (excludes graph loading).
     pub elapsed: Duration,
-    /// Number of vertices in the k-core at [`PruneConfig::peel_threshold`]
-    /// (the input size when the size-threshold rule is disabled).
+    /// Number of vertices in the (k, s)-core the run mined
+    /// ([`PruneConfig::core_of`]; the input size when the size-threshold rule
+    /// is disabled).
     pub kcore_vertices: usize,
     /// Whether the run completed or was interrupted (cancellation/deadline).
     /// An interrupted run's `maximal` holds the valid quasi-cliques found
@@ -126,41 +127,34 @@ impl SerialMiner {
         let start = Instant::now();
         let mut stats = MiningStats::new();
 
-        // (T1) Size-threshold preprocessing: the k-core and its suffix roots.
-        // The roots are listed at `k ≥ 1`, as the parallel miner lists them:
-        // without the rule `k` is 0, and `k = 1` drops only the roots with no
-        // larger neighbour, which head no set of τ_size ≥ 2 vertices. The
-        // count stays the k-core's at `k`.
-        let k = self.config.peel_threshold(&self.params);
-        let (core, roots) = k_core_with_roots(graph, k.max(1));
-        let kcore_vertices = if k == 0 {
-            graph.num_vertices()
+        // (T1) Size-threshold preprocessing: the (k, s)-core and its suffix
+        // roots, as the parallel miner peels them. Without the rule the
+        // count is the whole input's.
+        let core = self.config.core_of(graph, &self.params);
+        let kcore_vertices = if self.config.size_threshold {
+            core.graph.capacity()
         } else {
-            core.len()
+            graph.num_vertices()
         };
         stats.kcore_removed += (graph.num_vertices() - kcore_vertices) as u64;
 
         let mut sink = QuasiCliqueSet::new();
         let mut interrupted = false;
-        // The core indexed by its numbering: the lists every task is fed.
-        let lists = LocalGraph::from_induced(graph, &core);
-        let mut tasks = TaskAssembly::new(
-            self.params,
-            &self.config,
-            Arc::new(CoreNumbering::new(core)),
-        );
+        // The core, numbered in id order: the lists every task is fed.
+        let numbering = CoreNumbering::new(core.graph.global_ids().to_vec());
+        let mut tasks = TaskAssembly::new(self.params, &self.config, Arc::new(numbering));
         // One scratch arena for the whole run: the frames warmed up by the
         // first roots serve every later root without reallocating.
         let mut scratch = MiningScratch::default();
         let mut ext: Vec<u32> = Vec::new();
-        for &v in &roots {
+        for &v in &core.roots {
             if self.cancel.is_cancelled() {
                 interrupted = true;
                 break;
             }
             // One mine_phase span per root vertex, task build included.
             let _phase = qcm_obs::span_with(qcm_obs::SpanKind::MinePhase, v.raw() as u64);
-            let task = tasks.build(&lists, v);
+            let task = tasks.build(&core.graph, v);
             let Some(mut task) = task.filter(|t| t.capacity() >= self.params.min_size) else {
                 continue;
             };

@@ -27,7 +27,8 @@ pub struct MiningStats {
     /// Vertices skipped thanks to cover-vertex pruning (the tail `C_S(u)` that
     /// the extension loop never visits).
     pub cover_skipped: u64,
-    /// Vertices removed by the k-core preprocessing (P2).
+    /// Vertices removed by the global (k, s)-core peel (P2 applied to
+    /// vertices and edges, `PruneConfig::core_of`).
     pub kcore_removed: u64,
     /// Iterations of the iterative-bounding loop (Algorithm 1 repeat rounds).
     pub bounding_rounds: u64,

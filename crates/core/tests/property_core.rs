@@ -198,6 +198,29 @@ proptest! {
         }
     }
 
+    /// The global peel's edge rule is exact: every member of every set the
+    /// naive oracle finds valid, and every edge between two members, is in
+    /// the (k, s)-core both miners start from.
+    #[test]
+    fn the_global_peel_keeps_every_edge_of_every_valid_set(
+        g in arb_graph(14),
+        gamma in 0usize..4,
+        min_size in 3usize..=6,
+    ) {
+        let params = MiningParams::new([0.6, 0.75, 0.9, 1.0][gamma], min_size);
+        let g = qcm_sync::Arc::new(g);
+        let core = PruneConfig::all_enabled().core_of(&g, &params);
+        let masked = core.masked(&g);
+        for set in naive::all_valid_quasi_cliques(&g, &params).iter() {
+            for (i, &u) in set.iter().enumerate() {
+                prop_assert!(core.graph.global_ids().binary_search(&u).is_ok(), "{} of {:?} peeled", u, set);
+                for &v in set[i + 1..].iter().filter(|&&v| g.has_edge(u, v)) {
+                    prop_assert!(masked.has_edge(u, v), "edge {}-{} of {:?} cut", u, v, set);
+                }
+            }
+        }
+    }
+
     /// Raw reports always contain the maximal family (post-processing only
     /// ever removes dominated sets).
     #[test]
@@ -243,14 +266,12 @@ proptest! {
         use qcm_core::bounds::{lower_bound, upper_bound, LowerBound, UpperBound};
         use qcm_core::degrees::pair_degrees_into;
         use qcm_core::rules::check_type2;
-        let k = config.peel_threshold(&params);
-        let (core, roots) = qcm_graph::kcore::k_core_with_roots(&g, k.max(1));
-        let lists = LocalGraph::from_induced(&g, &core);
-        let core = qcm_sync::Arc::new(qcm_core::CoreNumbering::new(core));
-        let mut tasks = qcm_core::TaskAssembly::new(params, &config, core);
+        let core = config.core_of(&g, &params);
+        let numbering = qcm_core::CoreNumbering::new(core.graph.global_ids().to_vec());
+        let mut tasks = qcm_core::TaskAssembly::new(params, &config, qcm_sync::Arc::new(numbering));
         let (mut children, mut both) = (0u64, 0u64);
-        for root in roots {
-            let task = tasks.build(&lists, root).filter(|t| t.capacity() >= params.min_size);
+        for &root in &core.roots {
+            let task = tasks.build(&core.graph, root).filter(|t| t.capacity() >= params.min_size);
             let Some(mut t) = task else { continue };
             t.build_hub_index(IndexSpec::Auto);
             let n = t.capacity();

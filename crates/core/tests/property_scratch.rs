@@ -15,8 +15,7 @@ use qcm_core::{
     recursive_mine, remove_non_maximal, CoreNumbering, MiningContext, MiningOutput, MiningParams,
     MiningScratch, MiningStats, NoHandOff, PruneConfig, QuasiCliqueSet, SerialMiner, TaskAssembly,
 };
-use qcm_graph::kcore::k_core_with_roots;
-use qcm_graph::{Graph, IndexSpec, LocalGraph};
+use qcm_graph::{Graph, IndexSpec};
 use qcm_sync::Arc;
 
 mod common;
@@ -44,18 +43,17 @@ fn mine_fresh_per_root(
     prune: PruneConfig,
     index: IndexSpec,
 ) -> (QuasiCliqueSet, u64, MiningStats) {
-    let k = prune.peel_threshold(&params);
-    let (core, roots) = k_core_with_roots(g, k.max(1));
+    let core = prune.core_of(g, &params);
     let mut stats = MiningStats::new();
-    if k > 0 {
-        stats.kcore_removed = (g.num_vertices() - core.len()) as u64;
+    if prune.size_threshold {
+        stats.kcore_removed = (g.num_vertices() - core.graph.capacity()) as u64;
     }
     let mut sink = QuasiCliqueSet::new();
-    let lists = LocalGraph::from_induced(g, &core);
-    let mut tasks = TaskAssembly::new(params, &prune, Arc::new(CoreNumbering::new(core)));
-    for v in roots {
+    let numbering = CoreNumbering::new(core.graph.global_ids().to_vec());
+    let mut tasks = TaskAssembly::new(params, &prune, Arc::new(numbering));
+    for &v in &core.roots {
         let task = tasks
-            .build(&lists, v)
+            .build(&core.graph, v)
             .filter(|t| t.capacity() >= params.min_size);
         let Some(mut task) = task else {
             continue;

@@ -58,7 +58,7 @@ pub(crate) mod tests {
     use qcm_core::{CoreNumbering, MiningParams, PruneConfig};
     use qcm_gen::planted::{plant_quasi_cliques, PlantedGraphSpec};
     use qcm_gen::powerlaw::power_law_graph;
-    use qcm_graph::kcore::k_core_masked_with_roots;
+    use qcm_graph::kcore::ks_core;
     use qcm_graph::{Graph, VertexId};
     use qcm_sync::Arc;
     use std::time::Duration;
@@ -188,12 +188,12 @@ pub(crate) mod tests {
 
     /// Runs the reference and the engine's build iterations side by side on
     /// the task of every vertex of `g` and compares them after each round.
-    /// A vertex the masked peel does not list as a root must get no task of
-    /// τ_size vertices from the reference either. Returns how many tasks
+    /// A vertex the k-core's suffix walk does not list as a root must get no
+    /// task of τ_size vertices from the reference either. Returns how many tasks
     /// reached the mine phase.
     fn compare_with_reference(g: &Graph, params: MiningParams) -> Result<usize, String> {
         let k = params.kcore_threshold();
-        let (_, roots) = k_core_masked_with_roots(&Arc::new(g.clone()), k.max(1));
+        let roots = ks_core(g, k.max(1), 0).roots;
         let mut assembly = assembly_for(g, params);
         let mut ready = 0;
         for root in g.vertices() {

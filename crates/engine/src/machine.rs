@@ -696,7 +696,8 @@ mod tests {
         let g = Arc::new(figure4());
         // k = 1: the six vertices with a larger neighbour are the suffix
         // roots, and spawn a task each.
-        let (g, roots) = qcm_graph::kcore::k_core_masked_with_roots(&g, 1);
+        let core = qcm_graph::kcore::ks_core(&g, 1, 0);
+        let (g, roots) = (core.masked(&g), core.roots);
         let app = QuasiCliqueApp::new(MiningParams::new(0.5, 3), 100, Duration::ZERO);
         let mut config = EngineConfig::single_machine(1);
         config.batch_size = 2;

@@ -7,15 +7,16 @@
 //! (Section 7), exposed as one call.
 //!
 //! One step comes first that the paper leaves to its tasks: the input is
-//! peeled to its k-core, `k = ⌈γ·(τ_size − 1)⌉`, *before* the engine
+//! peeled to its (k, s)-core, `k = ⌈γ·(τ_size − 1)⌉` and `s` the edge form
+//! of the same rule ([`PruneConfig::core_of`]), *before* the engine
 //! partitions it (`peel_to_core`). In G-thinker no machine sees the whole
 //! graph, so Algorithm 4 can only test a root's raw degree and every task
 //! peels its own subgraph (Algorithms 6–7); here the miner is handed the whole
 //! graph, as a loader is, and the peel is the loader-time form of the same
 //! size-threshold rule (a distributed loader would run a standard distributed
-//! k-core). The engine's vertex table then holds the *suffix roots*: the
-//! core vertices `v` that lie in the k-core of the core's vertices `≥ v`
-//! ([`k_core_masked_with_roots`]). Every other root's task would lose its
+//! k-core and k-truss). The engine's vertex table then holds the *suffix
+//! roots*: the core vertices `v` that lie in the k-core of the core's
+//! vertices `≥ v`. Every other root's task would lose its
 //! root in the task assembly's peels, so only those are spawned from, and
 //! `SerialMiner` visits the same roots. The graph behind the table keeps the
 //! caller's vertex ids, with every vertex outside the core isolated: it is
@@ -48,7 +49,6 @@ use qcm_core::{
     is_valid_quasi_clique, remove_non_maximal, CancelToken, MiningParams, PruneConfig,
     QuasiCliqueSet, QuasiCliqueSink, RunOutcome,
 };
-use qcm_graph::kcore::k_core_masked_with_roots;
 use qcm_graph::{Graph, VertexId};
 use qcm_obs::clock::Instant;
 use qcm_sync::Arc;
@@ -195,15 +195,12 @@ impl ParallelMiner {
     }
 }
 
-/// The pre-processing: the graph the engine runs on is the k-core of the
-/// caller's graph in the caller's id space, and the vertex list its table
-/// holds is the core's suffix roots ([`k_core_masked_with_roots`], at
-/// [`PruneConfig::peel_threshold`]). So a root that cannot hold a result is
-/// never spawned, and every degree the application reads is a core degree.
-/// The peel runs at `k ≥ 1`: without the size-threshold rule `k` is 0, and
-/// `k = 1` drops only the roots with no larger neighbour, which head no set
-/// of τ_size ≥ 2 vertices, and the isolated vertices, which no task pulls.
-/// Returns the time spent too: it belongs to the run's `elapsed`.
+/// The pre-processing: the graph the engine runs on is the (k, s)-core of the
+/// caller's graph ([`PruneConfig::core_of`], the peel `SerialMiner` runs) in
+/// the caller's id space, and the vertex list its table holds is the core's
+/// suffix roots. So a root that cannot hold a result is never spawned, and
+/// every degree and list the application reads is the core's. Returns the
+/// time spent too: it belongs to the run's `elapsed`.
 fn peel_to_core(
     graph: &Arc<Graph>,
     params: &MiningParams,
@@ -211,8 +208,8 @@ fn peel_to_core(
 ) -> (Arc<Graph>, Vec<VertexId>, Duration) {
     let started = Instant::now();
     let _span = qcm_obs::span(qcm_obs::SpanKind::KCore);
-    let (core, roots) = k_core_masked_with_roots(graph, prune.peel_threshold(params).max(1));
-    (core, roots, started.elapsed())
+    let core = prune.core_of(graph, params);
+    (core.masked(graph), core.roots, started.elapsed())
 }
 
 /// The post-processing: collect the raw reports (feeding `observer` each

@@ -186,7 +186,7 @@ impl LocalGraph {
     }
 
     /// The graph of a CSR its caller built correctly.
-    fn from_csr(global: Vec<VertexId>, offsets: Vec<usize>, targets: Vec<u32>) -> Self {
+    pub(crate) fn from_csr(global: Vec<VertexId>, offsets: Vec<usize>, targets: Vec<u32>) -> Self {
         debug_assert_eq!(offsets.len(), global.len() + 1);
         LocalGraph {
             offsets,

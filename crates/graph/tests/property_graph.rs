@@ -4,9 +4,7 @@ use proptest::prelude::*;
 use qcm_graph::{
     bitset::{compact, VertexBitSet},
     io,
-    kcore::{
-        core_numbers, k_core_masked_with_roots, k_core_vertices, k_core_with_roots, Peel, PEELED,
-    },
+    kcore::{core_numbers, k_core_vertices, ks_core, Peel, PEELED},
     subgraph::{induced_subgraph, LocalGraph},
     traversal::{bfs_distances, connected_components, two_hop_neighborhood},
     Graph, GraphBuilder, VertexId,
@@ -70,6 +68,74 @@ fn drain(peel: &mut Peel, g: &Graph, popped: &mut [u32], out: &mut [bool]) -> Re
     Ok(())
 }
 
+/// The (k, s)-core by its definition: vertices and edges are dropped, a
+/// pass at a time, until every vertex left has `k` neighbours and every edge
+/// left `s` common neighbours. Returns which vertices are in and the edges
+/// `(u, v)`, `u < v`, sorted.
+fn naive_ks_core(g: &Graph, k: usize, s: usize) -> (Vec<bool>, Vec<(VertexId, VertexId)>) {
+    let mut vertices = vec![true; g.num_vertices()];
+    let mut edges: Vec<(VertexId, VertexId)> = g.edges().collect();
+    loop {
+        let adjacent = |edges: &[(VertexId, VertexId)], u: VertexId, v: VertexId| {
+            edges.binary_search(&(u.min(v), u.max(v))).is_ok()
+        };
+        let degree = |edges: &[(VertexId, VertexId)], u: VertexId| {
+            g.vertices().filter(|&w| adjacent(edges, u, w)).count()
+        };
+        let weak = g
+            .vertices()
+            .filter(|&u| vertices[u.index()] && degree(&edges, u) < k);
+        let weak: Vec<VertexId> = weak.collect();
+        weak.iter().for_each(|u| vertices[u.index()] = false);
+        edges.retain(|&(u, v)| vertices[u.index()] && vertices[v.index()]);
+        let support = |&(u, v): &(VertexId, VertexId)| {
+            g.vertices()
+                .filter(|&w| adjacent(&edges, u, w) && adjacent(&edges, v, w))
+                .count()
+        };
+        let strong: Vec<(VertexId, VertexId)> =
+            edges.iter().copied().filter(|e| support(e) >= s).collect();
+        if weak.is_empty() && strong.len() == edges.len() {
+            return (vertices, edges);
+        }
+        edges = strong;
+    }
+}
+
+/// [`ks_core`] on `g` against [`naive_ks_core`]: the core's vertices, its
+/// edges in both forms, and its suffix roots.
+fn check_ks_core(g: Graph, k: usize, s: usize) -> Result<(), String> {
+    let (vertices, edges) = naive_ks_core(&g, k, s);
+    let g = Arc::new(g);
+    let core = ks_core(&g, k, s);
+    let ids: Vec<VertexId> = g.vertices().filter(|v| vertices[v.index()]).collect();
+    prop_assert_eq!(core.graph.global_ids(), ids.as_slice());
+    let masked = core.masked(&g);
+    prop_assert!(masked.validate().is_ok());
+    prop_assert_eq!(masked.num_vertices(), g.num_vertices());
+    let mut kept: Vec<(VertexId, VertexId)> = masked.edges().collect();
+    kept.sort_unstable();
+    prop_assert_eq!(&kept, &edges);
+    for (x, &v) in ids.iter().enumerate() {
+        let listed = core.graph.neighbors(x as u32).iter();
+        let listed: Vec<VertexId> = listed.map(|&w| ids[w as usize]).collect();
+        prop_assert_eq!(masked.neighbors(v), listed.as_slice());
+    }
+    prop_assert_eq!(Arc::ptr_eq(&masked, &g), edges.len() == g.num_edges());
+    // The suffix walk over the fixed point.
+    let expected: Vec<VertexId> = ids
+        .iter()
+        .copied()
+        .filter(|&v| {
+            let suffix: Vec<VertexId> = ids.iter().copied().filter(|&u| u >= v).collect();
+            let (sub, _) = induced_subgraph(&masked, &suffix);
+            k_core_vertices(&sub, k).first() == Some(&VertexId::new(0))
+        })
+        .collect();
+    prop_assert_eq!(core.roots, expected);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -118,7 +184,7 @@ proptest! {
     fn masked_kcore_is_the_kcore_in_the_callers_id_space(g in arb_graph(30), k in 0usize..6) {
         let g = Arc::new(g);
         let survivors = k_core_vertices(&g, k);
-        let masked = k_core_masked_with_roots(&g, k).0;
+        let masked = ks_core(&g, k, 0).masked(&g);
         prop_assert!(masked.validate().is_ok());
         prop_assert_eq!(masked.num_vertices(), g.num_vertices());
         for v in g.vertices() {
@@ -133,7 +199,7 @@ proptest! {
         // No edge cut: the very same graph comes back. So does a second
         // peel's input, always.
         prop_assert_eq!(Arc::ptr_eq(&masked, &g), *masked == *g);
-        prop_assert!(Arc::ptr_eq(&k_core_masked_with_roots(&masked, k).0, &masked));
+        prop_assert!(Arc::ptr_eq(&ks_core(&masked, k, 0).masked(&masked), &masked));
     }
 
     /// The peel drops a vertex below `k` without reading its list; on a
@@ -148,7 +214,8 @@ proptest! {
         let survivors = k_core_vertices(&g, k);
         prop_assert_eq!(&survivors, &expected);
         let g = Arc::new(g);
-        let (masked, roots) = k_core_masked_with_roots(&g, k);
+        let core = ks_core(&g, k, 0);
+        let (masked, roots) = (core.masked(&g), core.roots);
         prop_assert!(roots.iter().all(|v| survivors.binary_search(v).is_ok()));
         for v in g.vertices() {
             let kept = masked.degree(v);
@@ -253,8 +320,24 @@ proptest! {
                 k_core_vertices(&sub, k).first() == Some(&VertexId::new(0))
             })
             .collect();
-        prop_assert_eq!(k_core_with_roots(&g, k), (core, expected.clone()));
-        prop_assert_eq!(k_core_masked_with_roots(&Arc::new(g), k).1, expected);
+        let peeled = ks_core(&g, k, 0);
+        prop_assert_eq!(peeled.graph.global_ids(), core.as_slice());
+        prop_assert_eq!(peeled.roots, expected);
+    }
+
+    /// The (k, s)-core is the naive fixed point — drop every vertex with
+    /// fewer than `k` neighbours, then every edge with fewer than `s` common
+    /// neighbours, and repeat until a pass drops nothing — in both its forms,
+    /// and its roots are those of a suffix walk over that fixed point.
+    #[test]
+    fn ks_core_equals_the_naive_fixed_point(
+        g in arb_graph(25),
+        sparse in arb_sparse_with_core(),
+        k in 0usize..6,
+        s in 0usize..5,
+    ) {
+        check_ks_core(g, k, s)?;
+        check_ks_core(sparse, k, s)?;
     }
 
     /// The peel kernel's contract, on any graph and `k`: with a pre-removed

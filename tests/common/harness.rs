@@ -220,7 +220,11 @@ fn legs() -> Vec<Leg> {
     let p300 = |seed| Case::new(Family::Planted(300, &[9, 8, 7], LIGHT, seed), 0.8, 7);
     let p250 = |seed| Case::new(Family::Planted(250, &[9, 8, 8], HEAVY, seed), 0.8, 7);
     let three = Case::new(Family::Planted(400, &[10, 9, 8], LIGHT, 99), 0.8, 8);
-    let nine = Case::new(Family::Planted(400, NINE, LIGHT, 99), 0.8, 8);
+    // Mined as `tests/fault_scenarios.rs` mines it: at γ = 0.8 the global
+    // (k, s) peel leaves each community a task mined whole at its root, so
+    // nothing splits or moves; at 0.7 the edge rule keeps an edge with two
+    // common neighbours, and tasks split.
+    let nine = Case::new(Family::Planted(400, NINE, LIGHT, 99), 0.7, 8);
     let at = |case, tau_split, tau_time_ms| Case { tau_split, tau_time_ms, ..case };
     let arithmetic = |seeds: Range<u64>| -> Vec<Case> {
         let graphs = seeds.map(Family::Arithmetic);

@@ -12,8 +12,8 @@ use common::harness::leg;
 
 // A 250-vertex planted graph with communities of 9, 8 and 8 on a heavy-tailed
 // background, mined at γ = 0.8, τ_size = 7; and the 400-vertex graph with
-// nine communities of `tests/fault_scenarios.rs`, mined at γ = 0.8,
-// τ_size = 8 (`tests/common/harness.rs`, `legs`).
+// nine communities of `tests/fault_scenarios.rs`, mined as it is mined, at
+// γ = 0.7, τ_size = 8 (`tests/common/harness.rs`, `legs`).
 
 /// 2-slot queues under full decomposition: every spilled byte is read back
 /// and the spill directory ends empty.

@@ -35,9 +35,11 @@ const MACHINES: usize = 4;
 
 /// A planted graph big enough that all four machines own work and the
 /// mid-mine fault injections land while tasks are still in flight. The
-/// engine mines the k-core, so only core vertices become tasks: nine
-/// communities keep about a hundred of them (three left 36, a job over
-/// before the crash scenario's 3 ms and too small to spill).
+/// engine mines the (k, s)-core, so only its suffix roots become tasks: at
+/// γ = 0.7, τ_size = 8 nine communities leave about forty, which split.
+/// Three communities, or γ = 0.8 — where the edge rule needs four common
+/// neighbours and leaves each community one task, mined whole at its root —
+/// end the job before the crash scenario's 3 ms, too small to spill.
 fn planted() -> (Arc<Graph>, MiningParams) {
     let spec = qcm::gen::PlantedGraphSpec {
         num_vertices: 400,
@@ -49,7 +51,7 @@ fn planted() -> (Arc<Graph>, MiningParams) {
         seed: 99,
     };
     let (graph, _) = qcm::gen::plant_quasi_cliques(&spec);
-    (Arc::new(graph), MiningParams::new(0.8, 8))
+    (Arc::new(graph), MiningParams::new(0.7, 8))
 }
 
 fn scenario(name: &str, seed: u64) -> SimConfig {

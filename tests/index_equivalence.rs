@@ -6,7 +6,6 @@
 use qcm::core::{
     recursive_mine, remove_non_maximal, CoreNumbering, MiningContext, NoHandOff, TaskAssembly,
 };
-use qcm::graph::kcore::k_core_with_roots;
 use qcm::graph::{LocalGraph, VertexId};
 use qcm::prelude::*;
 use qcm::IndexSpec;
@@ -60,15 +59,15 @@ fn task_search_counters_are_identical_under_every_row_policy() {
         PruneConfig::all_enabled().without("diameter"),
         PruneConfig::all_enabled().without("cover_vertex"),
     ] {
-        let (core, roots) = k_core_with_roots(&graph, config.peel_threshold(&params));
+        let core = config.core_of(&graph, &params);
         let mut total = MiningStats::new();
-        total.kcore_removed = (graph.num_vertices() - core.len()) as u64;
-        let lists = LocalGraph::from_induced(&graph, &core);
-        let mut tasks = TaskAssembly::new(params, &config, Arc::new(CoreNumbering::new(core)));
+        total.kcore_removed = (graph.num_vertices() - core.graph.capacity()) as u64;
+        let numbering = CoreNumbering::new(core.graph.global_ids().to_vec());
+        let mut tasks = TaskAssembly::new(params, &config, Arc::new(numbering));
         let mut reported = QuasiCliqueSet::new();
-        for v in roots {
+        for &v in &core.roots {
             let task = tasks
-                .build(&lists, v)
+                .build(&core.graph, v)
                 .filter(|t| t.capacity() >= params.min_size);
             let Some(mut task) = task else {
                 continue;

@@ -17,7 +17,7 @@ use common::harness::leg;
 use proptest::prelude::*;
 use qcm::core::{CoreNumbering, TaskAssembly};
 use qcm::engine::{Frontier, QCTask, QuasiCliqueApp, TaskCodec, TaskPhase, WorkerScratch};
-use qcm::graph::kcore::{k_core_masked_with_roots, k_core_with_roots};
+use qcm::graph::kcore::ks_core;
 use qcm::graph::LocalGraph;
 use qcm::prelude::*;
 use qcm_sync::Arc;
@@ -184,38 +184,49 @@ fn both_drivers(
 /// YouTube stand-ins, the task `SerialMiner` builds — fed synchronously from
 /// its copy of the core — and the task an engine worker builds from lists
 /// pulled off the masked core, parked between rounds and passed through the
-/// codec, are the same `Option<LocalGraph>`.
+/// codec, are the same `Option<LocalGraph>`. Both run on the (k, s)-core the
+/// miners start from, and on the k-core: the edge rule leaves the Enron
+/// stand-in 34 roots whose tasks all hold τ_size vertices, and the k-core's
+/// walk lists roots whose tasks drop too.
 #[test]
 fn serial_and_engine_tasks_are_built_alike_on_every_root() {
     for spec in [qcm::gen::datasets::enron(), qcm::gen::datasets::youtube()] {
         let graph = Arc::new(spec.generate().graph);
         let params = MiningParams::new(spec.gamma, spec.min_size);
-        let k = PruneConfig::all_enabled().peel_threshold(&params);
-        let (core, roots) = k_core_with_roots(&graph, k);
-        // What `ParallelMiner` hands its engine, and how a run numbers it.
-        let (masked, listed) = k_core_masked_with_roots(&graph, k);
-        assert_eq!(listed, roots);
-        let (engine, mut serial) = both_drivers(&masked, params);
-        let held: Vec<VertexId> = masked
-            .vertices()
-            .filter(|&v| masked.degree(v) > 0)
-            .collect();
-        assert_eq!(held, core);
-        let mut worker = [WorkerScratch::building(engine)];
-        let app = QuasiCliqueApp::new(params, 100, Duration::ZERO);
-        let (mut built, mut dropped) = (0, 0);
-        for &root in &roots {
-            let pulled = pulled_task(&app, &mut worker, &masked, root);
-            let synchronous = serial(root);
-            assert_eq!(synchronous, pulled, "{} root {root}", spec.name);
-            built += usize::from(pulled.is_some_and(|t| t.capacity() >= params.min_size));
-            dropped += usize::from(synchronous.is_none());
+        let config = PruneConfig::all_enabled();
+        let k = config.peel_threshold(&params);
+        let (mined, k_core) = (config.core_of(&graph, &params), ks_core(&graph, k, 0));
+        let cut = mined.graph.num_edges() < k_core.graph.num_edges();
+        assert!(cut, "{}: the edge rule cut nothing", spec.name);
+        for (core, edge_rule) in [(mined, true), (k_core, false)] {
+            // What `ParallelMiner` hands its engine, and how a run numbers it.
+            let masked = core.masked(&graph);
+            let (engine, mut serial) = both_drivers(&masked, params);
+            let held: Vec<VertexId> = masked
+                .vertices()
+                .filter(|&v| masked.degree(v) > 0)
+                .collect();
+            assert_eq!(held, core.graph.global_ids());
+            let mut worker = [WorkerScratch::building(engine)];
+            let app = QuasiCliqueApp::new(params, 100, Duration::ZERO);
+            let (mut built, mut dropped) = (0, 0);
+            for &root in &core.roots {
+                let pulled = pulled_task(&app, &mut worker, &masked, root);
+                let synchronous = serial(root);
+                assert_eq!(synchronous, pulled, "{} root {root}", spec.name);
+                built += usize::from(pulled.is_some_and(|t| t.capacity() >= params.min_size));
+                dropped += usize::from(synchronous.is_none());
+            }
+            let case = format!(
+                "{}, edge rule {edge_rule}: {built} built, {dropped} dropped",
+                spec.name
+            );
+            if edge_rule {
+                assert!(built > 30, "{case}");
+            } else {
+                assert!(built > 50 && dropped > 0, "{case}");
+            }
         }
-        assert!(
-            built > 50 && dropped > 0,
-            "{}: {built} built, {dropped} dropped",
-            spec.name
-        );
     }
 }
 
