@@ -4,17 +4,51 @@
 //! edge lists. This module parses and writes that format and additionally
 //! supports a compact binary format used by the engine's spill files and by
 //! the experiment harness for caching generated graphs.
+//!
+//! # Loading an edge list
+//!
+//! One parser loads every edge list, from a file or from bytes in memory.
+//! The text is cut into lanes at line starts (see `lanes.rs`); each lane
+//! parses the lines of its stretch left to right and counts them, and the
+//! line number an error names is fixed up from the counts of the lanes
+//! before it.
+//!
+//! * **A file is never held whole.** Each lane opens the file at its stretch
+//!   and reads it through one chunk buffer of 256 KiB that it reuses, parsing
+//!   the whole lines a read brings and carrying a line cut by the chunk's end
+//!   over to the next read. The buffer grows only to hold a line longer than
+//!   itself. Every fresh page a process touches costs a page fault (about
+//!   4 µs each on a 2-vCPU VM); a 15 MB text read whole is about 3,800 of
+//!   them, the chunk 64. Bytes already in memory are parsed as one chunk.
+//! * **Short ids take one load.** An id of 1–7 digits followed by a column
+//!   end, nearly every id of a real edge list, is read from one 8-byte word:
+//!   a carry trick finds the first byte that is not a digit and three
+//!   multiply-shift steps add the digits up. Any other token takes the
+//!   byte-at-a-time path, which also words the errors.
+//! * **One output.** A lane collects its pairs in a buffer of its own and,
+//!   whenever it holds a chunk's worth (a lone lane: at its end), hands them
+//!   to the one output list under a lock: the first buffer handed over
+//!   becomes the list, later ones are appended. The list's pages are touched
+//!   once and a lane's buffer stays small. The order of the pairs then
+//!   depends on the lanes' timing; the graph does not, since ranking and
+//!   building do not depend on edge order.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
+
+use qcm_sync::Mutex;
 
 use crate::builder::{exclusive_prefix_sum, GraphBuilder};
 use crate::error::GraphError;
 use crate::graph::Graph;
-use crate::lanes::{close_gaps, lane_count, on_lanes, windows_mut};
+use crate::lanes::{lane_count, on_lanes};
 use crate::vertex::VertexId;
 use crate::Result;
+
+/// Bytes a lane reads from a file at a time, into one buffer it reuses: few
+/// reads, and a buffer that stays in cache.
+const CHUNK_BYTES: usize = 256 << 10;
 
 /// Parses a SNAP-style edge list from a reader.
 ///
@@ -27,12 +61,12 @@ use crate::Result;
 pub fn read_edge_list<R: Read>(mut reader: R) -> Result<Graph> {
     let mut bytes = Vec::new();
     reader.read_to_end(&mut bytes)?;
-    load(bytes)
+    load_bytes(bytes)
 }
 
-/// Reads an edge list from a file path.
+/// Reads an edge list from a file path, a chunk at a time.
 pub fn read_edge_list_file<P: AsRef<Path>>(path: P) -> Result<Graph> {
-    load(std::fs::read(path)?)
+    load_file(path.as_ref(), &File::open(path.as_ref())?)
 }
 
 /// Loads a graph from bytes in either supported on-disk format, sniffing the
@@ -41,58 +75,123 @@ pub fn read_edge_list_file<P: AsRef<Path>>(path: P) -> Result<Graph> {
 /// anything else is parsed as a SNAP-style edge list. This is the loader
 /// behind the CLI and the service graph registries.
 pub fn read_auto(bytes: &[u8]) -> Result<Graph> {
-    load_auto(bytes)
-}
-
-/// [`read_auto`] over a file path.
-pub fn read_auto_file<P: AsRef<Path>>(path: P) -> Result<Graph> {
-    load_auto(std::fs::read(path)?)
-}
-
-/// [`read_auto`] over borrowed or owned bytes.
-fn load_auto<T: AsRef<[u8]>>(bytes: T) -> Result<Graph> {
-    if bytes.as_ref().starts_with(BINARY_MAGIC) {
-        read_binary(bytes.as_ref())
+    if bytes.starts_with(BINARY_MAGIC) {
+        read_binary(bytes)
     } else {
-        load(bytes)
+        load_bytes(bytes)
     }
 }
 
-/// The one way in for edge-list text, borrowed or owned. Owned bytes are
-/// freed before the CSR is built: the text is dead weight once it is parsed,
-/// and the build is the peak.
-fn load<T: AsRef<[u8]>>(text: T) -> Result<Graph> {
-    let cuts = lane_cuts(text.as_ref(), lane_count(text.as_ref().len()));
-    ingest(text, &cuts)
+/// [`read_auto`] over a file path. Neither format is read whole: a snapshot
+/// streams through [`read_binary`], an edge list a chunk at a time.
+pub fn read_auto_file<P: AsRef<Path>>(path: P) -> Result<Graph> {
+    let mut file = File::open(path.as_ref())?;
+    let mut head = Vec::with_capacity(BINARY_MAGIC.len());
+    (&mut file)
+        .take(BINARY_MAGIC.len() as u64)
+        .read_to_end(&mut head)?;
+    if head == BINARY_MAGIC {
+        file.rewind()?;
+        read_binary(file)
+    } else {
+        load_file(path.as_ref(), &file)
+    }
 }
 
-/// Where `lanes` lanes start in `text`: the first line start at or after each
-/// even share of the bytes (a lane can come out empty).
-fn lane_cuts(text: &[u8], lanes: usize) -> Vec<usize> {
-    (1..lanes)
-        .map(|lane| {
-            let share = lane * text.len() / lanes;
-            share + end_of_line(&text[share..])
-        })
+/// Edge-list bytes, borrowed or owned, to graph. Owned bytes are freed before
+/// the CSR is built: the text is dead weight once it is parsed, and the build
+/// is the peak.
+fn load_bytes<T: AsRef<[u8]>>(bytes: T) -> Result<Graph> {
+    let builder = load(Text::Bytes(bytes.as_ref()))?;
+    drop(bytes);
+    Ok(builder.build())
+}
+
+/// The edge-list file open as `file` at `path` to graph.
+fn load_file(path: &Path, file: &File) -> Result<Graph> {
+    let len = file.metadata()?.len();
+    Ok(load(Text::File { path, len })?.build())
+}
+
+/// Edge-list text to a builder, on as many lanes as its size is worth.
+fn load(text: Text) -> Result<GraphBuilder> {
+    let lanes = lane_count(usize::try_from(text.len()).unwrap_or(usize::MAX));
+    ingest(text, &lane_cuts(text, lanes)?, CHUNK_BYTES)
+}
+
+/// Where the text of an edge list is.
+#[derive(Clone, Copy)]
+enum Text<'a> {
+    /// In memory: a lane parses its stretch as one chunk.
+    Bytes(&'a [u8]),
+    /// In a file of `len` bytes, which every lane opens for itself.
+    File { path: &'a Path, len: u64 },
+}
+
+impl Text<'_> {
+    fn len(self) -> u64 {
+        match self {
+            Text::Bytes(bytes) => bytes.len() as u64,
+            Text::File { len, .. } => len,
+        }
+    }
+
+    /// Where the line byte `at` falls in ends, its `\n` included.
+    fn end_of_line(self, at: u64) -> std::io::Result<u64> {
+        let mut file = match self {
+            Text::Bytes(bytes) => return Ok(at + end_of_line(&bytes[at as usize..]) as u64),
+            Text::File { path, .. } => open_at(path, at)?,
+        };
+        let (mut block, mut end) = ([0; 4096], at);
+        loop {
+            let read = read_some(&mut file, &mut block)?;
+            let line = end_of_line(&block[..read]);
+            end += line as u64;
+            if read == 0 || block[line - 1] == b'\n' {
+                return Ok(end);
+            }
+        }
+    }
+}
+
+/// `path` open for reading from byte `at` on. Every lane opens the file for
+/// itself, so that each reads at its own offset.
+fn open_at(path: &Path, at: u64) -> std::io::Result<File> {
+    let mut file = File::open(path)?;
+    file.seek(SeekFrom::Start(at))?;
+    Ok(file)
+}
+
+/// One `read`, again while it is interrupted.
+fn read_some(reader: &mut impl Read, buffer: &mut [u8]) -> std::io::Result<usize> {
+    loop {
+        match reader.read(buffer) {
+            Err(error) if error.kind() == std::io::ErrorKind::Interrupted => {}
+            read => return read,
+        }
+    }
+}
+
+/// Where `lanes` lanes start in `text`: the line start after each even share
+/// of the bytes (a lane can come out empty).
+fn lane_cuts(text: Text, lanes: usize) -> std::io::Result<Vec<u64>> {
+    (1..lanes as u64)
+        .map(|lane| text.end_of_line(lane * text.len() / lanes as u64))
         .collect()
 }
 
-/// Edge-list text to graph: parse on one lane per stretch between `cuts`
-/// (line starts, ascending), rank the ids, build. Ids are held as `u32` pairs
-/// when every id in the text fits, as `u64` pairs otherwise.
-fn ingest<T: AsRef<[u8]>>(text: T, cuts: &[usize]) -> Result<Graph> {
-    let builder = match parse::<u32>(text.as_ref(), cuts)? {
-        Some(narrow) => {
-            drop(text);
-            rank_narrow(narrow)?
-        }
+/// Edge-list text to a builder: parse on one lane per stretch between `cuts`
+/// (line starts, ascending), `chunk` bytes of a file at a time, and rank the
+/// ids. Ids are held as `u32` pairs when every id in the text fits, as `u64`
+/// pairs otherwise.
+fn ingest(text: Text, cuts: &[u64], chunk: usize) -> Result<GraphBuilder> {
+    match parse::<u32>(text, cuts, chunk)? {
+        Some(narrow) => rank_narrow(narrow),
         None => {
-            let wide = parse::<u64>(text.as_ref(), cuts)?.expect("a parsed id fits u64");
-            drop(text);
-            rank_by_sort(wide.pairs)?
+            let wide = parse::<u64>(text, cuts, chunk)?.expect("a parsed id fits u64");
+            rank_by_sort(wide.pairs)
         }
-    };
-    Ok(builder.build())
+    }
 }
 
 /// The data lines of an edge list, ids as written.
@@ -105,65 +204,159 @@ struct RawEdges<I> {
 enum Stop {
     /// An id does not fit the pair type.
     Wide,
-    Malformed(GraphError),
+    /// Line `line` of the lane (from 0) is not an edge.
+    Malformed {
+        line: usize,
+        message: String,
+    },
+    Io(std::io::Error),
+}
+
+impl From<std::io::Error> for Stop {
+    fn from(error: std::io::Error) -> Self {
+        Stop::Io(error)
+    }
 }
 
 /// The data lines of `text`, or `None` when an id does not fit `I`. Of several
 /// malformed lines the first is reported.
-fn parse<I>(text: &[u8], cuts: &[usize]) -> Result<Option<RawEdges<I>>>
+fn parse<I>(text: Text, cuts: &[u64], chunk: usize) -> Result<Option<RawEdges<I>>>
 where
-    I: TryFrom<u64> + Copy + Default + Send,
+    I: TryFrom<u64> + Copy + Send,
 {
-    let bounds: Vec<usize> = [&[0], cuts, &[text.len()]].concat();
-    let lanes: Vec<&[u8]> = bounds.windows(2).map(|w| &text[w[0]..w[1]]).collect();
-    // A line yields at most one pair, so the newline count sizes the output:
-    // one allocation, a window per lane.
-    let newlines = on_lanes(lanes.clone(), count_newlines);
-    let room: Vec<usize> = newlines.iter().map(|lines| lines + 1).collect();
-    let mut pairs = vec![(I::default(), I::default()); room.iter().sum()];
-    let mut first_line = 1;
-    let jobs: Vec<_> = lanes
-        .into_iter()
-        .zip(windows_mut(&mut pairs, room.iter().copied()))
-        .zip(&newlines)
-        .map(|((lane, window), lines)| {
-            let job = (lane, first_line, window);
-            first_line += lines;
-            job
-        })
-        .collect();
-    let parsed = on_lanes(jobs, |(lane, first_line, window)| {
-        parse_lane(lane, first_line, window)
+    let bounds: Vec<u64> = [&[0], cuts, &[text.len()]].concat();
+    // A lane on its own keeps its pairs until they become the output.
+    let flush_at = match cuts {
+        [] => usize::MAX,
+        _ => chunk.div_ceil(8),
+    };
+    let out = Mutex::new(Vec::new());
+    let parsed = on_lanes(bounds.windows(2).collect(), |stretch| {
+        let lane = Lane::new(flush_at);
+        lane.read(text, stretch[0]..stretch[1], chunk, &out)
     });
 
     // A wide id sends the whole text through again, whatever else was found;
     // otherwise the earliest lane's error is the lowest-numbered line's.
-    let (mut filled, mut max_id, mut malformed) = (Vec::new(), 0, None);
+    let (mut lines, mut max_id, mut failed) = (0, 0, None);
     for lane in parsed {
         match lane {
-            Ok((kept, lane_max)) => {
-                filled.push(kept);
-                max_id = max_id.max(lane_max);
+            Ok(lane) => {
+                lines += lane.lines;
+                max_id = max_id.max(lane.max_id);
             }
             Err(Stop::Wide) => return Ok(None),
-            Err(Stop::Malformed(error)) => {
-                malformed.get_or_insert(error);
+            Err(Stop::Malformed { line, message }) => {
+                failed.get_or_insert(GraphError::Parse {
+                    line: lines + line + 1,
+                    message,
+                });
+            }
+            Err(Stop::Io(error)) => {
+                failed.get_or_insert(GraphError::Io(error));
             }
         }
     }
-    if let Some(error) = malformed {
-        return Err(error);
+    match failed {
+        Some(error) => Err(error),
+        None => Ok(Some(RawEdges {
+            pairs: out.into_inner(),
+            max_id,
+        })),
     }
-    close_gaps(&mut pairs, &room, &filled);
-    Ok(Some(RawEdges { pairs, max_id }))
 }
 
-/// Sums in `u8`, which the compiler turns into byte-wide vector compares:
-/// four times the speed of a `usize` count.
-fn count_newlines(text: &[u8]) -> usize {
-    text.chunks(u8::MAX as usize)
-        .map(|chunk| chunk.iter().map(|&b| u8::from(b == b'\n')).sum::<u8>() as usize)
-        .sum()
+/// One lane's parse so far.
+struct Lane<I> {
+    /// Lines read.
+    lines: usize,
+    max_id: u64,
+    /// Pairs not yet in the shared output.
+    pairs: Vec<(I, I)>,
+    /// How many pairs the lane collects before it hands them over.
+    flush_at: usize,
+}
+
+impl<I: TryFrom<u64> + Copy> Lane<I> {
+    fn new(flush_at: usize) -> Self {
+        Lane {
+            lines: 0,
+            max_id: 0,
+            pairs: Vec::new(),
+            flush_at,
+        }
+    }
+
+    /// Reads every line that starts in `stretch` of `text` (a stretch starts
+    /// at a line start), a file `chunk` bytes at a time, and hands its pairs
+    /// to `out`.
+    fn read(
+        mut self,
+        text: Text,
+        stretch: std::ops::Range<u64>,
+        chunk: usize,
+        out: &Mutex<Vec<(I, I)>>,
+    ) -> std::result::Result<Self, Stop> {
+        let path = match text {
+            Text::Bytes(bytes) => {
+                self.feed(&bytes[stretch.start as usize..stretch.end as usize], out)?;
+                self.flush(out);
+                return Ok(self);
+            }
+            Text::File { path, .. } => path,
+        };
+        let len = stretch.end - stretch.start;
+        let mut file = open_at(path, stretch.start)?.take(len);
+        // The chunk, no longer than the stretch, and how much of it holds
+        // bytes not yet parsed.
+        let chunk = chunk.min(usize::try_from(len).unwrap_or(usize::MAX)).max(1);
+        let (mut buffer, mut filled) = (vec![0; chunk], 0);
+        loop {
+            if filled == buffer.len() {
+                // One line fills the chunk.
+                buffer.resize(2 * buffer.len(), 0);
+            }
+            let read = read_some(&mut file, &mut buffer[filled..])?;
+            filled += read;
+            // Whole lines, or at the end everything.
+            let whole = match buffer[..filled].iter().rposition(|&b| b == b'\n') {
+                _ if read == 0 => filled,
+                Some(newline) => newline + 1,
+                None => 0,
+            };
+            self.feed(&buffer[..whole], out)?;
+            buffer.copy_within(whole..filled, 0);
+            filled -= whole;
+            if read == 0 {
+                self.flush(out);
+                return Ok(self);
+            }
+        }
+    }
+
+    /// Parses every line of `text`, whole lines only, handing the pairs to
+    /// `out` whenever the lane holds `flush_at` of them.
+    fn feed(&mut self, mut text: &[u8], out: &Mutex<Vec<(I, I)>>) -> std::result::Result<(), Stop> {
+        loop {
+            text = parse_lines(text, self)?;
+            if text.is_empty() {
+                return Ok(());
+            }
+            self.flush(out);
+        }
+    }
+
+    /// Hands the lane's pairs to `out`: the first to arrive become it, any
+    /// later ones are appended.
+    fn flush(&mut self, out: &Mutex<Vec<(I, I)>>) {
+        let mut out = out.lock();
+        if out.is_empty() {
+            std::mem::swap(&mut *out, &mut self.pairs);
+        } else {
+            out.extend_from_slice(&self.pairs);
+        }
+        self.pairs.clear();
+    }
 }
 
 /// What separates the columns of a data line.
@@ -193,38 +386,61 @@ fn end_of_line(text: &[u8]) -> usize {
         .map_or(text.len(), |newline| newline + 1)
 }
 
-/// One lane of the parser: reads every line of `text` (whole lines, the first
-/// being line `line` of the file) once, left to right, and writes the ids of
-/// its data lines to the front of `pairs`. Returns how many it wrote and the
-/// largest id.
+/// Reads the lines at the front of `text` (whole lines, the first being line
+/// `lane.lines` of the lane) into `lane` until the text ends or the lane
+/// holds `flush_at` pairs; returns the text not read.
 ///
 /// A line is split at `\n` (a trailing `\r` is a separator); blank lines and
 /// lines whose first column starts with `#` or `%` are skipped; of any other
 /// line the first two columns are read and the rest ignored.
-fn parse_lane<I: TryFrom<u64>>(
-    text: &[u8],
-    mut line: usize,
-    pairs: &mut [(I, I)],
-) -> std::result::Result<(usize, u64), Stop> {
-    let room = pairs.len();
-    let mut free = pairs.iter_mut();
-    let (mut rest, mut max_id) = (text, 0);
-    while !rest.is_empty() {
+fn parse_lines<'t, I: TryFrom<u64>>(
+    text: &'t [u8],
+    lane: &mut Lane<I>,
+) -> std::result::Result<&'t [u8], Stop> {
+    let mut rest = text;
+    while !rest.is_empty() && lane.pairs.len() < lane.flush_at {
         rest = skip_separators(rest);
         if !matches!(rest.first(), None | Some(b'\n' | b'#' | b'%')) {
-            let (a, after) = take_id(rest, line)?;
-            let (b, after) = take_id(skip_separators(after), line)?;
+            let (a, after) = short_id(rest).map_or_else(|| take_id(rest, lane.lines), Ok)?;
+            let after = skip_separators(after);
+            let (b, after) = short_id(after).map_or_else(|| take_id(after, lane.lines), Ok)?;
             let (Ok(narrow_a), Ok(narrow_b)) = (I::try_from(a), I::try_from(b)) else {
                 return Err(Stop::Wide);
             };
-            *free.next().expect("a line yields at most one pair") = (narrow_a, narrow_b);
-            max_id = max_id.max(a).max(b);
+            lane.pairs.push((narrow_a, narrow_b));
+            lane.max_id = lane.max_id.max(a).max(b);
             rest = after;
         }
         rest = &rest[end_of_line(rest)..];
-        line += 1;
+        lane.lines += 1;
     }
-    Ok((room - free.len(), max_id))
+    Ok(rest)
+}
+
+/// Reads the vertex id `column` starts with when it is 1–7 digits followed by
+/// a column end, from one 8-byte load; returns it and what follows. `None`
+/// for any other column, and when fewer than 8 bytes are left.
+fn short_id(column: &[u8]) -> Option<(u64, &[u8])> {
+    const ZEROS: u64 = u64::from_le_bytes([b'0'; 8]);
+    const HIGH_BITS: u64 = u64::from_le_bytes([0x80; 8]);
+    let word: [u8; 8] = column.get(..8)?.try_into().ok()?;
+    // A digit byte becomes its value, 0–9; any other byte is 10 or more.
+    let values = u64::from_le_bytes(word) ^ ZEROS;
+    // Adding 0x76 sets the high bit of a byte of 10–0x7f and ORing the values
+    // that of a byte of 0x80 or more. A byte of 0x8a or more also carries into
+    // the next, but only bytes after the first non-digit see the carry.
+    let non_digits = (values.wrapping_add(0x76 * (HIGH_BITS >> 7)) | values) & HIGH_BITS;
+    let digits = non_digits.trailing_zeros() as usize / 8;
+    if digits == 0 || digits == 8 || !ends_column(word[digits]) {
+        return None;
+    }
+    // The first digit is the lowest byte: shift the digits to the top, so that
+    // zero bytes lead, then fold neighbouring bytes, pairs, then quads.
+    let mut id = values << (64 - 8 * digits);
+    id = (id.wrapping_mul(10 << 8 | 1) >> 8) & 0x00ff_00ff_00ff_00ff;
+    id = (id.wrapping_mul(100 << 16 | 1) >> 16) & 0x0000_ffff_0000_ffff;
+    id = id.wrapping_mul(10_000 << 32 | 1) >> 32;
+    Some((id, &column[digits..]))
 }
 
 /// Reads the vertex id `column` starts with; returns it and what follows.
@@ -256,7 +472,7 @@ fn take_id(column: &[u8], line: usize) -> std::result::Result<(u64, &[u8]), Stop
             Err(e) => format!("invalid vertex id {column:?}: {e}"),
         }
     };
-    Err(Stop::Malformed(GraphError::Parse { line, message }))
+    Err(Stop::Malformed { line, message })
 }
 
 /// Ranks `u32` ids to `0..n` in increasing id order, in place.
@@ -552,10 +768,10 @@ mod tests {
     /// Every way to cut `input` into one, two and three lanes: no cut, every
     /// line start, every pair of line starts (a repeated or final one leaves
     /// a lane empty).
-    fn every_lane_cut(input: &[u8]) -> Vec<Vec<usize>> {
-        let line_starts: Vec<usize> = (0..input.len())
+    fn every_lane_cut(input: &[u8]) -> Vec<Vec<u64>> {
+        let line_starts: Vec<u64> = (0..input.len())
             .filter(|&at| input[at] == b'\n')
-            .map(|at| at + 1)
+            .map(|at| at as u64 + 1)
             .collect();
         let mut cuts = vec![Vec::new()];
         for (i, &first) in line_starts.iter().enumerate() {
@@ -565,9 +781,67 @@ mod tests {
         cuts
     }
 
+    /// A file of the test's own, removed on drop.
+    struct Scratch(std::path::PathBuf);
+
+    impl Scratch {
+        fn new(name: &str) -> Scratch {
+            let dir = std::env::temp_dir().join(format!("qcm_graph_io_{}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            Scratch(dir.join(name))
+        }
+
+        /// The file, now holding `bytes`, as edge-list text.
+        fn text(&self, bytes: &[u8]) -> Text<'_> {
+            std::fs::write(&self.0, bytes).unwrap();
+            let len = bytes.len() as u64;
+            Text::File { path: &self.0, len }
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            std::fs::remove_file(&self.0).ok();
+        }
+    }
+
+    /// Every chunk size up to 16 bytes, and the default.
+    fn chunk_sizes() -> impl Iterator<Item = usize> {
+        (1..=16).chain([CHUNK_BYTES])
+    }
+
+    /// `text` loaded on lanes cut at `cuts` from memory, and from `file` (the
+    /// same bytes) at `chunks`; every outcome must be the same.
+    fn load_at(
+        text: &[u8],
+        file: Text,
+        cuts: &[u64],
+        chunks: impl IntoIterator<Item = usize>,
+    ) -> Result<Graph> {
+        let loaded = ingest(Text::Bytes(text), cuts, CHUNK_BYTES).map(GraphBuilder::build);
+        for chunk in chunks {
+            let streamed = ingest(file, cuts, chunk).map(GraphBuilder::build);
+            match (&loaded, &streamed) {
+                (Ok(from_memory), Ok(streamed)) => assert_eq!(
+                    streamed, from_memory,
+                    "text {text:?} cut at {cuts:?}, chunk {chunk}"
+                ),
+                (Err(from_memory), Err(streamed)) => assert_eq!(
+                    streamed.to_string(),
+                    from_memory.to_string(),
+                    "text {text:?} cut at {cuts:?}, chunk {chunk}"
+                ),
+                _ => panic!(
+                    "text {text:?} cut at {cuts:?}, chunk {chunk}: {streamed:?} but {loaded:?}"
+                ),
+            }
+        }
+        loaded
+    }
+
     #[test]
     fn byte_parser_agrees_with_the_line_parser_on_a_corpus() {
-        let corpus: [&str; 13] = [
+        let corpus: [&str; 19] = [
             "",
             "\n\n",
             "# only a comment",
@@ -586,22 +860,37 @@ mod tests {
             "1 2\n8 8\n",
             "+1 2\n\t3\x0b4\x0c5\n",
             "7 7",
+            // 7, 8 and 9 digits, with 8 bytes and more left: one word holds a
+            // 7-digit id and its column end, not an 8-digit one.
+            "1234567 7654321\n12345678\t87654321\n123456789 987654321 5\n0000007 1234567\n",
+            // The last token, no newline after it, has fewer than 8 bytes left.
+            "1234567 2345678\n3456789 45",
+            "1 2\n1234567 7",
+            // Vertical tab and form feed end a short id, as any separator does.
+            "1234\x0b56\x0c78\n9\x0c10\x0b\x0c\n11\x0b\x0b12\r\n",
+            // Leading separators, a CR before the timestamp, a comment after.
+            " \t 31 32\r1300000000\n\x0c33\t34\t#\n",
+            "0 0000000\n00000000 1\n",
         ];
+        let scratch = Scratch::new("corpus");
         for input in corpus {
             let old = reference_read_edge_list(input.as_bytes()).unwrap();
+            let file = scratch.text(input.as_bytes());
             for cuts in every_lane_cut(input.as_bytes()) {
-                let new = ingest(input.as_bytes(), &cuts).unwrap();
+                let new = load_at(input.as_bytes(), file, &cuts, chunk_sizes()).unwrap();
                 assert_eq!(new, old, "input {input:?} cut at {cuts:?}");
                 new.validate().unwrap();
             }
             assert_eq!(read_edge_list(input.as_bytes()).unwrap(), old);
             assert_eq!(read_auto(input.as_bytes()).unwrap(), old, "input {input:?}");
+            assert_eq!(read_edge_list_file(&scratch.0).unwrap(), old);
+            assert_eq!(read_auto_file(&scratch.0).unwrap(), old, "input {input:?}");
         }
     }
 
     #[test]
     fn malformed_lines_keep_their_line_numbers_and_messages() {
-        let corpus: [(&str, usize); 11] = [
+        let corpus: [(&str, usize); 17] = [
             ("1 x\n", 1),
             ("42\n", 1),
             ("1 2\n# c\n\n3\n", 4),
@@ -616,25 +905,77 @@ mod tests {
             ("1 2\n\n3 4\nq\n5 6\n7 8 9\n1 -1\n", 4),
             // A wide id before or after the malformed line changes nothing.
             ("1 4294967296\n2 x\n3 4\n5 99999999999\n6\n", 2),
+            // Digits run straight into a byte just below '0' or just above
+            // '9', a NUL, or bytes of 0x80 and more (the last a carry across
+            // the word), each with 8 bytes left and more.
+            ("1 2\n123/ 4 5 6 7\n", 2),
+            ("1 2\n3 4\n1234567: 1 2 3\n", 3),
+            ("12\x00 3 4 5 6\n", 1),
+            ("1 2\n12é 3 4 5 6\n", 2),
+            ("1 2\n3 4\n5 123º456 7 8\n", 3),
+            ("1234567 12345678x\n", 1),
         ];
+        let scratch = Scratch::new("malformed");
         for (input, line) in corpus {
             let old = reference_read_edge_list(input.as_bytes()).unwrap_err();
+            let file = scratch.text(input.as_bytes());
             for cuts in every_lane_cut(input.as_bytes()) {
-                let new = ingest(input.as_bytes(), &cuts).unwrap_err();
+                let new = load_at(input.as_bytes(), file, &cuts, chunk_sizes()).unwrap_err();
                 assert!(
                     matches!(&new, GraphError::Parse { line: l, .. } if *l == line),
                     "input {input:?} cut at {cuts:?}: {new:?}"
                 );
                 assert_eq!(new.to_string(), old.to_string(), "input {input:?}");
             }
-            assert_eq!(
-                read_edge_list(input.as_bytes()).unwrap_err().to_string(),
-                old.to_string()
-            );
-            assert_eq!(
-                read_auto(input.as_bytes()).unwrap_err().to_string(),
-                old.to_string()
-            );
+            for error in [
+                read_edge_list(input.as_bytes()).unwrap_err(),
+                read_auto(input.as_bytes()).unwrap_err(),
+                read_edge_list_file(&scratch.0).unwrap_err(),
+                read_auto_file(&scratch.0).unwrap_err(),
+            ] {
+                assert_eq!(error.to_string(), old.to_string());
+            }
+        }
+    }
+
+    #[test]
+    fn a_line_cut_by_the_chunk_at_every_offset_loads_the_same() {
+        // The first read ends at every offset of the text in turn: inside an
+        // id, a separator run, a comment, a CR LF, and right after a newline.
+        let text = "12345678 7654321 99\n# a comment\n1 2\r\n  123\t4567890\n\n5 6";
+        let old = reference_read_edge_list(text.as_bytes()).unwrap();
+        let scratch = Scratch::new("offsets");
+        let file = scratch.text(text.as_bytes());
+        for cuts in every_lane_cut(text.as_bytes()) {
+            let new = load_at(text.as_bytes(), file, &cuts, 1..=text.len() + 1).unwrap();
+            assert_eq!(new, old, "cut at {cuts:?}");
+        }
+    }
+
+    #[test]
+    fn short_ids_read_in_one_word_equal_the_byte_loop() {
+        // Every digit count and column end, and the bytes on either side of
+        // the digits.
+        for digits in 1..=9 {
+            for end in [
+                b' ', b'\t', b'\r', b'\n', 0x0b, 0x0c, b'/', b':', 0, 0x80, 0xba, b'x',
+            ] {
+                for pad in 0..4 {
+                    let mut column: Vec<u8> = (0..digits).map(|d| b"9071234568"[d]).collect();
+                    column.push(end);
+                    column.extend(std::iter::repeat(b'5').take(pad));
+                    let short = short_id(&column);
+                    if column.len() < 8 || digits > 7 || !ends_column(end) {
+                        assert_eq!(short, None, "{column:?}");
+                        continue;
+                    }
+                    let (id, rest) = short.unwrap();
+                    let Ok((expected, expected_rest)) = take_id(&column, 0) else {
+                        panic!("{column:?}");
+                    };
+                    assert_eq!((id, rest), (expected, expected_rest), "{column:?}");
+                }
+            }
         }
     }
 
@@ -673,6 +1014,7 @@ mod tests {
             "100000000000000000000",
         ];
         let mut rng = Lcg(23);
+        let scratch = Scratch::new("soup");
         let (cases, mut errors, mut wide, mut sparse, mut dense) = (1500, 0, 0, 0, 0);
         for case in 0..cases {
             // How far ids spread, how often a long token or noise shows up.
@@ -715,11 +1057,16 @@ mod tests {
             let text = text.as_bytes();
             let all_cuts = every_lane_cut(text);
             let cuts = &all_cuts[rng.below(all_cuts.len() as u64) as usize];
-            match (ingest(text, cuts), reference_read_edge_list(text)) {
+            // Streamed from a file too, at one chunk size of 1–16 bytes each.
+            let file = scratch.text(text);
+            match (
+                load_at(text, file, cuts, [1 + case % 16]),
+                reference_read_edge_list(text),
+            ) {
                 (Ok(new), Ok(old)) => {
                     assert_eq!(new, old, "text {text:?} cut at {cuts:?}");
                     new.validate().unwrap();
-                    match parse::<u32>(text, cuts).unwrap() {
+                    match parse::<u32>(Text::Bytes(text), cuts, CHUNK_BYTES).unwrap() {
                         None => wide += 1,
                         Some(raw) if raw.max_id >= 4 * raw.pairs.len() as u64 => sparse += 1,
                         Some(_) => dense += 1,
@@ -776,7 +1123,18 @@ mod tests {
         loaded.validate().unwrap();
         assert_eq!(loaded, reference_read_edge_list(text).unwrap());
         // Three lanes whatever this host has.
-        assert_eq!(loaded, ingest(text, &lane_cuts(text, 3)).unwrap());
+        let three = lane_cuts(Text::Bytes(text), 3).unwrap();
+        assert_eq!(
+            loaded,
+            ingest(Text::Bytes(text), &three, CHUNK_BYTES)
+                .unwrap()
+                .build()
+        );
+        // Streamed from a file on the same three lanes.
+        let scratch = Scratch::new("large");
+        let file = scratch.text(text);
+        assert_eq!(loaded, ingest(file, &three, CHUNK_BYTES).unwrap().build());
+        assert_eq!(loaded, read_edge_list_file(&scratch.0).unwrap());
 
         let mut ids: Vec<u32> = pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
         ids.sort_unstable();
@@ -791,15 +1149,16 @@ mod tests {
 
     #[test]
     fn a_file_and_its_bytes_load_the_same_graph() {
-        let dir = std::env::temp_dir().join(format!("qcm_graph_io_same_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("graph.txt");
+        let scratch = Scratch::new("same");
         let text = "# g\n5 1\n1 9\n9 5\n1 2\n";
-        std::fs::write(&path, text).unwrap();
-        let from_file = read_edge_list_file(&path).unwrap();
+        scratch.text(text.as_bytes());
+        let from_file = read_edge_list_file(&scratch.0).unwrap();
         assert_eq!(from_file, read_edge_list(text.as_bytes()).unwrap());
-        assert_eq!(from_file, read_auto_file(&path).unwrap());
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(from_file, read_auto_file(&scratch.0).unwrap());
+        assert!(matches!(
+            read_auto_file(scratch.0.with_extension("missing")),
+            Err(GraphError::Io(_))
+        ));
     }
 
     #[test]
@@ -858,6 +1217,35 @@ mod tests {
                 matches!(err, GraphError::Io(_) | GraphError::Format { .. }),
                 "cut at {cut}: unexpected {err:?}"
             );
+        }
+    }
+
+    #[test]
+    fn a_snapshot_file_loads_like_its_bytes_and_every_truncation_errors() {
+        let g = Graph::from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]).unwrap();
+        let mut bytes = Vec::new();
+        write_binary(&g, &mut bytes).unwrap();
+        let scratch = Scratch::new("snapshot");
+        scratch.text(&bytes);
+        let loaded = read_auto_file(&scratch.0).unwrap();
+        assert_eq!(loaded, read_binary(bytes.as_slice()).unwrap());
+        assert_eq!(loaded, g);
+        // The empty prefix is an empty edge list. A prefix shorter than the
+        // magic is a malformed one; any longer prefix is a cut snapshot.
+        for cut in 1..bytes.len() {
+            scratch.text(&bytes[..cut]);
+            let err = read_auto_file(&scratch.0).unwrap_err();
+            if cut < BINARY_MAGIC.len() {
+                assert!(
+                    matches!(err, GraphError::Parse { line: 1, .. }),
+                    "cut at {cut}: {err:?}"
+                );
+            } else {
+                assert!(
+                    matches!(err, GraphError::Io(_) | GraphError::Format { .. }),
+                    "cut at {cut}: unexpected {err:?}"
+                );
+            }
         }
     }
 

@@ -1,9 +1,12 @@
 //! Lanes: how graph ingest uses more than one core.
 //!
-//! The edge-list parser and the CSR builder split their input into *lanes*,
-//! run one scoped thread per lane, and let every lane fill its own window of
-//! one presized output. How many lanes is computed from the input's size and
-//! the cores the process may run on — it is never configured.
+//! The edge-list parser and the CSR builder split their input into *lanes*
+//! and run one scoped thread per lane. A parser lane reads the stretch of the
+//! text that starts at its cut (a line start), from a file a chunk at a time,
+//! counts its lines and hands its pairs to one shared output list; a builder
+//! lane fills its own window of one presized output. How many lanes is
+//! computed from the input's size and the cores the process may run on — it
+//! is never configured.
 
 use qcm_sync::thread;
 

@@ -7,7 +7,10 @@
 
 mod common;
 
-use common::harness::{left_by_the_legs, run, run_each, sweep, FLOORS, SURFACES, TIER_1_SEEDS};
+use common::harness::{
+    left_by_the_legs, run, run_each, sweep, Case, Family, FLOORS, LIGHT, NINE, SURFACES,
+    TIER_1_SEEDS,
+};
 use std::ops::Range;
 
 /// The tier-1 seeds, less what the legs of the other targets check.
@@ -16,6 +19,15 @@ fn every_surface_agrees_with_the_serial_miner() {
     let tally = run_each(&left_by_the_legs(TIER_1_SEEDS));
     tally.assert_floors(&FLOORS);
     tally.assert_below_half(&SURFACES);
+}
+
+/// The sweep's largest planted graph splits tasks at τ_time 0 on four
+/// threads: at γ 0.7 the (k, s) peel keeps what a community's root cannot
+/// mine whole.
+#[test]
+fn the_nine_community_case_decomposes() {
+    let nine = Case::new(Family::Planted(400, NINE, LIGHT, 99), 0.7, 8);
+    run(&[nine], &["forced"]).assert_floors(&["decomposed tasks"]);
 }
 
 #[test]
