@@ -12,6 +12,21 @@
 //! mass available from the top-`t` extension vertices against the mass a
 //! γ-quasi-clique of size `|S| + t` would need. Failure to find a feasible
 //! `t` is itself a pruning signal (Type II).
+//!
+//! Each bound makes one pass over the members of `S` and one scan, and
+//! divides once, never per step. For `γ = num/den`:
+//!
+//! * **Lemma 2's scans step their ceiling.** Eqs. 4 and 8 test
+//!   `t = 1, 2, …` against `|S|·⌈γ(|S| + t − 1)⌉`; the ceiling is stepped
+//!   with its remainder `q·den − num·x`, so the next `t` costs a compare and
+//!   an add (γ ≤ 1, so it grows by 0 or 1).
+//! * **Eq. 3 is where that ceiling passes `d_min`.** `t ≤ U_min` exactly when
+//!   `γ(|S| + t − 1) ≤ d_min`, so Eq. 4's scan stops there, with no `⌊d_min/γ⌋`.
+//! * **Eq. 7 is closed-form.** An integer is at least `⌈y⌉` exactly when it
+//!   is at least `y`, so `d_min^S + t ≥ ⌈γ(|S| + t − 1)⌉` is
+//!   `t·(den − num) ≥ num·(|S| − 1) − den·d_min^S`: `L_min` is one rounded-up
+//!   quotient, and at γ = 1 none. The ceiling at `L_min` is `d_min^S + L_min`,
+//!   where Eq. 8's scan starts without dividing.
 
 use crate::degrees::Degrees;
 use crate::params::MiningParams;
@@ -38,32 +53,27 @@ pub enum LowerBound {
     Bound(usize),
 }
 
-/// Lemma 2 feasibility test: returns true if adding some `t`-subset of
-/// `ext(S)` could still yield a γ-quasi-clique, judged by total degree mass.
-///
-/// `prefix_se_sum` must be `Σ_{i=1..t} d_S(u_i)` over the `t` largest
-/// SE-degrees.
-#[inline]
-fn lemma2_feasible(
-    params: &MiningParams,
-    s_len: usize,
-    sum_ss: usize,
-    prefix_se_sum: usize,
-    t: usize,
-) -> bool {
-    // Σ_{v∈S} d_S(v) + Σ_{i≤t} d_S(u_i) ≥ |S| · ⌈γ(|S| + t − 1)⌉
-    sum_ss + prefix_se_sum >= s_len * params.gamma.ceil_mul(s_len + t - 1)
-}
-
 /// The SE-degrees in non-increasing order (`d_S(u_1) ≥ d_S(u_2) ≥ …`, the
 /// ordering of Lemma 2 and Figures 6–7), read off their histogram.
-fn se_degrees_desc(degrees: &Degrees) -> impl Iterator<Item = usize> + '_ {
+pub(crate) fn se_degrees_desc(degrees: &Degrees) -> impl Iterator<Item = usize> + '_ {
     degrees
         .se_histogram
         .iter()
         .enumerate()
         .rev()
         .flat_map(|(d, &count)| std::iter::repeat(d).take(count as usize))
+}
+
+/// `d_min` (Eq. 1), `d_min^S` (Eq. 6) and `Σ_{v∈S} d_S(v)` (Lemma 2) in one
+/// pass over the members of a non-empty `S`.
+fn member_totals(degrees: &Degrees) -> (usize, usize, usize) {
+    let (mut dmin, mut dmin_s, mut sum) = (u32::MAX, u32::MAX, 0usize);
+    for (&d_s, &d_ext) in degrees.s_in_s.iter().zip(&degrees.s_in_ext) {
+        dmin = dmin.min(d_s + d_ext);
+        dmin_s = dmin_s.min(d_s);
+        sum += d_s as usize;
+    }
+    (dmin as usize, dmin_s as usize, sum)
 }
 
 /// Computes the tightened upper bound `U_S` (Eqs. 1–4).
@@ -79,33 +89,25 @@ pub fn upper_bound(params: &MiningParams, degrees: &Degrees, ext_len: usize) -> 
             UpperBound::Bound(ext_len)
         };
     }
-    let Some(dmin) = degrees.dmin() else {
-        return UpperBound::ExtensionsPruned;
-    };
-    // Eq. 3: U_min = ⌊d_min / γ⌋ + 1 − |S|, capped by |ext(S)|.
-    let budget = params.gamma.floor_div(dmin) + 1;
-    if budget <= s_len {
-        // Not even one extension vertex fits.
-        return UpperBound::ExtensionsPruned;
-    }
-    let u_min = (budget - s_len).min(ext_len);
-    if u_min == 0 {
-        return UpperBound::ExtensionsPruned;
-    }
-    // Eq. 4: largest t ∈ [1, U_min] passing the Lemma 2 mass test.
-    let sum_ss = degrees.sum_s_in_s();
-    let mut prefix = 0usize;
-    let mut best: Option<usize> = None;
-    for (t, d) in (1..=u_min).zip(se_degrees_desc(degrees)) {
-        prefix += d;
-        if lemma2_feasible(params, s_len, sum_ss, prefix, t) {
+    let (dmin, _, sum_ss) = member_totals(degrees);
+    // Eq. 4: the largest t ∈ [1, U_min] whose mass
+    // Σ_{v∈S} d_S(v) + Σ_{i≤t} d_S(u_i) reaches |S|·⌈γ(|S| + t − 1)⌉.
+    // Eq. 3's U_min = ⌊d_min / γ⌋ + 1 − |S| (capped by |ext(S)|) is where
+    // that ceiling passes d_min: t ≤ U_min exactly when γ(|S| + t − 1) ≤ d_min.
+    let mut mass = sum_ss;
+    let mut need = params.gamma.ceil_steps(s_len);
+    let mut best = None;
+    for (t, d) in (1..=ext_len).zip(se_degrees_desc(degrees)) {
+        if need.ceil > dmin {
+            break;
+        }
+        mass += d;
+        if mass >= s_len * need.ceil {
             best = Some(t);
         }
+        need.step();
     }
-    match best {
-        Some(t) => UpperBound::Bound(t),
-        None => UpperBound::ExtensionsPruned,
-    }
+    best.map_or(UpperBound::ExtensionsPruned, UpperBound::Bound)
 }
 
 /// Computes the tightened lower bound `L_S` (Eqs. 6–8).
@@ -118,35 +120,41 @@ pub fn lower_bound(params: &MiningParams, degrees: &Degrees, ext_len: usize) -> 
     if s_len == 0 {
         return LowerBound::Bound(0);
     }
-    let Some(dmin_s) = degrees.dmin_s() else {
-        return LowerBound::Bound(0);
-    };
-    // Eq. 7: smallest t with d_min^S + t ≥ ⌈γ(|S| + t − 1)⌉, t ∈ [0, |ext|].
-    let mut l_min: Option<usize> = None;
-    for t in 0..=ext_len {
-        if dmin_s + t >= params.gamma.ceil_mul(s_len + t - 1) {
-            l_min = Some(t);
-            break;
-        }
-    }
-    let Some(l_min) = l_min else {
-        return LowerBound::AllPruned;
-    };
-    if l_min == 0 {
+    let (_, dmin_s, sum_ss) = member_totals(degrees);
+    // Eq. 7: the smallest t ∈ [0, |ext|] with d_min^S + t ≥ ⌈γ(|S| + t − 1)⌉,
+    // that is t·(den − num) ≥ num·(|S| − 1) − den·d_min^S.
+    let (num, den) = params.gamma.as_ratio();
+    let short = u128::from(num) * (s_len - 1) as u128;
+    let held = u128::from(den) * dmin_s as u128;
+    if short <= held {
         // S already satisfies every member's degree requirement; the Lemma 2
         // refinement can only ask for ≥ 0 extra vertices, and t = 0 trivially
         // passes the mass test when every d_S(v) ≥ ⌈γ(|S|−1)⌉.
         return LowerBound::Bound(0);
     }
-    // Eq. 8: smallest t ∈ [L_min, |ext|] passing the Lemma 2 mass test.
-    let sum_ss = degrees.sum_s_in_s();
+    if num == den {
+        // At γ = 1 every addition raises the need as much as the degree.
+        return LowerBound::AllPruned;
+    }
+    let l_min = (short - held).div_ceil(u128::from(den - num));
+    if l_min > ext_len as u128 {
+        return LowerBound::AllPruned;
+    }
+    let l_min = l_min as usize;
+    // Eq. 8: the smallest t ∈ [L_min, |ext|] passing the Lemma 2 mass test.
     let mut sorted_se = se_degrees_desc(degrees);
-    let mut prefix: usize = sorted_se.by_ref().take(l_min - 1).sum();
+    let mut mass = sum_ss + sorted_se.by_ref().take(l_min - 1).sum::<usize>();
+    // L_min is the first t whose ceiling d_min^S + t reaches, and the
+    // ceiling grows by at most 1 a step: there it is d_min^S + L_min.
+    let mut need = params
+        .gamma
+        .ceil_steps_at(s_len + l_min - 1, dmin_s + l_min);
     for (t, d) in (l_min..=ext_len).zip(sorted_se) {
-        prefix += d;
-        if lemma2_feasible(params, s_len, sum_ss, prefix, t) {
+        mass += d;
+        if mass >= s_len * need.ceil {
             return LowerBound::Bound(t);
         }
+        need.step();
     }
     LowerBound::AllPruned
 }

@@ -7,7 +7,6 @@
 //! move `Γ_ext(S)(v)` into `S` wholesale instead of branching on each of them.
 
 use crate::degrees::Degrees;
-use crate::params::MiningParams;
 use qcm_graph::bitset::row_contains;
 use qcm_graph::neighborhoods::perf;
 use qcm_graph::LocalGraph;
@@ -41,21 +40,15 @@ pub fn collect_critical_moves(
     });
 }
 
-/// Finds a critical vertex of `S`, if any.
+/// Finds a critical vertex of `S`, if any: a member whose
+/// `d_S(v) + d_ext(S)(v)` is exactly `needed`, the round's
+/// `⌈γ·(|S| + L_S − 1)⌉` ([`crate::rules::RoundCuts::critical_degree`]).
 ///
 /// Returns the position (index into the `s` slice that produced `degrees`) of
-/// the first critical vertex, or `None`. `ls` is the lower bound `L_S`
-/// computed by [`crate::bounds::lower_bound`].
-pub fn find_critical_vertex(params: &MiningParams, degrees: &Degrees, ls: usize) -> Option<usize> {
-    let s_len = degrees.s_in_s.len();
-    if s_len == 0 {
-        return None;
-    }
-    let needed = params.gamma.ceil_mul(s_len + ls - 1);
-    (0..s_len).find(|&i| {
-        let total = degrees.s_in_s[i] as usize + degrees.s_in_ext[i] as usize;
-        total == needed
-    })
+/// the first critical vertex, or `None`.
+pub fn find_critical_vertex(degrees: &Degrees, needed: usize) -> Option<usize> {
+    let mut totals = degrees.s_in_s.iter().zip(&degrees.s_in_ext);
+    totals.position(|(&d_s, &d_ext)| d_s as usize + d_ext as usize == needed)
 }
 
 #[cfg(test)]
@@ -63,6 +56,13 @@ mod tests {
     use super::*;
     use crate::bounds::{lower_bound, LowerBound};
     use crate::degrees::compute_degrees;
+    use crate::params::MiningParams;
+
+    /// The critical member of `S` under `⌈γ(|S| + L_S − 1)⌉`.
+    fn critical(params: &MiningParams, deg: &Degrees, ls: usize) -> Option<usize> {
+        let needed = params.gamma.ceil_mul(deg.s_in_s.len() + ls - 1);
+        find_critical_vertex(deg, needed)
+    }
     use qcm_gen::datasets::figure4_local;
     use qcm_graph::{Graph, LocalGraph, VertexId};
 
@@ -85,9 +85,9 @@ mod tests {
             panic!("lower bound should be feasible");
         };
         assert_eq!(ls, 2);
-        let critical = find_critical_vertex(&params, &deg, ls);
+        let found = critical(&params, &deg, ls);
         // Position 0 in the s slice corresponds to vertex a.
-        assert_eq!(critical, Some(0));
+        assert_eq!(found, Some(0));
     }
 
     #[test]
@@ -100,14 +100,13 @@ mod tests {
         let LowerBound::Bound(ls) = lower_bound(&params, &deg, 4) else {
             panic!("lower bound should be feasible");
         };
-        assert_eq!(find_critical_vertex(&params, &deg, ls), None);
+        assert_eq!(critical(&params, &deg, ls), None);
     }
 
     #[test]
     fn empty_s_has_no_critical_vertex() {
         let g = figure4_local();
-        let params = MiningParams::new(0.9, 2);
         let (deg, _) = compute_degrees(&g, &[], &[0, 1]);
-        assert_eq!(find_critical_vertex(&params, &deg, 0), None);
+        assert_eq!(find_critical_vertex(&deg, 0), None);
     }
 }

@@ -3,8 +3,11 @@
 //! Given a candidate `⟨S, ext(S)⟩`, `iterative_bounding` repeatedly
 //!
 //! 1. refreshes the candidate's degrees (the S-side ones are carried along
-//!    the search path, see [`crate::path_degrees`]) and the bounds `U_S`, `L_S`,
-//! 2. applies critical-vertex pruning (which may *grow* `S`),
+//!    the search path, see [`crate::path_degrees`]), the bounds `U_S`, `L_S`
+//!    and from them the round's [`RoundCuts`], which the three rule steps
+//!    below share,
+//! 2. applies critical-vertex pruning (which may *grow* `S`, and then
+//!    refreshes all of step 1 for the grown `S`),
 //! 3. applies the Type-II rules (which may prune the whole subtree), and
 //! 4. applies the Type-I rules (which shrink `ext(S)`),
 //!
@@ -32,21 +35,13 @@ use crate::bounds::{lower_bound, upper_bound, LowerBound, UpperBound};
 use crate::context::MiningContext;
 use crate::critical::{collect_critical_moves, find_critical_vertex};
 use crate::degrees::{carried_degrees_into, compute_ee_degrees_into, pair_degrees_into, Degrees};
-use crate::rules::{check_type2, Type1Rule, Type2Outcome};
+use crate::rules::{RoundCuts, Type2Outcome};
 use qcm_graph::bitset::{compact, VertexBitSet};
 use qcm_graph::LocalGraph;
 
-/// Outcome of computing both bounds for the current `⟨S, ext(S)⟩`.
-struct BoundState {
-    /// `U_S` if the upper-bound family is enabled and feasible.
-    us: Option<usize>,
-    /// `L_S` if the lower-bound family is enabled (or needed by the
-    /// critical-vertex rule) and feasible.
-    ls: Option<usize>,
-}
-
 /// Computes the bounds, handling the three pruning outcomes the paper attaches
-/// to bound computation (below Eqs. 4, 7, 8 and Algorithm 1 line 3):
+/// to bound computation (below Eqs. 4, 7, 8 and Algorithm 1 line 3), and
+/// returns the round's cuts for the rules that follow:
 ///
 /// * upper bound infeasible → prune extensions, but examine `G(S)` first;
 /// * lower bound infeasible → prune `S` and extensions;
@@ -60,7 +55,7 @@ fn compute_bounds(
     s: &[u32],
     ext_len: usize,
     degrees: &Degrees,
-) -> Result<BoundState, ()> {
+) -> Result<RoundCuts, ()> {
     let mut us = None;
     if ctx.config.upper_bound {
         match upper_bound(&ctx.params, degrees, ext_len) {
@@ -97,7 +92,7 @@ fn compute_bounds(
             return Err(());
         }
     }
-    Ok(BoundState { us, ls })
+    Ok(RoundCuts::new(&ctx.params, &ctx.config, s.len(), us, ls))
 }
 
 /// Algorithm 1 lines 9–16: true when a Type-II rule prunes the extensions of
@@ -106,9 +101,9 @@ fn type2_prunes(
     ctx: &mut MiningContext<'_>,
     s: &[u32],
     degrees: &Degrees,
-    bounds: &BoundState,
+    cuts: &RoundCuts,
 ) -> bool {
-    match check_type2(&ctx.params, &ctx.config, degrees, bounds.us, bounds.ls) {
+    match cuts.type2(degrees) {
         Type2Outcome::PruneAll => {
             ctx.stats.type2_pruned += 1;
             true
@@ -159,14 +154,13 @@ fn pair_round_ends(
     ext_len: usize,
     degrees: &Degrees,
 ) -> bool {
-    let Ok(bounds) = compute_bounds(ctx, s, ext_len, degrees) else {
+    let Ok(cuts) = compute_bounds(ctx, s, ext_len, degrees) else {
         return true;
     };
-    let critical = ctx.config.critical_vertex
-        && bounds
-            .ls
-            .is_some_and(|ls| find_critical_vertex(&ctx.params, degrees, ls).is_some());
-    !critical && type2_prunes(ctx, s, degrees, &bounds)
+    let critical = cuts
+        .critical_degree()
+        .is_some_and(|needed| find_critical_vertex(degrees, needed).is_some());
+    !critical && type2_prunes(ctx, s, degrees, &cuts)
 }
 
 /// Algorithm 1: iteratively applies the pruning rules to `⟨S, ext(S)⟩`.
@@ -230,53 +224,51 @@ fn bounding_loop(
         // Line 2: SS/ES/SE degrees (EE deferred to the Type-I phase).
         carried_degrees_into(ctx.graph, &mut ctx.path, s, ext, ext_bits, degrees);
 
-        // Line 3: bounds (may prune).
-        let mut bounds = match compute_bounds(ctx, s, ext.len(), degrees) {
-            Ok(b) => b,
+        // Line 3: bounds (may prune), and the cuts every rule below reads.
+        let mut cuts = match compute_bounds(ctx, s, ext.len(), degrees) {
+            Ok(cuts) => cuts,
             Err(()) => return true,
         };
 
         // Lines 4–8: critical-vertex pruning.
-        if ctx.config.critical_vertex {
-            if let Some(ls_v) = bounds.ls {
-                if let Some(pos) = find_critical_vertex(&ctx.params, degrees, ls_v) {
-                    let v = s[pos];
-                    // The paper's fix over Quick: examine G(S) *before*
-                    // absorbing the critical vertex's neighborhood, otherwise
-                    // a maximal G(S) could be lost.
-                    if !ctx.emulate_quick_omissions {
-                        ctx.report_if_valid(s);
-                    }
-                    collect_critical_moves(ctx.graph, ext, v, moved);
-                    if !moved.is_empty() {
-                        ctx.stats.critical_moves += moved.len() as u64;
-                        for &u in moved.iter() {
-                            ext_bits.remove(u);
-                        }
-                        s.extend_from_slice(moved);
-                        if ext.is_empty() {
-                            // Skip straight to the C1 exit case.
-                            break;
-                        }
-                        // Line 8: degrees and bounds of the grown S.
-                        carried_degrees_into(ctx.graph, &mut ctx.path, s, ext, ext_bits, degrees);
-                        bounds = match compute_bounds(ctx, s, ext.len(), degrees) {
-                            Ok(b) => b,
-                            Err(()) => return true,
-                        };
-                    }
+        let critical = cuts
+            .critical_degree()
+            .and_then(|needed| find_critical_vertex(degrees, needed));
+        if let Some(pos) = critical {
+            let v = s[pos];
+            // The paper's fix over Quick: examine G(S) *before* absorbing the
+            // critical vertex's neighborhood, otherwise a maximal G(S) could
+            // be lost.
+            if !ctx.emulate_quick_omissions {
+                ctx.report_if_valid(s);
+            }
+            collect_critical_moves(ctx.graph, ext, v, moved);
+            if !moved.is_empty() {
+                ctx.stats.critical_moves += moved.len() as u64;
+                for &u in moved.iter() {
+                    ext_bits.remove(u);
                 }
+                s.extend_from_slice(moved);
+                if ext.is_empty() {
+                    // Skip straight to the C1 exit case.
+                    break;
+                }
+                // Line 8: degrees, bounds and cuts of the grown S.
+                carried_degrees_into(ctx.graph, &mut ctx.path, s, ext, ext_bits, degrees);
+                cuts = match compute_bounds(ctx, s, ext.len(), degrees) {
+                    Ok(cuts) => cuts,
+                    Err(()) => return true,
+                };
             }
         }
 
         // Lines 9–16: Type-II rules.
-        if type2_prunes(ctx, s, degrees, &bounds) {
+        if type2_prunes(ctx, s, degrees, &cuts) {
             return true;
         }
 
         // Lines 17–20: Type-I rules.
-        let rule = Type1Rule::new(&ctx.params, &ctx.config, s.len(), bounds.us, bounds.ls);
-        let pruned = type1_compact(ctx.graph, &rule, ext, ext_bits, &degrees.ext_in_s, ee);
+        let pruned = type1_compact(ctx.graph, &cuts, ext, ext_bits, &degrees.ext_in_s, ee);
         ctx.stats.type1_pruned += pruned as u64;
 
         // Line 21: stop when ext is empty or this round pruned nothing.
@@ -297,11 +289,11 @@ fn bounding_loop(
 /// order) and from `ext_bits` every vertex `rule` prunes, and returns how
 /// many went. `ext_in_s` holds the round's SE-degrees. The EE-degrees are
 /// all counted against the round's `ext`, before anything leaves it, and
-/// only at or above Theorem 5's cut ([`Type1Rule::ee_from`]); the vertices
+/// only at or above Theorem 5's cut ([`RoundCuts::ee_from`]); the vertices
 /// below get 0, which the rule never reads for them.
 fn type1_compact(
     g: &LocalGraph,
-    rule: &Type1Rule,
+    rule: &RoundCuts,
     ext: &mut Vec<u32>,
     ext_bits: &mut VertexBitSet,
     ext_in_s: &[u32],
@@ -593,6 +585,56 @@ mod tests {
     }
 
     #[test]
+    fn a_critical_move_rebuilds_the_cuts_for_the_grown_s() {
+        // S = {0, 1, 2}, ext = {3, 4, 5} at γ = 0.7: L_S = 2, so a member is
+        // critical at total degree ⌈0.7·4⌉ = 3. Vertex 0 (d_S 2, d_ext 1) is,
+        // and pulls 3 into S mid-round.
+        let g = {
+            let edges = [
+                (0, 1),
+                (0, 2),
+                (0, 3),
+                (1, 3),
+                (1, 5),
+                (2, 3),
+                (2, 4),
+                (2, 5),
+                (3, 4),
+                (3, 5),
+                (4, 5),
+            ];
+            let graph = Graph::from_edges(6, edges).unwrap();
+            let all: Vec<VertexId> = graph.vertices().collect();
+            LocalGraph::from_induced(&graph, &all)
+        };
+        let params = MiningParams::new(0.7, 2);
+        let config = PruneConfig::all_enabled();
+        let (before, _) = compute_degrees(&g, &[0, 1, 2], &[3, 4, 5]);
+        let (after, _) = compute_degrees(&g, &[0, 1, 2, 3], &[4, 5]);
+        let bounds = |d: &Degrees, ext_len| {
+            let UpperBound::Bound(us) = upper_bound(&params, d, ext_len) else {
+                panic!()
+            };
+            let LowerBound::Bound(ls) = lower_bound(&params, d, ext_len) else {
+                panic!()
+            };
+            RoundCuts::new(&params, &config, d.s_in_s.len(), Some(us), Some(ls))
+        };
+        let (pre_move, grown) = (bounds(&before, 3), bounds(&after, 2));
+        assert_eq!(pre_move.critical_degree(), Some(3));
+        // In the grown S, vertex 4 has d_S 2 and d_ext 1. U_S = 1 there, so
+        // Theorem 5 cuts d_S below ⌈0.7·4⌉ − 1 + 1 = 3; the pre-move cuts
+        // (U_S = 2, |S| = 3) let it stay.
+        assert!(grown.prunes(2, 1) && !pre_move.prunes(2, 1));
+
+        let (pruned, s, ext, sink, stats) = run_list(&g, params, config, &[0, 1, 2], &[3, 4, 5]);
+        assert!(!pruned && sink.is_empty());
+        assert_eq!((s, ext), (vec![0, 1, 2, 3], vec![5]));
+        assert_eq!((stats.critical_moves, stats.type1_pruned), (1, 1));
+        assert_eq!(stats.bounding_rounds, 2);
+    }
+
+    #[test]
     fn a_critical_vertex_in_the_popcount_round_hands_the_child_to_the_list() {
         // The graph of `critical_vertex_absorbs_required_neighbors`: in
         // S = [0, 1] with ext = {2, 3, 4} at γ = 0.6, vertex 0 is critical
@@ -670,7 +712,7 @@ mod tests {
             config.upper_bound = family & 2 != 0;
             config.lower_bound = family & 4 != 0;
             let (degrees, bits) = compute_degrees(&g, &s, &ext);
-            let rule = Type1Rule::new(&params, &config, s.len(), Some(us), Some(ls));
+            let rule = RoundCuts::new(&params, &config, s.len(), Some(us), Some(ls));
             let (mut gated, mut gated_bits, mut ee) = (ext.clone(), bits.clone(), Vec::new());
             let pruned = type1_compact(&g, &rule, &mut gated, &mut gated_bits, &degrees.ext_in_s, &mut ee);
             // The reference: every EE-degree, then the same compaction.

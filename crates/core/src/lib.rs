@@ -53,6 +53,8 @@ pub mod path_degrees;
 pub mod quasiclique;
 pub mod quick;
 pub mod recursive_mine;
+#[cfg(test)]
+mod reference;
 pub mod results;
 pub mod root_task;
 pub mod rules;

@@ -64,6 +64,34 @@ impl Gamma {
         prod.div_ceil(self.den as u128) as usize
     }
 
+    /// `⌈γ·x⌉` from `x` upwards, one [`CeilSteps::step`] per increment of
+    /// `x`: one division here, none per step.
+    #[inline]
+    pub(crate) fn ceil_steps(&self, x: usize) -> CeilSteps {
+        let prod = self.num as u128 * x as u128;
+        let ceil = prod.div_ceil(self.den as u128);
+        CeilSteps {
+            ceil: ceil as usize,
+            rem: (ceil * self.den as u128 - prod) as u64,
+            num: self.num,
+            gap: self.den - self.num,
+        }
+    }
+
+    /// [`Gamma::ceil_steps`] from an `x` whose ceiling `⌈γ·x⌉` is known to
+    /// be `ceil`: no division.
+    #[inline]
+    pub(crate) fn ceil_steps_at(&self, x: usize, ceil: usize) -> CeilSteps {
+        let rem = ceil as u128 * self.den as u128 - self.num as u128 * x as u128;
+        debug_assert!(rem < self.den as u128, "⌈γ·{x}⌉ is not {ceil}");
+        CeilSteps {
+            ceil,
+            rem: rem as u64,
+            num: self.num,
+            gap: self.den - self.num,
+        }
+    }
+
     /// Exact `⌊d / γ⌋` (used by the upper bound U_min, Eq. 2–3 of the paper).
     #[inline]
     pub fn floor_div(&self, d: usize) -> usize {
@@ -83,6 +111,33 @@ impl Gamma {
 impl fmt::Display for Gamma {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.as_f64())
+    }
+}
+
+/// `⌈γ·x⌉` for `x = x₀, x₀ + 1, …`, stepped without a division: the ceiling
+/// `q` and its remainder `q·den − num·x ∈ [0, den)`. Raising `x` by one
+/// takes `num` off the remainder; since `num ≤ den`, the ceiling then grows
+/// by 1 if the remainder would go negative and by 0 otherwise.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct CeilSteps {
+    /// `⌈γ·x⌉` at the current `x`.
+    pub(crate) ceil: usize,
+    rem: u64,
+    num: u64,
+    /// `den − num`.
+    gap: u64,
+}
+
+impl CeilSteps {
+    /// Moves `x` to `x + 1`.
+    #[inline]
+    pub(crate) fn step(&mut self) {
+        if self.rem >= self.num {
+            self.rem -= self.num;
+        } else {
+            self.rem += self.gap;
+            self.ceil += 1;
+        }
     }
 }
 
@@ -156,6 +211,28 @@ mod tests {
         assert_eq!(g.ceil_mul(8), 4);
         let g = Gamma::new(1.0);
         assert_eq!(g.ceil_mul(9), 9);
+    }
+
+    #[test]
+    fn stepped_ceilings_equal_the_divided_ones() {
+        let near = |bits: u32| (1u64 << bits) - 57;
+        for gamma in [
+            Gamma::new(0.5),
+            Gamma::from_ratio(51, 100),
+            Gamma::from_ratio(2, 3),
+            Gamma::new(0.9),
+            Gamma::new(1.0),
+            Gamma::from_ratio(near(40), near(40) + 58),
+            Gamma::from_ratio(3 << 60, near(63)),
+        ] {
+            for start in [0, 1, 7, 1000] {
+                let mut steps = gamma.ceil_steps(start);
+                for x in start..start + 300 {
+                    assert_eq!(steps.ceil, gamma.ceil_mul(x), "γ = {gamma:?}, x = {x}");
+                    steps.step();
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,10 @@
 //! it prunes every *strict* extension of `S` but not `S` itself, so the caller
 //! must still examine `G(S)` before abandoning the subtree. Every other
 //! Type-II rule prunes `S` as well.
+//!
+//! A bounding round evaluates all of them, and the critical-vertex rule, from
+//! one [`RoundCuts`]: what does not depend on the vertex is computed once per
+//! round, and no test of a vertex divides.
 
 use crate::config::PruneConfig;
 use crate::degrees::Degrees;
@@ -27,97 +31,47 @@ pub enum Type2Outcome {
     PruneAll,
 }
 
-/// Evaluates the Type-II rules (Theorems 4, 6, 8) over every vertex of `S`.
+/// The cuts of one bounding round on a candidate with `|S|` members and the
+/// bounds `U_S`, `L_S`, shared by the critical-vertex rule, the Type-II rules
+/// and the Type-I rules. The two ceilings `⌈γ(|S| + U_S − 1)⌉` and
+/// `⌈γ(|S| + L_S − 1)⌉` are computed here, once; a round that grows `S` (a
+/// critical-vertex move) builds a new value.
 ///
-/// `us`/`ls` are the bounds computed by [`crate::bounds`] (pass `None` when
-/// the corresponding rule family is disabled or the bound was not computed).
-pub fn check_type2(
-    params: &MiningParams,
-    config: &PruneConfig,
-    degrees: &Degrees,
-    us: Option<usize>,
-    ls: Option<usize>,
-) -> Type2Outcome {
-    let s_len = degrees.s_in_s.len();
-    if s_len == 0 {
-        return Type2Outcome::None;
-    }
-    let gamma = &params.gamma;
-    let mut extensions_only = false;
-    for i in 0..s_len {
-        let ds = degrees.s_in_s[i] as usize;
-        let dext = degrees.s_in_ext[i] as usize;
-        if config.degree {
-            // Theorem 4 Condition (ii): d_S(v) + d_ext(v) < ⌈γ(|S| − 1 + d_ext(v))⌉
-            // prunes S and every extension.
-            if ds + dext < gamma.ceil_mul(s_len - 1 + dext) {
-                return Type2Outcome::PruneAll;
-            }
-            // Theorem 4 Condition (i): d_S(v) < ⌈γ·|S|⌉ while v has no more
-            // extension neighbors to gain — strict extensions cannot fix v's
-            // degree, but S itself may still be a quasi-clique.
-            if dext == 0 && ds < gamma.ceil_mul(s_len) {
-                extensions_only = true;
-            }
-        }
-        if config.upper_bound {
-            if let Some(us) = us {
-                // Theorem 6: d_S(v) + U_S < ⌈γ(|S| + U_S − 1)⌉.
-                if ds + us < gamma.ceil_mul(s_len + us - 1) {
-                    return Type2Outcome::PruneAll;
-                }
-            }
-        }
-        if config.lower_bound {
-            if let Some(ls) = ls {
-                // Theorem 8: d_S(v) + d_ext(v) < ⌈γ(|S| + L_S − 1)⌉.
-                if ds + dext < gamma.ceil_mul(s_len + ls - 1) {
-                    return Type2Outcome::PruneAll;
-                }
-            }
-        }
-    }
-    if extensions_only {
-        Type2Outcome::PruneExtensionsKeepS
-    } else {
-        Type2Outcome::None
-    }
-}
-
-/// The Type-I rules (Theorems 3, 5, 7) of one bounding round: everything
-/// that does not depend on the extension vertex is evaluated once, when the
-/// round builds the value, and [`Type1Rule::prunes`] tests a vertex with no
-/// branch and no division.
-///
-/// * Theorem 5, `d_S(u) + U_S − 1 < ⌈γ(|S| + U_S − 1)⌉`, is
-///   `d_S(u) < ⌈γ(|S| + U_S − 1)⌉ − U_S + 1`.
-/// * Theorem 7, `d_S(u) + d_ext(u) < ⌈γ(|S| + L_S − 1)⌉`, has a right-hand
-///   side that is constant for the round.
-/// * Theorem 3, `d_S(u) + d_ext(u) < ⌈γ(|S| + d_ext(u))⌉`, stays per vertex.
-///   An integer is below `⌈x⌉` exactly when it is below `x`, so the test is
-///   `den·(d_S(u) + d_ext(u)) < num·(|S| + d_ext(u))` for `γ = num/den`.
+/// * Theorems 5 and 6, `d_S + U_S − 1 < ⌈γ(|S| + U_S − 1)⌉` and
+///   `d_S + U_S < ⌈γ(|S| + U_S − 1)⌉`, cut `d_S` below
+///   `⌈γ(|S| + U_S − 1)⌉ − U_S + 1` and one less.
+/// * Theorems 7 and 8 cut `d_S + d_ext` below `⌈γ(|S| + L_S − 1)⌉`, which is
+///   also the degree a critical vertex has exactly (Theorem 9).
+/// * Theorems 3 and 4 stay per vertex. An integer is below `⌈y⌉` exactly
+///   when it is below `y`, so for `γ = num/den` they are cross-multiplied:
+///   Theorem 3 is `den·(d_S + d_ext) < num·(|S| + d_ext)`, Theorem 4(ii)
+///   `den·(d_S + d_ext) < num·(|S| − 1 + d_ext)` and Theorem 4(i)
+///   `d_ext = 0 ∧ den·d_S < num·|S|`.
 ///
 /// A disabled family, or a bound that was not computed, has a cut of 0,
 /// which prunes nothing.
 #[derive(Debug)]
-pub(crate) struct Type1Rule {
-    /// Theorem 3 is enabled.
+pub struct RoundCuts {
+    /// Theorems 3 and 4 are enabled.
     degree: bool,
     /// `γ = num/den`.
-    num: u128,
-    den: u128,
+    num: u64,
+    den: u64,
     /// `num·|S|`.
     num_s: u128,
-    /// Theorem 5 prunes `d_S(u)` below this.
+    /// Theorem 5 prunes `d_S(u)` below this, Theorem 6 `d_S(v)` below one
+    /// less.
     upper_cut: u64,
-    /// Theorem 7 prunes `d_S(u) + d_ext(u)` below this.
+    /// Theorems 7 and 8 prune `d_S + d_ext` below this.
     lower_cut: u64,
+    /// `⌈γ(|S| + L_S − 1)⌉` when the critical-vertex rule runs.
+    critical: Option<usize>,
 }
 
-impl Type1Rule {
-    /// The rules of a round on a candidate with `|S| = s_len` and the bounds
+impl RoundCuts {
+    /// The cuts of a round on a candidate with `|S| = s_len` and the bounds
     /// `us`/`ls` of [`crate::bounds`] (`None` when disabled or not computed).
-    pub(crate) fn new(
+    pub fn new(
         params: &MiningParams,
         config: &PruneConfig,
         s_len: usize,
@@ -132,34 +86,64 @@ impl Type1Rule {
             }
             _ => 0,
         };
-        let lower_cut = match ls {
-            Some(ls) if config.lower_bound => gamma.ceil_mul((s_len + ls).saturating_sub(1)),
-            _ => 0,
-        };
-        Type1Rule {
+        let lower_need = ls.map(|ls| gamma.ceil_mul((s_len + ls).saturating_sub(1)));
+        RoundCuts {
             degree: config.degree,
-            num: num.into(),
-            den: den.into(),
+            num,
+            den,
             num_s: u128::from(num) * s_len as u128,
             upper_cut: upper_cut as u64,
-            lower_cut: lower_cut as u64,
+            lower_cut: lower_need.filter(|_| config.lower_bound).unwrap_or(0) as u64,
+            critical: lower_need.filter(|_| config.critical_vertex),
         }
     }
 
-    /// The SE-degree from which [`Type1Rule::prunes`] reads its EE-degree
+    /// The total degree `d_S(v) + d_ext(v)` at which a member of `S` is
+    /// critical, when the critical-vertex rule runs on this round.
+    #[inline]
+    pub fn critical_degree(&self) -> Option<usize> {
+        self.critical
+    }
+
+    /// The Type-II rules (Theorems 4, 6, 8) over every member of `S`.
+    pub fn type2(&self, degrees: &Degrees) -> Type2Outcome {
+        let (num, den) = (u128::from(self.num), u128::from(self.den));
+        // Theorem 4(ii)'s right-hand side without the d_ext term.
+        let num_s_1 = self.num_s.saturating_sub(num);
+        let upper_cut = self.upper_cut.saturating_sub(1);
+        let mut extensions_only = false;
+        for (&d_s, &d_ext) in degrees.s_in_s.iter().zip(&degrees.s_in_ext) {
+            let (d_s, d_ext) = (u64::from(d_s), u64::from(d_ext));
+            let total = d_s + d_ext;
+            let theorem4 = den * u128::from(total) < num_s_1 + num * u128::from(d_ext);
+            if (self.degree & theorem4) | (d_s < upper_cut) | (total < self.lower_cut) {
+                return Type2Outcome::PruneAll;
+            }
+            extensions_only |= self.degree & (d_ext == 0) & (den * u128::from(d_s) < self.num_s);
+        }
+        if extensions_only {
+            Type2Outcome::PruneExtensionsKeepS
+        } else {
+            Type2Outcome::None
+        }
+    }
+
+    /// The SE-degree from which [`RoundCuts::prunes`] reads its EE-degree
     /// argument. Below it Theorem 5 prunes the vertex, whatever `d_ext` is.
     #[inline]
     pub(crate) fn ee_from(&self) -> u32 {
         u32::try_from(self.upper_cut).unwrap_or(u32::MAX)
     }
 
-    /// True if the extension vertex with SE-degree `d_s` and EE-degree
-    /// `d_ext` can be pruned from `ext(S)`.
+    /// The Type-I rules (Theorems 3, 5, 7): true if the extension vertex
+    /// with SE-degree `d_s` and EE-degree `d_ext` can be pruned from
+    /// `ext(S)`. No branch and no division.
     #[inline]
     pub(crate) fn prunes(&self, d_s: u32, d_ext: u32) -> bool {
         let (d_s, d_ext) = (u64::from(d_s), u64::from(d_ext));
         let total = d_s + d_ext;
-        let theorem3 = self.den * u128::from(total) < self.num_s + self.num * u128::from(d_ext);
+        let theorem3 = u128::from(self.den) * u128::from(total)
+            < self.num_s + u128::from(self.num) * u128::from(d_ext);
         (self.degree & theorem3) | (d_s < self.upper_cut) | (total < self.lower_cut)
     }
 }
@@ -175,6 +159,17 @@ mod tests {
         PruneConfig::all_enabled()
     }
 
+    /// The Type-II outcome of a round on `deg` with the bounds `us`, `ls`.
+    fn type2(
+        params: &MiningParams,
+        config: &PruneConfig,
+        deg: &Degrees,
+        us: Option<usize>,
+        ls: Option<usize>,
+    ) -> Type2Outcome {
+        RoundCuts::new(params, config, deg.s_in_s.len(), us, ls).type2(deg)
+    }
+
     #[test]
     fn theorem4_condition_ii_prunes_everything() {
         let g = figure4_local();
@@ -183,7 +178,7 @@ mod tests {
         let params = MiningParams::new(0.9, 2);
         let (deg, _) = compute_degrees(&g, &[5, 8], &[]);
         assert_eq!(
-            check_type2(&params, &all_rules(), &deg, None, None),
+            type2(&params, &all_rules(), &deg, None, None),
             Type2Outcome::PruneAll
         );
     }
@@ -203,7 +198,7 @@ mod tests {
         let params = MiningParams::new(0.95, 2);
         let (deg, _) = compute_degrees(&g, &[0, 1, 2, 4], &[]);
         assert_eq!(
-            check_type2(&params, &all_rules(), &deg, None, None),
+            type2(&params, &all_rules(), &deg, None, None),
             Type2Outcome::PruneExtensionsKeepS
         );
     }
@@ -215,7 +210,7 @@ mod tests {
         let params = MiningParams::new(0.6, 2);
         let (deg, _) = compute_degrees(&g, &[0, 1], &[2, 3, 4]);
         assert_eq!(
-            check_type2(&params, &all_rules(), &deg, Some(3), Some(0)),
+            type2(&params, &all_rules(), &deg, Some(3), Some(0)),
             Type2Outcome::None
         );
     }
@@ -229,7 +224,7 @@ mod tests {
         let (deg, _) = compute_degrees(&g, &[1, 3], &[0, 2, 4]);
         // With U_S = 1: d_S(b) + 1 = 1 < ⌈0.9·2⌉ = 2 → PruneAll.
         assert_eq!(
-            check_type2(&params, &all_rules(), &deg, Some(1), None),
+            type2(&params, &all_rules(), &deg, Some(1), None),
             Type2Outcome::PruneAll
         );
     }
@@ -243,12 +238,12 @@ mod tests {
         let params = MiningParams::new(0.5, 2);
         let (deg, _) = compute_degrees(&g, &[5, 6], &[]);
         assert_eq!(
-            check_type2(&params, &all_rules(), &deg, None, Some(3)),
+            type2(&params, &all_rules(), &deg, None, Some(3)),
             Type2Outcome::PruneAll
         );
         // Without the lower bound the candidate survives.
         assert_eq!(
-            check_type2(&params, &all_rules(), &deg, None, None),
+            type2(&params, &all_rules(), &deg, None, None),
             Type2Outcome::None
         );
     }
@@ -260,10 +255,10 @@ mod tests {
         let (deg, _) = compute_degrees(&g, &[5, 8], &[]);
         let config = PruneConfig::none();
         assert_eq!(
-            check_type2(&params, &config, &deg, Some(1), Some(5)),
+            type2(&params, &config, &deg, Some(1), Some(5)),
             Type2Outcome::None
         );
-        assert!(!Type1Rule::new(&params, &config, 2, Some(1), Some(5)).prunes(0, 0));
+        assert!(!RoundCuts::new(&params, &config, 2, Some(1), Some(5)).prunes(0, 0));
     }
 
     #[test]
@@ -271,7 +266,7 @@ mod tests {
         // |S| = 3, γ = 0.9: a candidate u with d_S(u) = 1 and d_ext(u) = 2
         // has 3 < ⌈0.9·5⌉ = 5 → prunable.
         let params = MiningParams::new(0.9, 2);
-        let rule = Type1Rule::new(&params, &all_rules(), 3, None, None);
+        let rule = RoundCuts::new(&params, &all_rules(), 3, None, None);
         assert!(rule.prunes(1, 2));
         // A fully connected u is not prunable: d_S = 3, d_ext = 2 → 5 ≥ 5.
         assert!(!rule.prunes(3, 2));
@@ -282,11 +277,11 @@ mod tests {
         let params = MiningParams::new(0.8, 2);
         // Theorem 5 with |S| = 4, U_S = 2: u needs d_S(u) + 1 ≥ ⌈0.8·5⌉ = 4,
         // so d_S(u) = 2 is prunable even if its EE-degree is huge.
-        let upper = Type1Rule::new(&params, &all_rules(), 4, Some(2), None);
+        let upper = RoundCuts::new(&params, &all_rules(), 4, Some(2), None);
         assert!(upper.prunes(2, 10));
         assert!(!upper.prunes(4, 10));
         // Theorem 7 with L_S = 4: u needs d_S + d_ext ≥ ⌈0.8·7⌉ = 6.
-        let lower = Type1Rule::new(&params, &all_rules(), 4, None, Some(4));
+        let lower = RoundCuts::new(&params, &all_rules(), 4, None, Some(4));
         assert!(lower.prunes(3, 2));
         assert!(!lower.prunes(3, 3));
     }
@@ -326,7 +321,7 @@ mod tests {
                     config.lower_bound = family & 4 != 0;
                     for &us in &bounds {
                         for &ls in &bounds {
-                            let rule = Type1Rule::new(&params, &config, s_len, us, ls);
+                            let rule = RoundCuts::new(&params, &config, s_len, us, ls);
                             for d_s in 0..=s {
                                 // Theorem 5: d_S(u) + U_S − 1 < ⌈γ(|S| + U_S − 1)⌉.
                                 let theorem5 = config.upper_bound
@@ -368,7 +363,7 @@ mod tests {
         let params = MiningParams::new(0.9, 2);
         let (deg, _) = compute_degrees(&g, &[], &[0, 1]);
         assert_eq!(
-            check_type2(&params, &all_rules(), &deg, None, None),
+            type2(&params, &all_rules(), &deg, None, None),
             Type2Outcome::None
         );
     }

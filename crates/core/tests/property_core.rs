@@ -265,7 +265,7 @@ proptest! {
     ) {
         use qcm_core::bounds::{lower_bound, upper_bound, LowerBound, UpperBound};
         use qcm_core::degrees::pair_degrees_into;
-        use qcm_core::rules::check_type2;
+        use qcm_core::rules::RoundCuts;
         let core = config.core_of(&g, &params);
         let numbering = qcm_core::CoreNumbering::new(core.graph.global_ids().to_vec());
         let mut tasks = qcm_core::TaskAssembly::new(params, &config, qcm_sync::Arc::new(numbering));
@@ -301,7 +301,8 @@ proptest! {
                         LowerBound::Bound(b) => Some(b),
                         LowerBound::AllPruned => None,
                     };
-                    (us, ls, check_type2(&params, &config, d, us, ls))
+                    let cuts = RoundCuts::new(&params, &config, 2, us, ls);
+                    (us, ls, cuts.critical_degree(), cuts.type2(d))
                 };
                 prop_assert_eq!(bounds(&pair), bounds(&list));
             }

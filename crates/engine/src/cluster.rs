@@ -136,16 +136,15 @@ pub(crate) fn run(
     // Interrupted iff work was actually dropped. A cancellation that fires
     // after the pool drained leaves the run Complete; dropped work with no
     // cancellation to blame is a fault.
-    let outcome = if live.run.term.work_dropped() {
-        match config.cancel.run_outcome() {
-            RunOutcome::Complete => RunOutcome::Faulted,
-            cancelled => cancelled,
-        }
-    } else {
-        RunOutcome::Complete
+    let dropped = live.run.term.work_dropped();
+    let outcome = match (dropped, config.cancel.run_outcome()) {
+        (None, _) => RunOutcome::Complete,
+        (Some(_), RunOutcome::Complete) => RunOutcome::Faulted,
+        (Some(_), cancelled) => cancelled,
     };
     let worker_busy = worker_busy.into_inner();
-    let metrics = live.run.metrics(results.len() as u64, worker_busy, outcome);
+    let mut metrics = live.run.metrics(results.len() as u64, worker_busy, outcome);
+    metrics.work_dropped = dropped;
     let mut lost_roots = live.lost.into_inner();
     lost_roots.sort_unstable();
     lost_roots.dedup();

@@ -97,7 +97,7 @@ pub use runner::{ParallelMiner, ParallelMiningOutput};
 pub use sim::{Fault, FaultEvent, Replay, SimConfig, SimTransport};
 pub use steal::WorkerQueues;
 pub use task::{Frontier, QCTask, TaskCodec, TaskPhase, TaskTimings, WorkerScratch};
-pub use termination::Termination;
+pub use termination::{Termination, WorkDropped};
 pub use transport::{
     Envelope, InProcTransport, Transport, TransportError, TransportFactory, TransportStats,
 };

@@ -465,7 +465,7 @@ impl<'a> Run<'a> {
     /// budget): labels the run and releases the task's pending slot so the
     /// pool still drains. Rows its earlier iterations emitted are kept.
     pub(crate) fn abandon_task(&self, flight: InFlight) {
-        self.term.fault();
+        self.term.abandon();
         self.drop_flight(flight);
         self.term.release(1);
     }
@@ -481,7 +481,7 @@ impl<'a> Run<'a> {
     /// the pool to drain, and the run is labelled.
     fn lose_unreadable(&self, lost: usize) {
         if lost > 0 {
-            self.term.fault();
+            self.term.lose_unreadable();
             self.term.release(lost);
         }
     }
@@ -625,6 +625,7 @@ impl<'a> Run<'a> {
             task_times: std::mem::take(&mut *self.task_times.lock()),
             worker_busy,
             outcome,
+            work_dropped: None,
         }
     }
 

@@ -10,6 +10,7 @@
 //! * Figures 1–3 — the per-task time log ([`TaskTimeRecord`]).
 
 use crate::task::TaskTimings;
+use crate::termination::WorkDropped;
 use qcm_core::RunOutcome;
 use qcm_graph::VertexId;
 use std::time::Duration;
@@ -108,6 +109,11 @@ pub struct EngineMetrics {
     /// cancellation token / deadline (in which case the emitted results cover
     /// only the processed tasks).
     pub outcome: RunOutcome,
+    /// On the threaded driver, which check found dropped work and so
+    /// labelled the run [`RunOutcome::Faulted`] or cancelled; `None` when
+    /// nothing was dropped, and on the simulator, whose losses are its lost
+    /// roots.
+    pub work_dropped: Option<WorkDropped>,
 }
 
 impl EngineMetrics {

@@ -11,6 +11,20 @@ use qcm_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use qcm_sync::{Condvar, Mutex};
 use std::time::Duration;
 
+/// Which check found that a run dropped work, in the order
+/// [`Termination::work_dropped`] makes them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WorkDropped {
+    /// A task observed the cancellation token and truncated itself.
+    Interrupted,
+    /// A task was abandoned: one of its pulls ran out of retries.
+    Abandoned,
+    /// Tasks a spill batch or a steal grant carried did not decode.
+    Unreadable,
+    /// A task or a vertex was still pending when the workers exited.
+    NotQuiescent,
+}
+
 /// Pending/unspawned counters, the `done` flag and the run's loss labels.
 #[derive(Debug, Default)]
 pub struct Termination {
@@ -21,9 +35,10 @@ pub struct Termination {
     /// Vertices not yet consumed by any spawn cursor.
     unspawned: AtomicUsize,
     done: AtomicBool,
-    /// A fault (pull retry budget exhausted, undecodable stolen task) dropped
-    /// part of the workload.
-    faulted: AtomicBool,
+    /// A task was abandoned after its pull retry budget ran out.
+    abandoned: AtomicBool,
+    /// Spilled or granted tasks did not decode.
+    unreadable: AtomicBool,
     /// Some compute call observed the cancellation token and truncated its
     /// own backtracking.
     interrupted: AtomicBool,
@@ -107,12 +122,19 @@ impl Termination {
         }
     }
 
-    /// Labels the run as having lost work to a fault. Call before releasing
-    /// the pending slot the fault excuses.
-    pub fn fault(&self) {
+    /// Labels the run as having lost an abandoned task. Call before
+    /// releasing the pending slot the fault excuses.
+    pub fn abandon(&self) {
         // ordering: Release — the flag must be visible before the pending
         // slot it excuses is released.
-        self.faulted.store(true, Ordering::Release);
+        self.abandoned.store(true, Ordering::Release);
+    }
+
+    /// Labels the run as having lost tasks that did not decode. Call before
+    /// releasing the pending slots the fault excuses.
+    pub fn lose_unreadable(&self) {
+        // ordering: Release — as in `abandon`.
+        self.unreadable.store(true, Ordering::Release);
     }
 
     /// Labels the run as truncated by its cancellation token.
@@ -122,10 +144,12 @@ impl Termination {
         self.interrupted.store(true, Ordering::Release);
     }
 
-    /// True once [`Termination::fault`] was called.
+    /// True once a fault lost part of the workload:
+    /// [`Termination::abandon`] or [`Termination::lose_unreadable`] was
+    /// called.
     pub fn is_faulted(&self) -> bool {
-        // ordering: Acquire — pairs with the Release store in `fault`.
-        self.faulted.load(Ordering::Acquire)
+        // ordering: Acquire — pairs with the Release stores of the two.
+        self.abandoned.load(Ordering::Acquire) || self.unreadable.load(Ordering::Acquire)
     }
 
     /// True once [`Termination::interrupt`] was called.
@@ -134,9 +158,21 @@ impl Termination {
         self.interrupted.load(Ordering::Acquire)
     }
 
-    /// True iff work was dropped: a task truncated itself, a task or vertex
-    /// was left behind, or a fault lost part of the workload.
-    pub fn work_dropped(&self) -> bool {
-        self.is_interrupted() || self.is_faulted() || !self.is_quiescent()
+    /// Whether work was dropped, and the first check that says so: a task
+    /// truncated itself, a fault lost part of the workload, or a task or
+    /// vertex was left behind.
+    pub fn work_dropped(&self) -> Option<WorkDropped> {
+        // ordering: Acquire — as in `is_faulted`.
+        if self.is_interrupted() {
+            Some(WorkDropped::Interrupted)
+        } else if self.abandoned.load(Ordering::Acquire) {
+            Some(WorkDropped::Abandoned)
+        } else if self.unreadable.load(Ordering::Acquire) {
+            Some(WorkDropped::Unreadable)
+        } else if !self.is_quiescent() {
+            Some(WorkDropped::NotQuiescent)
+        } else {
+            None
+        }
     }
 }

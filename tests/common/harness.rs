@@ -780,17 +780,19 @@ impl Run {
     }
 
     /// Runs `miner`, which must complete, and inspects the run. A run that
-    /// does not complete is reported with the counters of every path that
-    /// drops work, so the message names the one it took.
+    /// does not complete is reported with the check that found its work
+    /// dropped and the counters of every path that drops work, so the message
+    /// names the one it took.
     fn mine(&mut self, label: &str, miner: &ParallelMiner) -> Result<ParallelMiningOutput, String> {
         let out = miner.mine(self.graph.clone());
         let m = &out.metrics;
         ensure!(
             out.outcome() == RunOutcome::Complete,
-            "{label}: {:?}; lost roots {:?}, pulls failed {} retried {}, tasks stolen {}, \
+            "{label}: {:?} ({:?}); lost roots {:?}, pulls failed {} retried {}, tasks stolen {}, \
              transport dropped {}, spill bytes written {} read {}, tasks spawned {} \
              decomposed {} processed {}",
             out.outcome(),
+            m.work_dropped,
             out.lost_roots,
             m.pull_failures,
             m.pull_retries,

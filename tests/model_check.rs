@@ -94,7 +94,7 @@ fn termination_protocol_publishes_all_work() {
             // ordering: Relaxed — main joined everyone; the load is for the
             // final assertion only.
             assert!(term.is_done());
-            assert!(!term.work_dropped());
+            assert_eq!(term.work_dropped(), None);
             assert_eq!(sum.load(Ordering::Relaxed), WORKERS * (WORKERS + 1) / 2);
         },
     );
