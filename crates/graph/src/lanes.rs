@@ -3,10 +3,13 @@
 //! The edge-list parser and the CSR builder split their input into *lanes*
 //! and run one scoped thread per lane. A parser lane reads the stretch of the
 //! text that starts at its cut (a line start), from a file a chunk at a time,
-//! counts its lines and hands its pairs to one shared output list; a builder
-//! lane fills its own window of one presized output. How many lanes is
-//! computed from the input's size and the cores the process may run on — it
-//! is never configured.
+//! counts its lines and hands its pairs to one shared output list. The
+//! builder runs its lanes twice over one presized staging array: first each
+//! lane writes its share of the edges into a window of its own in every vertex
+//! block's stretch, then each sorts a run of whole blocks inside its own window
+//! of the array, which becomes the adjacency. How many lanes is computed from
+//! the input's size and the cores the process may run on — it is never
+//! configured.
 
 use qcm_sync::thread;
 
@@ -14,7 +17,7 @@ use qcm_sync::thread;
 /// lane starts at twice this. The edge lists of the serve workloads and of
 /// the Enron and YouTube stand-ins are smaller and ingest on the calling
 /// thread.
-const LANE_BYTES: usize = 4 << 20;
+pub(crate) const LANE_BYTES: usize = 4 << 20;
 
 /// Lanes for `bytes` of input on the cores this process may run on.
 pub(crate) fn lane_count(bytes: usize) -> usize {
