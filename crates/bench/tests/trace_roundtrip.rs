@@ -9,7 +9,9 @@ use qcm_sync::{Arc, Mutex};
 
 /// The span recorder is a process-wide singleton: concurrent traced runs in
 /// one test binary would steal it from each other (the loser's report gets
-/// `trace: None`). One lock serialises the traced tests here.
+/// `trace: None`), and a trace holds every span the process records while
+/// it lasts, an untraced run's spans included. One lock serialises every
+/// test here that mines.
 static RECORDER_LOCK: Mutex<()> = Mutex::new(());
 
 fn planted() -> Arc<Graph> {
@@ -79,6 +81,8 @@ fn traced_session_records_the_span_taxonomy() {
 
 #[test]
 fn untraced_session_reports_no_trace() {
+    // Its spans would land in a concurrent traced test's trace.
+    let _serialised = RECORDER_LOCK.lock();
     let graph = planted();
     let report = Session::builder()
         .gamma(0.8)

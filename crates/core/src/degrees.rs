@@ -15,10 +15,6 @@
 //! S-side kinds are not counted here at all: they follow the search path in
 //! a [`PathDegrees`] and [`carried_degrees_into`] reads them.
 //!
-//! A root's child `S = {root, v}` needs no per-vertex count for the bounds:
-//! an SE-degree is 0, 1 or 2, so the histogram comes from four popcounts of
-//! `ext(S)` against the two members' rows ([`pair_degrees_into`]).
-//!
 //! The ext-side counts AND bit rows against `ext(S)` as a bitset, and the
 //! search carries that bitset beside the list: `ext` and its bits describe
 //! one set at every bounding round. Whoever shrinks the list clears the bits
@@ -26,7 +22,7 @@
 //! checks the two agree in debug builds.
 
 use crate::path_degrees::PathDegrees;
-use qcm_graph::bitset::{row_contains, VertexBitSet};
+use qcm_graph::bitset::VertexBitSet;
 use qcm_graph::neighborhoods::perf;
 use qcm_graph::LocalGraph;
 
@@ -143,41 +139,6 @@ pub fn carried_degrees_into(
         degrees.se_histogram[in_s as usize] += 1;
     }
     perf::count_intersections(row_counts);
-}
-
-/// Refills `degrees` with the SS and ES degrees and the SE histogram of a
-/// root's child `S = [root, v]` from the bits alone, or returns `false`
-/// without touching it when either member has no bit row. `ext_bits` is
-/// `ext(S)` with `ext_len` members.
-///
-/// Four popcounts per word give `d_ext(S)` of both members,
-/// `h2 = |ext ∩ Γ(root) ∩ Γ(v)|` and `h1 = |ext ∩ (Γ(root) ⊕ Γ(v))|`, so the
-/// histogram is `[|ext| − h1 − h2, h1, h2]`; `d_S` of each member is
-/// `[root ~ v]`. `ext_in_s` stays empty: the bounds, the critical-vertex
-/// test and the Type-II rules read only the rest, and whoever needs the
-/// per-vertex SE-degrees runs [`carried_degrees_into`] on the list.
-pub fn pair_degrees_into(
-    g: &LocalGraph,
-    s: [u32; 2],
-    ext_bits: &VertexBitSet,
-    ext_len: usize,
-    degrees: &mut Degrees,
-) -> bool {
-    let (Some(root_row), Some(v_row)) = (g.hub_row(s[0]), g.hub_row(s[1])) else {
-        return false;
-    };
-    debug_assert_eq!(ext_bits.len(), ext_len);
-    debug_assert!(!ext_bits.contains(s[0]) && !ext_bits.contains(s[1]));
-    let [root_ext, v_ext, h2, h1] = ext_bits.pair_counts_rows(root_row, v_row);
-    perf::count_intersections(4);
-    let adjacent = u32::from(row_contains(root_row, s[1]));
-    degrees.clear();
-    degrees.s_in_s.extend([adjacent, adjacent]);
-    degrees.s_in_ext.extend([root_ext as u32, v_ext as u32]);
-    degrees
-        .se_histogram
-        .extend([(ext_len - h1 - h2) as u32, h1 as u32, h2 as u32]);
-    true
 }
 
 /// Refills `ee` (aligned with `ext`) with the EE-degrees `d_ext(S)(u)` of

@@ -19,22 +19,16 @@
 //! caller must not recurse further); `S` itself is examined and reported here
 //! whenever the paper requires it, so no maximal result is ever missed.
 //!
-//! Two shortcuts leave every decision where it was:
-//!
-//! * **A root's child starts on its bits.** For `S = {root, v}` the first
-//!   round up to its Type-II rules needs only four popcounts of `ext(S)`
-//!   against the two members' rows ([`pair_degrees_into`]). Most such
-//!   children end there, before their extension list is cut or a path degree
-//!   moves; the rest run the loop below, which repeats that round on the list
-//!   and counts it there.
-//! * **EE-degrees only where Theorem 5 leaves a vertex open.** Type-I builds
-//!   its rule first and counts `d_ext(S)(u)` only for `d_S(u)` at or above
-//!   Theorem 5's cut: below it the vertex goes whatever its EE-degree.
+//! Every node of the search runs this one procedure, a root's child
+//! `{root, v}` included. One shortcut leaves every decision where it was:
+//! Type-I builds its rule first and counts the EE-degree `d_ext(S)(u)` only
+//! where `d_S(u)` reaches Theorem 5's cut; below it the vertex goes whatever
+//! its EE-degree.
 
 use crate::bounds::{lower_bound, upper_bound, LowerBound, UpperBound};
 use crate::context::MiningContext;
 use crate::critical::{collect_critical_moves, find_critical_vertex};
-use crate::degrees::{carried_degrees_into, compute_ee_degrees_into, pair_degrees_into, Degrees};
+use crate::degrees::{carried_degrees_into, compute_ee_degrees_into, Degrees};
 use crate::rules::{RoundCuts, Type2Outcome};
 use qcm_graph::bitset::{compact, VertexBitSet};
 use qcm_graph::LocalGraph;
@@ -93,74 +87,6 @@ fn compute_bounds(
         }
     }
     Ok(RoundCuts::new(&ctx.params, &ctx.config, s.len(), us, ls))
-}
-
-/// Algorithm 1 lines 9–16: true when a Type-II rule prunes the extensions of
-/// `S`, after examining `G(S)` where Theorem 4 Condition (i) requires it.
-fn type2_prunes(
-    ctx: &mut MiningContext<'_>,
-    s: &[u32],
-    degrees: &Degrees,
-    cuts: &RoundCuts,
-) -> bool {
-    match cuts.type2(degrees) {
-        Type2Outcome::PruneAll => {
-            ctx.stats.type2_pruned += 1;
-            true
-        }
-        Type2Outcome::PruneExtensionsKeepS => {
-            ctx.stats.type2_pruned += 1;
-            ctx.report_if_valid(s);
-            true
-        }
-        Type2Outcome::None => false,
-    }
-}
-
-/// Round 1 of Algorithm 1 on a root's child `S = [root, v]`, read off
-/// `ext(S)` as the bitset `ext_bits` with `ext_len` members: the degrees of
-/// [`pair_degrees_into`], the bounds, the critical-vertex test and the
-/// Type-II rules — no extension list, no [`crate::path_degrees::PathDegrees`]
-/// sync.
-///
-/// Returns `true` when the round ends the child exactly as
-/// [`iterative_bounding_carried`] would: `G(S)` examined where the rules
-/// require it, the round counted. Returns `false`, having reported and
-/// counted nothing, when a member has no bit row, a critical vertex turns up
-/// or the child survives the Type-II rules; the caller then cuts the list
-/// and runs [`iterative_bounding_carried`], which repeats the round on it
-/// (to the same outcome), counts it and goes on.
-pub(crate) fn pair_round(
-    ctx: &mut MiningContext<'_>,
-    s: &[u32],
-    ext_bits: &VertexBitSet,
-    ext_len: usize,
-) -> bool {
-    debug_assert_eq!(s.len(), 2);
-    let mut degrees = ctx.scratch.take_degrees();
-    let ended = pair_degrees_into(ctx.graph, [s[0], s[1]], ext_bits, ext_len, &mut degrees)
-        && pair_round_ends(ctx, s, ext_len, &degrees);
-    ctx.stats.bounding_rounds += u64::from(ended);
-    ctx.scratch.put_degrees(degrees);
-    ended
-}
-
-/// The decisions of [`pair_round`] on its degrees: true when the bounds or
-/// the Type-II rules end the child, false when a critical vertex needs the
-/// list or the child survives.
-fn pair_round_ends(
-    ctx: &mut MiningContext<'_>,
-    s: &[u32],
-    ext_len: usize,
-    degrees: &Degrees,
-) -> bool {
-    let Ok(cuts) = compute_bounds(ctx, s, ext_len, degrees) else {
-        return true;
-    };
-    let critical = cuts
-        .critical_degree()
-        .is_some_and(|needed| find_critical_vertex(degrees, needed).is_some());
-    !critical && type2_prunes(ctx, s, degrees, &cuts)
 }
 
 /// Algorithm 1: iteratively applies the pruning rules to `⟨S, ext(S)⟩`.
@@ -262,9 +188,19 @@ fn bounding_loop(
             }
         }
 
-        // Lines 9–16: Type-II rules.
-        if type2_prunes(ctx, s, degrees, &cuts) {
-            return true;
+        // Lines 9–16: Type-II rules, examining G(S) where Theorem 4
+        // Condition (i) requires it.
+        match cuts.type2(degrees) {
+            Type2Outcome::PruneAll => {
+                ctx.stats.type2_pruned += 1;
+                return true;
+            }
+            Type2Outcome::PruneExtensionsKeepS => {
+                ctx.stats.type2_pruned += 1;
+                ctx.report_if_valid(s);
+                return true;
+            }
+            Type2Outcome::None => {}
         }
 
         // Lines 17–20: Type-I rules.
@@ -416,7 +352,7 @@ mod tests {
             let all: Vec<VertexId> = graph.vertices().collect();
             LocalGraph::from_induced(&graph, &all)
         };
-        let (pruned, s, _ext, _sink) = run(
+        let (pruned, s, _ext, _sink, stats) = run_list(
             &g,
             MiningParams::new(0.6, 2),
             PruneConfig::all_enabled(),
@@ -429,6 +365,7 @@ mod tests {
             s.contains(&2) && s.contains(&3),
             "s = {s:?}, pruned = {pruned}"
         );
+        assert_eq!(stats.critical_moves, 2);
     }
 
     #[test]
@@ -498,29 +435,6 @@ mod tests {
         assert_eq!(shared_sink, fresh_reports);
     }
 
-    /// A root's child `S = [root, v]` bounded the way the search does it:
-    /// the popcount round, then the loop on the list unless that round ended
-    /// the child. The extension is returned only when the child survives.
-    fn run_child(
-        g: &LocalGraph,
-        params: MiningParams,
-        config: PruneConfig,
-        s: [u32; 2],
-        ext: &[u32],
-    ) -> (bool, bool, Vec<u32>, Vec<u32>, QuasiCliqueSet, MiningStats) {
-        let mut sink = QuasiCliqueSet::new();
-        let mut ctx = MiningContext::with_config(g, params, config, &mut sink);
-        let mut bits = VertexBitSet::from_members(g.capacity(), ext);
-        let (mut s, mut ext) = (s.to_vec(), ext.to_vec());
-        let ended = pair_round(&mut ctx, &s, &bits, ext.len());
-        let pruned = ended || iterative_bounding_carried(&mut ctx, &mut s, &mut ext, &mut bits);
-        if pruned {
-            ext.clear();
-        }
-        let stats = ctx.stats;
-        (ended, pruned, s, ext, sink, stats)
-    }
-
     /// [`run`] with its statistics, the extension cleared when pruned.
     fn run_list(
         g: &LocalGraph,
@@ -538,50 +452,6 @@ mod tests {
         }
         let stats = ctx.stats;
         (pruned, s, ext, sink, stats)
-    }
-
-    /// Every child `{r, v}` of Figure 4 and every extension drawn from the
-    /// other seven vertices, at five γ and three rule sets: the popcount
-    /// round followed by the loop prunes, grows `S`, reports and counts
-    /// exactly like the loop alone — each round counted once.
-    #[test]
-    fn the_popcount_round_decides_every_child_like_the_list_round() {
-        let mut g = figure4_local();
-        g.build_hub_index(qcm_graph::IndexSpec::Threshold(0));
-        let configs = [
-            PruneConfig::all_enabled(),
-            PruneConfig::all_enabled().without("critical_vertex"),
-            PruneConfig::all_enabled().without("upper_bound"),
-        ];
-        let mut ended = [0u32; 2];
-        for (gamma, min_size) in [0.5, 0.6, 0.75, 0.9, 1.0].into_iter().zip([2, 3, 2, 3, 2]) {
-            // τ_size = 2 makes `G(S)` itself reportable.
-            let params = MiningParams::new(gamma, min_size);
-            for config in configs {
-                for r in 0..9u32 {
-                    for v in (0..9u32).filter(|&v| v != r) {
-                        let others: Vec<u32> = (0..9).filter(|&u| u != r && u != v).collect();
-                        for mask in 0u32..1 << others.len() {
-                            let ext: Vec<u32> = (0..others.len())
-                                .filter(|&i| mask >> i & 1 != 0)
-                                .map(|i| others[i])
-                                .collect();
-                            let (round_ended, pruned, s, rest, sink, stats) =
-                                run_child(&g, params, config, [r, v], &ext);
-                            let list = run_list(&g, params, config, &[r, v], &ext);
-                            assert_eq!(
-                                (pruned, s, rest, sink, stats),
-                                list,
-                                "γ = {gamma}, {config:?}, S = [{r}, {v}], ext = {ext:?}"
-                            );
-                            ended[usize::from(round_ended)] += 1;
-                        }
-                    }
-                }
-            }
-        }
-        // Both ways out of the round are exercised.
-        assert!(ended[0] > 0 && ended[1] > 0, "{ended:?}");
     }
 
     #[test]
@@ -632,37 +502,6 @@ mod tests {
         assert_eq!((s, ext), (vec![0, 1, 2, 3], vec![5]));
         assert_eq!((stats.critical_moves, stats.type1_pruned), (1, 1));
         assert_eq!(stats.bounding_rounds, 2);
-    }
-
-    #[test]
-    fn a_critical_vertex_in_the_popcount_round_hands_the_child_to_the_list() {
-        // The graph of `critical_vertex_absorbs_required_neighbors`: in
-        // S = [0, 1] with ext = {2, 3, 4} at γ = 0.6, vertex 0 is critical
-        // and forces {2, 3} into S.
-        let mut g = {
-            let graph = Graph::from_edges(5, [(0, 2), (0, 3), (1, 2), (1, 3), (1, 4)]).unwrap();
-            let all: Vec<VertexId> = graph.vertices().collect();
-            LocalGraph::from_induced(&graph, &all)
-        };
-        let params = MiningParams::new(0.6, 2);
-        let config = PruneConfig::all_enabled();
-        // Without rows there is no popcount round, and nothing is counted.
-        let mut sink = QuasiCliqueSet::new();
-        let mut ctx = MiningContext::with_config(&g, params, config, &mut sink);
-        let bits = VertexBitSet::from_members(5, &[2, 3, 4]);
-        assert!(!pair_round(&mut ctx, &[0, 1], &bits, 3));
-        assert_eq!(ctx.stats.bounding_rounds, 0);
-
-        g.build_hub_index(qcm_graph::IndexSpec::Threshold(0));
-        let (ended, pruned, s, ext, sink, stats) =
-            run_child(&g, params, config, [0, 1], &[2, 3, 4]);
-        assert!(!ended, "the critical vertex needs the list");
-        assert!(s.contains(&2) && s.contains(&3), "s = {s:?}");
-        assert_eq!(stats.critical_moves, 2);
-        assert_eq!(
-            (pruned, s, ext, sink, stats),
-            run_list(&g, params, config, &[0, 1], &[2, 3, 4])
-        );
     }
 
     /// A random graph on `n ≤ 40` vertices, `S` and `ext` disjoint random

@@ -19,10 +19,9 @@
 //! node re-inserts the extension into a set.
 //!
 //! A child's extension is decided on its bits first: `rest ∧ B(v)`, one AND
-//! per word. A root's child `{root, v}` then runs Algorithm 1's first round
-//! on those bits alone ([`mod@crate::iterative_bounding`]), and its list is cut
-//! from the parent's tail only if it survives that round; a deeper child
-//! cuts its list at once.
+//! per word. Its list is then cut from the parent's tail, and every child,
+//! a root's `{root, v}` as much as a deep one, runs the same Algorithm 1
+//! ([`mod@crate::iterative_bounding`]) on the list and the bits.
 //!
 //! The loop has one fork, on the line after Algorithm 1: the subtree under
 //! `S'` is either walked here or handed to the caller's [`HandOff`] as a task
@@ -32,7 +31,7 @@
 
 use crate::context::MiningContext;
 use crate::cover::{find_cover_vertex_into, move_cover_to_tail_with};
-use crate::iterative_bounding::{iterative_bounding_carried, pair_round};
+use crate::iterative_bounding::iterative_bounding_carried;
 use crate::quasiclique::is_quasi_clique_of;
 use crate::scratch::MiningScratch;
 use qcm_graph::bitset::{compact, VertexBitSet};
@@ -320,12 +319,10 @@ fn mine_node<H: HandOff>(
         } else {
             // Line 18: apply the pruning rules; this may also grow S' via the
             // critical-vertex rule and will report G(S') itself when
-            // appropriate. A root's child runs round 1 on the bits first and
-            // needs no list if that round ends it.
-            let pruned = (s.len() == 1 && pair_round(ctx, &s_prime, &ext_prime_bits, ext_len)) || {
-                cut_extension(tail, &ext_prime_bits, ext_len, &mut ext_prime);
-                iterative_bounding_carried(ctx, &mut s_prime, &mut ext_prime, &mut ext_prime_bits)
-            };
+            // appropriate.
+            cut_extension(tail, &ext_prime_bits, ext_len, &mut ext_prime);
+            let pruned =
+                iterative_bounding_carried(ctx, &mut s_prime, &mut ext_prime, &mut ext_prime_bits);
 
             // Lines 20–25, or Algorithm 10 lines 18–24 once a hand-off is due.
             if !pruned && s_prime.len() + ext_prime.len() >= ctx.params.min_size {

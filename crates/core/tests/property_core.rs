@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use qcm_core::degrees::{carried_degrees_into, Degrees};
 use qcm_core::path_degrees::PathDegrees;
 use qcm_core::{naive, quick_mine, MiningParams, PruneConfig, SerialMiner};
-use qcm_graph::{Graph, IndexSpec, LocalGraph, VertexBitSet, VertexId};
+use qcm_graph::{IndexSpec, LocalGraph, VertexBitSet, VertexId};
 
 mod common;
 
@@ -227,87 +227,5 @@ proptest! {
     fn raw_report_count_upper_bounds_maximal((g, params) in (arb_graph(12), arb_params())) {
         let mined = SerialMiner::new(params).mine(&g);
         prop_assert!(mined.raw_reported >= mined.maximal.len() as u64);
-    }
-}
-
-/// A planted-community graph small enough that every root's task keeps a
-/// bit row for every vertex: a power-law background with a few dense
-/// communities of size 8–19.
-fn arb_planted() -> impl Strategy<Value = Graph> {
-    (80usize..200, 0u64..1 << 32, 6u32..=10, 1usize..4).prop_map(|(n, seed, density10, count)| {
-        let spec = qcm_gen::PlantedGraphSpec {
-            num_vertices: n,
-            background_avg_degree: 5.0,
-            background_max_degree: 40.0,
-            community_sizes: (0..count)
-                .map(|i| 8 + (seed as usize >> (4 * i)) % 12)
-                .collect(),
-            community_density: density10 as f64 / 10.0,
-            seed,
-            ..qcm_gen::PlantedGraphSpec::default()
-        };
-        qcm_gen::plant_quasi_cliques(&spec).0
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// For every child `S' = {root, v}` of every root task — its extension
-    /// being the vertices after `v` within two hops of it — the popcount
-    /// round yields the degrees the list round reads (`ext_in_s` aside,
-    /// which no bound or Type-II rule reads), and so the same `U_S`, `L_S`
-    /// and Type-II outcome.
-    #[test]
-    fn the_popcount_round_bounds_a_roots_child_like_the_list_round(
-        g in arb_planted(),
-        (params, config) in arb_task_shape(),
-    ) {
-        use qcm_core::bounds::{lower_bound, upper_bound, LowerBound, UpperBound};
-        use qcm_core::degrees::pair_degrees_into;
-        use qcm_core::rules::RoundCuts;
-        let core = config.core_of(&g, &params);
-        let numbering = qcm_core::CoreNumbering::new(core.graph.global_ids().to_vec());
-        let mut tasks = qcm_core::TaskAssembly::new(params, &config, qcm_sync::Arc::new(numbering));
-        let (mut children, mut both) = (0u64, 0u64);
-        for &root in &core.roots {
-            let task = tasks.build(&core.graph, root).filter(|t| t.capacity() >= params.min_size);
-            let Some(mut t) = task else { continue };
-            t.build_hub_index(IndexSpec::Auto);
-            let n = t.capacity();
-            let mut path = PathDegrees::default();
-            let (mut list, mut pair) = (Degrees::default(), Degrees::default());
-            for v in 1..n as u32 {
-                let mut b_v = VertexBitSet::new(n);
-                qcm_core::two_hop_bits_into(&t, v, &mut b_v, &mut Vec::new());
-                let ext: Vec<u32> = (v + 1..n as u32).filter(|&u| b_v.contains(u)).collect();
-                let bits = VertexBitSet::from_members(n, &ext);
-                children += 1;
-                let rows = t.hub_row(0).is_some() && t.hub_row(v).is_some();
-                prop_assert_eq!(pair_degrees_into(&t, [0, v], &bits, ext.len(), &mut pair), rows);
-                if !rows {
-                    continue;
-                }
-                both += 1;
-                carried_degrees_into(&t, &mut path, &[0, v], &ext, &bits, &mut list);
-                list.ext_in_s.clear();
-                prop_assert_eq!(&pair, &list, "root {} child {}", root, v);
-                let bounds = |d: &Degrees| {
-                    let us = match upper_bound(&params, d, ext.len()) {
-                        UpperBound::Bound(b) => Some(b),
-                        UpperBound::ExtensionsPruned => None,
-                    };
-                    let ls = match lower_bound(&params, d, ext.len()) {
-                        LowerBound::Bound(b) => Some(b),
-                        LowerBound::AllPruned => None,
-                    };
-                    let cuts = RoundCuts::new(&params, &config, 2, us, ls);
-                    (us, ls, cuts.critical_degree(), cuts.type2(d))
-                };
-                prop_assert_eq!(bounds(&pair), bounds(&list));
-            }
-        }
-        // Every task of these graphs is small enough to keep all its rows.
-        prop_assert_eq!(both, children);
     }
 }

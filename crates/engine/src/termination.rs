@@ -83,9 +83,14 @@ impl Termination {
     /// True when no task exists, is in flight, or is still unspawned.
     pub fn is_quiescent(&self) -> bool {
         // ordering: Acquire — pairs with the AcqRel RMWs on both counters.
-        // `pending` is incremented before `unspawned` is decremented on the
-        // spawn path, so both reading zero proves the pool is empty.
-        self.pending.load(Ordering::Acquire) == 0 && self.unspawned.load(Ordering::Acquire) == 0
+        // A spawner takes its pending slot before it decrements `unspawned`,
+        // so `unspawned` is read first: a reader that sees it at zero has
+        // synchronised with the `mark_spawned` that zeroed it, and so with
+        // the slot taken before, and the `pending` read that follows cannot
+        // miss that spawn. Read the other way round, `pending` could be read
+        // just before the last spawn and `unspawned` just after it, and the
+        // run would end with that root's task never run.
+        self.unspawned.load(Ordering::Acquire) == 0 && self.pending.load(Ordering::Acquire) == 0
     }
 
     /// Ends the run: every poller of [`Termination::is_done`] drains out.

@@ -194,22 +194,6 @@ impl VertexBitSet {
         and_count(&self.words, row)
     }
 
-    /// The four counts of `self` against a pair of borrowed rows `a`, `b` of
-    /// the same width, in one pass over the words:
-    /// `[|self ∩ a|, |self ∩ b|, |self ∩ a ∩ b|, |self ∩ (a ⊕ b)|]`.
-    #[inline]
-    pub fn pair_counts_rows(&self, a: &[u64], b: &[u64]) -> [usize; 4] {
-        debug_assert!(self.words.len() == a.len() && a.len() == b.len());
-        let mut counts = [0usize; 4];
-        for ((&e, &x), &y) in self.words.iter().zip(a).zip(b) {
-            counts[0] += (e & x).count_ones() as usize;
-            counts[1] += (e & y).count_ones() as usize;
-            counts[2] += (e & x & y).count_ones() as usize;
-            counts[3] += (e & (x ^ y)).count_ones() as usize;
-        }
-        counts
-    }
-
     /// `self ← self ∩ other` (word-parallel). The sets must have the same
     /// capacity.
     pub fn intersect_with(&mut self, other: &VertexBitSet) {
@@ -355,16 +339,6 @@ mod tests {
         let mut d = a.clone();
         d.union_with(&b);
         assert_eq!(d.len(), a.len() + b.len() - 3);
-    }
-
-    #[test]
-    fn pair_counts_split_the_set_by_two_rows() {
-        let e = VertexBitSet::from_members(200, &[1, 5, 64, 70, 128, 199]);
-        let a = VertexBitSet::from_members(200, &[1, 5, 70, 100]);
-        let b = VertexBitSet::from_members(200, &[5, 64, 70, 199, 3]);
-        // e ∩ a = {1, 5, 70}, e ∩ b = {5, 64, 70, 199}, both = {5, 70},
-        // exactly one = {1, 64, 199}.
-        assert_eq!(e.pair_counts_rows(a.words(), b.words()), [3, 4, 2, 3]);
     }
 
     #[test]

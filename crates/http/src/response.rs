@@ -58,12 +58,6 @@ impl Response {
         response
     }
 
-    /// Adds a header.
-    pub fn with_header(mut self, name: &str, value: impl Into<String>) -> Response {
-        self.headers.push((name.to_string(), value.into()));
-        self
-    }
-
     /// Serialises the response, closing or keeping the connection per
     /// `keep_alive`.
     pub fn render(&self, keep_alive: bool) -> Vec<u8> {

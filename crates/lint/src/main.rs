@@ -2,7 +2,7 @@
 //!
 //! A deliberately hand-rolled, line-based source scanner (no `syn`, no
 //! proc-macro machinery — the build environment vendors no parser), so
-//! every rule is conservative and textual. Six rules:
+//! every rule is conservative and textual. Seven rules:
 //!
 //! 1. **sync-facade** — no direct `std::sync::` / `std::thread::`
 //!    references outside `crates/sync` and `vendor/`.
@@ -26,11 +26,16 @@
 //!    front door) and `crates/bench` (the load generator that drives
 //!    it). Mining, service and CLI layers stay socket-free, so the
 //!    entire wire surface is reviewable in one crate.
+//! 7. **retired-concept** — a deleted concept (a second miner, peel
+//!    kernel, task assembly or Algorithm 1 path, a kernel selector, a
+//!    grandfathered hot-path site, …) does not come back; one table in
+//!    [`retired`].
 //!
-//! Violations are matched against a shrink-only allowlist
-//! (`crates/lint/allowlist.txt`). Unknown violations fail; stale
-//! entries also fail until removed (`--ratchet` rewrites the file,
-//! dropping them — it never adds entries).
+//! Violations of rules 1–6 are matched against a shrink-only allowlist
+//! (`crates/lint/allowlist.txt`); a retired concept never is. Unknown
+//! violations fail; stale entries also fail until removed (`--ratchet`
+//! rewrites the file, dropping them — it never adds entries). `cargo
+//! test -p qcm-lint` runs the source rules over the repository.
 //!
 //! Subcommands:
 //! * `qcm-lint` — run the source rules.
@@ -43,6 +48,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+mod retired;
 mod sha256;
 
 /// Directories (relative to the repo root) whose `.rs` files are scanned.
@@ -168,13 +174,14 @@ fn main() -> ExitCode {
         },
         Some("vendor-check") => vendor_check(&root),
         Some(_) => unreachable!("parsed above"),
-        None => run_source_rules(&root, ratchet),
+        None => ExitCode::from(run_source_rules(&root, ratchet)),
     }
 }
 
 // ---- source rules ----------------------------------------------------
 
-fn run_source_rules(root: &Path, ratchet: bool) -> ExitCode {
+/// Runs the source rules over the repository at `root`; the exit status.
+fn run_source_rules(root: &Path, ratchet: bool) -> u8 {
     let mut files = Vec::new();
     for scan in SCAN_ROOTS {
         collect_rs_files(&root.join(scan), root, &mut files);
@@ -190,7 +197,7 @@ fn run_source_rules(root: &Path, ratchet: bool) -> ExitCode {
             Ok(t) => t,
             Err(err) => {
                 eprintln!("qcm-lint: cannot read {rel}: {err}");
-                return ExitCode::from(2);
+                return 2;
             }
         };
         scan_file(rel, &text, &mut violations);
@@ -200,7 +207,9 @@ fn run_source_rules(root: &Path, ratchet: bool) -> ExitCode {
     let allowlist = load_allowlist(&allowlist_path);
 
     let mut used: BTreeMap<String, usize> = BTreeMap::new();
-    let mut fresh = Vec::new();
+    let mut retired_hits = Vec::new();
+    retired::scan(root, &mut retired_hits);
+    let mut fresh: Vec<&Violation> = retired_hits.iter().collect();
     for v in &violations {
         let key = v.key();
         if allowlist.contains(&key) {
@@ -239,7 +248,7 @@ fn run_source_rules(root: &Path, ratchet: bool) -> ExitCode {
             }
             if let Err(err) = std::fs::write(&allowlist_path, out) {
                 eprintln!("qcm-lint: cannot rewrite allowlist: {err}");
-                return ExitCode::from(2);
+                return 2;
             }
             println!(
                 "qcm-lint: ratcheted allowlist down by {} entr{} ({} remain)",
@@ -267,14 +276,14 @@ fn run_source_rules(root: &Path, ratchet: bool) -> ExitCode {
              adding entries.",
             allowlist_path.display()
         );
-        ExitCode::FAILURE
+        1
     } else {
         println!(
             "qcm-lint: clean — {} file(s) scanned, {} grandfathered site(s) remain",
             files.len(),
             used.values().sum::<usize>()
         );
-        ExitCode::SUCCESS
+        0
     }
 }
 
@@ -618,5 +627,16 @@ fn vendor_check(root: &Path) -> ExitCode {
     } else {
         println!("qcm-lint: vendor manifest OK ({} files)", got.len());
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    /// The repository passes every source rule; a failure prints each
+    /// violation.
+    #[test]
+    fn the_repository_passes_the_source_rules() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        assert_eq!(super::run_source_rules(&root, false), 0);
     }
 }

@@ -114,7 +114,9 @@ pub struct MiningReport {
     pub stats: BackendStats,
     /// The span trace of this run, when the session was built with
     /// [`SessionBuilder::tracing`] (and the process-wide recorder was
-    /// free). Export with [`qcm_obs::chrome::render`].
+    /// free). It holds every span the process recorded while the run
+    /// lasted, so the spans of runs concurrent with this one appear in it
+    /// too. Export with [`qcm_obs::chrome::render`].
     pub trace: Option<Trace>,
 }
 
@@ -273,8 +275,11 @@ impl SessionBuilder {
     ///
     /// The recorder is process-wide with a single active recording; when
     /// another traced run is already in flight, this run proceeds untraced
-    /// (`trace: None`). Sessions without tracing pay one relaxed atomic
-    /// load per span site.
+    /// (`trace: None`). A trace holds every span the process records while
+    /// the run lasts: runs concurrent with a traced one, untraced ones
+    /// included, appear in its trace until traces are kept per job (ROADMAP
+    /// item 3). Sessions without tracing pay one relaxed atomic load per
+    /// span site.
     pub fn tracing(mut self, config: TraceConfig) -> Self {
         self.tracing = Some(config);
         self

@@ -1,6 +1,6 @@
 //! Job identities, requests, states and results.
 
-use qcm::core::{MiningParams, PruneConfig, QuasiCliqueSet, ResultSink, RunOutcome};
+use qcm::core::{PruneConfig, QuasiCliqueSet, ResultSink, RunOutcome};
 use qcm::Backend;
 use qcm_graph::Graph;
 use qcm_sync::Arc;
@@ -117,14 +117,6 @@ impl fmt::Display for JobStatus {
     }
 }
 
-/// γ/τ_size as supplied by the caller: a raw float validated at submit time,
-/// or exact, pre-validated [`MiningParams`].
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum ParamsInput {
-    Float { gamma: f64, min_size: usize },
-    Exact(MiningParams),
-}
-
 /// One mining query, ready for [`crate::MiningService::submit`].
 ///
 /// Built fluently; every setter is infallible and validation happens at
@@ -144,7 +136,8 @@ pub(crate) enum ParamsInput {
 /// ```
 pub struct JobRequest {
     pub(crate) graph: Arc<Graph>,
-    pub(crate) params: ParamsInput,
+    pub(crate) gamma: f64,
+    pub(crate) min_size: usize,
     pub(crate) prune: PruneConfig,
     pub(crate) backend: Backend,
     pub(crate) tenant: String,
@@ -163,7 +156,8 @@ impl JobRequest {
     pub fn new(graph: Arc<Graph>, gamma: f64, min_size: usize) -> Self {
         JobRequest {
             graph,
-            params: ParamsInput::Float { gamma, min_size },
+            gamma,
+            min_size,
             prune: PruneConfig::all_enabled(),
             backend: Backend::Serial,
             tenant: "default".to_string(),
@@ -172,14 +166,6 @@ impl JobRequest {
             sink: None,
             fingerprint: None,
         }
-    }
-
-    /// Like [`JobRequest::new`] but with exact, pre-validated parameters (the
-    /// rational γ is adopted without a float round trip).
-    pub fn with_params(graph: Arc<Graph>, params: MiningParams) -> Self {
-        let mut req = JobRequest::new(graph, 1.0, 2);
-        req.params = ParamsInput::Exact(params);
-        req
     }
 
     /// The tenant this job is accounted against (fair scheduling and quotas).

@@ -3,7 +3,7 @@
 use crate::admission::AdmissionControl;
 use crate::cache::ResultCache;
 use crate::error::ServiceError;
-use crate::job::{JobId, JobRequest, JobResult, JobStatus, MinedAnswer, ParamsInput, Priority};
+use crate::job::{JobId, JobRequest, JobResult, JobStatus, MinedAnswer, Priority};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::queue::JobQueue;
 use qcm::{CancelToken, ResultSink, RunOutcome, Session};
@@ -202,12 +202,10 @@ impl MiningService {
     /// job, [`ServiceError::ShuttingDown`] after shutdown began.
     pub fn submit(&self, request: JobRequest) -> Result<JobId, ServiceError> {
         let mut builder = Session::builder()
+            .gamma(request.gamma)
+            .min_size(request.min_size)
             .prune(request.prune)
             .backend(request.backend);
-        builder = match request.params {
-            ParamsInput::Float { gamma, min_size } => builder.gamma(gamma).min_size(min_size),
-            ParamsInput::Exact(params) => builder.params(params),
-        };
         if let Some(deadline) = request.deadline {
             builder = builder.deadline(deadline);
         }

@@ -4,8 +4,10 @@
 //! The per-crate suites (`model_steal`, `model_cancel`, `model_cache`)
 //! pin down one component each; this suite covers the protocols that
 //! only exist across layers: the engine's counting-based termination
-//! protocol (the `Termination` type the cluster and the simulator share) and the deque + cancel-token composition used by the worker
-//! loops. Each scenario explores at least 1 000 seeded schedules, and
+//! protocol (the `Termination` type the cluster and the simulator share:
+//! its publication of every worker's work, and its idle check against a
+//! concurrent spawn) and the deque + cancel-token composition used by the
+//! worker loops. Each scenario explores at least 1 000 seeded schedules, and
 //! `replayable_failure_reproduces_bit_for_bit` demonstrates the
 //! seed → identical-trace replay contract end to end.
 
@@ -96,6 +98,49 @@ fn termination_protocol_publishes_all_work() {
             assert!(term.is_done());
             assert_eq!(term.work_dropped(), None);
             assert_eq!(sum.load(Ordering::Relaxed), WORKERS * (WORKERS + 1) / 2);
+        },
+    );
+}
+
+/// A root spawned while another worker runs the idle check — the shape of
+/// `spawn_batch` against the quiescence test of the cluster's worker loop.
+/// The spawner takes its transient pending slot, takes the last vertex
+/// (`mark_spawned`), registers the root's task and drops the transient
+/// slot; while it still owns the task, the run must not be over. An idle
+/// check that read `pending` before `unspawned` could see both at zero
+/// across the spawn and finish the run with the root's task never run.
+#[test]
+fn idle_check_never_finishes_across_the_last_spawn() {
+    run_with(
+        "idle_check_never_finishes_across_the_last_spawn",
+        ModelConfig::strict(),
+        || {
+            let term = Arc::new(Termination::new(1));
+            let spawner = {
+                let term = term.clone();
+                thread::spawn(move || {
+                    term.add_pending(1);
+                    term.mark_spawned();
+                    term.add_pending(1);
+                    term.release(1);
+                    assert!(
+                        !term.is_done(),
+                        "the run finished while a root task was live"
+                    );
+                    term.release(1);
+                })
+            };
+            let idle = {
+                let term = term.clone();
+                thread::spawn(move || {
+                    if term.is_quiescent() {
+                        term.finish();
+                    }
+                })
+            };
+            spawner.join().unwrap();
+            idle.join().unwrap();
+            assert_eq!(term.work_dropped(), None);
         },
     );
 }
