@@ -12,11 +12,14 @@
 //!
 //! * the **worker loop** (the reforged Algorithm 3): pump the machine's
 //!   mailbox, pop a task (big tasks and refills first), else spawn a batch,
-//!   else check the termination counters;
+//!   else check the termination counters and, with work left elsewhere, ask
+//!   the machine with the most queued tasks for some (receiver-initiated
+//!   stealing between machines; at most one ask per machine on the wire);
 //! * **blocking pulls** through each machine's [`DataService`] (remote-vertex
 //!   cache, zero-copy in-process fetch, per-attempt timeout and retries);
 //! * the **master balancer thread**, which every `balance_period` asks the
-//!   protocol for one big-task steal and wakes early when the run ends;
+//!   protocol for one big-task steal (the paper's periodic pass, which also
+//!   frees an ask whose reply was lost) and wakes early when the run ends;
 //! * cooperative **cancellation** and the run's outcome label.
 
 use crate::app::QuasiCliqueApp;
@@ -119,7 +122,7 @@ pub(crate) fn run(
 
     // A worker panic resumes out of the scope once every thread joined.
     qcm_sync::thread::scope(|scope| {
-        // Master load balancer (big-task stealing between machines).
+        // Master load balancer (periodic big-task stealing between machines).
         if config.num_machines > 1 {
             scope.spawn(|| balancer_loop(&live));
         }
@@ -204,6 +207,9 @@ fn worker_loop(live: &Live<'_>, worker: usize) -> Duration {
             shut_down(live, m);
             break;
         }
+        // This machine ran dry while another may still queue tasks: ask the
+        // fullest for some; the grant lands in the mailbox pumped above.
+        run.ask_for_work(m);
         qcm_sync::thread::sleep(Duration::from_micros(200));
     }
     busy

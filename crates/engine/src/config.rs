@@ -38,7 +38,10 @@ pub struct EngineConfig {
     /// Directory used for spill files. `None` keeps spilled batches in memory
     /// (still accounted as "disk" bytes in the metrics) — useful for tests.
     pub spill_dir: Option<PathBuf>,
-    /// Period of the master's load-balancing loop (big-task stealing).
+    /// Period of the master's load-balancing loop (big-task stealing). Each
+    /// pass also frees every machine's ask for work, so an ask or reply lost
+    /// on the network holds a machine's next ask back by one period at most;
+    /// an idle machine's ask itself waits for no period.
     pub balance_period: Duration,
     /// Selects the inter-machine transport of each run, and with it the
     /// driver (live threads or the fault simulator). The config holds a

@@ -39,7 +39,8 @@
 //! `machine` module: each machine's big-task lane, worker deques, spawn
 //! cursor and steal-grant book, and the protocol steps over them (spawn a
 //! batch, route, pop, one compute step, handle one [`EngineMsg`], plan a
-//! balance move), plus run set-up and metrics assembly. The configured
+//! balance move, ask another machine for work when one runs dry), plus run
+//! set-up and metrics assembly. The configured
 //! [`TransportFactory`] picks the driver that calls those steps. For
 //! `InProc` it adds worker threads, blocking pulls through a per-machine
 //! data service, the balancer thread and termination by the [`Termination`]

@@ -9,7 +9,8 @@
 //! application, vertex table, transport, [`Termination`] counters, metric
 //! counters) and exposes the steps of the reforged Algorithm 3 as plain
 //! methods: spawn one batch, route a new task, pop the next task, run one
-//! compute step, handle one message, plan and request one balance move.
+//! compute step, handle one message, plan and request one balance move, and
+//! ask another machine for work when this one runs dry.
 //!
 //! The module owns no thread and no clock: `cluster` calls the steps from
 //! worker threads with blocking pulls, `sim` from a discrete-event queue with
@@ -34,8 +35,9 @@ use qcm_graph::neighborhoods::perf;
 use qcm_graph::{Graph, VertexId};
 use qcm_obs::clock::Instant;
 use qcm_obs::SpanKind;
-use qcm_sync::atomic::{AtomicU64, Ordering};
+use qcm_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use qcm_sync::{Arc, Mutex};
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::Duration;
 
@@ -45,7 +47,8 @@ pub(crate) type Row = Vec<VertexId>;
 /// The queues and bookkeeping of one machine.
 pub(crate) struct Machine {
     /// The big-task lane: big tasks plus worker-deque overflow, spilling to
-    /// disk when full. The balancer steals from here.
+    /// disk when full. A grant takes from here first, then from the cold ends
+    /// of the worker deques.
     big: Mutex<TaskQueue<QCTask>>,
     /// One bounded deque per mining thread of this machine (small tasks).
     workers: WorkerQueues<QCTask>,
@@ -62,6 +65,10 @@ pub(crate) struct Machine {
     /// period), never pruned: no message tells the receiver that its ack
     /// arrived, so no entry is provably dead while the run lasts.
     seen: Mutex<BTreeSet<u64>>,
+    /// An ask for work from this machine is on the wire. Set by
+    /// [`Run::ask_for_work`]; cleared by the reply, or by the master's next
+    /// balance pass should the ask or its reply be lost.
+    asking: AtomicBool,
 }
 
 impl Machine {
@@ -71,11 +78,23 @@ impl Machine {
         self.big.lock().total_pending()
     }
 
+    /// Tasks queued here: the big-task lane's plus the worker deques'
+    /// (advisory) — what another machine can ask for.
+    fn queued(&self) -> usize {
+        self.big_pending() + self.workers.total_approx_len()
+    }
+
     /// True while a task is queued or a vertex is still unspawned here.
     pub(crate) fn has_work(&self) -> bool {
-        self.workers.total_approx_len() > 0
-            || self.big_pending() > 0
-            || !self.cursor.lock().is_empty()
+        self.queued() > 0 || !self.cursor.lock().is_empty()
+    }
+
+    /// Takes up to `count` queued tasks for a grant: the big-task lane's
+    /// oldest first, then the oldest of the worker deques, fullest first.
+    fn grant_batch(&self, count: usize) -> Vec<QCTask> {
+        let mut batch = self.big.lock().take_batch(count);
+        batch.extend(self.workers.take_cold(count - batch.len()));
+        batch
     }
 
     /// Puts tasks (back) into the big-task lane.
@@ -270,6 +289,7 @@ impl<'a> Run<'a> {
                 cursor: Mutex::new(table.owned_vertices(m).into()),
                 unacked: Mutex::default(),
                 seen: Mutex::default(),
+                asking: AtomicBool::new(false),
             })
             .collect();
         Run {
@@ -515,8 +535,9 @@ impl<'a> Run<'a> {
     }
 
     /// Handles one message addressed to machine `m`: serves a pull from the
-    /// local partition, grants a steal batch from the big-task lane, decodes
-    /// a granted batch into the lane and acks it, releases an acked grant.
+    /// local partition, answers a steal request with a grant (empty when
+    /// nothing is queued here), decodes a granted batch into the big-task
+    /// lane and acks it, releases an acked grant.
     pub(crate) fn handle_msg(&self, m: usize, env: Envelope) -> Handled {
         let machine = &self.machines[m];
         let from = env.from;
@@ -533,8 +554,15 @@ impl<'a> Run<'a> {
                 return Handled::PullResponse { from, token, lists };
             }
             EngineMsg::StealRequest { seq, count } => {
-                let batch = machine.big.lock().take_batch(count as usize);
+                let batch = machine.grant_batch(count as usize);
                 if batch.is_empty() {
+                    // Always answer, so the asker may ask again; an empty
+                    // grant is neither booked nor acked.
+                    let grant = EngineMsg::StealGrant {
+                        seq,
+                        tasks: Vec::new(),
+                    };
+                    let _ = self.transport.send(m, from, grant);
                     return Handled::Done;
                 }
                 let tasks = encode_tasks(&batch);
@@ -548,6 +576,12 @@ impl<'a> Run<'a> {
                 machine.requeue(machine.abandon_grant(seq));
             }
             EngineMsg::StealGrant { seq, tasks } => {
+                // ordering: Relaxed — the flag only throttles asks; no memory
+                // is published through it.
+                machine.asking.store(false, Ordering::Relaxed);
+                if tasks.is_empty() {
+                    return Handled::Done;
+                }
                 if machine.seen.lock().insert(seq) {
                     let (decoded, lost) = decode_tasks(&tasks);
                     self.lose_unreadable(lost);
@@ -569,17 +603,55 @@ impl<'a> Run<'a> {
     /// machines): reads every alive machine's big-task lane depth and, when
     /// [`plan_balance`] finds a move, sends the [`EngineMsg::StealRequest`]
     /// on the poor machine's behalf. The rich machine answers with a grant
-    /// carrying the serialised batch; the poor one decodes it and acks.
+    /// carrying the serialised batch; the poor one decodes it and acks. The
+    /// pass also clears every machine's ask flag, so an ask or a reply lost
+    /// on the network holds a machine's next ask back by one period at most.
     pub(crate) fn balance(&self, alive: &[bool]) {
+        for machine in &self.machines {
+            // ordering: Relaxed — see ask_for_work.
+            machine.asking.store(false, Ordering::Relaxed);
+        }
         let pending: Vec<usize> = self.machines.iter().map(Machine::big_pending).collect();
         let Some(mv) = plan_balance(&pending, alive, self.config.batch_size) else {
             return;
         };
+        self.request(mv.poor, mv.rich, mv.count);
+    }
+
+    /// Machine `m` has nothing to pop and nothing to spawn: it asks the other
+    /// machine with the most queued tasks (big-task lane and worker deques)
+    /// for half of them, at most one batch — [`plan_balance`]'s rule, started
+    /// by the machine that runs dry rather than by the master's clock. Sends
+    /// nothing while an earlier ask from `m` awaits its reply, or when no
+    /// other machine has two tasks queued.
+    pub(crate) fn ask_for_work(&self, m: usize) {
+        let asking = &self.machines[m].asking;
+        // ordering: Relaxed (both accesses) — the flag only throttles asks;
+        // no memory is published through it, and the swap's atomicity alone
+        // keeps a machine's workers from asking twice.
+        if asking.load(Ordering::Relaxed) {
+            return;
+        }
+        let others = self.machines.iter().enumerate().filter(|&(r, _)| r != m);
+        let loads = others.map(|(r, machine)| (machine.queued(), Reverse(r)));
+        let Some((queued, Reverse(rich))) = loads.max() else {
+            return;
+        };
+        if queued < 2 || asking.swap(true, Ordering::Relaxed) {
+            return;
+        }
+        self.request(m, rich, self.config.batch_size.min(queued / 2));
+    }
+
+    /// Sends `poor`'s request for `count` tasks to `rich`.
+    fn request(&self, poor: usize, rich: usize, count: usize) {
         // ordering: Relaxed — unique sequence numbers only need RMW atomicity.
         let seq = self.steal_seq.fetch_add(1, Ordering::Relaxed);
-        let count = mv.count as u32;
-        let request = EngineMsg::StealRequest { seq, count };
-        let _ = self.transport.send(mv.poor, mv.rich, request);
+        let request = EngineMsg::StealRequest {
+            seq,
+            count: count as u32,
+        };
+        let _ = self.transport.send(poor, rich, request);
     }
 
     /// Assembles the run's metrics once the driver has quiesced.
@@ -686,6 +758,99 @@ mod tests {
         // ...nor does a dead empty machine receive.
         assert_eq!(plan_balance(&[9, 8, 0], &[true, true, false], 16), None);
         assert_eq!(plan_balance(&[9, 0], &[false, false], 16), None);
+    }
+
+    /// Hands every queued message to its machine until all mailboxes are
+    /// empty, as the worker loops' pumps do.
+    fn pump(run: &Run<'_>, transport: &InProcTransport) {
+        let mut quiet = false;
+        while !quiet {
+            quiet = true;
+            for m in 0..run.machines.len() {
+                while let Some(env) = transport.try_recv(m) {
+                    run.handle_msg(m, env);
+                    quiet = false;
+                }
+            }
+        }
+    }
+
+    /// The roots of the tasks in machine `m`'s big-task lane, oldest first;
+    /// the tasks go back in the same order.
+    fn lane_roots(run: &Run<'_>, m: usize) -> Vec<VertexId> {
+        let tasks = run.machines[m].big.lock().take_batch(usize::MAX);
+        let roots = tasks.iter().map(|task| task.root).collect();
+        run.machines[m].requeue(tasks);
+        roots
+    }
+
+    /// A machine that runs dry asks the fullest other machine for work, and
+    /// is served from small tasks in its worker deques too — the case the
+    /// master's big-task pass never serves. Grants move the oldest tasks,
+    /// the big-task lane's before the deques', keep their pending slots, and
+    /// an ask that finds nothing still gets its (empty) reply.
+    #[test]
+    fn an_idle_machine_asks_for_the_oldest_queued_tasks() {
+        let g = Arc::new(figure4());
+        let core = qcm_graph::kcore::ks_core(&g, 1, 0);
+        let (g, roots) = (core.masked(&g), core.roots);
+        assert_eq!(roots.len(), 6);
+        let app = QuasiCliqueApp::new(MiningParams::new(0.5, 3), 100, Duration::ZERO);
+        let config = EngineConfig::cluster(2, 1);
+        let transport = Arc::new(InProcTransport::new(2, false, 0));
+        let run = Run::new(&app, &config, g, roots.clone(), transport.clone(), 1);
+        // Six small tasks in machine 0's deque, none in either lane.
+        for &v in &roots {
+            assert!(!run.spawn_root(0, 0, v), "no task is big");
+        }
+        let pending = run.term.pending();
+        let sent = || transport.stats().messages_sent;
+        let asking = |m: usize| run.machines[m].asking.load(Ordering::Relaxed);
+        let stolen = || run.counters.stolen_tasks.load(Ordering::Relaxed);
+
+        // Half of the six queued tasks move: the three oldest.
+        run.ask_for_work(1);
+        assert_eq!(sent(), 1);
+        assert!(asking(1));
+        run.ask_for_work(1);
+        assert_eq!(sent(), 1, "a second ask while one is outstanding");
+        pump(&run, &transport);
+        assert_eq!(sent(), 3, "request, grant, ack");
+        assert_eq!(lane_roots(&run, 1), roots[..3]);
+        assert_eq!(stolen(), 3);
+        assert!(!asking(1));
+        assert!(run.machines[0].unacked.lock().is_empty());
+        assert_eq!(run.term.pending(), pending);
+
+        // Machine 0 queues root 0 in its lane, roots 3..6 in its deque: a
+        // grant of two takes its lane's task, then its deque's oldest.
+        run.machines[0].requeue(run.machines[1].big.lock().take_batch(1));
+        run.ask_for_work(1);
+        pump(&run, &transport);
+        let lane = [roots[1], roots[2], roots[0], roots[3]];
+        assert_eq!(lane_roots(&run, 1), lane);
+        assert_eq!(stolen(), 3 + 2);
+        assert_eq!(run.term.pending(), pending);
+
+        // No machine asks one that queues a single task.
+        let held = run.pop_task(0, 0).expect("root 5 is queued");
+        let before = sent();
+        run.ask_for_work(1);
+        assert_eq!(sent(), before);
+        assert!(!asking(1));
+        // Machine 0 holds two tasks when machine 1 asks, none when it answers.
+        run.machines[0].requeue(vec![held]);
+        run.ask_for_work(1);
+        let drained = [run.pop_task(0, 0), run.pop_task(0, 0)];
+        assert!(drained.iter().all(Option::is_some));
+        pump(&run, &transport);
+        assert_eq!(sent(), before + 2, "request and empty grant, no ack");
+        assert!(!asking(1));
+        assert_eq!(stolen(), 5);
+        assert!(run.machines[0].unacked.lock().is_empty());
+        let seen = run.machines[1].seen.lock().len();
+        assert_eq!(seen, 2, "an empty grant is recorded as seen");
+        assert_eq!(run.term.pending(), pending);
     }
 
     /// A spilled batch whose file is gone can never run: popping past it

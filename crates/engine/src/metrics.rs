@@ -87,7 +87,9 @@ pub struct EngineMetrics {
     /// A simulated run's `elapsed` measures only the simulation itself; this
     /// is the time the modelled cluster took.
     pub virtual_time: Option<Duration>,
-    /// Big tasks moved between machines by the load balancer.
+    /// Tasks moved between machines, counted where they arrive: the master's
+    /// big-task steals and the grants an idle machine asked for (big tasks,
+    /// then the oldest small tasks of the granting machine's deques).
     pub stolen_tasks: u64,
     /// Tasks moved between worker deques by the intra-machine steal protocol.
     pub steals: u64,

@@ -99,8 +99,8 @@ impl<T: TaskCodec> TaskQueue<T> {
         Some(Refilled { restored, lost })
     }
 
-    /// Drains up to `n` tasks from the head (used by the load balancer when a
-    /// machine gives away big tasks).
+    /// Drains up to `n` tasks from the head (the oldest first, for a steal
+    /// grant to another machine).
     pub fn take_batch(&mut self, n: usize) -> Vec<T> {
         let n = n.min(self.deque.len());
         self.deque.drain(..n).collect()

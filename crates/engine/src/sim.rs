@@ -3,11 +3,12 @@
 //! A [`crate::ParallelMiner`] whose transport is
 //! [`crate::TransportFactory::Sim`] runs here: through the same per-machine
 //! protocol as the threaded driver — the queues, spill path,
-//! spawn/route/pop/compute steps, message handlers and balance plan of
-//! `crate::machine` — but on one thread in *virtual time*. Machines take turns on a seeded event queue, every
-//! cross-machine message goes through [`SimTransport`] with per-link latency
-//! and drop probability, and a scenario script can crash, restart, slow down
-//! or partition machines mid-run. Everything random derives from one seed, so
+//! spawn/route/pop/compute steps, message handlers, balance plan and idle
+//! asks for work of `crate::machine` — but on one thread in *virtual time*.
+//! Machines take turns on a seeded event queue, every cross-machine message
+//! goes through [`SimTransport`] with per-link latency and drop probability,
+//! and a scenario script can crash, restart, slow down or partition machines
+//! mid-run. Everything random derives from one seed, so
 //! a 64-machine fault scenario replays byte-identically: the event log (and
 //! its FNV-1a hash, both in [`crate::ParallelMiningOutput::replay`]) is the
 //! determinism witness the test suite asserts on.
@@ -108,7 +109,8 @@ pub struct SimConfig {
     pub compute_cost_us: u64,
     /// Virtual cost of spawning one batch of root tasks.
     pub spawn_cost_us: u64,
-    /// Period of the master's balancing pass (inter-machine big-task steal).
+    /// Period of the master's balancing pass (inter-machine big-task steal;
+    /// an idle machine also asks again on it).
     pub balance_period_us: u64,
     /// How many times a dirty root may be respawned before its loss becomes
     /// a permanent fault.
@@ -601,7 +603,10 @@ impl Driver<'_> {
             self.advance(m, task, flight, true)
         } else {
             if !self.run.spawn_batch(m, 0) {
-                return; // idle: a delivery or restart re-wakes the machine
+                // Idle: ask another machine for work. The grant's delivery,
+                // a pull response or a restart re-wakes the machine.
+                self.run.ask_for_work(m);
+                return;
             }
             self.sim.spawn_cost_us
         };
@@ -814,11 +819,18 @@ impl Driver<'_> {
 
     /// The master's balancing pass over the alive machines. Rearmed while
     /// any other event is still scheduled: a machine with work has a wake, a
-    /// parked task a pull timeout, an unacked grant an ack timeout.
+    /// parked task a pull timeout, an unacked grant an ack timeout. The pass
+    /// clears every ask flag, and an idle machine asks again, as a live
+    /// machine's idle loop does.
     fn on_balance(&mut self) {
         self.balance_scheduled = false;
         let alive = self.net().alive.clone();
         self.run.balance(&alive);
+        for (m, &up) in alive.iter().enumerate() {
+            if up && !self.has_work(m) {
+                self.run.ask_for_work(m);
+            }
+        }
         if !self.net().events.is_empty() {
             self.ensure_balance();
         }

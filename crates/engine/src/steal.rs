@@ -12,6 +12,9 @@
 //!   tasks, which for the quasi-clique app are the closest to the root and
 //!   therefore the largest remaining units of work, in batches of
 //!   `steal_batch` to amortise the victim-lock acquisition;
+//! * **grants to another machine take cold ends too** —
+//!   [`WorkerQueues::take_cold`] drains the oldest tasks of the fullest
+//!   deques for a machine that ran dry;
 //! * **overflow spills to the machine's global queue** — the deque is
 //!   bounded by `local_capacity`; beyond it, tasks take the old path into the
 //!   spill-backed global queue, so the paper's bounded-memory spilling
@@ -175,6 +178,28 @@ impl<T> WorkerQueues<T> {
         Some(first)
     }
 
+    /// Takes up to `n` tasks from the cold (FIFO) ends of the deques, fullest
+    /// deque first, for a steal grant to another machine: each deque gives
+    /// its oldest tasks, oldest first. Not counted as a steal — the receiving
+    /// machine counts what arrives.
+    pub fn take_cold(&self, n: usize) -> Vec<T> {
+        let mut order: Vec<usize> = (0..self.slots.len()).collect();
+        order.sort_by_key(|&w| std::cmp::Reverse(self.approx_len(w)));
+        let mut taken = Vec::new();
+        for w in order {
+            if taken.len() == n {
+                break;
+            }
+            let slot = &self.slots[w];
+            let mut deque = slot.deque.lock();
+            let take = (n - taken.len()).min(deque.len());
+            taken.extend(deque.drain(..take));
+            // ordering: Relaxed — advisory mirror update under the deque's lock.
+            slot.len.store(deque.len(), Ordering::Relaxed);
+        }
+        taken
+    }
+
     /// Tasks moved by successful steals so far.
     pub fn steals(&self) -> u64 {
         // ordering: Relaxed — statistics counter; no other memory depends on it and readers tolerate skew.
@@ -249,6 +274,24 @@ mod tests {
         assert_eq!(q.steal_into(0, 2..3), Some(10));
         assert_eq!(q.approx_len(0), 2);
         assert_eq!(q.steals(), 3);
+    }
+
+    #[test]
+    fn take_cold_drains_the_oldest_tasks_of_the_fullest_deques_first() {
+        let q: WorkerQueues<u32> = WorkerQueues::new(3, 16, 2);
+        q.push_local(0, 100).unwrap();
+        for i in 0..4 {
+            q.push_local(1, i).unwrap();
+        }
+        q.push_local(2, 200).unwrap();
+        q.push_local(2, 201).unwrap();
+        // Deque 1 (four tasks) gives all it has, oldest first, then deque 2.
+        assert_eq!(q.take_cold(5), vec![0, 1, 2, 3, 200]);
+        assert_eq!(q.approx_len(1), 0);
+        assert_eq!(q.pop_local(2), Some(201));
+        assert_eq!(q.take_cold(3), vec![100]);
+        assert!(q.take_cold(3).is_empty());
+        assert_eq!(q.steals(), 0, "a grant is not an intra-machine steal");
     }
 
     #[test]

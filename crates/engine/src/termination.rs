@@ -72,6 +72,14 @@ impl Termination {
         self.pending.fetch_sub(n, Ordering::AcqRel);
     }
 
+    /// Pending slots now held (tests only: a driver polls
+    /// [`Termination::is_quiescent`]).
+    #[cfg(test)]
+    pub(crate) fn pending(&self) -> usize {
+        // ordering: Relaxed — a test reads it with no other thread running.
+        self.pending.load(Ordering::Relaxed)
+    }
+
     /// Records that one vertex left a spawn cursor. Call while holding a
     /// pending slot, so the two counters never both read zero mid-spawn.
     pub fn mark_spawned(&self) {

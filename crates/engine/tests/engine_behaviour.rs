@@ -129,6 +129,43 @@ fn per_task_time_log_covers_all_tasks() {
     assert!(top.windows(2).all(|w| w[0].elapsed >= w[1].elapsed));
 }
 
+/// The planted graph with every vertex id doubled: each root hashes to
+/// machine 0 of a two-machine cluster, and machine 1 owns no work at all.
+fn skewed_to_machine_zero() -> Arc<Graph> {
+    let g = planted();
+    let edges = g.vertices().flat_map(|v| {
+        let larger = g.neighbors(v).iter().filter(move |&&u| u > v);
+        larger.map(move |&u| (2 * v.raw(), 2 * u.raw()))
+    });
+    let edges: Vec<(u32, u32)> = edges.collect();
+    Arc::new(Graph::from_edges(2 * g.num_vertices(), edges).unwrap())
+}
+
+/// Every task of the skewed graph queues at machine 0, and none is big at
+/// the default τ_split, so the master's big-task pass has nothing to move.
+/// Machine 1, idle, asks for queued tasks instead: on two simulated machines
+/// tasks move, the serial answer comes back, and the run replays exactly.
+#[test]
+fn an_idle_machine_takes_queued_tasks_when_none_is_big() {
+    let g = skewed_to_machine_zero();
+    let sim = TransportFactory::Sim(SimConfig::new(5));
+    let miner = ParallelMiner::new(params(), EngineConfig::cluster(2, 1).with_transport(sim));
+    assert_eq!(miner.app.tau_split, QuasiCliqueApp::DEFAULT_TAU_SPLIT);
+    let out = miner.mine(g.clone());
+    assert_eq!(out.outcome(), RunOutcome::Complete);
+    assert_eq!(out.maximal, serial_maximal(&g));
+    assert_eq!(out.metrics.tasks_decomposed, 0, "no task is big");
+    assert!(
+        out.metrics.stolen_tasks > 0,
+        "no task moved between machines"
+    );
+    let again = miner.mine(g.clone());
+    let hash = |out: &qcm_engine::ParallelMiningOutput| out.replay.as_ref().map(|r| r.log_hash);
+    assert!(hash(&out).is_some());
+    assert_eq!(hash(&out), hash(&again), "replays diverged");
+    assert_eq!(out.metrics.stolen_tasks, again.metrics.stolen_tasks);
+}
+
 /// The live cluster and the fault simulator drive the same per-machine
 /// protocol: with no fault injected they must agree on the result set and on
 /// how many tasks were spawned, processed and decomposed. The `fault-matrix`

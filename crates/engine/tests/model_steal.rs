@@ -77,6 +77,59 @@ fn steal_loses_and_duplicates_nothing() {
     });
 }
 
+/// A grant to another machine takes from the cold ends of the deques while
+/// the owner pops its hot end and a sibling steals its cold end: every task
+/// is still taken exactly once.
+#[test]
+fn grant_take_races_pop_and_steal_without_loss() {
+    run("grant_take_races_pop_and_steal_without_loss", || {
+        let queues: Arc<WorkerQueues<u32>> = Arc::new(WorkerQueues::new(2, 8, 2));
+        let taken: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
+        for task in 0..5 {
+            queues.push_local(0, task).expect("below capacity");
+        }
+
+        let owner = {
+            let (queues, taken) = (queues.clone(), taken.clone());
+            thread::spawn(move || {
+                for _ in 0..2 {
+                    if let Some(t) = queues.pop_local(0) {
+                        taken.lock().push(t);
+                    }
+                }
+            })
+        };
+        let thief = {
+            let (queues, taken) = (queues.clone(), taken.clone());
+            thread::spawn(move || {
+                if let Some(t) = queues.steal_into(1, 0..2) {
+                    taken.lock().push(t);
+                }
+            })
+        };
+        let granter = {
+            let (queues, taken) = (queues.clone(), taken.clone());
+            thread::spawn(move || {
+                let grant = queues.take_cold(2);
+                assert!(grant.len() <= 2, "grant past its count: {grant:?}");
+                taken.lock().extend(grant);
+            })
+        };
+        owner.join().unwrap();
+        thief.join().unwrap();
+        granter.join().unwrap();
+
+        let mut seen = taken.lock().clone();
+        for worker in 0..2 {
+            while let Some(t) = queues.pop_local(worker) {
+                seen.push(t);
+            }
+        }
+        seen.sort_unstable();
+        assert_eq!(seen, vec![0, 1, 2, 3, 4], "task lost or duplicated");
+    });
+}
+
 /// A racing owner must never let an oversized steal batch push the
 /// thief's bounded deque past its capacity.
 #[test]

@@ -254,8 +254,9 @@ impl SessionBuilder {
         self
     }
 
-    /// Period of the inter-machine load balancer (parallel backend with
-    /// more than one machine).
+    /// Period of the inter-machine load balancer's big-task pass (parallel
+    /// backend with more than one machine). A machine that runs dry asks for
+    /// work at once, with no period.
     pub fn balance_period(mut self, period: Duration) -> Self {
         self.balance_period = Some(period);
         self
