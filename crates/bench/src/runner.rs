@@ -84,8 +84,7 @@ pub fn run_dataset(spec: &DatasetSpec, options: &RunOptions) -> DatasetRun {
     let tau_time = options
         .tau_time
         .unwrap_or(Duration::from_millis(spec.tau_time_ms));
-    let mut config = EngineConfig::cluster(options.machines, options.threads_per_machine);
-    config.balance_period = Duration::from_millis(5);
+    let config = EngineConfig::cluster(options.machines, options.threads_per_machine);
     let miner = ParallelMiner::new(params, config)
         .with_decomposition(tau_split, tau_time)
         .with_strategy(options.strategy);

@@ -3,7 +3,7 @@
 //! This is the system half of the paper's codesign (Section 5). [`run`]
 //! runs the quasi-clique application over a shared input graph for
 //! [`crate::ParallelMiner`]. The per-machine protocol — queues, spawn
-//! cursor, routing, message handling, the balance plan — lives in the
+//! cursor, routing, message handling, asks for work — lives in the
 //! `machine` module, and the configured [`TransportFactory`] picks the
 //! driver that runs it: the discrete-event driver of [`crate::sim`] for
 //! `Sim`, and for `InProc` the threaded driver in this module, on
@@ -14,12 +14,11 @@
 //!   mailbox, pop a task (big tasks and refills first), else spawn a batch,
 //!   else check the termination counters and, with work left elsewhere, ask
 //!   the machine with the most queued tasks for some (receiver-initiated
-//!   stealing between machines; at most one ask per machine on the wire);
+//!   stealing, the one balancer between machines; at most one ask per
+//!   machine on the wire, and an idle worker asks again every 200 µs once
+//!   the reply has come — these transports lose no steal message);
 //! * **blocking pulls** through each machine's [`DataService`] (remote-vertex
 //!   cache, zero-copy in-process fetch, per-attempt timeout and retries);
-//! * the **master balancer thread**, which every `balance_period` asks the
-//!   protocol for one big-task steal (the paper's periodic pass, which also
-//!   frees an ask whose reply was lost) and wakes early when the run ends;
 //! * cooperative **cancellation** and the run's outcome label.
 
 use crate::app::QuasiCliqueApp;
@@ -56,7 +55,7 @@ pub(crate) struct EngineOutput {
     pub replay: Option<Replay>,
 }
 
-/// What the worker and balancer threads share on top of the protocol state.
+/// What the worker threads share on top of the protocol state.
 struct Live<'a> {
     run: Run<'a>,
     /// Per-machine blocking data access (cache + transport pulls).
@@ -122,10 +121,6 @@ pub(crate) fn run(
 
     // A worker panic resumes out of the scope once every thread joined.
     qcm_sync::thread::scope(|scope| {
-        // Master load balancer (periodic big-task stealing between machines).
-        if config.num_machines > 1 {
-            scope.spawn(|| balancer_loop(&live));
-        }
         for worker in 0..total_workers {
             let (live, busy) = (&live, &worker_busy);
             scope.spawn(move || {
@@ -274,14 +269,4 @@ fn process_task(
     data.flush(&mut fetch_scratch);
     run.finish_task(&task, flight);
     task_span.set_arg(u64::from(task.root.raw()));
-}
-
-/// Master load-balancing loop: every `balance_period`, one balancing pass;
-/// the end of the run cuts the wait short.
-fn balancer_loop(live: &Live<'_>) {
-    let config = live.run.config;
-    let alive = vec![true; config.num_machines];
-    while !live.run.term.wait_done(config.balance_period) {
-        live.run.balance(&alive);
-    }
 }

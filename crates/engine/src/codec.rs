@@ -145,10 +145,12 @@ pub enum EngineMsg {
         /// `(vertex, adjacency)` pairs, in request order.
         lists: Vec<(VertexId, Arc<Vec<VertexId>>)>,
     },
-    /// Balancer → rich machine: donate up to `count` big tasks to the
-    /// machine the message's envelope names as sender (Figure 8 step ①).
+    /// Idle machine → the machine with the most queued tasks: grant up to
+    /// `count` of them to the sender (Figure 8 step ①, started by the
+    /// machine that ran dry).
     StealRequest {
-        /// Balancer-assigned sequence number (log correlation).
+        /// The asker's sequence number, unique per run; the grant echoes it,
+        /// so the asker can tell its reply from a late one.
         seq: u64,
         /// Maximum number of tasks to donate.
         count: u32,

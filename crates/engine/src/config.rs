@@ -38,11 +38,6 @@ pub struct EngineConfig {
     /// Directory used for spill files. `None` keeps spilled batches in memory
     /// (still accounted as "disk" bytes in the metrics) — useful for tests.
     pub spill_dir: Option<PathBuf>,
-    /// Period of the master's load-balancing loop (big-task stealing). Each
-    /// pass also frees every machine's ask for work, so an ask or reply lost
-    /// on the network holds a machine's next ask back by one period at most;
-    /// an idle machine's ask itself waits for no period.
-    pub balance_period: Duration,
     /// Selects the inter-machine transport of each run, and with it the
     /// driver (live threads or the fault simulator). The config holds a
     /// factory rather than a live channel handle so it stays `Clone + Debug`
@@ -71,7 +66,6 @@ impl Default for EngineConfig {
             global_queue_capacity: 1024,
             vertex_cache_capacity: 100_000,
             spill_dir: None,
-            balance_period: Duration::from_millis(20),
             transport: TransportFactory::default(),
             pull_timeout: Duration::from_millis(100),
             pull_retries: 3,

@@ -38,15 +38,16 @@
 //! scalability results depend on — exists once, in the crate-private
 //! `machine` module: each machine's big-task lane, worker deques, spawn
 //! cursor and steal-grant book, and the protocol steps over them (spawn a
-//! batch, route, pop, one compute step, handle one [`EngineMsg`], plan a
-//! balance move, ask another machine for work when one runs dry), plus run
-//! set-up and metrics assembly. The configured
+//! batch, route, pop, one compute step, handle one [`EngineMsg`], ask
+//! another machine for work when one runs dry — the one balancer between
+//! machines), plus run set-up and metrics assembly. The configured
 //! [`TransportFactory`] picks the driver that calls those steps. For
 //! `InProc` it adds worker threads, blocking pulls through a per-machine
-//! data service, the balancer thread and termination by the [`Termination`]
-//! counters. For `Sim` it adds a seeded virtual-time event queue, the lossy
-//! [`SimTransport`], a fault script, split-phase parking of tasks while their
-//! pulls are on the wire, grant retransmission and per-root respawn. A run
+//! data service, an idle loop that asks for work, and termination by the
+//! [`Termination`] counters. For `Sim` it adds a seeded virtual-time event
+//! queue, the lossy [`SimTransport`], a fault script, split-phase parking of
+//! tasks while their pulls are on the wire, grant retransmission, asks woken
+//! by queue growth and re-sent after a timeout, and per-root respawn. A run
 //! that lost work publishes only sets it can prove maximal. The README's
 //! "Distribution & fault testing" section describes the transports.
 //!

@@ -9,8 +9,9 @@
 //! application, vertex table, transport, [`Termination`] counters, metric
 //! counters) and exposes the steps of the reforged Algorithm 3 as plain
 //! methods: spawn one batch, route a new task, pop the next task, run one
-//! compute step, handle one message, plan and request one balance move, and
-//! ask another machine for work when this one runs dry.
+//! compute step, handle one message, and ask another machine for work when
+//! this one runs dry (the one inter-machine balancer: receiver-initiated
+//! stealing).
 //!
 //! The module owns no thread and no clock: `cluster` calls the steps from
 //! worker threads with blocking pulls, `sim` from a discrete-event queue with
@@ -35,7 +36,7 @@ use qcm_graph::neighborhoods::perf;
 use qcm_graph::{Graph, VertexId};
 use qcm_obs::clock::Instant;
 use qcm_obs::SpanKind;
-use qcm_sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use qcm_sync::atomic::{AtomicU64, Ordering};
 use qcm_sync::{Arc, Mutex};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -61,40 +62,29 @@ pub(crate) struct Machine {
     /// lose messages can retransmit.
     unacked: Mutex<BTreeMap<u64, (MachineId, Vec<QCTask>)>>,
     /// Grants already decoded here; a retransmitted duplicate is re-acked,
-    /// not re-enqueued. One `u64` per grant received (at most one per balance
-    /// period), never pruned: no message tells the receiver that its ack
-    /// arrived, so no entry is provably dead while the run lasts.
+    /// not re-enqueued. One `u64` per grant received (at most one per ask
+    /// this machine sent), never pruned: no message tells the receiver that
+    /// its ack arrived, so no entry is provably dead while the run lasts.
     seen: Mutex<BTreeSet<u64>>,
-    /// An ask for work from this machine is on the wire. Set by
-    /// [`Run::ask_for_work`]; cleared by the reply, or by the master's next
-    /// balance pass should the ask or its reply be lost.
-    asking: AtomicBool,
+    /// The seq of this machine's ask for work on the wire, [`NO_ASK`] when
+    /// none is. Set by [`Run::ask_for_work`]; freed by that ask's reply, by
+    /// [`Run::free_ask`] when a driver gives up on it, or by a crash.
+    asking: AtomicU64,
 }
 
-impl Machine {
-    /// Pending tasks of the big-task lane (in memory + spilled) — the load
-    /// figure the balancer evens out.
-    pub(crate) fn big_pending(&self) -> usize {
-        self.big.lock().total_pending()
-    }
+/// [`Machine::asking`] when no ask is on the wire.
+const NO_ASK: u64 = u64::MAX;
 
-    /// Tasks queued here: the big-task lane's plus the worker deques'
-    /// (advisory) — what another machine can ask for.
-    fn queued(&self) -> usize {
-        self.big_pending() + self.workers.total_approx_len()
+impl Machine {
+    /// Tasks queued here: the big-task lane's (in memory + spilled) plus the
+    /// worker deques' (advisory) — what another machine can ask for.
+    pub(crate) fn queued(&self) -> usize {
+        self.big.lock().total_pending() + self.workers.total_approx_len()
     }
 
     /// True while a task is queued or a vertex is still unspawned here.
     pub(crate) fn has_work(&self) -> bool {
         self.queued() > 0 || !self.cursor.lock().is_empty()
-    }
-
-    /// Takes up to `count` queued tasks for a grant: the big-task lane's
-    /// oldest first, then the oldest of the worker deques, fullest first.
-    fn grant_batch(&self, count: usize) -> Vec<QCTask> {
-        let mut batch = self.big.lock().take_batch(count);
-        batch.extend(self.workers.take_cold(count - batch.len()));
-        batch
     }
 
     /// Puts tasks (back) into the big-task lane.
@@ -185,39 +175,6 @@ pub(crate) enum Handled {
     Granted { seq: u64 },
 }
 
-/// One planned big-task steal: `poor` asks `rich` for `count` tasks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct BalanceMove {
-    pub rich: usize,
-    pub poor: usize,
-    pub count: usize,
-}
-
-/// Section 5's stealing plan as a pure function: among the alive machines,
-/// the one with the most pending big tasks gives to the one with the fewest,
-/// when they differ by more than one and the rich one is above the average;
-/// half the gap moves, capped at one batch.
-pub(crate) fn plan_balance(
-    pending: &[usize],
-    alive: &[bool],
-    batch_size: usize,
-) -> Option<BalanceMove> {
-    let candidates = || (0..pending.len()).filter(|&m| alive[m]);
-    let rich = candidates().max_by_key(|&m| pending[m])?;
-    let poor = candidates().min_by_key(|&m| pending[m])?;
-    let total: usize = candidates().map(|m| pending[m]).sum();
-    let avg = total / candidates().count();
-    let (rich_count, poor_count) = (pending[rich], pending[poor]);
-    if rich == poor || rich_count <= poor_count + 1 || rich_count <= avg {
-        return None;
-    }
-    Some(BalanceMove {
-        rich,
-        poor,
-        count: batch_size.min((rich_count - poor_count) / 2).max(1),
-    })
-}
-
 /// Everything one execution shares, and the protocol steps over it.
 pub(crate) struct Run<'a> {
     pub(crate) app: &'a QuasiCliqueApp,
@@ -289,7 +246,7 @@ impl<'a> Run<'a> {
                 cursor: Mutex::new(table.owned_vertices(m).into()),
                 unacked: Mutex::default(),
                 seen: Mutex::default(),
-                asking: AtomicBool::new(false),
+                asking: AtomicU64::new(NO_ASK),
             })
             .collect();
         Run {
@@ -389,10 +346,7 @@ impl<'a> Run<'a> {
         match machine.big.try_lock() {
             Some(mut big) => {
                 if big.needs_refill() {
-                    let refill_span = qcm_obs::span(SpanKind::Spill);
-                    let refilled = big.refill_from_spill().unwrap_or_default();
-                    close_span(refill_span, refilled.restored);
-                    self.lose_unreadable(refilled.lost);
+                    self.refill(&mut big);
                 }
                 if let Some(task) = big.pop() {
                     return Some(task);
@@ -496,6 +450,34 @@ impl<'a> Run<'a> {
         self.sub_active_bytes(flight.mem);
     }
 
+    /// Loads the oldest spilled batch of a big-task lane back into memory;
+    /// false when nothing is spilled. Tasks that do not come back fault the
+    /// run.
+    fn refill(&self, big: &mut TaskQueue<QCTask>) -> bool {
+        let mut span = qcm_obs::span(SpanKind::Spill);
+        let Some(refilled) = big.refill_from_spill() else {
+            span.cancel();
+            return false;
+        };
+        close_span(span, refilled.restored);
+        self.lose_unreadable(refilled.lost);
+        true
+    }
+
+    /// Takes up to `count` of machine `m`'s queued tasks for a grant: the
+    /// big-task lane's oldest first, brought back from its spill files when
+    /// memory holds too few, then the oldest of the worker deques, fullest
+    /// first. So an ask is granted the tasks its count was taken from.
+    fn grant_batch(&self, m: usize, count: usize) -> Vec<QCTask> {
+        let machine = &self.machines[m];
+        let mut big = machine.big.lock();
+        while big.len() < count && self.refill(&mut big) {}
+        let mut batch = big.take_batch(count);
+        drop(big);
+        batch.extend(machine.workers.take_cold(count - batch.len()));
+        batch
+    }
+
     /// `lost` tasks that a spill batch or a steal grant carried did not
     /// decode: they can never run, so their pending slots are released for
     /// the pool to drain, and the run is labelled.
@@ -510,8 +492,11 @@ impl<'a> Run<'a> {
     /// an unacked grant) is taken out and returned. Spilled tasks that do not
     /// come back are lost with no root to respawn, which faults the run. The
     /// spawn cursor survives — the vertex partition is re-readable state.
+    /// Its ask for work dies with it, so once restarted it may ask at once.
     pub(crate) fn crash(&self, m: usize) -> Vec<QCTask> {
         let machine = &self.machines[m];
+        // ordering: Relaxed — see ask_for_work.
+        machine.asking.store(NO_ASK, Ordering::Relaxed);
         let mut lost = Vec::new();
         for worker in 0..machine.threads {
             while let Some(task) = machine.workers.pop_local(worker) {
@@ -523,10 +508,9 @@ impl<'a> Run<'a> {
             while let Some(task) = big.pop() {
                 lost.push(task);
             }
-            let Some(refilled) = big.refill_from_spill() else {
+            if !self.refill(&mut big) {
                 break;
-            };
-            self.lose_unreadable(refilled.lost);
+            }
         }
         for (_, batch) in std::mem::take(&mut *machine.unacked.lock()).into_values() {
             lost.extend(batch);
@@ -554,7 +538,7 @@ impl<'a> Run<'a> {
                 return Handled::PullResponse { from, token, lists };
             }
             EngineMsg::StealRequest { seq, count } => {
-                let batch = machine.grant_batch(count as usize);
+                let batch = self.grant_batch(m, count as usize);
                 if batch.is_empty() {
                     // Always answer, so the asker may ask again; an empty
                     // grant is neither booked nor acked.
@@ -576,9 +560,7 @@ impl<'a> Run<'a> {
                 machine.requeue(machine.abandon_grant(seq));
             }
             EngineMsg::StealGrant { seq, tasks } => {
-                // ordering: Relaxed — the flag only throttles asks; no memory
-                // is published through it.
-                machine.asking.store(false, Ordering::Relaxed);
+                self.free_ask(m, seq);
                 if tasks.is_empty() {
                     return Handled::Done;
                 }
@@ -599,59 +581,46 @@ impl<'a> Run<'a> {
         Handled::Done
     }
 
-    /// One pass of the master's load balancing (big-task stealing between
-    /// machines): reads every alive machine's big-task lane depth and, when
-    /// [`plan_balance`] finds a move, sends the [`EngineMsg::StealRequest`]
-    /// on the poor machine's behalf. The rich machine answers with a grant
-    /// carrying the serialised batch; the poor one decodes it and acks. The
-    /// pass also clears every machine's ask flag, so an ask or a reply lost
-    /// on the network holds a machine's next ask back by one period at most.
-    pub(crate) fn balance(&self, alive: &[bool]) {
-        for machine in &self.machines {
-            // ordering: Relaxed — see ask_for_work.
-            machine.asking.store(false, Ordering::Relaxed);
-        }
-        let pending: Vec<usize> = self.machines.iter().map(Machine::big_pending).collect();
-        let Some(mv) = plan_balance(&pending, alive, self.config.batch_size) else {
-            return;
-        };
-        self.request(mv.poor, mv.rich, mv.count);
-    }
-
     /// Machine `m` has nothing to pop and nothing to spawn: it asks the other
     /// machine with the most queued tasks (big-task lane and worker deques)
-    /// for half of them, at most one batch — [`plan_balance`]'s rule, started
-    /// by the machine that runs dry rather than by the master's clock. Sends
-    /// nothing while an earlier ask from `m` awaits its reply, or when no
-    /// other machine has two tasks queued.
-    pub(crate) fn ask_for_work(&self, m: usize) {
+    /// for half of them, at most one batch. Sends nothing while an earlier
+    /// ask from `m` is on the wire, or when no other machine has two tasks
+    /// queued. Returns the seq of the ask it sent, for a driver whose network
+    /// can lose it to time it out ([`Run::free_ask`]).
+    pub(crate) fn ask_for_work(&self, m: usize) -> Option<u64> {
         let asking = &self.machines[m].asking;
-        // ordering: Relaxed (both accesses) — the flag only throttles asks;
-        // no memory is published through it, and the swap's atomicity alone
-        // keeps a machine's workers from asking twice.
-        if asking.load(Ordering::Relaxed) {
-            return;
+        // ordering: Relaxed (every access to `asking`) — it only throttles
+        // asks; no memory is published through it, and the compare-exchange's
+        // atomicity alone keeps a machine's workers from asking twice.
+        if asking.load(Ordering::Relaxed) != NO_ASK {
+            return None;
         }
         let others = self.machines.iter().enumerate().filter(|&(r, _)| r != m);
         let loads = others.map(|(r, machine)| (machine.queued(), Reverse(r)));
-        let Some((queued, Reverse(rich))) = loads.max() else {
-            return;
-        };
-        if queued < 2 || asking.swap(true, Ordering::Relaxed) {
-            return;
+        let (queued, Reverse(rich)) = loads.max()?;
+        if queued < 2 {
+            return None;
         }
-        self.request(m, rich, self.config.batch_size.min(queued / 2));
-    }
-
-    /// Sends `poor`'s request for `count` tasks to `rich`.
-    fn request(&self, poor: usize, rich: usize, count: usize) {
         // ordering: Relaxed — unique sequence numbers only need RMW atomicity.
         let seq = self.steal_seq.fetch_add(1, Ordering::Relaxed);
-        let request = EngineMsg::StealRequest {
-            seq,
-            count: count as u32,
-        };
-        let _ = self.transport.send(poor, rich, request);
+        let claimed = asking.compare_exchange(NO_ASK, seq, Ordering::Relaxed, Ordering::Relaxed);
+        if claimed.is_err() {
+            return None;
+        }
+        let count = self.config.batch_size.min(queued / 2) as u32;
+        let request = EngineMsg::StealRequest { seq, count };
+        let _ = self.transport.send(m, rich, request);
+        Some(seq)
+    }
+
+    /// Frees machine `m`'s ask `seq` if it is still the one on the wire, so
+    /// that a late reply or timeout never frees a newer ask; true if it was.
+    pub(crate) fn free_ask(&self, m: usize, seq: u64) -> bool {
+        // ordering: Relaxed — see ask_for_work.
+        let asking = &self.machines[m].asking;
+        asking
+            .compare_exchange(seq, NO_ASK, Ordering::Relaxed, Ordering::Relaxed)
+            .is_ok()
     }
 
     /// Assembles the run's metrics once the driver has quiesced.
@@ -723,43 +692,6 @@ mod tests {
     use crate::transport::InProcTransport;
     use qcm_core::MiningParams;
 
-    fn plan(pending: &[usize], batch_size: usize) -> Option<BalanceMove> {
-        plan_balance(pending, &vec![true; pending.len()], batch_size)
-    }
-
-    #[test]
-    fn plan_balance_table() {
-        let mv = |rich, poor, count| Some(BalanceMove { rich, poor, count });
-        // Balanced and off-by-one clusters stay put.
-        assert_eq!(plan(&[4, 4, 4], 16), None);
-        assert_eq!(plan(&[0, 0], 16), None);
-        assert_eq!(plan(&[5, 4, 4], 16), None);
-        assert_eq!(plan(&[3], 16), None);
-        // One rich machine, many empty: half the gap moves to the first
-        // poorest machine.
-        assert_eq!(plan(&[0, 10, 0, 0], 16), mv(1, 0, 5));
-        assert_eq!(plan(&[2, 0], 16), mv(0, 1, 1));
-        // The batch size caps a move.
-        assert_eq!(plan(&[100, 0], 16), mv(0, 1, 16));
-        assert_eq!(plan(&[100, 0], 1), mv(0, 1, 1));
-    }
-
-    #[test]
-    fn plan_balance_skips_dead_machines() {
-        // A dead richest machine neither gives...
-        assert_eq!(
-            plan_balance(&[50, 6, 0], &[false, true, true], 16),
-            Some(BalanceMove {
-                rich: 1,
-                poor: 2,
-                count: 3
-            })
-        );
-        // ...nor does a dead empty machine receive.
-        assert_eq!(plan_balance(&[9, 8, 0], &[true, true, false], 16), None);
-        assert_eq!(plan_balance(&[9, 0], &[false, false], 16), None);
-    }
-
     /// Hands every queued message to its machine until all mailboxes are
     /// empty, as the worker loops' pumps do.
     fn pump(run: &Run<'_>, transport: &InProcTransport) {
@@ -785,10 +717,10 @@ mod tests {
     }
 
     /// A machine that runs dry asks the fullest other machine for work, and
-    /// is served from small tasks in its worker deques too — the case the
-    /// master's big-task pass never serves. Grants move the oldest tasks,
-    /// the big-task lane's before the deques', keep their pending slots, and
-    /// an ask that finds nothing still gets its (empty) reply.
+    /// is served from small tasks in its worker deques too, not only from
+    /// the big-task lane. Grants move the oldest tasks, the big-task lane's
+    /// before the deques', keep their pending slots, and an ask that finds
+    /// nothing still gets its (empty) reply.
     #[test]
     fn an_idle_machine_asks_for_the_oldest_queued_tasks() {
         let g = Arc::new(figure4());
@@ -805,7 +737,7 @@ mod tests {
         }
         let pending = run.term.pending();
         let sent = || transport.stats().messages_sent;
-        let asking = |m: usize| run.machines[m].asking.load(Ordering::Relaxed);
+        let asking = |m: usize| run.machines[m].asking.load(Ordering::Relaxed) != NO_ASK;
         let stolen = || run.counters.stolen_tasks.load(Ordering::Relaxed);
 
         // Half of the six queued tasks move: the three oldest.
@@ -851,6 +783,42 @@ mod tests {
         let seen = run.machines[1].seen.lock().len();
         assert_eq!(seen, 2, "an empty grant is recorded as seen");
         assert_eq!(run.term.pending(), pending);
+    }
+
+    /// A machine whose big-task lane is all on disk grants what the ask
+    /// counted: the grant brings the lane back from its spill files first.
+    #[test]
+    fn a_fully_spilled_lane_answers_an_ask_with_tasks() {
+        let g = Arc::new(figure4());
+        let core = qcm_graph::kcore::ks_core(&g, 1, 0);
+        let (g, roots) = (core.masked(&g), core.roots);
+        let app = QuasiCliqueApp::new(MiningParams::new(0.5, 3), 100, Duration::ZERO);
+        let mut config = EngineConfig::cluster(2, 1);
+        config.batch_size = 2;
+        config.global_queue_capacity = 2;
+        let transport = Arc::new(InProcTransport::new(2, false, 0));
+        let run = Run::new(&app, &config, g, roots.clone(), transport.clone(), 1);
+        for &v in &roots[..4] {
+            run.spawn_root(0, 0, v);
+        }
+        let mut tasks = Vec::new();
+        while let Some(task) = run.machines[0].workers.pop_local(0) {
+            tasks.push(task);
+        }
+        // Four tasks into a two-slot lane: the first two spill, and the
+        // other two leave memory by hand.
+        run.machines[0].requeue(tasks);
+        let held = run.machines[0].big.lock().take_batch(usize::MAX);
+        assert_eq!(held.len(), 2);
+        assert!(run.machines[0].big.lock().is_empty());
+        assert_eq!(run.machines[0].queued(), 2, "two tasks on disk");
+
+        assert!(run.ask_for_work(1).is_some());
+        pump(&run, &transport);
+        assert_eq!(lane_roots(&run, 1).len(), 1, "half of two, from disk");
+        assert_eq!(run.counters.stolen_tasks.load(Ordering::Relaxed), 1);
+        assert_eq!(run.machines[0].queued(), 1);
+        assert!(!run.term.is_faulted());
     }
 
     /// A spilled batch whose file is gone can never run: popping past it

@@ -1,11 +1,12 @@
 //! Bounded task queues with disk spilling.
 //!
-//! Each mining thread owns a local [`TaskQueue`] for small tasks and every
-//! machine owns one for big tasks (the yellow global queue added by the
-//! paper's reforge, Figure 8). When a queue is full, a batch of `C` tasks from
-//! its tail is spilled to the associated [`SpillStore`]; when it runs low it
-//! refills from spilled batches first, so the number of partially processed
-//! tasks buffered on disk stays small.
+//! Every machine owns one [`TaskQueue`], its big-task lane (the yellow global
+//! queue added by the paper's reforge, Figure 8), which also takes the
+//! overflow of the mining threads' bounded deques (`WorkerQueues`). When the
+//! queue is full, a batch of `C` tasks from its tail is spilled to the
+//! associated [`SpillStore`]; when it runs low it refills from spilled
+//! batches first, so the number of partially processed tasks buffered on
+//! disk stays small.
 
 use crate::spill::SpillStore;
 use crate::task::TaskCodec;

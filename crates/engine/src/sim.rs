@@ -3,8 +3,8 @@
 //! A [`crate::ParallelMiner`] whose transport is
 //! [`crate::TransportFactory::Sim`] runs here: through the same per-machine
 //! protocol as the threaded driver — the queues, spill path,
-//! spawn/route/pop/compute steps, message handlers, balance plan and idle
-//! asks for work of `crate::machine` — but on one thread in *virtual time*.
+//! spawn/route/pop/compute steps, message handlers and idle asks for work
+//! of `crate::machine` — but on one thread in *virtual time*.
 //! Machines take turns on a seeded event queue, every cross-machine message
 //! goes through [`SimTransport`] with per-link latency and drop probability,
 //! and a scenario script can crash, restart, slow down or partition machines
@@ -21,6 +21,11 @@
 //!   [`SimTransport::pull`] returns [`TransportError::Unsupported`].
 //! * **Retransmission.** A steal grant whose ack does not arrive in time is
 //!   sent again from the granting machine's book, a bounded number of times.
+//! * **Event-driven asks for work.** No clock polls an idle machine: a step
+//!   that leaves two or more tasks queued on a machine makes every other
+//!   idle machine ask for work, and an ask unanswered after
+//!   [`SimConfig::pull_timeout_us`] is freed and, if its machine is still
+//!   idle, sent again.
 //! * **Exactly-once results per root.** Lost work — a crashed machine's
 //!   queues, an abandoned pull, a grant never acked — marks the task's
 //!   spawning root ([`crate::QCTask::root`]) *dirty*. Once the event
@@ -97,7 +102,9 @@ pub struct SimConfig {
     pub latency_jitter_us: u64,
     /// Probability that a message is dropped in flight (0.0 disables loss).
     pub drop_probability: f64,
-    /// Per-attempt timeout of a split-phase pull, in virtual microseconds.
+    /// Per-attempt timeout of a split-phase pull, in virtual microseconds;
+    /// also how long a steal grant waits for its ack, and an ask for work
+    /// for its reply.
     pub pull_timeout_us: u64,
     /// Additional pull attempts after the first times out; exhaustion
     /// abandons the task and dirties its root.
@@ -109,9 +116,6 @@ pub struct SimConfig {
     pub compute_cost_us: u64,
     /// Virtual cost of spawning one batch of root tasks.
     pub spawn_cost_us: u64,
-    /// Period of the master's balancing pass (inter-machine big-task steal;
-    /// an idle machine also asks again on it).
-    pub balance_period_us: u64,
     /// How many times a dirty root may be respawned before its loss becomes
     /// a permanent fault.
     pub respawn_limit: u32,
@@ -134,7 +138,6 @@ impl Default for SimConfig {
             grant_retries: 3,
             compute_cost_us: 100,
             spawn_cost_us: 50,
-            balance_period_us: 5_000,
             respawn_limit: 3,
             max_virtual_us: 60_000_000,
             scenario: Vec::new(),
@@ -268,10 +271,10 @@ enum Event {
     /// The ack of a machine's steal grant `seq` did not arrive in time, for
     /// the `attempt`-th time.
     AckTimeout(usize, u64, u32),
+    /// A machine's ask for work `seq` got no reply in time.
+    AskTimeout(usize, u64),
     /// Apply the scenario entry with this index.
     Fault(usize),
-    /// The master's balancing pass.
-    Balance,
 }
 
 /// Shared network state: virtual clock, event queue, link faults and the
@@ -458,7 +461,6 @@ pub(crate) fn run(
         respawns: BTreeMap::new(),
         results: BTreeMap::new(),
         next_park: 0,
-        balance_scheduled: false,
         fetched: FetchScratch::default(),
         faulted: false,
     };
@@ -507,7 +509,6 @@ struct Driver<'a> {
     results: BTreeMap<u32, Vec<Row>>,
     /// Next park id; it doubles as the token of the parked task's pulls.
     next_park: u64,
-    balance_scheduled: bool,
     /// Pull accounting, folded into the run's fetch metrics at the end.
     fetched: FetchScratch,
     /// The scratch buffers loaned to every compute step (one thread, one set).
@@ -540,22 +541,42 @@ impl Driver<'_> {
         }
     }
 
-    fn ensure_balance(&mut self) {
-        if self.machines.len() > 1 && !self.balance_scheduled {
-            self.balance_scheduled = true;
-            self.schedule(self.sim.balance_period_us, Event::Balance);
+    /// Machine `m` asks another for work and, if the ask went out, arms its
+    /// timeout: a lossy network may drop the ask or its reply.
+    fn ask(&mut self, m: usize) {
+        if let Some(seq) = self.run.ask_for_work(m) {
+            self.schedule(self.sim.pull_timeout_us, Event::AskTimeout(m, seq));
+        }
+    }
+
+    /// Machine `m` is up, has no work and no wake to find any.
+    fn idle(&self, m: usize) -> bool {
+        self.net().alive[m] && !self.machines[m].wake_scheduled && !self.has_work(m)
+    }
+
+    /// A step left machine `m` two or more tasks queued: every other idle
+    /// machine with no ask out asks for some (the event that wakes what the
+    /// live driver's idle loop polls for).
+    fn wake_idle(&mut self, m: usize) {
+        if self.run.machines[m].queued() < 2 {
+            return;
+        }
+        for r in (0..self.machines.len()).filter(|&r| r != m) {
+            if self.idle(r) {
+                self.ask(r);
+            }
         }
     }
 
     fn run(&mut self) -> RunOutcome {
-        for m in 0..self.machines.len() {
-            self.ensure_wake(m);
-        }
+        // A fault scripted for an instant applies before that instant's steps.
         for idx in 0..self.sim.scenario.len() {
             let at = self.sim.scenario[idx].at_us;
             self.schedule(at, Event::Fault(idx));
         }
-        self.ensure_balance();
+        for m in 0..self.machines.len() {
+            self.ensure_wake(m);
+        }
 
         loop {
             let next = self.net().events.pop_first();
@@ -575,8 +596,8 @@ impl Driver<'_> {
                         Event::Deliver(to, env) => self.on_deliver(to, env),
                         Event::PullTimeout(m, park_id) => self.on_pull_timeout(m, park_id),
                         Event::AckTimeout(m, seq, attempt) => self.on_ack_timeout(m, seq, attempt),
+                        Event::AskTimeout(m, seq) => self.on_ask_timeout(m, seq),
                         Event::Fault(idx) => self.on_fault(idx),
-                        Event::Balance => self.on_balance(),
                     }
                 }
                 None => {
@@ -605,7 +626,7 @@ impl Driver<'_> {
             if !self.run.spawn_batch(m, 0) {
                 // Idle: ask another machine for work. The grant's delivery,
                 // a pull response or a restart re-wakes the machine.
-                self.run.ask_for_work(m);
+                self.ask(m);
                 return;
             }
             self.sim.spawn_cost_us
@@ -615,6 +636,7 @@ impl Driver<'_> {
             let cost = cost * self.machines[m].speed;
             self.schedule(cost, Event::Wake(m));
         }
+        self.wake_idle(m);
     }
 
     fn record_results(&mut self, root: u32, rows: Vec<Row>) {
@@ -711,6 +733,7 @@ impl Driver<'_> {
         // A grant may have refilled the big-task lane, a response may have
         // resumed a task.
         self.ensure_wake(to);
+        self.wake_idle(to);
     }
 
     fn on_pull_response(&mut self, m: usize, from: MachineId, park_id: u64, lists: PullReply) {
@@ -771,6 +794,15 @@ impl Driver<'_> {
         }
     }
 
+    /// Ask `seq` of machine `m` got no reply in time: unless a reply or a
+    /// crash freed it already, it is freed, and the machine asks again while
+    /// it is idle.
+    fn on_ask_timeout(&mut self, m: usize, seq: u64) {
+        if self.run.free_ask(m, seq) && self.idle(m) {
+            self.ask(m);
+        }
+    }
+
     fn on_fault(&mut self, idx: usize) {
         let FaultEvent {
             machine: m, fault, ..
@@ -784,7 +816,6 @@ impl Driver<'_> {
             Fault::Restart if !std::mem::replace(&mut self.net().alive[m], true) => {
                 self.log(format!("fault restart m{m}"));
                 self.ensure_wake(m);
-                self.ensure_balance();
             }
             Fault::Crash | Fault::Restart => {}
             Fault::SlowDown { factor } => {
@@ -817,25 +848,6 @@ impl Driver<'_> {
         }
     }
 
-    /// The master's balancing pass over the alive machines. Rearmed while
-    /// any other event is still scheduled: a machine with work has a wake, a
-    /// parked task a pull timeout, an unacked grant an ack timeout. The pass
-    /// clears every ask flag, and an idle machine asks again, as a live
-    /// machine's idle loop does.
-    fn on_balance(&mut self) {
-        self.balance_scheduled = false;
-        let alive = self.net().alive.clone();
-        self.run.balance(&alive);
-        for (m, &up) in alive.iter().enumerate() {
-            if up && !self.has_work(m) {
-                self.run.ask_for_work(m);
-            }
-        }
-        if !self.net().events.is_empty() {
-            self.ensure_balance();
-        }
-    }
-
     /// Called when the event heap drains: respawn dirty roots if possible.
     /// Returns true when new work was scheduled.
     fn respawn_round(&mut self) -> bool {
@@ -865,9 +877,6 @@ impl Driver<'_> {
             self.run.spawn_root(owner, 0, v);
             self.ensure_wake(owner);
             progress = true;
-        }
-        if progress {
-            self.ensure_balance();
         }
         progress
     }

@@ -8,8 +8,6 @@
 //! `tests/model_check.rs` runs that claim under the strict model checker.
 
 use qcm_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use qcm_sync::{Condvar, Mutex};
-use std::time::Duration;
 
 /// Which check found that a run dropped work, in the order
 /// [`Termination::work_dropped`] makes them.
@@ -42,10 +40,6 @@ pub struct Termination {
     /// Some compute call observed the cancellation token and truncated its
     /// own backtracking.
     interrupted: AtomicBool,
-    /// Lets a periodic thread wait out its period yet wake the moment `done`
-    /// is set, so the worker scope never joins a full period late.
-    gate: Mutex<()>,
-    wake: Condvar,
 }
 
 impl Termination {
@@ -107,10 +101,6 @@ impl Termination {
         // the decrements it joined, every other worker's; pairs with the
         // Acquire polls of `done`.
         self.done.store(true, Ordering::Release);
-        // Passing through the gate orders the notify after a waiter that
-        // checked `done` under it and is about to wait.
-        drop(self.gate.lock());
-        self.wake.notify_all();
     }
 
     /// True once the run was ended.
@@ -118,21 +108,6 @@ impl Termination {
         // ordering: Acquire — pairs with the Release store in `finish`, so an
         // observer of the flag also observes the finisher's writes.
         self.done.load(Ordering::Acquire)
-    }
-
-    /// Waits up to `period` for the run to end; false when the period
-    /// elapsed first.
-    pub fn wait_done(&self, period: Duration) -> bool {
-        loop {
-            let gate = self.gate.lock();
-            if self.is_done() {
-                return true;
-            }
-            let (_gate, timed_out) = self.wake.wait_timeout(gate, period);
-            if timed_out {
-                return false;
-            }
-        }
     }
 
     /// Labels the run as having lost an abandoned task. Call before

@@ -7,7 +7,8 @@
 
 use qcm_core::{MiningParams, PruneConfig, QuasiCliqueSet, RunOutcome, SerialMiner};
 use qcm_engine::{
-    DecompositionStrategy, EngineConfig, ParallelMiner, QuasiCliqueApp, SimConfig, TransportFactory,
+    DecompositionStrategy, EngineConfig, ParallelMiner, ParallelMiningOutput, QuasiCliqueApp,
+    SimConfig, TransportFactory,
 };
 use qcm_graph::kcore::k_core_vertices;
 use qcm_graph::{Graph, VertexId};
@@ -83,8 +84,7 @@ fn results_are_identical_across_thread_counts() {
 fn multi_machine_run_steals_and_matches_single_machine() {
     let g = planted();
     let single = ParallelMiner::new(params(), EngineConfig::single_machine(2)).mine(g.clone());
-    let mut config = EngineConfig::cluster(4, 2);
-    config.balance_period = Duration::from_millis(1);
+    let config = EngineConfig::cluster(4, 2);
     let out = ParallelMiner::new(params(), config)
         .with_decomposition(10, Duration::ZERO)
         .mine(g.clone());
@@ -141,10 +141,21 @@ fn skewed_to_machine_zero() -> Arc<Graph> {
     Arc::new(Graph::from_edges(2 * g.num_vertices(), edges).unwrap())
 }
 
+/// The virtual instants of the simulated run's event-log lines that contain
+/// `what`, in log order.
+fn logged_at(out: &ParallelMiningOutput, what: &str) -> Vec<u64> {
+    let log = &out.replay.as_ref().expect("a simulated run").event_log;
+    let at = |line: &String| line["t=".len()..].split_whitespace().next()?.parse().ok();
+    log.iter()
+        .filter(|line| line.contains(what))
+        .filter_map(at)
+        .collect()
+}
+
 /// Every task of the skewed graph queues at machine 0, and none is big at
-/// the default τ_split, so the master's big-task pass has nothing to move.
-/// Machine 1, idle, asks for queued tasks instead: on two simulated machines
-/// tasks move, the serial answer comes back, and the run replays exactly.
+/// the default τ_split. Machine 1, idle, asks for queued tasks as soon as
+/// machine 0 queues two: on two simulated machines tasks move, the serial
+/// answer comes back, and the run replays exactly.
 #[test]
 fn an_idle_machine_takes_queued_tasks_when_none_is_big() {
     let g = skewed_to_machine_zero();
@@ -160,10 +171,63 @@ fn an_idle_machine_takes_queued_tasks_when_none_is_big() {
         "no task moved between machines"
     );
     let again = miner.mine(g.clone());
-    let hash = |out: &qcm_engine::ParallelMiningOutput| out.replay.as_ref().map(|r| r.log_hash);
+    let hash = |out: &ParallelMiningOutput| out.replay.as_ref().map(|r| r.log_hash);
     assert!(hash(&out).is_some());
     assert_eq!(hash(&out), hash(&again), "replays diverged");
     assert_eq!(out.metrics.stolen_tasks, again.metrics.stolen_tasks);
+    let asks = logged_at(&out, "send m1->m0 steal-req");
+    let first = asks.first().copied();
+    assert!(first.is_some_and(|at| at < 5_000), "m1 asked at {asks:?}us");
+}
+
+/// An ask for work that the network loses is freed by its timeout and sent
+/// again: the link between machine 1 and machine 0 is severed before
+/// machine 1's first ask and healed long before that ask times out.
+#[test]
+fn a_lost_ask_for_work_is_sent_again_after_its_timeout() {
+    let g = skewed_to_machine_zero();
+    let sim = SimConfig::partition_scenario(5, 1, 0, 1, Some(2_000));
+    let timeout = sim.pull_timeout_us;
+    let config = EngineConfig::cluster(2, 1).with_transport(TransportFactory::Sim(sim));
+    let miner = ParallelMiner::new(params(), config);
+    let out = miner.mine(g.clone());
+    assert_eq!(out.outcome(), RunOutcome::Complete);
+    assert_eq!(out.maximal, serial_maximal(&g));
+    let lost = logged_at(&out, "drop m1->m0 steal-req");
+    let sent = logged_at(&out, "send m1->m0 steal-req");
+    assert_eq!(lost.len(), 1, "{lost:?}");
+    assert_eq!(
+        sent.first(),
+        Some(&(lost[0] + timeout)),
+        "{lost:?} {sent:?}"
+    );
+    assert!(
+        out.metrics.stolen_tasks > 0,
+        "no task moved between machines"
+    );
+    let again = miner.mine(g.clone());
+    let hash = |out: &ParallelMiningOutput| out.replay.as_ref().map(|r| r.log_hash);
+    assert_eq!(hash(&out), hash(&again), "replays diverged");
+}
+
+/// A crash frees the crashed machine's ask for work. Machine 1 crashes while
+/// its first ask is out, and the grant arrives while it is down; restarted,
+/// it asks again before that ask's timeout would have freed it.
+#[test]
+fn a_restarted_machine_asks_again_before_its_lost_ask_times_out() {
+    let g = skewed_to_machine_zero();
+    let (crash_at, restart_at) = (100, 3_000);
+    let sim = SimConfig::crash_scenario(5, 1, crash_at, Some(restart_at));
+    let timeout = sim.pull_timeout_us;
+    let config = EngineConfig::cluster(2, 1).with_transport(TransportFactory::Sim(sim));
+    let out = ParallelMiner::new(params(), config).mine(g.clone());
+    assert_eq!(out.outcome(), RunOutcome::Complete);
+    assert_eq!(out.maximal, serial_maximal(&g));
+    let asks = logged_at(&out, "send m1->m0 steal-req");
+    assert!(asks.first().is_some_and(|&at| at < crash_at), "{asks:?}");
+    assert!(!logged_at(&out, "lost m0->m1 steal-grant").is_empty());
+    let again = asks.iter().find(|&&at| at >= restart_at);
+    assert!(again.is_some_and(|&at| at < asks[0] + timeout), "{asks:?}");
 }
 
 /// The live cluster and the fault simulator drive the same per-machine

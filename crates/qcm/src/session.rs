@@ -175,7 +175,6 @@ pub struct SessionBuilder {
     deadline: Option<Duration>,
     tau_split: usize,
     tau_time: Duration,
-    balance_period: Option<Duration>,
     cancel: Option<CancelToken>,
     tracing: Option<TraceConfig>,
 }
@@ -190,7 +189,6 @@ impl Default for SessionBuilder {
             deadline: None,
             tau_split: QuasiCliqueApp::DEFAULT_TAU_SPLIT,
             tau_time: QuasiCliqueApp::DEFAULT_TAU_TIME,
-            balance_period: None,
             cancel: None,
             tracing: None,
         }
@@ -251,14 +249,6 @@ impl SessionBuilder {
     /// it replayable and reads no τ_time.
     pub fn tau_time(mut self, tau_time: Duration) -> Self {
         self.tau_time = tau_time;
-        self
-    }
-
-    /// Period of the inter-machine load balancer's big-task pass (parallel
-    /// backend with more than one machine). A machine that runs dry asks for
-    /// work at once, with no period.
-    pub fn balance_period(mut self, period: Duration) -> Self {
-        self.balance_period = Some(period);
         self
     }
 
@@ -335,7 +325,6 @@ impl SessionBuilder {
             deadline: self.deadline,
             tau_split: self.tau_split,
             tau_time: self.tau_time,
-            balance_period: self.balance_period,
             // Not unwrap_or_default(): the Default token is the never-firing
             // one, while a session-owned token must be cancellable.
             #[allow(clippy::unwrap_or_default)]
@@ -357,7 +346,6 @@ pub struct Session {
     deadline: Option<Duration>,
     tau_split: usize,
     tau_time: Duration,
-    balance_period: Option<Duration>,
     cancel: CancelToken,
     tracing: Option<TraceConfig>,
 }
@@ -515,12 +503,9 @@ impl Session {
         cancel: CancelToken,
         sink: Option<&'a mut (dyn ResultSink + 'b)>,
     ) -> MiningReport {
-        let mut engine_config = EngineConfig::cluster(machines, threads)
+        let engine_config = EngineConfig::cluster(machines, threads)
             .with_cancel(cancel)
             .with_transport(transport.clone());
-        if let Some(period) = self.balance_period {
-            engine_config.balance_period = period;
-        }
         let app = QuasiCliqueApp::new(self.params, self.tau_split, self.tau_time)
             .with_prune_config(self.prune);
         let miner = ParallelMiner { app, engine_config };

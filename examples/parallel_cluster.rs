@@ -38,7 +38,6 @@ fn main() -> Result<(), QcmError> {
             .backend(Backend::parallel(threads, machines))
             .tau_split(spec.tau_split)
             .tau_time(Duration::from_millis(spec.tau_time_ms))
-            .balance_period(Duration::from_millis(5))
             .build()?
             .run(&graph)
     };

@@ -574,8 +574,9 @@ pub struct Tally {
 
 impl Tally {
     fn observe(&mut self, m: &EngineMetrics) {
-        // The simulator's balancer runs in virtual time, so its inter-machine
-        // steals repeat; the live balancer's depend on the wall clock.
+        // The simulator's asks for work run in virtual time, so its
+        // inter-machine steals repeat; the live driver's depend on the wall
+        // clock.
         let simulated_steals = m.virtual_time.map_or(0, |_| m.stolen_tasks);
         let faulted = u64::from(m.outcome == RunOutcome::Faulted);
         self.add(Tally {
@@ -690,15 +691,13 @@ impl Run {
         miner
     }
 
-    /// A `Session` with the case's rules and hyperparameters, balancing
-    /// every millisecond as the cluster shapes do.
+    /// A `Session` with the case's rules and hyperparameters.
     fn session_with(&self, backend: Backend) -> SessionBuilder {
         Session::builder()
             .params(self.params)
             .prune(prune_set(self.case.peel))
             .tau_split(self.case.tau_split)
             .tau_time(Duration::from_millis(self.case.tau_time_ms))
-            .balance_period(Duration::from_millis(1))
             .backend(backend)
     }
 
@@ -901,8 +900,7 @@ impl Run {
     fn shapes(&mut self) -> Result<(), String> {
         let mut spawned = 0;
         for (machines, threads) in SHAPES {
-            let mut config = EngineConfig::cluster(machines, threads);
-            config.balance_period = Duration::from_millis(1);
+            let config = EngineConfig::cluster(machines, threads);
             let out = self.mine(&format!("{machines}x{threads}"), &self.miner(config))?;
             spawned = out.metrics.tasks_spawned.max(spawned);
         }
@@ -1010,7 +1008,6 @@ impl Run {
     fn cache(&mut self) -> Result<(), String> {
         let mut config = EngineConfig::cluster(4, 2);
         config.vertex_cache_capacity = 1;
-        config.balance_period = Duration::from_millis(1);
         self.mine("1-entry cache", &self.miner(config)).map(drop)
     }
 

@@ -36,10 +36,10 @@ fn more_machines_than_meaningful_work_still_terminates() {
 }
 
 /// All interesting vertices of the nine communities hash to a few machines
-/// when the cluster is wide. Whether the live balancer moves a task depends
-/// on the wall clock, so the live runs only have to stay correct; the
-/// simulator's balancer runs in virtual time, and under full decomposition
-/// it must move some.
+/// when the cluster is wide, and the others run dry and ask for work.
+/// Whether a live ask moves a task depends on the wall clock, so the live
+/// runs only have to stay correct; the simulator's asks run in virtual time,
+/// and under full decomposition they must move some.
 #[test]
 fn stealing_moves_big_tasks_under_skew() {
     leg("stealing_moves_big_tasks_under_skew");
