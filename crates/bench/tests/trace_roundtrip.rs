@@ -62,6 +62,11 @@ fn traced_session_records_the_span_taxonomy() {
     );
     assert!(trace.count(SpanKind::MinePhase) >= 1);
     assert!(trace.count(SpanKind::Task) >= 1);
+    assert_eq!(
+        trace.count(SpanKind::Finalize),
+        1,
+        "one post-processing pass after the engine"
+    );
     // Every span closed before `finish_recording`, so durations and
     // containment are coherent: each non-run span falls inside the run span.
     let run = trace

@@ -180,7 +180,10 @@ impl SerialMiner {
         }
 
         let raw_reported = stats.results_reported;
-        let maximal = remove_non_maximal(sink);
+        let maximal = {
+            let _finalize = qcm_obs::span(qcm_obs::SpanKind::Finalize);
+            remove_non_maximal(sink)
+        };
         MiningOutput {
             maximal,
             raw_reported,

@@ -83,9 +83,10 @@ pub struct EngineMetrics {
     /// Messages the transport dropped in flight (fault injection /
     /// simulated loss).
     pub transport_dropped: u64,
-    /// Virtual clock at the end of a simulated run (`None` for live runs).
-    /// A simulated run's `elapsed` measures only the simulation itself; this
-    /// is the time the modelled cluster took.
+    /// The time the modelled cluster took (`None` for live runs): the
+    /// instant of a simulated run's last event that acted, where a timer
+    /// whose reply already came does not count. A simulated run's `elapsed`
+    /// measures only the simulation itself.
     pub virtual_time: Option<Duration>,
     /// Tasks moved between machines, counted where they arrive: the master's
     /// big-task steals and the grants an idle machine asked for (big tasks,

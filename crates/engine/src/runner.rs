@@ -181,9 +181,11 @@ impl ParallelMiner {
         let mut output = cluster::run(&app, &self.engine_config, core, roots);
         output.metrics.elapsed += peel_time;
         let raw_reported = output.metrics.results_emitted;
+        let finalize_span = qcm_obs::span(qcm_obs::SpanKind::Finalize);
         let (mut maximal, invalid_sets_dropped) =
             finalize_results(output.results, &graph, params, observer);
         retain_provably_maximal(&mut maximal, &output.lost_roots, &graph, params);
+        drop(finalize_span);
         ParallelMiningOutput {
             maximal,
             raw_reported,

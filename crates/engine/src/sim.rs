@@ -431,7 +431,9 @@ pub struct Replay {
 /// queue capacities, batch size and spill directory come from `engine`;
 /// thread counts are not modelled — each machine performs one scheduling step
 /// per wake. Rows come back flattened in root-id order, exactly once per
-/// root; `metrics.virtual_time` holds the final virtual clock.
+/// root; `metrics.virtual_time` holds the instant of the run's last event
+/// that acted: a step, a delivery, a fault, or a timer that found its ask,
+/// pull or grant still waiting. A stale timer only moves the clock.
 pub(crate) fn run(
     app: &QuasiCliqueApp,
     engine: &EngineConfig,
@@ -463,6 +465,7 @@ pub(crate) fn run(
         next_park: 0,
         fetched: FetchScratch::default(),
         faulted: false,
+        last_acted_us: 0,
     };
     let outcome = driver.run();
 
@@ -477,7 +480,7 @@ pub(crate) fn run(
     ));
     let mut net = driver.net.lock();
     metrics.remote_bytes = net.stats.wire_bytes;
-    metrics.virtual_time = Some(Duration::from_micros(net.clock));
+    metrics.virtual_time = Some(Duration::from_micros(driver.last_acted_us));
     EngineOutput {
         results,
         lost_roots: driver
@@ -514,6 +517,8 @@ struct Driver<'a> {
     /// The scratch buffers loaned to every compute step (one thread, one set).
     scratch: WorkerScratch,
     faulted: bool,
+    /// The instant of the last event that acted: the run's virtual time.
+    last_acted_us: u64,
 }
 
 impl Driver<'_> {
@@ -591,13 +596,22 @@ impl Driver<'_> {
                         break;
                     }
                     self.net().clock = at;
-                    match ev {
+                    let acted = match ev {
                         Event::Wake(m) => self.on_wake(m),
-                        Event::Deliver(to, env) => self.on_deliver(to, env),
+                        Event::Deliver(to, env) => {
+                            self.on_deliver(to, env);
+                            true
+                        }
                         Event::PullTimeout(m, park_id) => self.on_pull_timeout(m, park_id),
                         Event::AckTimeout(m, seq, attempt) => self.on_ack_timeout(m, seq, attempt),
                         Event::AskTimeout(m, seq) => self.on_ask_timeout(m, seq),
-                        Event::Fault(idx) => self.on_fault(idx),
+                        Event::Fault(idx) => {
+                            self.on_fault(idx);
+                            true
+                        }
+                    };
+                    if acted {
+                        self.last_acted_us = at;
                     }
                 }
                 None => {
@@ -611,11 +625,12 @@ impl Driver<'_> {
     }
 
     /// One scheduling step of machine `m`, in the worker loop's order: a
-    /// resumed task, else the next queued task, else one spawn batch.
-    fn on_wake(&mut self, m: usize) {
+    /// resumed task, else the next queued task, else one spawn batch. False
+    /// when the machine is down.
+    fn on_wake(&mut self, m: usize) -> bool {
         self.machines[m].wake_scheduled = false;
         if !self.net().alive[m] {
-            return;
+            return false;
         }
         let cost = if let Some(resumed) = self.machines[m].ready.pop_front() {
             self.compute(m, resumed)
@@ -627,7 +642,7 @@ impl Driver<'_> {
                 // Idle: ask another machine for work. The grant's delivery,
                 // a pull response or a restart re-wakes the machine.
                 self.ask(m);
-                return;
+                return true;
             }
             self.sim.spawn_cost_us
         };
@@ -637,6 +652,7 @@ impl Driver<'_> {
             self.schedule(cost, Event::Wake(m));
         }
         self.wake_idle(m);
+        true
     }
 
     fn record_results(&mut self, root: u32, rows: Vec<Row>) {
@@ -751,9 +767,11 @@ impl Driver<'_> {
         }
     }
 
-    fn on_pull_timeout(&mut self, m: usize, park_id: u64) {
+    /// Resends or abandons parked task `park_id`'s pulls; false when the
+    /// task already resumed or was lost.
+    fn on_pull_timeout(&mut self, m: usize, park_id: u64) -> bool {
         let Some(parked) = self.machines[m].parked.get_mut(&park_id) else {
-            return; // resumed, or lost in a crash
+            return false; // resumed, or lost in a crash
         };
         if parked.attempt < self.sim.pull_retries {
             parked.attempt += 1;
@@ -771,13 +789,15 @@ impl Driver<'_> {
                 "abandon task={park_id} root={root} (pull timeout) at m{m}"
             ));
         }
+        true
     }
 
     /// Retransmits grant `seq` from machine `m`'s book, or — retries
-    /// exhausted — declares the batch lost and dirties its roots.
-    fn on_ack_timeout(&mut self, m: usize, seq: u64, attempt: u32) {
+    /// exhausted — declares the batch lost and dirties its roots. False when
+    /// the grant is no longer in the book.
+    fn on_ack_timeout(&mut self, m: usize, seq: u64, attempt: u32) -> bool {
         let Some((to, tasks)) = self.run.machines[m].unacked_grant(seq) else {
-            return; // acked, or the granter crashed (which dirtied the roots)
+            return false; // acked, or the granter crashed (which dirtied the roots)
         };
         if attempt < self.sim.grant_retries {
             let grant = EngineMsg::StealGrant { seq, tasks };
@@ -792,15 +812,18 @@ impl Driver<'_> {
                 self.dirty.insert(task.root.raw());
             }
         }
+        true
     }
 
     /// Ask `seq` of machine `m` got no reply in time: unless a reply or a
     /// crash freed it already, it is freed, and the machine asks again while
-    /// it is idle.
-    fn on_ask_timeout(&mut self, m: usize, seq: u64) {
-        if self.run.free_ask(m, seq) && self.idle(m) {
+    /// it is idle. False when it was freed already.
+    fn on_ask_timeout(&mut self, m: usize, seq: u64) -> bool {
+        let freed = self.run.free_ask(m, seq);
+        if freed && self.idle(m) {
             self.ask(m);
         }
+        freed
     }
 
     fn on_fault(&mut self, idx: usize) {

@@ -5,14 +5,13 @@
 //! call the matching [`Api`] method, render the result. Behaviour (auth,
 //! graph resolution, admission, long-poll) lives here, not in the transport.
 
-use crate::registry::GraphRegistry;
+use crate::registry::SharedRegistry;
 use qcm::prelude::{ApiError, ErrorCode, GraphInfo, JobView, SubmitRequest, SubmitResponse};
 use qcm::RunOutcome;
 use qcm_service::{
     JobId, JobRequest, JobResult, JobStatus, MetricsSnapshot, MiningService, Priority,
     ServiceConfig, ServiceError,
 };
-use qcm_sync::Mutex;
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -76,7 +75,7 @@ impl AuthConfig {
 /// table.
 pub struct Api {
     service: MiningService,
-    graphs: Mutex<GraphRegistry>,
+    graphs: SharedRegistry,
     auth: AuthConfig,
 }
 
@@ -90,7 +89,7 @@ impl Api {
     pub fn over(service: MiningService, auth: AuthConfig) -> Api {
         Api {
             service,
-            graphs: Mutex::new(GraphRegistry::default()),
+            graphs: SharedRegistry::default(),
             auth,
         }
     }
@@ -101,7 +100,7 @@ impl Api {
     /// Network front doors should always set this — without it any caller
     /// can make the server stat/read arbitrary server-local files.
     pub fn with_graph_root(self, root: impl Into<std::path::PathBuf>) -> Api {
-        self.graphs.lock().set_root(root.into());
+        self.graphs.set_root(root.into());
         self
     }
 
@@ -118,12 +117,15 @@ impl Api {
     /// Actual graph loads so far (stays flat across repeat submits of an
     /// unchanged path — the registry's stat cache at work).
     pub fn graph_loads(&self) -> u64 {
-        self.graphs.lock().loads()
+        self.graphs.loads()
     }
 
     /// `POST /v1/jobs`: validates, resolves the graph, submits, and reports
     /// the job's immediate state (a repeat of a cached query completes at
-    /// submit time with `cache_hit`).
+    /// submit time with `cache_hit`). The registry lock guards only its
+    /// maps: a cold graph loads with no lock held, so it never stalls
+    /// another connection's submit, and once however many submits name
+    /// it at once.
     pub fn submit(
         &self,
         request: &SubmitRequest,
@@ -135,7 +137,7 @@ impl Api {
                 request.priority
             ))
         })?;
-        let loaded = self.graphs.lock().resolve(&request.graph)?;
+        let loaded = self.graphs.resolve(&request.graph)?;
         let mut job_request = JobRequest::new(loaded.graph, request.gamma, request.min_size)
             .tenant(tenant)
             .priority(priority)
@@ -237,13 +239,13 @@ impl Api {
 
     /// `GET /v1/graphs`: the registered (named) graphs.
     pub fn graphs(&self) -> Vec<GraphInfo> {
-        self.graphs.lock().list()
+        self.graphs.list()
     }
 
     /// `PUT /v1/graphs/{name}`: registers `name` for the snapshot or edge
-    /// list at `path`.
+    /// list at `path`, loading it the way [`Api::submit`] loads a path.
     pub fn register_graph(&self, name: &str, path: &str) -> Result<GraphInfo, ApiError> {
-        self.graphs.lock().register(name, path)
+        self.graphs.register(name, path)
     }
 
     /// `GET /metrics`: the Prometheus text exposition of the unified

@@ -40,6 +40,6 @@ pub mod wire;
 
 pub use api::{Api, AuthConfig};
 pub use parser::{Head, Method, ParseError};
-pub use registry::GraphRegistry;
+pub use registry::{GraphRegistry, SharedRegistry};
 pub use response::Response;
 pub use server::{Server, ServerConfig};

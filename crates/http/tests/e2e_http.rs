@@ -7,7 +7,8 @@
 
 use qcm_http::{Api, AuthConfig, Server, ServerConfig};
 use qcm_service::{AdmissionControl, ServiceConfig};
-use qcm_sync::Arc;
+use qcm_sync::atomic::{AtomicBool, Ordering};
+use qcm_sync::{thread, Arc};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -538,6 +539,64 @@ fn graph_registry_round_trip_and_named_submit() {
         let (status, _, missing) = request(&addr, "GET", "/v1/jobs/99", &[], "");
         assert_eq!(status, 404, "{missing}");
         assert!(missing.contains("\"code\":\"unknown_job\""), "{missing}");
+        server.shutdown();
+    });
+}
+
+#[test]
+fn a_burst_of_submits_naming_one_new_file_loads_it_once() {
+    with_graph_file("burst", |path| {
+        let server = start_server(ServiceConfig::default(), AuthConfig::open());
+        let addr = server.local_addr().to_string();
+        let body = format!("{{\"graph\":\"{path}\",\"gamma\":0.8,\"min_size\":6}}");
+        let go = Arc::new(AtomicBool::new(false));
+        let submitters: Vec<_> = (0..4)
+            .map(|_| {
+                let (addr, body, go) = (addr.clone(), body.clone(), go.clone());
+                thread::spawn(move || {
+                    // ordering: SeqCst — a start gate, no data rides on it.
+                    while !go.load(Ordering::SeqCst) {
+                        thread::yield_now();
+                    }
+                    request(&addr, "POST", "/v1/jobs", &[], &body)
+                })
+            })
+            .collect();
+        // ordering: SeqCst — releases the gate above.
+        go.store(true, Ordering::SeqCst);
+        let mut answers = Vec::new();
+        for submitter in submitters {
+            let (status, _, submitted) = submitter.join().unwrap();
+            assert_eq!(status, 202, "{submitted}");
+            let job = submitted
+                .split("\"job\":")
+                .nth(1)
+                .and_then(|rest| rest.split([',', '}']).next())
+                .expect("job id");
+            let (status, _, view) = request(
+                &addr,
+                "GET",
+                &format!("/v1/jobs/{job}?wait_ms=30000"),
+                &[],
+                "",
+            );
+            assert_eq!(status, 200, "{view}");
+            assert!(view.contains("\"outcome\":\"complete\""), "{view}");
+            let maximal = view.split("\"num_maximal\":").nth(1).expect("num_maximal");
+            answers.push(maximal.split([',', '}']).next().unwrap().to_string());
+        }
+        assert_eq!(server.api().graph_loads(), 1, "one file, one load");
+        assert!(answers.windows(2).all(|w| w[0] == w[1]), "{answers:?}");
+        // Naming the file afterwards reuses the one resident graph.
+        let (status, _, put) = request(
+            &addr,
+            "PUT",
+            "/v1/graphs/burst",
+            &[],
+            &format!("{{\"path\":\"{path}\"}}"),
+        );
+        assert_eq!(status, 200, "{put}");
+        assert_eq!(server.api().graph_loads(), 1, "{put}");
         server.shutdown();
     });
 }

@@ -21,7 +21,8 @@ use std::cell::{Cell, RefCell};
 use std::mem::MaybeUninit;
 
 /// The span taxonomy, from coarsest to finest:
-/// `run → decompose → task → mine_phase → steal/pull/spill`.
+/// `run → decompose → task → mine_phase → steal/pull/spill`; `kcore` and
+/// `finalize` sit directly inside `run`, before and after the search.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SpanKind {
     /// One whole `Session` run (serial or parallel).
@@ -41,6 +42,9 @@ pub enum SpanKind {
     Pull,
     /// Spilling a big task to (or refilling it from) the spill store.
     Spill,
+    /// The post-processing after the search: the maximality filter, and on
+    /// the engine the result check against the input graph.
+    Finalize,
 }
 
 impl SpanKind {
@@ -56,6 +60,7 @@ impl SpanKind {
             SpanKind::Steal => "steal",
             SpanKind::Pull => "pull",
             SpanKind::Spill => "spill",
+            SpanKind::Finalize => "finalize",
         }
     }
 }

@@ -29,6 +29,7 @@ use qcm::{RunOutcome, SimConfig, TransportFactory};
 use qcm_sync::Arc;
 use std::fs;
 use std::path::PathBuf;
+use std::time::Duration;
 
 const SEEDS: [u64; 3] = [11, 42, 1337];
 const MACHINES: usize = 4;
@@ -185,6 +186,43 @@ fn distinct_seeds_schedule_distinct_histories() {
         .collect();
     assert_ne!(hashes[0], hashes[1]);
     assert_ne!(hashes[1], hashes[2]);
+}
+
+/// A run's virtual time is the instant of its last event that acted, not
+/// of a stale timer. In `straggler` seed 42 an ask's timeout fires at
+/// 42,835 µs, long after its reply came; the run ends when its last
+/// message, a grant sent at 33,468 µs, lands 630 µs later.
+#[test]
+fn virtual_time_ends_when_the_last_message_lands() {
+    if !selected("straggler", 42) {
+        return;
+    }
+    let (graph, params) = planted();
+    let out = run_sim(&graph, params, scenario("straggler", 42));
+    let last_send = replay(&out)
+        .event_log
+        .iter()
+        .rev()
+        .find(|line| line.contains(" send "))
+        .expect("the run sends messages");
+    // `t=<sent at> send <from>-><to> <kind> <bytes>B +<latency>us`
+    let sent_us: u64 = last_send[2..]
+        .split_whitespace()
+        .next()
+        .unwrap()
+        .parse()
+        .unwrap();
+    let latency = last_send.rsplit('+').next().unwrap();
+    let latency_us: u64 = latency.trim_end_matches("us").parse().unwrap();
+    assert_eq!(
+        out.metrics.virtual_time,
+        Some(Duration::from_micros(sent_us + latency_us)),
+        "{last_send}"
+    );
+    assert_eq!(
+        out.metrics.virtual_time,
+        Some(Duration::from_micros(34_098))
+    );
 }
 
 #[test]
