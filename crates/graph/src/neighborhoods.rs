@@ -217,7 +217,7 @@ impl NeighborhoodIndex {
 
 /// Process-wide counters of the neighborhood kernels, read by the benchmark
 /// of record (`graph.edge_queries`, `graph.bitset_hits`,
-/// `graph.intersections`, `core.scratch_*`) and the service metrics.
+/// `graph.intersections`, `core.scratch_*`) and the `GET /metrics` route.
 ///
 /// Counting is a plain add to a thread-local cell — no atomic, no lazy
 /// initialisation — so it stays on unconditionally inside `has_edge` and the
@@ -225,8 +225,8 @@ impl NeighborhoodIndex {
 /// shared atomics; the serial miner calls it once per root, the engine once
 /// per compute step, every thread on exit, and [`perf::snapshot`] on entry
 /// (for the caller's own counts). Counts of *another* thread become visible at
-/// its next flush. Reset with [`perf::reset`] before a measured region and
-/// read with [`perf::snapshot`] after.
+/// its next flush. Totals only grow: measure a region as the
+/// [`perf::PerfSnapshot::since`] of snapshots taken before and after it.
 pub mod perf {
     use super::{AtomicU64, Ordering};
     use std::cell::Cell;
@@ -343,59 +343,7 @@ pub mod perf {
     }
 
     impl PerfSnapshot {
-        /// Publishes this snapshot into `registry` under the `qcm_graph_*`
-        /// namespace — the graph layer's bridge into the unified registry.
-        /// Idempotent: re-publishing overwrites the previous values.
-        pub fn publish(&self, registry: &qcm_obs::Registry) {
-            let counters: [(&'static str, &'static str, u64); 7] = [
-                (
-                    "qcm_graph_edge_queries_total",
-                    "Edge-membership probes.",
-                    self.edge_queries,
-                ),
-                (
-                    "qcm_graph_bitset_hits_total",
-                    "Edge queries served by a bitset row.",
-                    self.bitset_hits,
-                ),
-                (
-                    "qcm_graph_intersections_total",
-                    "Neighborhood intersections performed.",
-                    self.intersections,
-                ),
-                (
-                    "qcm_graph_allocations_avoided_total",
-                    "Scratch-frame requests served from a pool.",
-                    self.allocations_avoided,
-                ),
-                (
-                    "qcm_graph_scratch_fresh_allocs_total",
-                    "Scratch-frame requests that hit the heap.",
-                    self.scratch_fresh_allocs,
-                ),
-                (
-                    "qcm_graph_steals_total",
-                    "Tasks moved between worker deques.",
-                    self.steals,
-                ),
-                (
-                    "qcm_graph_steal_failures_total",
-                    "Steal sweeps that found nothing.",
-                    self.steal_failures,
-                ),
-            ];
-            for (name, help, value) in counters {
-                registry.counter(name, help).set_total(value);
-            }
-            registry
-                .gauge(
-                    "qcm_graph_scratch_bytes_peak",
-                    "High-water mark of pooled scratch bytes.",
-                )
-                .set(self.scratch_bytes_peak as f64);
-        }
-
-        /// Counter deltas `self − earlier` (saturating, for reset races).
+        /// Counter deltas `self − earlier` (saturating).
         /// `scratch_bytes_peak` is a gauge and keeps the later value.
         pub fn since(&self, earlier: &PerfSnapshot) -> PerfSnapshot {
             PerfSnapshot {
@@ -487,22 +435,6 @@ pub mod perf {
             steals: total(Counter::Steals),
             steal_failures: total(Counter::StealFailures),
         }
-    }
-
-    /// Zeroes all counters, the calling thread's unpublished ones included
-    /// (benchmark harness only — concurrent miners keep counting, and what
-    /// they have not flushed yet lands after the reset).
-    pub fn reset() {
-        let _ = LOCAL.try_with(|local| {
-            local.counts.iter().for_each(|cell| cell.set(0));
-            local.scratch_bytes_peak.set(0);
-        });
-        for total in &TOTALS {
-            // ordering: Relaxed — bench-harness reset, serialised by the caller.
-            total.store(0, Ordering::Relaxed);
-        }
-        // ordering: Relaxed — bench-harness reset, serialised by the caller.
-        SCRATCH_BYTES_PEAK.store(0, Ordering::Relaxed);
     }
 }
 

@@ -248,14 +248,14 @@ impl Api {
         self.graphs.register(name, path)
     }
 
-    /// `GET /metrics`: the Prometheus text exposition of the unified
-    /// registry (service counters/gauges/latency quantiles plus the graph
-    /// perf counters).
+    /// `GET /metrics`: the Prometheus text exposition of the service's
+    /// counters, gauges and latency quantiles plus the graph kernels' perf
+    /// counters.
     pub fn metrics_prometheus(&self) -> String {
-        let registry = qcm_obs::Registry::new();
-        self.service.metrics().publish(&registry);
-        qcm_graph::neighborhoods::perf::snapshot().publish(&registry);
-        qcm_obs::prometheus::render(&registry)
+        crate::exposition::render(
+            &self.service.metrics(),
+            &qcm_graph::neighborhoods::perf::snapshot(),
+        )
     }
 
     /// The raw metrics snapshot, for embedders that read counters without

@@ -31,6 +31,7 @@
 //! ```
 
 pub mod api;
+mod exposition;
 pub mod parser;
 pub mod registry;
 pub mod response;

@@ -105,6 +105,26 @@ fn submit_long_poll_fetch_round_trip_with_cache_hit() {
             "qcm_service_jobs_mined_total 1",
             "qcm_service_cache_hits_total 1",
             "# TYPE qcm_graph_edge_queries_total counter",
+            "# TYPE qcm_graph_allocations_avoided_total counter",
+            "# TYPE qcm_graph_bitset_hits_total counter",
+            "# TYPE qcm_graph_intersections_total counter",
+            "# TYPE qcm_graph_scratch_bytes_peak gauge",
+            "# TYPE qcm_graph_scratch_fresh_allocs_total counter",
+            "# TYPE qcm_graph_steal_failures_total counter",
+            "# TYPE qcm_graph_steals_total counter",
+            "# TYPE qcm_service_cache_entries gauge",
+            "# TYPE qcm_service_cache_hits_total counter",
+            "# TYPE qcm_service_cache_misses_total counter",
+            "# TYPE qcm_service_cancelled_total counter",
+            "# TYPE qcm_service_completed_total counter",
+            "# TYPE qcm_service_failed_total counter",
+            "# TYPE qcm_service_job_latency_seconds gauge",
+            "# TYPE qcm_service_jobs_in_flight gauge",
+            "# TYPE qcm_service_latency_samples_dropped_total counter",
+            "# TYPE qcm_service_latency_samples_total counter",
+            "# TYPE qcm_service_queue_depth gauge",
+            "# TYPE qcm_service_rejected_total counter",
+            "# TYPE qcm_service_submitted_total counter",
         ] {
             assert!(metrics.lines().any(|l| l == line), "{line}: {metrics}");
         }

@@ -1,70 +1,7 @@
-//! Prometheus text-exposition exporter.
-//!
-//! Renders a [`Registry`] in the Prometheus text format (version 0.0.4):
-//! a `# HELP` / `# TYPE` header per family, `name{labels} value` sample
-//! lines, and for histograms the cumulative `_bucket{le=…}` series plus
-//! `_sum` / `_count`. [`check_text`] is the well-formedness gate CI runs
-//! over `qcm serve`'s `metrics prom` output.
-
-use crate::registry::{Registry, Value};
-use std::fmt::Write as _;
-
-fn write_value(out: &mut String, v: f64) {
-    if v == v.trunc() && v.abs() < 9e15 {
-        let _ = write!(out, "{}", v as i64);
-    } else {
-        let _ = write!(out, "{v}");
-    }
-}
-
-/// Renders every metric in `registry` as Prometheus text exposition.
-pub fn render(registry: &Registry) -> String {
-    let mut out = String::new();
-    for (name, help, kind, samples) in registry.snapshot() {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} {}", kind.as_str());
-        for (labels, value) in samples {
-            match value {
-                Value::Int(v) => {
-                    let _ = writeln!(out, "{name}{labels} {v}");
-                }
-                Value::Float(v) => {
-                    out.push_str(&name);
-                    out.push_str(&labels);
-                    out.push(' ');
-                    write_value(&mut out, v);
-                    out.push('\n');
-                }
-                Value::Hist {
-                    bounds,
-                    counts,
-                    sum,
-                    count,
-                } => {
-                    // `le` buckets are cumulative; the registry stores
-                    // per-bucket counts.
-                    let inner = labels.trim_start_matches('{').trim_end_matches('}');
-                    let sep = if inner.is_empty() { "" } else { "," };
-                    let mut acc = 0u64;
-                    for (bound, bucket) in bounds.iter().zip(&counts) {
-                        acc += bucket;
-                        let _ = writeln!(out, "{name}_bucket{{{inner}{sep}le=\"{bound}\"}} {acc}");
-                    }
-                    acc += counts.last().copied().unwrap_or(0);
-                    let _ = writeln!(out, "{name}_bucket{{{inner}{sep}le=\"+Inf\"}} {acc}");
-                    out.push_str(&name);
-                    out.push_str("_sum");
-                    out.push_str(&labels);
-                    out.push(' ');
-                    write_value(&mut out, sum);
-                    out.push('\n');
-                    let _ = writeln!(out, "{name}_count{labels} {count}");
-                }
-            }
-        }
-    }
-    out
-}
+//! Prometheus text exposition (format 0.0.4): [`check_text`], the
+//! well-formedness gate the tests and CI run over `GET /metrics`. The route
+//! itself renders the service's and the graph kernels' snapshots in
+//! `qcm-http`, the one place that names their series.
 
 /// Checks Prometheus text exposition for well-formedness: every sample
 /// line must parse as `name[{labels}] value`, its metric must have been
@@ -142,30 +79,6 @@ pub fn check_text(text: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn render_passes_its_own_checker() {
-        let reg = Registry::new();
-        reg.counter("qcm_jobs_total", "Jobs accepted.").inc_by(3);
-        reg.gauge_with("qcm_queue_depth", "Waiting jobs.", &[("pool", "a")])
-            .set(7.0);
-        let h = reg.histogram_with(
-            "qcm_latency_seconds",
-            "Job latency.",
-            &[("pool", "a")],
-            &[0.1, 1.0],
-        );
-        h.observe(0.05);
-        h.observe(5.0);
-        let text = render(&reg);
-        assert!(text.contains("# TYPE qcm_jobs_total counter"));
-        assert!(text.contains("qcm_jobs_total 3"));
-        assert!(text.contains("qcm_queue_depth{pool=\"a\"} 7"));
-        assert!(text.contains("qcm_latency_seconds_bucket{pool=\"a\",le=\"0.1\"} 1"));
-        assert!(text.contains("qcm_latency_seconds_bucket{pool=\"a\",le=\"+Inf\"} 2"));
-        assert!(text.contains("qcm_latency_seconds_count{pool=\"a\"} 2"));
-        check_text(&text).expect("rendered exposition must be well-formed");
-    }
 
     #[test]
     fn checker_rejects_malformed_exposition() {

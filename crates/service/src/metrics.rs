@@ -144,99 +144,6 @@ impl MetricsSnapshot {
             Some(self.cache_hits as f64 / total as f64)
         }
     }
-
-    /// Publishes this snapshot into `registry` under the `qcm_service_*`
-    /// namespace — the bridge the Prometheus exposition of `qcm serve`'s
-    /// `metrics prom` command is rendered from. Idempotent: re-publishing
-    /// overwrites the previous snapshot's values.
-    pub fn publish(&self, registry: &qcm_obs::Registry) {
-        let gauges: [(&'static str, &'static str, f64); 3] = [
-            (
-                "qcm_service_queue_depth",
-                "Jobs waiting in the queue.",
-                self.queue_depth as f64,
-            ),
-            (
-                "qcm_service_jobs_in_flight",
-                "Jobs currently being mined.",
-                self.in_flight as f64,
-            ),
-            (
-                "qcm_service_cache_entries",
-                "Live answers in the result cache.",
-                self.cache_entries as f64,
-            ),
-        ];
-        for (name, help, value) in gauges {
-            registry.gauge(name, help).set(value);
-        }
-        let counters: [(&'static str, &'static str, u64); 10] = [
-            (
-                "qcm_service_submitted_total",
-                "Jobs accepted by admission control.",
-                self.submitted,
-            ),
-            (
-                "qcm_service_rejected_total",
-                "Submits rejected by admission control.",
-                self.rejected,
-            ),
-            (
-                "qcm_service_completed_total",
-                "Jobs that reached a terminal state with a result.",
-                self.completed,
-            ),
-            (
-                "qcm_service_cancelled_total",
-                "Jobs cancelled before or during their run.",
-                self.cancelled,
-            ),
-            (
-                "qcm_service_failed_total",
-                "Jobs whose run failed inside the engine.",
-                self.failed,
-            ),
-            (
-                "qcm_service_cache_hits_total",
-                "Submits answered from the result cache.",
-                self.cache_hits,
-            ),
-            (
-                "qcm_service_cache_misses_total",
-                "Submits that had to mine.",
-                self.cache_misses,
-            ),
-            (
-                "qcm_service_jobs_mined_total",
-                "Mining runs executed by the worker pool.",
-                self.jobs_mined,
-            ),
-            (
-                "qcm_service_latency_samples_total",
-                "Job latencies ever recorded.",
-                self.latency_samples,
-            ),
-            (
-                "qcm_service_latency_samples_dropped_total",
-                "Latency samples overwritten by the sliding percentile window.",
-                self.latency_samples_dropped,
-            ),
-        ];
-        for (name, help, value) in counters {
-            registry.counter(name, help).set_total(value);
-        }
-        let latency = |q: &'static str, d: Duration| {
-            registry
-                .gauge_with(
-                    "qcm_service_job_latency_seconds",
-                    "Job latency (submit to terminal state) over the recent window.",
-                    &[("quantile", q)],
-                )
-                .set(d.as_secs_f64());
-        };
-        latency("0.5", self.p50_latency);
-        latency("0.99", self.p99_latency);
-    }
 }
 
 impl ServiceMetrics {
@@ -331,22 +238,6 @@ mod tests {
         let snap = metrics.snapshot(0, 0, 0);
         assert_eq!(snap.latency_samples, total);
         assert_eq!(snap.latency_samples_dropped, dropped);
-    }
-
-    #[test]
-    fn snapshot_publishes_to_a_registry() {
-        let metrics = ServiceMetrics::default();
-        metrics.submitted.store(5, Ordering::Relaxed);
-        metrics.record_latency(Duration::from_millis(8));
-        let snap = metrics.snapshot(2, 1, 0);
-        let registry = qcm_obs::Registry::new();
-        snap.publish(&registry);
-        let text = qcm_obs::prometheus::render(&registry);
-        qcm_obs::prometheus::check_text(&text).expect("exposition must be well-formed");
-        assert!(text.contains("qcm_service_submitted_total 5"));
-        assert!(text.contains("qcm_service_queue_depth 2"));
-        assert!(text.contains("qcm_service_latency_samples_total 1"));
-        assert!(text.contains("qcm_service_job_latency_seconds{quantile=\"0.5\"} 0.008"));
     }
 
     #[test]
