@@ -1,20 +1,14 @@
 //! # qcm-bench — experiment harness for the paper's tables and figures
 //!
-//! This crate contains the shared machinery used by
-//!
-//! * the `experiments` binary (`cargo run --release -p qcm-bench --bin
-//!   experiments -- <experiment>`), which regenerates every table and figure
-//!   of the paper's Section 7 at the stand-in-dataset scale (its module docs
-//!   list the experiments),
-//! * the `calibrate` binary, which tunes the stand-ins' hard-core cost, and
-//! * the `load_gen` binary, the closed-loop HTTP load generator CI drives
-//!   against `qcm serve --listen`.
+//! This crate contains the shared machinery of the `experiments` binary
+//! (`cargo run --release -p qcm-bench --bin experiments -- <experiment>`),
+//! which regenerates every table and figure of the paper's Section 7 at the
+//! stand-in-dataset scale (its module docs list the experiments).
 //!
 //! Performance is measured by the benchmark of record (`BENCHMARK.json` +
 //! `benchmark/`), which reuses [`scaled`] and [`suite::peak_rss_bytes`] from
 //! here.
 
-pub mod loadgen;
 pub mod report;
 pub mod runner;
 pub mod scaled;

@@ -212,9 +212,8 @@ pub struct SubmitResponse {
     pub cache_hit: bool,
 }
 
-/// Job status / result DTO (`GET /v1/jobs/{id}` body; also the line
-/// protocol's `status` / `fetch` responses). Result fields are `None`
-/// until the job reaches a terminal state with a result.
+/// Job status / result DTO (the `GET /v1/jobs/{id}` body). Result fields
+/// are `None` until the job reaches a terminal state with a result.
 #[derive(Clone, Debug, PartialEq)]
 pub struct JobView {
     /// The job id.

@@ -26,8 +26,8 @@
 //!
 //! Application code should normally go through the unified `qcm::Session`
 //! front door in the `qcm` facade crate, which adds builder-time validation
-//! ([`QcmError`]), deadlines and cancellation ([`CancelToken`]) and streaming
-//! delivery ([`ResultSink`]) on top of these primitives.
+//! ([`QcmError`]), deadlines and cancellation ([`CancelToken`]) and a raw
+//! report observer ([`QuasiCliqueSink`]) on top of these primitives.
 //!
 //! The parallel, task-based version of the algorithm runs on the reforged
 //! G-thinker-style engine in `qcm-engine`; the serial and the parallel miner
@@ -75,9 +75,7 @@ pub use params::{Gamma, MiningParams};
 pub use quasiclique::is_quasi_clique_local;
 pub use quick::quick_mine;
 pub use recursive_mine::{recursive_mine, two_hop_bits_into, HandOff, NoHandOff};
-pub use results::{
-    CandidateForwarder, CollectingSink, CountingSink, QuasiCliqueSet, QuasiCliqueSink, ResultSink,
-};
+pub use results::{QuasiCliqueSet, QuasiCliqueSink};
 pub use root_task::{CoreNumbering, Step, TaskAssembly};
 pub use scratch::MiningScratch;
 pub use serial::{MiningOutput, SerialMiner};

@@ -21,86 +21,6 @@ pub trait QuasiCliqueSink {
     fn report(&mut self, members: Vec<VertexId>);
 }
 
-/// A sink that only counts reports (used by benchmarks where materialising
-/// results would distort timing).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CountingSink {
-    /// Number of reports received.
-    pub count: u64,
-}
-
-impl QuasiCliqueSink for CountingSink {
-    fn report(&mut self, _members: Vec<VertexId>) {
-        self.count += 1;
-    }
-}
-
-/// Streaming receiver for a `qcm::Session::run_streaming` run.
-///
-/// This is the caller-facing sibling of the internal [`QuasiCliqueSink`] seam:
-/// while a run is in flight the session forwards every raw report to
-/// [`ResultSink::on_candidate`], and as each result is proven maximal by the
-/// post-processing phase it is pushed to [`ResultSink::on_maximal`] — so a
-/// caller can render incremental progress and stream final results without
-/// waiting for the whole report.
-pub trait ResultSink {
-    /// A raw candidate was reported by the miner. Candidates may be duplicated
-    /// or non-maximal; with the serial backend this fires live during the
-    /// search, with the parallel backend it fires as the engine's result rows
-    /// are drained.
-    fn on_candidate(&mut self, _members: &[VertexId]) {}
-
-    /// `members` has been proven maximal (no reported superset exists).
-    /// Members are sorted by vertex id. Fired once per maximal result, in
-    /// lexicographic order.
-    fn on_maximal(&mut self, members: &[VertexId]);
-}
-
-/// The simplest useful [`ResultSink`]: counts candidates and collects the
-/// maximal sets in order.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct CollectingSink {
-    /// Number of raw candidate reports observed.
-    pub candidates: u64,
-    /// The maximal quasi-cliques, in the order they were proven maximal.
-    pub maximal: Vec<Vec<VertexId>>,
-}
-
-impl ResultSink for CollectingSink {
-    fn on_candidate(&mut self, _members: &[VertexId]) {
-        self.candidates += 1;
-    }
-
-    fn on_maximal(&mut self, members: &[VertexId]) {
-        self.maximal.push(members.to_vec());
-    }
-}
-
-impl ResultSink for Vec<Vec<VertexId>> {
-    fn on_maximal(&mut self, members: &[VertexId]) {
-        self.push(members.to_vec());
-    }
-}
-
-/// Adapter that lets a [`ResultSink`] observe the miner's raw report stream
-/// (the [`QuasiCliqueSink`] side of the seam).
-pub struct CandidateForwarder<'a> {
-    sink: &'a mut dyn ResultSink,
-}
-
-impl<'a> CandidateForwarder<'a> {
-    /// Wraps `sink` so raw reports are forwarded to `on_candidate`.
-    pub fn new(sink: &'a mut dyn ResultSink) -> Self {
-        CandidateForwarder { sink }
-    }
-}
-
-impl QuasiCliqueSink for CandidateForwarder<'_> {
-    fn report(&mut self, members: Vec<VertexId>) {
-        self.sink.on_candidate(&members);
-    }
-}
-
 /// A canonicalised, de-duplicated set of quasi-cliques.
 ///
 /// Each member set is stored sorted by vertex id, so set equality and subset
@@ -168,16 +88,6 @@ impl QuasiCliqueSet {
     /// validation.
     pub fn retain_sets(&mut self, mut keep: impl FnMut(&[VertexId]) -> bool) {
         self.sets.retain(|members| keep(members));
-    }
-
-    /// Merges another result set into this one.
-    pub fn merge(&mut self, other: QuasiCliqueSet) {
-        self.sets.extend(other.sets);
-    }
-
-    /// Removes and returns all member sets, leaving the set empty.
-    pub fn drain(&mut self) -> Vec<Vec<VertexId>> {
-        std::mem::take(&mut self.sets).into_iter().collect()
     }
 }
 
@@ -254,29 +164,10 @@ mod tests {
     }
 
     #[test]
-    fn counting_sink_counts() {
-        let mut sink = CountingSink::default();
-        sink.report(ids(&[1, 2]));
-        sink.report(ids(&[1, 2])); // duplicates still counted: it's a raw counter
-        assert_eq!(sink.count, 2);
-    }
-
-    #[test]
     fn vec_sink_sorts_members() {
         let mut sink: Vec<Vec<VertexId>> = Vec::new();
         sink.report(ids(&[5, 3, 4]));
         assert_eq!(sink[0], ids(&[3, 4, 5]));
-    }
-
-    #[test]
-    fn merge_and_drain() {
-        let mut a: QuasiCliqueSet = vec![ids(&[1, 2]), ids(&[3, 4])].into_iter().collect();
-        let b: QuasiCliqueSet = vec![ids(&[3, 4]), ids(&[5, 6])].into_iter().collect();
-        a.merge(b);
-        assert_eq!(a.len(), 3);
-        let drained = a.drain();
-        assert_eq!(drained.len(), 3);
-        assert!(a.is_empty());
     }
 
     #[test]
@@ -286,36 +177,6 @@ mod tests {
         assert!(!is_sorted_subset(&ids(&[1, 4]), &ids(&[1, 2, 3])));
         assert!(!is_sorted_subset(&ids(&[1, 2, 3]), &ids(&[1, 2])));
         assert!(is_sorted_subset(&ids(&[2]), &ids(&[1, 2, 3])));
-    }
-
-    #[test]
-    fn collecting_sink_separates_candidates_from_maximal() {
-        let mut sink = CollectingSink::default();
-        sink.on_candidate(&ids(&[1, 2]));
-        sink.on_candidate(&ids(&[1, 2, 3]));
-        sink.on_maximal(&ids(&[1, 2, 3]));
-        assert_eq!(sink.candidates, 2);
-        assert_eq!(sink.maximal, vec![ids(&[1, 2, 3])]);
-    }
-
-    #[test]
-    fn vec_result_sink_collects_maximal_sets() {
-        let mut sink: Vec<Vec<VertexId>> = Vec::new();
-        ResultSink::on_maximal(&mut sink, &ids(&[4, 5]));
-        ResultSink::on_candidate(&mut sink, &ids(&[9])); // default no-op
-        assert_eq!(sink, vec![ids(&[4, 5])]);
-    }
-
-    #[test]
-    fn candidate_forwarder_bridges_the_raw_stream() {
-        let mut sink = CollectingSink::default();
-        {
-            let mut fwd = CandidateForwarder::new(&mut sink);
-            fwd.report(ids(&[3, 1]));
-            fwd.report(ids(&[2, 4]));
-        }
-        assert_eq!(sink.candidates, 2);
-        assert!(sink.maximal.is_empty());
     }
 
     #[test]

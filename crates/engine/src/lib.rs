@@ -11,8 +11,9 @@
 //! 2. **prioritised refill and spilling**: local/global queues spill batches
 //!    of `C` tasks to disk when full and refill from spill files before
 //!    spawning new roots, keeping the in-memory task pool bounded;
-//! 3. **big-task stealing** between machines, driven by a master that
-//!    periodically evens out pending big-task counts.
+//! 3. **big-task stealing** between machines, driven by the idle: a
+//!    machine with nothing to pop or spawn asks the machine with the most
+//!    queued tasks for half of them, at most one batch.
 //!
 //! The application side:
 //!

@@ -2,11 +2,13 @@
 //! loopback port and driven with a hand-rolled HTTP/1.1 client, so every
 //! layer — accept loop, parser, router, API, mining service — is on the
 //! path: the job lifecycle with its cache and metrics, plus the semantics
-//! only a network surface has — auth, load shedding with `Retry-After`, and
-//! malformed-input isolation.
+//! only a network surface has — auth, load shedding with `Retry-After`, a
+//! failed job's typed error, and malformed-input isolation.
 
+use qcm_core::QuasiCliqueSink;
+use qcm_graph::VertexId;
 use qcm_http::{Api, AuthConfig, Server, ServerConfig};
-use qcm_service::{AdmissionControl, ServiceConfig};
+use qcm_service::{AdmissionControl, JobRequest, ServiceConfig};
 use qcm_sync::atomic::{AtomicBool, Ordering};
 use qcm_sync::{thread, Arc};
 use std::io::{Read, Write};
@@ -220,6 +222,52 @@ fn overload_is_shed_with_429_and_retry_after() {
         assert!(view.contains("\"outcome\":\"complete\""), "{view}");
         let (status, _, readmitted) = request(&addr, "POST", "/v1/jobs", &[], &body);
         assert_eq!(status, 202, "{readmitted}");
+        server.shutdown();
+    });
+}
+
+/// An observer that panics on the first raw report it gets.
+struct PanickingSink;
+
+impl QuasiCliqueSink for PanickingSink {
+    fn report(&mut self, _members: Vec<VertexId>) {
+        panic!("observer exploded");
+    }
+}
+
+#[test]
+fn a_panicking_job_answers_job_failed_and_the_listener_keeps_serving() {
+    with_graph_file("panic", |path| {
+        let server = start_server(
+            ServiceConfig {
+                workers: 1,
+                ..ServiceConfig::default()
+            },
+            AuthConfig::open(),
+        );
+        let addr = server.local_addr().to_string();
+        let api = Arc::clone(server.api());
+        let graph = Arc::new(qcm_gen::datasets::tiny_test_dataset(9).graph);
+        let doomed = api
+            .service()
+            .submit(JobRequest::new(graph, 0.8, 6).stream(Box::new(PanickingSink)))
+            .unwrap();
+
+        let poll = format!("/v1/jobs/{doomed}?wait_ms=30000");
+        let (status, _, failed) = request(&addr, "GET", &poll, &[], "");
+        assert_eq!(status, 500, "{failed}");
+        assert!(failed.contains("\"code\":\"job_failed\""), "{failed}");
+
+        // The one worker survived the panic: the next job on the same
+        // listener is admitted and completes.
+        let body = format!("{{\"graph\":\"{path}\",\"gamma\":0.8,\"min_size\":6}}");
+        let (status, _, next) = request(&addr, "POST", "/v1/jobs", &[], &body);
+        assert_eq!(status, 202, "{next}");
+        assert!(next.contains("\"job\":2"), "{next}");
+        let (status, _, view) = request(&addr, "GET", "/v1/jobs/2?wait_ms=30000", &[], "");
+        assert_eq!(status, 200, "{view}");
+        assert!(view.contains("\"outcome\":\"complete\""), "{view}");
+        assert_eq!(api.service().metrics().in_flight, 0);
         server.shutdown();
     });
 }

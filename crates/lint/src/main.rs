@@ -22,10 +22,9 @@
 //!    `crates/obs` (which owns the trace epoch), `crates/bench` and
 //!    `crates/cli`; library code imports `qcm_obs::clock` so spans and
 //!    measurements share one clock.
-//! 6. **net-boundary** — no `std::net::` outside `crates/http` (the one
-//!    front door) and `crates/bench` (the load generator that drives
-//!    it). Mining, service and CLI layers stay socket-free, so the
-//!    entire wire surface is reviewable in one crate.
+//! 6. **net-boundary** — no `std::net::` outside `crates/http`, the one
+//!    front door. Mining, service, CLI and bench layers stay socket-free,
+//!    so the entire wire surface is reviewable in one crate.
 //! 7. **retired-concept** — a deleted concept (a second miner, peel
 //!    kernel, task assembly or Algorithm 1 path, a kernel selector, a
 //!    grandfathered hot-path site, …) does not come back; one table in
@@ -66,9 +65,8 @@ const PRINT_OK_PREFIXES: &[&str] = &["crates/cli", "crates/bench"];
 /// itself (`qcm_obs::clock` re-exports it) and the measurement layers.
 const INSTANT_OK_PREFIXES: &[&str] = &["crates/obs", "crates/bench", "crates/cli"];
 
-/// Crates allowed to open sockets: the HTTP front door and the load
-/// generator that drives it over the wire.
-const NET_OK_PREFIXES: &[&str] = &["crates/http", "crates/bench"];
+/// Crates allowed to open sockets: the HTTP front door.
+const NET_OK_PREFIXES: &[&str] = &["crates/http"];
 
 /// Basenames of the mining hot-path modules (rule 3).
 const HOT_PATH_FILES: &[&str] = &[
@@ -457,9 +455,9 @@ fn scan_file(rel: &str, text: &str, out: &mut Vec<Violation>) {
                 path: rel.to_string(),
                 line: idx + 1,
                 content: code.trim().to_string(),
-                message: "direct `std::net::` outside crates/http and \
-                          crates/bench; expose the behaviour through \
-                          `qcm_http::Api` instead of opening a socket here"
+                message: "direct `std::net::` outside crates/http; expose \
+                          the behaviour through `qcm_http::Api` instead of \
+                          opening a socket here"
                     .to_string(),
             });
         }
@@ -638,5 +636,17 @@ mod tests {
     fn the_repository_passes_the_source_rules() {
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         assert_eq!(super::run_source_rules(&root, false), 0);
+    }
+
+    /// Only the HTTP crate may open a socket; the bench harness may not.
+    #[test]
+    fn net_boundary_admits_only_the_http_crate() {
+        let fired = |rel: &str| {
+            let mut out = Vec::new();
+            super::scan_file(rel, "use std::net::TcpStream;\n", &mut out);
+            out.iter().filter(|v| v.rule == "net-boundary").count()
+        };
+        assert_eq!(fired("crates/bench/src/runner.rs"), 1);
+        assert_eq!(fired("crates/http/src/server.rs"), 0);
     }
 }

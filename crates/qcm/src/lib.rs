@@ -4,8 +4,9 @@
 //! Mining of Maximal Quasi-Cliques: An Algorithm-System Codesign Approach"*
 //! (PVLDB 2020). The one type to know is [`Session`]: a fluent, validated
 //! mining configuration with typed errors ([`QcmError`]), deadlines and
-//! cancellation ([`CancelToken`]), streaming delivery ([`ResultSink`]) and a
-//! unified result ([`MiningReport`]) over both execution backends.
+//! cancellation ([`CancelToken`]), an observer of the raw reports
+//! ([`QuasiCliqueSink`]) and a unified result ([`MiningReport`]) over both
+//! execution backends.
 //!
 //! ## Quick start
 //!
@@ -53,15 +54,15 @@
 //! let report = session.run(&graph)?;
 //! assert_eq!(report.outcome, RunOutcome::DeadlineExceeded);
 //!
-//! // Streaming: candidates and proven-maximal results are pushed into a
-//! // caller-supplied ResultSink as the run progresses.
+//! // Streaming: every raw candidate goes to a caller-supplied
+//! // QuasiCliqueSink; the maximal sets are the report's.
 //! let session = Session::builder()
 //!     .gamma(dataset.spec.gamma)
 //!     .min_size(dataset.spec.min_size)
 //!     .build()?;
-//! let mut sink = CollectingSink::default();
-//! let report = session.run_streaming(&graph, &mut sink)?;
-//! assert_eq!(sink.maximal.len(), report.maximal.len());
+//! let mut candidates: Vec<Vec<VertexId>> = Vec::new();
+//! let report = session.run_streaming(&graph, &mut candidates)?;
+//! assert_eq!(candidates.len() as u64, report.raw_reported);
 //! # Ok::<(), qcm::QcmError>(())
 //! ```
 //!
@@ -109,9 +110,7 @@ pub use qcm_engine as engine;
 pub use qcm_gen as gen;
 pub use qcm_graph as graph;
 
-pub use qcm_core::{
-    CancelReason, CancelToken, CollectingSink, QcmError, QueryKey, ResultSink, RunOutcome,
-};
+pub use qcm_core::{CancelReason, CancelToken, QcmError, QuasiCliqueSink, QueryKey, RunOutcome};
 pub use qcm_engine::{Fault, FaultEvent, SimConfig, TransportFactory};
 pub use qcm_graph::{IndexSpec, NeighborhoodIndex, VertexBitSet};
 pub use qcm_obs::{SpanKind, Trace, TraceConfig};
@@ -120,8 +119,8 @@ pub use session::{Backend, BackendStats, MiningReport, PreparedGraph, Session, S
 /// The most commonly used types and functions in one import.
 pub mod prelude {
     pub use crate::{
-        Backend, BackendStats, CancelReason, CancelToken, CollectingSink, MiningReport, QcmError,
-        ResultSink, RunOutcome, Session, SessionBuilder,
+        Backend, BackendStats, CancelReason, CancelToken, MiningReport, QcmError, QuasiCliqueSink,
+        RunOutcome, Session, SessionBuilder,
     };
     pub use crate::{Fault, FaultEvent, SimConfig, TransportFactory};
     pub use crate::{SpanKind, Trace, TraceConfig};

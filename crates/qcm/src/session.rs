@@ -30,8 +30,8 @@
 //! rather than blocking until completion.
 
 use qcm_core::{
-    CancelToken, CandidateForwarder, MiningParams, MiningStats, PruneConfig, QcmError,
-    QuasiCliqueSet, ResultSink, RunOutcome, SerialMiner,
+    CancelToken, MiningParams, MiningStats, PruneConfig, QcmError, QuasiCliqueSet, QuasiCliqueSink,
+    RunOutcome, SerialMiner,
 };
 use qcm_engine::{EngineConfig, EngineMetrics, ParallelMiner, QuasiCliqueApp, TransportFactory};
 use qcm_graph::Graph;
@@ -410,16 +410,15 @@ impl Session {
         self.run(&prepared.graph)
     }
 
-    /// Mines `graph`, pushing results into `sink` as the run progresses:
-    /// every raw candidate through [`ResultSink::on_candidate`] (live for the
-    /// serial backend, drained per-run for the parallel one) and each final
-    /// result through [`ResultSink::on_maximal`] as it is proven maximal by
-    /// the post-processing phase. The returned report is identical to what
+    /// Mines `graph`, handing every raw candidate report to `sink` (live for
+    /// the serial backend, as the engine's result rows are drained for the
+    /// parallel one). Candidates may be duplicated or non-maximal; the
+    /// maximal sets are the returned report's, which is identical to what
     /// [`Session::run`] would produce.
     pub fn run_streaming(
         &self,
         graph: &Arc<Graph>,
-        sink: &mut dyn ResultSink,
+        sink: &mut dyn QuasiCliqueSink,
     ) -> Result<MiningReport, QcmError> {
         self.run_impl(graph, Some(sink))
     }
@@ -427,7 +426,7 @@ impl Session {
     fn run_impl(
         &self,
         graph: &Arc<Graph>,
-        mut sink: Option<&mut dyn ResultSink>,
+        sink: Option<&mut dyn QuasiCliqueSink>,
     ) -> Result<MiningReport, QcmError> {
         // Arm the per-run token: session cancellation plus this run's
         // deadline, composed into one poll.
@@ -440,46 +439,31 @@ impl Session {
         };
         let run_span = recording.then(|| qcm_obs::span(SpanKind::Run));
         let report = match &self.backend {
-            Backend::Serial => self.run_serial(graph.as_ref(), run_token, sink.as_deref_mut()),
+            Backend::Serial => self.run_serial(graph.as_ref(), run_token, sink),
             Backend::Parallel {
                 threads,
                 machines,
                 transport,
-            } => self.run_parallel(
-                graph,
-                *threads,
-                *machines,
-                transport,
-                run_token,
-                sink.as_deref_mut(),
-            ),
+            } => self.run_parallel(graph, *threads, *machines, transport, run_token, sink),
         };
         drop(run_span);
         let mut report = report;
         if recording {
             report.trace = Some(qcm_obs::finish_recording());
         }
-        if let Some(sink) = sink {
-            for members in report.maximal.iter() {
-                sink.on_maximal(members);
-            }
-        }
         Ok(report)
     }
 
-    fn run_serial<'a, 'b>(
+    fn run_serial(
         &self,
         graph: &Graph,
         cancel: CancelToken,
-        sink: Option<&'a mut (dyn ResultSink + 'b)>,
+        sink: Option<&mut dyn QuasiCliqueSink>,
     ) -> MiningReport {
         let miner = SerialMiner::with_config(self.params, self.prune).with_cancel(cancel);
         let output = match sink {
             None => miner.mine(graph),
-            Some(sink) => {
-                let mut forwarder = CandidateForwarder::new(sink);
-                miner.mine_with_observer(graph, &mut forwarder)
-            }
+            Some(sink) => miner.mine_with_observer(graph, sink),
         };
         MiningReport {
             maximal: output.maximal,
@@ -494,14 +478,14 @@ impl Session {
         }
     }
 
-    fn run_parallel<'a, 'b>(
+    fn run_parallel(
         &self,
         graph: &Arc<Graph>,
         threads: usize,
         machines: usize,
         transport: &TransportFactory,
         cancel: CancelToken,
-        sink: Option<&'a mut (dyn ResultSink + 'b)>,
+        sink: Option<&mut dyn QuasiCliqueSink>,
     ) -> MiningReport {
         let engine_config = EngineConfig::cluster(machines, threads)
             .with_cancel(cancel)
@@ -513,10 +497,7 @@ impl Session {
         let start = Instant::now();
         let output = match sink {
             None => miner.mine(graph.clone()),
-            Some(sink) => {
-                let mut forwarder = CandidateForwarder::new(sink);
-                miner.mine_with_observer(graph.clone(), &mut forwarder)
-            }
+            Some(sink) => miner.mine_with_observer(graph.clone(), sink),
         };
         let elapsed = start.elapsed();
         let outcome = output.outcome();
@@ -683,12 +664,12 @@ mod tests {
     fn streaming_delivers_candidates_and_maximal_results() {
         let g = figure4();
         let session = Session::builder().gamma(0.9).min_size(4).build().unwrap();
-        let mut sink = qcm_core::CollectingSink::default();
+        let mut sink: Vec<Vec<qcm_graph::VertexId>> = Vec::new();
         let report = session.run_streaming(&g, &mut sink).unwrap();
-        assert_eq!(sink.candidates, report.raw_reported);
-        assert_eq!(sink.maximal.len(), report.maximal.len());
-        for members in &sink.maximal {
-            assert!(report.maximal.contains(members));
+        assert_eq!(sink.len() as u64, report.raw_reported);
+        for members in report.maximal.iter() {
+            assert!(sink.contains(members), "{members:?} was never reported");
         }
+        assert_eq!(report.maximal, session.run(&g).unwrap().maximal);
     }
 }

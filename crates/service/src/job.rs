@@ -1,6 +1,6 @@
 //! Job identities, requests, states and results.
 
-use qcm::core::{PruneConfig, QuasiCliqueSet, ResultSink, RunOutcome};
+use qcm::core::{PruneConfig, QuasiCliqueSet, QuasiCliqueSink, RunOutcome};
 use qcm::Backend;
 use qcm_graph::Graph;
 use qcm_sync::Arc;
@@ -143,7 +143,7 @@ pub struct JobRequest {
     pub(crate) tenant: String,
     pub(crate) priority: Priority,
     pub(crate) deadline: Option<Duration>,
-    pub(crate) sink: Option<Box<dyn ResultSink + Send>>,
+    pub(crate) sink: Option<Box<dyn QuasiCliqueSink + Send>>,
     pub(crate) fingerprint: Option<u64>,
 }
 
@@ -202,10 +202,11 @@ impl JobRequest {
         self
     }
 
-    /// Streams results into `sink` as the run progresses (candidates during
-    /// the search, maximal sets as they are proven). On a cache hit the sink
-    /// receives only the `on_maximal` calls, immediately at submit.
-    pub fn stream(mut self, sink: Box<dyn ResultSink + Send>) -> Self {
+    /// Hands `sink` every raw candidate report of the run (see
+    /// `qcm::Session::run_streaming`). A cache hit mines nothing, so its sink
+    /// receives no report; the maximal sets come from
+    /// [`crate::MiningService::poll_fetch`] either way.
+    pub fn stream(mut self, sink: Box<dyn QuasiCliqueSink + Send>) -> Self {
         self.sink = Some(sink);
         self
     }

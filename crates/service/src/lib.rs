@@ -7,7 +7,7 @@
 //!
 //! * [`MiningService`] — the service itself: `submit → JobId`, `status`,
 //!   `cancel`, deadline-bounded `poll_fetch` / non-blocking `try_fetch`,
-//!   and streaming delivery through the standard `qcm::ResultSink`.
+//!   and a run observer through the standard `qcm::QuasiCliqueSink`.
 //! * [`JobQueue`] — priority bands with per-tenant round-robin, so one
 //!   flooding tenant delays only its own jobs.
 //! * A [`WorkerPool`][MiningService::start]: OS threads that execute each

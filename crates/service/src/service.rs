@@ -6,8 +6,8 @@ use crate::error::ServiceError;
 use crate::job::{JobId, JobRequest, JobResult, JobStatus, MinedAnswer, Priority};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::queue::JobQueue;
-use qcm::{CancelToken, ResultSink, RunOutcome, Session};
-use qcm_core::QueryKey;
+use qcm::{CancelToken, RunOutcome, Session};
+use qcm_core::{QuasiCliqueSink, QueryKey};
 use qcm_graph::Graph;
 use qcm_obs::clock::Instant;
 use qcm_sync::atomic::Ordering;
@@ -61,8 +61,8 @@ struct JobEntry {
     /// The input graph; taken by the worker (and dropped afterwards so a
     /// finished job does not pin the graph in memory).
     graph: Option<Arc<Graph>>,
-    /// Optional streaming sink; taken by the worker.
-    sink: Option<Box<dyn ResultSink + Send>>,
+    /// Optional observer of the run's raw reports; taken by the worker.
+    sink: Option<Box<dyn QuasiCliqueSink + Send>>,
     key: QueryKey,
     cancel: CancelToken,
     submitted_at: Instant,
@@ -218,8 +218,7 @@ impl MiningService {
             .unwrap_or_else(|| request.graph.content_hash());
         let key = QueryKey::new(graph_hash, *session.params(), request.prune);
 
-        let mut sink = request.sink;
-        let (id, hit_answer) = {
+        let (id, hit) = {
             let mut state = self.shared.lock();
             if state.stop {
                 return Err(ServiceError::ShuttingDown);
@@ -277,13 +276,13 @@ impl MiningService {
                         key,
                         cancel,
                         submitted_at: Instant::now(),
-                        result: Some(answer.clone()),
+                        result: Some(answer),
                         cache_hit: true,
                         error: None,
                     },
                 );
                 state.retire(id);
-                (id, Some(answer))
+                (id, true)
             } else {
                 // ordering: Relaxed — service stats counter; totals are read via
                 // snapshot(), which tolerates skew.
@@ -299,7 +298,7 @@ impl MiningService {
                         status: JobStatus::Queued,
                         session: Some(session),
                         graph: Some(request.graph),
-                        sink: sink.take(),
+                        sink: request.sink,
                         key,
                         cancel,
                         submitted_at: Instant::now(),
@@ -311,17 +310,10 @@ impl MiningService {
                 state.queue.push(&request.tenant, request.priority, id);
                 state.tenant_job_started(&request.tenant);
                 self.shared.work_cv.notify_one();
-                (id, None)
+                (id, false)
             }
         };
-        if let Some(answer) = hit_answer {
-            // Deliver the streaming view of a cache hit outside the lock:
-            // sink code is caller-supplied and may block.
-            if let Some(sink) = sink.as_mut() {
-                for members in answer.maximal.iter() {
-                    sink.on_maximal(members);
-                }
-            }
+        if hit {
             self.shared.done_cv.notify_all();
         }
         Ok(id)
@@ -637,7 +629,7 @@ fn worker_loop(shared: &Shared) {
 fn run_job(
     session: &Session,
     graph: &Arc<Graph>,
-    mut sink: Option<Box<dyn ResultSink + Send>>,
+    mut sink: Option<Box<dyn QuasiCliqueSink + Send>>,
 ) -> Result<MinedAnswer, String> {
     // The run executes caller-supplied sink code; a panic there must fail
     // *this job* (JobStatus::Failed), not unwind the worker thread — an

@@ -2,9 +2,9 @@
 //! deadlines, admission control and cancellation (the acceptance criteria of
 //! the service subsystem).
 
-use qcm::core::ResultSink;
+use qcm::core::QuasiCliqueSink;
 use qcm::prelude::{Graph, VertexId};
-use qcm::RunOutcome;
+use qcm::{Backend, RunOutcome};
 use qcm_service::{
     AdmissionControl, JobId, JobRequest, JobResult, JobStatus, MiningService, Priority,
     ServiceConfig, ServiceError,
@@ -250,48 +250,52 @@ fn cancelling_a_running_job_stops_it_via_its_cancel_token() {
     service.shutdown();
 }
 
-/// A thread-safe sink for observing streamed results from outside.
+/// A thread-safe observer that counts a job's raw reports from outside.
 #[derive(Clone, Default)]
 struct SharedSink {
-    maximal: Arc<Mutex<Vec<Vec<VertexId>>>>,
-    candidates: Arc<Mutex<u64>>,
+    reports: Arc<Mutex<u64>>,
 }
 
-impl ResultSink for SharedSink {
-    fn on_candidate(&mut self, _members: &[VertexId]) {
-        *self.candidates.lock() += 1;
-    }
-    fn on_maximal(&mut self, members: &[VertexId]) {
-        self.maximal.lock().push(members.to_vec());
+impl QuasiCliqueSink for SharedSink {
+    fn report(&mut self, _members: Vec<VertexId>) {
+        *self.reports.lock() += 1;
     }
 }
 
+/// A mined job's observer gets every raw report, on both backends; a cache
+/// hit's gets none, and its sets come from `poll_fetch`.
 #[test]
 fn streaming_sinks_fire_for_mined_jobs_and_cache_hits() {
     let (graph, gamma, min_size) = easy_graph();
-    let service = MiningService::start(ServiceConfig::default());
+    for backend in [Backend::Serial, Backend::parallel(2, 1)] {
+        let service = MiningService::start(ServiceConfig::default());
+        let request = || JobRequest::new(graph.clone(), gamma, min_size).backend(backend.clone());
 
-    let cold_sink = SharedSink::default();
-    let job = service
-        .submit(JobRequest::new(graph.clone(), gamma, min_size).stream(Box::new(cold_sink.clone())))
-        .unwrap();
-    let cold = fetch(&service, job).unwrap();
-    assert_eq!(cold_sink.maximal.lock().len(), cold.maximal().len());
-    assert_eq!(*cold_sink.candidates.lock(), cold.answer.raw_reported);
+        let cold_sink = SharedSink::default();
+        let job = service
+            .submit(request().stream(Box::new(cold_sink.clone())))
+            .unwrap();
+        let cold = fetch(&service, job).unwrap();
+        assert!(!cold.cache_hit);
+        assert!(cold.answer.raw_reported > 0, "{backend:?}");
+        assert_eq!(
+            *cold_sink.reports.lock(),
+            cold.answer.raw_reported,
+            "{backend:?}"
+        );
 
-    // A cache hit delivers the maximal sets to the sink at submit time.
-    let hot_sink = SharedSink::default();
-    let job = service
-        .submit(JobRequest::new(graph, gamma, min_size).stream(Box::new(hot_sink.clone())))
-        .unwrap();
-    assert_eq!(
-        hot_sink.maximal.lock().len(),
-        cold.maximal().len(),
-        "hit delivery happens before fetch"
-    );
-    let hot = fetch(&service, job).unwrap();
-    assert!(hot.cache_hit);
-    service.shutdown();
+        // A cache hit mines nothing: its observer gets no report, and the
+        // sets come from `poll_fetch`.
+        let hot_sink = SharedSink::default();
+        let job = service
+            .submit(request().stream(Box::new(hot_sink.clone())))
+            .unwrap();
+        let hot = fetch(&service, job).unwrap();
+        assert!(hot.cache_hit);
+        assert_eq!(*hot_sink.reports.lock(), 0, "{backend:?}");
+        assert_eq!(hot.maximal(), cold.maximal(), "{backend:?}");
+        service.shutdown();
+    }
 }
 
 #[test]
@@ -331,14 +335,13 @@ fn cache_hits_are_served_even_when_admission_would_reject() {
     service.shutdown();
 }
 
-/// A sink that panics on the first candidate, for worker-robustness tests.
+/// An observer that panics on the first report, for worker-robustness tests.
 struct PanickingSink;
 
-impl ResultSink for PanickingSink {
-    fn on_candidate(&mut self, _members: &[VertexId]) {
+impl QuasiCliqueSink for PanickingSink {
+    fn report(&mut self, _members: Vec<VertexId>) {
         panic!("sink exploded");
     }
-    fn on_maximal(&mut self, _members: &[VertexId]) {}
 }
 
 #[test]

@@ -142,8 +142,8 @@ fn generous_deadline_completes_normally() {
     assert!(report.into_result().is_ok());
 }
 
-/// Plain and streamed reports agree; the sink sees every candidate, and the
-/// maximal sets once each, in canonical order.
+/// Plain and streamed reports agree, and the observer sees every raw report:
+/// the maximal sets among them are the report's.
 #[test]
 fn streaming_run_matches_plain_run_and_orders_maximal_results() {
     leg("streaming_run_matches_plain_run_and_orders_maximal_results");
